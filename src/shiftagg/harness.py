@@ -24,7 +24,7 @@ from .datasets import (
     sinc_ratio,
 )
 from .density_ratio import fit_domain_classifier
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .metrics import CSV_COLUMNS, pearson_with_flag
 from .models import (
     FeatureModel,
@@ -523,17 +523,25 @@ def _per_model_accuracies(eval_stack, eval_labels):
 
 
 class _SeedContext:
-    """Everything shared by the methods evaluated on one (instance, models) pair."""
+    """Everything shared by the methods evaluated on one (instance, models) pair.
 
-    def __init__(self, cfg, instance, models, beta):
+    ``stacks`` may carry the (source, target, eval) prediction stacks of
+    ``models`` when the caller already holds them; otherwise they are
+    predicted here.
+    """
+
+    def __init__(self, cfg, instance, models, beta, stacks=None):
         self.cfg = cfg
         self.instance = instance
         self.models = models
         self.beta = beta
         self.classification = instance.label_dim >= 2
-        self.source_stack = stack_predictions(models, instance.source_x)
-        self.target_stack = stack_predictions(models, instance.target_x)
-        self.eval_stack = stack_predictions(models, instance.target_eval_x)
+        if stacks is None:
+            stacks = tuple(
+                stack_predictions(models, xs)
+                for xs in (instance.source_x, instance.target_x, instance.target_eval_x)
+            )
+        self.source_stack, self.target_stack, self.eval_stack = stacks
         self.eval_y = np.asarray(instance.target_eval_y, dtype=float)
         self.eval_labels = self.eval_y.argmax(axis=1) if self.classification else None
         self.oracle = aggregation.oracle_weights(
@@ -621,6 +629,8 @@ class _SeedContext:
             weights, diagnostics = self.method_weights(method)
             preds = _eval_predictions(weights, self.eval_stack)
         risk = _risk_from_preds(preds, self.eval_y)
+        if not math.isfinite(risk) or (weights is not None and not np.all(np.isfinite(weights))):
+            raise NumericalError(f"{method} produced a non-finite risk or weight vector")
         acc = _accuracy_from_preds(preds, self.eval_labels) if self.classification else None
         return ResultRow(
             method=method,
@@ -639,12 +649,14 @@ class _SeedContext:
         )
 
 
-def evaluate_methods(cfg, instance, models, beta, seed, methods=None, count=None):
+def evaluate_methods(cfg, instance, models, beta, seed, methods=None, count=None, *, stacks=None):
     """Rows for every method on one prepared (instance, models, beta) triple.
 
     Per-method failures become error rows; the rest of the methods still run.
+    ``stacks`` optionally carries the models' (source, target, eval)
+    prediction stacks.
     """
-    context = _SeedContext(cfg, instance, models, beta)
+    context = _SeedContext(cfg, instance, models, beta, stacks)
     rows = []
     for method in methods or resolve_methods(cfg):
         try:
@@ -689,31 +701,36 @@ def _corruption_seeds(seed, total):
     return [int(v) for v in ss.generate_state(total, dtype=np.uint64)]
 
 
-def _draw_corrupted(cfg, instance, models, seed, total):
-    """Corrupted models with the accuracy redraw gate; returns (models, labels, gate stats)."""
+def _draw_corrupted(instance, models, base_eval, seed, total):
+    """Corrupted models with the accuracy redraw gate.
+
+    ``base_eval`` is the prediction stack of ``models`` on the evaluation
+    inputs. Returns (models, labels, eval stack, gate stats); the eval stack
+    holds ``base_eval`` followed by the predictions the gate computed for
+    each kept model, in slot order.
+    """
     eval_x = instance.target_eval_x
     eval_labels = instance.target_eval_y.argmax(axis=1)
-    so_model = models[0]
-    so_acc = float(
-        (so_model.predict_many(eval_x).argmax(axis=1) == eval_labels).mean()
-    )
+    so_acc = float((base_eval[0].argmax(axis=1) == eval_labels).mean())
     threshold = 0.8 * so_acc
     pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
     cseeds = iter(_corruption_seeds(seed, total * MAX_CORRUPTION_REDRAWS))
     drawn, labels, flagged_count = [], [], 0
+    eval_stack = np.empty((len(models) + total, *base_eval.shape[1:]))
+    eval_stack[: len(models)] = base_eval
     for slot in range(total):
         candidate, flagged, base_index = None, False, 0
         for _ in range(MAX_CORRUPTION_REDRAWS):
             base_index = int(pick_rng.integers(len(models)))
             candidate = corrupt(models[base_index], next(cseeds))
-            acc = float(
-                (candidate.predict_many(eval_x).argmax(axis=1) == eval_labels).mean()
-            )
+            preds = candidate.predict_many(eval_x)
+            acc = float((preds.argmax(axis=1) == eval_labels).mean())
             if acc < threshold:
                 flagged = True
                 break
         flagged_count += int(flagged)
         drawn.append(candidate)
+        eval_stack[len(models) + slot] = preds
         labels.append(f"corrupt_{slot}[{models.labels[base_index]}]")
     stats = {
         "seed": int(seed),
@@ -722,7 +739,7 @@ def _draw_corrupted(cfg, instance, models, seed, total):
         "flagged": flagged_count,
         "total": total,
     }
-    return drawn, labels, stats
+    return drawn, labels, eval_stack, stats
 
 
 def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
@@ -732,6 +749,10 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
     noise on half of its output coordinates, and are redrawn (bounded
     retries) until target accuracy falls below 80% of the source-only
     model's accuracy. Counts always include the 0 baseline.
+
+    Every model is predicted once per seed: the sequence with the largest
+    count is stacked on source and target, the gate's predictions fill the
+    eval stack, and each count evaluates the leading slices of those stacks.
     """
     cfg.validate()
     if cfg.dataset == "sinc":
@@ -747,18 +768,28 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
                 raise ConfigError("dataset: the sensitivity study needs classification outputs")
             models = build_models(cfg, instance)
             beta = build_beta(cfg, instance)
-            corrupted, corrupt_labels, stats = _draw_corrupted(
-                cfg, instance, models, seed, max(counts)
+            base_eval = stack_predictions(models, instance.target_eval_x)
+            corrupted, corrupt_labels, eval_stack, stats = _draw_corrupted(
+                instance, models, base_eval, seed, max(counts)
             )
             gate_stats.append(stats)
+            full = models.extended(corrupted, corrupt_labels)
+            stacks = (
+                stack_predictions(full, instance.source_x),
+                stack_predictions(full, instance.target_x),
+                eval_stack,
+            )
             for count in counts:
                 sequence = (
                     models
                     if count == 0
                     else models.extended(corrupted[:count], corrupt_labels[:count])
                 )
+                prefix = tuple(stack[: len(sequence)] for stack in stacks)
                 rows.extend(
-                    evaluate_methods(cfg, instance, sequence, beta, seed, count=count)
+                    evaluate_methods(
+                        cfg, instance, sequence, beta, seed, count=count, stacks=prefix
+                    )
                 )
         except Exception as exc:  # failure isolation per seed
             message = f"{type(exc).__name__}: {exc}"

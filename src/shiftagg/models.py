@@ -9,8 +9,6 @@ used by the sensitivity study all live here.
 
 from abc import ABC, abstractmethod
 import csv
-import hashlib
-import math
 
 import numpy as np
 
@@ -215,29 +213,43 @@ def polynomial_features(xs, degree):
     return np.column_stack([flat**p for p in range(1, degree + 1)]) if degree else np.zeros((xs.shape[0], 0))
 
 
-_TWO_TO_64 = float(2**64)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _hash_normals(key, x, count):
-    """Standard normal draws that are a pure function of (key, x).
+def _mix64(z):
+    """SplitMix64 finaliser, applied elementwise to a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
-    blake2b over the input bytes supplies uniforms, Box-Muller turns them
-    into normals. Identical queries therefore always see identical noise,
-    while distinct inputs get independent-looking draws.
+
+def _hash_normals(seed, xs, count):
+    """Standard normal draws of shape (rows, count), a pure function of (seed, row).
+
+    Each row's float64 bit patterns are folded column by column into a
+    SplitMix64 state keyed by ``seed``. Counter-indexed mixes of that state
+    give ceil(count/2) pairs of uniforms in (0, 1), and Box-Muller turns each
+    pair into two normals. Every operation is elementwise over rows, so a
+    row's noise does not depend on the batch it arrives in: identical
+    queries always see identical noise, distinct inputs get
+    independent-looking draws.
     """
-    data = np.ascontiguousarray(x, dtype=np.float64).tobytes()
+    bits = np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64)
+    state = np.full(bits.shape[0], seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    for column in bits.T:
+        state = _mix64((state ^ column) + _GOLDEN)
     pairs = (count + 1) // 2
-    z = np.empty(2 * pairs)
-    for block in range(pairs):
-        digest = hashlib.blake2b(
-            data, key=key, salt=block.to_bytes(8, "little"), digest_size=16
-        ).digest()
-        u1 = (int.from_bytes(digest[:8], "little") + 0.5) / _TWO_TO_64
-        u2 = (int.from_bytes(digest[8:], "little") + 0.5) / _TWO_TO_64
-        r = math.sqrt(-2.0 * math.log(u1))
-        z[2 * block] = r * math.cos(2.0 * math.pi * u2)
-        z[2 * block + 1] = r * math.sin(2.0 * math.pi * u2)
-    return z[:count]
+    counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
+    # Counters lead the axes so every transcendental call sees a contiguous
+    # block. The top 53 bits of each draw, offset by half a step, lie
+    # strictly in (0, 1).
+    uniforms = ((_mix64(counters[:, None] + state) >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(uniforms[:pairs]))
+    angle = 2.0 * np.pi * uniforms[pairs:]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return normals.reshape(2 * pairs, bits.shape[0])[:count].T
 
 
 class CorruptedModel(Model):
@@ -259,24 +271,16 @@ class CorruptedModel(Model):
         self.mask = mask
         self.output_dim = base.output_dim
         self.input_dim = base.input_dim
-        self._key = (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         self._n_masked = int(mask.sum())
 
     def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.array(self.base.predict(x), dtype=float, copy=True)
-        if self._n_masked:
-            y[self.mask] += _hash_normals(self._key, x, self._n_masked)
-        return y
+        return self.predict_many(np.asarray(x, dtype=float)[None])[0]
 
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         ys = np.array(self.base.predict_many(xs), dtype=float, copy=True)
         if self._n_masked:
-            noise = np.empty((xs.shape[0], self._n_masked))
-            for i in range(xs.shape[0]):
-                noise[i] = _hash_normals(self._key, xs[i], self._n_masked)
-            ys[:, self.mask] += noise
+            ys[:, self.mask] += _hash_normals(self.seed, xs, self._n_masked)
         return ys
 
 

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from shiftagg.aggregation import empirical_gram
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError
 from shiftagg.harness import (
@@ -17,6 +20,9 @@ from shiftagg.harness import (
     ExperimentConfig,
     ResultRow,
     ResultTable,
+    _draw_corrupted,
+    _SeedContext,
+    build_beta,
     build_config,
     build_instance,
     build_models,
@@ -32,6 +38,7 @@ from shiftagg.harness import (
     scaled_weights,
     write_outputs,
 )
+from shiftagg.models import LinearModel, stack_predictions
 
 SINC_SMALL = dict(dataset="sinc", n=50, m=50, eval_size=40, l=3, seeds=(0, 1))
 MOONS_SMALL = dict(
@@ -235,6 +242,27 @@ class TestRunExperiment:
         assert len(table.rows) == len(resolve_methods(cfg)) * 2
         assert all("FileNotFoundError" in r.error for r in table.rows)
 
+    def test_non_finite_risk_becomes_error_row(self):
+        cfg = ExperimentConfig(**MOONS_SMALL)
+        inst = build_instance(cfg, 0)
+        models = build_models(cfg, inst)
+        stacks = [
+            stack_predictions(models, xs)
+            for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
+        ]
+        stacks[0][1, 0, 0] = np.nan  # one source prediction poisons the moment vector
+        rows = evaluate_methods(
+            cfg, inst, models, ConstantRatio(1.0), 0,
+            methods=("iwa", "tmv", "oracle"), stacks=tuple(stacks),
+        )
+        by_method = {r.method: r for r in rows}
+        assert by_method["iwa"].error.startswith("NumericalError")
+        assert by_method["iwa"].weights is None
+        for method in ("tmv", "oracle"):
+            assert by_method[method].error is None
+            assert math.isfinite(by_method[method].risk)
+        assert ResultTable(rows=rows, config={}).has_failures
+
 
 class TestNoShiftReduction:
     def test_iwa_equals_sor_when_target_is_source(self):
@@ -257,15 +285,17 @@ class TestUnsupervisedDiscipline:
         models = build_models(cfg, inst)
         beta = ConstantRatio(1.0)
         methods = ("iwa", "sor", "tmr", "tcr", "iwv", "dev")
-        clean = evaluate_methods(cfg, inst, models, beta, 0, methods=methods)
+        clean = _SeedContext(cfg, inst, models, beta)
         poisoned_inst = dataclasses.replace(
             inst, target_eval_y=np.full_like(inst.target_eval_y, np.nan)
         )
-        poisoned = evaluate_methods(cfg, poisoned_inst, models, beta, 0, methods=methods)
-        for before, after in zip(clean, poisoned):
-            assert before.method == after.method
-            assert after.error is None
-            assert before.weights == after.weights
+        # Scored rows turn NaN risks into error rows, so compare the weight
+        # vectors before scoring.
+        poisoned = _SeedContext(cfg, poisoned_inst, models, beta)
+        for method in methods:
+            before, _ = clean.method_weights(method)
+            after, _ = poisoned.method_weights(method)
+            assert np.array_equal(before, after)
 
 
 class TestResultTable:
@@ -363,6 +393,26 @@ class TestSensitivity:
         run_sensitivity(cfg, added_counts=(2,)).write_csv(str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_prefix_slices_match_per_count_reference(self):
+        # The study predicts every model once and slices the stacks per
+        # count; the reference re-predicts the extended sequence per count.
+        cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)})
+        table = run_sensitivity(cfg, added_counts=(2, 5))
+        reference = []
+        for seed in cfg.seeds:
+            inst = build_instance(cfg, seed)
+            models = build_models(cfg, inst)
+            beta = build_beta(cfg, inst)
+            base_eval = stack_predictions(models, inst.target_eval_x)
+            corrupted, labels, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
+            for count in (0, 2, 5):
+                sequence = models.extended(corrupted[:count], labels[:count])
+                reference.extend(evaluate_methods(cfg, inst, sequence, beta, seed, count=count))
+        assert not table.has_failures
+        assert [repr(dataclasses.asdict(r)) for r in table.rows] == [
+            repr(dataclasses.asdict(r)) for r in reference
+        ]
+
     def test_sinc_rejected(self):
         with pytest.raises(ConfigError, match="classification"):
             run_sensitivity(ExperimentConfig(**SINC_SMALL))
@@ -371,6 +421,28 @@ class TestSensitivity:
         cfg = ExperimentConfig(**MOONS_SMALL)
         with pytest.raises(ConfigError, match="added_counts"):
             run_sensitivity(cfg, added_counts=(-1,))
+
+
+@given(
+    st.integers(2, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.floats(-8.0, 8.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_prefix_gram_is_leading_block(l, prefix, d2, k, log_scale, seed):
+    prefix = min(prefix, l)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    models = [
+        LinearModel(scale * rng.normal(size=(2, d2)), scale * rng.normal(size=d2))
+        for _ in range(l)
+    ]
+    xs = rng.normal(size=(k, 2))
+    full = empirical_gram(models, xs)
+    lead = empirical_gram(models[:prefix], xs)
+    assert np.abs(lead - full[:prefix, :prefix]).max() <= 1e-12 * np.abs(full).max()
 
 
 class TestCorrelation:

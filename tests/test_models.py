@@ -241,6 +241,37 @@ class TestCorruption:
         with pytest.raises(DimensionError):
             CorruptedModel(constant_model([0.0, 0.0]), 0, np.array([True]))
 
+    @staticmethod
+    def pure_noise(seed, input_dim=2, output_dim=3):
+        """A corrupted all-zero model: its output is the noise itself."""
+        base = LinearModel(np.zeros((input_dim, output_dim)), np.zeros(output_dim))
+        return CorruptedModel(base, seed, np.ones(output_dim, dtype=bool))
+
+    def test_row_noise_independent_of_batch(self, rng):
+        model = self.pure_noise(21)
+        xs = rng.normal(size=(257, 2))
+        reference = np.stack([model.predict(row) for row in xs])
+        assert np.array_equal(model.predict_many(xs), reference)
+        larger = np.vstack([rng.normal(size=(40, 2)), xs, rng.normal(size=(9, 2))])
+        assert np.array_equal(model.predict_many(larger)[40:-9], reference)
+        order = rng.permutation(xs.shape[0])
+        assert np.array_equal(model.predict_many(xs[order]), reference[order])
+
+    def test_seeds_give_uncorrelated_noise(self):
+        xs = np.linspace(-3, 3, 10_000)[:, None]
+        first = self.pure_noise(1, input_dim=1, output_dim=1).predict_many(xs).ravel()
+        second = self.pure_noise(2, input_dim=1, output_dim=1).predict_many(xs).ravel()
+        assert abs(np.corrcoef(first, second)[0, 1]) < 0.05
+
+    def test_pinned_noise_values(self):
+        # Fails loudly if the input folding, the mixing or Box-Muller change.
+        noise = self.pure_noise(2024).predict_many(np.array([[0.5, -1.25], [0.0, 3.0]]))
+        expected = [
+            [-1.0905181314534862, -0.941558135167457, 0.7487969452275093],
+            [3.1249765787592465, -2.1426053887885566, 0.5531625420636757],
+        ]
+        assert noise == pytest.approx(np.array(expected), rel=1e-12)
+
 
 class TestPrecomputedModel:
     @staticmethod
