@@ -19,7 +19,6 @@ from .aggregation import (
     sor,
     tcr,
     tmr,
-    tmv,
 )
 from .datasets import (
     DomainAdaptationInstance,
@@ -35,7 +34,6 @@ from .density_ratio import (
     GaussianRatio,
     LearnedRatio,
     fit_domain_classifier,
-    normalized_weights,
 )
 from .errors import (
     ConfigError,
@@ -54,8 +52,8 @@ from .harness import (
     run_sensitivity,
     write_outputs,
 )
-from .linalg import TruncatedInverse, pinv_rcond, solve_regularized, spectral_pinv, sym_eig
-from .metrics import EvaluationReport, accuracy, empirical_risk, pearson, pearson_with_flag
+from .linalg import TruncatedInverse, spectral_pinv, sym_eig
+from .metrics import accuracy, empirical_risk, pearson, pearson_with_flag
 from .models import (
     CorruptedModel,
     FeatureModel,
@@ -87,7 +85,6 @@ __all__ = [
     "DensityRatio",
     "DimensionError",
     "DomainAdaptationInstance",
-    "EvaluationReport",
     "ExperimentConfig",
     "FeatureModel",
     "GaussianRatio",
@@ -116,11 +113,9 @@ __all__ = [
     "majority_votes",
     "make_sinc_shift",
     "make_transformed_moons",
-    "normalized_weights",
     "oracle_weights",
     "pearson",
     "pearson_with_flag",
-    "pinv_rcond",
     "polynomial_features",
     "predict_batch",
     "run_correlation",
@@ -130,13 +125,11 @@ __all__ = [
     "save_csv_instance",
     "select_as_aggregation",
     "sinc_ratio",
-    "solve_regularized",
     "sor",
     "spectral_pinv",
     "stack_predictions",
     "sym_eig",
     "tcr",
     "tmr",
-    "tmv",
     "write_outputs",
 ]

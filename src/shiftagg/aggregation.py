@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density_ratio import ConstantRatio
-from .errors import DegenerateGramError, DimensionError
+from .errors import DegenerateGramError, DimensionError, NumericalError
 from .linalg import DEFAULT_RCOND, spectral_pinv
 from .models import Model, stack_predictions
 
@@ -29,24 +29,34 @@ def _prediction_stack(models, xs, predictions):
     return predictions
 
 
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} contain NaN or inf")
+
+
 def empirical_gram(models, target_x, *, predictions=None):
     """Gram matrix G[i, j] = mean_k <f_i(x_k), f_j(x_k)> over the rows of target_x.
 
     Exactly symmetric by construction and positive semi-definite up to
     rounding. ``predictions`` may carry a precomputed stack of model outputs
-    (shape (l, k, d2)) to avoid re-evaluating the models.
+    (shape (l, k, d2)) to avoid re-evaluating the models. Non-finite
+    predictions raise NumericalError.
     """
     preds = _prediction_stack(models, target_x, predictions)
     l, k, d2 = preds.shape
     if k == 0:
         raise ValueError("cannot form a Gram matrix from an empty sample")
+    _require_finite(preds, "target predictions")
     flat = preds.reshape(l, k * d2)
     gram = flat @ flat.T / k
     return 0.5 * (gram + gram.T)
 
 
 def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
-    """Moment vector g[i] = mean_k beta(x_k) <y_k, f_i(x_k)> over labeled source rows."""
+    """Moment vector g[i] = mean_k beta(x_k) <y_k, f_i(x_k)> over labeled source rows.
+
+    Non-finite predictions, labels or ratio weights raise NumericalError.
+    """
     preds = _prediction_stack(models, source_x, predictions)
     source_y = np.asarray(source_y, dtype=float)
     l, n, d2 = preds.shape
@@ -59,6 +69,9 @@ def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
     w = np.asarray(beta.weights(source_x), dtype=float)
     if w.shape != (n,):
         raise DimensionError(f"beta produced weights of shape {w.shape}, expected ({n},)")
+    _require_finite(preds, "source predictions")
+    _require_finite(source_y, "source labels")
+    _require_finite(w, "density-ratio weights")
     weighted_y = w[:, None] * source_y
     return np.tensordot(preds, weighted_y, axes=([1, 2], [0, 1])) / n
 
@@ -72,15 +85,6 @@ class AggregationResult:
     moment: np.ndarray
     gram_condition: float
     rank_retained: int
-
-    def as_json(self, method):
-        """JSON-ready summary: {method, weights, gram_condition, rank_retained}."""
-        return {
-            "method": str(method),
-            "weights": [float(v) for v in self.weights],
-            "gram_condition": float(self.gram_condition),
-            "rank_retained": int(self.rank_retained),
-        }
 
 
 class AggregatedModel(Model):
@@ -102,16 +106,16 @@ class AggregatedModel(Model):
         in_dims = {m.input_dim for m in self.models if m.input_dim is not None}
         self.input_dim = in_dims.pop() if len(in_dims) == 1 else None
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.output_dim)
-        for c, model in zip(self.coefficients, self.models):
-            out += c * np.asarray(model.predict(x), dtype=float)
-        return out
-
     def predict_many(self, xs):
         preds = stack_predictions(self.models, xs)
         return np.tensordot(self.coefficients, preds, axes=(0, 0))
+
+
+def _label_regression(models, target_x, labels, rcond, preds):
+    """Unweighted least squares of (pseudo-)labels onto the model outputs."""
+    gram = empirical_gram(models, target_x, predictions=preds)
+    moment = empirical_moment(models, target_x, labels, ConstantRatio(1.0), predictions=preds)
+    return _solve_aggregation(gram, moment, rcond).weights
 
 
 def _solve_aggregation(gram, moment, rcond):
@@ -162,9 +166,7 @@ def oracle_weights(models, target_x, target_y, rcond=1e-8, *, predictions=None):
     empty directions, not regularize.
     """
     preds = _prediction_stack(models, target_x, predictions)
-    gram = empirical_gram(models, target_x, predictions=preds)
-    moment = empirical_moment(models, target_x, target_y, ConstantRatio(1.0), predictions=preds)
-    return _solve_aggregation(gram, moment, rcond).weights
+    return _label_regression(models, target_x, target_y, rcond, preds)
 
 
 def sor(models, source_x, source_y, rcond=DEFAULT_RCOND, *, predictions=None):
@@ -205,25 +207,8 @@ def majority_votes(predictions):
     return counts.argmax(axis=1)
 
 
-def tmv(models, x):
-    """Majority-vote class index for a single input (ties -> lowest class index)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"tmv expects a single input vector, got shape {x.shape}")
-    preds = stack_predictions(models, x[None, :])
-    return int(majority_votes(preds)[0])
-
-
 def _one_hot(labels, classes):
     return np.eye(classes)[labels]
-
-
-def _pseudo_label_regression(models, target_x, pseudo_labels, rcond, preds):
-    gram = empirical_gram(models, target_x, predictions=preds)
-    moment = empirical_moment(
-        models, target_x, pseudo_labels, ConstantRatio(1.0), predictions=preds
-    )
-    return _solve_aggregation(gram, moment, rcond).weights
 
 
 def tmr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
@@ -231,7 +216,7 @@ def tmr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     preds = _prediction_stack(models, target_x, predictions)
     _check_classification(preds.shape[2])
     pseudo = _one_hot(majority_votes(preds), preds.shape[2])
-    return _pseudo_label_regression(models, target_x, pseudo, rcond, preds)
+    return _label_regression(models, target_x, pseudo, rcond, preds)
 
 
 def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
@@ -240,4 +225,4 @@ def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = _one_hot(mean_output.argmax(axis=1), preds.shape[2])
-    return _pseudo_label_regression(models, target_x, pseudo, rcond, preds)
+    return _label_regression(models, target_x, pseudo, rcond, preds)

@@ -21,7 +21,7 @@ def _int_list(text):
 
 
 def _str_list(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    return harness._parse_str_tuple(text, "value")
 
 
 def _add_shared_flags(parser):
@@ -115,29 +115,8 @@ def _dispatch(args, cfg):
 
 
 def _print_summary(table, stream):
-    if table.kind == "rate":
-        for size, median in table.medians().items():
-            print(f"size={size} median_deviation={median:.6g}", file=stream)
-        print(f"slope={table.slope():.4f} strictly_decreasing={table.strictly_decreasing()}",
-              file=stream)
-        return
-    if table.kind == "correlation":
-        for entry in table.summary():
-            print(
-                f"{entry['method']}: median_r={entry['median']:.4f} "
-                f"iqr=[{entry['q25']:.4f}, {entry['q75']:.4f}]",
-                file=stream,
-            )
-        return
-    for agg in table.aggregates():
-        if agg["stat"] != "median":
-            continue
-        prefix = f"count={agg['count']} " if agg["count"] is not None else ""
-        acc = "" if agg["accuracy"] is None else f" accuracy={agg['accuracy']:.4f}"
-        print(
-            f"{prefix}{agg['method']}: risk={agg['risk']:.6g} excess={agg['excess']:.6g}{acc}",
-            file=stream,
-        )
+    for line in harness.KINDS[table.kind].summary_lines(table):
+        print(line, file=stream)
 
 
 def main(argv=None):

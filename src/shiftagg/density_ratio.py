@@ -7,7 +7,6 @@ logistic source-vs-target domain classifier.
 """
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,12 @@ class DensityRatio(ABC):
     bound: float
 
     @abstractmethod
+    def weights(self, xs):
+        """Ratio estimates for every row of the sample matrix ``xs``."""
+
     def weight(self, x):
         """Ratio estimate for a single input vector (a float)."""
-
-    def weights(self, xs):
-        """Ratio estimates for every row of ``xs``."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2:
-            raise DimensionError(f"xs must be a 2-d sample matrix, got shape {xs.shape}")
-        return np.array([self.weight(row) for row in xs])
+        return float(self.weights(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 class ConstantRatio(DensityRatio):
@@ -45,9 +41,6 @@ class ConstantRatio(DensityRatio):
             raise ValueError(f"ratio value must be non-negative, got {value}")
         self.value = value
         self.bound = max(value, 1.0)
-
-    def weight(self, x):
-        return self.value
 
     def weights(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -74,10 +67,6 @@ class GaussianRatio(DensityRatio):
         zp = (values - self.source_mean) / self.source_std
         zq = (values - self.target_mean) / self.target_std
         return np.log(self.source_std / self.target_std) + 0.5 * (zp**2 - zq**2)
-
-    def weight(self, x):
-        value = float(np.asarray(x, dtype=float).reshape(-1)[0])
-        return float(self.weights(np.array([[value]]))[0])
 
     def weights(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -121,10 +110,6 @@ class LearnedRatio(DensityRatio):
         with np.errstate(over="ignore"):
             probs = 1.0 / (1.0 + np.exp(-logits))
         return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-    def weight(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(self.weights(x[None, :])[0])
 
     def weights(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -170,24 +155,3 @@ def fit_domain_classifier(source_x, target_x, epochs=500, lr=0.5, bound=DEFAULT_
         w = w - lr * (x.T @ resid) / total
         b = b - lr * float(resid.mean())
     return LearnedRatio(w, b, n / m, bound)
-
-
-@dataclass(frozen=True)
-class SourceWeights:
-    """Raw per-sample ratio weights plus their mean.
-
-    The mean is a Monte Carlo check of E_p[beta] = 1; no rescaling is
-    applied to the weights themselves.
-    """
-
-    values: np.ndarray
-    mean: float
-
-
-def normalized_weights(beta, xs):
-    """Evaluate ``beta`` on the rows of ``xs`` and report the weight mean."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise DimensionError(f"xs must be a non-empty 2-d sample matrix, got shape {xs.shape}")
-    values = np.asarray(beta.weights(xs), dtype=float)
-    return SourceWeights(values=values, mean=float(values.mean()))

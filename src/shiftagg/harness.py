@@ -9,10 +9,11 @@ gate of the sensitivity study.
 """
 
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 import json
 import math
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,10 +43,8 @@ from . import plots
 # weight-decay strength, so the first model (0) is plain source training.
 LAMBDA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0)
 
-AGGREGATION_METHODS = ("iwa", "sor", "tmv", "tmr", "tcr")
-SELECTION_METHODS = ("iwv", "dev")
-REFERENCE_METHODS = ("oracle", "target_best", "source_only")
-ALL_METHODS = AGGREGATION_METHODS + SELECTION_METHODS + REFERENCE_METHODS
+# METHODS (further down) defines the method names and their order; these are
+# subsets of it. Methods that need classification outputs:
 CLASSIFICATION_ONLY_METHODS = ("tmv", "tmr", "tcr")
 # Methods whose weight vectors are meaningful for the correlation study.
 WEIGHT_METHODS = ("iwa", "sor", "tmr", "tcr")
@@ -130,7 +129,7 @@ class ExperimentConfig:
             problems.append(f"oracle_rcond: must lie in [0, 1), got {self.oracle_rcond}")
         if not self.seeds:
             problems.append("seeds: need at least one seed")
-        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
         if self.dataset == "sinc":
@@ -329,29 +328,19 @@ def build_beta(cfg, instance):
 
 
 def resolve_methods(cfg):
-    """Requested methods plus the SO/TB reference rows, deduplicated."""
+    """Requested methods plus the SO/TB reference rows, deduplicated.
+
+    Without a request, every method of METHODS that the dataset supports.
+    """
     if cfg.methods:
-        requested = list(cfg.methods)
-    elif cfg.dataset == "sinc":
-        requested = ["iwa", "sor", "iwv", "dev", "oracle"]
+        requested = [*cfg.methods, "source_only", "target_best"]
     else:
-        requested = ["iwa", "sor", "tmv", "tmr", "tcr", "iwv", "dev", "oracle"]
-    for ref in ("source_only", "target_best"):
-        if ref not in requested:
-            requested.append(ref)
-    seen, ordered = set(), []
-    for name in requested:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return tuple(ordered)
+        skip = CLASSIFICATION_ONLY_METHODS if cfg.dataset == "sinc" else ()
+        requested = [m for m in METHODS if m not in skip]
+    return tuple(dict.fromkeys(requested))
 
 
-# --- result rows and tables --------------------------------------------------
-
-
-def _nan():
-    return float("nan")
+# --- result rows and the one table ------------------------------------------------
 
 
 @dataclass
@@ -360,19 +349,36 @@ class ResultRow:
 
     method: str
     seed: int
-    risk: float = field(default_factory=_nan)
+    risk: float = math.nan
     accuracy: float = None
-    excess: float = field(default_factory=_nan)
+    excess: float = math.nan
+    count: int = None
     weights: list = None
-    chosen_index: int = None
-    scores: list = None
     gram_condition: float = None
     rank_retained: int = None
-    count: int = None
+    chosen_index: int = None
+    scores: list = None
     error: str = None
 
     def sort_key(self):
         return (self.count if self.count is not None else 0, self.method, self.seed)
+
+
+@dataclass
+class CorrelationRow:
+    method: str
+    seed: int
+    pearson_r: float
+    degenerate: bool
+    error: str = None
+
+
+@dataclass
+class RateRow:
+    seed: int
+    size: int
+    deviation: float
+    error: str = None
 
 
 def _fmt(value):
@@ -381,45 +387,41 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
-def _json_float(value):
-    if value is None:
-        return None
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+def _csv_line(values, columns):
+    """One CSV line of the named values: 17-digit floats, true/false flags."""
+    cells = []
+    for column in columns:
+        value = values[column]
+        if isinstance(value, bool):
+            cells.append("true" if value else "false")
+        elif isinstance(value, (str, int)):
+            cells.append(str(value))
+        else:
+            cells.append(_fmt(value))
+    return ",".join(cells)
+
+
+def _json_value(value):
+    """JSON form of a row or summary value; non-finite floats become strings."""
+    if isinstance(value, list):
+        return [float(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
 
 
 def _row_json(row):
-    out = {
-        "method": row.method,
-        "seed": row.seed,
-        "risk": _json_float(row.risk),
-        "accuracy": _json_float(row.accuracy),
-        "excess": _json_float(row.excess),
+    """A row's fields in order; unset ones are left out, except a regression row's null accuracy."""
+    return {
+        name: _json_value(value)
+        for name, value in vars(row).items()
+        if value is not None or name == "accuracy"
     }
-    if row.count is not None:
-        out["count"] = row.count
-    if row.weights is not None:
-        out["weights"] = [float(w) for w in row.weights]
-    if row.gram_condition is not None:
-        out["gram_condition"] = _json_float(row.gram_condition)
-    if row.rank_retained is not None:
-        out["rank_retained"] = int(row.rank_retained)
-    if row.chosen_index is not None:
-        out["chosen_index"] = int(row.chosen_index)
-    if row.scores is not None:
-        out["scores"] = [float(s) for s in row.scores]
-    if row.error is not None:
-        out["error"] = row.error
-    return out
 
 
 @dataclass
 class ResultTable:
-    """Rows plus aggregate mean/median rows, ready for CSV/JSON emission."""
+    """One study's rows; ``KINDS[kind]`` says how to sort, summarise and plot them."""
 
     rows: list
     config: dict
@@ -427,7 +429,7 @@ class ResultTable:
     extra: dict = field(default_factory=dict)
 
     def sorted_rows(self):
-        return sorted(self.rows, key=ResultRow.sort_key)
+        return sorted(self.rows, key=KINDS[self.kind].sort_key)
 
     def ok_rows(self):
         return [r for r in self.rows if r.error is None]
@@ -436,74 +438,291 @@ class ResultTable:
     def has_failures(self):
         return any(r.error is not None for r in self.rows)
 
-    def aggregates(self):
-        """Mean and median of (risk, accuracy, excess) per (count, method)."""
-        groups = {}
-        for row in self.ok_rows():
-            groups.setdefault((row.count, row.method), []).append(row)
-        out = []
-        for (count, method) in sorted(groups, key=lambda k: (k[0] if k[0] is not None else 0, k[1])):
-            rows = groups[(count, method)]
-            risks = np.array([r.risk for r in rows], dtype=float)
-            accs = (
-                np.array([r.accuracy for r in rows], dtype=float)
-                if all(r.accuracy is not None for r in rows)
-                else None
-            )
-            excesses = np.array([r.excess for r in rows], dtype=float)
-            for stat, reduce in (("mean", np.mean), ("median", np.median)):
-                out.append(
-                    {
-                        "method": method,
-                        "count": count,
-                        "stat": stat,
-                        "risk": float(reduce(risks)),
-                        "accuracy": float(reduce(accs)) if accs is not None else None,
-                        "excess": float(reduce(excesses)),
-                    }
-                )
-        return out
-
     def write_csv(self, path):
-        """EvaluationReport rows sorted by (count, method, seed); aggregates follow.
-
-        Aggregate rows carry the statistic name in the seed column.
-        """
-        with_count = any(r.count is not None for r in self.rows)
-        header = (("count",) if with_count else ()) + CSV_COLUMNS
-        lines = [",".join(header)]
-        for row in self.sorted_rows():
-            cells = [row.method, _fmt(row.risk), _fmt(row.accuracy), _fmt(row.excess), str(row.seed)]
-            if with_count:
-                cells = [str(row.count if row.count is not None else 0)] + cells
-            lines.append(",".join(cells))
-        for agg in self.aggregates():
-            cells = [agg["method"], _fmt(agg["risk"]), _fmt(agg["accuracy"]), _fmt(agg["excess"]), agg["stat"]]
-            if with_count:
-                cells = [str(agg["count"] if agg["count"] is not None else 0)] + cells
-            lines.append(",".join(cells))
+        """The kind's columns, one line per sorted row, then the kind's summary lines."""
+        kind = KINDS[self.kind]
+        lines = [",".join(kind.columns)]
+        lines += [_csv_line(vars(row), kind.columns) for row in self.sorted_rows()]
+        lines += kind.csv_tail(self)
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
 
     def write_json(self, path):
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "rows": [_row_json(r) for r in self.sorted_rows()],
-            "aggregates": [
-                {**agg, "risk": _json_float(agg["risk"]), "accuracy": _json_float(agg["accuracy"]),
-                 "excess": _json_float(agg["excess"])}
-                for agg in self.aggregates()
-            ],
-        }
-        if self.extra:
-            payload["extra"] = self.extra
+        rows = [_row_json(row) for row in self.sorted_rows()]
+        body = KINDS[self.kind].json_body(self, rows)
+        payload = {"kind": self.kind, "config": self.config, **body}
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
 
 
-# --- method evaluation -------------------------------------------------------
+# --- per-kind summaries ----------------------------------------------------------
+
+
+def aggregates(table):
+    """Mean and median of (risk, accuracy, excess) per (count, method) of a run table."""
+    groups = {}
+    for row in table.ok_rows():
+        groups.setdefault((row.count, row.method), []).append(row)
+    out = []
+    for (count, method) in sorted(groups, key=lambda k: (k[0] if k[0] is not None else 0, k[1])):
+        rows = groups[(count, method)]
+        risks = np.array([r.risk for r in rows], dtype=float)
+        accs = (
+            np.array([r.accuracy for r in rows], dtype=float)
+            if all(r.accuracy is not None for r in rows)
+            else None
+        )
+        excesses = np.array([r.excess for r in rows], dtype=float)
+        for stat, reduce in (("mean", np.mean), ("median", np.median)):
+            out.append(
+                {
+                    "method": method,
+                    "count": count,
+                    "stat": stat,
+                    "risk": float(reduce(risks)),
+                    "accuracy": float(reduce(accs)) if accs is not None else None,
+                    "excess": float(reduce(excesses)),
+                }
+            )
+    return out
+
+
+def _spread(values):
+    """(25th percentile, median, 75th percentile) of a sample; nan for an empty one."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return (float("nan"),) * 3
+    quartiles = np.percentile(values, 25), np.median(values), np.percentile(values, 75)
+    return tuple(float(q) for q in quartiles)
+
+
+def correlation_summary(table):
+    """Quartiles of the correlation per method."""
+    groups = {}
+    for row in table.ok_rows():
+        groups.setdefault(row.method, []).append(row.pearson_r)
+    return [
+        dict(zip(("method", "q25", "median", "q75"), (method, *_spread(groups[method]))))
+        for method in sorted(groups)
+    ]
+
+
+def rate_spread(table):
+    """(q25, median, q75) of the deviation per size; nan for a size without successful rows."""
+    return {
+        size: _spread([r.deviation for r in table.ok_rows() if r.size == size])
+        for size in table.extra["sizes"]
+    }
+
+
+def rate_medians(table):
+    return {size: median for size, (_, median, _) in rate_spread(table).items()}
+
+
+def rate_slope(table):
+    """Least-squares slope of log median deviation against log size."""
+    med = rate_medians(table)
+    xs = np.log([float(s) for s in med])
+    ys = np.log(list(med.values()))
+    if not np.all(np.isfinite(ys)):
+        return float("nan")
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+def rate_strictly_decreasing(table):
+    values = list(rate_medians(table).values())
+    return all(later < earlier for earlier, later in zip(values, values[1:]))
+
+
+def _aggregate_lines(table):
+    """Aggregate CSV lines; the statistic name sits in the seed column."""
+    columns = KINDS[table.kind].columns
+    return [_csv_line({**agg, "seed": agg["stat"]}, columns) for agg in aggregates(table)]
+
+
+def _aggregates_json(table, rows):
+    body = {
+        "rows": rows,
+        "aggregates": [{k: _json_value(v) for k, v in agg.items()} for agg in aggregates(table)],
+    }
+    if table.extra:
+        body["extra"] = table.extra
+    return body
+
+
+def _rate_json(table, rows):
+    return {
+        "sizes": list(table.extra["sizes"]),
+        "rows": rows,
+        "medians": {str(k): _json_value(v) for k, v in rate_medians(table).items()},
+        "slope": _json_value(rate_slope(table)),
+        "strictly_decreasing": rate_strictly_decreasing(table),
+    }
+
+
+def _aggregate_summary(table):
+    lines = []
+    for agg in aggregates(table):
+        if agg["stat"] != "median":
+            continue
+        prefix = f"count={agg['count']} " if agg["count"] is not None else ""
+        acc = "" if agg["accuracy"] is None else f" accuracy={agg['accuracy']:.4f}"
+        lines.append(
+            f"{prefix}{agg['method']}: risk={agg['risk']:.6g} excess={agg['excess']:.6g}{acc}"
+        )
+    return lines
+
+
+def _correlation_lines(table):
+    return [
+        f"{entry['method']}: median_r={entry['median']:.4f} "
+        f"iqr=[{entry['q25']:.4f}, {entry['q75']:.4f}]"
+        for entry in correlation_summary(table)
+    ]
+
+
+def _rate_lines(table):
+    lines = [f"size={size} median_deviation={m:.6g}" for size, m in rate_medians(table).items()]
+    lines.append(
+        f"slope={rate_slope(table):.4f} strictly_decreasing={rate_strictly_decreasing(table)}"
+    )
+    return lines
+
+
+# --- per-kind plot panels ----------------------------------------------------------
+
+
+def scaled_weights(weights):
+    """Display scaling: w / sum |w| (identity for an all-zero vector)."""
+    weights = np.asarray(weights, dtype=float)
+    total = np.abs(weights).sum()
+    return weights / total if total > 0 else weights
+
+
+def _run_plots(table, plots_dir):
+    aggs = [a for a in aggregates(table) if a["stat"] == "median"]
+    if aggs:
+        labels = [a["method"] for a in aggs]
+        plots.bar_chart(
+            os.path.join(plots_dir, "risk_by_method.svg"),
+            labels,
+            [a["risk"] for a in aggs],
+            title="Median target risk by method",
+            y_label="target risk",
+        )
+        if all(a["accuracy"] is not None for a in aggs):
+            plots.bar_chart(
+                os.path.join(plots_dir, "accuracy_by_method.svg"),
+                labels,
+                [a["accuracy"] for a in aggs],
+                title="Median target accuracy by method",
+                y_label="target accuracy",
+            )
+    by_method = {}
+    for row in table.ok_rows():
+        if row.weights is not None:
+            by_method.setdefault(row.method, []).append(scaled_weights(row.weights))
+    for method, weight_rows in sorted(by_method.items()):
+        stacked = np.vstack(weight_rows)
+        mean_weights = stacked.mean(axis=0)
+        plots.bar_chart(
+            os.path.join(plots_dir, f"weights_{method}.svg"),
+            [str(i) for i in range(mean_weights.shape[0])],
+            list(mean_weights),
+            title=f"Mean scaled aggregation weights: {method}",
+            y_label="scaled weight",
+        )
+
+
+def _sensitivity_plots(table, plots_dir):
+    counts = sorted({r.count for r in table.ok_rows() if r.count is not None})
+    accuracies = {}
+    for r in table.ok_rows():
+        if r.accuracy is not None:
+            accuracies.setdefault((r.method, r.count), []).append(r.accuracy)
+    series, bands = {}, {}
+    for method in sorted({method for method, _ in accuracies}):
+        if counts and all((method, count) in accuracies for count in counts):
+            lows, medians, highs = zip(*(_spread(accuracies[(method, c)]) for c in counts))
+            series[method], bands[method] = list(medians), (list(lows), list(highs))
+    if series:
+        plots.line_chart(
+            os.path.join(plots_dir, "sensitivity.svg"),
+            counts,
+            series,
+            title="Target accuracy vs corrupted models added (median, IQR band)",
+            x_label="corrupted models added",
+            y_label="target accuracy",
+            bands=bands,
+        )
+
+
+def _correlation_plots(table, plots_dir):
+    groups = {}
+    for row in table.ok_rows():
+        groups.setdefault(row.method, []).append(row.pearson_r)
+    if groups:
+        labels = sorted(groups)
+        plots.box_plot(
+            os.path.join(plots_dir, "correlation.svg"),
+            labels,
+            [groups[label] for label in labels],
+            title="Weight vs per-model accuracy correlation",
+            y_label="Pearson r",
+        )
+
+
+def _rate_plots(table, plots_dir):
+    spread = rate_spread(table)
+    lows, medians, highs = (list(column) for column in zip(*spread.values()))
+    plots.line_chart(
+        os.path.join(plots_dir, "rate.svg"),
+        list(spread),
+        {"iwa": medians},
+        title="Weight-vector deviation from oracle vs sample size",
+        x_label="n = m",
+        y_label="||c_tilde - c_star||",
+        bands={"iwa": (lows, highs)},
+        log_x=True,
+    )
+
+
+class TableKind(NamedTuple):
+    """What differs between the studies' tables; everything else is ResultTable's."""
+
+    sort_key: Callable  # row -> sort key
+    columns: tuple  # CSV header, named after the row fields
+    csv_tail: Callable  # table -> CSV lines after the rows
+    json_body: Callable  # (table, JSON rows) -> results.json keys after "config"
+    plot: Callable  # (table, plots_dir) -> None
+    summary_lines: Callable  # table -> CLI summary lines
+
+
+KINDS = {
+    "run": TableKind(
+        ResultRow.sort_key, CSV_COLUMNS, _aggregate_lines, _aggregates_json,
+        _run_plots, _aggregate_summary,
+    ),
+    "sensitivity": TableKind(
+        ResultRow.sort_key, ("count",) + CSV_COLUMNS, _aggregate_lines, _aggregates_json,
+        _sensitivity_plots, _aggregate_summary,
+    ),
+    "correlation": TableKind(
+        lambda r: (r.method, r.seed), ("method", "pearson_r", "degenerate", "seed"),
+        lambda table: [],
+        lambda table, rows: {"rows": rows, "summary": correlation_summary(table)},
+        _correlation_plots, _correlation_lines,
+    ),
+    "rate": TableKind(
+        lambda r: (r.size, r.seed), ("size", "deviation", "seed"),
+        lambda table: [f"{size},{_fmt(m)},median" for size, m in rate_medians(table).items()],
+        _rate_json, _rate_plots, _rate_lines,
+    ),
+}
+
+
+# --- methods ---------------------------------------------------------------------
 
 
 def _eval_predictions(weights, eval_stack):
@@ -522,12 +741,97 @@ def _per_model_accuracies(eval_stack, eval_labels):
     return np.array([(eval_stack[i].argmax(axis=1) == eval_labels).mean() for i in range(eval_stack.shape[0])])
 
 
+def _basis_weights(count, index):
+    weights = np.zeros(count)
+    weights[index] = 1.0
+    return weights
+
+
+# Each method maps the seed context to (weights, diagnostics); the diagnostics
+# name ResultRow fields. A method without a weight vector returns None and its
+# eval predictions under "predictions".
+# The aggregation and selection functions are looked up on their modules at
+# call time, so anything that rebinds them there (a tracer) sees every call.
+
+
+def _iwa(ctx):
+    inst = ctx.instance
+    result = aggregation.iwa(
+        ctx.models,
+        inst.source_x,
+        inst.source_y,
+        inst.target_x,
+        ctx.beta,
+        ctx.cfg.rcond,
+        source_predictions=ctx.source_stack,
+        target_predictions=ctx.target_stack,
+    )
+    diagnostics = {"gram_condition": result.gram_condition, "rank_retained": result.rank_retained}
+    return result.weights, diagnostics
+
+
+def _sor(ctx):
+    inst = ctx.instance
+    return aggregation.sor(
+        ctx.models, inst.source_x, inst.source_y, ctx.cfg.rcond, predictions=ctx.source_stack
+    ), {}
+
+
+def _tmv(ctx):
+    votes = aggregation.majority_votes(ctx.eval_stack)
+    return None, {"predictions": np.eye(ctx.eval_stack.shape[2])[votes]}
+
+
+def _pseudo_label(name, ctx):
+    fn = getattr(aggregation, name)
+    return fn(ctx.models, ctx.instance.target_x, ctx.cfg.rcond, predictions=ctx.target_stack), {}
+
+
+def _selected(name, ctx):
+    inst = ctx.instance
+    result = getattr(selection, name)(
+        ctx.models,
+        inst.source_x,
+        inst.source_y,
+        ctx.beta,
+        ctx.cfg.selection_loss,
+        predictions=ctx.source_stack,
+    )
+    weights = selection.select_as_aggregation(result, len(ctx.models))
+    scores = [float(s) for s in result.scores]
+    return weights, {"chosen_index": result.chosen_index, "scores": scores}
+
+
+def _target_best(ctx):
+    if ctx.classification:
+        best = int(np.argmax(_per_model_accuracies(ctx.eval_stack, ctx.eval_labels)))
+    else:
+        risks = [_risk_from_preds(ctx.eval_stack[i], ctx.eval_y) for i in range(len(ctx.models))]
+        best = int(np.argmin(risks))
+    return _basis_weights(len(ctx.models), best), {}
+
+
+METHODS = {
+    "iwa": _iwa,
+    "sor": _sor,
+    "tmv": _tmv,
+    "tmr": partial(_pseudo_label, "tmr"),
+    "tcr": partial(_pseudo_label, "tcr"),
+    "iwv": partial(_selected, "iwv_select"),
+    "dev": partial(_selected, "dev_select"),
+    "oracle": lambda ctx: (ctx.oracle, {}),
+    "source_only": lambda ctx: (_basis_weights(len(ctx.models), 0), {}),
+    "target_best": _target_best,
+}
+ALL_METHODS = tuple(METHODS)
+
+
 class _SeedContext:
     """Everything shared by the methods evaluated on one (instance, models) pair.
 
     ``stacks`` may carry the (source, target, eval) prediction stacks of
     ``models`` when the caller already holds them; otherwise they are
-    predicted here.
+    predicted here. The oracle is solved on first use.
     """
 
     def __init__(self, cfg, instance, models, beta, stacks=None):
@@ -544,108 +848,44 @@ class _SeedContext:
         self.source_stack, self.target_stack, self.eval_stack = stacks
         self.eval_y = np.asarray(instance.target_eval_y, dtype=float)
         self.eval_labels = self.eval_y.argmax(axis=1) if self.classification else None
-        self.oracle = aggregation.oracle_weights(
-            models,
-            instance.target_eval_x,
-            instance.target_eval_y,
-            cfg.oracle_rcond,
+
+    @cached_property
+    def oracle(self):
+        return aggregation.oracle_weights(
+            self.models,
+            self.instance.target_eval_x,
+            self.instance.target_eval_y,
+            self.cfg.oracle_rcond,
             predictions=self.eval_stack,
         )
-        self.oracle_risk = _risk_from_preds(
-            _eval_predictions(self.oracle, self.eval_stack), self.eval_y
-        )
+
+    @cached_property
+    def oracle_risk(self):
+        return _risk_from_preds(_eval_predictions(self.oracle, self.eval_stack), self.eval_y)
 
     def method_weights(self, method):
-        """Aggregation-weight vector for a method, plus optional diagnostics."""
-        cfg, inst = self.cfg, self.instance
-        diagnostics = {}
-        if method == "iwa":
-            result = aggregation.iwa(
-                self.models,
-                inst.source_x,
-                inst.source_y,
-                inst.target_x,
-                self.beta,
-                cfg.rcond,
-                source_predictions=self.source_stack,
-                target_predictions=self.target_stack,
-            )
-            weights = result.weights
-            diagnostics = {
-                "gram_condition": result.gram_condition,
-                "rank_retained": result.rank_retained,
-            }
-        elif method == "sor":
-            weights = aggregation.sor(
-                self.models, inst.source_x, inst.source_y, cfg.rcond, predictions=self.source_stack
-            )
-        elif method == "tmr":
-            weights = aggregation.tmr(
-                self.models, inst.target_x, cfg.rcond, predictions=self.target_stack
-            )
-        elif method == "tcr":
-            weights = aggregation.tcr(
-                self.models, inst.target_x, cfg.rcond, predictions=self.target_stack
-            )
-        elif method in SELECTION_METHODS:
-            fn = selection.iwv_select if method == "iwv" else selection.dev_select
-            result = fn(
-                self.models,
-                inst.source_x,
-                inst.source_y,
-                self.beta,
-                cfg.selection_loss,
-                predictions=self.source_stack,
-            )
-            weights = selection.select_as_aggregation(result, len(self.models))
-            diagnostics = {"chosen_index": result.chosen_index, "scores": list(result.scores)}
-        elif method == "oracle":
-            weights = self.oracle
-        elif method == "source_only":
-            weights = selection.select_as_aggregation(
-                selection.SelectionResult(0, np.zeros(len(self.models))), len(self.models)
-            )
-        elif method == "target_best":
-            if self.classification:
-                best = int(np.argmax(_per_model_accuracies(self.eval_stack, self.eval_labels)))
-            else:
-                risks = [
-                    _risk_from_preds(self.eval_stack[i], self.eval_y)
-                    for i in range(len(self.models))
-                ]
-                best = int(np.argmin(risks))
-            weights = np.zeros(len(self.models))
-            weights[best] = 1.0
-        else:
+        """Aggregation-weight vector for a method (None for tmv), plus diagnostics."""
+        if method not in METHODS:
             raise ConfigError(f"methods: unknown method {method!r}")
-        return np.asarray(weights, dtype=float), diagnostics
+        return METHODS[method](self)
 
     def evaluate(self, method, seed, count=None):
-        if method == "tmv":
-            votes = aggregation.majority_votes(self.eval_stack)
-            preds = np.eye(self.eval_stack.shape[2])[votes]
-            weights, diagnostics = None, {}
-        else:
-            weights, diagnostics = self.method_weights(method)
+        weights, diagnostics = self.method_weights(method)
+        preds = diagnostics.pop("predictions", None)
+        if preds is None:
             preds = _eval_predictions(weights, self.eval_stack)
         risk = _risk_from_preds(preds, self.eval_y)
         if not math.isfinite(risk) or (weights is not None and not np.all(np.isfinite(weights))):
             raise NumericalError(f"{method} produced a non-finite risk or weight vector")
-        acc = _accuracy_from_preds(preds, self.eval_labels) if self.classification else None
         return ResultRow(
             method=method,
             seed=seed,
             risk=risk,
-            accuracy=acc,
+            accuracy=_accuracy_from_preds(preds, self.eval_labels) if self.classification else None,
             excess=risk - self.oracle_risk,
-            weights=None if weights is None else [float(w) for w in weights],
-            chosen_index=diagnostics.get("chosen_index"),
-            scores=(
-                [float(s) for s in diagnostics["scores"]] if "scores" in diagnostics else None
-            ),
-            gram_condition=diagnostics.get("gram_condition"),
-            rank_retained=diagnostics.get("rank_retained"),
             count=count,
+            weights=None if weights is None else [float(w) for w in weights],
+            **diagnostics,
         )
 
 
@@ -662,34 +902,54 @@ def evaluate_methods(cfg, instance, models, beta, seed, methods=None, count=None
         try:
             rows.append(context.evaluate(method, seed, count=count))
         except Exception as exc:  # failure isolation per method
-            rows.append(
-                ResultRow(
-                    method=method, seed=seed, count=count, error=f"{type(exc).__name__}: {exc}"
-                )
-            )
+            rows.append(ResultRow(method=method, seed=seed, count=count, error=_describe(exc)))
     return rows
+
+
+# --- the seed loop -----------------------------------------------------------------
+
+
+def _describe(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _over_seeds(seeds, seed_rows, error_rows):
+    """``seed_rows(seed)`` for every seed; a seed that raises gets ``error_rows(seed, message)``."""
+    rows = []
+    for seed in seeds:
+        try:
+            rows.extend(seed_rows(seed))
+        except Exception as exc:  # failure isolation per seed
+            rows.extend(error_rows(seed, _describe(exc)))
+    return rows
+
+
+def _prepare(cfg, seed, study=None, instance=None):
+    """Instance (drawn unless given), model sequence and density ratio for one seed.
+
+    A ``study`` name requires classification outputs.
+    """
+    if instance is None:
+        instance = build_instance(cfg, seed)
+    if study and instance.label_dim < 2:
+        raise ConfigError(f"dataset: the {study} study needs classification outputs")
+    return instance, build_models(cfg, instance), build_beta(cfg, instance)
 
 
 def run_single_seed(cfg, seed, instance=None):
     """All method rows for one seed; ``instance`` may be supplied explicitly."""
-    if instance is None:
-        instance = build_instance(cfg, seed)
-    models = build_models(cfg, instance)
-    beta = build_beta(cfg, instance)
-    return evaluate_methods(cfg, instance, models, beta, seed)
+    return evaluate_methods(cfg, *_prepare(cfg, seed, instance=instance), seed)
 
 
 def run_experiment(cfg):
     """One table of (method, seed) evaluation rows plus aggregates."""
     cfg.validate()
-    rows = []
-    for seed in cfg.seeds:
-        try:
-            rows.extend(run_single_seed(cfg, seed))
-        except Exception as exc:  # failure isolation per seed
-            message = f"{type(exc).__name__}: {exc}"
-            for method in resolve_methods(cfg):
-                rows.append(ResultRow(method=method, seed=seed, error=message))
+    methods = resolve_methods(cfg)
+    rows = _over_seeds(
+        cfg.seeds,
+        partial(run_single_seed, cfg),
+        lambda seed, error: [ResultRow(method=m, seed=seed, error=error) for m in methods],
+    )
     return ResultTable(rows=rows, config=cfg.as_dict(), kind="run")
 
 
@@ -760,42 +1020,38 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
     counts = sorted({0, *(int(c) for c in added_counts)})
     if any(c < 0 for c in counts):
         raise ConfigError(f"added_counts: must be non-negative, got {added_counts}")
-    rows, gate_stats = [], []
-    for seed in cfg.seeds:
-        try:
-            instance = build_instance(cfg, seed)
-            if instance.label_dim < 2:
-                raise ConfigError("dataset: the sensitivity study needs classification outputs")
-            models = build_models(cfg, instance)
-            beta = build_beta(cfg, instance)
-            base_eval = stack_predictions(models, instance.target_eval_x)
-            corrupted, corrupt_labels, eval_stack, stats = _draw_corrupted(
-                instance, models, base_eval, seed, max(counts)
+    methods = resolve_methods(cfg)
+    gate_stats = []
+
+    def seed_rows(seed):
+        instance, models, beta = _prepare(cfg, seed, "sensitivity")
+        base_eval = stack_predictions(models, instance.target_eval_x)
+        corrupted, corrupt_labels, eval_stack, stats = _draw_corrupted(
+            instance, models, base_eval, seed, max(counts)
+        )
+        gate_stats.append(stats)
+        full = models.extended(corrupted, corrupt_labels)
+        stacks = (
+            stack_predictions(full, instance.source_x),
+            stack_predictions(full, instance.target_x),
+            eval_stack,
+        )
+        rows = []
+        for count in counts:
+            sequence = models.extended(corrupted[:count], corrupt_labels[:count])
+            prefix = tuple(stack[: len(sequence)] for stack in stacks)
+            rows.extend(
+                evaluate_methods(cfg, instance, sequence, beta, seed, count=count, stacks=prefix)
             )
-            gate_stats.append(stats)
-            full = models.extended(corrupted, corrupt_labels)
-            stacks = (
-                stack_predictions(full, instance.source_x),
-                stack_predictions(full, instance.target_x),
-                eval_stack,
-            )
-            for count in counts:
-                sequence = (
-                    models
-                    if count == 0
-                    else models.extended(corrupted[:count], corrupt_labels[:count])
-                )
-                prefix = tuple(stack[: len(sequence)] for stack in stacks)
-                rows.extend(
-                    evaluate_methods(
-                        cfg, instance, sequence, beta, seed, count=count, stacks=prefix
-                    )
-                )
-        except Exception as exc:  # failure isolation per seed
-            message = f"{type(exc).__name__}: {exc}"
-            for count in counts:
-                for method in resolve_methods(cfg):
-                    rows.append(ResultRow(method=method, seed=seed, count=count, error=message))
+        return rows
+
+    rows = _over_seeds(
+        cfg.seeds,
+        seed_rows,
+        lambda seed, error: [
+            ResultRow(method=m, seed=seed, count=c, error=error) for c in counts for m in methods
+        ],
+    )
     return ResultTable(
         rows=rows,
         config=cfg.as_dict(),
@@ -807,214 +1063,41 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
 # --- correlation study ---------------------------------------------------------
 
 
-@dataclass
-class CorrelationRow:
-    method: str
-    seed: int
-    pearson_r: float
-    degenerate: bool
-    error: str = None
-
-
-@dataclass
-class CorrelationTable:
-    """Per-(method, seed) Pearson correlations between weights and accuracies."""
-
-    rows: list
-    config: dict
-    kind: str = "correlation"
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.method, r.seed))
-
-    def ok_rows(self):
-        return [r for r in self.rows if r.error is None]
-
-    @property
-    def has_failures(self):
-        return any(r.error is not None for r in self.rows)
-
-    def summary(self):
-        """Quartiles of the correlation per method."""
-        groups = {}
-        for row in self.ok_rows():
-            groups.setdefault(row.method, []).append(row.pearson_r)
-        out = []
-        for method in sorted(groups):
-            values = np.array(groups[method], dtype=float)
-            out.append(
-                {
-                    "method": method,
-                    "q25": float(np.percentile(values, 25)),
-                    "median": float(np.median(values)),
-                    "q75": float(np.percentile(values, 75)),
-                }
-            )
-        return out
-
-    def write_csv(self, path):
-        lines = ["method,pearson_r,degenerate,seed"]
-        for row in self.sorted_rows():
-            if row.error is not None:
-                lines.append(f"{row.method},nan,false,{row.seed}")
-                continue
-            flag = "true" if row.degenerate else "false"
-            lines.append(f"{row.method},{row.pearson_r:.17g},{flag},{row.seed}")
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-
-    def write_json(self, path):
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "rows": [
-                {
-                    "method": r.method,
-                    "seed": r.seed,
-                    "pearson_r": _json_float(r.pearson_r),
-                    "degenerate": bool(r.degenerate),
-                    **({"error": r.error} if r.error else {}),
-                }
-                for r in self.sorted_rows()
-            ],
-            "summary": self.summary(),
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-
-
 def run_correlation(cfg):
     """Correlate aggregation weights with per-model target accuracies.
 
     Only weight-producing aggregation methods participate (majority vote has
     no weight vector). Degenerate (constant) weight vectors are flagged and
-    contribute a correlation of 0.
+    contribute a correlation of 0. No row reads the oracle, so none is solved.
     """
     cfg.validate()
     if cfg.dataset == "sinc":
         raise ConfigError("dataset: the correlation study needs classification outputs")
-    if cfg.methods:
-        bad = [m for m in cfg.methods if m not in WEIGHT_METHODS]
-        if bad:
-            raise ConfigError(
-                f"methods: correlation needs weight-producing methods {WEIGHT_METHODS}, got {bad}"
-            )
-        methods = tuple(cfg.methods)
-    else:
-        methods = WEIGHT_METHODS
-    rows = []
-    for seed in cfg.seeds:
-        try:
-            instance = build_instance(cfg, seed)
-            if instance.label_dim < 2:
-                raise ConfigError("dataset: the correlation study needs classification outputs")
-            models = build_models(cfg, instance)
-            beta = build_beta(cfg, instance)
-            context = _SeedContext(cfg, instance, models, beta)
-            accuracies = _per_model_accuracies(context.eval_stack, context.eval_labels)
-            for method in methods:
-                weights, _ = context.method_weights(method)
-                r, degenerate = pearson_with_flag(weights, accuracies)
-                rows.append(CorrelationRow(method, seed, r, degenerate))
-        except Exception as exc:  # failure isolation per seed
-            message = f"{type(exc).__name__}: {exc}"
-            for method in methods:
-                rows.append(CorrelationRow(method, seed, float("nan"), False, error=message))
-    return CorrelationTable(rows=rows, config=cfg.as_dict())
+    methods = tuple(cfg.methods) or WEIGHT_METHODS
+    bad = [m for m in methods if m not in WEIGHT_METHODS]
+    if bad:
+        raise ConfigError(
+            f"methods: correlation needs weight-producing methods {WEIGHT_METHODS}, got {bad}"
+        )
+
+    def seed_rows(seed):
+        context = _SeedContext(cfg, *_prepare(cfg, seed, "correlation"))
+        accuracies = _per_model_accuracies(context.eval_stack, context.eval_labels)
+        rows = []
+        for method in methods:
+            weights, _ = context.method_weights(method)
+            rows.append(CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies)))
+        return rows
+
+    rows = _over_seeds(
+        cfg.seeds,
+        seed_rows,
+        lambda seed, error: [CorrelationRow(m, seed, float("nan"), False, error) for m in methods],
+    )
+    return ResultTable(rows=rows, config=cfg.as_dict(), kind="correlation")
 
 
 # --- convergence-rate check ---------------------------------------------------
-
-
-@dataclass
-class RateRow:
-    seed: int
-    size: int
-    deviation: float
-    error: str = None
-
-
-@dataclass
-class RateTable:
-    """||c_tilde - c_star|| against n = m, per seed, plus medians and slope."""
-
-    rows: list
-    config: dict
-    sizes: tuple
-    kind: str = "rate"
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.size, r.seed))
-
-    def ok_rows(self):
-        return [r for r in self.rows if r.error is None]
-
-    @property
-    def has_failures(self):
-        return any(r.error is not None for r in self.rows)
-
-    def medians(self):
-        out = {}
-        for size in self.sizes:
-            values = [r.deviation for r in self.ok_rows() if r.size == size]
-            out[size] = float(np.median(values)) if values else float("nan")
-        return out
-
-    def quartiles(self):
-        out = {}
-        for size in self.sizes:
-            values = np.array([r.deviation for r in self.ok_rows() if r.size == size])
-            if values.size:
-                out[size] = (float(np.percentile(values, 25)), float(np.percentile(values, 75)))
-            else:
-                out[size] = (float("nan"), float("nan"))
-        return out
-
-    def slope(self):
-        """Least-squares slope of log median deviation against log size."""
-        med = self.medians()
-        xs = np.log([float(s) for s in self.sizes])
-        ys = np.log([med[s] for s in self.sizes])
-        if not np.all(np.isfinite(ys)):
-            return float("nan")
-        return float(np.polyfit(xs, ys, 1)[0])
-
-    def strictly_decreasing(self):
-        med = self.medians()
-        values = [med[s] for s in self.sizes]
-        return all(later < earlier for earlier, later in zip(values, values[1:]))
-
-    def write_csv(self, path):
-        lines = ["size,deviation,seed"]
-        for row in self.sorted_rows():
-            lines.append(f"{row.size},{_fmt(row.deviation)},{row.seed}")
-        for size, median in self.medians().items():
-            lines.append(f"{size},{_fmt(median)},median")
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-
-    def write_json(self, path):
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "sizes": list(self.sizes),
-            "rows": [
-                {
-                    "seed": r.seed,
-                    "size": r.size,
-                    "deviation": _json_float(r.deviation),
-                    **({"error": r.error} if r.error else {}),
-                }
-                for r in self.sorted_rows()
-            ],
-            "medians": {str(k): _json_float(v) for k, v in self.medians().items()},
-            "slope": _json_float(self.slope()),
-            "strictly_decreasing": self.strictly_decreasing(),
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
 
 
 def _rate_subseeds(seed, count):
@@ -1038,159 +1121,51 @@ def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
     if len(sizes) < 2 or sizes[0] < 2:
         raise ConfigError(f"sizes: need at least two distinct sizes >= 2, got {sizes}")
     beta = sinc_ratio(cfg.sinc_interpret_std, cfg.beta_bound)
-    rows = []
-    for seed in cfg.seeds:
-        try:
-            subseeds = _rate_subseeds(seed, 2 + len(sizes))
-            train = make_sinc_shift(
-                cfg.n, 1, 1, subseeds[0],
-                interpret_std=cfg.sinc_interpret_std, noise_std=cfg.sinc_noise_std,
-            )
-            models = _sinc_sequence(cfg, train)
-            oracle_sample = make_sinc_shift(
-                1, 1, oracle_draws, subseeds[1],
-                interpret_std=cfg.sinc_interpret_std, noise_std=cfg.sinc_noise_std,
-            )
-            c_star = aggregation.oracle_weights(
-                models, oracle_sample.target_eval_x, oracle_sample.target_eval_y, cfg.rcond
-            )
-            for size, sub in zip(sizes, subseeds[2:]):
-                inst = make_sinc_shift(
-                    size, size, 1, sub,
-                    interpret_std=cfg.sinc_interpret_std, noise_std=cfg.sinc_noise_std,
-                )
-                c_tilde = aggregation.iwa(
-                    models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
-                ).weights
-                rows.append(RateRow(seed, size, float(np.linalg.norm(c_tilde - c_star))))
-        except Exception as exc:  # failure isolation per seed
-            message = f"{type(exc).__name__}: {exc}"
-            for size in sizes:
-                rows.append(RateRow(seed, size, float("nan"), error=message))
-    return RateTable(rows=rows, config=cfg.as_dict(), sizes=sizes)
+
+    def sinc(n, m, eval_size, seed):
+        return make_sinc_shift(
+            n, m, eval_size, seed,
+            interpret_std=cfg.sinc_interpret_std, noise_std=cfg.sinc_noise_std,
+        )
+
+    # The last seed's oracle draw stays referenced until the next seed has
+    # drawn its own. Freed at the end of every seed, its rows let the
+    # allocator hand the memory back to the operating system and page it in
+    # again for the next seed, which made the study about a fifth slower.
+    held = []
+
+    def seed_rows(seed):
+        subseeds = _rate_subseeds(seed, 2 + len(sizes))
+        models = _sinc_sequence(cfg, sinc(cfg.n, 1, 1, subseeds[0]))
+        oracle_sample = sinc(1, 1, oracle_draws, subseeds[1])
+        held[:] = [oracle_sample]
+        c_star = aggregation.oracle_weights(
+            models, oracle_sample.target_eval_x, oracle_sample.target_eval_y, cfg.rcond
+        )
+        rows = []
+        for size, sub in zip(sizes, subseeds[2:]):
+            inst = sinc(size, size, 1, sub)
+            c_tilde = aggregation.iwa(
+                models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
+            ).weights
+            rows.append(RateRow(seed, size, float(np.linalg.norm(c_tilde - c_star))))
+        return rows
+
+    rows = _over_seeds(
+        cfg.seeds,
+        seed_rows,
+        lambda seed, error: [RateRow(seed, size, float("nan"), error) for size in sizes],
+    )
+    return ResultTable(rows=rows, config=cfg.as_dict(), kind="rate", extra={"sizes": sizes})
 
 
 # --- artifact emission ---------------------------------------------------------
 
 
-def scaled_weights(weights):
-    """Display scaling: w / sum |w| (identity for an all-zero vector)."""
-    weights = np.asarray(weights, dtype=float)
-    total = np.abs(weights).sum()
-    return weights / total if total > 0 else weights
-
-
-def _emit_run_plots(table, plots_dir):
-    aggs = [a for a in table.aggregates() if a["stat"] == "median"]
-    if aggs:
-        labels = [a["method"] for a in aggs]
-        plots.bar_chart(
-            os.path.join(plots_dir, "risk_by_method.svg"),
-            labels,
-            [a["risk"] for a in aggs],
-            title="Median target risk by method",
-            y_label="target risk",
-        )
-        if all(a["accuracy"] is not None for a in aggs):
-            plots.bar_chart(
-                os.path.join(plots_dir, "accuracy_by_method.svg"),
-                labels,
-                [a["accuracy"] for a in aggs],
-                title="Median target accuracy by method",
-                y_label="target accuracy",
-            )
-    by_method = {}
-    for row in table.ok_rows():
-        if row.weights is not None:
-            by_method.setdefault(row.method, []).append(scaled_weights(row.weights))
-    for method, weight_rows in sorted(by_method.items()):
-        stacked = np.vstack(weight_rows)
-        mean_weights = stacked.mean(axis=0)
-        plots.bar_chart(
-            os.path.join(plots_dir, f"weights_{method}.svg"),
-            [str(i) for i in range(mean_weights.shape[0])],
-            list(mean_weights),
-            title=f"Mean scaled aggregation weights: {method}",
-            y_label="scaled weight",
-        )
-
-
-def _emit_sensitivity_plots(table, plots_dir):
-    counts = sorted({r.count for r in table.ok_rows() if r.count is not None})
-    methods = sorted({r.method for r in table.ok_rows()})
-    series, bands = {}, {}
-    for method in methods:
-        medians, lows, highs = [], [], []
-        for count in counts:
-            values = np.array(
-                [
-                    r.accuracy
-                    for r in table.ok_rows()
-                    if r.method == method and r.count == count and r.accuracy is not None
-                ]
-            )
-            if values.size == 0:
-                break
-            medians.append(float(np.median(values)))
-            lows.append(float(np.percentile(values, 25)))
-            highs.append(float(np.percentile(values, 75)))
-        if len(medians) == len(counts):
-            series[method] = medians
-            bands[method] = (lows, highs)
-    if counts and series:
-        plots.line_chart(
-            os.path.join(plots_dir, "sensitivity.svg"),
-            counts,
-            series,
-            title="Target accuracy vs corrupted models added (median, IQR band)",
-            x_label="corrupted models added",
-            y_label="target accuracy",
-            bands=bands,
-        )
-
-
-def _emit_correlation_plots(table, plots_dir):
-    groups = {}
-    for row in table.ok_rows():
-        groups.setdefault(row.method, []).append(row.pearson_r)
-    if groups:
-        labels = sorted(groups)
-        plots.box_plot(
-            os.path.join(plots_dir, "correlation.svg"),
-            labels,
-            [groups[label] for label in labels],
-            title="Weight vs per-model accuracy correlation",
-            y_label="Pearson r",
-        )
-
-
-def _emit_rate_plots(table, plots_dir):
-    medians = table.medians()
-    quartiles = table.quartiles()
-    sizes = list(table.sizes)
-    plots.line_chart(
-        os.path.join(plots_dir, "rate.svg"),
-        sizes,
-        {"iwa": [medians[s] for s in sizes]},
-        title="Weight-vector deviation from oracle vs sample size",
-        x_label="n = m",
-        y_label="||c_tilde - c_star||",
-        bands={"iwa": ([quartiles[s][0] for s in sizes], [quartiles[s][1] for s in sizes])},
-        log_x=True,
-    )
-
-
 def emit_plots(table, plots_dir):
     """SVG panels (plus companion CSVs) appropriate to the table's kind."""
     os.makedirs(plots_dir, exist_ok=True)
-    if table.kind == "sensitivity":
-        _emit_sensitivity_plots(table, plots_dir)
-    elif table.kind == "correlation":
-        _emit_correlation_plots(table, plots_dir)
-    elif table.kind == "rate":
-        _emit_rate_plots(table, plots_dir)
-    else:
-        _emit_run_plots(table, plots_dir)
+    KINDS[table.kind].plot(table, plots_dir)
 
 
 def write_outputs(table, out_dir):

@@ -17,7 +17,7 @@ from .errors import DegenerateGramWarning, DimensionError, NumericalError
 
 DEFAULT_RCOND = 1e-1
 
-# Relative tolerance for the input symmetry check in sym_eig.
+# Tolerance for the input symmetry check in sym_eig, relative to max|A|.
 SYMMETRY_TOL = 1e-9
 
 # How far below zero an eigenvalue may sit (relative to the largest one)
@@ -40,11 +40,12 @@ def sym_eig(a, *, symmetry_tol=SYMMETRY_TOL):
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order and the matching eigenvectors in the columns of ``vectors``.
     The input is symmetrized as (A + A^T)/2 after checking that the
-    asymmetry does not exceed ``symmetry_tol`` relative to max(1, max|A|).
+    asymmetry does not exceed ``symmetry_tol`` relative to max|A|, so the
+    check means the same at every scale of A.
     """
     a = _as_square(a)
     if a.size:
-        scale = max(1.0, float(np.max(np.abs(a))))
+        scale = float(np.max(np.abs(a)))
         asym = float(np.max(np.abs(a - a.T)))
         if asym > symmetry_tol * scale:
             raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
@@ -88,9 +89,10 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND, *, psd_tol=PSD_TOL):
     """rcond-truncated pseudo-inverse of a symmetric PSD matrix.
 
     Eigenvalues are clamped at zero (small negative values are numerical
-    noise), then every eigenvalue <= rcond * lambda_max is treated as an
-    exact zero. If nothing survives, the inverse is the zero matrix and a
-    DegenerateGramWarning is emitted.
+    noise; the matrix is rejected when the smallest one lies below
+    -psd_tol * lambda_max), then every eigenvalue <= rcond * lambda_max is
+    treated as an exact zero. If nothing survives, the inverse is the zero
+    matrix and a DegenerateGramWarning is emitted.
     """
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
@@ -100,7 +102,7 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND, *, psd_tol=PSD_TOL):
         empty = np.zeros((0, 0))
         return TruncatedInverse(empty, values, np.zeros(0, dtype=bool))
     lam_max = float(values[0])
-    if values[-1] < -psd_tol * max(1.0, lam_max):
+    if values[-1] < -psd_tol * lam_max:
         raise ValueError(
             f"matrix is not positive semi-definite: smallest eigenvalue {values[-1]:.3e}"
         )
@@ -119,19 +121,3 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND, *, psd_tol=PSD_TOL):
     inverse = (vectors * inv_values) @ vectors.T
     inverse = 0.5 * (inverse + inverse.T)
     return TruncatedInverse(inverse, clamped, retained)
-
-
-def pinv_rcond(a, rcond=DEFAULT_RCOND):
-    """Truncated pseudo-inverse (matrix only; see spectral_pinv for diagnostics)."""
-    return spectral_pinv(a, rcond).inverse
-
-
-def solve_regularized(a, b, rcond=DEFAULT_RCOND):
-    """Solve ``a x = b`` through the truncated pseudo-inverse."""
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
-        )
-    return spectral_pinv(a, rcond).inverse @ b

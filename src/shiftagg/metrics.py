@@ -1,6 +1,5 @@
-"""Evaluation metrics and the per-run report row schema."""
+"""Evaluation metrics and the column order of run results."""
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -65,27 +64,3 @@ def pearson_with_flag(a, b):
 def pearson(a, b):
     """Pearson correlation; degenerate (constant) inputs yield 0.0."""
     return pearson_with_flag(a, b)[0]
-
-
-def _fmt(value):
-    if value is None:
-        return "nan"
-    return f"{float(value):.17g}"
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """One evaluated method on one seed.
-
-    ``accuracy`` is None for regression instances; ``excess`` is the risk
-    above the oracle aggregation's risk on the same evaluation split.
-    """
-
-    method: str
-    seed: int
-    risk: float
-    accuracy: float | None
-    excess: float
-
-    def csv_row(self):
-        return [self.method, _fmt(self.risk), _fmt(self.accuracy), _fmt(self.excess), str(self.seed)]

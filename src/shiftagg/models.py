@@ -1,10 +1,11 @@
 """Vector-valued prediction models.
 
 Everything the aggregation layer consumes implements the small ``Model``
-interface: ``predict`` maps a single input vector to an output vector of a
-fixed dimension. Fitted families (ridge regression, linear softmax
-classifiers), file-backed predictions, and the seeded corruption wrapper
-used by the sensitivity study all live here.
+interface: ``predict_many`` maps the rows of a sample matrix to output
+vectors of a fixed dimension, and ``predict`` is its one-row case. Fitted
+families (ridge regression, linear softmax classifiers), file-backed
+predictions, and the seeded corruption wrapper used by the sensitivity study
+all live here.
 """
 
 from abc import ABC, abstractmethod
@@ -34,16 +35,12 @@ class Model(ABC):
     input_dim = None
 
     @abstractmethod
+    def predict_many(self, xs):
+        """Predictions of shape (k, output_dim) for the k rows of ``xs``."""
+
     def predict(self, x):
         """Output vector of shape (output_dim,) for a single input vector."""
-
-    def predict_many(self, xs):
-        """Row-stacked predictions; subclasses override with vectorized paths."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty((xs.shape[0], self.output_dim))
-        for i in range(xs.shape[0]):
-            out[i] = self.predict(xs[i])
-        return out
+        return self.predict_many(np.asarray(x, dtype=float)[None])[0]
 
 
 class LinearModel(Model):
@@ -62,9 +59,6 @@ class LinearModel(Model):
             )
         self.input_dim = self.weights.shape[0]
         self.output_dim = self.weights.shape[1]
-
-    def predict(self, x):
-        return np.asarray(x, dtype=float) @ self.weights + self.intercept
 
     def predict_many(self, xs):
         return np.asarray(xs, dtype=float) @ self.weights + self.intercept
@@ -143,10 +137,6 @@ class SoftmaxModel(Model):
         self.input_dim = self.weights.shape[0]
         self.output_dim = self.weights.shape[1]
 
-    def predict(self, x):
-        logits = np.asarray(x, dtype=float) @ self.weights + self.intercept
-        return softmax_probabilities(logits)
-
     def predict_many(self, xs):
         logits = np.asarray(xs, dtype=float) @ self.weights + self.intercept
         return softmax_probabilities(logits)
@@ -193,10 +183,6 @@ class FeatureModel(Model):
         self.base = base
         self.output_dim = base.output_dim
         self.input_dim = input_dim
-
-    def predict(self, x):
-        feats = self.feature_fn(np.asarray(x, dtype=float)[None, :])
-        return self.base.predict_many(feats)[0]
 
     def predict_many(self, xs):
         return self.base.predict_many(self.feature_fn(np.asarray(xs, dtype=float)))
@@ -273,9 +259,6 @@ class CorruptedModel(Model):
         self.input_dim = base.input_dim
         self._n_masked = int(mask.sum())
 
-    def predict(self, x):
-        return self.predict_many(np.asarray(x, dtype=float)[None])[0]
-
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         ys = np.array(self.base.predict_many(xs), dtype=float, copy=True)
@@ -327,18 +310,21 @@ class PrecomputedModel(Model):
                 checked[int(index)] = row
             self.tables[split] = checked
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise DimensionError(f"expected a (split_code, index) key pair, got shape {x.shape}")
-        code, index = int(round(x[0])), int(round(x[1]))
-        split = SPLIT_CODES.get(code)
-        if split is None:
-            raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")
-        table = self.tables.get(split, {})
-        if index not in table:
-            raise KeyError(f"no stored prediction for split '{split}', index {index}")
-        return table[index].copy()
+    def predict_many(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 2:
+            raise DimensionError(f"expected (split_code, index) key rows, got shape {xs.shape}")
+        out = np.empty((xs.shape[0], self.output_dim))
+        for row, key in enumerate(xs):
+            code, index = int(round(key[0])), int(round(key[1]))
+            split = SPLIT_CODES.get(code)
+            if split is None:
+                raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")
+            table = self.tables.get(split, {})
+            if index not in table:
+                raise KeyError(f"no stored prediction for split '{split}', index {index}")
+            out[row] = table[index]
+        return out
 
     @classmethod
     def from_csv(cls, path):
@@ -441,8 +427,7 @@ class ModelSequence:
 def predict_batch(model, xs):
     """Predictions for every row of ``xs``, shape (k, output_dim).
 
-    Row i equals ``model.predict(xs[i])``; vectorized model paths must agree
-    with the per-row loop.
+    Checks the input and output shapes around ``model.predict_many``.
     """
     xs = _sample_matrix(xs, "xs")
     if model.input_dim is not None and xs.shape[1] != model.input_dim:

@@ -27,14 +27,6 @@ class SelectionResult:
     chosen_index: int
     scores: np.ndarray
 
-    def as_json(self, method):
-        """JSON-ready summary: {method, chosen_index, scores}."""
-        return {
-            "method": str(method),
-            "chosen_index": int(self.chosen_index),
-            "scores": [float(s) for s in self.scores],
-        }
-
 
 def _per_model_losses(models, source_x, source_y, loss, predictions):
     if loss not in LOSSES:

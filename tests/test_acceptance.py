@@ -19,6 +19,8 @@ from shiftagg.harness import (
     _SeedContext,
     build_instance,
     build_models,
+    rate_medians,
+    rate_slope,
     run_correlation,
     run_experiment,
     run_rate_check,
@@ -80,9 +82,9 @@ def test_criterion_2_weights_converge_with_sample_size():
     table = run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000)
     elapsed = time.perf_counter() - start
     assert not table.has_failures
-    medians = table.medians()
+    medians = rate_medians(table)
     assert medians[250] > medians[1000] > medians[4000], f"not decreasing: {medians}"
-    slope = table.slope()
+    slope = rate_slope(table)
     assert slope <= -0.35, f"log-log slope {slope:.3f} > -0.35"
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds the 2min budget"
     _report(

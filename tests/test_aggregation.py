@@ -16,11 +16,15 @@ from shiftagg.aggregation import (
     sor,
     tcr,
     tmr,
-    tmv,
 )
 from shiftagg.density_ratio import ConstantRatio, DensityRatio
-from shiftagg.errors import DegenerateGramError, DegenerateGramWarning, DimensionError
-from shiftagg.models import LinearModel
+from shiftagg.errors import (
+    DegenerateGramError,
+    DegenerateGramWarning,
+    DimensionError,
+    NumericalError,
+)
+from shiftagg.models import LinearModel, stack_predictions
 
 # f_A(x) = (x, 2x) and f_B(x) = (1, x): cheap models with hand-checkable
 # inner products on integer inputs.
@@ -34,8 +38,8 @@ class InputRatio(DensityRatio):
 
     bound = 10.0
 
-    def weight(self, x):
-        return float(np.asarray(x, dtype=float).reshape(-1)[0])
+    def weights(self, xs):
+        return np.asarray(xs, dtype=float)[:, 0]
 
 
 def constant_models(*outputs):
@@ -65,6 +69,13 @@ class TestEmpiricalGram:
     def test_stack_must_cover_models(self):
         with pytest.raises(DimensionError, match="cover"):
             empirical_gram([MODEL_A, MODEL_B], None, predictions=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predictions_rejected(self, bad):
+        stack = np.ones((2, 3, 2))
+        stack[1, 2, 0] = bad
+        with pytest.raises(NumericalError, match="target predictions"):
+            empirical_gram([MODEL_A, MODEL_B], None, predictions=stack)
 
     @given(
         st.integers(1, 4),
@@ -105,6 +116,31 @@ class TestEmpiricalMoment:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             empirical_moment([MODEL_A], np.zeros((0, 1)), np.zeros((0, 2)), ConstantRatio(1.0))
+
+    def test_non_finite_predictions_rejected(self):
+        stack = np.ones((2, 2, 2))
+        stack[0, 1, 1] = np.nan
+        with pytest.raises(NumericalError, match="source predictions"):
+            empirical_moment(
+                [MODEL_A, MODEL_B], XS_12, np.ones((2, 2)), ConstantRatio(1.0), predictions=stack
+            )
+
+    def test_non_finite_labels_rejected(self):
+        ys = np.array([[1.0, 0.0], [np.nan, 2.0]])
+        with pytest.raises(NumericalError, match="source labels"):
+            empirical_moment([MODEL_A, MODEL_B], XS_12, ys, ConstantRatio(1.0))
+
+    def test_non_finite_ratio_weights_rejected(self):
+        xs = np.array([[1.0], [np.inf]])
+        with pytest.raises(NumericalError, match="density-ratio weights"):
+            empirical_moment(
+                [MODEL_B], xs, np.ones((2, 2)), InputRatio(), predictions=np.ones((1, 2, 2))
+            )
+
+    def test_iwa_with_one_nan_label_raises(self):
+        ys = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(NumericalError):
+            iwa([MODEL_A, MODEL_B], XS_12, ys, XS_12, ConstantRatio(1.0), 0.1)
 
 
 class TestIwa:
@@ -155,14 +191,32 @@ class TestIwa:
         ba = iwa([MODEL_B, MODEL_A], XS_12, ys, XS_12, ConstantRatio(1.0), 1e-6)
         assert np.allclose(ab.weights, ba.weights[::-1], atol=1e-10)
 
-    def test_result_as_json(self):
-        result = iwa([MODEL_A], XS_12, np.ones((2, 2)), XS_12, ConstantRatio(1.0), 0.1)
-        payload = result.as_json("iwa")
-        assert payload["method"] == "iwa"
-        assert payload["rank_retained"] == 1
-        assert isinstance(payload["weights"], list)
-        assert isinstance(payload["weights"][0], float)
-        assert isinstance(payload["gram_condition"], float)
+    @given(
+        st.integers(1, 4),
+        st.integers(8, 30),
+        st.integers(1, 3),
+        st.floats(-8.0, 8.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_weights_scale_inversely_with_predictions(self, l, k, d2, log_scale, seed):
+        # Scaling every model output by s scales G by s^2 and g by s, so
+        # c = G+ g becomes c / s; the retained spectrum is unchanged.
+        rng = np.random.default_rng(seed)
+        source = rng.normal(size=(l, k, d2))
+        target = rng.normal(size=(l, k, d2))
+        ys = rng.normal(size=(k, d2))
+        xs = np.zeros((k, 1))
+        scale = 10.0**log_scale
+
+        def weights(s):
+            return iwa(
+                [object()] * l, xs, ys, xs, ConstantRatio(1.0), 1e-6,
+                source_predictions=s * source, target_predictions=s * target,
+            ).weights
+
+        base = weights(1.0)
+        scaled = weights(scale)
+        assert np.abs(scale * scaled - base).max() <= 1e-8 * np.abs(base).max()
 
 
 class TestOracleWeights:
@@ -232,7 +286,7 @@ class TestMajorityVote:
 
     def test_tmv_single_input(self):
         models = constant_models([0.9, 0.1], [0.8, 0.2], [0.1, 0.9])
-        assert tmv(models, np.array([0.0])) == 0
+        assert majority_votes(stack_predictions(models, np.zeros((1, 1)))) == [0]
 
     def test_tmv_brute_force_on_five_models(self):
         rng = np.random.default_rng(3)
@@ -240,12 +294,7 @@ class TestMajorityVote:
         x = np.array([0.0])
         votes = [int(np.argmax(m.predict(x))) for m in models]
         expected = int(np.argmax(np.bincount(votes, minlength=3)))
-        assert tmv(models, x) == expected
-
-    def test_tmv_requires_vector_input(self):
-        models = constant_models([0.9, 0.1])
-        with pytest.raises(DimensionError, match="single input"):
-            tmv(models, np.zeros((2, 1)))
+        assert majority_votes(stack_predictions(models, x[None])) == [expected]
 
     def test_regression_outputs_rejected(self):
         with pytest.raises(DimensionError, match="output_dim"):

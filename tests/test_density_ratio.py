@@ -12,7 +12,6 @@ from shiftagg.density_ratio import (
     GaussianRatio,
     LearnedRatio,
     fit_domain_classifier,
-    normalized_weights,
 )
 from shiftagg.errors import DimensionError
 
@@ -83,9 +82,9 @@ class TestGaussianRatio:
         beta = GaussianRatio(**VARIANCE_READING)
         rng = np.random.default_rng(7)
         draws = rng.normal(1.0, 0.5, size=200_000)
-        report = normalized_weights(beta, draws[:, None])
-        se = report.values.std() / np.sqrt(draws.size)
-        assert abs(report.mean - 1.0) <= 3.0 * se
+        values = beta.weights(draws[:, None])
+        se = values.std() / np.sqrt(draws.size)
+        assert abs(values.mean() - 1.0) <= 3.0 * se
 
     def test_accepts_flat_and_column_inputs(self):
         beta = GaussianRatio(**VARIANCE_READING)
@@ -228,13 +227,15 @@ class TestFitDomainClassifier:
 
 
 class TestNormalizedWeights:
-    def test_reports_values_and_mean(self):
-        report = normalized_weights(ConstantRatio(2.0), np.zeros((4, 1)))
-        assert np.array_equal(report.values, np.full(4, 2.0))
-        assert report.mean == 2.0
+    """Raw ratio weights on a sample and their mean (the E_p[beta] = 1 check)."""
 
-    def test_requires_nonempty_matrix(self):
+    def test_reports_values_and_mean(self):
+        values = ConstantRatio(2.0).weights(np.zeros((4, 1)))
+        assert np.array_equal(values, np.full(4, 2.0))
+        assert values.mean() == 2.0
+
+    def test_requires_matrix(self):
         with pytest.raises(DimensionError):
-            normalized_weights(ConstantRatio(), np.zeros((0, 1)))
+            ConstantRatio().weights(np.zeros(3))
         with pytest.raises(DimensionError):
-            normalized_weights(ConstantRatio(), np.zeros(3))
+            LearnedRatio([1.0], 0.0, 1.0).weights(np.zeros(3))

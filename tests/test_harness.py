@@ -10,25 +10,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg import aggregation
 from shiftagg.aggregation import empirical_gram
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError
 from shiftagg.harness import (
     ALL_METHODS,
     LAMBDA_GRID,
+    METHODS,
     WEIGHT_METHODS,
     ExperimentConfig,
     ResultRow,
     ResultTable,
     _draw_corrupted,
     _SeedContext,
+    aggregates,
     build_beta,
     build_config,
     build_instance,
     build_models,
+    correlation_summary,
     evaluate_methods,
     load_config_file,
     parse_config_value,
+    rate_medians,
+    rate_slope,
+    rate_spread,
     resolve_methods,
     run_correlation,
     run_experiment,
@@ -158,6 +165,12 @@ class TestResolveMethods:
             ALL_METHODS
         ) | {"source_only", "target_best"}
 
+    def test_methods_mapping_defines_the_names(self):
+        assert ALL_METHODS == tuple(METHODS)
+        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"))) == set(
+            METHODS
+        )
+
 
 class TestModelBuilders:
     def test_sinc_sequence_has_degree_labels(self):
@@ -213,6 +226,12 @@ class TestRunExperiment:
         run_experiment(cfg).write_csv(str(a))
         run_experiment(cfg).write_csv(str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_oracle_solve_per_seed(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        table = run_experiment(ExperimentConfig(**SINC_SMALL))
+        assert not table.has_failures
+        assert len(calls) == len(SINC_SMALL["seeds"])
 
     def test_per_method_failure_isolation(self):
         cfg = ExperimentConfig(**SINC_SMALL)
@@ -445,6 +464,19 @@ def test_prefix_gram_is_leading_block(l, prefix, d2, k, log_scale, seed):
     assert np.abs(lead - full[:prefix, :prefix]).max() <= 1e-12 * np.abs(full).max()
 
 
+def count_oracle_calls(monkeypatch):
+    """Record every aggregation.oracle_weights call made through the module."""
+    calls = []
+    original = aggregation.oracle_weights
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(aggregation, "oracle_weights", counted)
+    return calls
+
+
 class TestCorrelation:
     def test_row_structure(self):
         cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa", "sor"))
@@ -453,7 +485,7 @@ class TestCorrelation:
         assert not table.has_failures
         for row in table.rows:
             assert -1.0 <= row.pearson_r <= 1.0
-        summary = {entry["method"] for entry in table.summary()}
+        summary = {entry["method"] for entry in correlation_summary(table)}
         assert summary == {"iwa", "sor"}
 
     def test_csv_layout(self, tmp_path):
@@ -469,6 +501,11 @@ class TestCorrelation:
         with pytest.raises(ConfigError, match="classification"):
             run_correlation(ExperimentConfig(**SINC_SMALL))
 
+    def test_no_oracle_solve(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        run_correlation(ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa",)))
+        assert calls == []
+
     def test_non_weight_methods_rejected(self):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("tmv",))
         with pytest.raises(ConfigError, match="weight-producing"):
@@ -480,13 +517,15 @@ class TestRateCheck:
     def test_row_structure(self):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
         table = run_rate_check(cfg, sizes=(50, 120), oracle_draws=1500)
-        assert table.sizes == (50, 120)
+        assert table.extra["sizes"] == (50, 120)
         assert len(table.rows) == 2
         assert not table.has_failures
-        medians = table.medians()
+        medians = rate_medians(table)
         assert set(medians) == {50, 120}
         assert all(v >= 0 for v in medians.values())
-        assert isinstance(table.slope(), float)
+        assert isinstance(rate_slope(table), float)
+        for size, (q25, median, q75) in rate_spread(table).items():
+            assert q25 <= median == medians[size] <= q75
 
     def test_csv_layout(self, tmp_path):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
@@ -523,7 +562,7 @@ class TestWriteOutputs:
         with open(out / "plots" / "risk_by_method.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         medians = {
-            a["method"]: a["risk"] for a in table.aggregates() if a["stat"] == "median"
+            a["method"]: a["risk"] for a in aggregates(table) if a["stat"] == "median"
         }
         assert {r[0] for r in rows[1:]} == set(medians)
         for label, value in rows[1:]:
@@ -538,6 +577,6 @@ class TestWriteOutputs:
         with open(out / "plots" / "rate.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x", "iwa", "iwa_lo", "iwa_hi"]
-        medians = table.medians()
+        medians = rate_medians(table)
         for row in rows[1:]:
             assert float(row[1]) == medians[int(float(row[0]))]

@@ -6,13 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DegenerateGramWarning, DimensionError
-from shiftagg.linalg import (
-    TruncatedInverse,
-    pinv_rcond,
-    solve_regularized,
-    spectral_pinv,
-    sym_eig,
-)
+from shiftagg.linalg import TruncatedInverse, spectral_pinv, sym_eig
 
 # Property strategies can draw the all-zero matrix, whose degenerate-Gram
 # warning is expected behavior rather than a test smell.
@@ -87,6 +81,13 @@ class TestSymEig:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_asymmetry_rejected_at_small_scale(self):
+        # The symmetry tolerance is relative to max|A| alone.
+        a = 1e-9 * np.eye(2)
+        a[0, 1] = 5e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_eig(a)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -94,15 +95,15 @@ class TestSymEig:
 
 class TestSpectralPinv:
     def test_diagonal_threshold_exact(self):
-        inverse = pinv_rcond(np.diag([4.0, 0.2]), 0.1)
+        inverse = spectral_pinv(np.diag([4.0, 0.2]), 0.1).inverse
         assert np.array_equal(inverse, np.diag([0.25, 0.0]))
 
     def test_identity_unchanged(self):
-        assert np.allclose(pinv_rcond(np.eye(3), 0.1), np.eye(3), atol=1e-14)
+        assert np.allclose(spectral_pinv(np.eye(3), 0.1).inverse, np.eye(3), atol=1e-14)
 
     def test_well_conditioned_exact_inverse(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        inverse = pinv_rcond(a, 0.1)
+        inverse = spectral_pinv(a, 0.1).inverse
         assert np.allclose(inverse, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-12)
         assert np.allclose(a @ inverse, np.eye(2), atol=1e-12)
 
@@ -123,6 +124,18 @@ class TestSpectralPinv:
         with pytest.raises(ValueError, match="positive semi-definite"):
             spectral_pinv(np.diag([1.0, -1.0]), 0.1)
 
+    def test_indefinite_rejected_at_small_scale(self):
+        # The PSD tolerance is relative to lambda_max alone, so a tiny matrix
+        # gets no absolute slack.
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            spectral_pinv(np.diag([1e-9, -5e-9]), 0.1)
+
+    def test_tiny_valid_gram_still_solves(self):
+        a = 1e-12 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        info = spectral_pinv(a, 0.1)
+        assert info.rank_retained == 2
+        assert np.allclose(a @ info.inverse, np.eye(2), atol=1e-9)
+
     def test_negative_rcond_rejected(self):
         with pytest.raises(ValueError, match="rcond"):
             spectral_pinv(np.eye(2), -0.5)
@@ -138,13 +151,13 @@ class TestSpectralPinv:
         # rcond 1e-12 rather than exactly 0: exact zero eigenvalues surface
         # from LAPACK as ~1e-16 noise, and inverting those makes the identity
         # unattainable in floats for any implementation.
-        inverse = pinv_rcond(a, 1e-12)
+        inverse = spectral_pinv(a, 1e-12).inverse
         scale = max(1.0, float(np.max(np.abs(inverse))))
         assert np.max(np.abs(inverse @ a @ inverse - inverse)) <= 1e-8 * scale
 
     @given(psd_matrices())
     def test_result_symmetric(self, a):
-        inverse = pinv_rcond(a, 0.1)
+        inverse = spectral_pinv(a, 0.1).inverse
         assert np.array_equal(inverse, inverse.T)
 
     @given(psd_matrices())
@@ -154,20 +167,22 @@ class TestSpectralPinv:
 
 
 class TestSolveRegularized:
+    """Solving a x = b as spectral_pinv(a).inverse @ b."""
+
+    @staticmethod
+    def solve(a, b, rcond):
+        return spectral_pinv(a, rcond).inverse @ b
+
     def test_identity_system(self):
-        assert np.array_equal(solve_regularized(np.eye(2), np.array([3.0, 5.0]), 0.1), [3.0, 5.0])
+        assert np.array_equal(self.solve(np.eye(2), np.array([3.0, 5.0]), 0.1), [3.0, 5.0])
 
     def test_thresholded_direction_dropped(self):
-        x = solve_regularized(np.diag([2.0, 1e-6]), np.array([4.0, 1.0]), 0.1)
+        x = self.solve(np.diag([2.0, 1e-6]), np.array([4.0, 1.0]), 0.1)
         assert np.array_equal(x, [2.0, 0.0])
 
     def test_hand_solved_system(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, 1.0])
-        x = solve_regularized(a, b, 0.1)
+        x = self.solve(a, b, 0.1)
         assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
         assert np.allclose(a @ x, b, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            solve_regularized(np.eye(2), np.array([1.0, 2.0, 3.0]), 0.1)

@@ -1,4 +1,4 @@
-"""Risk, accuracy, and correlation metrics plus the CSV row schema."""
+"""Risk, accuracy, and correlation metrics."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError
-from shiftagg.metrics import (
-    CSV_COLUMNS,
-    EvaluationReport,
-    accuracy,
-    empirical_risk,
-    pearson,
-    pearson_with_flag,
-)
+from shiftagg.metrics import accuracy, empirical_risk, pearson, pearson_with_flag
 from shiftagg.models import LinearModel
 
 
@@ -139,20 +132,3 @@ class TestPearson:
         b = np.random.default_rng(seed).normal(size=a.shape[0])
         r, _ = pearson_with_flag(a, b)
         assert -1.0 <= r <= 1.0
-
-
-class TestEvaluationReport:
-    def test_csv_row_layout_matches_columns(self):
-        report = EvaluationReport(method="iwa", seed=3, risk=0.5, accuracy=0.75, excess=0.125)
-        row = report.csv_row()
-        assert len(row) == len(CSV_COLUMNS)
-        assert row == ["iwa", "0.5", "0.75", "0.125", "3"]
-
-    def test_missing_accuracy_serializes_as_nan(self):
-        report = EvaluationReport(method="sor", seed=0, risk=1.0, accuracy=None, excess=0.0)
-        assert report.csv_row()[2] == "nan"
-
-    def test_17_digit_round_trip(self):
-        value = 1.0 / 3.0
-        report = EvaluationReport(method="dev", seed=1, risk=value, accuracy=None, excess=value)
-        assert float(report.csv_row()[1]) == value

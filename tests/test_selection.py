@@ -21,8 +21,8 @@ class InputRatio(DensityRatio):
 
     bound = 10.0
 
-    def weight(self, x):
-        return float(np.asarray(x, dtype=float).reshape(-1)[0])
+    def weights(self, xs):
+        return np.asarray(xs, dtype=float)[:, 0]
 
 
 def constant_models(*outputs):
@@ -94,9 +94,6 @@ class TestIwvSelect:
         class MatrixRatio(DensityRatio):
             bound = 1.0
 
-            def weight(self, x):
-                return 1.0
-
             def weights(self, xs):
                 return np.ones((len(xs), 2))
 
@@ -148,12 +145,6 @@ class TestDevSelect:
         controlled = dev_select(MODELS_2D, xs, ys, InputRatio())
         assert np.array_equal(plain.scores, controlled.scores)
 
-    def test_as_json(self):
-        result = dev_select(MODELS_2D, np.zeros((2, 1)), np.zeros((2, 2)), ConstantRatio(1.0))
-        payload = result.as_json("dev")
-        assert payload["method"] == "dev"
-        assert isinstance(payload["chosen_index"], int)
-        assert all(isinstance(s, float) for s in payload["scores"])
 
 
 class TestSelectAsAggregation:
