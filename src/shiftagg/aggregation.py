@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import ConstantRatio
 from .errors import DegenerateGramError, DimensionError, NumericalError
 from .linalg import DEFAULT_RCOND, spectral_pinv
 from .models import Model, stack_predictions
@@ -34,6 +33,17 @@ def _require_finite(values, what):
         raise NumericalError(f"{what} contain NaN or inf")
 
 
+def _gram(preds):
+    l, k, d2 = preds.shape
+    flat = preds.reshape(l, k * d2)
+    gram = flat @ flat.T / k
+    return 0.5 * (gram + gram.T)
+
+
+def _moment(preds, weighted_y):
+    return np.tensordot(preds, weighted_y, axes=([1, 2], [0, 1])) / preds.shape[1]
+
+
 def empirical_gram(models, target_x, *, predictions=None):
     """Gram matrix G[i, j] = mean_k <f_i(x_k), f_j(x_k)> over the rows of target_x.
 
@@ -43,13 +53,10 @@ def empirical_gram(models, target_x, *, predictions=None):
     predictions raise NumericalError.
     """
     preds = _prediction_stack(models, target_x, predictions)
-    l, k, d2 = preds.shape
-    if k == 0:
+    if preds.shape[1] == 0:
         raise ValueError("cannot form a Gram matrix from an empty sample")
     _require_finite(preds, "target predictions")
-    flat = preds.reshape(l, k * d2)
-    gram = flat @ flat.T / k
-    return 0.5 * (gram + gram.T)
+    return _gram(preds)
 
 
 def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
@@ -72,8 +79,7 @@ def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
     _require_finite(preds, "source predictions")
     _require_finite(source_y, "source labels")
     _require_finite(w, "density-ratio weights")
-    weighted_y = w[:, None] * source_y
-    return np.tensordot(preds, weighted_y, axes=([1, 2], [0, 1])) / n
+    return _moment(preds, w[:, None] * source_y)
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,22 @@ class AggregatedModel(Model):
         return np.tensordot(self.coefficients, preds, axes=(0, 0))
 
 
-def _label_regression(models, target_x, labels, rcond, preds):
-    """Unweighted least squares of (pseudo-)labels onto the model outputs."""
-    gram = empirical_gram(models, target_x, predictions=preds)
-    moment = empirical_moment(models, target_x, labels, ConstantRatio(1.0), predictions=preds)
-    return _solve_aggregation(gram, moment, rcond).weights
+def _label_regression(preds, labels, rcond):
+    """Unweighted least squares of (pseudo-)labels onto one prediction stack.
+
+    The stack feeds both the Gram matrix and the moment vector, so it is
+    checked once. With unit ratio weights ``iwa`` computes the same Gram and
+    moment from the same kernels, so the two agree bitwise.
+    """
+    labels = np.asarray(labels, dtype=float)
+    _, k, d2 = preds.shape
+    if k == 0:
+        raise ValueError("cannot fit weights on an empty sample")
+    if labels.shape != (k, d2):
+        raise DimensionError(f"labels of shape {labels.shape} do not match predictions {(k, d2)}")
+    _require_finite(preds, "predictions")
+    _require_finite(labels, "labels")
+    return _solve_aggregation(_gram(preds), _moment(preds, labels), rcond).weights
 
 
 def _solve_aggregation(gram, moment, rcond):
@@ -165,8 +182,7 @@ def oracle_weights(models, target_x, target_y, rcond=1e-8, *, predictions=None):
     default rcond is small because the reference should only drop numerically
     empty directions, not regularize.
     """
-    preds = _prediction_stack(models, target_x, predictions)
-    return _label_regression(models, target_x, target_y, rcond, preds)
+    return _label_regression(_prediction_stack(models, target_x, predictions), target_y, rcond)
 
 
 def sor(models, source_x, source_y, rcond=DEFAULT_RCOND, *, predictions=None):
@@ -176,17 +192,7 @@ def sor(models, source_x, source_y, rcond=DEFAULT_RCOND, *, predictions=None):
     for the target inputs (the no-shift reduction), so the two agree bitwise
     in that configuration.
     """
-    result = iwa(
-        models,
-        source_x,
-        source_y,
-        source_x,
-        ConstantRatio(1.0),
-        rcond,
-        source_predictions=predictions,
-        target_predictions=predictions,
-    )
-    return result.weights
+    return _label_regression(_prediction_stack(models, source_x, predictions), source_y, rcond)
 
 
 def _check_classification(d2):
@@ -216,7 +222,7 @@ def tmr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     preds = _prediction_stack(models, target_x, predictions)
     _check_classification(preds.shape[2])
     pseudo = _one_hot(majority_votes(preds), preds.shape[2])
-    return _label_regression(models, target_x, pseudo, rcond, preds)
+    return _label_regression(preds, pseudo, rcond)
 
 
 def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
@@ -225,4 +231,4 @@ def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = _one_hot(mean_output.argmax(axis=1), preds.shape[2])
-    return _label_regression(models, target_x, pseudo, rcond, preds)
+    return _label_regression(preds, pseudo, rcond)

@@ -13,7 +13,7 @@ from functools import cached_property, partial
 import json
 import math
 import os
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -63,7 +63,11 @@ MAX_CORRUPTION_REDRAWS = 25
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; file values load into the same field names."""
+    """Everything a run needs.
+
+    Each field is both a config-file key and a CLI flag; its annotation
+    decides how the text value is parsed (see ``parse_value``).
+    """
 
     dataset: str = "sinc"
     n: int = 1000
@@ -74,9 +78,8 @@ class ExperimentConfig:
     beta_bound: float = 50.0
     rcond: float = 0.1
     oracle_rcond: float = 1e-8
-    seeds: tuple = (0,)
-    methods: tuple = ()
-    out: str = ""
+    seeds: tuple[int, ...] = (0,)
+    methods: tuple[str, ...] = ()
     # sinc knobs
     sinc_interpret_std: bool = True
     sinc_noise_std: float = 0.25
@@ -99,7 +102,7 @@ class ExperimentConfig:
     source_csv: str = ""
     target_csv: str = ""
     eval_csv: str = ""
-    model_csvs: tuple = ()
+    model_csvs: tuple[str, ...] = ()
 
     def validate(self):
         problems = []
@@ -160,64 +163,40 @@ class ExperimentConfig:
         return self
 
     def as_dict(self):
-        out = asdict(self)
-        out["seeds"] = list(self.seeds)
-        out["methods"] = list(self.methods)
-        out["model_csvs"] = list(self.model_csvs)
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
 
-def _parse_bool(text, key):
-    lowered = text.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean (true/false), got {text!r}")
+def parse_value(key, kind, text):
+    """Parse ``text`` as ``kind``: bool, int, float, str or ``tuple[item, ...]``.
 
-
-def _parse_int_tuple(text, key):
-    items = [part.strip() for part in text.split(",") if part.strip()]
+    A tuple is written as comma-separated items; errors name ``key``.
+    """
+    text = text.strip()
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(parse_value(key, item, part) for part in text.split(",") if part.strip())
+    if kind is bool:
+        if text.lower() in _TRUE:
+            return True
+        if text.lower() in _FALSE:
+            return False
+        raise ConfigError(f"{key}: expected a boolean (true/false), got {text!r}")
     try:
-        return tuple(int(part) for part in items)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_str_tuple(text, key):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+        raise ConfigError(f"{key}: could not parse {text!r} as {kind.__name__}") from None
 
 
 def parse_config_value(key, text):
-    """Parse one ``key = value`` pair from a config file into a field value."""
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    """Parse one ``key = value`` pair into a field value, by the field's annotation."""
+    by_name = {f.name: f.type for f in fields(ExperimentConfig)}
     if key not in by_name:
         raise ConfigError(f"{key}: unknown config key")
-    kind = by_name[key].type
-    # Field annotations may surface as classes or as strings depending on
-    # how the dataclass was declared; normalise to the type name.
-    kind_name = kind if isinstance(kind, str) else kind.__name__
-    text = text.strip()
-    try:
-        if key in ("seeds",):
-            return _parse_int_tuple(text, key)
-        if key in ("methods", "model_csvs"):
-            return _parse_str_tuple(text, key)
-        if kind_name == "bool":
-            return _parse_bool(text, key)
-        if kind_name == "int":
-            return int(text)
-        if kind_name == "float":
-            return float(text)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"{key}: could not parse {text!r} as {kind_name}") from None
-    return text
+    return parse_value(key, by_name[key], text)
 
 
 def load_config_file(path):

@@ -92,7 +92,7 @@ def fit_ridge(x, y, ridge=0.0):
     normal = xc.T @ xc + ridge * np.eye(d1)
     if ridge == 0.0:
         values, _ = sym_eig(normal)
-        if values[-1] <= 1e-12 * max(1.0, float(values[0])):
+        if values[-1] <= 1e-12 * values[0]:
             raise NumericalError(
                 "design matrix is numerically singular with ridge = 0; "
                 "add a ridge penalty or drop collinear features"

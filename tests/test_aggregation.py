@@ -269,6 +269,24 @@ class TestSor:
         assert np.allclose(weights, [1.0, 0.0], atol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_label_regressions_reject_non_finite_inputs(bad):
+    stack = np.ones((2, 3, 2))
+    stack[1, 0, 1] = bad
+    labels = np.eye(2)[[0, 1, 0]]
+    for fn in (sor, oracle_weights):
+        with pytest.raises(NumericalError, match="predictions"):
+            fn([MODEL_A, MODEL_B], None, labels, predictions=stack)
+    for fn in (tmr, tcr):
+        with pytest.raises(NumericalError, match="predictions"):
+            fn([MODEL_A, MODEL_B], None, predictions=stack)
+    bad_labels = labels.copy()
+    bad_labels[2, 0] = bad
+    for fn in (sor, oracle_weights):
+        with pytest.raises(NumericalError, match="labels"):
+            fn([MODEL_A, MODEL_B], None, bad_labels, predictions=np.ones((2, 3, 2)))
+
+
 class TestMajorityVote:
     def test_hand_computed_votes(self):
         stack = np.array(

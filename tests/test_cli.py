@@ -1,8 +1,12 @@
 """Command-line interface: argument wiring, artifacts, exit codes."""
 
+from dataclasses import fields
 import json
 
+import pytest
+
 from shiftagg.cli import main
+from shiftagg.harness import ExperimentConfig
 
 TINY_RUN = [
     "run",
@@ -28,7 +32,7 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
 
 def test_flags_land_in_the_recorded_config(tmp_path):
     out = tmp_path / "out"
-    assert main(TINY_RUN + ["--sinc-widths", "variance", "--out", str(out)]) == 0
+    assert main(TINY_RUN + ["--sinc-interpret-std", "false", "--out", str(out)]) == 0
     payload = json.loads((out / "results.json").read_text())
     assert payload["config"]["sinc_interpret_std"] is False
     assert payload["config"]["n"] == 40
@@ -146,7 +150,7 @@ def _write_model_csv(path, *, with_eval_rows):
 
 
 def _csv_args(tmp_path, model_paths):
-    args = [
+    return [
         "run",
         "--dataset", "csv",
         "--beta", "learned",
@@ -155,10 +159,8 @@ def _csv_args(tmp_path, model_paths):
         "--eval-csv", str(tmp_path / "eval.csv"),
         "--seeds", "0",
         "--methods", "iwa,tmv",
+        "--model-csvs", ",".join(str(path) for path in model_paths),
     ]
-    for path in model_paths:
-        args += ["--model-csv", str(path)]
-    return args
 
 
 def test_precomputed_models_over_csv_instance(tmp_path):
@@ -181,3 +183,105 @@ def test_partial_failures_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "failed" in err
     assert "no stored prediction" in err
+
+
+# One value per config field, written in the config-file syntax. The base
+# config below keeps every run tiny; each value differs from it and, except
+# selection_loss (zero_one needs classification outputs), from the default.
+FIELD_VALUES = {
+    "dataset": "moons",
+    "n": "41",
+    "m": "42",
+    "eval_size": "43",
+    "l": "3",
+    "beta": "analytic",
+    "beta_bound": "20",
+    "rcond": "0.05",
+    "oracle_rcond": "1e-6",
+    "seeds": "1, 2",
+    "methods": "iwa, sor",
+    "sinc_interpret_std": "false",
+    "sinc_noise_std": "0.5",
+    "moons_noise": "0.2",
+    "moons_rotation_deg": "20",
+    "moons_translation_x": "0.1",
+    "moons_translation_y": "0.4",
+    "ridge": "1e-3",
+    "classifier_epochs": "4",
+    "classifier_lr": "0.25",
+    "base_weight_decay": "0.25",
+    "domain_epochs": "4",
+    "domain_lr": "0.25",
+    "selection_loss": "squared",
+    "source_csv": "source.csv",
+    "target_csv": "target.csv",
+    "eval_csv": "eval.csv",
+    "model_csvs": "a.csv, b.csv",
+}
+
+BASE_CONFIG = (
+    "beta = learned\nn = 40\nm = 40\neval_size = 40\nl = 2\nseeds = 0\n"
+    "classifier_epochs = 3\ndomain_epochs = 3\n"
+)
+
+
+def test_every_config_field_has_a_value():
+    assert set(FIELD_VALUES) == {field.name for field in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(FIELD_VALUES))
+def test_flag_and_config_line_record_the_same_config(tmp_path, key):
+    value = FIELD_VALUES[key]
+    base = tmp_path / "base.cfg"
+    base.write_text(BASE_CONFIG)
+    with_line = tmp_path / "with_line.cfg"
+    with_line.write_text(BASE_CONFIG + f"{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(base), flag, value, "--out", str(out)]) == 0
+    by_flag = json.loads((out / "results.json").read_text())["config"]
+    assert main(["run", "--config", str(with_line), "--out", str(out)]) == 0
+    by_file = json.loads((out / "results.json").read_text())["config"]
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--sinc-widths", "variance"], ["--model-csv", "a.csv", "--model-csv", "b.csv"]],
+)
+def test_old_flag_spellings_are_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(TINY_RUN + args)
+    assert exc.value.code != 0
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x")])
+def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    assert main(["run", flag, value]) == 1
+    by_flag = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    by_file = capsys.readouterr().err
+    assert by_flag.startswith(f"error: {key}: ")
+    assert by_flag == by_file
+
+
+def _artifacts(out):
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_output_does_not_depend_on_out(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second" / "nested"
+    assert main(TINY_RUN + ["--out", str(first)]) == 0
+    assert main(TINY_RUN + ["--out", str(second)]) == 0
+    produced = _artifacts(first)
+    assert {"results.csv", "results.json"} <= set(produced)
+    assert any(name.startswith("plots/") for name in produced)
+    assert produced == _artifacts(second)

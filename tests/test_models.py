@@ -64,6 +64,20 @@ class TestFitRidge:
             fit_ridge(x, y, ridge=0.0)
         fit_ridge(x, y, ridge=1e-6)  # a ridge penalty rescues the same data
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_singularity_check_is_relative_to_the_design_scale(self, scale):
+        x = np.random.default_rng(5).normal(size=(50, 2))
+        y = x @ np.array([[1.0], [2.0]])
+        model = fit_ridge(scale * x, y, ridge=0.0)
+        assert np.allclose(model.weights.ravel() * scale, [1.0, 2.0], rtol=1e-8, atol=0.0)
+        column = scale * x[:, 0]
+        with pytest.raises(NumericalError, match="singular"):
+            fit_ridge(np.column_stack([column, 2.0 * column]), y, ridge=0.0)
+
+    def test_constant_design_without_ridge_rejected(self):
+        with pytest.raises(NumericalError, match="singular"):
+            fit_ridge(np.ones((5, 2)), np.ones((5, 1)), ridge=0.0)
+
     def test_shrinkage_monotone_in_ridge(self, rng):
         x = rng.normal(size=(40, 2))
         y = rng.normal(size=(40, 1))

@@ -38,5 +38,6 @@ def test_traced_sinc_run_reaches_every_layer(tmp_path):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0
     layers = result["layers"]
-    for name in ("aggregation.calls", "selection.calls", "linalg.pinv_calls", "plots.files"):
+    for name in ("aggregation.calls", "selection.calls", "linalg.pinv_calls", "plots.files",
+                 "harness.self_s"):
         assert layers[name] > 0, name
