@@ -9,8 +9,8 @@ CLI round out the package.
 """
 
 from .aggregation import (
-    AggregatedModel,
     AggregationResult,
+    aggregate_predictions,
     empirical_gram,
     empirical_moment,
     iwa,
@@ -53,28 +53,25 @@ from .harness import (
     write_outputs,
 )
 from .linalg import TruncatedInverse, spectral_pinv, sym_eig
-from .metrics import accuracy, empirical_risk, pearson, pearson_with_flag
+from .metrics import accuracy, pearson_with_flag, risk
 from .models import (
     CorruptedModel,
     FeatureModel,
     LinearModel,
     Model,
-    ModelSequence,
     PrecomputedModel,
     SoftmaxModel,
     corrupt,
     fit_ridge,
     fit_softmax_classifier,
     polynomial_features,
-    predict_batch,
     stack_predictions,
 )
-from .selection import SelectionResult, dev_select, iwv_select, select_as_aggregation
+from .selection import SelectionResult, dev_select, iwv_select
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedModel",
     "AggregationResult",
     "ConfigError",
     "ConstantRatio",
@@ -91,7 +88,6 @@ __all__ = [
     "LearnedRatio",
     "LinearModel",
     "Model",
-    "ModelSequence",
     "NumericalError",
     "PrecomputedModel",
     "ResultTable",
@@ -99,11 +95,11 @@ __all__ = [
     "SoftmaxModel",
     "TruncatedInverse",
     "accuracy",
+    "aggregate_predictions",
     "corrupt",
     "dev_select",
     "empirical_gram",
     "empirical_moment",
-    "empirical_risk",
     "fit_domain_classifier",
     "fit_ridge",
     "fit_softmax_classifier",
@@ -114,16 +110,14 @@ __all__ = [
     "make_sinc_shift",
     "make_transformed_moons",
     "oracle_weights",
-    "pearson",
     "pearson_with_flag",
     "polynomial_features",
-    "predict_batch",
+    "risk",
     "run_correlation",
     "run_experiment",
     "run_rate_check",
     "run_sensitivity",
     "save_csv_instance",
-    "select_as_aggregation",
     "sinc_ratio",
     "sor",
     "spectral_pinv",

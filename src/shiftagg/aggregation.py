@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import one_hot
 from .errors import DegenerateGramError, DimensionError, NumericalError
 from .linalg import DEFAULT_RCOND, spectral_pinv
-from .models import Model, stack_predictions
+from .models import stack_predictions
 
 
 def _prediction_stack(models, xs, predictions):
@@ -31,6 +32,15 @@ def _prediction_stack(models, xs, predictions):
 def _require_finite(values, what):
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} contain NaN or inf")
+
+
+def _ratio_weights(beta, source_x, n):
+    """beta's weights on the n source rows, checked for shape and finiteness."""
+    w = np.asarray(beta.weights(source_x), dtype=float)
+    if w.shape != (n,):
+        raise DimensionError(f"beta produced weights of shape {w.shape}, expected ({n},)")
+    _require_finite(w, "density-ratio weights")
+    return w
 
 
 def _gram(preds):
@@ -73,12 +83,9 @@ def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
         raise DimensionError(
             f"labels of shape {source_y.shape} do not match predictions {(n, d2)}"
         )
-    w = np.asarray(beta.weights(source_x), dtype=float)
-    if w.shape != (n,):
-        raise DimensionError(f"beta produced weights of shape {w.shape}, expected ({n},)")
+    w = _ratio_weights(beta, source_x, n)
     _require_finite(preds, "source predictions")
     _require_finite(source_y, "source labels")
-    _require_finite(w, "density-ratio weights")
     return _moment(preds, w[:, None] * source_y)
 
 
@@ -93,28 +100,16 @@ class AggregationResult:
     rank_retained: int
 
 
-class AggregatedModel(Model):
-    """Weighted sum of a model sequence's outputs."""
-
-    def __init__(self, models, weights):
-        self.models = list(models)
-        self.coefficients = np.asarray(weights, dtype=float)
-        if not self.models:
-            raise ValueError("need at least one model to aggregate")
-        if self.coefficients.shape != (len(self.models),):
-            raise DimensionError(
-                f"{len(self.models)} models but weight vector of shape {self.coefficients.shape}"
-            )
-        dims = {m.output_dim for m in self.models}
-        if len(dims) != 1:
-            raise DimensionError(f"models disagree on output_dim: {sorted(dims)}")
-        self.output_dim = dims.pop()
-        in_dims = {m.input_dim for m in self.models if m.input_dim is not None}
-        self.input_dim = in_dims.pop() if len(in_dims) == 1 else None
-
-    def predict_many(self, xs):
-        preds = stack_predictions(self.models, xs)
-        return np.tensordot(self.coefficients, preds, axes=(0, 0))
+def aggregate_predictions(weights, predictions):
+    """The aggregate's outputs sum_i weights[i] * predictions[i], shape (k, d2)."""
+    weights = np.asarray(weights, dtype=float)
+    predictions = np.asarray(predictions, dtype=float)
+    if predictions.ndim != 3 or weights.shape != predictions.shape[:1]:
+        raise DimensionError(
+            f"weight vector of shape {weights.shape} does not match a prediction stack "
+            f"of shape {predictions.shape}"
+        )
+    return np.tensordot(weights, predictions, axes=(0, 0))
 
 
 def _label_regression(preds, labels, rcond):
@@ -213,15 +208,11 @@ def majority_votes(predictions):
     return counts.argmax(axis=1)
 
 
-def _one_hot(labels, classes):
-    return np.eye(classes)[labels]
-
-
 def tmr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     """Majority-vote pseudo-labels, then least squares onto the model outputs."""
     preds = _prediction_stack(models, target_x, predictions)
     _check_classification(preds.shape[2])
-    pseudo = _one_hot(majority_votes(preds), preds.shape[2])
+    pseudo = one_hot(majority_votes(preds), preds.shape[2])
     return _label_regression(preds, pseudo, rcond)
 
 
@@ -230,5 +221,5 @@ def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
     preds = _prediction_stack(models, target_x, predictions)
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
-    pseudo = _one_hot(mean_output.argmax(axis=1), preds.shape[2])
+    pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])
     return _label_regression(preds, pseudo, rcond)

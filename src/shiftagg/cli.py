@@ -7,8 +7,8 @@ oracle weights). Every ``ExperimentConfig`` field ``k`` is the flag ``--k``
 (underscores as dashes) and takes the config-file value syntax; flags
 override values from an optional ``--config`` file.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 when the runs
-completed but some seeds or methods failed.
+Exit codes: 0 on success, 1 for configuration problems (usage errors
+included), 2 when the runs completed but some seeds or methods failed.
 """
 
 import argparse
@@ -36,8 +36,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, the code of a configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftagg",
         description="Aggregate prediction models for a shifted target domain.",
         allow_abbrev=False,
@@ -77,11 +85,6 @@ def _dispatch(args, cfg):
     return getattr(harness, function)(cfg, **kwargs)
 
 
-def _print_summary(table, stream):
-    for line in harness.KINDS[table.kind].summary_lines(table):
-        print(line, file=stream)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -91,7 +94,8 @@ def main(argv=None):
         return 1
     if args.out:
         harness.write_outputs(table, args.out)
-    _print_summary(table, sys.stdout)
+    for line in harness.KINDS[table.kind].summary_lines(table):
+        print(line)
     if table.has_failures:
         failed = [r for r in table.rows if r.error is not None]
         print(f"warning: {len(failed)} row(s) failed; see results for details", file=sys.stderr)

@@ -151,10 +151,13 @@ MOONS_CENTROID = (0.5, 0.25)
 
 
 def one_hot(labels, classes):
-    """One-hot rows for integer class labels."""
+    """One-hot rows for integer class labels; a scalar label gives one vector.
+
+    Also the aggregation-weight view of a single chosen model.
+    """
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError("labels must lie in [0, classes)")
+        raise ValueError("labels out of range: must lie in [0, classes)")
     return np.eye(classes)[labels]
 
 

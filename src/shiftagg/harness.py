@@ -8,7 +8,7 @@ for scoring, references (oracle, target-best), and the corrupted-model
 gate of the sensitivity study.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 import json
 import math
@@ -17,11 +17,12 @@ from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from . import aggregation, selection
+from . import aggregation, metrics, selection
 from .datasets import (
     load_csv_instance,
     make_sinc_shift,
     make_transformed_moons,
+    one_hot,
     sinc_ratio,
 )
 from .density_ratio import fit_domain_classifier
@@ -29,7 +30,6 @@ from .errors import ConfigError, NumericalError
 from .metrics import CSV_COLUMNS, pearson_with_flag
 from .models import (
     FeatureModel,
-    ModelSequence,
     PrecomputedModel,
     corrupt,
     fit_ridge,
@@ -105,17 +105,17 @@ class ExperimentConfig:
     model_csvs: tuple[str, ...] = ()
 
     def validate(self):
+        """Raise ConfigError naming every bad field.
+
+        Range checks are written so that NaN fails them.
+        """
         problems = []
         if self.dataset not in DATASETS:
             problems.append(f"dataset: expected one of {DATASETS}, got {self.dataset!r}")
-        if self.n < 1:
-            problems.append(f"n: must be >= 1, got {self.n}")
-        if self.m < 1:
-            problems.append(f"m: must be >= 1, got {self.m}")
-        if self.eval_size < 2:
-            problems.append(f"eval_size: must be >= 2, got {self.eval_size}")
-        if self.l < 1:
-            problems.append(f"l: must be >= 1, got {self.l}")
+        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1),
+                          ("classifier_epochs", 0), ("domain_epochs", 0)):
+            if getattr(self, name) < low:
+                problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
         if self.dataset == "moons" and self.l > len(LAMBDA_GRID):
             problems.append(
                 f"l: the moons sequence has at most {len(LAMBDA_GRID)} settings, got {self.l}"
@@ -124,7 +124,7 @@ class ExperimentConfig:
             problems.append(f"beta: expected one of {BETAS}, got {self.beta!r}")
         if self.beta == "analytic" and self.dataset != "sinc":
             problems.append("beta: the analytic ratio is only available for dataset = sinc")
-        if self.beta_bound <= 0:
+        if not self.beta_bound > 0:
             problems.append(f"beta_bound: must be positive, got {self.beta_bound}")
         if not 0 <= self.rcond < 1:
             problems.append(f"rcond: must lie in [0, 1), got {self.rcond}")
@@ -150,14 +150,14 @@ class ExperimentConfig:
                 if not getattr(self, name):
                     problems.append(f"{name}: required when dataset = csv")
         for name in ("ridge", "base_weight_decay", "sinc_noise_std", "moons_noise"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 problems.append(f"{name}: must be non-negative, got {getattr(self, name)}")
-        for name in ("classifier_epochs", "domain_epochs"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name}: must be >= 0, got {getattr(self, name)}")
         for name in ("classifier_lr", "domain_lr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 problems.append(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("moons_rotation_deg", "moons_translation_x", "moons_translation_y"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name}: must be finite, got {getattr(self, name)}")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -256,39 +256,33 @@ def build_instance(cfg, seed):
 
 
 def _sinc_sequence(cfg, instance):
-    models, labels = [], []
+    models = []
     for degree in range(cfg.l):
         feature_fn = partial(polynomial_features, degree=degree)
         base = fit_ridge(feature_fn(instance.source_x), instance.source_y, cfg.ridge)
         models.append(FeatureModel(feature_fn, base, input_dim=1))
-        labels.append(f"degree={degree}")
-    return ModelSequence(models, labels)
+    return models
 
 
 def _moons_sequence(cfg, instance):
     class_labels = instance.source_y.argmax(axis=1)
-    classes = instance.label_dim
-    models, labels = [], []
-    for lam in LAMBDA_GRID[: cfg.l]:
-        model = fit_softmax_classifier(
+    return [
+        fit_softmax_classifier(
             instance.source_x,
             class_labels,
-            classes,
+            instance.label_dim,
             cfg.classifier_epochs,
             cfg.classifier_lr,
             weight_decay=lam * cfg.base_weight_decay,
         )
-        models.append(model)
-        labels.append(f"lambda={lam:g}")
-    return ModelSequence(models, labels)
+        for lam in LAMBDA_GRID[: cfg.l]
+    ]
 
 
 def build_models(cfg, instance):
-    """Model sequence for an instance per the dataset family."""
+    """Model sequence (a list) for an instance per the dataset family."""
     if cfg.dataset == "csv" and cfg.model_csvs:
-        models = [PrecomputedModel.from_csv(path) for path in cfg.model_csvs]
-        labels = [os.path.basename(path) for path in cfg.model_csvs]
-        return ModelSequence(models, labels)
+        return [PrecomputedModel.from_csv(path) for path in cfg.model_csvs]
     if cfg.dataset == "sinc" or (cfg.dataset == "csv" and instance.label_dim == 1):
         return _sinc_sequence(cfg, instance)
     return _moons_sequence(cfg, instance)
@@ -381,9 +375,9 @@ def _csv_line(values, columns):
 
 
 def _json_value(value):
-    """JSON form of a row or summary value; non-finite floats become strings."""
+    """JSON form of a row or summary value; non-finite floats, in lists too, become strings."""
     if isinstance(value, list):
-        return [float(v) for v in value]
+        return [_json_value(float(v)) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
@@ -704,28 +698,6 @@ KINDS = {
 # --- methods ---------------------------------------------------------------------
 
 
-def _eval_predictions(weights, eval_stack):
-    return np.tensordot(np.asarray(weights, dtype=float), eval_stack, axes=(0, 0))
-
-
-def _risk_from_preds(preds, eval_y):
-    return float(((preds - eval_y) ** 2).sum(axis=1).mean())
-
-
-def _accuracy_from_preds(preds, eval_labels):
-    return float((preds.argmax(axis=1) == eval_labels).mean())
-
-
-def _per_model_accuracies(eval_stack, eval_labels):
-    return np.array([(eval_stack[i].argmax(axis=1) == eval_labels).mean() for i in range(eval_stack.shape[0])])
-
-
-def _basis_weights(count, index):
-    weights = np.zeros(count)
-    weights[index] = 1.0
-    return weights
-
-
 # Each method maps the seed context to (weights, diagnostics); the diagnostics
 # name ResultRow fields. A method without a weight vector returns None and its
 # eval predictions under "predictions".
@@ -758,7 +730,7 @@ def _sor(ctx):
 
 def _tmv(ctx):
     votes = aggregation.majority_votes(ctx.eval_stack)
-    return None, {"predictions": np.eye(ctx.eval_stack.shape[2])[votes]}
+    return None, {"predictions": one_hot(votes, ctx.eval_stack.shape[2])}
 
 
 def _pseudo_label(name, ctx):
@@ -776,18 +748,17 @@ def _selected(name, ctx):
         ctx.cfg.selection_loss,
         predictions=ctx.source_stack,
     )
-    weights = selection.select_as_aggregation(result, len(ctx.models))
+    weights = one_hot(result.chosen_index, len(ctx.models))
     scores = [float(s) for s in result.scores]
     return weights, {"chosen_index": result.chosen_index, "scores": scores}
 
 
 def _target_best(ctx):
     if ctx.classification:
-        best = int(np.argmax(_per_model_accuracies(ctx.eval_stack, ctx.eval_labels)))
+        best = int(np.argmax(ctx.model_accuracies()))
     else:
-        risks = [_risk_from_preds(ctx.eval_stack[i], ctx.eval_y) for i in range(len(ctx.models))]
-        best = int(np.argmin(risks))
-    return _basis_weights(len(ctx.models), best), {}
+        best = int(np.argmin([metrics.risk(preds, ctx.eval_y) for preds in ctx.eval_stack]))
+    return one_hot(best, len(ctx.models)), {}
 
 
 METHODS = {
@@ -799,7 +770,7 @@ METHODS = {
     "iwv": partial(_selected, "iwv_select"),
     "dev": partial(_selected, "dev_select"),
     "oracle": lambda ctx: (ctx.oracle, {}),
-    "source_only": lambda ctx: (_basis_weights(len(ctx.models), 0), {}),
+    "source_only": lambda ctx: (one_hot(0, len(ctx.models)), {}),
     "target_best": _target_best,
 }
 ALL_METHODS = tuple(METHODS)
@@ -840,7 +811,12 @@ class _SeedContext:
 
     @cached_property
     def oracle_risk(self):
-        return _risk_from_preds(_eval_predictions(self.oracle, self.eval_stack), self.eval_y)
+        preds = aggregation.aggregate_predictions(self.oracle, self.eval_stack)
+        return metrics.risk(preds, self.eval_y)
+
+    def model_accuracies(self):
+        """Each model's accuracy on the evaluation labels."""
+        return [metrics.accuracy(preds, self.eval_labels) for preds in self.eval_stack]
 
     def method_weights(self, method):
         """Aggregation-weight vector for a method (None for tmv), plus diagnostics."""
@@ -852,15 +828,15 @@ class _SeedContext:
         weights, diagnostics = self.method_weights(method)
         preds = diagnostics.pop("predictions", None)
         if preds is None:
-            preds = _eval_predictions(weights, self.eval_stack)
-        risk = _risk_from_preds(preds, self.eval_y)
+            preds = aggregation.aggregate_predictions(weights, self.eval_stack)
+        risk = metrics.risk(preds, self.eval_y)
         if not math.isfinite(risk) or (weights is not None and not np.all(np.isfinite(weights))):
             raise NumericalError(f"{method} produced a non-finite risk or weight vector")
         return ResultRow(
             method=method,
             seed=seed,
             risk=risk,
-            accuracy=_accuracy_from_preds(preds, self.eval_labels) if self.classification else None,
+            accuracy=metrics.accuracy(preds, self.eval_labels) if self.classification else None,
             excess=risk - self.oracle_risk,
             count=count,
             weights=None if weights is None else [float(w) for w in weights],
@@ -903,21 +879,20 @@ def _over_seeds(seeds, seed_rows, error_rows):
     return rows
 
 
-def _prepare(cfg, seed, study=None, instance=None):
-    """Instance (drawn unless given), model sequence and density ratio for one seed.
+def _prepare(cfg, seed, study=None):
+    """Instance, model sequence and density ratio for one seed.
 
     A ``study`` name requires classification outputs.
     """
-    if instance is None:
-        instance = build_instance(cfg, seed)
+    instance = build_instance(cfg, seed)
     if study and instance.label_dim < 2:
         raise ConfigError(f"dataset: the {study} study needs classification outputs")
     return instance, build_models(cfg, instance), build_beta(cfg, instance)
 
 
-def run_single_seed(cfg, seed, instance=None):
-    """All method rows for one seed; ``instance`` may be supplied explicitly."""
-    return evaluate_methods(cfg, *_prepare(cfg, seed, instance=instance), seed)
+def run_single_seed(cfg, seed):
+    """All method rows for one seed."""
+    return evaluate_methods(cfg, *_prepare(cfg, seed), seed)
 
 
 def run_experiment(cfg):
@@ -935,42 +910,40 @@ def run_experiment(cfg):
 # --- sensitivity study -------------------------------------------------------
 
 
-def _corruption_seeds(seed, total):
-    ss = np.random.SeedSequence([_CORRUPTION_STREAM, int(seed)])
-    return [int(v) for v in ss.generate_state(total, dtype=np.uint64)]
+def _subseeds(stream, seed, count):
+    """``count`` independent 64-bit seeds for one stream of an experiment seed."""
+    ss = np.random.SeedSequence([stream, int(seed)])
+    return [int(v) for v in ss.generate_state(count, dtype=np.uint64)]
 
 
 def _draw_corrupted(instance, models, base_eval, seed, total):
     """Corrupted models with the accuracy redraw gate.
 
     ``base_eval`` is the prediction stack of ``models`` on the evaluation
-    inputs. Returns (models, labels, eval stack, gate stats); the eval stack
-    holds ``base_eval`` followed by the predictions the gate computed for
-    each kept model, in slot order.
+    inputs. Returns (models, eval stack, gate stats); the eval stack holds
+    ``base_eval`` followed by the predictions the gate computed for each kept
+    model, in slot order.
     """
     eval_x = instance.target_eval_x
     eval_labels = instance.target_eval_y.argmax(axis=1)
-    so_acc = float((base_eval[0].argmax(axis=1) == eval_labels).mean())
+    so_acc = metrics.accuracy(base_eval[0], eval_labels)
     threshold = 0.8 * so_acc
     pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
-    cseeds = iter(_corruption_seeds(seed, total * MAX_CORRUPTION_REDRAWS))
-    drawn, labels, flagged_count = [], [], 0
+    cseeds = iter(_subseeds(_CORRUPTION_STREAM, seed, total * MAX_CORRUPTION_REDRAWS))
+    drawn, flagged_count = [], 0
     eval_stack = np.empty((len(models) + total, *base_eval.shape[1:]))
     eval_stack[: len(models)] = base_eval
     for slot in range(total):
-        candidate, flagged, base_index = None, False, 0
+        candidate, flagged = None, False
         for _ in range(MAX_CORRUPTION_REDRAWS):
-            base_index = int(pick_rng.integers(len(models)))
-            candidate = corrupt(models[base_index], next(cseeds))
+            candidate = corrupt(models[int(pick_rng.integers(len(models)))], next(cseeds))
             preds = candidate.predict_many(eval_x)
-            acc = float((preds.argmax(axis=1) == eval_labels).mean())
-            if acc < threshold:
+            if metrics.accuracy(preds, eval_labels) < threshold:
                 flagged = True
                 break
         flagged_count += int(flagged)
         drawn.append(candidate)
         eval_stack[len(models) + slot] = preds
-        labels.append(f"corrupt_{slot}[{models.labels[base_index]}]")
     stats = {
         "seed": int(seed),
         "so_accuracy": so_acc,
@@ -978,7 +951,7 @@ def _draw_corrupted(instance, models, base_eval, seed, total):
         "flagged": flagged_count,
         "total": total,
     }
-    return drawn, labels, eval_stack, stats
+    return drawn, eval_stack, stats
 
 
 def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
@@ -1005,11 +978,11 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
     def seed_rows(seed):
         instance, models, beta = _prepare(cfg, seed, "sensitivity")
         base_eval = stack_predictions(models, instance.target_eval_x)
-        corrupted, corrupt_labels, eval_stack, stats = _draw_corrupted(
+        corrupted, eval_stack, stats = _draw_corrupted(
             instance, models, base_eval, seed, max(counts)
         )
         gate_stats.append(stats)
-        full = models.extended(corrupted, corrupt_labels)
+        full = models + corrupted
         stacks = (
             stack_predictions(full, instance.source_x),
             stack_predictions(full, instance.target_x),
@@ -1017,7 +990,7 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
         )
         rows = []
         for count in counts:
-            sequence = models.extended(corrupted[:count], corrupt_labels[:count])
+            sequence = full[: len(models) + count]
             prefix = tuple(stack[: len(sequence)] for stack in stacks)
             rows.extend(
                 evaluate_methods(cfg, instance, sequence, beta, seed, count=count, stacks=prefix)
@@ -1061,7 +1034,7 @@ def run_correlation(cfg):
 
     def seed_rows(seed):
         context = _SeedContext(cfg, *_prepare(cfg, seed, "correlation"))
-        accuracies = _per_model_accuracies(context.eval_stack, context.eval_labels)
+        accuracies = context.model_accuracies()
         rows = []
         for method in methods:
             weights, _ = context.method_weights(method)
@@ -1077,11 +1050,6 @@ def run_correlation(cfg):
 
 
 # --- convergence-rate check ---------------------------------------------------
-
-
-def _rate_subseeds(seed, count):
-    ss = np.random.SeedSequence([_RATE_STREAM, int(seed)])
-    return [int(v) for v in ss.generate_state(count, dtype=np.uint64)]
 
 
 def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
@@ -1102,10 +1070,7 @@ def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
     beta = sinc_ratio(cfg.sinc_interpret_std, cfg.beta_bound)
 
     def sinc(n, m, eval_size, seed):
-        return make_sinc_shift(
-            n, m, eval_size, seed,
-            interpret_std=cfg.sinc_interpret_std, noise_std=cfg.sinc_noise_std,
-        )
+        return build_instance(replace(cfg, n=n, m=m, eval_size=eval_size), seed)
 
     # The last seed's oracle draw stays referenced until the next seed has
     # drawn its own. Freed at the end of every seed, its rows let the
@@ -1114,7 +1079,7 @@ def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
     held = []
 
     def seed_rows(seed):
-        subseeds = _rate_subseeds(seed, 2 + len(sizes))
+        subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
         models = _sinc_sequence(cfg, sinc(cfg.n, 1, 1, subseeds[0]))
         oracle_sample = sinc(1, 1, oracle_draws, subseeds[1])
         held[:] = [oracle_sample]

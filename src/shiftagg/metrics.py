@@ -1,28 +1,27 @@
-"""Evaluation metrics and the column order of run results."""
+"""Evaluation metrics on prediction arrays and the column order of run results."""
 
 import math
 
 import numpy as np
 
 from .errors import DimensionError
-from .models import predict_batch
 
 # Column order of every results.csv emitted by the harness.
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
 
 
-def empirical_risk(model, xs, ys):
-    """Mean squared output-space distance: mean_k ||f(x_k) - y_k||^2."""
-    preds = predict_batch(model, xs)
+def risk(preds, ys):
+    """Mean squared output-space distance: mean_k ||preds_k - ys_k||^2."""
+    preds = np.asarray(preds, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if ys.shape != preds.shape:
+    if preds.ndim != 2 or ys.shape != preds.shape:
         raise DimensionError(f"labels of shape {ys.shape} do not match predictions {preds.shape}")
     if ys.shape[0] == 0:
         raise ValueError("cannot evaluate risk on an empty sample")
     return float(((preds - ys) ** 2).sum(axis=1).mean())
 
 
-def accuracy(model, xs, labels):
+def accuracy(preds, labels):
     """Fraction of rows whose argmax prediction matches the integer label.
 
     argmax ties resolve to the lowest class index.
@@ -30,9 +29,9 @@ def accuracy(model, xs, labels):
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be a 1-d class-index vector, got shape {labels.shape}")
-    preds = predict_batch(model, xs)
-    if preds.shape[0] != labels.shape[0]:
-        raise DimensionError(f"{preds.shape[0]} predictions but {labels.shape[0]} labels")
+    preds = np.asarray(preds, dtype=float)
+    if preds.ndim != 2 or preds.shape[0] != labels.shape[0]:
+        raise DimensionError(f"predictions of shape {preds.shape} but {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty sample")
     return float((preds.argmax(axis=1) == labels.astype(int)).mean())
@@ -59,8 +58,3 @@ def pearson_with_flag(a, b):
         return 0.0, True
     r = float((ca * cb).sum()) / denom
     return max(-1.0, min(1.0, r)), False
-
-
-def pearson(a, b):
-    """Pearson correlation; degenerate (constant) inputs yield 0.0."""
-    return pearson_with_flag(a, b)[0]

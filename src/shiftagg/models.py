@@ -2,7 +2,9 @@
 
 Everything the aggregation layer consumes implements the small ``Model``
 interface: ``predict_many`` maps the rows of a sample matrix to output
-vectors of a fixed dimension, and ``predict`` is its one-row case. Fitted
+vectors of a fixed dimension, and ``predict`` is its one-row case. A model
+sequence is a plain list; ``stack_predictions`` checks it and turns it into
+the (l, k, output_dim) prediction stack everything downstream reads. Fitted
 families (ridge regression, linear softmax classifiers), file-backed
 predictions, and the seeded corruption wrapper used by the sensitivity study
 all live here.
@@ -126,20 +128,11 @@ def softmax_cross_entropy_grad(weights, intercept, x, labels):
     return loss, x.T @ resid / n, resid.mean(axis=0)
 
 
-class SoftmaxModel(Model):
+class SoftmaxModel(LinearModel):
     """Linear softmax classifier; predictions are probability vectors."""
 
-    def __init__(self, weights, intercept):
-        self.weights = np.asarray(weights, dtype=float)
-        self.intercept = np.asarray(intercept, dtype=float)
-        if self.weights.ndim != 2 or self.weights.shape[1] != self.intercept.shape[0]:
-            raise DimensionError("softmax parameter shapes do not align")
-        self.input_dim = self.weights.shape[0]
-        self.output_dim = self.weights.shape[1]
-
     def predict_many(self, xs):
-        logits = np.asarray(xs, dtype=float) @ self.weights + self.intercept
-        return softmax_probabilities(logits)
+        return softmax_probabilities(super().predict_many(xs))
 
 
 def fit_softmax_classifier(x, labels, classes, epochs=300, lr=0.5, *, weight_decay=0.0):
@@ -384,67 +377,32 @@ class PrecomputedModel(Model):
                     writer.writerow([split, index] + [f"{v:.17g}" for v in row])
 
 
-class ModelSequence:
-    """Ordered collection of models with homogeneous dimensions."""
-
-    def __init__(self, models, labels=None):
-        self.models = list(models)
-        if not self.models:
-            raise ValueError("a model sequence needs at least one model")
-        out_dims = {m.output_dim for m in self.models}
-        if len(out_dims) != 1:
-            raise DimensionError(f"models disagree on output_dim: {sorted(out_dims)}")
-        in_dims = {m.input_dim for m in self.models if m.input_dim is not None}
-        if len(in_dims) > 1:
-            raise DimensionError(f"models disagree on input_dim: {sorted(in_dims)}")
-        if labels is None:
-            labels = [f"model_{i}" for i in range(len(self.models))]
-        labels = [str(lab) for lab in labels]
-        if len(labels) != len(self.models):
-            raise DimensionError(
-                f"{len(labels)} labels for {len(self.models)} models"
-            )
-        self.labels = labels
-
-    @property
-    def output_dim(self):
-        return self.models[0].output_dim
-
-    def __len__(self):
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __getitem__(self, i):
-        return self.models[i]
-
-    def extended(self, more_models, more_labels):
-        """New sequence with extra models appended."""
-        return ModelSequence(self.models + list(more_models), self.labels + list(more_labels))
-
-
-def predict_batch(model, xs):
-    """Predictions for every row of ``xs``, shape (k, output_dim).
-
-    Checks the input and output shapes around ``model.predict_many``.
-    """
-    xs = _sample_matrix(xs, "xs")
-    if model.input_dim is not None and xs.shape[1] != model.input_dim:
-        raise DimensionError(
-            f"input has {xs.shape[1]} columns but the model expects {model.input_dim}"
-        )
-    if xs.shape[0] == 0:
-        return np.zeros((0, model.output_dim))
-    out = np.asarray(model.predict_many(xs), dtype=float)
-    if out.shape != (xs.shape[0], model.output_dim):
-        raise DimensionError(
-            f"model returned predictions of shape {out.shape}, "
-            f"expected {(xs.shape[0], model.output_dim)}"
-        )
-    return out
-
-
 def stack_predictions(models, xs):
-    """Stack predict_batch over a model sequence: shape (l, k, output_dim)."""
-    return np.stack([predict_batch(m, xs) for m in models])
+    """Predictions of every model on the rows of ``xs``, shape (l, k, output_dim).
+
+    The model sequence must be non-empty and agree on ``output_dim``. Each
+    model's input width and returned shape are checked around its
+    ``predict_many``.
+    """
+    if not models:
+        raise ValueError("a model sequence needs at least one model")
+    dims = {m.output_dim for m in models}
+    if len(dims) != 1:
+        raise DimensionError(f"models disagree on output_dim: {sorted(dims)}")
+    xs = _sample_matrix(xs, "xs")
+    expected = (xs.shape[0], dims.pop())
+    stack = []
+    for model in models:
+        if model.input_dim is not None and xs.shape[1] != model.input_dim:
+            raise DimensionError(
+                f"input has {xs.shape[1]} columns but the model expects {model.input_dim}"
+            )
+        out = np.asarray(model.predict_many(xs), dtype=float) if xs.shape[0] else np.zeros(expected)
+        if out.shape != expected:
+            raise DimensionError(
+                f"model returned predictions of shape {out.shape}, expected {expected}"
+            )
+        stack.append(out)
+    # One np.stack of the per-model outputs: filling a preallocated stack
+    # instead made the rate check fault in about five times as many pages.
+    return np.stack(stack)

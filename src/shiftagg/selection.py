@@ -3,15 +3,16 @@
 Selection baselines score every model by a beta-weighted source loss and
 pick the argmin. The control-variate variant reduces the variance of the
 importance-weighted estimate using the weights themselves as the control.
-Neither route sees target labels.
+Neither route sees target labels, and non-finite predictions, labels or
+ratio weights raise NumericalError instead of ranking NaN scores.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import _prediction_stack, _ratio_weights, _require_finite
 from .errors import DimensionError
-from .models import stack_predictions
 
 LOSSES = ("squared", "zero_one")
 
@@ -31,8 +32,7 @@ class SelectionResult:
 def _per_model_losses(models, source_x, source_y, loss, predictions):
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
-    preds = predictions if predictions is not None else stack_predictions(models, source_x)
-    preds = np.asarray(preds, dtype=float)
+    preds = _prediction_stack(models, source_x, predictions)
     source_y = np.asarray(source_y, dtype=float)
     l, n, d2 = preds.shape
     if n == 0:
@@ -41,6 +41,8 @@ def _per_model_losses(models, source_x, source_y, loss, predictions):
         raise DimensionError(
             f"labels of shape {source_y.shape} do not match predictions {(n, d2)}"
         )
+    _require_finite(preds, "source predictions")
+    _require_finite(source_y, "source labels")
     if loss == "squared":
         diff = preds - source_y[None, :, :]
         return (diff**2).sum(axis=2)
@@ -48,13 +50,6 @@ def _per_model_losses(models, source_x, source_y, loss, predictions):
         raise DimensionError("zero_one loss needs classification outputs (d2 >= 2)")
     truth = source_y.argmax(axis=1)
     return (preds.argmax(axis=2) != truth[None, :]).astype(float)
-
-
-def _ratio_weights(beta, source_x, n):
-    w = np.asarray(beta.weights(source_x), dtype=float)
-    if w.shape != (n,):
-        raise DimensionError(f"beta produced weights of shape {w.shape}, expected ({n},)")
-    return w
 
 
 def iwv_select(models, source_x, source_y, beta, loss="squared", *, predictions=None):
@@ -86,15 +81,3 @@ def dev_select(models, source_x, source_y, beta, loss="squared", *, predictions=
         eta = -cov / var_w
         scores = base + eta * (float(w.mean()) - 1.0)
     return SelectionResult(chosen_index=int(np.argmin(scores)), scores=scores)
-
-
-def select_as_aggregation(result, count):
-    """One-hot aggregation-weight view of a selection."""
-    count = int(count)
-    if not 0 <= result.chosen_index < count:
-        raise ValueError(
-            f"chosen_index {result.chosen_index} is out of range for {count} models"
-        )
-    weights = np.zeros(count)
-    weights[result.chosen_index] = 1.0
-    return weights

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.aggregation import (
-    AggregatedModel,
     AggregationResult,
+    aggregate_predictions,
     empirical_gram,
     empirical_moment,
     iwa,
@@ -371,29 +371,37 @@ class TestPseudoLabelRegressions:
             tcr([LinearModel([[1.0]], [0.0])], XS_12)
 
 
+def aggregated(models, weights, xs):
+    """The aggregate's predictions: the weighted sum of the models' prediction stack."""
+    return aggregate_predictions(weights, stack_predictions(models, xs))
+
+
 class TestAggregatedModel:
     def test_weighted_sum_of_outputs(self):
-        aggregate = AggregatedModel([MODEL_A, MODEL_B], [2.0, -1.0])
         # 2*(1,2) - (1,1) = (1, 3) at x=1
-        assert np.array_equal(aggregate.predict(np.array([1.0])), [1.0, 3.0])
+        assert np.array_equal(aggregated([MODEL_A, MODEL_B], [2.0, -1.0], [[1.0]])[0], [1.0, 3.0])
 
     def test_predict_many_matches_predict(self):
-        aggregate = AggregatedModel([MODEL_A, MODEL_B], [0.5, 0.25])
-        batch = aggregate.predict_many(XS_12)
-        rows = [aggregate.predict(x) for x in XS_12]
+        models, weights = [MODEL_A, MODEL_B], [0.5, 0.25]
+        batch = aggregated(models, weights, XS_12)
+        rows = [aggregated(models, weights, x[None])[0] for x in XS_12]
         assert np.allclose(batch, rows, atol=1e-12)
 
     def test_weight_count_checked(self):
         with pytest.raises(DimensionError):
-            AggregatedModel([MODEL_A, MODEL_B], [1.0])
+            aggregated([MODEL_A, MODEL_B], [1.0], XS_12)
 
     def test_needs_at_least_one_model(self):
         with pytest.raises(ValueError, match="at least one"):
-            AggregatedModel([], [])
+            aggregated([], [], XS_12)
 
     def test_output_dim_disagreement_rejected(self):
         with pytest.raises(DimensionError, match="output_dim"):
-            AggregatedModel([MODEL_A, LinearModel([[1.0]], [0.0])], [1.0, 1.0])
+            aggregated([MODEL_A, LinearModel([[1.0]], [0.0])], [1.0, 1.0], XS_12)
+
+    def test_stack_must_be_three_dimensional(self):
+        with pytest.raises(DimensionError):
+            aggregate_predictions([1.0], np.ones((3, 2)))
 
 
 @given(

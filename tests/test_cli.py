@@ -174,6 +174,18 @@ def test_precomputed_models_over_csv_instance(tmp_path):
     assert all(row.get("error") in (None, "") for row in payload["rows"])
 
 
+def test_model_csvs_of_different_widths_fail_loudly(tmp_path, capsys):
+    _write_csv_instance(tmp_path)
+    wide, narrow = tmp_path / "model_a.csv", tmp_path / "model_b.csv"
+    _write_model_csv(wide, with_eval_rows=True)
+    narrow.write_text("split,index,y0\nsource,0,0.5\n")
+    out = tmp_path / "out"
+    assert main(_csv_args(tmp_path, [wide, narrow]) + ["--out", str(out)]) == 2
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    assert rows and all(row["error"].startswith("DimensionError: ") for row in rows)
+    assert "output_dim" in capsys.readouterr().err
+
+
 def test_partial_failures_exit_two(tmp_path, capsys):
     _write_csv_instance(tmp_path)
     # The prediction tables lack the evaluation rows, so every method fails.
@@ -254,6 +266,32 @@ def test_old_flag_spellings_are_rejected(args, capsys):
         main(TINY_RUN + args)
     assert exc.value.code != 0
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--model-csv", "a.csv"], "unrecognized arguments"), (["--n"], "expected one argument")],
+)
+def test_usage_errors_exit_one(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert message in err
+
+
+FLOAT_FIELDS = [field.name for field in fields(ExperimentConfig) if field.type is float]
+
+
+def test_float_fields_are_listed():
+    assert {"beta_bound", "rcond", "ridge", "moons_rotation_deg"} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_nan_float_value_is_a_config_error(key, capsys):
+    assert main(TINY_RUN + ["--" + key.replace("_", "-"), "nan"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 @pytest.mark.parametrize("key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x")])

@@ -173,19 +173,12 @@ class TestResolveMethods:
 
 
 class TestModelBuilders:
-    def test_sinc_sequence_has_degree_labels(self):
-        cfg = ExperimentConfig(**SINC_SMALL)
-        inst = build_instance(cfg, 0)
-        models = build_models(cfg, inst)
+    @pytest.mark.parametrize("base", [SINC_SMALL, MOONS_SMALL], ids=["sinc", "moons"])
+    def test_sequence_is_a_list_of_l_models(self, base):
+        cfg = ExperimentConfig(**base)
+        models = build_models(cfg, build_instance(cfg, 0))
+        assert isinstance(models, list)
         assert len(models) == cfg.l
-        assert models.labels == ["degree=0", "degree=1", "degree=2"]
-
-    def test_moons_sequence_has_lambda_labels(self):
-        cfg = ExperimentConfig(**MOONS_SMALL)
-        inst = build_instance(cfg, 0)
-        models = build_models(cfg, inst)
-        assert len(models) == 3
-        assert models.labels == ["lambda=0", "lambda=0.0001", "lambda=0.001"]
 
 
 class TestRunExperiment:
@@ -370,6 +363,18 @@ class TestResultTable:
         assert payload["rows"][0]["risk"] == "nan"
         assert payload["rows"][0]["error"] == "Boom: failed"
 
+    def test_json_of_non_finite_list_items_is_strict(self, tmp_path):
+        rows = [ResultRow(method="iwv", seed=0, risk=1.0, excess=0.0, chosen_index=1,
+                          scores=[math.inf, 0.5, -math.inf, math.nan])]
+        path = tmp_path / "results.json"
+        ResultTable(rows=rows, config={}).write_json(str(path))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["rows"][0]["scores"] == ["inf", 0.5, "-inf", "nan"]
+
     def test_sorted_rows_by_count_method_seed(self):
         rows = [
             ResultRow(method="sor", seed=0, count=10),
@@ -423,9 +428,9 @@ class TestSensitivity:
             models = build_models(cfg, inst)
             beta = build_beta(cfg, inst)
             base_eval = stack_predictions(models, inst.target_eval_x)
-            corrupted, labels, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
+            corrupted, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
             for count in (0, 2, 5):
-                sequence = models.extended(corrupted[:count], labels[:count])
+                sequence = models + corrupted[:count]
                 reference.extend(evaluate_methods(cfg, inst, sequence, beta, seed, count=count))
         assert not table.has_failures
         assert [repr(dataclasses.asdict(r)) for r in table.rows] == [

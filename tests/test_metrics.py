@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError
-from shiftagg.metrics import accuracy, empirical_risk, pearson, pearson_with_flag
-from shiftagg.models import LinearModel
+from shiftagg.metrics import accuracy, pearson_with_flag, risk
+from shiftagg.models import LinearModel, stack_predictions
 
 
 def constant_model(output):
@@ -15,18 +15,26 @@ def constant_model(output):
     return LinearModel(np.zeros((1, output.shape[0])), output)
 
 
+def predictions(model, xs):
+    return stack_predictions([model], xs)[0]
+
+
+def pearson(a, b):
+    return pearson_with_flag(a, b)[0]
+
+
 class TestEmpiricalRisk:
     def test_perfect_predictions_have_zero_risk(self):
         model = LinearModel([[1.0]], [0.0])
         xs = np.array([[1.0], [2.0]])
-        assert empirical_risk(model, xs, xs.copy()) == 0.0
+        assert risk(predictions(model, xs), xs.copy()) == 0.0
 
     def test_hand_computed_value(self):
         # Constant (0, 0) against rows (1, 0) and (0, 2):
         # mean of 1 and 4 is 2.5.
         model = constant_model([0.0, 0.0])
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert empirical_risk(model, np.zeros((2, 1)), ys) == 2.5
+        assert risk(predictions(model, np.zeros((2, 1))), ys) == 2.5
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -36,47 +44,47 @@ class TestEmpiricalRisk:
         expected = np.mean(
             [np.sum((np.asarray(model.predict(x)) - y) ** 2) for x, y in zip(xs, ys)]
         )
-        assert empirical_risk(model, xs, ys) == pytest.approx(expected, rel=1e-12)
+        assert risk(predictions(model, xs), ys) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = constant_model([0.0, 0.0])
         with pytest.raises(DimensionError):
-            empirical_risk(model, np.zeros((2, 1)), np.zeros((2, 3)))
+            risk(predictions(model, np.zeros((2, 1))), np.zeros((2, 3)))
 
     def test_empty_sample_rejected(self):
         model = constant_model([0.0])
         with pytest.raises(ValueError, match="empty"):
-            empirical_risk(model, np.zeros((0, 1)), np.zeros((0, 1)))
+            risk(predictions(model, np.zeros((0, 1))), np.zeros((0, 1)))
 
 
 class TestAccuracy:
     def test_all_correct(self):
         model = constant_model([0.9, 0.1])
-        assert accuracy(model, np.zeros((3, 1)), [0, 0, 0]) == 1.0
+        assert accuracy(predictions(model, np.zeros((3, 1))), [0, 0, 0]) == 1.0
 
     def test_all_wrong(self):
         model = constant_model([0.9, 0.1])
-        assert accuracy(model, np.zeros((3, 1)), [1, 1, 1]) == 0.0
+        assert accuracy(predictions(model, np.zeros((3, 1))), [1, 1, 1]) == 0.0
 
     def test_half_right(self):
         model = constant_model([0.9, 0.1])
-        assert accuracy(model, np.zeros((4, 1)), [0, 1, 0, 1]) == 0.5
+        assert accuracy(predictions(model, np.zeros((4, 1))), [0, 1, 0, 1]) == 0.5
 
     def test_argmax_tie_counts_lowest_class(self):
         model = constant_model([0.5, 0.5])
-        assert accuracy(model, np.zeros((2, 1)), [0, 1]) == 0.5
+        assert accuracy(predictions(model, np.zeros((2, 1))), [0, 1]) == 0.5
 
     def test_label_vector_shape_checked(self):
         model = constant_model([0.9, 0.1])
         with pytest.raises(DimensionError, match="1-d"):
-            accuracy(model, np.zeros((2, 1)), np.zeros((2, 2)))
+            accuracy(predictions(model, np.zeros((2, 1))), np.zeros((2, 2)))
         with pytest.raises(DimensionError, match="labels"):
-            accuracy(model, np.zeros((2, 1)), [0])
+            accuracy(predictions(model, np.zeros((2, 1))), [0])
 
     def test_empty_sample_rejected(self):
         model = constant_model([0.9, 0.1])
         with pytest.raises(ValueError, match="empty"):
-            accuracy(model, np.zeros((0, 1)), [])
+            accuracy(predictions(model, np.zeros((0, 1))), [])
 
 
 class TestPearson:

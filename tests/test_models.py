@@ -10,13 +10,12 @@ from shiftagg.models import (
     CorruptedModel,
     FeatureModel,
     LinearModel,
-    ModelSequence,
+    Model,
     PrecomputedModel,
     corrupt,
     fit_ridge,
     fit_softmax_classifier,
     polynomial_features,
-    predict_batch,
     softmax_cross_entropy_grad,
     softmax_probabilities,
     stack_predictions,
@@ -352,6 +351,10 @@ class TestPrecomputedModel:
             PrecomputedModel.from_csv(path)
 
 
+def predict_batch(model, xs):
+    return stack_predictions([model], xs)[0]
+
+
 class TestBatchPrediction:
     def test_constant_model_rows_identical(self):
         out = predict_batch(constant_model([1.0, 2.0]), np.zeros((3, 1)))
@@ -371,6 +374,20 @@ class TestBatchPrediction:
         with pytest.raises(DimensionError):
             predict_batch(model, np.zeros((3, 5)))
 
+    def test_output_shape_checked(self):
+        class Truncating(Model):
+            output_dim = 2
+
+            def predict_many(self, xs):
+                return np.zeros((len(xs) - 1, 2))
+
+        with pytest.raises(DimensionError, match="expected"):
+            predict_batch(Truncating(), np.zeros((3, 1)))
+
+    def test_sample_must_be_a_matrix(self):
+        with pytest.raises(DimensionError, match="2-d"):
+            predict_batch(constant_model([1.0]), np.zeros(3))
+
     def test_stack_shape(self, rng):
         models = [constant_model([1.0, 0.0]), constant_model([0.0, 1.0])]
         stack = stack_predictions(models, rng.normal(size=(4, 1)))
@@ -378,33 +395,20 @@ class TestBatchPrediction:
 
 
 class TestModelSequence:
+    """A model sequence is a plain list; ``stack_predictions`` checks it."""
+
     def test_basic_container_behavior(self):
         models = [constant_model([1.0]), constant_model([2.0])]
-        seq = ModelSequence(models, labels=["a", "b"])
-        assert len(seq) == 2
-        assert seq[1] is models[1]
-        assert [m for m in seq] == models
-        assert seq.output_dim == 1
-
-    def test_default_labels(self):
-        seq = ModelSequence([constant_model([1.0])])
-        assert seq.labels == ["model_0"]
-
-    def test_extended_appends(self):
-        seq = ModelSequence([constant_model([1.0])], labels=["a"])
-        longer = seq.extended([constant_model([2.0])], ["b"])
-        assert len(longer) == 2
-        assert longer.labels == ["a", "b"]
-        assert len(seq) == 1  # original untouched
+        xs = np.zeros((3, 1))
+        stack = stack_predictions(models, xs)
+        assert len(stack) == 2
+        assert np.array_equal(stack[1], models[1].predict_many(xs))
+        assert stack.shape[2] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ModelSequence([])
+            stack_predictions([], np.zeros((3, 1)))
 
     def test_heterogeneous_output_dims_rejected(self):
         with pytest.raises(DimensionError, match="output_dim"):
-            ModelSequence([constant_model([1.0]), constant_model([1.0, 2.0])])
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(DimensionError, match="labels"):
-            ModelSequence([constant_model([1.0])], labels=["a", "b"])
+            stack_predictions([constant_model([1.0]), constant_model([1.0, 2.0])], np.zeros((3, 1)))

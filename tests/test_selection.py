@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg.datasets import one_hot
 from shiftagg.density_ratio import ConstantRatio, DensityRatio
-from shiftagg.errors import DimensionError
+from shiftagg.errors import DimensionError, NumericalError
 from shiftagg.models import LinearModel
-from shiftagg.selection import (
-    SelectionResult,
-    dev_select,
-    iwv_select,
-    select_as_aggregation,
-)
+from shiftagg.selection import SelectionResult, dev_select, iwv_select
 
 
 class InputRatio(DensityRatio):
@@ -148,22 +144,59 @@ class TestDevSelect:
 
 
 class TestSelectAsAggregation:
+    """A selection's aggregation-weight view is the one-hot vector of its index."""
+
     def test_one_hot_weights(self):
         result = SelectionResult(chosen_index=2, scores=np.zeros(4))
-        assert np.array_equal(select_as_aggregation(result, 4), [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(one_hot(result.chosen_index, 4), [0.0, 0.0, 1.0, 0.0])
 
     def test_round_trip_from_selection(self):
         models = constant_models([0.5, 0.5], [1.0, 0.0])
         ys = np.tile([1.0, 0.0], (3, 1))
         result = iwv_select(models, np.zeros((3, 1)), ys, ConstantRatio(1.0))
-        weights = select_as_aggregation(result, len(models))
+        weights = one_hot(result.chosen_index, len(models))
         assert weights[result.chosen_index] == 1.0
         assert weights.sum() == 1.0
 
     def test_out_of_range_rejected(self):
         result = SelectionResult(chosen_index=3, scores=np.zeros(4))
         with pytest.raises(ValueError, match="out of range"):
-            select_as_aggregation(result, 3)
+            one_hot(result.chosen_index, 3)
+
+
+class NanRatio(DensityRatio):
+    """A ratio whose first weight is NaN."""
+
+    bound = 10.0
+
+    def weights(self, xs):
+        w = np.ones(len(xs))
+        w[0] = np.nan
+        return w
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("select", [iwv_select, dev_select])
+    def test_nan_ratio_weight_rejected(self, select):
+        ys = np.tile([1.0, 0.0], (3, 1))
+        with pytest.raises(NumericalError, match="density-ratio weights"):
+            select(MODELS_2D, np.zeros((3, 1)), ys, NanRatio())
+
+    @pytest.mark.parametrize("select", [iwv_select, dev_select])
+    @pytest.mark.parametrize("loss", ["squared", "zero_one"])
+    def test_non_finite_predictions_rejected(self, select, loss):
+        stack = np.full((2, 3, 2), 0.5)
+        stack[1, 2, 0] = np.nan
+        ys = np.tile([1.0, 0.0], (3, 1))
+        with pytest.raises(NumericalError, match="source predictions"):
+            select([object()] * 2, np.zeros((3, 1)), ys, ConstantRatio(1.0), loss,
+                   predictions=stack)
+
+    def test_non_finite_labels_rejected(self):
+        ys = np.tile([1.0, 0.0], (3, 1))
+        ys[1, 1] = np.nan
+        with pytest.raises(NumericalError, match="source labels"):
+            iwv_select(MODELS_2D, np.zeros((3, 1)), ys, ConstantRatio(1.0))
 
 
 @given(
@@ -194,3 +227,11 @@ def test_dev_equals_iwv_for_any_constant_beta(l, k, seed, value):
     plain = iwv_select([object()] * l, np.zeros((k, 1)), ys, beta, predictions=stack)
     controlled = dev_select([object()] * l, np.zeros((k, 1)), ys, beta, predictions=stack)
     assert np.array_equal(plain.scores, controlled.scores)
+
+
+@pytest.mark.parametrize("select", [iwv_select, dev_select])
+def test_stack_must_cover_the_models(select):
+    stack = np.zeros((3, 4, 2))
+    ys = np.tile([1.0, 0.0], (4, 1))
+    with pytest.raises(DimensionError, match="does not cover 2 models"):
+        select([object()] * 2, np.zeros((4, 1)), ys, ConstantRatio(1.0), predictions=stack)
