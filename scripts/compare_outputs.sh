@@ -1,0 +1,26 @@
+#!/bin/sh
+# Regenerate the four studies from git revision REV and from the working
+# tree, each in its own temporary directory, and compare the outputs byte
+# for byte. Exits non-zero on any difference.
+#
+#   scripts/compare_outputs.sh REV
+#
+# Both runs happen on this machine, so the check does not depend on the
+# platform that wrote the committed out/ directory.
+set -eu
+if [ $# -ne 1 ]; then
+  echo "usage: $0 REV" >&2
+  exit 2
+fi
+root="$(cd "$(dirname "$0")/.." && pwd)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base" "$tmp/work"
+git -C "$root" archive "$1" src scripts configs | tar -x -C "$tmp/base"
+tar -C "$root" --exclude=__pycache__ -cf - src scripts configs | tar -x -C "$tmp/work"
+for tree in base work; do
+  echo "== studies from $tree" >&2
+  PYTHONPATH="$tmp/$tree/src" "$tmp/$tree/scripts/reproduce_all.sh" >&2
+done
+diff -r "$tmp/base/out" "$tmp/work/out"
+echo "outputs of $1 and the working tree are identical"

@@ -19,12 +19,14 @@ from .models import stack_predictions
 
 
 def _prediction_stack(models, xs, predictions):
+    """The models' outputs on xs: a given stack, checked to cover them, or a fresh one."""
     if predictions is None:
         predictions = stack_predictions(models, xs)
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.ndim != 3 or predictions.shape[0] != len(models):
+    if predictions.ndim != 3 or predictions.shape[:2] != (len(models), len(xs)):
         raise DimensionError(
-            f"prediction stack of shape {predictions.shape} does not cover {len(models)} models"
+            f"prediction stack of shape {predictions.shape} does not cover "
+            f"{len(models)} models on {len(xs)} rows"
         )
     return predictions
 
@@ -34,11 +36,32 @@ def _require_finite(values, what):
         raise NumericalError(f"{what} contain NaN or inf")
 
 
-def _ratio_weights(beta, source_x, n):
-    """beta's weights on the n source rows, checked for shape and finiteness."""
-    w = np.asarray(beta.weights(source_x), dtype=float)
+def _checked_stack(predictions, labels=None):
+    """A non-empty, finite (l, k, d2) prediction stack and its (k, d2) labels, as floats.
+
+    Without labels only the stack is checked and the labels come back None.
+    """
+    preds = np.asarray(predictions, dtype=float)
+    if preds.ndim != 3:
+        raise DimensionError(f"prediction stack of shape {preds.shape} is not (l, k, d2)")
+    if preds.shape[1] == 0:
+        raise ValueError("cannot fit or score on an empty sample")
+    _require_finite(preds, "predictions")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=float)
+        if labels.shape != preds.shape[1:]:
+            raise DimensionError(
+                f"labels of shape {labels.shape} do not match predictions {preds.shape[1:]}"
+            )
+        _require_finite(labels, "labels")
+    return preds, labels
+
+
+def _ratio_weights(weights, n):
+    """Density-ratio weights on the n source rows, checked for shape and finiteness."""
+    w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
-        raise DimensionError(f"beta produced weights of shape {w.shape}, expected ({n},)")
+        raise DimensionError(f"ratio weights of shape {w.shape}, expected ({n},)")
     _require_finite(w, "density-ratio weights")
     return w
 
@@ -54,38 +77,25 @@ def _moment(preds, weighted_y):
     return np.tensordot(preds, weighted_y, axes=([1, 2], [0, 1])) / preds.shape[1]
 
 
-def empirical_gram(models, target_x, *, predictions=None):
-    """Gram matrix G[i, j] = mean_k <f_i(x_k), f_j(x_k)> over the rows of target_x.
+def empirical_gram(target_predictions):
+    """Gram matrix G[i, j] = mean_k <f_i(x_k), f_j(x_k)> over an (l, k, d2) stack.
 
     Exactly symmetric by construction and positive semi-definite up to
-    rounding. ``predictions`` may carry a precomputed stack of model outputs
-    (shape (l, k, d2)) to avoid re-evaluating the models. Non-finite
-    predictions raise NumericalError.
+    rounding. Non-finite predictions raise NumericalError.
     """
-    preds = _prediction_stack(models, target_x, predictions)
-    if preds.shape[1] == 0:
-        raise ValueError("cannot form a Gram matrix from an empty sample")
-    _require_finite(preds, "target predictions")
+    preds, _ = _checked_stack(target_predictions)
     return _gram(preds)
 
 
-def empirical_moment(models, source_x, source_y, beta, *, predictions=None):
-    """Moment vector g[i] = mean_k beta(x_k) <y_k, f_i(x_k)> over labeled source rows.
+def empirical_moment(source_predictions, source_y, source_weights):
+    """Moment vector g[i] = mean_k w_k <y_k, f_i(x_k)> over labeled source rows.
 
-    Non-finite predictions, labels or ratio weights raise NumericalError.
+    ``source_weights`` holds the density ratio on the source rows,
+    beta(source_x). Non-finite predictions, labels or weights raise
+    NumericalError.
     """
-    preds = _prediction_stack(models, source_x, predictions)
-    source_y = np.asarray(source_y, dtype=float)
-    l, n, d2 = preds.shape
-    if n == 0:
-        raise ValueError("cannot form a moment vector from an empty sample")
-    if source_y.shape != (n, d2):
-        raise DimensionError(
-            f"labels of shape {source_y.shape} do not match predictions {(n, d2)}"
-        )
-    w = _ratio_weights(beta, source_x, n)
-    _require_finite(preds, "source predictions")
-    _require_finite(source_y, "source labels")
+    preds, source_y = _checked_stack(source_predictions, source_y)
+    w = _ratio_weights(source_weights, preds.shape[1])
     return _moment(preds, w[:, None] * source_y)
 
 
@@ -119,14 +129,7 @@ def _label_regression(preds, labels, rcond):
     checked once. With unit ratio weights ``iwa`` computes the same Gram and
     moment from the same kernels, so the two agree bitwise.
     """
-    labels = np.asarray(labels, dtype=float)
-    _, k, d2 = preds.shape
-    if k == 0:
-        raise ValueError("cannot fit weights on an empty sample")
-    if labels.shape != (k, d2):
-        raise DimensionError(f"labels of shape {labels.shape} do not match predictions {(k, d2)}")
-    _require_finite(preds, "predictions")
-    _require_finite(labels, "labels")
+    preds, labels = _checked_stack(preds, labels)
     return _solve_aggregation(_gram(preds), _moment(preds, labels), rcond).weights
 
 
@@ -162,32 +165,34 @@ def iwa(
     The Gram matrix is estimated on the unlabeled target inputs, the moment
     vector on beta-weighted labeled source samples, and the weights solve
     the resulting system through the rcond-truncated pseudo-inverse. Uses no
-    target labels.
+    target labels. The models are predicted here unless their source and
+    target stacks are given; a given stack must cover the models and rows.
     """
-    gram = empirical_gram(models, target_x, predictions=target_predictions)
-    moment = empirical_moment(models, source_x, source_y, beta, predictions=source_predictions)
+    gram = empirical_gram(_prediction_stack(models, target_x, target_predictions))
+    source = _prediction_stack(models, source_x, source_predictions)
+    moment = empirical_moment(source, source_y, beta.weights(source_x))
     return _solve_aggregation(gram, moment, rcond)
 
 
-def oracle_weights(models, target_x, target_y, rcond=1e-8, *, predictions=None):
-    """Least squares of labeled target draws onto the model outputs.
+def oracle_weights(target_predictions, target_y, rcond=1e-8):
+    """Least squares of labeled target draws onto the models' (l, k, d2) outputs.
 
     Evaluation-only reference: this is the aggregation a labeled target
     sample would pick, solved with the same truncated pseudo-inverse. The
     default rcond is small because the reference should only drop numerically
     empty directions, not regularize.
     """
-    return _label_regression(_prediction_stack(models, target_x, predictions), target_y, rcond)
+    return _label_regression(target_predictions, target_y, rcond)
 
 
-def sor(models, source_x, source_y, rcond=DEFAULT_RCOND, *, predictions=None):
+def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
     """Source-only least-squares aggregation.
 
     Identical to ``iwa`` with beta == 1 and the source sample standing in
     for the target inputs (the no-shift reduction), so the two agree bitwise
     in that configuration.
     """
-    return _label_regression(_prediction_stack(models, source_x, predictions), source_y, rcond)
+    return _label_regression(source_predictions, source_y, rcond)
 
 
 def _check_classification(d2):
@@ -208,17 +213,17 @@ def majority_votes(predictions):
     return counts.argmax(axis=1)
 
 
-def tmr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
+def tmr(target_predictions, rcond=DEFAULT_RCOND):
     """Majority-vote pseudo-labels, then least squares onto the model outputs."""
-    preds = _prediction_stack(models, target_x, predictions)
+    preds, _ = _checked_stack(target_predictions)
     _check_classification(preds.shape[2])
     pseudo = one_hot(majority_votes(preds), preds.shape[2])
     return _label_regression(preds, pseudo, rcond)
 
 
-def tcr(models, target_x, rcond=DEFAULT_RCOND, *, predictions=None):
+def tcr(target_predictions, rcond=DEFAULT_RCOND):
     """Pseudo-labels from the argmax of the model-averaged output, then least squares."""
-    preds = _prediction_stack(models, target_x, predictions)
+    preds, _ = _checked_stack(target_predictions)
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])

@@ -200,14 +200,6 @@ def moons_transform(points, rotation_deg=MOONS_ROTATION_DEG, translation=MOONS_T
     return (points - center) @ rot.T + center + np.asarray(translation, dtype=float)
 
 
-def moons_inverse_transform(points, rotation_deg=MOONS_ROTATION_DEG, translation=MOONS_TRANSLATION):
-    """Exact inverse of moons_transform."""
-    points = np.asarray(points, dtype=float)
-    center = np.asarray(MOONS_CENTROID)
-    rot = _rotation(rotation_deg)
-    return (points - center - np.asarray(translation, dtype=float)) @ rot + center
-
-
 def make_transformed_moons(
     n,
     m,

@@ -27,10 +27,6 @@ class DensityRatio(ABC):
     def weights(self, xs):
         """Ratio estimates for every row of the sample matrix ``xs``."""
 
-    def weight(self, x):
-        """Ratio estimate for a single input vector (a float)."""
-        return float(self.weights(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
 
 class ConstantRatio(DensityRatio):
     """beta == value everywhere (value 1 recovers unweighted averaging)."""

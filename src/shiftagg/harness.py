@@ -132,6 +132,8 @@ class ExperimentConfig:
             problems.append(f"oracle_rcond: must lie in [0, 1), got {self.oracle_rcond}")
         if not self.seeds:
             problems.append("seeds: need at least one seed")
+        elif len(set(self.seeds)) != len(self.seeds):
+            problems.append(f"seeds: each seed may appear once, got {list(self.seeds)}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
@@ -722,10 +724,7 @@ def _iwa(ctx):
 
 
 def _sor(ctx):
-    inst = ctx.instance
-    return aggregation.sor(
-        ctx.models, inst.source_x, inst.source_y, ctx.cfg.rcond, predictions=ctx.source_stack
-    ), {}
+    return aggregation.sor(ctx.source_stack, ctx.instance.source_y, ctx.cfg.rcond), {}
 
 
 def _tmv(ctx):
@@ -734,19 +733,13 @@ def _tmv(ctx):
 
 
 def _pseudo_label(name, ctx):
-    fn = getattr(aggregation, name)
-    return fn(ctx.models, ctx.instance.target_x, ctx.cfg.rcond, predictions=ctx.target_stack), {}
+    return getattr(aggregation, name)(ctx.target_stack, ctx.cfg.rcond), {}
 
 
 def _selected(name, ctx):
     inst = ctx.instance
     result = getattr(selection, name)(
-        ctx.models,
-        inst.source_x,
-        inst.source_y,
-        ctx.beta,
-        ctx.cfg.selection_loss,
-        predictions=ctx.source_stack,
+        ctx.source_stack, inst.source_y, ctx.beta.weights(inst.source_x), ctx.cfg.selection_loss
     )
     weights = one_hot(result.chosen_index, len(ctx.models))
     scores = [float(s) for s in result.scores]
@@ -802,11 +795,7 @@ class _SeedContext:
     @cached_property
     def oracle(self):
         return aggregation.oracle_weights(
-            self.models,
-            self.instance.target_eval_x,
-            self.instance.target_eval_y,
-            self.cfg.oracle_rcond,
-            predictions=self.eval_stack,
+            self.eval_stack, self.instance.target_eval_y, self.cfg.oracle_rcond
         )
 
     @cached_property
@@ -1084,7 +1073,9 @@ def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
         oracle_sample = sinc(1, 1, oracle_draws, subseeds[1])
         held[:] = [oracle_sample]
         c_star = aggregation.oracle_weights(
-            models, oracle_sample.target_eval_x, oracle_sample.target_eval_y, cfg.rcond
+            stack_predictions(models, oracle_sample.target_eval_x),
+            oracle_sample.target_eval_y,
+            cfg.rcond,
         )
         rows = []
         for size, sub in zip(sizes, subseeds[2:]):

@@ -2,9 +2,9 @@
 
 Everything the aggregation layer consumes implements the small ``Model``
 interface: ``predict_many`` maps the rows of a sample matrix to output
-vectors of a fixed dimension, and ``predict`` is its one-row case. A model
-sequence is a plain list; ``stack_predictions`` checks it and turns it into
-the (l, k, output_dim) prediction stack everything downstream reads. Fitted
+vectors of a fixed dimension. A model sequence is a plain list;
+``stack_predictions`` checks it and turns it into the (l, k, output_dim)
+prediction stack everything downstream reads. Fitted
 families (ridge regression, linear softmax classifiers), file-backed
 predictions, and the seeded corruption wrapper used by the sensitivity study
 all live here.
@@ -39,10 +39,6 @@ class Model(ABC):
     @abstractmethod
     def predict_many(self, xs):
         """Predictions of shape (k, output_dim) for the k rows of ``xs``."""
-
-    def predict(self, x):
-        """Output vector of shape (output_dim,) for a single input vector."""
-        return self.predict_many(np.asarray(x, dtype=float)[None])[0]
 
 
 class LinearModel(Model):

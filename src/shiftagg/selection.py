@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _prediction_stack, _ratio_weights, _require_finite
+from .aggregation import _checked_stack, _ratio_weights
 from .errors import DimensionError
 
 LOSSES = ("squared", "zero_one")
@@ -29,47 +29,40 @@ class SelectionResult:
     scores: np.ndarray
 
 
-def _per_model_losses(models, source_x, source_y, loss, predictions):
+def _per_model_losses(source_predictions, source_y, loss):
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
-    preds = _prediction_stack(models, source_x, predictions)
-    source_y = np.asarray(source_y, dtype=float)
-    l, n, d2 = preds.shape
-    if n == 0:
-        raise ValueError("cannot score models on an empty sample")
-    if source_y.shape != (n, d2):
-        raise DimensionError(
-            f"labels of shape {source_y.shape} do not match predictions {(n, d2)}"
-        )
-    _require_finite(preds, "source predictions")
-    _require_finite(source_y, "source labels")
+    preds, source_y = _checked_stack(source_predictions, source_y)
     if loss == "squared":
         diff = preds - source_y[None, :, :]
         return (diff**2).sum(axis=2)
-    if d2 < 2:
+    if preds.shape[2] < 2:
         raise DimensionError("zero_one loss needs classification outputs (d2 >= 2)")
     truth = source_y.argmax(axis=1)
     return (preds.argmax(axis=2) != truth[None, :]).astype(float)
 
 
-def iwv_select(models, source_x, source_y, beta, loss="squared", *, predictions=None):
-    """Pick argmin_i mean_k beta(x_k) * loss(f_i(x_k), y_k); ties -> lowest index."""
-    losses = _per_model_losses(models, source_x, source_y, loss, predictions)
-    w = _ratio_weights(beta, source_x, losses.shape[1])
+def iwv_select(source_predictions, source_y, source_weights, loss="squared"):
+    """Pick argmin_i mean_k w_k * loss(f_i(x_k), y_k); ties -> lowest index.
+
+    ``source_weights`` holds the density ratio on the source rows, beta(source_x).
+    """
+    losses = _per_model_losses(source_predictions, source_y, loss)
+    w = _ratio_weights(source_weights, losses.shape[1])
     scores = (losses * w).mean(axis=1)
     return SelectionResult(chosen_index=int(np.argmin(scores)), scores=scores)
 
 
-def dev_select(models, source_x, source_y, beta, loss="squared", *, predictions=None):
+def dev_select(source_predictions, source_y, source_weights, loss="squared"):
     """Control-variate variant of importance-weighted validation.
 
     Per model: score = mean(w*l) + eta * (mean(w) - 1) with
     eta = -Cov(w*l, w) / Var(w), population (1/n) normalizers throughout.
     Falls back to the plain importance-weighted score when Var(w) is below
-    VARIANCE_FLOOR.
+    VARIANCE_FLOOR. Takes the same arguments as ``iwv_select``.
     """
-    losses = _per_model_losses(models, source_x, source_y, loss, predictions)
-    w = _ratio_weights(beta, source_x, losses.shape[1])
+    losses = _per_model_losses(source_predictions, source_y, loss)
+    w = _ratio_weights(source_weights, losses.shape[1])
     weighted = losses * w
     base = weighted.mean(axis=1)
     var_w = float(w.var())

@@ -111,9 +111,7 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
             models = build_models(cfg, instance)
             eval_x, eval_y = instance.target_eval_x, instance.target_eval_y
             stack = stack_predictions(models, eval_x)
-            weights = oracle_weights(
-                models, eval_x, eval_y, rcond=cfg.oracle_rcond, predictions=stack
-            )
+            weights = oracle_weights(stack, eval_y, rcond=cfg.oracle_rcond)
             oracle_pred = np.tensordot(weights, stack, axes=1)
             oracle_risk = float(np.mean(((oracle_pred - eval_y) ** 2).sum(axis=1)))
             per_model_losses = ((stack - eval_y) ** 2).sum(axis=2)
@@ -148,7 +146,7 @@ def test_criterion_4_unit_ratio_reduces_to_source_only_regression():
             models = build_models(cfg, instance)
             sx, sy = instance.source_x, instance.source_y
             reduced = iwa(models, sx, sy, sx, ConstantRatio(1.0), cfg.rcond).weights
-            source_only = sor(models, sx, sy, cfg.rcond)
+            source_only = sor(stack_predictions(models, sx), sy, cfg.rcond)
             assert np.array_equal(reduced, source_only), f"seed {seed}: not bitwise equal"
             checked += 1
     assert checked == 20
@@ -288,7 +286,7 @@ def test_criterion_9_module_invariants():
     for _ in range(10):
         l, k, d2 = rng.integers(1, 6), rng.integers(1, 30), rng.integers(1, 4)
         stack = rng.normal(size=(int(l), int(k), int(d2)))
-        gram = empirical_gram([object()] * int(l), None, predictions=stack)
+        gram = empirical_gram(stack)
         assert np.array_equal(gram, gram.T)
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() >= -1e-9 * max(1.0, eigenvalues.max())

@@ -17,7 +17,7 @@ from shiftagg.aggregation import (
     tcr,
     tmr,
 )
-from shiftagg.density_ratio import ConstantRatio, DensityRatio
+from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import (
     DegenerateGramError,
     DegenerateGramWarning,
@@ -31,15 +31,7 @@ from shiftagg.models import LinearModel, stack_predictions
 MODEL_A = LinearModel([[1.0, 2.0]], [0.0, 0.0])
 MODEL_B = LinearModel([[0.0, 1.0]], [1.0, 0.0])
 XS_12 = np.array([[1.0], [2.0]])
-
-
-class InputRatio(DensityRatio):
-    """beta(x) = first input coordinate; lets moment tests weight rows unequally."""
-
-    bound = 10.0
-
-    def weights(self, xs):
-        return np.asarray(xs, dtype=float)[:, 0]
+AB_12 = stack_predictions([MODEL_A, MODEL_B], XS_12)
 
 
 def constant_models(*outputs):
@@ -50,32 +42,36 @@ class TestEmpiricalGram:
     def test_hand_computed_two_models(self):
         # A -> (1,2),(2,4); B -> (1,1),(1,2); all Gram entries are halves of
         # small integers, so the equality is exact.
-        gram = empirical_gram([MODEL_A, MODEL_B], XS_12)
+        gram = empirical_gram(AB_12)
         assert np.array_equal(gram, [[12.5, 6.5], [6.5, 3.5]])
 
     def test_single_model_mean_squared_norm(self):
-        gram = empirical_gram([MODEL_A], XS_12)
+        gram = empirical_gram(AB_12[:1])
         assert np.array_equal(gram, [[12.5]])
 
     def test_accepts_precomputed_stack(self):
         stack = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])
-        gram = empirical_gram([MODEL_A, MODEL_B], None, predictions=stack)
+        gram = empirical_gram(stack)
         assert np.array_equal(gram, [[12.5, 6.5], [6.5, 3.5]])
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            empirical_gram([MODEL_A], np.zeros((0, 1)))
+            empirical_gram(np.zeros((1, 0, 2)))
 
     def test_stack_must_cover_models(self):
+        # Only iwa sees the models; a stack it is given must cover them.
         with pytest.raises(DimensionError, match="cover"):
-            empirical_gram([MODEL_A, MODEL_B], None, predictions=np.zeros((1, 2, 2)))
+            iwa([MODEL_A, MODEL_B], XS_12, np.ones((2, 2)), XS_12, ConstantRatio(1.0),
+                target_predictions=np.zeros((1, 2, 2)))
+        with pytest.raises(DimensionError, match="l, k, d2"):
+            empirical_gram(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_predictions_rejected(self, bad):
         stack = np.ones((2, 3, 2))
         stack[1, 2, 0] = bad
-        with pytest.raises(NumericalError, match="target predictions"):
-            empirical_gram([MODEL_A, MODEL_B], None, predictions=stack)
+        with pytest.raises(NumericalError, match="predictions"):
+            empirical_gram(stack)
 
     @given(
         st.integers(1, 4),
@@ -85,7 +81,7 @@ class TestEmpiricalGram:
     )
     def test_symmetric_and_psd(self, l, k, d2, seed):
         stack = np.random.default_rng(seed).normal(size=(l, k, d2))
-        gram = empirical_gram([object()] * l, None, predictions=stack)
+        gram = empirical_gram(stack)
         assert np.array_equal(gram, gram.T)
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() >= -1e-9 * max(1.0, eigenvalues.max())
@@ -97,45 +93,42 @@ class TestEmpiricalMoment:
         # g_A = (1*<(1,0),(1,2)> + 2*<(0,2),(2,4)>)/2 = (1 + 16)/2
         # g_B = (1*<(1,0),(1,1)> + 2*<(0,2),(1,2)>)/2 = (1 + 8)/2
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
-        moment = empirical_moment([MODEL_A, MODEL_B], XS_12, ys, InputRatio())
+        moment = empirical_moment(AB_12, ys, np.array([1.0, 2.0]))
         assert np.array_equal(moment, [8.5, 4.5])
 
     def test_unit_beta_reduces_to_plain_mean(self):
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
-        moment = empirical_moment([MODEL_A, MODEL_B], XS_12, ys, ConstantRatio(1.0))
+        moment = empirical_moment(AB_12, ys, np.ones(2))
         assert np.array_equal(moment, [(1.0 + 8.0) / 2.0, (1.0 + 4.0) / 2.0])
 
     def test_zero_labels_give_zero_moment(self):
-        moment = empirical_moment([MODEL_A, MODEL_B], XS_12, np.zeros((2, 2)), ConstantRatio(1.0))
+        moment = empirical_moment(AB_12, np.zeros((2, 2)), np.ones(2))
         assert np.array_equal(moment, [0.0, 0.0])
 
     def test_label_shape_checked(self):
         with pytest.raises(DimensionError, match="labels"):
-            empirical_moment([MODEL_A], XS_12, np.zeros((2, 3)), ConstantRatio(1.0))
+            empirical_moment(AB_12[:1], np.zeros((2, 3)), np.ones(2))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            empirical_moment([MODEL_A], np.zeros((0, 1)), np.zeros((0, 2)), ConstantRatio(1.0))
+            empirical_moment(np.zeros((1, 0, 2)), np.zeros((0, 2)), np.ones(0))
 
     def test_non_finite_predictions_rejected(self):
         stack = np.ones((2, 2, 2))
         stack[0, 1, 1] = np.nan
-        with pytest.raises(NumericalError, match="source predictions"):
-            empirical_moment(
-                [MODEL_A, MODEL_B], XS_12, np.ones((2, 2)), ConstantRatio(1.0), predictions=stack
-            )
+        with pytest.raises(NumericalError, match="predictions"):
+            empirical_moment(stack, np.ones((2, 2)), np.ones(2))
 
     def test_non_finite_labels_rejected(self):
         ys = np.array([[1.0, 0.0], [np.nan, 2.0]])
-        with pytest.raises(NumericalError, match="source labels"):
-            empirical_moment([MODEL_A, MODEL_B], XS_12, ys, ConstantRatio(1.0))
+        with pytest.raises(NumericalError, match="labels"):
+            empirical_moment(AB_12, ys, np.ones(2))
 
     def test_non_finite_ratio_weights_rejected(self):
-        xs = np.array([[1.0], [np.inf]])
         with pytest.raises(NumericalError, match="density-ratio weights"):
-            empirical_moment(
-                [MODEL_B], xs, np.ones((2, 2)), InputRatio(), predictions=np.ones((1, 2, 2))
-            )
+            empirical_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.array([1.0, np.inf]))
+        with pytest.raises(DimensionError, match="ratio weights"):
+            empirical_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.ones(3))
 
     def test_iwa_with_one_nan_label_raises(self):
         ys = np.array([[1.0, 0.0], [0.0, np.nan]])
@@ -202,17 +195,16 @@ class TestIwa:
         # Scaling every model output by s scales G by s^2 and g by s, so
         # c = G+ g becomes c / s; the retained spectrum is unchanged.
         rng = np.random.default_rng(seed)
-        source = rng.normal(size=(l, k, d2))
-        target = rng.normal(size=(l, k, d2))
+        slopes = rng.normal(size=(l, l, d2))
+        intercepts = rng.normal(size=(l, d2))
+        sx = rng.normal(size=(k, l))
+        tx = rng.normal(size=(k, l))
         ys = rng.normal(size=(k, d2))
-        xs = np.zeros((k, 1))
         scale = 10.0**log_scale
 
         def weights(s):
-            return iwa(
-                [object()] * l, xs, ys, xs, ConstantRatio(1.0), 1e-6,
-                source_predictions=s * source, target_predictions=s * target,
-            ).weights
+            models = [LinearModel(s * w, s * b) for w, b in zip(slopes, intercepts)]
+            return iwa(models, sx, ys, tx, ConstantRatio(1.0), 1e-6).weights
 
         base = weights(1.0)
         scaled = weights(scale)
@@ -226,17 +218,17 @@ class TestOracleWeights:
         f_line = LinearModel([[1.0]], [0.0])
         f_const = LinearModel([[0.0]], [1.0])
         ys = 3.0 * XS_12 + 2.0
-        weights = oracle_weights([f_line, f_const], XS_12, ys)
+        weights = oracle_weights(stack_predictions([f_line, f_const], XS_12), ys)
         assert np.allclose(weights, [3.0, 2.0], atol=1e-9)
 
     def test_single_perfect_model(self):
         identity = LinearModel([[1.0]], [0.0])
         xs = np.array([[0.0], [2.0]])
-        weights = oracle_weights([identity], xs, xs.copy())
+        weights = oracle_weights(stack_predictions([identity], xs), xs.copy())
         assert np.array_equal(weights, [1.0])
 
     def test_zero_labels_give_zero_weights(self):
-        weights = oracle_weights([MODEL_A, MODEL_B], XS_12, np.zeros((2, 2)))
+        weights = oracle_weights(AB_12, np.zeros((2, 2)))
         assert np.array_equal(weights, [0.0, 0.0])
 
     def test_matches_lstsq_on_random_instance(self):
@@ -246,7 +238,7 @@ class TestOracleWeights:
         xs = rng.normal(size=(30, 1))
         ys = rng.normal(size=(30, 2))
         models = [MODEL_A, MODEL_B]
-        weights = oracle_weights(models, xs, ys, rcond=1e-10)
+        weights = oracle_weights(stack_predictions(models, xs), ys, rcond=1e-10)
         design = np.stack(
             [np.asarray(m.predict_many(xs), dtype=float).ravel() for m in models], axis=1
         )
@@ -259,13 +251,13 @@ class TestSor:
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(20, 1))
         ys = rng.normal(size=(20, 2))
-        via_sor = sor([MODEL_A, MODEL_B], xs, ys, 0.1)
+        via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1)
         via_iwa = iwa([MODEL_A, MODEL_B], xs, ys, xs, ConstantRatio(1.0), 0.1).weights
         assert np.array_equal(via_sor, via_iwa)
 
     def test_recovers_perfect_model(self):
         ys = np.asarray(MODEL_A.predict_many(XS_12), dtype=float)
-        weights = sor([MODEL_A, MODEL_B], XS_12, ys, 1e-10)
+        weights = sor(AB_12, ys, 1e-10)
         assert np.allclose(weights, [1.0, 0.0], atol=1e-8)
 
 
@@ -276,15 +268,15 @@ def test_label_regressions_reject_non_finite_inputs(bad):
     labels = np.eye(2)[[0, 1, 0]]
     for fn in (sor, oracle_weights):
         with pytest.raises(NumericalError, match="predictions"):
-            fn([MODEL_A, MODEL_B], None, labels, predictions=stack)
+            fn(stack, labels)
     for fn in (tmr, tcr):
         with pytest.raises(NumericalError, match="predictions"):
-            fn([MODEL_A, MODEL_B], None, predictions=stack)
+            fn(stack)
     bad_labels = labels.copy()
     bad_labels[2, 0] = bad
     for fn in (sor, oracle_weights):
         with pytest.raises(NumericalError, match="labels"):
-            fn([MODEL_A, MODEL_B], None, bad_labels, predictions=np.ones((2, 3, 2)))
+            fn(np.ones((2, 3, 2)), bad_labels)
 
 
 class TestMajorityVote:
@@ -310,7 +302,7 @@ class TestMajorityVote:
         rng = np.random.default_rng(3)
         models = constant_models(*rng.uniform(size=(5, 3)))
         x = np.array([0.0])
-        votes = [int(np.argmax(m.predict(x))) for m in models]
+        votes = [int(np.argmax(m.predict_many(x[None])[0])) for m in models]
         expected = int(np.argmax(np.bincount(votes, minlength=3)))
         assert majority_votes(stack_predictions(models, x[None])) == [expected]
 
@@ -333,28 +325,29 @@ class TestPseudoLabelRegressions:
     # regress onto different pseudo-labels.
     MODELS = constant_models([0.55, 0.45], [0.52, 0.48], [0.0, 1.0])
     XS = np.zeros((4, 1))
+    STACK = stack_predictions(MODELS, XS)
 
     def test_tmr_matches_lstsq_on_majority_pseudo_labels(self):
         pseudo = np.tile([1.0, 0.0], (4, 1))
         expected = lstsq_onto_models(self.MODELS, self.XS, pseudo)
-        assert np.allclose(tmr(self.MODELS, self.XS, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tmr(self.STACK, rcond=1e-10), expected, atol=1e-8)
 
     def test_tcr_matches_lstsq_on_consensus_pseudo_labels(self):
         pseudo = np.tile([0.0, 1.0], (4, 1))
         expected = lstsq_onto_models(self.MODELS, self.XS, pseudo)
-        assert np.allclose(tcr(self.MODELS, self.XS, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tcr(self.STACK, rcond=1e-10), expected, atol=1e-8)
 
     def test_tmr_and_tcr_disagree_here(self):
         assert not np.allclose(
-            tmr(self.MODELS, self.XS, rcond=1e-10), tcr(self.MODELS, self.XS, rcond=1e-10)
+            tmr(self.STACK, rcond=1e-10), tcr(self.STACK, rcond=1e-10)
         )
 
     def test_single_confident_model_reproduced(self):
         # One model predicting (1, 0) every time: its own vote is the pseudo
         # label, so regression returns weight 1 exactly.
-        model = constant_models([1.0, 0.0])
-        assert np.array_equal(tmr(model, self.XS, rcond=1e-10), [1.0])
-        assert np.array_equal(tcr(model, self.XS, rcond=1e-10), [1.0])
+        stack = stack_predictions(constant_models([1.0, 0.0]), self.XS)
+        assert np.array_equal(tmr(stack, rcond=1e-10), [1.0])
+        assert np.array_equal(tcr(stack, rcond=1e-10), [1.0])
 
     def test_varying_pseudo_labels_match_lstsq(self):
         models = [MODEL_A, MODEL_B]
@@ -362,13 +355,14 @@ class TestPseudoLabelRegressions:
         stack = np.stack([np.asarray(m.predict_many(xs), dtype=float) for m in models])
         pseudo = np.eye(2)[majority_votes(stack)]
         expected = lstsq_onto_models(models, xs, pseudo)
-        assert np.allclose(tmr(models, xs, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tmr(stack, rcond=1e-10), expected, atol=1e-8)
 
     def test_regression_outputs_rejected(self):
+        stack = stack_predictions([LinearModel([[1.0]], [0.0])], XS_12)
         with pytest.raises(DimensionError, match="output_dim"):
-            tmr([LinearModel([[1.0]], [0.0])], XS_12)
+            tmr(stack)
         with pytest.raises(DimensionError, match="output_dim"):
-            tcr([LinearModel([[1.0]], [0.0])], XS_12)
+            tcr(stack)
 
 
 def aggregated(models, weights, xs):
@@ -412,6 +406,21 @@ def test_sor_is_iwa_without_shift(k, seed):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(k, 1))
     ys = rng.normal(size=(k, 2))
-    via_sor = sor([MODEL_A, MODEL_B], xs, ys, 0.1)
+    via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1)
     via_iwa = iwa([MODEL_A, MODEL_B], xs, ys, xs, ConstantRatio(1.0), 0.1).weights
     assert np.array_equal(via_sor, via_iwa)
+
+
+def test_iwa_rejects_a_stack_for_other_rows():
+    # A target stack predicted on 7 of the 10 target rows stands for other
+    # rows than target_x; iwa refuses it instead of returning weights.
+    rng = np.random.default_rng(0)
+    source_x, target_x = rng.normal(size=(10, 1)), rng.normal(size=(10, 1))
+    source_y = rng.normal(size=(10, 2))
+    models = [MODEL_A, MODEL_B]
+    with pytest.raises(DimensionError, match="10 rows"):
+        iwa(models, source_x, source_y, target_x, ConstantRatio(1.0),
+            target_predictions=stack_predictions(models, target_x[:7]))
+    with pytest.raises(DimensionError, match="10 rows"):
+        iwa(models, source_x, source_y, target_x, ConstantRatio(1.0),
+            source_predictions=stack_predictions(models, source_x[:7]))

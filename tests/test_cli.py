@@ -54,6 +54,14 @@ def test_config_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_repeated_seeds_exit_one(tmp_path, capsys):
+    args = ["run", "--n", "40", "--m", "40", "--eval-size", "40", "--l", "2",
+            "--seeds", "0,0", "--methods", "iwa", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert "seeds:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -23,7 +23,7 @@ VARIANCE_READING = dict(source_mean=1.0, source_std=0.5, target_mean=2.0, target
 class TestConstantRatio:
     def test_default_is_one_everywhere(self):
         beta = ConstantRatio()
-        assert beta.weight(np.array([3.0])) == 1.0
+        assert beta.weights(np.array([[3.0]]))[0] == 1.0
         assert np.array_equal(beta.weights(np.zeros((4, 2))), np.ones(4))
 
     def test_custom_value(self):
@@ -47,18 +47,18 @@ class TestGaussianRatio:
     def test_equal_stds_midpoint_is_exactly_one(self):
         # Equal widths make the log-ratio vanish at the midpoint of the means.
         beta = GaussianRatio(**STD_READING, bound=1e9)
-        assert beta.weight(np.array([1.5])) == 1.0
+        assert beta.weights(np.array([[1.5]]))[0] == 1.0
 
     def test_value_at_target_mean(self):
         # log ratio = ((x-1)^2 - (x-2)^2) / (2 * 0.25^2) = 8(2x - 3); at x = 2 it is 8.
         beta = GaussianRatio(**STD_READING, bound=1e9)
-        assert beta.weight(np.array([2.0])) == pytest.approx(np.exp(8.0), rel=1e-12)
-        assert beta.weight(np.array([1.0])) == pytest.approx(np.exp(-8.0), rel=1e-12)
+        assert beta.weights(np.array([[2.0]]))[0] == pytest.approx(np.exp(8.0), rel=1e-12)
+        assert beta.weights(np.array([[1.0]]))[0] == pytest.approx(np.exp(-8.0), rel=1e-12)
 
     def test_default_bound_clips_target_mean_value(self):
         beta = GaussianRatio(**STD_READING)
         assert beta.bound == DEFAULT_BOUND
-        assert beta.weight(np.array([2.0])) == DEFAULT_BOUND
+        assert beta.weights(np.array([[2.0]]))[0] == DEFAULT_BOUND
 
     def test_wide_source_maximum(self):
         # With s_p = 0.5 > s_q = 0.25 the ratio is globally bounded; the
@@ -66,7 +66,7 @@ class TestGaussianRatio:
         # log 2 + 8/3, so the maximum is 2 e^{8/3} ~ 28.78 < 50.
         beta = GaussianRatio(**VARIANCE_READING)
         peak = 2.0 * np.exp(8.0 / 3.0)
-        assert beta.weight(np.array([7.0 / 3.0])) == pytest.approx(peak, rel=1e-12)
+        assert beta.weights(np.array([[7.0 / 3.0]]))[0] == pytest.approx(peak, rel=1e-12)
         xs = np.linspace(-30.0, 30.0, 20001)
         values = beta.weights(xs)
         assert values.max() <= peak + 1e-9
@@ -130,12 +130,12 @@ class TestLearnedRatio:
 
     def test_saturated_target_side_hits_bound(self):
         beta = LearnedRatio(np.array([0.0]), 40.0, prior_ratio=1.0)
-        assert beta.weight(np.array([0.0])) == DEFAULT_BOUND
+        assert beta.weights(np.array([[0.0]]))[0] == DEFAULT_BOUND
 
     def test_saturated_source_side_hits_probability_clamp(self):
         beta = LearnedRatio(np.array([0.0]), -40.0, prior_ratio=1.0)
         expected = PROB_CLAMP / (1.0 - PROB_CLAMP)
-        assert beta.weight(np.array([0.0])) == pytest.approx(expected, rel=1e-9)
+        assert beta.weights(np.array([[0.0]]))[0] == pytest.approx(expected, rel=1e-9)
 
     def test_probabilities_are_clamped(self):
         beta = LearnedRatio(np.array([100.0]), 0.0, prior_ratio=1.0)
@@ -145,7 +145,7 @@ class TestLearnedRatio:
 
     def test_custom_bound_clips(self):
         beta = LearnedRatio(np.array([0.0]), 5.0, prior_ratio=1.0, bound=1.0)
-        assert beta.weight(np.array([0.0])) == 1.0
+        assert beta.weights(np.array([[0.0]]))[0] == 1.0
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(DimensionError, match="1-d"):

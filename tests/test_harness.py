@@ -83,6 +83,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig(methods=("iwa", "magic")).validate()
 
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="seeds:"):
+            ExperimentConfig(seeds=(0, 1, 0)).validate()
+
     def test_zero_one_loss_needs_classification(self):
         with pytest.raises(ConfigError, match="zero_one"):
             ExperimentConfig(dataset="sinc", selection_loss="zero_one").validate()
@@ -464,8 +468,8 @@ def test_prefix_gram_is_leading_block(l, prefix, d2, k, log_scale, seed):
         for _ in range(l)
     ]
     xs = rng.normal(size=(k, 2))
-    full = empirical_gram(models, xs)
-    lead = empirical_gram(models[:prefix], xs)
+    full = empirical_gram(stack_predictions(models, xs))
+    lead = empirical_gram(stack_predictions(models[:prefix], xs))
     assert np.abs(lead - full[:prefix, :prefix]).max() <= 1e-12 * np.abs(full).max()
 
 

@@ -42,7 +42,7 @@ class TestEmpiricalRisk:
         xs = rng.normal(size=(11, 1))
         ys = rng.normal(size=(11, 3))
         expected = np.mean(
-            [np.sum((np.asarray(model.predict(x)) - y) ** 2) for x, y in zip(xs, ys)]
+            [np.sum((model.predict_many(x[None])[0] - y) ** 2) for x, y in zip(xs, ys)]
         )
         assert risk(predictions(model, xs), ys) == pytest.approx(expected, rel=1e-12)
 

@@ -31,11 +31,11 @@ def constant_model(output):
 class TestFitRidge:
     def test_exact_line_through_two_points(self):
         model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
-        assert model.predict(np.array([2.0])) == pytest.approx([2.0], abs=1e-12)
+        assert model.predict_many(np.array([[2.0]]))[0] == pytest.approx([2.0], abs=1e-12)
 
     def test_constant_labels_give_constant_model(self):
         model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]))
-        assert model.predict(np.array([5.0])) == pytest.approx([1.0], abs=1e-12)
+        assert model.predict_many(np.array([[5.0]]))[0] == pytest.approx([1.0], abs=1e-12)
 
     def test_recovers_slope_of_noisy_line(self, rng):
         x = rng.uniform(-2, 2, size=(20, 1))
@@ -199,7 +199,7 @@ class TestPolynomialFeatures:
         base = fit_ridge(polynomial_features(np.array([[1.0], [2.0], [3.0]]), 2),
                          np.array([[1.0], [4.0], [9.0]]))
         model = FeatureModel(lambda xs: polynomial_features(xs, 2), base, input_dim=1)
-        assert model.predict(np.array([4.0])) == pytest.approx([16.0], abs=1e-9)
+        assert model.predict_many(np.array([[4.0]]))[0] == pytest.approx([16.0], abs=1e-9)
         assert model.predict_many(np.array([[4.0], [5.0]]))[1] == pytest.approx([25.0], abs=1e-9)
 
 
@@ -207,14 +207,14 @@ class TestCorruption:
     def test_unmasked_coordinate_untouched(self):
         base = constant_model([1.0, 2.0])
         model = CorruptedModel(base, seed=3, mask=np.array([True, False]))
-        out = model.predict(np.array([0.7]))
+        out = model.predict_many(np.array([[0.7]]))[0]
         assert out[1] == 2.0
         assert out[0] != 1.0
 
     def test_identical_queries_identical_noise(self):
         model = corrupt(constant_model([1.0, 2.0]), seed=11)
-        x = np.array([0.31])
-        assert np.array_equal(model.predict(x), model.predict(x))
+        x = np.array([[0.31]])
+        assert np.array_equal(model.predict_many(x), model.predict_many(x))
         batch = model.predict_many(np.array([[0.31], [0.31]]))
         assert np.array_equal(batch[0], batch[1])
 
@@ -247,7 +247,7 @@ class TestCorruption:
     def test_batch_matches_per_row_predictions(self, rng):
         model = corrupt(constant_model([1.0, 2.0, 3.0]), seed=13)
         xs = rng.normal(size=(6, 1))
-        looped = np.stack([model.predict(row) for row in xs])
+        looped = np.stack([model.predict_many(row[None])[0] for row in xs])
         assert np.array_equal(model.predict_many(xs), looped)
 
     def test_wrong_mask_shape_rejected(self):
@@ -263,7 +263,7 @@ class TestCorruption:
     def test_row_noise_independent_of_batch(self, rng):
         model = self.pure_noise(21)
         xs = rng.normal(size=(257, 2))
-        reference = np.stack([model.predict(row) for row in xs])
+        reference = np.stack([model.predict_many(row[None])[0] for row in xs])
         assert np.array_equal(model.predict_many(xs), reference)
         larger = np.vstack([rng.normal(size=(40, 2)), xs, rng.normal(size=(9, 2))])
         assert np.array_equal(model.predict_many(larger)[40:-9], reference)
@@ -299,16 +299,16 @@ class TestPrecomputedModel:
 
     def test_key_pair_lookup(self):
         model = self.example()
-        assert np.array_equal(model.predict(np.array([0.0, 1.0])), [0.25, 0.75])
-        assert np.array_equal(model.predict(np.array([1.0, 0.0])), [0.5, 0.5])
+        assert np.array_equal(model.predict_many(np.array([[0.0, 1.0]]))[0], [0.25, 0.75])
+        assert np.array_equal(model.predict_many(np.array([[1.0, 0.0]]))[0], [0.5, 0.5])
 
     def test_missing_index_rejected(self):
         with pytest.raises(KeyError, match="index 7"):
-            self.example().predict(np.array([0.0, 7.0]))
+            self.example().predict_many(np.array([[0.0, 7.0]]))
 
     def test_unknown_split_code_rejected(self):
         with pytest.raises(KeyError, match="split code"):
-            self.example().predict(np.array([2.0, 0.0]))
+            self.example().predict_many(np.array([[2.0, 0.0]]))
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
@@ -366,7 +366,7 @@ class TestBatchPrediction:
     def test_matches_per_row_loop(self, rng):
         model = LinearModel(rng.normal(size=(3, 2)), rng.normal(size=2))
         xs = rng.normal(size=(8, 3))
-        looped = np.stack([model.predict(row) for row in xs])
+        looped = np.stack([model.predict_many(row[None])[0] for row in xs])
         assert np.allclose(predict_batch(model, xs), looped, atol=1e-12)
 
     def test_input_dim_mismatch_rejected(self):
