@@ -101,11 +101,9 @@ def empirical_moment(source_predictions, source_y, source_weights):
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """Aggregation weights plus the linear system and its spectrum diagnostics."""
+    """Aggregation weights plus the spectrum diagnostics of their Gram matrix."""
 
     weights: np.ndarray
-    gram: np.ndarray
-    moment: np.ndarray
     gram_condition: float
     rank_retained: int
 
@@ -142,8 +140,6 @@ def _solve_aggregation(gram, moment, rcond):
         )
     return AggregationResult(
         weights=info.inverse @ moment,
-        gram=gram,
-        moment=moment,
         gram_condition=info.condition,
         rank_retained=info.rank_retained,
     )

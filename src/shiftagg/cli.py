@@ -3,9 +3,11 @@
 Subcommands: ``run`` (method comparison over seeds), ``sensitivity``
 (corrupted-model robustness), ``correlate`` (weights vs per-model target
 accuracy), and ``rate-check`` (convergence of the learned weights to the
-oracle weights). Every ``ExperimentConfig`` field ``k`` is the flag ``--k``
-(underscores as dashes) and takes the config-file value syntax; flags
-override values from an optional ``--config`` file.
+oracle weights). Every subcommand takes the same settings: each
+``ExperimentConfig`` field ``k`` (the study knobs ``counts``, ``sizes`` and
+``oracle_draws`` included) is the flag ``--k`` (underscores as dashes) and
+takes the config-file value syntax; flags override values from an optional
+``--config`` file, and the results record every field.
 
 Exit codes: 0 on success, 1 for configuration problems (usage errors
 included), 2 when the runs completed but some seeds or methods failed.
@@ -18,21 +20,14 @@ import sys
 from . import harness
 from .errors import ConfigError, CsvFormatError
 
-# Subcommand -> (help, name of the harness function it runs, that function's
-# keyword flags as flag -> (keyword, value type, help)). The function is
-# looked up on ``harness`` at call time, so a rebound ``harness.run_*`` is
-# the one that runs.
+# Subcommand -> (help, name of the harness function it runs on the config).
+# The function is looked up on ``harness`` at call time, so a rebound
+# ``harness.run_*`` is the one that runs.
 COMMANDS = {
-    "run": ("compare aggregation and selection methods over seeds", "run_experiment", {}),
-    "sensitivity": ("robustness to appended corrupted models", "run_sensitivity", {
-        "--counts": ("added_counts", tuple[int, ...],
-                     "comma-separated corrupted-model counts (0 baseline always included)"),
-    }),
-    "correlate": ("correlate weights with per-model target accuracy", "run_correlation", {}),
-    "rate-check": ("weight-vector convergence against sample size", "run_rate_check", {
-        "--sizes": ("sizes", tuple[int, ...], "comma-separated n = m sizes"),
-        "--oracle-draws": ("oracle_draws", int, "labeled target draws used for the oracle weights"),
-    }),
+    "run": ("compare aggregation and selection methods over seeds", "run_experiment"),
+    "sensitivity": ("robustness to appended corrupted models", "run_sensitivity"),
+    "correlate": ("correlate weights with per-model target accuracy", "run_correlation"),
+    "rate-check": ("weight-vector convergence against sample size", "run_rate_check"),
 }
 
 
@@ -51,7 +46,7 @@ def build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, keywords) in COMMANDS.items():
+    for command, (help_text, _) in COMMANDS.items():
         sub_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
         sub_parser.add_argument("--config", help="key = value config file")
         sub_parser.add_argument("--out", help="output directory for results and plots")
@@ -60,8 +55,6 @@ def build_parser():
                 "--" + field.name.replace("_", "-"),
                 help=f"config key {field.name} (default {field.default!r})",
             )
-        for flag, (keyword, _, flag_help) in keywords.items():
-            sub_parser.add_argument(flag, dest=keyword, help=flag_help)
     return parser
 
 
@@ -75,20 +68,10 @@ def _config_from_args(args):
     return harness.build_config(file_values, overrides)
 
 
-def _dispatch(args, cfg):
-    _, function, keywords = COMMANDS[args.command]
-    kwargs = {
-        keyword: harness.parse_value(keyword, kind, getattr(args, keyword))
-        for keyword, kind, _ in keywords.values()
-        if getattr(args, keyword) is not None
-    }
-    return getattr(harness, function)(cfg, **kwargs)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        table = _dispatch(args, _config_from_args(args))
+        table = getattr(harness, COMMANDS[args.command][1])(_config_from_args(args))
     except (ConfigError, CsvFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

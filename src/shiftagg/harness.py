@@ -103,16 +103,26 @@ class ExperimentConfig:
     target_csv: str = ""
     eval_csv: str = ""
     model_csvs: tuple[str, ...] = ()
+    # study knobs: corrupted models added (sensitivity; 0 is always run),
+    # n = m sample sizes and labeled target draws for the oracle (rate-check)
+    counts: tuple[int, ...] = (0, 10, 50, 100)
+    sizes: tuple[int, ...] = (250, 1000, 4000)
+    oracle_draws: int = 100_000
 
     def validate(self):
         """Raise ConfigError naming every bad field.
 
-        Range checks are written so that NaN fails them.
+        Every float field must be finite; range checks are also written so
+        that NaN fails them.
         """
-        problems = []
+        problems = [
+            f"{f.name}: must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if f.type is float and not math.isfinite(getattr(self, f.name))
+        ]
         if self.dataset not in DATASETS:
             problems.append(f"dataset: expected one of {DATASETS}, got {self.dataset!r}")
-        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1),
+        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1), ("oracle_draws", 1),
                           ("classifier_epochs", 0), ("domain_epochs", 0)):
             if getattr(self, name) < low:
                 problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
@@ -157,9 +167,10 @@ class ExperimentConfig:
         for name in ("classifier_lr", "domain_lr"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name}: must be positive, got {getattr(self, name)}")
-        for name in ("moons_rotation_deg", "moons_translation_x", "moons_translation_y"):
-            if not math.isfinite(getattr(self, name)):
-                problems.append(f"{name}: must be finite, got {getattr(self, name)}")
+        if any(c < 0 for c in self.counts):
+            problems.append(f"counts: must be non-negative, got {list(self.counts)}")
+        if len(set(self.sizes)) < 2 or min(self.sizes) < 2:
+            problems.append(f"sizes: need at least two distinct sizes >= 2, got {list(self.sizes)}")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -202,7 +213,7 @@ def parse_config_value(key, text):
 
 
 def load_config_file(path):
-    """Read ``key = value`` lines ('#' comments and blank lines ignored)."""
+    """Read ``key = value`` lines ('#' comments and blank lines ignored; a key may appear once)."""
     values = {}
     try:
         with open(path) as handle:
@@ -213,7 +224,10 @@ def load_config_file(path):
                 if "=" not in line:
                     raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
                 key, text = line.split("=", 1)
-                values[key.strip()] = parse_config_value(key.strip(), text)
+                key = key.strip()
+                if key in values:
+                    raise ConfigError(f"{path}: line {lineno}: {key}: repeated config key")
+                values[key] = parse_config_value(key, text)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     return values
@@ -943,13 +957,13 @@ def _draw_corrupted(instance, models, base_eval, seed, total):
     return drawn, eval_stack, stats
 
 
-def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
+def run_sensitivity(cfg):
     """Re-run the methods while appending corrupted models to the sequence.
 
     Corrupted models take a uniformly chosen base model plus unit Gaussian
     noise on half of its output coordinates, and are redrawn (bounded
     retries) until target accuracy falls below 80% of the source-only
-    model's accuracy. Counts always include the 0 baseline.
+    model's accuracy. ``cfg.counts`` always gains the 0 baseline.
 
     Every model is predicted once per seed: the sequence with the largest
     count is stacked on source and target, the gate's predictions fill the
@@ -958,9 +972,7 @@ def run_sensitivity(cfg, added_counts=(0, 10, 50, 100)):
     cfg.validate()
     if cfg.dataset == "sinc":
         raise ConfigError("dataset: the sensitivity study needs classification outputs")
-    counts = sorted({0, *(int(c) for c in added_counts)})
-    if any(c < 0 for c in counts):
-        raise ConfigError(f"added_counts: must be non-negative, got {added_counts}")
+    counts = sorted({0, *cfg.counts})
     methods = resolve_methods(cfg)
     gate_stats = []
 
@@ -1041,21 +1053,20 @@ def run_correlation(cfg):
 # --- convergence-rate check ---------------------------------------------------
 
 
-def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
+def run_rate_check(cfg):
     """Convergence of the importance-weighted weights to the oracle weights.
 
     The model sequence is trained once per seed on an independent source
     draw (size cfg.n) and held fixed; c_star comes from a large labeled
-    target draw; c_tilde is recomputed on fresh source/target samples of
-    each size. Both solves use cfg.rcond so the comparison is apples to
-    apples. Requires the sinc dataset with the analytic ratio.
+    target draw (cfg.oracle_draws); c_tilde is recomputed on fresh
+    source/target samples of each size in cfg.sizes. Both solves use
+    cfg.rcond so the comparison is apples to apples. Requires the sinc
+    dataset with the analytic ratio.
     """
     cfg.validate()
     if cfg.dataset != "sinc" or cfg.beta != "analytic":
         raise ConfigError("rate check requires dataset = sinc with beta = analytic")
-    sizes = tuple(sorted({int(s) for s in sizes}))
-    if len(sizes) < 2 or sizes[0] < 2:
-        raise ConfigError(f"sizes: need at least two distinct sizes >= 2, got {sizes}")
+    sizes = tuple(sorted(set(cfg.sizes)))
     beta = sinc_ratio(cfg.sinc_interpret_std, cfg.beta_bound)
 
     def sinc(n, m, eval_size, seed):
@@ -1070,7 +1081,7 @@ def run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000):
     def seed_rows(seed):
         subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
         models = _sinc_sequence(cfg, sinc(cfg.n, 1, 1, subseeds[0]))
-        oracle_sample = sinc(1, 1, oracle_draws, subseeds[1])
+        oracle_sample = sinc(1, 1, cfg.oracle_draws, subseeds[1])
         held[:] = [oracle_sample]
         c_star = aggregation.oracle_weights(
             stack_predictions(models, oracle_sample.target_eval_x),

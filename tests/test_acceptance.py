@@ -79,7 +79,9 @@ def test_criterion_2_weights_converge_with_sample_size():
         dataset="sinc", n=2000, seeds=tuple(range(20)), sinc_interpret_std=False
     )
     start = time.perf_counter()
-    table = run_rate_check(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000)
+    table = run_rate_check(
+        dataclasses.replace(cfg, sizes=(250, 1000, 4000), oracle_draws=100_000)
+    )
     elapsed = time.perf_counter() - start
     assert not table.has_failures
     medians = rate_medians(table)
@@ -191,7 +193,7 @@ def test_criterion_6_aggregation_least_sensitive_to_corrupted_models():
         methods=("iwa", "tmv", "tmr", "tcr"),
     )
     start = time.perf_counter()
-    table = run_sensitivity(cfg, added_counts=(10, 50, 100))
+    table = run_sensitivity(dataclasses.replace(cfg, counts=(10, 50, 100)))
     elapsed = time.perf_counter() - start
     assert not table.has_failures
     accuracy = {(r.method, r.seed, r.count): r.accuracy for r in table.rows}

@@ -67,6 +67,14 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_repeated_config_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset = sinc\nn = 40\nm = 40\n# later\nn = 50\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: line 5: n: repeated config key\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sensitivity_subcommand(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -132,7 +140,18 @@ def test_rate_check_subcommand(tmp_path):
     payload = json.loads((out / "results.json").read_text())
     assert payload["kind"] == "rate"
     assert {row["size"] for row in payload["rows"]} == {50, 120}
+    assert payload["config"]["sizes"] == [50, 120]
+    assert payload["config"]["oracle_draws"] == 1500
     assert (out / "plots" / "rate.svg").exists()
+
+
+def test_rate_check_with_zero_oracle_draws_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["rate-check", "--n", "80", "--l", "2", "--seeds", "0", "--sizes", "50,120",
+            "--oracle-draws", "0", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: oracle_draws: ")
+    assert not out.exists()
 
 
 def _write_csv_instance(tmp_path):
@@ -237,6 +256,9 @@ FIELD_VALUES = {
     "target_csv": "target.csv",
     "eval_csv": "eval.csv",
     "model_csvs": "a.csv, b.csv",
+    "counts": "5, 7",
+    "sizes": "60, 90",
+    "oracle_draws": "1500",
 }
 
 BASE_CONFIG = (
@@ -255,7 +277,9 @@ def test_flag_and_config_line_record_the_same_config(tmp_path, key):
     base = tmp_path / "base.cfg"
     base.write_text(BASE_CONFIG)
     with_line = tmp_path / "with_line.cfg"
-    with_line.write_text(BASE_CONFIG + f"{key} = {value}\n")
+    # A key may appear once in a file, so the line replaces the base's own.
+    kept = [line for line in BASE_CONFIG.splitlines() if line.split(" = ")[0] != key]
+    with_line.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
     flag = "--" + key.replace("_", "-")
     out = tmp_path / "out"
     assert main(["run", "--config", str(base), flag, value, "--out", str(out)]) == 0
@@ -298,8 +322,9 @@ def test_float_fields_are_listed():
 
 @pytest.mark.parametrize("key", FLOAT_FIELDS)
 def test_nan_float_value_is_a_config_error(key, capsys):
-    assert main(TINY_RUN + ["--" + key.replace("_", "-"), "nan"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    for value in ("nan", "inf"):
+        assert main(TINY_RUN + ["--" + key.replace("_", "-"), value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 @pytest.mark.parametrize("key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x")])

@@ -404,7 +404,7 @@ class TestScaledWeights:
 class TestSensitivity:
     def test_counts_structure_and_gate(self):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa", "tmv"))
-        table = run_sensitivity(cfg, added_counts=(2,))
+        table = run_sensitivity(dataclasses.replace(cfg, counts=(2,)))
         assert table.kind == "sensitivity"
         assert table.extra["added_counts"] == [0, 2]
         counts = {r.count for r in table.rows}
@@ -415,17 +415,17 @@ class TestSensitivity:
         assert gate[0]["total"] == 2
 
     def test_deterministic(self, tmp_path):
-        cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa",))
+        cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa",), counts=(2,))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sensitivity(cfg, added_counts=(2,)).write_csv(str(a))
-        run_sensitivity(cfg, added_counts=(2,)).write_csv(str(b))
+        run_sensitivity(cfg).write_csv(str(a))
+        run_sensitivity(cfg).write_csv(str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_prefix_slices_match_per_count_reference(self):
         # The study predicts every model once and slices the stacks per
         # count; the reference re-predicts the extended sequence per count.
         cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)})
-        table = run_sensitivity(cfg, added_counts=(2, 5))
+        table = run_sensitivity(dataclasses.replace(cfg, counts=(2, 5)))
         reference = []
         for seed in cfg.seeds:
             inst = build_instance(cfg, seed)
@@ -447,8 +447,8 @@ class TestSensitivity:
 
     def test_negative_counts_rejected(self):
         cfg = ExperimentConfig(**MOONS_SMALL)
-        with pytest.raises(ConfigError, match="added_counts"):
-            run_sensitivity(cfg, added_counts=(-1,))
+        with pytest.raises(ConfigError, match="counts: must be non-negative"):
+            run_sensitivity(dataclasses.replace(cfg, counts=(-1,)))
 
 
 @given(
@@ -525,7 +525,7 @@ class TestCorrelation:
 class TestRateCheck:
     def test_row_structure(self):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
-        table = run_rate_check(cfg, sizes=(50, 120), oracle_draws=1500)
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(50, 120), oracle_draws=1500))
         assert table.extra["sizes"] == (50, 120)
         assert len(table.rows) == 2
         assert not table.has_failures
@@ -538,7 +538,7 @@ class TestRateCheck:
 
     def test_csv_layout(self, tmp_path):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
-        table = run_rate_check(cfg, sizes=(50, 120), oracle_draws=1500)
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(50, 120), oracle_draws=1500))
         path = tmp_path / "rate.csv"
         table.write_csv(str(path))
         lines = path.read_text().strip().split("\n")
@@ -552,7 +552,7 @@ class TestRateCheck:
     def test_requires_two_distinct_sizes(self):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
         with pytest.raises(ConfigError, match="sizes"):
-            run_rate_check(cfg, sizes=(100, 100))
+            run_rate_check(dataclasses.replace(cfg, sizes=(100, 100)))
 
 
 class TestWriteOutputs:
@@ -579,7 +579,7 @@ class TestWriteOutputs:
 
     def test_rate_artifacts(self, tmp_path):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
-        table = run_rate_check(cfg, sizes=(50, 120), oracle_draws=1500)
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(50, 120), oracle_draws=1500))
         out = tmp_path / "rate_out"
         write_outputs(table, str(out))
         assert (out / "plots" / "rate.svg").exists()
