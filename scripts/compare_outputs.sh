@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate the four studies from git revision REV and from the working
-# tree, each in its own temporary directory, and compare the outputs byte
-# for byte. Exits non-zero on any difference.
+# tree, each in its own temporary directory, and compare the outputs and
+# the studies' stdout byte for byte. Exits non-zero on any difference.
 #
 #   scripts/compare_outputs.sh REV
 #
@@ -20,7 +20,10 @@ git -C "$root" archive "$1" src scripts configs | tar -x -C "$tmp/base"
 tar -C "$root" --exclude=__pycache__ -cf - src scripts configs | tar -x -C "$tmp/work"
 for tree in base work; do
   echo "== studies from $tree" >&2
-  PYTHONPATH="$tmp/$tree/src" "$tmp/$tree/scripts/reproduce_all.sh" >&2
+  PYTHONPATH="$tmp/$tree/src" "$tmp/$tree/scripts/reproduce_all.sh" >"$tmp/$tree.stdout"
 done
-diff -r "$tmp/base/out" "$tmp/work/out"
+status=0
+diff "$tmp/base.stdout" "$tmp/work.stdout" || status=1
+diff -r "$tmp/base/out" "$tmp/work/out" || status=1
+[ "$status" -eq 0 ] || exit 1
 echo "outputs of $1 and the working tree are identical"

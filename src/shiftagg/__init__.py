@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     CsvFormatError,
     DegenerateGramError,
-    DegenerateGramWarning,
     DimensionError,
     NumericalError,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "CorruptedModel",
     "CsvFormatError",
     "DegenerateGramError",
-    "DegenerateGramWarning",
     "DensityRatio",
     "DimensionError",
     "DomainAdaptationInstance",

@@ -214,7 +214,7 @@ def tmr(target_predictions, rcond=DEFAULT_RCOND):
     preds, _ = _checked_stack(target_predictions)
     _check_classification(preds.shape[2])
     pseudo = one_hot(majority_votes(preds), preds.shape[2])
-    return _label_regression(preds, pseudo, rcond)
+    return _solve_aggregation(_gram(preds), _moment(preds, pseudo), rcond).weights
 
 
 def tcr(target_predictions, rcond=DEFAULT_RCOND):
@@ -223,4 +223,4 @@ def tcr(target_predictions, rcond=DEFAULT_RCOND):
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])
-    return _label_regression(preds, pseudo, rcond)
+    return _solve_aggregation(_gram(preds), _moment(preds, pseudo), rcond).weights

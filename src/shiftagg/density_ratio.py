@@ -66,16 +66,12 @@ class GaussianRatio(DensityRatio):
 
     def weights(self, xs):
         xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 2:
-            if xs.shape[1] != 1:
-                raise DimensionError(
-                    f"the Gaussian ratio is univariate; got {xs.shape[1]} input columns"
-                )
-            xs = xs[:, 0]
-        elif xs.ndim != 1:
-            raise DimensionError(f"xs must be 1-d or (k, 1), got shape {xs.shape}")
+        if xs.ndim != 2 or xs.shape[1] != 1:
+            raise DimensionError(
+                f"the Gaussian ratio is univariate; xs must be (k, 1), got shape {xs.shape}"
+            )
         with np.errstate(over="ignore"):
-            raw = np.exp(self._log_ratio(xs))
+            raw = np.exp(self._log_ratio(xs[:, 0]))
         return np.clip(raw, 0.0, self.bound)
 
 
@@ -99,14 +95,6 @@ class LearnedRatio(DensityRatio):
         self.prior_ratio = float(prior_ratio)
         self.bound = float(bound)
 
-    def classifier_probability(self, xs):
-        """Clamped P(target | x) for every row of xs."""
-        xs = np.asarray(xs, dtype=float)
-        logits = xs @ self.coef + self.intercept
-        with np.errstate(over="ignore"):
-            probs = 1.0 / (1.0 + np.exp(-logits))
-        return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
     def weights(self, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2:
@@ -115,7 +103,9 @@ class LearnedRatio(DensityRatio):
             raise DimensionError(
                 f"input has {xs.shape[1]} columns but the classifier expects {self.coef.shape[0]}"
             )
-        d = self.classifier_probability(xs)
+        with np.errstate(over="ignore"):
+            probs = 1.0 / (1.0 + np.exp(-(xs @ self.coef + self.intercept)))
+        d = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
         return np.clip(self.prior_ratio * d / (1.0 - d), 0.0, self.bound)
 
 

@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class DimensionError(ValueError):
@@ -32,7 +32,3 @@ class CsvFormatError(ValueError):
         if line is not None:
             prefix += f"line {line}: "
         super().__init__(prefix + message)
-
-
-class DegenerateGramWarning(RuntimeWarning):
-    """A Gram matrix lost all of its spectrum to the rcond cutoff."""

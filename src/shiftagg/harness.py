@@ -112,14 +112,15 @@ class ExperimentConfig:
     def validate(self):
         """Raise ConfigError naming every bad field.
 
-        Every float field must be finite; range checks are also written so
-        that NaN fails them.
+        Every float field must be finite; a non-finite one is reported once,
+        and its range check is skipped.
         """
-        problems = [
-            f"{f.name}: must be finite, got {getattr(self, f.name)}"
+        non_finite = [
+            f.name
             for f in fields(self)
             if f.type is float and not math.isfinite(getattr(self, f.name))
         ]
+        problems = [f"{name}: must be finite, got {getattr(self, name)}" for name in non_finite]
         if self.dataset not in DATASETS:
             problems.append(f"dataset: expected one of {DATASETS}, got {self.dataset!r}")
         for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1), ("oracle_draws", 1),
@@ -134,11 +135,11 @@ class ExperimentConfig:
             problems.append(f"beta: expected one of {BETAS}, got {self.beta!r}")
         if self.beta == "analytic" and self.dataset != "sinc":
             problems.append("beta: the analytic ratio is only available for dataset = sinc")
-        if not self.beta_bound > 0:
+        if "beta_bound" not in non_finite and not self.beta_bound > 0:
             problems.append(f"beta_bound: must be positive, got {self.beta_bound}")
-        if not 0 <= self.rcond < 1:
+        if "rcond" not in non_finite and not 0 <= self.rcond < 1:
             problems.append(f"rcond: must lie in [0, 1), got {self.rcond}")
-        if not 0 <= self.oracle_rcond < 1:
+        if "oracle_rcond" not in non_finite and not 0 <= self.oracle_rcond < 1:
             problems.append(f"oracle_rcond: must lie in [0, 1), got {self.oracle_rcond}")
         if not self.seeds:
             problems.append("seeds: need at least one seed")
@@ -162,10 +163,10 @@ class ExperimentConfig:
                 if not getattr(self, name):
                     problems.append(f"{name}: required when dataset = csv")
         for name in ("ridge", "base_weight_decay", "sinc_noise_std", "moons_noise"):
-            if not getattr(self, name) >= 0:
+            if name not in non_finite and not getattr(self, name) >= 0:
                 problems.append(f"{name}: must be non-negative, got {getattr(self, name)}")
         for name in ("classifier_lr", "domain_lr"):
-            if not getattr(self, name) > 0:
+            if name not in non_finite and not getattr(self, name) > 0:
                 problems.append(f"{name}: must be positive, got {getattr(self, name)}")
         if any(c < 0 for c in self.counts):
             problems.append(f"counts: must be non-negative, got {list(self.counts)}")
@@ -786,22 +787,16 @@ ALL_METHODS = tuple(METHODS)
 class _SeedContext:
     """Everything shared by the methods evaluated on one (instance, models) pair.
 
-    ``stacks`` may carry the (source, target, eval) prediction stacks of
-    ``models`` when the caller already holds them; otherwise they are
-    predicted here. The oracle is solved on first use.
+    ``stacks`` holds the (source, target, eval) prediction stacks of
+    ``models``. The oracle is solved on first use.
     """
 
-    def __init__(self, cfg, instance, models, beta, stacks=None):
+    def __init__(self, cfg, instance, models, beta, stacks):
         self.cfg = cfg
         self.instance = instance
         self.models = models
         self.beta = beta
         self.classification = instance.label_dim >= 2
-        if stacks is None:
-            stacks = tuple(
-                stack_predictions(models, xs)
-                for xs in (instance.source_x, instance.target_x, instance.target_eval_x)
-            )
         self.source_stack, self.target_stack, self.eval_stack = stacks
         self.eval_y = np.asarray(instance.target_eval_y, dtype=float)
         self.eval_labels = self.eval_y.argmax(axis=1) if self.classification else None
@@ -821,14 +816,8 @@ class _SeedContext:
         """Each model's accuracy on the evaluation labels."""
         return [metrics.accuracy(preds, self.eval_labels) for preds in self.eval_stack]
 
-    def method_weights(self, method):
-        """Aggregation-weight vector for a method (None for tmv), plus diagnostics."""
-        if method not in METHODS:
-            raise ConfigError(f"methods: unknown method {method!r}")
-        return METHODS[method](self)
-
     def evaluate(self, method, seed, count=None):
-        weights, diagnostics = self.method_weights(method)
+        weights, diagnostics = METHODS[method](self)
         preds = diagnostics.pop("predictions", None)
         if preds is None:
             preds = aggregation.aggregate_predictions(weights, self.eval_stack)
@@ -846,22 +835,15 @@ class _SeedContext:
             **diagnostics,
         )
 
-
-def evaluate_methods(cfg, instance, models, beta, seed, methods=None, count=None, *, stacks=None):
-    """Rows for every method on one prepared (instance, models, beta) triple.
-
-    Per-method failures become error rows; the rest of the methods still run.
-    ``stacks`` optionally carries the models' (source, target, eval)
-    prediction stacks.
-    """
-    context = _SeedContext(cfg, instance, models, beta, stacks)
-    rows = []
-    for method in methods or resolve_methods(cfg):
-        try:
-            rows.append(context.evaluate(method, seed, count=count))
-        except Exception as exc:  # failure isolation per method
-            rows.append(ResultRow(method=method, seed=seed, count=count, error=_describe(exc)))
-    return rows
+    def rows(self, seed, methods, count=None):
+        """Rows for ``methods``; per-method failures become error rows, the rest still run."""
+        rows = []
+        for method in methods:
+            try:
+                rows.append(self.evaluate(method, seed, count=count))
+            except Exception as exc:  # failure isolation per method
+                rows.append(ResultRow(method=method, seed=seed, count=count, error=_describe(exc)))
+        return rows
 
 
 # --- the seed loop -----------------------------------------------------------------
@@ -883,19 +865,21 @@ def _over_seeds(seeds, seed_rows, error_rows):
 
 
 def _prepare(cfg, seed, study=None):
-    """Instance, model sequence and density ratio for one seed.
+    """The seed's context: instance, model sequence, density ratio and prediction stacks.
 
-    A ``study`` name requires classification outputs.
+    Each model is predicted once per split here. A ``study`` name requires
+    classification outputs.
     """
     instance = build_instance(cfg, seed)
     if study and instance.label_dim < 2:
         raise ConfigError(f"dataset: the {study} study needs classification outputs")
-    return instance, build_models(cfg, instance), build_beta(cfg, instance)
-
-
-def run_single_seed(cfg, seed):
-    """All method rows for one seed."""
-    return evaluate_methods(cfg, *_prepare(cfg, seed), seed)
+    models = build_models(cfg, instance)
+    beta = build_beta(cfg, instance)
+    stacks = tuple(
+        stack_predictions(models, xs)
+        for xs in (instance.source_x, instance.target_x, instance.target_eval_x)
+    )
+    return _SeedContext(cfg, instance, models, beta, stacks)
 
 
 def run_experiment(cfg):
@@ -904,7 +888,7 @@ def run_experiment(cfg):
     methods = resolve_methods(cfg)
     rows = _over_seeds(
         cfg.seeds,
-        partial(run_single_seed, cfg),
+        lambda seed: _prepare(cfg, seed).rows(seed, methods),
         lambda seed, error: [ResultRow(method=m, seed=seed, error=error) for m in methods],
     )
     return ResultTable(rows=rows, config=cfg.as_dict(), kind="run")
@@ -965,9 +949,10 @@ def run_sensitivity(cfg):
     retries) until target accuracy falls below 80% of the source-only
     model's accuracy. ``cfg.counts`` always gains the 0 baseline.
 
-    Every model is predicted once per seed: the sequence with the largest
-    count is stacked on source and target, the gate's predictions fill the
-    eval stack, and each count evaluates the leading slices of those stacks.
+    Every model is predicted once per split and seed: the corrupted models'
+    source and target predictions follow the prepared stacks, the gate's
+    predictions fill the eval stack, and each count evaluates the leading
+    slices of those stacks.
     """
     cfg.validate()
     if cfg.dataset == "sinc":
@@ -977,25 +962,26 @@ def run_sensitivity(cfg):
     gate_stats = []
 
     def seed_rows(seed):
-        instance, models, beta = _prepare(cfg, seed, "sensitivity")
-        base_eval = stack_predictions(models, instance.target_eval_x)
+        ctx = _prepare(cfg, seed, "sensitivity")
+        instance, models = ctx.instance, ctx.models
         corrupted, eval_stack, stats = _draw_corrupted(
-            instance, models, base_eval, seed, max(counts)
+            instance, models, ctx.eval_stack, seed, max(counts)
         )
         gate_stats.append(stats)
         full = models + corrupted
-        stacks = (
-            stack_predictions(full, instance.source_x),
-            stack_predictions(full, instance.target_x),
-            eval_stack,
-        )
+        stacks = [ctx.source_stack, ctx.target_stack]
+        if corrupted:
+            stacks = [
+                np.concatenate([stack, stack_predictions(corrupted, xs)])
+                for stack, xs in zip(stacks, (instance.source_x, instance.target_x))
+            ]
+        stacks.append(eval_stack)
         rows = []
         for count in counts:
-            sequence = full[: len(models) + count]
-            prefix = tuple(stack[: len(sequence)] for stack in stacks)
-            rows.extend(
-                evaluate_methods(cfg, instance, sequence, beta, seed, count=count, stacks=prefix)
-            )
+            size = len(models) + count
+            prefix = tuple(stack[:size] for stack in stacks)
+            context = _SeedContext(cfg, instance, full[:size], ctx.beta, prefix)
+            rows.extend(context.rows(seed, methods, count))
         return rows
 
     rows = _over_seeds(
@@ -1034,11 +1020,11 @@ def run_correlation(cfg):
         )
 
     def seed_rows(seed):
-        context = _SeedContext(cfg, *_prepare(cfg, seed, "correlation"))
-        accuracies = context.model_accuracies()
+        ctx = _prepare(cfg, seed, "correlation")
+        accuracies = ctx.model_accuracies()
         rows = []
         for method in methods:
-            weights, _ = context.method_weights(method)
+            weights, _ = METHODS[method](ctx)
             rows.append(CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies)))
         return rows
 

@@ -9,11 +9,10 @@ of being inverted.
 """
 
 from dataclasses import dataclass
-import warnings
 
 import numpy as np
 
-from .errors import DegenerateGramWarning, DimensionError, NumericalError
+from .errors import DimensionError, NumericalError
 
 DEFAULT_RCOND = 1e-1
 
@@ -34,20 +33,20 @@ def _as_square(a):
     return a
 
 
-def sym_eig(a, *, symmetry_tol=SYMMETRY_TOL):
+def sym_eig(a):
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order and the matching eigenvectors in the columns of ``vectors``.
     The input is symmetrized as (A + A^T)/2 after checking that the
-    asymmetry does not exceed ``symmetry_tol`` relative to max|A|, so the
+    asymmetry does not exceed ``SYMMETRY_TOL`` relative to max|A|, so the
     check means the same at every scale of A.
     """
     a = _as_square(a)
     if a.size:
         scale = float(np.max(np.abs(a)))
         asym = float(np.max(np.abs(a - a.T)))
-        if asym > symmetry_tol * scale:
+        if asym > SYMMETRY_TOL * scale:
             raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
     sym = 0.5 * (a + a.T)
     try:
@@ -85,14 +84,14 @@ class TruncatedInverse:
         return float(kept[0] / kept[-1])
 
 
-def spectral_pinv(a, rcond=DEFAULT_RCOND, *, psd_tol=PSD_TOL):
+def spectral_pinv(a, rcond=DEFAULT_RCOND):
     """rcond-truncated pseudo-inverse of a symmetric PSD matrix.
 
     Eigenvalues are clamped at zero (small negative values are numerical
     noise; the matrix is rejected when the smallest one lies below
-    -psd_tol * lambda_max), then every eigenvalue <= rcond * lambda_max is
+    -PSD_TOL * lambda_max), then every eigenvalue <= rcond * lambda_max is
     treated as an exact zero. If nothing survives, the inverse is the zero
-    matrix and a DegenerateGramWarning is emitted.
+    matrix.
     """
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
@@ -102,20 +101,13 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND, *, psd_tol=PSD_TOL):
         empty = np.zeros((0, 0))
         return TruncatedInverse(empty, values, np.zeros(0, dtype=bool))
     lam_max = float(values[0])
-    if values[-1] < -psd_tol * lam_max:
+    if values[-1] < -PSD_TOL * lam_max:
         raise ValueError(
             f"matrix is not positive semi-definite: smallest eigenvalue {values[-1]:.3e}"
         )
     clamped = np.maximum(values, 0.0)
     cutoff = rcond * clamped[0]
     retained = clamped > cutoff
-    if not retained.any():
-        warnings.warn(
-            "degenerate Gram: every eigenvalue fell at or below the rcond cutoff",
-            DegenerateGramWarning,
-            stacklevel=2,
-        )
-        return TruncatedInverse(np.zeros((n, n)), clamped, retained)
     inv_values = np.zeros(n)
     inv_values[retained] = 1.0 / clamped[retained]
     inverse = (vectors * inv_values) @ vectors.T

@@ -362,16 +362,6 @@ class PrecomputedModel(Model):
                 tables[split][index] = np.asarray(values)
         return cls(tables, output_dim)
 
-    def write_csv(self, path):
-        """Inverse of from_csv; rows sorted by (split, index)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["split", "index"] + [f"y{i}" for i in range(self.output_dim)])
-            for split in sorted(self.tables):
-                for index in sorted(self.tables[split]):
-                    row = self.tables[split][index]
-                    writer.writerow([split, index] + [f"{v:.17g}" for v in row])
-
 
 def stack_predictions(models, xs):
     """Predictions of every model on the rows of ``xs``, shape (l, k, output_dim).

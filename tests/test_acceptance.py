@@ -15,6 +15,7 @@ from shiftagg.aggregation import empirical_gram, iwa, oracle_weights, sor
 from shiftagg.datasets import SINC_SOURCE_MEAN, sinc_ratio, sinc_sigmas
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.harness import (
+    METHODS,
     ExperimentConfig,
     _SeedContext,
     build_instance,
@@ -346,16 +347,24 @@ def test_criterion_9_module_invariants():
     models = build_models(mcfg, instance)
     methods = ("iwa", "sor", "tmr", "tcr", "iwv", "dev")
     beta = ConstantRatio(1.0)
-    clean = _SeedContext(mcfg, instance, models, beta)
+
+    def context(inst):
+        stacks = tuple(
+            stack_predictions(models, xs)
+            for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
+        )
+        return _SeedContext(mcfg, inst, models, beta, stacks)
+
+    clean = context(instance)
     poisoned_instance = dataclasses.replace(
         instance, target_eval_y=np.full_like(instance.target_eval_y, np.nan)
     )
     # Scoring turns the NaN risks into error rows, so the weight vectors are
     # compared before scoring.
-    poisoned = _SeedContext(mcfg, poisoned_instance, models, beta)
+    poisoned = context(poisoned_instance)
     for method in methods:
-        before, _ = clean.method_weights(method)
-        after, _ = poisoned.method_weights(method)
+        before, _ = METHODS[method](clean)
+        after, _ = METHODS[method](poisoned)
         assert np.array_equal(before, after)
 
     _report(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg import aggregation
 from shiftagg.aggregation import (
     AggregationResult,
     aggregate_predictions,
@@ -20,7 +21,6 @@ from shiftagg.aggregation import (
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import (
     DegenerateGramError,
-    DegenerateGramWarning,
     DimensionError,
     NumericalError,
 )
@@ -168,9 +168,8 @@ class TestIwa:
 
     def test_zero_models_raise_degenerate_error(self):
         zero = LinearModel([[0.0]], [0.0])
-        with pytest.warns(DegenerateGramWarning):
-            with pytest.raises(DegenerateGramError, match="prune"):
-                iwa([zero], XS_12, np.ones((2, 1)), XS_12, ConstantRatio(1.0), 0.1)
+        with pytest.raises(DegenerateGramError, match="prune"):
+            iwa([zero], XS_12, np.ones((2, 1)), XS_12, ConstantRatio(1.0), 0.1)
 
     def test_weights_linear_in_labels(self):
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -356,6 +355,21 @@ class TestPseudoLabelRegressions:
         pseudo = np.eye(2)[majority_votes(stack)]
         expected = lstsq_onto_models(models, xs, pseudo)
         assert np.allclose(tmr(stack, rcond=1e-10), expected, atol=1e-8)
+
+    @pytest.mark.parametrize("baseline, label", [(tmr, [1.0, 0.0]), (tcr, [0.0, 1.0])])
+    def test_stack_checked_once(self, monkeypatch, baseline, label):
+        scans = []
+        original = aggregation._require_finite
+
+        def counted(values, what):
+            scans.append(what)
+            return original(values, what)
+
+        monkeypatch.setattr(aggregation, "_require_finite", counted)
+        weights = baseline(self.STACK, rcond=1e-10)
+        assert scans == ["predictions"]
+        pseudo = np.tile(label, (4, 1))
+        assert np.array_equal(weights, oracle_weights(self.STACK, pseudo, rcond=1e-10))
 
     def test_regression_outputs_rejected(self):
         stack = stack_predictions([LinearModel([[1.0]], [0.0])], XS_12)

@@ -327,6 +327,16 @@ def test_nan_float_value_is_a_config_error(key, capsys):
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
+def test_non_finite_fields_are_each_reported_once(capsys):
+    assert main(TINY_RUN + ["--rcond", "inf", "--ridge=-inf", "--domain-lr", "nan"]) == 1
+    problems = capsys.readouterr().err.removeprefix("error: ").rstrip("\n").split("; ")
+    assert problems == [
+        "rcond: must be finite, got inf",
+        "ridge: must be finite, got -inf",
+        "domain_lr: must be finite, got nan",
+    ]
+
+
 @pytest.mark.parametrize("key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x")])
 def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, key, value):
     flag = "--" + key.replace("_", "-")

@@ -67,13 +67,13 @@ class TestGaussianRatio:
         beta = GaussianRatio(**VARIANCE_READING)
         peak = 2.0 * np.exp(8.0 / 3.0)
         assert beta.weights(np.array([[7.0 / 3.0]]))[0] == pytest.approx(peak, rel=1e-12)
-        xs = np.linspace(-30.0, 30.0, 20001)
+        xs = np.linspace(-30.0, 30.0, 20001)[:, None]
         values = beta.weights(xs)
         assert values.max() <= peak + 1e-9
 
     def test_identical_distributions_give_exactly_one(self):
         beta = GaussianRatio(0.3, 0.7, 0.3, 0.7)
-        xs = np.array([-5.0, 0.0, 0.3, 12.0])
+        xs = np.array([[-5.0], [0.0], [0.3], [12.0]])
         assert np.array_equal(beta.weights(xs), np.ones(4))
 
     def test_mean_weight_is_one_under_source_draws(self):
@@ -86,16 +86,12 @@ class TestGaussianRatio:
         se = values.std() / np.sqrt(draws.size)
         assert abs(values.mean() - 1.0) <= 3.0 * se
 
-    def test_accepts_flat_and_column_inputs(self):
-        beta = GaussianRatio(**VARIANCE_READING)
-        flat = beta.weights(np.array([0.5, 1.5]))
-        column = beta.weights(np.array([[0.5], [1.5]]))
-        assert np.array_equal(flat, column)
-
     def test_multicolumn_input_rejected(self):
         beta = GaussianRatio(**VARIANCE_READING)
         with pytest.raises(DimensionError, match="univariate"):
             beta.weights(np.zeros((3, 2)))
+        with pytest.raises(DimensionError, match="univariate"):
+            beta.weights(np.zeros(3))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -115,7 +111,7 @@ class TestGaussianRatio:
     )
     def test_weights_always_in_range(self, mp, sp, mq, sq, bound, xs):
         beta = GaussianRatio(mp, sp, mq, sq, bound=bound)
-        values = beta.weights(np.array(xs))
+        values = beta.weights(np.array(xs)[:, None])
         assert values.shape == (len(xs),)
         assert np.all(values >= 0.0)
         assert np.all(values <= bound)
@@ -138,10 +134,11 @@ class TestLearnedRatio:
         assert beta.weights(np.array([[0.0]]))[0] == pytest.approx(expected, rel=1e-9)
 
     def test_probabilities_are_clamped(self):
-        beta = LearnedRatio(np.array([100.0]), 0.0, prior_ratio=1.0)
-        probs = beta.classifier_probability(np.array([[-50.0], [50.0]]))
-        assert probs[0] == PROB_CLAMP
-        assert probs[1] == 1.0 - PROB_CLAMP
+        # A bound far above the clamped odds leaves them visible in the weights.
+        beta = LearnedRatio(np.array([100.0]), 0.0, prior_ratio=1.0, bound=1e12)
+        low, high = beta.weights(np.array([[-50.0], [50.0]]))
+        assert low == PROB_CLAMP / (1.0 - PROB_CLAMP)
+        assert high == (1.0 - PROB_CLAMP) / (1.0 - (1.0 - PROB_CLAMP))
 
     def test_custom_bound_clips(self):
         beta = LearnedRatio(np.array([0.0]), 5.0, prior_ratio=1.0, bound=1.0)

@@ -30,7 +30,6 @@ from shiftagg.harness import (
     build_instance,
     build_models,
     correlation_summary,
-    evaluate_methods,
     load_config_file,
     parse_config_value,
     rate_medians,
@@ -41,16 +40,29 @@ from shiftagg.harness import (
     run_experiment,
     run_rate_check,
     run_sensitivity,
-    run_single_seed,
     scaled_weights,
     write_outputs,
 )
-from shiftagg.models import LinearModel, stack_predictions
+from shiftagg.models import (
+    CorruptedModel,
+    FeatureModel,
+    LinearModel,
+    SoftmaxModel,
+    stack_predictions,
+)
 
 SINC_SMALL = dict(dataset="sinc", n=50, m=50, eval_size=40, l=3, seeds=(0, 1))
 MOONS_SMALL = dict(
     dataset="moons", beta="learned", n=60, m=60, eval_size=40, l=3, seeds=(0,)
 )
+
+
+def seed_context(cfg, inst, models, beta):
+    """A seed context holding the models' (source, target, eval) prediction stacks."""
+    stacks = tuple(
+        stack_predictions(models, xs) for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
+    )
+    return _SeedContext(cfg, inst, models, beta, stacks)
 
 
 class TestConfigValidation:
@@ -234,9 +246,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**SINC_SMALL)
         inst = build_instance(cfg, 0)
         models = build_models(cfg, inst)
-        rows = evaluate_methods(
-            cfg, inst, models, ConstantRatio(1.0), 0, methods=("iwa", "bogus")
-        )
+        rows = seed_context(cfg, inst, models, ConstantRatio(1.0)).rows(0, ("iwa", "bogus"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].error is None
         assert "bogus" in by_method["bogus"].error
@@ -267,10 +277,8 @@ class TestRunExperiment:
             for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
         ]
         stacks[0][1, 0, 0] = np.nan  # one source prediction poisons the moment vector
-        rows = evaluate_methods(
-            cfg, inst, models, ConstantRatio(1.0), 0,
-            methods=("iwa", "tmv", "oracle"), stacks=tuple(stacks),
-        )
+        context = _SeedContext(cfg, inst, models, ConstantRatio(1.0), tuple(stacks))
+        rows = context.rows(0, ("iwa", "tmv", "oracle"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].error.startswith("NumericalError")
         assert by_method["iwa"].weights is None
@@ -286,9 +294,7 @@ class TestNoShiftReduction:
         inst = build_instance(cfg, 0)
         inst = dataclasses.replace(inst, target_x=inst.source_x)
         models = build_models(cfg, inst)
-        rows = evaluate_methods(
-            cfg, inst, models, ConstantRatio(1.0), 0, methods=("iwa", "sor")
-        )
+        rows = seed_context(cfg, inst, models, ConstantRatio(1.0)).rows(0, ("iwa", "sor"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].weights == by_method["sor"].weights
         assert by_method["iwa"].risk == by_method["sor"].risk
@@ -301,16 +307,16 @@ class TestUnsupervisedDiscipline:
         models = build_models(cfg, inst)
         beta = ConstantRatio(1.0)
         methods = ("iwa", "sor", "tmr", "tcr", "iwv", "dev")
-        clean = _SeedContext(cfg, inst, models, beta)
+        clean = seed_context(cfg, inst, models, beta)
         poisoned_inst = dataclasses.replace(
             inst, target_eval_y=np.full_like(inst.target_eval_y, np.nan)
         )
         # Scored rows turn NaN risks into error rows, so compare the weight
         # vectors before scoring.
-        poisoned = _SeedContext(cfg, poisoned_inst, models, beta)
+        poisoned = seed_context(cfg, poisoned_inst, models, beta)
         for method in methods:
-            before, _ = clean.method_weights(method)
-            after, _ = poisoned.method_weights(method)
+            before, _ = METHODS[method](clean)
+            after, _ = METHODS[method](poisoned)
             assert np.array_equal(before, after)
 
 
@@ -435,7 +441,8 @@ class TestSensitivity:
             corrupted, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
-                reference.extend(evaluate_methods(cfg, inst, sequence, beta, seed, count=count))
+                context = seed_context(cfg, inst, sequence, beta)
+                reference.extend(context.rows(seed, resolve_methods(cfg), count))
         assert not table.has_failures
         assert [repr(dataclasses.asdict(r)) for r in table.rows] == [
             repr(dataclasses.asdict(r)) for r in reference
@@ -484,6 +491,48 @@ def count_oracle_calls(monkeypatch):
 
     monkeypatch.setattr(aggregation, "oracle_weights", counted)
     return calls
+
+
+def count_predictions(monkeypatch):
+    """Count top-level ``predict_many`` calls per (model, input matrix).
+
+    A model's calls into its own base model are part of its prediction and
+    are not counted. Every model seen is kept alive, so ids stay distinct.
+    """
+    counts, seen, depth = {}, [], [0]
+    for cls in (LinearModel, SoftmaxModel, FeatureModel, CorruptedModel):
+        original = cls.__dict__["predict_many"]
+
+        def counted(self, xs, original=original):
+            if depth[0] == 0:
+                seen.append(self)
+                key = (id(self), np.asarray(xs, dtype=float).tobytes())
+                counts[key] = counts.get(key, 0) + 1
+            depth[0] += 1
+            try:
+                return original(self, xs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, "predict_many", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "study, counts",
+    [
+        (run_experiment, (0,)),
+        (run_correlation, (0,)),
+        (run_sensitivity, (0,)),
+        (run_sensitivity, (0, 2)),
+    ],
+    ids=["run", "correlation", "sensitivity-0", "sensitivity-0-2"],
+)
+def test_each_model_predicted_once_per_split(monkeypatch, study, counts):
+    predictions = count_predictions(monkeypatch)
+    table = study(ExperimentConfig(**MOONS_SMALL, counts=counts))
+    assert not table.has_failures
+    assert predictions and max(predictions.values()) == 1
 
 
 class TestCorrelation:

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg.errors import DegenerateGramWarning, DimensionError
+from shiftagg.errors import DimensionError
 from shiftagg.linalg import TruncatedInverse, spectral_pinv, sym_eig
-
-# Property strategies can draw the all-zero matrix, whose degenerate-Gram
-# warning is expected behavior rather than a test smell.
-pytestmark = pytest.mark.filterwarnings("ignore::shiftagg.errors.DegenerateGramWarning")
 
 
 def symmetric_matrices(max_n=6):
@@ -107,9 +103,8 @@ class TestSpectralPinv:
         assert np.allclose(inverse, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-12)
         assert np.allclose(a @ inverse, np.eye(2), atol=1e-12)
 
-    def test_zero_matrix_degenerate_warning(self):
-        with pytest.warns(DegenerateGramWarning):
-            info = spectral_pinv(np.zeros((3, 3)), 0.1)
+    def test_zero_matrix_gives_zero_inverse(self):
+        info = spectral_pinv(np.zeros((3, 3)), 0.1)
         assert np.array_equal(info.inverse, np.zeros((3, 3)))
         assert info.rank_retained == 0
         assert info.condition == float("inf")

