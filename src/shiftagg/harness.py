@@ -449,11 +449,17 @@ class ResultTable:
 # --- per-kind summaries ----------------------------------------------------------
 
 
+def _groups(rows, key, value):
+    """``value(row)`` of each row, listed under ``key(row)`` in row order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(value(row))
+    return groups
+
+
 def aggregates(table):
     """Mean and median of (risk, accuracy, excess) per (count, method) of a run table."""
-    groups = {}
-    for row in table.ok_rows():
-        groups.setdefault((row.count, row.method), []).append(row)
+    groups = _groups(table.ok_rows(), lambda r: (r.count, r.method), lambda r: r)
     out = []
     for (count, method) in sorted(groups, key=lambda k: (k[0] if k[0] is not None else 0, k[1])):
         rows = groups[(count, method)]
@@ -487,11 +493,14 @@ def _spread(values):
     return tuple(float(q) for q in quartiles)
 
 
+def _correlations(table):
+    """Each method's correlations over the successful rows."""
+    return _groups(table.ok_rows(), lambda r: r.method, lambda r: r.pearson_r)
+
+
 def correlation_summary(table):
     """Quartiles of the correlation per method."""
-    groups = {}
-    for row in table.ok_rows():
-        groups.setdefault(row.method, []).append(row.pearson_r)
+    groups = _correlations(table)
     return [
         dict(zip(("method", "q25", "median", "q75"), (method, *_spread(groups[method]))))
         for method in sorted(groups)
@@ -500,10 +509,8 @@ def correlation_summary(table):
 
 def rate_spread(table):
     """(q25, median, q75) of the deviation per size; nan for a size without successful rows."""
-    return {
-        size: _spread([r.deviation for r in table.ok_rows() if r.size == size])
-        for size in table.extra["sizes"]
-    }
+    deviations = _groups(table.ok_rows(), lambda r: r.size, lambda r: r.deviation)
+    return {size: _spread(deviations.get(size, [])) for size in table.extra["sizes"]}
 
 
 def rate_medians(table):
@@ -609,10 +616,8 @@ def _run_plots(table, plots_dir):
                 title="Median target accuracy by method",
                 y_label="target accuracy",
             )
-    by_method = {}
-    for row in table.ok_rows():
-        if row.weights is not None:
-            by_method.setdefault(row.method, []).append(scaled_weights(row.weights))
+    weighted = [r for r in table.ok_rows() if r.weights is not None]
+    by_method = _groups(weighted, lambda r: r.method, lambda r: scaled_weights(r.weights))
     for method, weight_rows in sorted(by_method.items()):
         stacked = np.vstack(weight_rows)
         mean_weights = stacked.mean(axis=0)
@@ -627,10 +632,8 @@ def _run_plots(table, plots_dir):
 
 def _sensitivity_plots(table, plots_dir):
     counts = sorted({r.count for r in table.ok_rows() if r.count is not None})
-    accuracies = {}
-    for r in table.ok_rows():
-        if r.accuracy is not None:
-            accuracies.setdefault((r.method, r.count), []).append(r.accuracy)
+    scored = [r for r in table.ok_rows() if r.accuracy is not None]
+    accuracies = _groups(scored, lambda r: (r.method, r.count), lambda r: r.accuracy)
     series, bands = {}, {}
     for method in sorted({method for method, _ in accuracies}):
         if counts and all((method, count) in accuracies for count in counts):
@@ -649,9 +652,7 @@ def _sensitivity_plots(table, plots_dir):
 
 
 def _correlation_plots(table, plots_dir):
-    groups = {}
-    for row in table.ok_rows():
-        groups.setdefault(row.method, []).append(row.pearson_r)
+    groups = _correlations(table)
     if groups:
         labels = sorted(groups)
         plots.box_plot(
@@ -859,6 +860,8 @@ def _over_seeds(seeds, seed_rows, error_rows):
     for seed in seeds:
         try:
             rows.extend(seed_rows(seed))
+        except ConfigError:  # the configuration is at fault, not the seed: stop the run
+            raise
         except Exception as exc:  # failure isolation per seed
             rows.extend(error_rows(seed, _describe(exc)))
     return rows
@@ -955,15 +958,13 @@ def run_sensitivity(cfg):
     slices of those stacks.
     """
     cfg.validate()
-    if cfg.dataset == "sinc":
-        raise ConfigError("dataset: the sensitivity study needs classification outputs")
     counts = sorted({0, *cfg.counts})
     methods = resolve_methods(cfg)
     gate_stats = []
 
     def seed_rows(seed):
         ctx = _prepare(cfg, seed, "sensitivity")
-        instance, models = ctx.instance, ctx.models
+        instance, models, beta = ctx.instance, ctx.models, ctx.beta
         corrupted, eval_stack, stats = _draw_corrupted(
             instance, models, ctx.eval_stack, seed, max(counts)
         )
@@ -976,11 +977,12 @@ def run_sensitivity(cfg):
                 for stack, xs in zip(stacks, (instance.source_x, instance.target_x))
             ]
         stacks.append(eval_stack)
+        del ctx  # the extended stacks copy the prepared ones; free those for the count loop
         rows = []
         for count in counts:
             size = len(models) + count
             prefix = tuple(stack[:size] for stack in stacks)
-            context = _SeedContext(cfg, instance, full[:size], ctx.beta, prefix)
+            context = _SeedContext(cfg, instance, full[:size], beta, prefix)
             rows.extend(context.rows(seed, methods, count))
         return rows
 
@@ -1010,8 +1012,6 @@ def run_correlation(cfg):
     contribute a correlation of 0. No row reads the oracle, so none is solved.
     """
     cfg.validate()
-    if cfg.dataset == "sinc":
-        raise ConfigError("dataset: the correlation study needs classification outputs")
     methods = tuple(cfg.methods) or WEIGHT_METHODS
     bad = [m for m in methods if m not in WEIGHT_METHODS]
     if bad:

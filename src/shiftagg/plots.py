@@ -7,6 +7,7 @@ checked. Output is deterministic byte-for-byte for fixed inputs.
 
 import csv
 import math
+import os
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -19,26 +20,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 def _fmt(v):
     return f"{float(v):.6g}"
-
-
-def _svg_root(title):
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(WIDTH),
-            "height": str(HEIGHT),
-            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
-            "font-family": "sans-serif",
-            "font-size": "12",
-        },
-    )
-    ET.SubElement(root, "rect", {"width": str(WIDTH), "height": str(HEIGHT), "fill": "white"})
-    caption = ET.SubElement(
-        root, "text", {"x": str(WIDTH // 2), "y": "24", "text-anchor": "middle", "font-size": "15"}
-    )
-    caption.text = title
-    return root
 
 
 class _Frame:
@@ -68,13 +49,57 @@ class _Frame:
         return HEIGHT - MARGIN_BOTTOM - frac * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
 
-def _axes(root, frame, x_label, y_label, y_ticks):
+def _x_label(root, x, text):
+    """A label under the x axis, centred on pixel column ``x``."""
+    label = ET.SubElement(
+        root, "text", {"x": _fmt(x), "y": str(HEIGHT - MARGIN_BOTTOM + 16), "text-anchor": "middle"}
+    )
+    label.text = text
+
+
+def _points(frame, xs, ys):
+    """SVG point list of the data pairs (xs, ys)."""
+    return " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(float(y)))}" for x, y in zip(xs, ys))
+
+
+def _pad_domain(values):
+    lo = float(min(values))
+    hi = float(max(values))
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.06 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _chart(path, title, x_domain, y_values, x_label, y_label, log_x=False):
+    """Start a chart: background, caption and axes over the padded ``y_values``.
+
+    Returns (root, frame, save); ``save(header, rows)`` writes the SVG to
+    ``path`` and the companion CSV next to it.
+    """
+    root = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "width": str(WIDTH),
+            "height": str(HEIGHT),
+            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
+            "font-family": "sans-serif",
+            "font-size": "12",
+        },
+    )
+    ET.SubElement(root, "rect", {"width": str(WIDTH), "height": str(HEIGHT), "fill": "white"})
+    caption = ET.SubElement(
+        root, "text", {"x": str(WIDTH // 2), "y": "24", "text-anchor": "middle", "font-size": "15"}
+    )
+    caption.text = title
+    frame = _Frame(x_domain, _pad_domain(y_values), log_x=log_x)
     axis_style = {"stroke": "#333333", "stroke-width": "1"}
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     ET.SubElement(root, "line", {"x1": str(x0), "y1": str(y0), "x2": str(x1), "y2": str(y0), **axis_style})
     ET.SubElement(root, "line", {"x1": str(x0), "y1": str(y0), "x2": str(x0), "y2": str(y1), **axis_style})
-    for tick in y_ticks:
+    for tick in np.linspace(frame.y_lo, frame.y_hi, 5):
         py = frame.y(tick)
         ET.SubElement(
             root,
@@ -102,36 +127,15 @@ def _axes(root, frame, x_label, y_label, y_ticks):
     )
     yl.text = y_label
 
+    def save(header, rows):
+        ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
+        with open(os.path.splitext(path)[0] + ".csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path
 
-def _y_ticks(lo, hi):
-    return list(np.linspace(lo, hi, 5))
-
-
-def _pad_domain(values):
-    lo = float(min(values))
-    hi = float(max(values))
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    pad = 0.06 * (hi - lo)
-    return lo - pad, hi + pad
-
-
-def _write_svg(root, path):
-    ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _companion(path):
-    path = str(path)
-    stem = path[: -len(".svg")] if path.endswith(".svg") else path
-    return stem + ".csv"
+    return root, frame, save
 
 
 def bar_chart(path, labels, values, *, title, y_label):
@@ -139,11 +143,8 @@ def bar_chart(path, labels, values, *, title, y_label):
     values = [float(v) for v in values]
     if len(labels) != len(values) or not values:
         raise ValueError("labels and values must be equal-length and non-empty")
-    lo, hi = _pad_domain(values + [0.0])
-    frame = _Frame((0.0, float(len(values))), (lo, hi))
-    root = _svg_root(title)
-    _axes(root, frame, "", y_label, _y_ticks(lo, hi))
-    base = frame.y(max(0.0, lo))
+    root, frame, save = _chart(path, title, (0.0, float(len(values))), values + [0.0], "", y_label)
+    base = frame.y(max(0.0, frame.y_lo))
     span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     bar_w = 0.6 * span / len(values)
     for i, (label, value) in enumerate(zip(labels, values)):
@@ -162,15 +163,8 @@ def bar_chart(path, labels, values, *, title, y_label):
                 "fill": PALETTE[i % len(PALETTE)],
             },
         )
-        text = ET.SubElement(
-            root,
-            "text",
-            {"x": _fmt(cx), "y": str(HEIGHT - MARGIN_BOTTOM + 16), "text-anchor": "middle"},
-        )
-        text.text = str(label)
-    _write_svg(root, path)
-    _write_csv(_companion(path), ["label", "value"], [[l, f"{v:.17g}"] for l, v in zip(labels, values)])
-    return path
+        _x_label(root, cx, str(label))
+    return save(["label", "value"], [[l, f"{v:.17g}"] for l, v in zip(labels, values)])
 
 
 def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, log_x=False):
@@ -184,48 +178,38 @@ def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, l
     if not x_values or not series:
         raise ValueError("need x values and at least one series")
     bands = bands or {}
-    all_y = []
+    columns = [("x", x_values)]
     for name, ys in series.items():
-        if len(ys) != len(x_values):
-            raise ValueError(f"series {name!r} length does not match x values")
-        all_y.extend(float(v) for v in ys)
+        columns.append((name, ys))
         if name in bands:
             lo, hi = bands[name]
-            all_y.extend(float(v) for v in lo)
-            all_y.extend(float(v) for v in hi)
-    lo_y, hi_y = _pad_domain(all_y)
-    frame = _Frame((min(x_values), max(x_values)), (lo_y, hi_y), log_x=log_x)
-    root = _svg_root(title)
-    _axes(root, frame, x_label, y_label, _y_ticks(lo_y, hi_y))
+            columns += [(f"{name}_lo", lo), (f"{name}_hi", hi)]
+    for name, values in columns:
+        if len(values) != len(x_values):
+            raise ValueError(f"series {name!r} length does not match x values")
+    root, frame, save = _chart(
+        path, title, (min(x_values), max(x_values)),
+        [float(v) for _, values in columns[1:] for v in values], x_label, y_label, log_x,
+    )
     for x in x_values:
-        text = ET.SubElement(
-            root,
-            "text",
-            {"x": _fmt(frame.x(x)), "y": str(HEIGHT - MARGIN_BOTTOM + 16), "text-anchor": "middle"},
-        )
-        text.text = _fmt(x)
+        _x_label(root, frame.x(x), _fmt(x))
     for idx, (name, ys) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         if name in bands:
             lo, hi = bands[name]
-            forward = [f"{_fmt(frame.x(x))},{_fmt(frame.y(float(v)))}" for x, v in zip(x_values, lo)]
-            backward = [
-                f"{_fmt(frame.x(x))},{_fmt(frame.y(float(v)))}"
-                for x, v in zip(reversed(x_values), reversed(list(hi)))
-            ]
+            forward = _points(frame, x_values, lo)
+            backward = _points(frame, x_values[::-1], list(hi)[::-1])
             ET.SubElement(
                 root,
                 "polygon",
-                {"points": " ".join(forward + backward), "fill": color, "fill-opacity": "0.15",
+                {"points": f"{forward} {backward}", "fill": color, "fill-opacity": "0.15",
                  "stroke": "none"},
             )
-        points = " ".join(
-            f"{_fmt(frame.x(x))},{_fmt(frame.y(float(v)))}" for x, v in zip(x_values, ys)
-        )
         ET.SubElement(
             root,
             "polyline",
-            {"points": points, "fill": "none", "stroke": color, "stroke-width": "2"},
+            {"points": _points(frame, x_values, ys), "fill": "none", "stroke": color,
+             "stroke-width": "2"},
         )
         legend_y = MARGIN_TOP + 16 * idx
         ET.SubElement(
@@ -239,23 +223,8 @@ def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, l
             root, "text", {"x": str(WIDTH - MARGIN_RIGHT - 90), "y": str(legend_y + 4)}
         )
         label.text = name
-    header = ["x"]
-    for name in series:
-        header.append(name)
-        if name in bands:
-            header.extend([f"{name}_lo", f"{name}_hi"])
-    rows = []
-    for i, x in enumerate(x_values):
-        row = [f"{x:.17g}"]
-        for name, ys in series.items():
-            row.append(f"{float(ys[i]):.17g}")
-            if name in bands:
-                lo, hi = bands[name]
-                row.extend([f"{float(lo[i]):.17g}", f"{float(hi[i]):.17g}"])
-        rows.append(row)
-    _write_csv(_companion(path), header, rows)
-    _write_svg(root, path)
-    return path
+    header = [name for name, _ in columns]
+    return save(header, zip(*([f"{float(v):.17g}" for v in values] for _, values in columns)))
 
 
 def box_plot(path, labels, samples, *, title, y_label):
@@ -281,10 +250,7 @@ def box_plot(path, labels, samples, *, title, y_label):
             )
         )
     all_values = [v for row in stats for v in row[1:]]
-    lo, hi = _pad_domain(all_values)
-    frame = _Frame((0.0, float(len(stats))), (lo, hi))
-    root = _svg_root(title)
-    _axes(root, frame, "", y_label, _y_ticks(lo, hi))
+    root, frame, save = _chart(path, title, (0.0, float(len(stats))), all_values, "", y_label)
     span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     box_w = 0.45 * span / len(stats)
     for i, (label, vmin, q1, med, q3, vmax) in enumerate(stats):
@@ -316,16 +282,8 @@ def box_plot(path, labels, samples, *, title, y_label):
             {"x1": _fmt(cx - box_w / 2), "y1": _fmt(frame.y(med)), "x2": _fmt(cx + box_w / 2),
              "y2": _fmt(frame.y(med)), "stroke": color, "stroke-width": "2"},
         )
-        text = ET.SubElement(
-            root,
-            "text",
-            {"x": _fmt(cx), "y": str(HEIGHT - MARGIN_BOTTOM + 16), "text-anchor": "middle"},
-        )
-        text.text = str(label)
-    _write_svg(root, path)
-    _write_csv(
-        _companion(path),
+        _x_label(root, cx, label)
+    return save(
         ["label", "min", "q1", "median", "q3", "max"],
         [[row[0]] + [f"{v:.17g}" for v in row[1:]] for row in stats],
     )
-    return path

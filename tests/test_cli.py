@@ -224,6 +224,29 @@ def test_partial_failures_exit_two(tmp_path, capsys):
     assert "no stored prediction" in err
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "correlate"])
+def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, command):
+    (tmp_path / "source.csv").write_text("x0,y0\n0,0.5\n1,0.25\n2,0.75\n")
+    (tmp_path / "target.csv").write_text("x0\n1.5\n2.5\n")
+    (tmp_path / "eval.csv").write_text("x0,y0\n1,0.5\n3,0.25\n")
+    out = tmp_path / "out"
+    args = [
+        command,
+        "--dataset", "csv",
+        "--beta", "learned",
+        "--source-csv", str(tmp_path / "source.csv"),
+        "--target-csv", str(tmp_path / "target.csv"),
+        "--eval-csv", str(tmp_path / "eval.csv"),
+        "--seeds", "0,1",
+        "--out", str(out),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("needs classification outputs") == 1
+    assert not (out / "results.json").exists()
+
+
 # One value per config field, written in the config-file syntax. The base
 # config below keeps every run tiny; each value differs from it and, except
 # selection_loss (zero_one needs classification outputs), from the default.

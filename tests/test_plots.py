@@ -1,6 +1,7 @@
 """SVG chart emission: XML validity, companion-CSV fidelity, determinism."""
 
 import csv
+import hashlib
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -164,3 +165,43 @@ def test_all_charts_start_with_xml_declaration(tmp_path):
     box_plot(box, ["a"], [[1.0, 2.0]], title="t", y_label="y")
     for path in (bar, line, box):
         assert open(path).read(5) == "<?xml"
+
+
+# sha256 of each chart and its companion CSV for the fixed inputs below; a
+# change to any byte of the emitted files (element order, number formatting,
+# CSV layout) changes a digest.
+PINNED_DIGESTS = {
+    "bar.svg": "98ce374ea6ce3739939f4583172f840aaae578fddd380be022b492f0d298371f",
+    "bar.csv": "aa593ffe50ac061f3887ea1f64f02ef52c99da0d343df4165a89cf0897e0c421",
+    "line.svg": "84a1cef541ced5a5337fdbee44a29eaf9a0b9b59ca19472150df287641d4faa1",
+    "line.csv": "1140f506f116abdb6f796b2b3840856d3c1ef7cc8c07f4da873f89268fd05764",
+    "box.svg": "ba681170386427a55405cc290c437cda10d4825c333b958a5f7582c09e16b7a2",
+    "box.csv": "19261832add5176e1806d88cb0f9f204205304afa5b062378603b5571de01e44",
+}
+
+
+def test_chart_bytes_pinned(tmp_path):
+    bar_chart(
+        str(tmp_path / "bar.svg"), ["iwa", "sor", "tmv"], [0.75, -0.25, 1.5],
+        title="Bars", y_label="risk",
+    )
+    line_chart(
+        str(tmp_path / "line.svg"),
+        [250, 1000, 4000],
+        {"iwa": [0.3, 0.15, 0.08], "sor": [0.4, 0.35, 0.3]},
+        title="Lines",
+        x_label="n = m",
+        y_label="deviation",
+        bands={"iwa": ([0.25, 0.12, 0.06], [0.36, 0.19, 0.1]),
+               "sor": ([0.38, 0.3, 0.27], [0.45, 0.4, 0.33])},
+        log_x=True,
+    )
+    box_plot(
+        str(tmp_path / "box.svg"), ["iwa", "tcr"], [[0.9, 0.4, 0.7, 0.95], [-0.2, 0.1, 0.5]],
+        title="Boxes", y_label="Pearson r",
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_DIGESTS
+    }
+    assert digests == PINNED_DIGESTS
