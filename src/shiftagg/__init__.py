@@ -25,7 +25,6 @@ from .datasets import (
     load_csv_instance,
     make_sinc_shift,
     make_transformed_moons,
-    save_csv_instance,
     sinc_ratio,
 )
 from .density_ratio import (
@@ -115,7 +114,6 @@ __all__ = [
     "run_experiment",
     "run_rate_check",
     "run_sensitivity",
-    "save_csv_instance",
     "sinc_ratio",
     "sor",
     "spectral_pinv",

@@ -236,57 +236,63 @@ def make_transformed_moons(
 # --- CSV-backed instances --------------------------------------------------
 
 
-def _expected_header(x_cols, y_cols):
-    return [f"x{i}" for i in range(x_cols)] + [f"y{i}" for i in range(y_cols)]
+def _read_csv(path, form, accepts):
+    """Header and numbered rows of a CSV file: ``(header, [(lineno, fields), ...])``.
+
+    Header cells are stripped of surrounding whitespace; a header that
+    ``accepts`` rejects is reported against the expected ``form``. Blank rows
+    are skipped, and every other row must have as many fields as the header.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("file is empty", path=path)
+        header = [cell.strip() for cell in header]
+        if not accepts(header):
+            raise CsvFormatError(
+                f"expected header '{form}', got {','.join(header)}", path=path, line=1
+            )
+        rows = []
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise CsvFormatError(
+                    f"expected {len(header)} fields, got {len(fields)}", path=path, line=lineno
+                )
+            rows.append((lineno, fields))
+    return header, rows
 
 
-def _parse_header(header, path, labeled):
-    x_cols = 0
-    while x_cols < len(header) and header[x_cols] == f"x{x_cols}":
-        x_cols += 1
-    y_cols = len(header) - x_cols
-    if x_cols == 0 or (labeled and y_cols == 0) or (not labeled and y_cols != 0):
-        kind = "x0,...,y0,..." if labeled else "x0,..."
-        raise CsvFormatError(
-            f"expected header '{kind}', got {','.join(header)}", path=path, line=1
-        )
-    if header != _expected_header(x_cols, y_cols):
-        raise CsvFormatError(
-            f"expected header columns {','.join(_expected_header(x_cols, y_cols))},"
-            f" got {','.join(header)}",
-            path=path,
-            line=1,
-        )
-    return x_cols, y_cols
+def _parse_number(kind, text, path, lineno):
+    """``kind(text)``, or a CsvFormatError citing the line."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise CsvFormatError(f"unparseable number: {exc}", path=path, line=lineno) from None
 
 
 def _read_split(path, labeled):
     """Read one split CSV; returns (x, y) with y = None for unlabeled files."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("file is empty", path=path) from None
-        x_cols, y_cols = _parse_header([h.strip() for h in header], path, labeled)
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != x_cols + y_cols:
-                raise CsvFormatError(
-                    f"expected {x_cols + y_cols} fields, got {len(row)}", path=path, line=lineno
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise CsvFormatError(f"unparseable number: {exc}", path=path, line=lineno) from None
-            xs.append(values[:x_cols])
-            ys.append(values[x_cols:])
-    if not xs:
+
+    def accepts(header):
+        x_cols = header.index("y0") if "y0" in header else len(header)
+        labels = header[x_cols:]
+        return (
+            x_cols > 0
+            and header[:x_cols] == [f"x{i}" for i in range(x_cols)]
+            and bool(labels) == labeled
+            and labels == [f"y{i}" for i in range(len(labels))]
+        )
+
+    header, rows = _read_csv(path, "x0,...,y0,..." if labeled else "x0,...", accepts)
+    if not rows:
         raise CsvFormatError("no data rows", path=path)
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float) if labeled else None
+    x_cols = header.index("y0") if labeled else len(header)
+    values = [[_parse_number(float, v, path, lineno) for v in fields] for lineno, fields in rows]
+    x = np.asarray([row[:x_cols] for row in values], dtype=float)
+    y = np.asarray([row[x_cols:] for row in values], dtype=float) if labeled else None
     return x, y
 
 
@@ -309,26 +315,3 @@ def load_csv_instance(source_path, target_path, eval_path, seed=0):
         target_eval_y=eval_y,
         seed=int(seed),
     ).validate()
-
-
-def _write_rows(path, x, y=None):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        y_cols = 0 if y is None else y.shape[1]
-        writer.writerow(_expected_header(x.shape[1], y_cols))
-        for i in range(x.shape[0]):
-            row = [f"{v:.17g}" for v in x[i]]
-            if y is not None:
-                row += [f"{v:.17g}" for v in y[i]]
-            writer.writerow(row)
-
-
-def save_csv_instance(instance, source_path, target_path, eval_path):
-    """Write the three split files read back by load_csv_instance.
-
-    Numbers are written with 17 significant digits, enough for float64
-    round-trips.
-    """
-    _write_rows(source_path, instance.source_x, instance.source_y)
-    _write_rows(target_path, instance.target_x)
-    _write_rows(eval_path, instance.target_eval_x, instance.target_eval_y)

@@ -127,10 +127,6 @@ class ExperimentConfig:
                           ("classifier_epochs", 0), ("domain_epochs", 0)):
             if getattr(self, name) < low:
                 problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
-        if self.dataset == "moons" and self.l > len(LAMBDA_GRID):
-            problems.append(
-                f"l: the moons sequence has at most {len(LAMBDA_GRID)} settings, got {self.l}"
-            )
         if self.beta not in BETAS:
             problems.append(f"beta: expected one of {BETAS}, got {self.beta!r}")
         if self.beta == "analytic" and self.dataset != "sinc":
@@ -145,6 +141,8 @@ class ExperimentConfig:
             problems.append("seeds: need at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append(f"seeds: each seed may appear once, got {list(self.seeds)}")
+        if len(set(self.methods)) != len(self.methods):
+            problems.append(f"methods: each method may appear once, got {list(self.methods)}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
@@ -297,11 +295,20 @@ def _moons_sequence(cfg, instance):
 
 
 def build_models(cfg, instance):
-    """Model sequence (a list) for an instance per the dataset family."""
+    """Model sequence (a list) for an instance; ConfigError if it cannot carry the ladder."""
     if cfg.dataset == "csv" and cfg.model_csvs:
         return [PrecomputedModel.from_csv(path) for path in cfg.model_csvs]
     if cfg.dataset == "sinc" or (cfg.dataset == "csv" and instance.label_dim == 1):
+        if instance.input_dim != 1:
+            raise ConfigError(
+                f"dataset: the polynomial ladder needs univariate inputs, got"
+                f" {instance.input_dim} columns; give model_csvs for wider inputs"
+            )
         return _sinc_sequence(cfg, instance)
+    if cfg.l > len(LAMBDA_GRID):
+        raise ConfigError(
+            f"l: the moons sequence has at most {len(LAMBDA_GRID)} settings, got {cfg.l}"
+        )
     return _moons_sequence(cfg, instance)
 
 

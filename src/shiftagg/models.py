@@ -11,10 +11,10 @@ all live here.
 """
 
 from abc import ABC, abstractmethod
-import csv
 
 import numpy as np
 
+from .datasets import _parse_number, _read_csv
 from .errors import CsvFormatError, DimensionError, NumericalError
 from .linalg import sym_eig
 
@@ -318,49 +318,24 @@ class PrecomputedModel(Model):
     @classmethod
     def from_csv(cls, path):
         """Load a prediction table from CSV with header ``split,index,y0,...``."""
+        header, rows = _read_csv(
+            path,
+            "split,index,y0,...",
+            lambda header: header[:3] == ["split", "index", "y0"]
+            and header[2:] == [f"y{i}" for i in range(len(header) - 2)],
+        )
         tables = {"source": {}, "target": {}}
-        output_dim = None
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CsvFormatError("file is empty", path=path) from None
-            if len(header) < 3 or header[0] != "split" or header[1] != "index":
+        for lineno, (split, index, *values) in rows:
+            if split not in tables:
+                raise CsvFormatError(f"unknown split {split!r}", path=path, line=lineno)
+            index = _parse_number(int, index, path, lineno)
+            values = [_parse_number(float, v, path, lineno) for v in values]
+            if index in tables[split]:
                 raise CsvFormatError(
-                    f"expected header 'split,index,y0,...', got {','.join(header)}",
-                    path=path,
-                    line=1,
+                    f"duplicate entry for split '{split}', index {index}", path=path, line=lineno
                 )
-            expected_y = [f"y{i}" for i in range(len(header) - 2)]
-            if header[2:] != expected_y:
-                raise CsvFormatError(
-                    f"expected prediction columns {','.join(expected_y)}, got {','.join(header[2:])}",
-                    path=path,
-                    line=1,
-                )
-            output_dim = len(header) - 2
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise CsvFormatError(
-                        f"expected {len(header)} fields, got {len(row)}", path=path, line=lineno
-                    )
-                split = row[0]
-                if split not in tables:
-                    raise CsvFormatError(f"unknown split {split!r}", path=path, line=lineno)
-                try:
-                    index = int(row[1])
-                    values = [float(v) for v in row[2:]]
-                except ValueError as exc:
-                    raise CsvFormatError(f"unparseable number: {exc}", path=path, line=lineno) from None
-                if index in tables[split]:
-                    raise CsvFormatError(
-                        f"duplicate entry for split '{split}', index {index}", path=path, line=lineno
-                    )
-                tables[split][index] = np.asarray(values)
-        return cls(tables, output_dim)
+            tables[split][index] = np.asarray(values)
+        return cls(tables, len(header) - 2)
 
 
 def stack_predictions(models, xs):

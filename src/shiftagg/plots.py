@@ -33,8 +33,6 @@ class _Frame:
         y_lo, y_hi = y_domain
         if x_hi == x_lo:
             x_hi = x_lo + 1.0
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
 
@@ -66,7 +64,9 @@ def _pad_domain(values):
     lo = float(min(values))
     hi = float(max(values))
     if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
+        # a constant sample gets a width its magnitude does not round away
+        half = max(1.0, 0.5 * abs(lo))
+        lo, hi = lo - half, hi + half
     pad = 0.06 * (hi - lo)
     return lo - pad, hi + pad
 

@@ -1,6 +1,7 @@
 """Command-line interface: argument wiring, artifacts, exit codes."""
 
 from dataclasses import fields
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,16 @@ def test_repeated_seeds_exit_one(tmp_path, capsys):
             "--seeds", "0,0", "--methods", "iwa", "--out", str(tmp_path / "out")]
     assert main(args) == 1
     assert "seeds:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "correlate"])
+def test_repeated_methods_exit_one(tmp_path, capsys, command):
+    args = [command, "--dataset", "moons", "--beta", "learned", "--n", "40", "--m", "40",
+            "--eval-size", "40", "--l", "2", "--seeds", "0,1", "--methods", "iwa,iwa",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: methods: each method may appear once")
     assert not (tmp_path / "out").exists()
 
 
@@ -224,6 +235,41 @@ def test_partial_failures_exit_two(tmp_path, capsys):
     assert "no stored prediction" in err
 
 
+# sha256 of results.csv and of the rows and aggregates of results.json (the
+# recorded config holds temporary paths) for the two CSV-instance runs below:
+# two prediction tables, and the softmax ladder fitted on the split files.
+CSV_RUN_DIGESTS = {
+    "tables": (
+        "cb07e23cd435673d218ecd2d62de2129fb67ba5b54008719fceefc2b45987bea",
+        "ddbef5e5091db00dcc086ca2160a5b6a6be7c3a54350c494080fc311ef20f6ea",
+    ),
+    "ladder": (
+        "d2069145d6df825e9bd7317449a887de2a112dc51d02e35a83abb2e2c3c88691",
+        "17d3559bf0f2ad85e662e95333b6a9e23a9f130c1b868b996a12b79aa72712f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_RUN_DIGESTS))
+def test_csv_run_bytes_pinned(tmp_path, case):
+    _write_csv_instance(tmp_path)
+    models = [tmp_path / "model_a.csv", tmp_path / "model_b.csv"]
+    for path in models:
+        _write_model_csv(path, with_eval_rows=True)
+    args = _csv_args(tmp_path, models)
+    if case == "ladder":  # drop --model-csvs: the softmax ladder is fitted instead
+        args = args[:-2] + ["--l", "3", "--classifier-epochs", "20", "--domain-epochs", "20"]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    payload = json.loads((out / "results.json").read_text())
+    body = json.dumps({key: payload[key] for key in ("rows", "aggregates")}, sort_keys=True)
+    digests = (
+        hashlib.sha256((out / "results.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(body.encode()).hexdigest(),
+    )
+    assert digests == CSV_RUN_DIGESTS[case]
+
+
 @pytest.mark.parametrize("command", ["sensitivity", "correlate"])
 def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, command):
     (tmp_path / "source.csv").write_text("x0,y0\n0,0.5\n1,0.25\n2,0.75\n")
@@ -245,6 +291,39 @@ def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, comm
     assert err.startswith("error: ")
     assert err.count("needs classification outputs") == 1
     assert not (out / "results.json").exists()
+
+
+def _ladder_args(tmp_path, *extra):
+    return [
+        "run",
+        "--dataset", "csv",
+        "--beta", "learned",
+        "--source-csv", str(tmp_path / "source.csv"),
+        "--target-csv", str(tmp_path / "target.csv"),
+        "--eval-csv", str(tmp_path / "eval.csv"),
+        "--seeds", "0,1",
+        "--out", str(tmp_path / "out"),
+        *extra,
+    ]
+
+
+def test_softmax_ladder_too_long_exits_one(tmp_path, capsys):
+    _write_csv_instance(tmp_path)
+    assert main(_ladder_args(tmp_path, "--l", "15")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: l: the moons sequence has at most 14 settings, got 15\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_polynomial_ladder_on_wide_inputs_exits_one(tmp_path, capsys):
+    (tmp_path / "source.csv").write_text("x0,x1,y0\n0,0,0.5\n0,1,0.25\n0,2,0.75\n")
+    (tmp_path / "target.csv").write_text("x0,x1\n1,0\n1,1\n")
+    (tmp_path / "eval.csv").write_text("x0,x1,y0\n1,2,0.5\n1,3,0.25\n")
+    assert main(_ladder_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: the polynomial ladder needs univariate inputs")
+    assert "model_csvs" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # One value per config field, written in the config-file syntax. The base

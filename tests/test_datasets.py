@@ -21,11 +21,11 @@ from shiftagg.datasets import (
     moons_points,
     moons_transform,
     one_hot,
-    save_csv_instance,
     sinc_ratio,
     sinc_sigmas,
 )
 from shiftagg.errors import CsvFormatError, DimensionError
+from shiftagg.models import PrecomputedModel
 
 
 class TestSincShift:
@@ -212,6 +212,21 @@ class TestInstanceValidation:
             broken.validate()
 
 
+def _write_split(path, x, y=None):
+    """One split file in the loader's format: ``x0,...`` then ``y0,...`` columns."""
+    columns = [x] if y is None else [x, y]
+    header = [f"{name}{i}" for name, mat in zip("xy", columns) for i in range(mat.shape[1])]
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in np.hstack(columns)]
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def write_instance(instance, source_path, target_path, eval_path):
+    _write_split(source_path, instance.source_x, instance.source_y)
+    _write_split(target_path, instance.target_x)
+    _write_split(eval_path, instance.target_eval_x, instance.target_eval_y)
+
+
 class TestCsvRoundTrip:
     def paths(self, tmp_path):
         return (
@@ -223,7 +238,7 @@ class TestCsvRoundTrip:
     def test_round_trip_is_bitwise(self, tmp_path):
         inst = make_transformed_moons(9, 7, eval_size=5, seed=11)
         paths = self.paths(tmp_path)
-        save_csv_instance(inst, *paths)
+        write_instance(inst, *paths)
         loaded = load_csv_instance(*paths, seed=11)
         assert np.array_equal(loaded.source_x, inst.source_x)
         assert np.array_equal(loaded.source_y, inst.source_y)
@@ -231,13 +246,6 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.target_eval_x, inst.target_eval_x)
         assert np.array_equal(loaded.target_eval_y, inst.target_eval_y)
         assert loaded.seed == 11
-
-    def test_header_convention(self, tmp_path):
-        inst = make_transformed_moons(4, 3, seed=0)
-        paths = self.paths(tmp_path)
-        save_csv_instance(inst, *paths)
-        assert open(paths[0]).readline().strip() == "x0,x1,y0,y1"
-        assert open(paths[1]).readline().strip() == "x0,x1"
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -247,7 +255,7 @@ class TestCsvRoundTrip:
 
     def test_field_count_error_names_line(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         with open(paths[0], "a") as handle:
             handle.write("1.0\n")
         with pytest.raises(CsvFormatError, match="line 5"):
@@ -255,7 +263,7 @@ class TestCsvRoundTrip:
 
     def test_unparseable_number_names_line(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         with open(paths[1], "a") as handle:
             handle.write("abc\n")
         with pytest.raises(CsvFormatError, match="line 5"):
@@ -263,7 +271,7 @@ class TestCsvRoundTrip:
 
     def test_bad_header_names_line_one(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         body = open(paths[0]).read().splitlines()[1:]
         with open(paths[0], "w") as handle:
             handle.write("\n".join(["a,b"] + body) + "\n")
@@ -272,21 +280,21 @@ class TestCsvRoundTrip:
 
     def test_unlabeled_file_must_not_carry_labels(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         # hand the labeled source file in as the target split
         with pytest.raises(CsvFormatError, match="line 1"):
             load_csv_instance(paths[0], paths[0], paths[2])
 
     def test_empty_file_rejected(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         open(paths[2], "w").close()
         with pytest.raises(CsvFormatError, match="empty"):
             load_csv_instance(*paths)
 
     def test_header_only_file_rejected(self, tmp_path):
         paths = self.paths(tmp_path)
-        save_csv_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
         with open(paths[1], "w") as handle:
             handle.write("x0\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
@@ -296,18 +304,53 @@ class TestCsvRoundTrip:
         source = make_sinc_shift(3, 3, seed=0)
         moons = make_transformed_moons(3, 3, seed=0)
         s_paths = self.paths(tmp_path)
-        save_csv_instance(source, *s_paths)
+        write_instance(source, *s_paths)
         m_target = str(tmp_path / "moons_target.csv")
-        save_csv_instance(moons, str(tmp_path / "ms.csv"), m_target, str(tmp_path / "me.csv"))
+        write_instance(moons, str(tmp_path / "ms.csv"), m_target, str(tmp_path / "me.csv"))
         with pytest.raises(DimensionError, match="input dimensions"):
             load_csv_instance(s_paths[0], m_target, s_paths[2])
 
     def test_two_row_minimal_instance(self, tmp_path):
         paths = self.paths(tmp_path)
         inst = make_sinc_shift(2, 2, eval_size=2, seed=1)
-        save_csv_instance(inst, *paths)
+        write_instance(inst, *paths)
         loaded = load_csv_instance(*paths)
         assert loaded.n == 2 and loaded.m == 2
+
+
+def _load_as_source_split(path):
+    (path.parent / "target.csv").write_text("x0,x1\n0,0\n")
+    (path.parent / "eval.csv").write_text("x0,x1,y0\n0,0,1\n")
+    load_csv_instance(path, path.parent / "target.csv", path.parent / "eval.csv")
+
+
+# Each loader with its header and one good row; the malformed bodies below
+# are built from them, so both loaders read the same faults.
+LOADERS = {
+    "split": (_load_as_source_split, "x0,x1,y0", "0,1,2"),
+    "table": (PrecomputedModel.from_csv, "split,index,y0", "source,0,2"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("", None, "file is empty"),
+        ("{header}\n{good}\n{short}\n", 3, "expected 3 fields, got 2"),
+        ("{header}\n{good}\n{bad}\n", 3, "unparseable number"),
+        ("{header}\n\n{good}\n\n{short}\n", 5, "expected 3 fields, got 2"),
+    ],
+    ids=["empty", "short-row", "bad-number", "blank-lines-skipped"],
+)
+def test_loaders_cite_the_same_line(tmp_path, loader, body, line, message):
+    load, header, good = LOADERS[loader]
+    key = good.rsplit(",", 1)[0]
+    path = tmp_path / "data.csv"
+    path.write_text(body.format(header=header, good=good, short=key, bad=f"{key},oops"))
+    with pytest.raises(CsvFormatError, match=message) as err:
+        load(path)
+    assert err.value.line == line
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30))

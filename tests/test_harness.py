@@ -76,8 +76,13 @@ class TestConfigValidation:
         assert "rcond:" in str(err.value)
 
     def test_moons_sequence_length_capped(self):
+        cfg = ExperimentConfig(**{**MOONS_SMALL, "l": len(LAMBDA_GRID) + 1})
         with pytest.raises(ConfigError, match="l:"):
-            ExperimentConfig(dataset="moons", beta="learned", l=len(LAMBDA_GRID) + 1).validate()
+            run_experiment(cfg)
+
+    def test_repeated_methods_rejected(self):
+        with pytest.raises(ConfigError, match="methods:"):
+            ExperimentConfig(methods=("iwa", "sor", "iwa")).validate()
 
     def test_analytic_beta_needs_sinc(self):
         with pytest.raises(ConfigError, match="analytic"):

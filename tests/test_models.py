@@ -322,6 +322,13 @@ class TestPrecomputedModel:
             for index in model.tables[split]:
                 assert np.array_equal(loaded.tables[split][index], model.tables[split][index])
 
+    def test_csv_header_cells_are_stripped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("split, index, y0\nsource,0,1.5\n")
+        loaded = PrecomputedModel.from_csv(path)
+        assert loaded.output_dim == 1
+        assert np.array_equal(loaded.tables["source"][0], [1.5])
+
     def test_csv_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,split,y0\n")

@@ -205,3 +205,26 @@ def test_chart_bytes_pinned(tmp_path):
         for name in PINNED_DIGESTS
     }
     assert digests == PINNED_DIGESTS
+
+
+def _coordinates(root):
+    """Every numeric position attribute and polyline point of an SVG tree."""
+    values = []
+    for el in root.iter():
+        for name in ("x", "y", "x1", "y1", "x2", "y2", "width", "height"):
+            if name in el.attrib:
+                values.append(float(el.attrib[name]))
+        for point in el.attrib.get("points", "").split():
+            values.extend(float(v) for v in point.split(","))
+    return values
+
+
+@pytest.mark.parametrize("value", [1e17, -1e17, 1e300])
+def test_constant_samples_of_large_magnitude_stay_on_the_canvas(tmp_path, value):
+    bar_chart(str(tmp_path / "bar.svg"), ["a"], [value], title="t", y_label="y")
+    line_chart(str(tmp_path / "line.svg"), [1, 2], {"s": [value, value]},
+               title="t", x_label="x", y_label="y")
+    box_plot(str(tmp_path / "box.svg"), ["a"], [[value, value]], title="t", y_label="y")
+    for name in ("bar.svg", "line.svg", "box.svg"):
+        coords = _coordinates(ET.parse(tmp_path / name).getroot())
+        assert coords and all(0 <= v <= 640 for v in coords), name
