@@ -1,5 +1,6 @@
 #!/bin/sh
-# Run all four studies back to back (a few minutes total on a laptop).
+# Run all four studies back to back (about 12 s in all on a 2-core machine
+# with Python 3.11 and numpy 2.4).
 set -eu
 cd "$(dirname "$0")"
 ./run_sinc.sh

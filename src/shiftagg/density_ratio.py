@@ -127,8 +127,10 @@ def fit_domain_classifier(source_x, target_x, epochs=500, lr=0.5, bound=DEFAULT_
     n, m = source_x.shape[0], target_x.shape[0]
     if n == 0 or m == 0:
         raise ValueError("both domains need at least one sample")
-    if epochs < 0 or lr <= 0:
-        raise ValueError("epochs must be >= 0 and lr > 0")
+    if not (np.all(np.isfinite(source_x)) and np.all(np.isfinite(target_x))):
+        raise ValueError("training data must be finite")
+    if not (epochs >= 0 and 0 < lr < np.inf):
+        raise ValueError("epochs must be >= 0 and lr > 0 and finite")
     x = np.vstack([source_x, target_x])
     y = np.concatenate([np.zeros(n), np.ones(m)])
     total = n + m

@@ -26,7 +26,7 @@ from .datasets import (
     sinc_ratio,
 )
 from .density_ratio import fit_domain_classifier
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, CsvFormatError, NumericalError
 from .metrics import CSV_COLUMNS, pearson_with_flag
 from .models import (
     FeatureModel,
@@ -280,18 +280,10 @@ def _sinc_sequence(cfg, instance):
 
 
 def _moons_sequence(cfg, instance):
-    class_labels = instance.source_y.argmax(axis=1)
-    return [
-        fit_softmax_classifier(
-            instance.source_x,
-            class_labels,
-            instance.label_dim,
-            cfg.classifier_epochs,
-            cfg.classifier_lr,
-            weight_decay=lam * cfg.base_weight_decay,
-        )
-        for lam in LAMBDA_GRID[: cfg.l]
-    ]
+    decays = [lam * cfg.base_weight_decay for lam in LAMBDA_GRID[: cfg.l]]
+    labels = instance.source_y.argmax(axis=1)
+    return fit_softmax_classifier(instance.source_x, labels, instance.label_dim,
+                                  cfg.classifier_epochs, cfg.classifier_lr, weight_decay=decays)
 
 
 def build_models(cfg, instance):
@@ -892,13 +884,45 @@ def _prepare(cfg, seed, study=None):
     return _SeedContext(cfg, instance, models, beta, stacks)
 
 
+def _contexts(cfg, study=None):
+    """``seed -> context`` for one run of a study (``study`` as for ``_prepare``).
+
+    A CSV instance is one fixed sample, so its context is built once, here,
+    before the seed loop: each file is read once, and a bad or missing file
+    stops the run. Any other error of that build fails every seed's rows, as
+    it would inside the seed loop. Only the sensitivity study draws anything
+    from the seed; the others refuse to repeat a CSV instance over seeds.
+    """
+    if cfg.dataset != "csv":
+        return partial(_prepare, cfg, study=study)
+    try:
+        shared = _prepare(cfg, cfg.seeds[0], study)
+    except (ConfigError, CsvFormatError, FileNotFoundError):
+        raise
+    except Exception as exc:  # failure isolation, shared by every seed
+        shared = exc
+    if study != "sensitivity" and len(cfg.seeds) > 1:
+        raise ConfigError(
+            f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
+            f" rows; give one seed, got {list(cfg.seeds)}"
+        )
+
+    def context(seed):
+        if isinstance(shared, Exception):
+            raise shared
+        return shared
+
+    return context
+
+
 def run_experiment(cfg):
     """One table of (method, seed) evaluation rows plus aggregates."""
     cfg.validate()
     methods = resolve_methods(cfg)
+    context_of = _contexts(cfg)
     rows = _over_seeds(
         cfg.seeds,
-        lambda seed: _prepare(cfg, seed).rows(seed, methods),
+        lambda seed: context_of(seed).rows(seed, methods),
         lambda seed, error: [ResultRow(method=m, seed=seed, error=error) for m in methods],
     )
     return ResultTable(rows=rows, config=cfg.as_dict(), kind="run")
@@ -968,9 +992,10 @@ def run_sensitivity(cfg):
     counts = sorted({0, *cfg.counts})
     methods = resolve_methods(cfg)
     gate_stats = []
+    context_of = _contexts(cfg, "sensitivity")
 
     def seed_rows(seed):
-        ctx = _prepare(cfg, seed, "sensitivity")
+        ctx = context_of(seed)
         instance, models, beta = ctx.instance, ctx.models, ctx.beta
         corrupted, eval_stack, stats = _draw_corrupted(
             instance, models, ctx.eval_stack, seed, max(counts)
@@ -1025,9 +1050,10 @@ def run_correlation(cfg):
         raise ConfigError(
             f"methods: correlation needs weight-producing methods {WEIGHT_METHODS}, got {bad}"
         )
+    context_of = _contexts(cfg, "correlation")
 
     def seed_rows(seed):
-        ctx = _prepare(cfg, seed, "correlation")
+        ctx = context_of(seed)
         accuracies = ctx.model_accuracies()
         rows = []
         for method in methods:

@@ -11,6 +11,7 @@ all live here.
 """
 
 from abc import ABC, abstractmethod
+from functools import reduce
 
 import numpy as np
 
@@ -100,28 +101,41 @@ def fit_ridge(x, y, ridge=0.0):
 
 
 def softmax_probabilities(logits):
-    """Row-wise softmax, shifted for overflow safety."""
+    """Softmax over the last axis, shifted for overflow safety.
+
+    The class max and sum run over the classes in order: faster than numpy's
+    reductions on few classes, and the same bits below 8.
+    """
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    expd = np.exp(logits - reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None])
+    return expd / sum(np.moveaxis(expd, -1, 0))[..., None]
+
+
+def _softmax_grads(weights, intercept, x, labels, with_picked=False):
+    """Mean cross-entropy gradients, after each row's label probability if ``with_picked``.
+
+    Weights (d, c) with an intercept (c,), or a stack (l, d, c) with (l, 1, c).
+    """
+    n = x.shape[0]
+    rows = np.arange(n)
+    resid = softmax_probabilities(np.matmul(x, weights) + intercept)
+    picked = resid[..., rows, labels] if with_picked else None
+    resid[..., rows, labels] -= 1.0
+    grad_b = resid.sum(axis=-2, keepdims=True).reshape(np.shape(intercept)) / n
+    return picked, np.matmul(x.T, resid) / n, grad_b
 
 
 def softmax_cross_entropy_grad(weights, intercept, x, labels):
     """Mean cross-entropy of a linear softmax classifier and its gradients.
 
-    Returns ``(loss, grad_weights, grad_intercept)``. Single source of truth
-    for the trainer and for finite-difference checks.
+    Returns ``(loss, grad_weights, grad_intercept)``, with one loss per slice
+    of stacked weights. The trainer runs the same gradient.
     """
+    weights = np.asarray(weights, dtype=float)
     x = _sample_matrix(x, "x")
-    labels = np.asarray(labels)
-    n = x.shape[0]
-    probs = softmax_probabilities(x @ weights + intercept)
-    picked = np.clip(probs[np.arange(n), labels], 1e-300, None)
-    loss = float(-np.log(picked).mean())
-    resid = probs.copy()
-    resid[np.arange(n), labels] -= 1.0
-    return loss, x.T @ resid / n, resid.mean(axis=0)
+    picked, grad_w, grad_b = _softmax_grads(weights, intercept, x, np.asarray(labels), True)
+    loss = -np.log(np.clip(picked, 1e-300, None)).mean(axis=-1)
+    return (float(loss) if weights.ndim == 2 else loss), grad_w, grad_b
 
 
 class SoftmaxModel(LinearModel):
@@ -138,30 +152,40 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, lr=0.5, *, weight_dec
     to chance. ``weight_decay`` is an L2 penalty on the slopes (not the
     intercept), applied as a proximal step: after each gradient update the
     slopes are scaled by 1/(1 + lr * weight_decay). Unlike adding the decay
-    to the gradient, this cannot diverge however large the penalty.
+    to the gradient, this cannot diverge however large the penalty. A 1-d
+    sequence of decays trains one model per decay in one stacked loop and
+    returns their list; each equals its own scalar fit bit for bit.
     """
     x = _sample_matrix(x, "x")
     labels = np.asarray(labels)
+    decays = np.asarray(weight_decay, dtype=float)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
         raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("cannot fit on an empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training data must be finite")
+    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
+        raise ValueError("labels must be integers")
     classes = int(classes)
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+    if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("labels must lie in [0, classes)")
-    if epochs < 0 or lr <= 0 or weight_decay < 0:
-        raise ValueError("epochs must be >= 0, lr > 0, weight_decay >= 0")
+    if decays.ndim > 1 or decays.size == 0:
+        raise ValueError(f"weight_decay must be a number or a non-empty 1-d sequence, got {decays}")
+    if not (epochs >= 0 and 0 < lr < np.inf and np.all((decays >= 0) & (decays < np.inf))):
+        raise ValueError("epochs must be >= 0, lr > 0 and finite, weight_decay >= 0 and finite")
     labels = labels.astype(int)
-    w = np.zeros((x.shape[1], classes))
-    b = np.zeros(classes)
-    shrink = 1.0 / (1.0 + lr * weight_decay)
+    w = np.zeros((decays.size, x.shape[1], classes))
+    b = np.zeros((decays.size, 1, classes))
+    shrink = 1.0 / (1.0 + lr * decays.reshape(-1, 1, 1))
     for _ in range(int(epochs)):
-        _, gw, gb = softmax_cross_entropy_grad(w, b, x, labels)
+        _, gw, gb = _softmax_grads(w, b, x, labels)
         w = shrink * (w - lr * gw)
         b = b - lr * gb
-    return SoftmaxModel(w, b)
+    fitted = [SoftmaxModel(wi, bi[0]) for wi, bi in zip(w, b)]
+    return fitted if decays.ndim else fitted[0]
 
 
 class FeatureModel(Model):

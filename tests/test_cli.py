@@ -293,6 +293,62 @@ def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, comm
     assert not (out / "results.json").exists()
 
 
+def _study_args(tmp_path, command, seeds, model_paths):
+    methods = {"run": "iwa,tmv", "correlate": "iwa,sor", "sensitivity": "iwa,tmv"}[command]
+    args = [command, *_csv_args(tmp_path, model_paths)[1:], "--counts", "2"]
+    args[args.index("--seeds") + 1] = seeds
+    args[args.index("--methods") + 1] = methods
+    return args
+
+
+@pytest.mark.parametrize("command", ["run", "correlate", "sensitivity"])
+def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command):
+    _write_csv_instance(tmp_path)
+    (tmp_path / "source.csv").write_text("x0,x1,y0,y1\n0,0,1,0\n0,oops,0,1\n0,2,1,0\n")
+    model = tmp_path / "model_a.csv"
+    _write_model_csv(model, with_eval_rows=True)
+    out = tmp_path / "out"
+    assert main(_study_args(tmp_path, command, "0,1", [model]) + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "source.csv" in err and "line 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, seeds", [("run", "0"), ("correlate", "0"),
+                                            ("sensitivity", "0,1,2")])
+def test_each_csv_file_is_opened_once_per_run(tmp_path, monkeypatch, command, seeds):
+    _write_csv_instance(tmp_path)
+    models = [tmp_path / "model_a.csv", tmp_path / "model_b.csv"]
+    for path in models:
+        _write_model_csv(path, with_eval_rows=True)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(_study_args(tmp_path, command, seeds, models)) == 0
+    inputs = [str(tmp_path / name) for name in ("source.csv", "target.csv", "eval.csv")]
+    inputs += [str(path) for path in models]
+    assert sorted(path for path in opened if path in inputs) == sorted(inputs)
+
+
+@pytest.mark.parametrize("command", ["run", "correlate"])
+def test_csv_instance_under_two_seeds_exits_one(tmp_path, capsys, command):
+    _write_csv_instance(tmp_path)
+    model = tmp_path / "model_a.csv"
+    _write_model_csv(model, with_eval_rows=True)
+    out = tmp_path / "out"
+    assert main(_study_args(tmp_path, command, "0,1", [model]) + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds: a CSV instance is one fixed sample")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _ladder_args(tmp_path, *extra):
     return [
         "run",

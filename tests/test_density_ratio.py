@@ -222,6 +222,20 @@ class TestFitDomainClassifier:
         with pytest.raises(ValueError, match="lr"):
             fit_domain_classifier(good, good, lr=0.0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(source_x=np.array([[0.0, 1.0], [np.nan, 0.0]])), "finite"),
+            (dict(target_x=np.array([[np.inf, 1.0], [0.0, 0.0]])), "finite"),
+            (dict(lr=np.nan), "lr"),
+            (dict(lr=np.inf), "lr"),
+        ],
+    )
+    def test_bad_training_inputs_raise(self, change, message):
+        args = dict(source_x=np.zeros((2, 2)), target_x=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=message):
+            fit_domain_classifier(**{**args, **change})
+
 
 class TestNormalizedWeights:
     """Raw ratio weights on a sample and their mean (the E_p[beta] = 1 check)."""

@@ -2,15 +2,17 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg import aggregation
+from shiftagg import aggregation, harness
 from shiftagg.aggregation import empirical_gram
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError
@@ -201,6 +203,21 @@ class TestModelBuilders:
         assert isinstance(models, list)
         assert len(models) == cfg.l
 
+    def test_correlation_ladder_bytes_pinned(self):
+        # sha256 of every model's weights then intercept bytes, in ladder order,
+        # as the per-decay loop fitted them before the ladder was stacked.
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "correlation.cfg")
+        cfg = build_config(load_config_file(path))
+        models = build_models(cfg, build_instance(cfg, 0))
+        digest = hashlib.sha256()
+        for model in models:
+            digest.update(model.weights.tobytes())
+            digest.update(model.intercept.tobytes())
+        assert len(models) == 14
+        assert digest.hexdigest() == (
+            "18cbe3e68a1f710fa6d5b97351e2e9ca9cf40e202b1a95fd5941ab7504431f2f"
+        )
+
 
 class TestRunExperiment:
     def test_row_structure_on_sinc(self):
@@ -257,7 +274,24 @@ class TestRunExperiment:
         assert "bogus" in by_method["bogus"].error
         assert math.isnan(by_method["bogus"].risk)
 
-    def test_per_seed_failure_isolation(self, tmp_path):
+    def test_per_seed_failure_isolation(self, monkeypatch):
+        fit = harness.build_models
+
+        def fails_on_seed_one(cfg, instance):
+            if instance.seed == 1:
+                raise ValueError("seed one is broken")
+            return fit(cfg, instance)
+
+        monkeypatch.setattr(harness, "build_models", fails_on_seed_one)
+        cfg = ExperimentConfig(**{**SINC_SMALL, "methods": ("iwa",)})
+        table = run_experiment(cfg)
+        assert table.has_failures
+        assert len(table.rows) == len(resolve_methods(cfg)) * 2
+        by_seed = {seed: [r.error for r in table.rows if r.seed == seed] for seed in (0, 1)}
+        assert by_seed[0] == [None] * len(resolve_methods(cfg))
+        assert all("ValueError: seed one is broken" in error for error in by_seed[1])
+
+    def test_missing_csv_file_stops_the_run(self, tmp_path):
         missing = str(tmp_path / "gone.csv")
         cfg = ExperimentConfig(
             dataset="csv",
@@ -268,10 +302,8 @@ class TestRunExperiment:
             seeds=(0, 1),
             methods=("iwa",),
         )
-        table = run_experiment(cfg)
-        assert table.has_failures
-        assert len(table.rows) == len(resolve_methods(cfg)) * 2
-        assert all("FileNotFoundError" in r.error for r in table.rows)
+        with pytest.raises(FileNotFoundError):
+            run_experiment(cfg)
 
     def test_non_finite_risk_becomes_error_row(self):
         cfg = ExperimentConfig(**MOONS_SMALL)

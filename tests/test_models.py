@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import CsvFormatError, DimensionError, NumericalError
+from shiftagg.harness import LAMBDA_GRID
 from shiftagg.models import (
     CorruptedModel,
     FeatureModel,
@@ -153,6 +154,30 @@ class TestSoftmaxClassifier:
             fd = (loss_at(w, b + bump) - loss_at(w, b - bump)) / (2 * eps)
             assert abs(fd - gb[i]) <= 1e-5 * max(1.0, abs(fd))
 
+        # Stacked weights (l, d, c) = (3, 2, 3): one loss per slice, and the
+        # gradient of each slice's loss in that slice's parameters.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(7, 2))
+        labels = np.array([0, 1, 2, 2, 1, 0, 2])
+        w = rng.normal(size=(3, 2, 3))
+        b = rng.normal(size=(3, 1, 3))
+        loss, gw, gb = softmax_cross_entropy_grad(w, b, x, labels)
+        assert loss.shape == (3,) and gw.shape == w.shape and gb.shape == b.shape
+        for i in range(3):  # each slice is its own classifier
+            assert softmax_cross_entropy_grad(w[i], b[i, 0], x, labels)[0] == loss[i]
+        for shape, grad, shifted in (
+            (w.shape, gw, lambda bump: (w + bump, b)),
+            (b.shape, gb, lambda bump: (w, b + bump)),
+        ):
+            for index in np.ndindex(shape):
+                bump = np.zeros(shape)
+                bump[index] = eps
+                plus, minus = (softmax_cross_entropy_grad(*shifted(s), x, labels)[0]
+                               for s in (bump, -bump))
+                fd = (plus - minus) / (2 * eps)
+                assert np.all(np.delete(fd, index[0]) == 0.0)  # other slices do not move
+                assert abs(fd[index[0]] - grad[index]) <= 1e-5 * max(1.0, abs(fd[index[0]]))
+
     def test_training_deterministic(self, rng):
         x = rng.normal(size=(25, 2))
         labels = rng.integers(0, 2, size=25)
@@ -180,6 +205,46 @@ class TestSoftmaxClassifier:
             fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 0]), 1)
         with pytest.raises(ValueError, match="labels"):
             fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 5]), 2)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 14])
+    def test_decay_ladder_equals_scalar_fits_bitwise(self, classes, count):
+        rng = np.random.default_rng(classes * 100 + count)
+        x = rng.normal(size=(60, 2))
+        labels = rng.integers(0, classes, size=60)
+        decays = [0.5 * lam for lam in LAMBDA_GRID[:count]]
+        ladder = fit_softmax_classifier(x, labels, classes, epochs=40, lr=0.5, weight_decay=decays)
+        assert isinstance(ladder, list) and len(ladder) == count
+        for decay, model in zip(decays, ladder):
+            alone = fit_softmax_classifier(x, labels, classes, epochs=40, lr=0.5, weight_decay=decay)
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.intercept.tobytes() == alone.intercept.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(lr=np.nan), "lr"),
+            (dict(lr=np.inf), "lr"),
+            (dict(weight_decay=np.nan), "weight_decay"),
+            (dict(weight_decay=[0.1, np.nan]), "weight_decay"),
+            (dict(weight_decay=[0.1, -1.0]), "weight_decay"),
+            (dict(weight_decay=[]), "weight_decay"),
+            (dict(weight_decay=[[0.1], [0.2]]), "weight_decay"),
+            (dict(x=np.array([[0.0], [np.nan], [1.0]])), "finite"),
+            (dict(labels=np.array([0, 0.7, 1.2])), "integers"),
+            (dict(labels=np.array([0.0, np.nan, 1.0])), "integers"),
+        ],
+    )
+    def test_bad_training_inputs_raise(self, change, message):
+        args = dict(x=np.array([[0.0], [0.5], [1.0]]), labels=np.array([0, 1, 1]), classes=2)
+        with pytest.raises(ValueError, match=message):
+            fit_softmax_classifier(**{**args, **change})
+
+    def test_whole_float_labels_accepted(self):
+        x = np.array([[0.0], [0.5], [1.0]])
+        as_floats = fit_softmax_classifier(x, np.array([0.0, 1.0, 1.0]), 2, epochs=5)
+        as_ints = fit_softmax_classifier(x, np.array([0, 1, 1]), 2, epochs=5)
+        assert np.array_equal(as_floats.weights, as_ints.weights)
 
 
 class TestPolynomialFeatures:
