@@ -7,12 +7,14 @@
 # machine. Every run is `--seed 1 --seconds 10`, the benchmark's run length.
 # Writes the median, quartile distance and min-max of every end-to-end
 # metric of both sides, and the number of pairs the working tree won (ties
-# count for neither), to BENCH_<short REV>.json at the repo root.
+# count for neither), to BENCH_<short REV>.json at the repo root. After the
+# pairs, each tree runs its tier-1 tests once (`python3 -m pytest -q` with
+# that tree's src/ on PYTHONPATH); their wall times go under "tier1_s".
 #
 #   scripts/bench_pairs.sh REV PAIRS WORKLOAD...
 #   scripts/bench_pairs.sh HEAD 10 moons-correlation moons-sensitivity
 #
-# Exits non-zero if a run fails or reports correct = false.
+# Exits non-zero if a run fails, reports correct = false, or a tier-1 suite fails.
 set -eu
 if [ $# -lt 3 ]; then
   echo "usage: $0 REV PAIRS WORKLOAD..." >&2
@@ -24,6 +26,9 @@ pairs="$2"
 shift 2
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+# A shell such as dash runs no EXIT trap when a signal ends it; exiting
+# from the signal's own trap does.
+trap 'exit 1' INT TERM
 mkdir "$tmp/base" "$tmp/runs"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 for workload in "$@"; do
@@ -41,10 +46,10 @@ for workload in "$@"; do
     pair=$((pair + 1))
   done
 done
-python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$@" <<'EOF'
-import json, os, statistics, subprocess, sys
+python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$tmp/base" "$@" <<'EOF'
+import json, os, statistics, subprocess, sys, time
 
-root, rev, pairs, runs, *workloads = sys.argv[1:]
+root, rev, pairs, runs, base, *workloads = sys.argv[1:]
 pairs = int(pairs)
 better = {"seeds_per_s": max, "setup_s": min, "peak_rss_mb": min, "iwa_error": min}
 
@@ -93,6 +98,14 @@ for workload in workloads:
             "work_better_pairs": wins,
         }
     report["workloads"][workload] = entry
+report["tier1_s"] = {}
+for side, tree in (("base", base), ("work", root)):
+    print(f"== tier-1 tests: {side}", file=sys.stderr, flush=True)
+    start = time.perf_counter()
+    suite = subprocess.run([sys.executable, "-m", "pytest", "-q"], cwd=tree, stdout=sys.stderr,
+                           env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")})
+    report["tier1_s"][side] = round(time.perf_counter() - start, 2)
+    ok &= suite.returncode == 0
 path = os.path.join(root, f"BENCH_{rev}.json")
 with open(path, "w") as handle:
     json.dump(report, handle, indent=2)
@@ -101,6 +114,7 @@ for workload, entry in report["workloads"].items():
     cells = [f"{m} {entry[m]['base']['median']:.4g} -> {entry[m]['work']['median']:.4g}"
              for m in better]
     print(f"{workload}: " + ", ".join(cells))
+print(f"tier-1: {report['tier1_s']['base']} s -> {report['tier1_s']['work']} s")
 print(f"wrote {path}")
 sys.exit(0 if ok else 1)
 EOF

@@ -15,6 +15,9 @@ fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+# A shell such as dash runs no EXIT trap when a signal ends it; exiting
+# from the signal's own trap does.
+trap 'exit 1' INT TERM
 mkdir "$tmp/base" "$tmp/work"
 git -C "$root" archive "$1" src scripts configs | tar -x -C "$tmp/base"
 tar -C "$root" --exclude=__pycache__ -cf - src scripts configs | tar -x -C "$tmp/work"

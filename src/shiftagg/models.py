@@ -101,41 +101,89 @@ def fit_ridge(x, y, ridge=0.0):
 
 
 def softmax_probabilities(logits):
-    """Softmax over the last axis, shifted for overflow safety.
+    """Softmax over the last axis, shifted for overflow safety."""
+    return _softmax_in_place(np.array(logits, dtype=float), -1)
+
+
+def _softmax_in_place(z, axis):
+    """Overwrite the float array ``z`` with its softmax over ``axis``.
 
     The class max and sum run over the classes in order: faster than numpy's
     reductions on few classes, and the same bits below 8.
     """
-    logits = np.asarray(logits, dtype=float)
-    expd = np.exp(logits - reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None])
-    return expd / sum(np.moveaxis(expd, -1, 0))[..., None]
+    lead = (slice(None),) * (axis % z.ndim)
+    # The ``...`` keeps each block a view, even of a 1-d ``z``, so the sum sees the exp.
+    blocks = [z[lead + (k, ...)] for k in range(z.shape[axis])]
+    z -= reduce(np.maximum, blocks)[lead + (None,)]
+    np.exp(z, out=z)
+    z /= reduce(np.add, blocks)[lead + (None,)]
+    return z
 
 
-def _softmax_grads(weights, intercept, x, labels, with_picked=False):
-    """Mean cross-entropy gradients, after each row's label probability if ``with_picked``.
+def _labelled_sample(x, labels, classes, models):
+    """The checked sample ``x`` and each row's label as a (rows, classes, models) indicator."""
+    x = _sample_matrix(x, "x")
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
+        raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("cannot fit on an empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training data must be finite")
+    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
+        raise ValueError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError("labels must lie in [0, classes)")
+    hits = labels.astype(int)[:, None, None] == np.arange(classes)[:, None]
+    return x, np.repeat(hits, models, axis=2).astype(float)
 
-    Weights (d, c) with an intercept (c,), or a stack (l, d, c) with (l, 1, c).
+
+def _softmax_grads(weights, intercept, x, one_hot, with_picked=False):
+    """Mean cross-entropy gradients of a ladder of l linear softmax classifiers.
+
+    Rows lead: ``weights`` is a C-contiguous (d, c, l) array and
+    ``intercept`` (c, l), so one (n, d) @ (d, c·l) product gives every
+    model's logits as one (n, c, l) array. The softmax runs in place on it,
+    one class block at a time, the residual subtracts the (n, c, l)
+    ``one_hot`` labels, and the intercept gradient sums the rows in order
+    from row 0. The slope gradient is one (d, n) @ (n, c) product per model
+    on an (l, n, c) copy of the residual, the product a lone model makes: a
+    single (d, n) @ (n, c·l) product would change the bits when d = 1.
+
+    Returns ``(picked, grad_w, grad_b)``: each row's label probability as
+    (l, n) if ``with_picked`` (else None), grad_w as a (d, c, l) view and
+    grad_b as (c, l).
     """
     n = x.shape[0]
-    rows = np.arange(n)
-    resid = softmax_probabilities(np.matmul(x, weights) + intercept)
-    picked = resid[..., rows, labels] if with_picked else None
-    resid[..., rows, labels] -= 1.0
-    grad_b = resid.sum(axis=-2, keepdims=True).reshape(np.shape(intercept)) / n
-    return picked, np.matmul(x.T, resid) / n, grad_b
+    d, c, l = weights.shape
+    z = (x @ weights.reshape(d, c * l)).reshape(n, c, l)
+    z += intercept
+    _softmax_in_place(z, 1)
+    picked = (z * one_hot).sum(axis=1).T if with_picked else None
+    z -= one_hot
+    grad_w = np.matmul(x.T, z.transpose(2, 0, 1).copy()) / n
+    return picked, grad_w.transpose(1, 2, 0), z.sum(axis=0) / n
 
 
 def softmax_cross_entropy_grad(weights, intercept, x, labels):
     """Mean cross-entropy of a linear softmax classifier and its gradients.
 
-    Returns ``(loss, grad_weights, grad_intercept)``, with one loss per slice
-    of stacked weights. The trainer runs the same gradient.
+    Weights (d, c) with an intercept (c,), or a stack (l, d, c) with
+    (l, 1, c); the gradients come back in the same layouts. Returns
+    ``(loss, grad_weights, grad_intercept)``, with one loss per slice of
+    stacked weights. The trainer runs the same gradient.
     """
     weights = np.asarray(weights, dtype=float)
-    x = _sample_matrix(x, "x")
-    picked, grad_w, grad_b = _softmax_grads(weights, intercept, x, np.asarray(labels), True)
+    if weights.ndim not in (2, 3):
+        raise DimensionError(f"weights must be (d, c) or (l, d, c), got shape {weights.shape}")
+    stack = weights if weights.ndim == 3 else weights[None]
+    l, _, c = stack.shape
+    x, one_hot = _labelled_sample(x, labels, c, l)
+    b = np.asarray(intercept, dtype=float).reshape(l, c).T.copy()
+    picked, gw, gb = _softmax_grads(stack.transpose(1, 2, 0).copy(), b, x, one_hot, True)
     loss = -np.log(np.clip(picked, 1e-300, None)).mean(axis=-1)
-    return (float(loss) if weights.ndim == 2 else loss), grad_w, grad_b
+    gw, gb = gw.transpose(2, 0, 1), gb.T.reshape(np.shape(intercept))
+    return (float(loss[0]), gw[0], gb) if weights.ndim == 2 else (loss, gw, gb)
 
 
 class SoftmaxModel(LinearModel):
@@ -154,37 +202,31 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, lr=0.5, *, weight_dec
     slopes are scaled by 1/(1 + lr * weight_decay). Unlike adding the decay
     to the gradient, this cannot diverge however large the penalty. A 1-d
     sequence of decays trains one model per decay in one stacked loop and
-    returns their list; each equals its own scalar fit bit for bit.
+    returns their list; on two or more rows each equals its own scalar fit
+    bit for bit (on one row numpy's vector-matrix product makes the last
+    bits depend on the ladder's length). The loop holds the ladder with rows
+    leading, as (d, c, l) slopes and (c, l) intercepts, so each pass makes
+    one forward product for all models; each returned model owns
+    C-contiguous (d, c) weights.
     """
-    x = _sample_matrix(x, "x")
-    labels = np.asarray(labels)
     decays = np.asarray(weight_decay, dtype=float)
-    if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
-        raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit on an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training data must be finite")
-    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
-        raise ValueError("labels must be integers")
     classes = int(classes)
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError("labels must lie in [0, classes)")
+    x, one_hot = _labelled_sample(x, labels, classes, decays.size)
     if decays.ndim > 1 or decays.size == 0:
         raise ValueError(f"weight_decay must be a number or a non-empty 1-d sequence, got {decays}")
     if not (epochs >= 0 and 0 < lr < np.inf and np.all((decays >= 0) & (decays < np.inf))):
         raise ValueError("epochs must be >= 0, lr > 0 and finite, weight_decay >= 0 and finite")
-    labels = labels.astype(int)
-    w = np.zeros((decays.size, x.shape[1], classes))
-    b = np.zeros((decays.size, 1, classes))
-    shrink = 1.0 / (1.0 + lr * decays.reshape(-1, 1, 1))
+    w = np.zeros((x.shape[1], classes, decays.size))
+    b = np.zeros((classes, decays.size))
+    shrink = 1.0 / (1.0 + lr * decays.reshape(-1))
     for _ in range(int(epochs)):
-        _, gw, gb = _softmax_grads(w, b, x, labels)
-        w = shrink * (w - lr * gw)
-        b = b - lr * gb
-    fitted = [SoftmaxModel(wi, bi[0]) for wi, bi in zip(w, b)]
+        _, gw, gb = _softmax_grads(w, b, x, one_hot)
+        w -= lr * gw
+        w *= shrink
+        b -= lr * gb
+    fitted = [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
     return fitted if decays.ndim else fitted[0]
 
 

@@ -1,5 +1,7 @@
 """Model families: ridge fits, softmax classifiers, corruption, precomputed tables."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -245,6 +247,101 @@ class TestSoftmaxClassifier:
         as_floats = fit_softmax_classifier(x, np.array([0.0, 1.0, 1.0]), 2, epochs=5)
         as_ints = fit_softmax_classifier(x, np.array([0, 1, 1]), 2, epochs=5)
         assert np.array_equal(as_floats.weights, as_ints.weights)
+
+    @pytest.mark.parametrize(
+        "labels, message", [([-1, 0, 1], r"\[0, classes\)"), ([2, 0, 1], r"\[0, classes\)"),
+                            ([0.7, 0, 1], "integers")],
+    )
+    def test_gradient_and_trainer_reject_bad_labels(self, labels, message):
+        # -1 used to wrap to the last class and give [1, 0, 1]'s loss.
+        x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
+        w = np.array([[0.2, -0.1], [0.5, 0.3]])
+        b = np.array([0.05, -0.2])
+        with pytest.raises(ValueError, match=message):
+            softmax_cross_entropy_grad(w, b, x, np.array(labels))
+        with pytest.raises(ValueError, match=message):
+            fit_softmax_classifier(x, np.array(labels), 2, epochs=1)
+
+    def test_gradient_rejects_bad_samples(self):
+        x, w, b, labels = np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2), np.array([0, 1, 0])
+        with pytest.raises(DimensionError, match="labels"):
+            softmax_cross_entropy_grad(w, b, x, labels[:2])
+        with pytest.raises(DimensionError, match="weights"):
+            softmax_cross_entropy_grad(np.zeros(2), b, x, labels)
+        with pytest.raises(ValueError, match="empty"):  # used to return NaN
+            softmax_cross_entropy_grad(w, b, x[:0], labels[:0])
+        with pytest.raises(ValueError, match="finite"):
+            softmax_cross_entropy_grad(w, b, np.array([[0.0, np.nan]] * 3), labels)
+
+    @pytest.mark.parametrize("decay", [0.3, [0.0, 0.3, 2.0]])
+    def test_one_epoch_is_one_step_of_the_public_gradient(self, decay):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(9, 2))
+        labels = rng.integers(0, 3, size=9)
+        lr = 0.5
+        decays = np.atleast_1d(decay)
+        fitted = fit_softmax_classifier(x, labels, 3, epochs=1, lr=lr, weight_decay=decay)
+        if np.ndim(decay) == 0:
+            _, gw, gb = softmax_cross_entropy_grad(np.zeros((2, 3)), np.zeros(3), x, labels)
+            fitted, gw, gb = [fitted], gw[None], gb[None, None]
+        else:
+            _, gw, gb = softmax_cross_entropy_grad(
+                np.zeros((decays.size, 2, 3)), np.zeros((decays.size, 1, 3)), x, labels
+            )
+        for model, d, gw_i, gb_i in zip(fitted, decays, gw, gb):
+            shrink = 1.0 / (1.0 + lr * d)
+            assert model.weights.tobytes() == (shrink * (0 - lr * gw_i)).tobytes()
+            assert model.intercept.tobytes() == (0 - lr * gb_i[0]).tobytes()
+
+    @pytest.mark.parametrize("classes", [2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 3, 14])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_matches_row_major_reference_loop_bitwise(self, classes, count, dim):
+        rng = np.random.default_rng(classes * 100 + count * 10 + dim)
+        decays = [0.5 * lam for lam in LAMBDA_GRID[:count]]
+        for rows in (3, 61, 199):
+            x = rng.normal(size=(rows, dim))
+            labels = rng.integers(0, classes, size=rows)
+            w, b = _row_major_reference_fit(x, labels, classes, 25, 0.5, decays)
+            ladder = fit_softmax_classifier(x, labels, classes, epochs=25, lr=0.5,
+                                            weight_decay=decays)
+            alone = fit_softmax_classifier(x, labels, classes, epochs=25, lr=0.5,
+                                           weight_decay=decays[0])
+            for model, w_i, b_i in zip([alone] + ladder, np.concatenate([w[:1], w]),
+                                       np.concatenate([b[:1], b])):
+                assert model.weights.flags.c_contiguous and model.weights.flags.owndata
+                assert model.weights.tobytes() == w_i.tobytes()
+                assert model.intercept.tobytes() == b_i[0].tobytes()
+
+    def test_one_row_ladder_matches_scalar_fits_to_rounding(self):
+        # With one row numpy multiplies through its vector-matrix path, whose
+        # last bits depend on the ladder's width; two or more rows are exact.
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 5))
+        decays = [0.5 * lam for lam in LAMBDA_GRID]
+        ladder = fit_softmax_classifier(x, np.array([2]), 3, epochs=25, weight_decay=decays)
+        for decay, model in zip(decays, ladder):
+            alone = fit_softmax_classifier(x, np.array([2]), 3, epochs=25, weight_decay=decay)
+            assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-15)
+            assert np.allclose(model.intercept, alone.intercept, rtol=1e-12, atol=1e-15)
+
+
+def _row_major_reference_fit(x, labels, classes, epochs, lr, decays):
+    """The stacked trainer as it was before rows led: (l, n, c) logits, one product per model."""
+    rows = np.arange(x.shape[0])
+    decays = np.asarray(decays, dtype=float)
+    w = np.zeros((decays.size, x.shape[1], classes))
+    b = np.zeros((decays.size, 1, classes))
+    shrink = 1.0 / (1.0 + lr * decays.reshape(-1, 1, 1))
+    for _ in range(epochs):
+        logits = np.matmul(x, w) + b
+        expd = np.exp(logits - reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None])
+        resid = expd / sum(np.moveaxis(expd, -1, 0))[..., None]
+        resid[..., rows, labels] -= 1.0
+        gw, gb = np.matmul(x.T, resid) / rows.size, resid.sum(axis=-2, keepdims=True) / rows.size
+        w = shrink * (w - lr * gw)
+        b = b - lr * gb
+    return w, b
 
 
 class TestPolynomialFeatures:
