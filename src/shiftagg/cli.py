@@ -9,8 +9,8 @@ oracle weights). Every subcommand takes the same settings: each
 takes the config-file value syntax; flags override values from an optional
 ``--config`` file, and the results record every field.
 
-Exit codes: 0 on success, 1 for configuration problems (usage errors
-included), 2 when the runs completed but some seeds or methods failed.
+Exit codes: 0 on success, 1 for a bad setting, usage or input file (see
+``INPUT_FAULTS``), 2 when the runs completed but some seeds or methods failed.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from dataclasses import fields
 import sys
 
 from . import harness
-from .errors import ConfigError, CsvFormatError
+from .errors import INPUT_FAULTS
 
 # Subcommand -> (help, name of the harness function it runs on the config).
 # The function is looked up on ``harness`` at call time, so a rebound
@@ -72,7 +72,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         table = getattr(harness, COMMANDS[args.command][1])(_config_from_args(args))
-    except (ConfigError, CsvFormatError, FileNotFoundError) as exc:
+    except INPUT_FAULTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -17,7 +17,7 @@ class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 
 
-class CsvFormatError(ValueError):
+class CsvFormatError(ConfigError):
     """A CSV file violated the expected format.
 
     Carries the offending path and 1-based line number when known.
@@ -32,3 +32,8 @@ class CsvFormatError(ValueError):
         if line is not None:
             prefix += f"line {line}: "
         super().__init__(prefix + message)
+
+
+# What stops a run instead of failing one seed: a bad setting, or an input
+# file that is missing, unreadable or malformed.
+INPUT_FAULTS = (ConfigError, OSError)

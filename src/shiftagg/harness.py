@@ -9,7 +9,7 @@ gate of the sensitivity study.
 """
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 import json
 import math
 import os
@@ -26,7 +26,7 @@ from .datasets import (
     sinc_ratio,
 )
 from .density_ratio import fit_domain_classifier
-from .errors import ConfigError, CsvFormatError, NumericalError
+from .errors import INPUT_FAULTS, ConfigError, NumericalError
 from .metrics import CSV_COLUMNS, pearson_with_flag
 from .models import (
     FeatureModel,
@@ -141,6 +141,8 @@ class ExperimentConfig:
             problems.append("seeds: need at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append(f"seeds: each seed may appear once, got {list(self.seeds)}")
+        elif min(self.seeds) < 0:
+            problems.append(f"seeds: must be non-negative, got {list(self.seeds)}")
         if len(set(self.methods)) != len(self.methods):
             problems.append(f"methods: each method may appear once, got {list(self.methods)}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -853,17 +855,21 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _over_seeds(seeds, seed_rows, error_rows):
-    """``seed_rows(seed)`` for every seed; a seed that raises gets ``error_rows(seed, message)``."""
+def _study(cfg, kind, seed_rows, blank_rows, extra=None):
+    """A ``kind`` table of ``seed_rows(seed)`` over the seeds of ``cfg``.
+
+    A seed that raises gets ``blank_rows(seed)`` with their error set, and
+    the other seeds still run; an input fault (``INPUT_FAULTS``) stops the run.
+    """
     rows = []
-    for seed in seeds:
+    for seed in cfg.seeds:
         try:
             rows.extend(seed_rows(seed))
-        except ConfigError:  # the configuration is at fault, not the seed: stop the run
+        except INPUT_FAULTS:
             raise
         except Exception as exc:  # failure isolation per seed
-            rows.extend(error_rows(seed, _describe(exc)))
-    return rows
+            rows.extend(replace(row, error=_describe(exc)) for row in blank_rows(seed))
+    return ResultTable(rows=rows, config=cfg.as_dict(), kind=kind, extra=extra or {})
 
 
 def _prepare(cfg, seed, study=None):
@@ -887,30 +893,22 @@ def _prepare(cfg, seed, study=None):
 def _contexts(cfg, study=None):
     """``seed -> context`` for one run of a study (``study`` as for ``_prepare``).
 
-    A CSV instance is one fixed sample, so its context is built once, here,
-    before the seed loop: each file is read once, and a bad or missing file
-    stops the run. Any other error of that build fails every seed's rows, as
-    it would inside the seed loop. Only the sensitivity study draws anything
-    from the seed; the others refuse to repeat a CSV instance over seeds.
+    A CSV instance is one fixed sample, so the first seed's context is
+    prepared on first use and shared: each file is read once. Only the
+    sensitivity study draws anything from the seed; the others refuse a
+    later seed rather than repeat the same rows.
     """
     if cfg.dataset != "csv":
         return partial(_prepare, cfg, study=study)
-    try:
-        shared = _prepare(cfg, cfg.seeds[0], study)
-    except (ConfigError, CsvFormatError, FileNotFoundError):
-        raise
-    except Exception as exc:  # failure isolation, shared by every seed
-        shared = exc
-    if study != "sensitivity" and len(cfg.seeds) > 1:
-        raise ConfigError(
-            f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
-            f" rows; give one seed, got {list(cfg.seeds)}"
-        )
+    shared = cache(partial(_prepare, cfg, cfg.seeds[0], study))
 
     def context(seed):
-        if isinstance(shared, Exception):
-            raise shared
-        return shared
+        if study != "sensitivity" and seed != cfg.seeds[0]:
+            raise ConfigError(
+                f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
+                f" rows; give one seed, got {list(cfg.seeds)}"
+            )
+        return shared()
 
     return context
 
@@ -920,12 +918,11 @@ def run_experiment(cfg):
     cfg.validate()
     methods = resolve_methods(cfg)
     context_of = _contexts(cfg)
-    rows = _over_seeds(
-        cfg.seeds,
+    return _study(
+        cfg, "run",
         lambda seed: context_of(seed).rows(seed, methods),
-        lambda seed, error: [ResultRow(method=m, seed=seed, error=error) for m in methods],
+        lambda seed: [ResultRow(method=m, seed=seed) for m in methods],
     )
-    return ResultTable(rows=rows, config=cfg.as_dict(), kind="run")
 
 
 # --- sensitivity study -------------------------------------------------------
@@ -1018,18 +1015,10 @@ def run_sensitivity(cfg):
             rows.extend(context.rows(seed, methods, count))
         return rows
 
-    rows = _over_seeds(
-        cfg.seeds,
-        seed_rows,
-        lambda seed, error: [
-            ResultRow(method=m, seed=seed, count=c, error=error) for c in counts for m in methods
-        ],
-    )
-    return ResultTable(
-        rows=rows,
-        config=cfg.as_dict(),
-        kind="sensitivity",
-        extra={"corruption_gate": gate_stats, "added_counts": counts},
+    return _study(
+        cfg, "sensitivity", seed_rows,
+        lambda seed: [ResultRow(method=m, seed=seed, count=c) for c in counts for m in methods],
+        {"corruption_gate": gate_stats, "added_counts": counts},
     )
 
 
@@ -1061,12 +1050,10 @@ def run_correlation(cfg):
             rows.append(CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies)))
         return rows
 
-    rows = _over_seeds(
-        cfg.seeds,
-        seed_rows,
-        lambda seed, error: [CorrelationRow(m, seed, float("nan"), False, error) for m in methods],
+    return _study(
+        cfg, "correlation", seed_rows,
+        lambda seed: [CorrelationRow(m, seed, float("nan"), False) for m in methods],
     )
-    return ResultTable(rows=rows, config=cfg.as_dict(), kind="correlation")
 
 
 # --- convergence-rate check ---------------------------------------------------
@@ -1116,12 +1103,11 @@ def run_rate_check(cfg):
             rows.append(RateRow(seed, size, float(np.linalg.norm(c_tilde - c_star))))
         return rows
 
-    rows = _over_seeds(
-        cfg.seeds,
-        seed_rows,
-        lambda seed, error: [RateRow(seed, size, float("nan"), error) for size in sizes],
+    return _study(
+        cfg, "rate", seed_rows,
+        lambda seed: [RateRow(seed, size, float("nan")) for size in sizes],
+        {"sizes": sizes},
     )
-    return ResultTable(rows=rows, config=cfg.as_dict(), kind="rate", extra={"sizes": sizes})
 
 
 # --- artifact emission ---------------------------------------------------------

@@ -301,17 +301,30 @@ def _study_args(tmp_path, command, seeds, model_paths):
     return args
 
 
-@pytest.mark.parametrize("command", ["run", "correlate", "sensitivity"])
-def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command):
+# A malformed source file, or a directory given where the flag wants a file.
+@pytest.mark.parametrize("command, fault", [
+    pytest.param(command, fault, id=command if fault == "malformed" else command + fault[1:])
+    for fault in ("malformed", "--config", "--source-csv", "--model-csvs")
+    for command in ("run", "correlate", "sensitivity")
+])
+def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault):
     _write_csv_instance(tmp_path)
-    (tmp_path / "source.csv").write_text("x0,x1,y0,y1\n0,0,1,0\n0,oops,0,1\n0,2,1,0\n")
     model = tmp_path / "model_a.csv"
     _write_model_csv(model, with_eval_rows=True)
+    args = _study_args(tmp_path, command, "0,1", [model])
+    if fault == "malformed":
+        (tmp_path / "source.csv").write_text("x0,x1,y0,y1\n0,0,1,0\n0,oops,0,1\n0,2,1,0\n")
+        expected = ("source.csv", "line 3")
+    else:
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args += [fault, str(folder)]
+        expected = (str(folder),)
     out = tmp_path / "out"
-    assert main(_study_args(tmp_path, command, "0,1", [model]) + ["--out", str(out)]) == 1
+    assert main(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "source.csv" in err and "line 3" in err
+    assert all(part in err for part in expected)
     assert not out.exists()
 
 
@@ -495,7 +508,9 @@ def test_non_finite_fields_are_each_reported_once(capsys):
     ]
 
 
-@pytest.mark.parametrize("key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x")])
+@pytest.mark.parametrize(
+    "key, value", [("n", "many"), ("dataset", "bogus"), ("seeds", "0,x"), ("seeds", "-1")]
+)
 def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, key, value):
     flag = "--" + key.replace("_", "-")
     assert main(["run", flag, value]) == 1

@@ -110,6 +110,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="zero_one"):
             ExperimentConfig(dataset="sinc", selection_loss="zero_one").validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta", "exact"),
+        ("beta_bound", 0.0),
+        ("beta_bound", -1.0),
+        ("oracle_rcond", 1.0),
+        ("oracle_rcond", -1e-9),
+        ("seeds", ()),
+        ("seeds", (0, -1)),
+        ("selection_loss", "hinge"),
+        ("ridge", -1e-9),
+        ("base_weight_decay", -0.5),
+        ("sinc_noise_std", -0.25),
+        ("moons_noise", -0.1),
+        ("classifier_lr", 0.0),
+        ("domain_lr", -0.5),
+    ])
+    def test_each_bad_value_is_the_one_problem_named(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{name: value}).validate()
+        assert str(err.value).startswith(f"{name}: ")
+        assert "; " not in str(err.value)
+
     def test_as_dict_uses_plain_lists(self):
         cfg = ExperimentConfig(seeds=(1, 2), methods=("iwa",))
         out = cfg.as_dict()
@@ -456,6 +478,28 @@ class TestSensitivity:
         assert len(gate) == len(cfg.seeds)
         assert set(gate[0]) == {"seed", "so_accuracy", "threshold", "flagged", "total"}
         assert gate[0]["total"] == 2
+
+    def test_failed_seed_gets_error_rows_and_no_gate(self, monkeypatch):
+        fit = harness.build_models
+
+        def fails_on_seed_one(cfg, instance):
+            if instance.seed == 1:
+                raise ValueError("seed one is broken")
+            return fit(cfg, instance)
+
+        monkeypatch.setattr(harness, "build_models", fails_on_seed_one)
+        cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa", "tmv"))
+        table = run_sensitivity(dataclasses.replace(cfg, counts=(2,)))
+        cells = len(table.extra["added_counts"]) * len(resolve_methods(cfg))
+        by_seed = {seed: [r for r in table.rows if r.seed == seed] for seed in (0, 1)}
+        assert [r.error for r in by_seed[0]] == [None] * cells
+        assert len(by_seed[1]) == cells
+        assert {(r.count, r.method) for r in by_seed[1]} == {
+            (r.count, r.method) for r in by_seed[0]
+        }
+        assert all(r.error == "ValueError: seed one is broken" for r in by_seed[1])
+        assert all(math.isnan(r.risk) and r.weights is None for r in by_seed[1])
+        assert [stats["seed"] for stats in table.extra["corruption_gate"]] == [0]
 
     def test_deterministic(self, tmp_path):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa",), counts=(2,))
