@@ -42,6 +42,9 @@ from . import plots
 # Hyper-parameter grid for the moons classifier sequence; entry i scales the
 # weight-decay strength, so the first model (0) is plain source training.
 LAMBDA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0)
+# Each grid entry multiplies this decay; every polynomial fit of the sinc ladder uses RIDGE.
+BASE_WEIGHT_DECAY = 0.5
+RIDGE = 1e-6
 
 # METHODS (further down) defines the method names and their order; these are
 # subsets of it. Methods that need classification outputs:
@@ -63,10 +66,13 @@ MAX_CORRUPTION_REDRAWS = 25
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs.
+    """What a run may vary.
 
     Each field is both a config-file key and a CLI flag; its annotation
-    decides how the text value is parsed (see ``parse_value``).
+    decides how the text value is parsed (see ``parse_value``). A setting no
+    study varies is not a field: it is a constant above (``RIDGE``,
+    ``BASE_WEIGHT_DECAY``) or the default of the library function it feeds,
+    such as the ratio clip, the oracle's rcond and the training epochs.
     """
 
     dataset: str = "sinc"
@@ -75,29 +81,12 @@ class ExperimentConfig:
     eval_size: int = 2000
     l: int = 5
     beta: str = "analytic"
-    beta_bound: float = 50.0
     rcond: float = 0.1
-    oracle_rcond: float = 1e-8
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = ()
-    # sinc knobs
+    # instance knobs: how the sinc widths read, how far the moons target turns
     sinc_interpret_std: bool = True
-    sinc_noise_std: float = 0.25
-    # moons knobs
-    moons_noise: float = 0.1
     moons_rotation_deg: float = 35.0
-    moons_translation_x: float = 0.3
-    moons_translation_y: float = 0.2
-    # model-sequence knobs
-    ridge: float = 1e-6
-    classifier_epochs: int = 300
-    classifier_lr: float = 0.5
-    base_weight_decay: float = 0.5
-    # learned-ratio knobs
-    domain_epochs: int = 500
-    domain_lr: float = 0.5
-    # selection knob
-    selection_loss: str = "squared"
     # csv-dataset knobs
     source_csv: str = ""
     target_csv: str = ""
@@ -123,20 +112,15 @@ class ExperimentConfig:
         problems = [f"{name}: must be finite, got {getattr(self, name)}" for name in non_finite]
         if self.dataset not in DATASETS:
             problems.append(f"dataset: expected one of {DATASETS}, got {self.dataset!r}")
-        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1), ("oracle_draws", 1),
-                          ("classifier_epochs", 0), ("domain_epochs", 0)):
+        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1), ("oracle_draws", 1)):
             if getattr(self, name) < low:
                 problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
         if self.beta not in BETAS:
             problems.append(f"beta: expected one of {BETAS}, got {self.beta!r}")
         if self.beta == "analytic" and self.dataset != "sinc":
             problems.append("beta: the analytic ratio is only available for dataset = sinc")
-        if "beta_bound" not in non_finite and not self.beta_bound > 0:
-            problems.append(f"beta_bound: must be positive, got {self.beta_bound}")
         if "rcond" not in non_finite and not 0 <= self.rcond < 1:
             problems.append(f"rcond: must lie in [0, 1), got {self.rcond}")
-        if "oracle_rcond" not in non_finite and not 0 <= self.oracle_rcond < 1:
-            problems.append(f"oracle_rcond: must lie in [0, 1), got {self.oracle_rcond}")
         if not self.seeds:
             problems.append("seeds: need at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
@@ -148,26 +132,13 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
-        if self.dataset == "sinc":
-            bad = [m for m in self.methods if m in CLASSIFICATION_ONLY_METHODS]
-            if bad:
-                problems.append(f"methods: {bad} need classification outputs, dataset is sinc")
-            if self.selection_loss == "zero_one":
-                problems.append("selection_loss: zero_one needs classification outputs")
-        if self.selection_loss not in selection.LOSSES:
-            problems.append(
-                f"selection_loss: expected one of {selection.LOSSES}, got {self.selection_loss!r}"
-            )
+        bad = [m for m in self.methods if m in CLASSIFICATION_ONLY_METHODS]
+        if self.dataset == "sinc" and bad:
+            problems.append(f"methods: {bad} need classification outputs, dataset is sinc")
         if self.dataset == "csv":
             for name in ("source_csv", "target_csv", "eval_csv"):
                 if not getattr(self, name):
                     problems.append(f"{name}: required when dataset = csv")
-        for name in ("ridge", "base_weight_decay", "sinc_noise_std", "moons_noise"):
-            if name not in non_finite and not getattr(self, name) >= 0:
-                problems.append(f"{name}: must be non-negative, got {getattr(self, name)}")
-        for name in ("classifier_lr", "domain_lr"):
-            if name not in non_finite and not getattr(self, name) > 0:
-                problems.append(f"{name}: must be positive, got {getattr(self, name)}")
         if any(c < 0 for c in self.counts):
             problems.append(f"counts: must be non-negative, got {list(self.counts)}")
         if len(set(self.sizes)) < 2 or min(self.sizes) < 2:
@@ -251,24 +222,11 @@ def build_config(file_values=None, overrides=None):
 
 def build_instance(cfg, seed):
     if cfg.dataset == "sinc":
-        return make_sinc_shift(
-            cfg.n,
-            cfg.m,
-            cfg.eval_size,
-            seed,
-            interpret_std=cfg.sinc_interpret_std,
-            noise_std=cfg.sinc_noise_std,
-        )
+        return make_sinc_shift(cfg.n, cfg.m, cfg.eval_size, seed,
+                               interpret_std=cfg.sinc_interpret_std)
     if cfg.dataset == "moons":
-        return make_transformed_moons(
-            cfg.n,
-            cfg.m,
-            cfg.eval_size,
-            cfg.moons_noise,
-            seed,
-            rotation_deg=cfg.moons_rotation_deg,
-            translation=(cfg.moons_translation_x, cfg.moons_translation_y),
-        )
+        return make_transformed_moons(cfg.n, cfg.m, cfg.eval_size, seed=seed,
+                                      rotation_deg=cfg.moons_rotation_deg)
     return load_csv_instance(cfg.source_csv, cfg.target_csv, cfg.eval_csv, seed)
 
 
@@ -276,16 +234,16 @@ def _sinc_sequence(cfg, instance):
     models = []
     for degree in range(cfg.l):
         feature_fn = partial(polynomial_features, degree=degree)
-        base = fit_ridge(feature_fn(instance.source_x), instance.source_y, cfg.ridge)
+        base = fit_ridge(feature_fn(instance.source_x), instance.source_y, RIDGE)
         models.append(FeatureModel(feature_fn, base, input_dim=1))
     return models
 
 
 def _moons_sequence(cfg, instance):
-    decays = [lam * cfg.base_weight_decay for lam in LAMBDA_GRID[: cfg.l]]
+    decays = [lam * BASE_WEIGHT_DECAY for lam in LAMBDA_GRID[: cfg.l]]
     labels = instance.source_y.argmax(axis=1)
     return fit_softmax_classifier(instance.source_x, labels, instance.label_dim,
-                                  cfg.classifier_epochs, cfg.classifier_lr, weight_decay=decays)
+                                  weight_decay=decays)
 
 
 def build_models(cfg, instance):
@@ -308,25 +266,20 @@ def build_models(cfg, instance):
 
 def build_beta(cfg, instance):
     if cfg.beta == "analytic":
-        return sinc_ratio(cfg.sinc_interpret_std, cfg.beta_bound)
-    return fit_domain_classifier(
-        instance.source_x,
-        instance.target_x,
-        cfg.domain_epochs,
-        cfg.domain_lr,
-        cfg.beta_bound,
-    )
+        return sinc_ratio(cfg.sinc_interpret_std)
+    return fit_domain_classifier(instance.source_x, instance.target_x)
 
 
-def resolve_methods(cfg):
+def resolve_methods(cfg, classification):
     """Requested methods plus the SO/TB reference rows, deduplicated.
 
-    Without a request, every method of METHODS that the dataset supports.
+    Without a request, every method of METHODS that the instance's outputs
+    support (``classification``: they are class scores).
     """
     if cfg.methods:
         requested = [*cfg.methods, "source_only", "target_best"]
     else:
-        skip = CLASSIFICATION_ONLY_METHODS if cfg.dataset == "sinc" else ()
+        skip = () if classification else CLASSIFICATION_ONLY_METHODS
         requested = [m for m in METHODS if m not in skip]
     return tuple(dict.fromkeys(requested))
 
@@ -756,7 +709,7 @@ def _pseudo_label(name, ctx):
 def _selected(name, ctx):
     inst = ctx.instance
     result = getattr(selection, name)(
-        ctx.source_stack, inst.source_y, ctx.beta.weights(inst.source_x), ctx.cfg.selection_loss
+        ctx.source_stack, inst.source_y, ctx.beta.weights(inst.source_x)
     )
     weights = one_hot(result.chosen_index, len(ctx.models))
     scores = [float(s) for s in result.scores]
@@ -805,9 +758,7 @@ class _SeedContext:
 
     @cached_property
     def oracle(self):
-        return aggregation.oracle_weights(
-            self.eval_stack, self.instance.target_eval_y, self.cfg.oracle_rcond
-        )
+        return aggregation.oracle_weights(self.eval_stack, self.instance.target_eval_y)
 
     @cached_property
     def oracle_risk(self):
@@ -896,33 +847,36 @@ def _contexts(cfg, study=None):
     A CSV instance is one fixed sample, so the first seed's context is
     prepared on first use and shared: each file is read once. Only the
     sensitivity study draws anything from the seed; the others refuse a
-    later seed rather than repeat the same rows.
+    second seed here, before any file is read, rather than repeat the same
+    rows.
     """
     if cfg.dataset != "csv":
         return partial(_prepare, cfg, study=study)
+    if study != "sensitivity" and len(cfg.seeds) > 1:
+        raise ConfigError(
+            f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
+            f" rows; give one seed, got {list(cfg.seeds)}"
+        )
     shared = cache(partial(_prepare, cfg, cfg.seeds[0], study))
-
-    def context(seed):
-        if study != "sensitivity" and seed != cfg.seeds[0]:
-            raise ConfigError(
-                f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
-                f" rows; give one seed, got {list(cfg.seeds)}"
-            )
-        return shared()
-
-    return context
+    return lambda seed: shared()
 
 
 def run_experiment(cfg):
-    """One table of (method, seed) evaluation rows plus aggregates."""
+    """One table of (method, seed) evaluation rows plus aggregates.
+
+    The default methods follow the prepared instance's outputs; a seed that
+    fails before its instance is prepared lists them by dataset, with CSV
+    outputs taken as values.
+    """
     cfg.validate()
-    methods = resolve_methods(cfg)
     context_of = _contexts(cfg)
-    return _study(
-        cfg, "run",
-        lambda seed: context_of(seed).rows(seed, methods),
-        lambda seed: [ResultRow(method=m, seed=seed) for m in methods],
-    )
+
+    def seed_rows(seed):
+        ctx = context_of(seed)
+        return ctx.rows(seed, resolve_methods(cfg, ctx.classification))
+
+    blank = resolve_methods(cfg, cfg.dataset == "moons")
+    return _study(cfg, "run", seed_rows, lambda seed: [ResultRow(m, seed) for m in blank])
 
 
 # --- sensitivity study -------------------------------------------------------
@@ -987,7 +941,7 @@ def run_sensitivity(cfg):
     """
     cfg.validate()
     counts = sorted({0, *cfg.counts})
-    methods = resolve_methods(cfg)
+    methods = resolve_methods(cfg, classification=True)
     gate_stats = []
     context_of = _contexts(cfg, "sensitivity")
 
@@ -1073,7 +1027,7 @@ def run_rate_check(cfg):
     if cfg.dataset != "sinc" or cfg.beta != "analytic":
         raise ConfigError("rate check requires dataset = sinc with beta = analytic")
     sizes = tuple(sorted(set(cfg.sizes)))
-    beta = sinc_ratio(cfg.sinc_interpret_std, cfg.beta_bound)
+    beta = sinc_ratio(cfg.sinc_interpret_std)
 
     def sinc(n, m, eval_size, seed):
         return build_instance(replace(cfg, n=n, m=m, eval_size=eval_size), seed)

@@ -114,7 +114,7 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
             models = build_models(cfg, instance)
             eval_x, eval_y = instance.target_eval_x, instance.target_eval_y
             stack = stack_predictions(models, eval_x)
-            weights = oracle_weights(stack, eval_y, rcond=cfg.oracle_rcond)
+            weights = oracle_weights(stack, eval_y)
             oracle_pred = np.tensordot(weights, stack, axes=1)
             oracle_risk = float(np.mean(((oracle_pred - eval_y) ** 2).sum(axis=1)))
             per_model_losses = ((stack - eval_y) ** 2).sum(axis=2)

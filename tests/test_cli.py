@@ -244,8 +244,8 @@ CSV_RUN_DIGESTS = {
         "ddbef5e5091db00dcc086ca2160a5b6a6be7c3a54350c494080fc311ef20f6ea",
     ),
     "ladder": (
-        "d2069145d6df825e9bd7317449a887de2a112dc51d02e35a83abb2e2c3c88691",
-        "17d3559bf0f2ad85e662e95333b6a9e23a9f130c1b868b996a12b79aa72712f8",
+        "cfbf1c027be4732d7443258e86f4bc52072764088a96f6560525ee211c660e28",
+        "35811e46c4df32466fa9996a4af9e6d0e8e48fa3e8e35e7710abf50159fc7e9c",
     ),
 }
 
@@ -258,7 +258,7 @@ def test_csv_run_bytes_pinned(tmp_path, case):
         _write_model_csv(path, with_eval_rows=True)
     args = _csv_args(tmp_path, models)
     if case == "ladder":  # drop --model-csvs: the softmax ladder is fitted instead
-        args = args[:-2] + ["--l", "3", "--classifier-epochs", "20", "--domain-epochs", "20"]
+        args = args[:-2] + ["--l", "3"]
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 0
     payload = json.loads((out / "results.json").read_text())
@@ -268,6 +268,11 @@ def test_csv_run_bytes_pinned(tmp_path, case):
         hashlib.sha256(body.encode()).hexdigest(),
     )
     assert digests == CSV_RUN_DIGESTS[case]
+
+
+def _csv_seeds(command):
+    """Two seeds where the study takes them on a CSV instance; the others refuse a second."""
+    return "0,1" if command == "sensitivity" else "0"
 
 
 @pytest.mark.parametrize("command", ["sensitivity", "correlate"])
@@ -283,7 +288,7 @@ def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, comm
         "--source-csv", str(tmp_path / "source.csv"),
         "--target-csv", str(tmp_path / "target.csv"),
         "--eval-csv", str(tmp_path / "eval.csv"),
-        "--seeds", "0,1",
+        "--seeds", _csv_seeds(command),
         "--out", str(out),
     ]
     assert main(args) == 1
@@ -311,7 +316,7 @@ def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault
     _write_csv_instance(tmp_path)
     model = tmp_path / "model_a.csv"
     _write_model_csv(model, with_eval_rows=True)
-    args = _study_args(tmp_path, command, "0,1", [model])
+    args = _study_args(tmp_path, command, _csv_seeds(command), [model])
     if fault == "malformed":
         (tmp_path / "source.csv").write_text("x0,x1,y0,y1\n0,0,1,0\n0,oops,0,1\n0,2,1,0\n")
         expected = ("source.csv", "line 3")
@@ -351,9 +356,8 @@ def test_each_csv_file_is_opened_once_per_run(tmp_path, monkeypatch, command, se
 
 @pytest.mark.parametrize("command", ["run", "correlate"])
 def test_csv_instance_under_two_seeds_exits_one(tmp_path, capsys, command):
-    _write_csv_instance(tmp_path)
+    # No input file exists: the second seed is refused before any file is read.
     model = tmp_path / "model_a.csv"
-    _write_model_csv(model, with_eval_rows=True)
     out = tmp_path / "out"
     assert main(_study_args(tmp_path, command, "0,1", [model]) + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -370,7 +374,7 @@ def _ladder_args(tmp_path, *extra):
         "--source-csv", str(tmp_path / "source.csv"),
         "--target-csv", str(tmp_path / "target.csv"),
         "--eval-csv", str(tmp_path / "eval.csv"),
-        "--seeds", "0,1",
+        "--seeds", "0",
         "--out", str(tmp_path / "out"),
         *extra,
     ]
@@ -382,6 +386,18 @@ def test_softmax_ladder_too_long_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: l: the moons sequence has at most 14 settings, got 15\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_regression_csv_run_defaults_to_regression_methods(tmp_path):
+    (tmp_path / "source.csv").write_text("x0,y0\n0,0.5\n1,0.25\n2,0.75\n3,0.5\n")
+    (tmp_path / "target.csv").write_text("x0\n1.5\n2.5\n")
+    (tmp_path / "eval.csv").write_text("x0,y0\n1,0.5\n3,0.25\n")
+    assert main(_ladder_args(tmp_path, "--l", "2")) == 0
+    rows = json.loads((tmp_path / "out" / "results.json").read_text())["rows"]
+    assert [row["method"] for row in rows] == sorted(
+        ["iwa", "sor", "iwv", "dev", "oracle", "source_only", "target_best"]
+    )
+    assert all("error" not in row for row in rows)
 
 
 def test_polynomial_ladder_on_wide_inputs_exits_one(tmp_path, capsys):
@@ -396,8 +412,7 @@ def test_polynomial_ladder_on_wide_inputs_exits_one(tmp_path, capsys):
 
 
 # One value per config field, written in the config-file syntax. The base
-# config below keeps every run tiny; each value differs from it and, except
-# selection_loss (zero_one needs classification outputs), from the default.
+# config below keeps every run tiny; each value differs from it and from the default.
 FIELD_VALUES = {
     "dataset": "moons",
     "n": "41",
@@ -405,24 +420,11 @@ FIELD_VALUES = {
     "eval_size": "43",
     "l": "3",
     "beta": "analytic",
-    "beta_bound": "20",
     "rcond": "0.05",
-    "oracle_rcond": "1e-6",
     "seeds": "1, 2",
     "methods": "iwa, sor",
     "sinc_interpret_std": "false",
-    "sinc_noise_std": "0.5",
-    "moons_noise": "0.2",
     "moons_rotation_deg": "20",
-    "moons_translation_x": "0.1",
-    "moons_translation_y": "0.4",
-    "ridge": "1e-3",
-    "classifier_epochs": "4",
-    "classifier_lr": "0.25",
-    "base_weight_decay": "0.25",
-    "domain_epochs": "4",
-    "domain_lr": "0.25",
-    "selection_loss": "squared",
     "source_csv": "source.csv",
     "target_csv": "target.csv",
     "eval_csv": "eval.csv",
@@ -432,9 +434,13 @@ FIELD_VALUES = {
     "oracle_draws": "1500",
 }
 
-BASE_CONFIG = (
-    "beta = learned\nn = 40\nm = 40\neval_size = 40\nl = 2\nseeds = 0\n"
-    "classifier_epochs = 3\ndomain_epochs = 3\n"
+BASE_CONFIG = "beta = learned\nn = 40\nm = 40\neval_size = 40\nl = 2\nseeds = 0\n"
+
+# Settings that no study varies: constants or library defaults, not config keys.
+REMOVED_KEYS = (
+    "beta_bound", "oracle_rcond", "sinc_noise_std", "moons_noise", "moons_translation_x",
+    "moons_translation_y", "ridge", "classifier_epochs", "classifier_lr", "base_weight_decay",
+    "domain_epochs", "domain_lr", "selection_loss",
 )
 
 
@@ -442,9 +448,9 @@ def test_every_config_field_has_a_value():
     assert set(FIELD_VALUES) == {field.name for field in fields(ExperimentConfig)}
 
 
-@pytest.mark.parametrize("key", sorted(FIELD_VALUES))
-def test_flag_and_config_line_record_the_same_config(tmp_path, key):
-    value = FIELD_VALUES[key]
+@pytest.mark.parametrize("key", sorted([*FIELD_VALUES, *REMOVED_KEYS]))
+def test_flag_and_config_line_record_the_same_config(tmp_path, capsys, key):
+    value = FIELD_VALUES.get(key, "1")
     base = tmp_path / "base.cfg"
     base.write_text(BASE_CONFIG)
     with_line = tmp_path / "with_line.cfg"
@@ -453,6 +459,15 @@ def test_flag_and_config_line_record_the_same_config(tmp_path, key):
     with_line.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
     flag = "--" + key.replace("_", "-")
     out = tmp_path / "out"
+    if key in REMOVED_KEYS:  # neither form sets it, and both exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(base), flag, value, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["run", "--config", str(with_line), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
+        assert not out.exists()
+        return
     assert main(["run", "--config", str(base), flag, value, "--out", str(out)]) == 0
     by_flag = json.loads((out / "results.json").read_text())["config"]
     assert main(["run", "--config", str(with_line), "--out", str(out)]) == 0
@@ -488,7 +503,7 @@ FLOAT_FIELDS = [field.name for field in fields(ExperimentConfig) if field.type i
 
 
 def test_float_fields_are_listed():
-    assert {"beta_bound", "rcond", "ridge", "moons_rotation_deg"} <= set(FLOAT_FIELDS)
+    assert {"rcond", "moons_rotation_deg"} <= set(FLOAT_FIELDS)
 
 
 @pytest.mark.parametrize("key", FLOAT_FIELDS)
@@ -499,12 +514,11 @@ def test_nan_float_value_is_a_config_error(key, capsys):
 
 
 def test_non_finite_fields_are_each_reported_once(capsys):
-    assert main(TINY_RUN + ["--rcond", "inf", "--ridge=-inf", "--domain-lr", "nan"]) == 1
+    assert main(TINY_RUN + ["--rcond", "inf", "--moons-rotation-deg=-inf"]) == 1
     problems = capsys.readouterr().err.removeprefix("error: ").rstrip("\n").split("; ")
     assert problems == [
         "rcond: must be finite, got inf",
-        "ridge: must be finite, got -inf",
-        "domain_lr: must be finite, got nan",
+        "moons_rotation_deg: must be finite, got -inf",
     ]
 
 

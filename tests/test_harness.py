@@ -106,25 +106,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seeds:"):
             ExperimentConfig(seeds=(0, 1, 0)).validate()
 
-    def test_zero_one_loss_needs_classification(self):
-        with pytest.raises(ConfigError, match="zero_one"):
-            ExperimentConfig(dataset="sinc", selection_loss="zero_one").validate()
-
     @pytest.mark.parametrize("name, value", [
         ("beta", "exact"),
-        ("beta_bound", 0.0),
-        ("beta_bound", -1.0),
-        ("oracle_rcond", 1.0),
-        ("oracle_rcond", -1e-9),
+        ("rcond", 1.0),
+        ("rcond", -1e-9),
+        ("eval_size", 1),
+        ("l", 0),
         ("seeds", ()),
         ("seeds", (0, -1)),
-        ("selection_loss", "hinge"),
-        ("ridge", -1e-9),
-        ("base_weight_decay", -0.5),
-        ("sinc_noise_std", -0.25),
-        ("moons_noise", -0.1),
-        ("classifier_lr", 0.0),
-        ("domain_lr", -0.5),
     ])
     def test_each_bad_value_is_the_one_problem_named(self, name, value):
         with pytest.raises(ConfigError) as err:
@@ -194,25 +183,27 @@ class TestConfigParsing:
 
 class TestResolveMethods:
     def test_sinc_defaults(self):
-        methods = resolve_methods(ExperimentConfig())
+        methods = resolve_methods(ExperimentConfig(), classification=False)
         assert methods == ("iwa", "sor", "iwv", "dev", "oracle", "source_only", "target_best")
 
     def test_classification_defaults_include_vote_baselines(self):
-        methods = resolve_methods(ExperimentConfig(dataset="moons", beta="learned"))
+        methods = resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)
         assert set(("tmv", "tmr", "tcr")).issubset(methods)
 
     def test_explicit_methods_keep_order_and_gain_references(self):
         cfg = ExperimentConfig(methods=("sor", "iwa", "sor"))
-        assert resolve_methods(cfg) == ("sor", "iwa", "source_only", "target_best")
+        for classification in (False, True):
+            methods = resolve_methods(cfg, classification)
+            assert methods == ("sor", "iwa", "source_only", "target_best")
 
     def test_all_methods_resolvable(self):
-        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"))) <= set(
+        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)) <= set(
             ALL_METHODS
         ) | {"source_only", "target_best"}
 
     def test_methods_mapping_defines_the_names(self):
         assert ALL_METHODS == tuple(METHODS)
-        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"))) == set(
+        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)) == set(
             METHODS
         )
 
@@ -245,7 +236,7 @@ class TestRunExperiment:
     def test_row_structure_on_sinc(self):
         cfg = ExperimentConfig(**SINC_SMALL)
         table = run_experiment(cfg)
-        methods = resolve_methods(cfg)
+        methods = resolve_methods(cfg, classification=False)
         assert len(table.rows) == len(methods) * len(cfg.seeds)
         assert not table.has_failures
         for row in table.rows:
@@ -308,9 +299,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SINC_SMALL, "methods": ("iwa",)})
         table = run_experiment(cfg)
         assert table.has_failures
-        assert len(table.rows) == len(resolve_methods(cfg)) * 2
+        assert len(table.rows) == len(resolve_methods(cfg, False)) * 2
         by_seed = {seed: [r.error for r in table.rows if r.seed == seed] for seed in (0, 1)}
-        assert by_seed[0] == [None] * len(resolve_methods(cfg))
+        assert by_seed[0] == [None] * len(resolve_methods(cfg, False))
         assert all("ValueError: seed one is broken" in error for error in by_seed[1])
 
     def test_missing_csv_file_stops_the_run(self, tmp_path):
@@ -321,7 +312,6 @@ class TestRunExperiment:
             source_csv=missing,
             target_csv=missing,
             eval_csv=missing,
-            seeds=(0, 1),
             methods=("iwa",),
         )
         with pytest.raises(FileNotFoundError):
@@ -490,7 +480,7 @@ class TestSensitivity:
         monkeypatch.setattr(harness, "build_models", fails_on_seed_one)
         cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa", "tmv"))
         table = run_sensitivity(dataclasses.replace(cfg, counts=(2,)))
-        cells = len(table.extra["added_counts"]) * len(resolve_methods(cfg))
+        cells = len(table.extra["added_counts"]) * len(resolve_methods(cfg, True))
         by_seed = {seed: [r for r in table.rows if r.seed == seed] for seed in (0, 1)}
         assert [r.error for r in by_seed[0]] == [None] * cells
         assert len(by_seed[1]) == cells
@@ -523,7 +513,7 @@ class TestSensitivity:
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
                 context = seed_context(cfg, inst, sequence, beta)
-                reference.extend(context.rows(seed, resolve_methods(cfg), count))
+                reference.extend(context.rows(seed, resolve_methods(cfg, True), count))
         assert not table.has_failures
         assert [repr(dataclasses.asdict(r)) for r in table.rows] == [
             repr(dataclasses.asdict(r)) for r in reference

@@ -50,14 +50,13 @@ def test_traced_sinc_run_reaches_every_layer(tmp_path):
 
 
 def test_traced_moons_ladder_is_one_fit(tmp_path):
-    # The whole softmax ladder is one traced fit of classifier_epochs steps, so
-    # its time shows under models.fit rather than in harness.self_s.
+    # The whole softmax ladder is one traced fit of the trainer's default 300
+    # steps, so its time shows under models.fit rather than in harness.self_s.
     layers = _traced_layers(tmp_path, [
         "correlate", "--config", os.path.join(ROOT, "configs", "correlation.cfg"),
         "--seeds", "0", "--n", "80", "--m", "80", "--eval-size", "60",
-        "--classifier-epochs", "30", "--domain-epochs", "20",
     ])
     assert layers["models.fit_calls"] == 1
-    assert layers["models.fit_steps"] == 30
+    assert layers["models.fit_steps"] == 300
     assert layers["density_ratio.fit_calls"] == 1
     assert layers["models.fit_s"] > 0
