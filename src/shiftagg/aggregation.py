@@ -57,24 +57,31 @@ def _checked_stack(predictions, labels=None):
     return preds, labels
 
 
-def _ratio_weights(weights, n):
-    """Density-ratio weights on the n source rows, checked for shape and finiteness."""
+def _row_weights(weights, n, what="density-ratio weights"):
+    """Per-row weights on n rows, checked for shape and finiteness."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
-        raise DimensionError(f"ratio weights of shape {w.shape}, expected ({n},)")
-    _require_finite(w, "density-ratio weights")
+        raise DimensionError(f"{what} of shape {w.shape}, expected ({n},)")
+    _require_finite(w, what)
     return w
 
 
-def _gram(preds):
+def _gram(preds, weights=None):
+    """sum_k w_k F_k F_k^T over the rows of an (l, k, d2) stack; w_k = 1/k without weights."""
     l, k, d2 = preds.shape
     flat = preds.reshape(l, k * d2)
-    gram = flat @ flat.T / k
+    if weights is None:
+        gram = flat @ flat.T / k
+    else:
+        gram = (preds * weights[:, None]).reshape(l, k * d2) @ flat.T
     return 0.5 * (gram + gram.T)
 
 
-def _moment(preds, weighted_y):
-    return np.tensordot(preds, weighted_y, axes=([1, 2], [0, 1])) / preds.shape[1]
+def _moment(preds, ys, weights=None):
+    """sum_k w_k <F_k, y_k> per model; w_k = 1/k without weights."""
+    if weights is None:
+        return np.tensordot(preds, ys, axes=([1, 2], [0, 1])) / preds.shape[1]
+    return np.tensordot(preds, weights[:, None] * ys, axes=([1, 2], [0, 1]))
 
 
 def empirical_gram(target_predictions):
@@ -95,7 +102,7 @@ def empirical_moment(source_predictions, source_y, source_weights):
     NumericalError.
     """
     preds, source_y = _checked_stack(source_predictions, source_y)
-    w = _ratio_weights(source_weights, preds.shape[1])
+    w = _row_weights(source_weights, preds.shape[1])
     return _moment(preds, w[:, None] * source_y)
 
 
@@ -120,15 +127,19 @@ def aggregate_predictions(weights, predictions):
     return np.tensordot(weights, predictions, axes=(0, 0))
 
 
-def _label_regression(preds, labels, rcond):
-    """Unweighted least squares of (pseudo-)labels onto one prediction stack.
+def _label_regression(preds, labels, rcond, weights=None):
+    """Least squares of (pseudo-)labels onto one prediction stack.
 
     The stack feeds both the Gram matrix and the moment vector, so it is
-    checked once. With unit ratio weights ``iwa`` computes the same Gram and
-    moment from the same kernels, so the two agree bitwise.
+    checked once. Without ``weights`` every row counts 1/k, and with unit
+    ratio weights ``iwa`` computes the same Gram and moment from the same
+    kernels, so the two agree bitwise.
     """
     preds, labels = _checked_stack(preds, labels)
-    return _solve_aggregation(_gram(preds), _moment(preds, labels), rcond).weights
+    if weights is not None:
+        weights = _row_weights(weights, preds.shape[1], "row weights")
+    gram, moment = _gram(preds, weights), _moment(preds, labels, weights)
+    return _solve_aggregation(gram, moment, rcond).weights
 
 
 def _solve_aggregation(gram, moment, rcond):
@@ -170,15 +181,17 @@ def iwa(
     return _solve_aggregation(gram, moment, rcond)
 
 
-def oracle_weights(target_predictions, target_y, rcond=1e-8):
+def oracle_weights(target_predictions, target_y, rcond=1e-8, weights=None):
     """Least squares of labeled target draws onto the models' (l, k, d2) outputs.
 
     Evaluation-only reference: this is the aggregation a labeled target
     sample would pick, solved with the same truncated pseudo-inverse. The
     default rcond is small because the reference should only drop numerically
-    empty directions, not regularize.
+    empty directions, not regularize. With per-row probability ``weights``
+    (a quadrature rule of the target law and its noise-free labels) it is the
+    weighted least squares that minimises the exact target risk.
     """
-    return _label_regression(target_predictions, target_y, rcond)
+    return _label_regression(target_predictions, target_y, rcond, weights)
 
 
 def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):

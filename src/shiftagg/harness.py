@@ -19,11 +19,15 @@ import numpy as np
 
 from . import aggregation, metrics, selection
 from .datasets import (
+    SINC_NOISE_STD,
+    SINC_RULE_NODES,
+    SINC_TARGET_MEAN,
     load_csv_instance,
     make_sinc_shift,
     make_transformed_moons,
     one_hot,
     sinc_ratio,
+    sinc_sigmas,
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, NumericalError
@@ -221,9 +225,10 @@ def build_config(file_values=None, overrides=None):
 
 
 def build_instance(cfg, seed):
+    """The seed's instance; a sinc instance's eval split is the target law's quadrature rule."""
     if cfg.dataset == "sinc":
-        return make_sinc_shift(cfg.n, cfg.m, cfg.eval_size, seed,
-                               interpret_std=cfg.sinc_interpret_std)
+        return make_sinc_shift(cfg.n, cfg.m, seed=seed, interpret_std=cfg.sinc_interpret_std,
+                               eval_nodes=SINC_RULE_NODES)
     if cfg.dataset == "moons":
         return make_transformed_moons(cfg.n, cfg.m, cfg.eval_size, seed=seed,
                                       rotation_deg=cfg.moons_rotation_deg)
@@ -720,7 +725,7 @@ def _target_best(ctx):
     if ctx.classification:
         best = int(np.argmax(ctx.model_accuracies()))
     else:
-        best = int(np.argmin([metrics.risk(preds, ctx.eval_y) for preds in ctx.eval_stack]))
+        best = int(np.argmin([ctx.risk(preds) for preds in ctx.eval_stack]))
     return one_hot(best, len(ctx.models)), {}
 
 
@@ -743,7 +748,9 @@ class _SeedContext:
     """Everything shared by the methods evaluated on one (instance, models) pair.
 
     ``stacks`` holds the (source, target, eval) prediction stacks of
-    ``models``. The oracle is solved on first use.
+    ``models``. The oracle is solved on first use. Risks follow the eval
+    split: a sample's mean squared error, or on a quadrature rule the exact
+    target risk, noise variance included.
     """
 
     def __init__(self, cfg, instance, models, beta, stacks):
@@ -758,12 +765,19 @@ class _SeedContext:
 
     @cached_property
     def oracle(self):
-        return aggregation.oracle_weights(self.eval_stack, self.instance.target_eval_y)
+        inst = self.instance
+        return aggregation.oracle_weights(
+            self.eval_stack, inst.target_eval_y, weights=inst.target_eval_weights
+        )
 
     @cached_property
     def oracle_risk(self):
-        preds = aggregation.aggregate_predictions(self.oracle, self.eval_stack)
-        return metrics.risk(preds, self.eval_y)
+        return self.risk(aggregation.aggregate_predictions(self.oracle, self.eval_stack))
+
+    def risk(self, preds):
+        """Target risk of eval-split predictions."""
+        inst = self.instance
+        return metrics.risk(preds, self.eval_y, inst.target_eval_weights) + inst.eval_noise_var
 
     def model_accuracies(self):
         """Each model's accuracy on the evaluation labels."""
@@ -774,7 +788,7 @@ class _SeedContext:
         preds = diagnostics.pop("predictions", None)
         if preds is None:
             preds = aggregation.aggregate_predictions(weights, self.eval_stack)
-        risk = metrics.risk(preds, self.eval_y)
+        risk = self.risk(preds)
         if not math.isfinite(risk) or (weights is not None and not np.all(np.isfinite(weights))):
             raise NumericalError(f"{method} produced a non-finite risk or weight vector")
         return ResultRow(
@@ -876,7 +890,19 @@ def run_experiment(cfg):
         return ctx.rows(seed, resolve_methods(cfg, ctx.classification))
 
     blank = resolve_methods(cfg, cfg.dataset == "moons")
-    return _study(cfg, "run", seed_rows, lambda seed: [ResultRow(m, seed) for m in blank])
+    extra = {"target_risk": _sinc_target_risk(cfg)} if cfg.dataset == "sinc" else None
+    return _study(cfg, "run", seed_rows, lambda seed: [ResultRow(m, seed) for m in blank], extra)
+
+
+def _sinc_target_risk(cfg):
+    """How a sinc run computes its risks: the quadrature rule of its target law."""
+    return {
+        "rule": "gauss-hermite",
+        "nodes": SINC_RULE_NODES,
+        "target_mean": SINC_TARGET_MEAN,
+        "target_std": sinc_sigmas(cfg.sinc_interpret_std)[1],
+        "noise_var": SINC_NOISE_STD**2,
+    }
 
 
 # --- sensitivity study -------------------------------------------------------
@@ -1030,7 +1056,7 @@ def run_rate_check(cfg):
     beta = sinc_ratio(cfg.sinc_interpret_std)
 
     def sinc(n, m, eval_size, seed):
-        return build_instance(replace(cfg, n=n, m=m, eval_size=eval_size), seed)
+        return make_sinc_shift(n, m, eval_size, seed, interpret_std=cfg.sinc_interpret_std)
 
     # The last seed's oracle draw stays referenced until the next seed has
     # drawn its own. Freed at the end of every seed, its rows let the

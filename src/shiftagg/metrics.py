@@ -10,15 +10,27 @@ from .errors import DimensionError
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
 
 
-def risk(preds, ys):
-    """Mean squared output-space distance: mean_k ||preds_k - ys_k||^2."""
+def risk(preds, ys, weights=None):
+    """Mean squared output-space distance: mean_k ||preds_k - ys_k||^2.
+
+    With per-row probability ``weights`` (a quadrature rule, say) it is the
+    weighted sum sum_k weights_k ||preds_k - ys_k||^2 instead.
+    """
     preds = np.asarray(preds, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if preds.ndim != 2 or ys.shape != preds.shape:
         raise DimensionError(f"labels of shape {ys.shape} do not match predictions {preds.shape}")
     if ys.shape[0] == 0:
         raise ValueError("cannot evaluate risk on an empty sample")
-    return float(((preds - ys) ** 2).sum(axis=1).mean())
+    losses = ((preds - ys) ** 2).sum(axis=1)
+    if weights is None:
+        return float(losses.mean())
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != losses.shape:
+        raise DimensionError(
+            f"weights of shape {weights.shape} do not match {losses.shape[0]} rows"
+        )
+    return float(weights @ losses)
 
 
 def accuracy(preds, labels):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _checked_stack, _ratio_weights
+from .aggregation import _checked_stack, _row_weights
 from .errors import DimensionError
 
 LOSSES = ("squared", "zero_one")
@@ -48,7 +48,7 @@ def iwv_select(source_predictions, source_y, source_weights, loss="squared"):
     ``source_weights`` holds the density ratio on the source rows, beta(source_x).
     """
     losses = _per_model_losses(source_predictions, source_y, loss)
-    w = _ratio_weights(source_weights, losses.shape[1])
+    w = _row_weights(source_weights, losses.shape[1])
     scores = (losses * w).mean(axis=1)
     return SelectionResult(chosen_index=int(np.argmin(scores)), scores=scores)
 
@@ -62,7 +62,7 @@ def dev_select(source_predictions, source_y, source_weights, loss="squared"):
     VARIANCE_FLOOR. Takes the same arguments as ``iwv_select``.
     """
     losses = _per_model_losses(source_predictions, source_y, loss)
-    w = _ratio_weights(source_weights, losses.shape[1])
+    w = _row_weights(source_weights, losses.shape[1])
     weighted = losses * w
     base = weighted.mean(axis=1)
     var_w = float(w.var())

@@ -48,7 +48,6 @@ def test_criterion_1_aggregation_near_optimal_on_sinc():
         dataset="sinc",
         n=2000,
         m=2000,
-        eval_size=100_000,
         l=5,
         seeds=tuple(range(20)),
         methods=("iwa",),
@@ -113,15 +112,22 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
             instance = build_instance(cfg, seed)
             models = build_models(cfg, instance)
             eval_x, eval_y = instance.target_eval_x, instance.target_eval_y
+            # Moons scores on a labeled sample, with its sampling error; sinc
+            # on the target law's quadrature rule, whose risks are exact (the
+            # noise variance both risks share is left out).
+            rule = instance.target_eval_weights
+            row_weights = np.full(len(eval_x), 1.0 / len(eval_x)) if rule is None else rule
             stack = stack_predictions(models, eval_x)
-            weights = oracle_weights(stack, eval_y)
+            weights = oracle_weights(stack, eval_y, weights=rule)
             oracle_pred = np.tensordot(weights, stack, axes=1)
-            oracle_risk = float(np.mean(((oracle_pred - eval_y) ** 2).sum(axis=1)))
+            oracle_risk = float(row_weights @ ((oracle_pred - eval_y) ** 2).sum(axis=1))
             per_model_losses = ((stack - eval_y) ** 2).sum(axis=2)
-            best = int(np.argmin(per_model_losses.mean(axis=1)))
+            best = int(np.argmin(per_model_losses @ row_weights))
             best_losses = per_model_losses[best]
-            best_risk = float(best_losses.mean())
-            se = float(np.std(best_losses, ddof=1) / math.sqrt(best_losses.size))
+            best_risk = float(best_losses @ row_weights)
+            se = 0.0
+            if rule is None:
+                se = float(np.std(best_losses, ddof=1) / math.sqrt(best_losses.size))
             margin = oracle_risk - (best_risk + 2.0 * se)
             worst_margin = max(worst_margin, margin)
             violations += margin > 0
@@ -339,33 +345,37 @@ def test_criterion_9_module_invariants():
         dataclasses.asdict(r) for r in second.sorted_rows()
     ]
 
-    # Weight vectors never read evaluation labels (poisoning them changes nothing).
-    mcfg = ExperimentConfig(
-        dataset="moons", beta="learned", n=60, m=60, eval_size=40, l=3
+    # Weight vectors never read evaluation labels (poisoning them changes
+    # nothing): the moons eval sample's labels, and the sinc quadrature
+    # nodes' noise-free labels.
+    probes = (
+        (ExperimentConfig(dataset="moons", beta="learned", n=60, m=60, eval_size=40, l=3),
+         ConstantRatio(1.0), ("iwa", "sor", "tmr", "tcr", "iwv", "dev")),
+        (ExperimentConfig(dataset="sinc", n=60, m=60, l=3), sinc_ratio(),
+         ("iwa", "sor", "iwv", "dev")),
     )
-    instance = build_instance(mcfg, 0)
-    models = build_models(mcfg, instance)
-    methods = ("iwa", "sor", "tmr", "tcr", "iwv", "dev")
-    beta = ConstantRatio(1.0)
 
-    def context(inst):
+    def context(pcfg, inst, models, beta):
         stacks = tuple(
             stack_predictions(models, xs)
             for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
         )
-        return _SeedContext(mcfg, inst, models, beta, stacks)
+        return _SeedContext(pcfg, inst, models, beta, stacks)
 
-    clean = context(instance)
-    poisoned_instance = dataclasses.replace(
-        instance, target_eval_y=np.full_like(instance.target_eval_y, np.nan)
-    )
-    # Scoring turns the NaN risks into error rows, so the weight vectors are
-    # compared before scoring.
-    poisoned = context(poisoned_instance)
-    for method in methods:
-        before, _ = METHODS[method](clean)
-        after, _ = METHODS[method](poisoned)
-        assert np.array_equal(before, after)
+    for pcfg, beta, methods in probes:
+        instance = build_instance(pcfg, 0)
+        models = build_models(pcfg, instance)
+        clean = context(pcfg, instance, models, beta)
+        poisoned_instance = dataclasses.replace(
+            instance, target_eval_y=np.full_like(instance.target_eval_y, np.nan)
+        )
+        # Scoring turns the NaN risks into error rows, so the weight vectors
+        # are compared before scoring.
+        poisoned = context(pcfg, poisoned_instance, models, beta)
+        for method in methods:
+            before, _ = METHODS[method](clean)
+            after, _ = METHODS[method](poisoned)
+            assert np.array_equal(before, after), (pcfg.dataset, method)
 
     _report(
         9,

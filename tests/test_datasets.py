@@ -12,9 +12,11 @@ from shiftagg.datasets import (
     MOONS_CENTROID,
     MOONS_ROTATION_DEG,
     MOONS_TRANSLATION,
+    SINC_NOISE_STD,
     SINC_SOURCE_MEAN,
     SINC_TARGET_MEAN,
     DomainAdaptationInstance,
+    gauss_hermite,
     load_csv_instance,
     make_sinc_shift,
     make_transformed_moons,
@@ -85,6 +87,81 @@ class TestSincShift:
             make_sinc_shift(5, 5, eval_size=0)
         with pytest.raises(ValueError, match="noise_std"):
             make_sinc_shift(5, 5, noise_std=-0.1)
+
+
+def _normal_moments(mean, std, count):
+    """E[X^j] of N(mean, std^2) for j < count.
+
+    By the recurrence E[X^j] = mean E[X^(j-1)] + (j-1) std^2 E[X^(j-2)].
+    """
+    moments = [1.0, mean]
+    for j in range(2, count):
+        moments.append(mean * moments[-1] + (j - 1) * std**2 * moments[-2])
+    return moments[:count]
+
+
+class TestGaussHermite:
+    @pytest.mark.parametrize("count", [1, 2, 5, 20, 80])
+    @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (2.0, 0.25), (1.0, 0.5)])
+    def test_reproduces_the_normal_moments(self, count, mean, std):
+        nodes, weights = gauss_hermite(count, mean, std)
+        assert nodes.shape == weights.shape == (count,)
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        # Exact for degree <= 2 count - 1; odd moments of N(0, 1) are zero, so
+        # the error is measured against E|X|^j under the rule.
+        for j, moment in enumerate(_normal_moments(mean, std, 2 * count)):
+            scale = float(weights @ np.abs(nodes) ** j)
+            assert abs(float(weights @ nodes**j) - moment) <= 1e-12 * max(scale, abs(moment))
+
+    @pytest.mark.parametrize("count", [1, 3, 10, 80, 160])
+    def test_matches_numpy_hermegauss(self, count):
+        from numpy.polynomial import hermite_e
+
+        reference_nodes, reference_weights = hermite_e.hermegauss(count)
+        nodes, weights = gauss_hermite(count, SINC_TARGET_MEAN, 0.25)
+        assert np.max(np.abs(nodes - (SINC_TARGET_MEAN + 0.25 * reference_nodes))) <= 1e-12
+        assert np.max(np.abs(weights - reference_weights / reference_weights.sum())) <= 1e-12
+
+    def test_returned_arrays_are_the_callers(self):
+        nodes, weights = gauss_hermite(5)
+        nodes[:] = 0.0
+        weights[:] = 0.0
+        again_nodes, again_weights = gauss_hermite(5)
+        assert np.all(again_weights > 0) and np.unique(again_nodes).size == 5
+
+    def test_invalid_rules_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            gauss_hermite(0)
+        with pytest.raises(ValueError, match="std"):
+            gauss_hermite(3, 0.0, 0.0)
+
+
+class TestSincRuleSplit:
+    def test_eval_split_is_the_target_rule(self):
+        for interpret_std in (True, False):
+            inst = make_sinc_shift(30, 40, seed=4, interpret_std=interpret_std, eval_nodes=12)
+            nodes, weights = gauss_hermite(12, SINC_TARGET_MEAN, sinc_sigmas(interpret_std)[1])
+            assert np.array_equal(inst.target_eval_x[:, 0], nodes)
+            assert np.array_equal(inst.target_eval_y, np.sinc(inst.target_eval_x))
+            assert np.array_equal(inst.target_eval_weights, weights)
+            assert inst.eval_noise_var == SINC_NOISE_STD**2
+
+    def test_source_and_target_draws_unchanged(self):
+        drawn = make_sinc_shift(30, 40, eval_size=7, seed=4)
+        ruled = make_sinc_shift(30, 40, seed=4, eval_nodes=12)
+        for name in ("source_x", "source_y", "target_x"):
+            assert np.array_equal(getattr(drawn, name), getattr(ruled, name))
+        assert drawn.target_eval_weights is None and drawn.eval_noise_var == 0.0
+
+    def test_bad_eval_weights_rejected(self):
+        inst = make_sinc_shift(5, 5, seed=0, eval_nodes=4)
+        with pytest.raises(DimensionError, match="target_eval_weights"):
+            dataclasses.replace(inst, target_eval_weights=np.full(3, 1 / 3)).validate()
+        with pytest.raises(ValueError, match="sum to one"):
+            dataclasses.replace(inst, target_eval_weights=np.full(4, 0.5)).validate()
+        with pytest.raises(ValueError, match="eval_noise_var"):
+            dataclasses.replace(inst, eval_noise_var=-1.0).validate()
 
 
 class TestMoonsGeometry:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from shiftagg import aggregation, harness
 from shiftagg.aggregation import empirical_gram
+from shiftagg.datasets import make_sinc_shift
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError
 from shiftagg.harness import (
@@ -351,22 +352,82 @@ class TestNoShiftReduction:
 
 class TestUnsupervisedDiscipline:
     def test_weight_vectors_ignore_eval_labels(self):
-        cfg = ExperimentConfig(**MOONS_SMALL)
-        inst = build_instance(cfg, 0)
-        models = build_models(cfg, inst)
-        beta = ConstantRatio(1.0)
-        methods = ("iwa", "sor", "tmr", "tcr", "iwv", "dev")
-        clean = seed_context(cfg, inst, models, beta)
-        poisoned_inst = dataclasses.replace(
-            inst, target_eval_y=np.full_like(inst.target_eval_y, np.nan)
+        # The moons eval split is a labeled sample; the sinc one is the target
+        # law's quadrature nodes, labeled with the noise-free sinc.
+        probes = (
+            (MOONS_SMALL, ConstantRatio(1.0), ("iwa", "sor", "tmr", "tcr", "iwv", "dev")),
+            (SINC_SMALL, None, ("iwa", "sor", "iwv", "dev")),
         )
-        # Scored rows turn NaN risks into error rows, so compare the weight
-        # vectors before scoring.
-        poisoned = seed_context(cfg, poisoned_inst, models, beta)
-        for method in methods:
-            before, _ = METHODS[method](clean)
-            after, _ = METHODS[method](poisoned)
-            assert np.array_equal(before, after)
+        for settings, beta, methods in probes:
+            cfg = ExperimentConfig(**settings)
+            inst = build_instance(cfg, 0)
+            models = build_models(cfg, inst)
+            beta = beta or build_beta(cfg, inst)
+            clean = seed_context(cfg, inst, models, beta)
+            poisoned_inst = dataclasses.replace(
+                inst, target_eval_y=np.full_like(inst.target_eval_y, np.nan)
+            )
+            # Scored rows turn NaN risks into error rows, so compare the weight
+            # vectors before scoring.
+            poisoned = seed_context(cfg, poisoned_inst, models, beta)
+            for method in methods:
+                before, _ = METHODS[method](clean)
+                after, _ = METHODS[method](poisoned)
+                assert np.array_equal(before, after), (cfg.dataset, method)
+
+
+SINC_STUDY = dict(
+    dataset="sinc", n=2000, m=2000, l=5, methods=("iwa", "sor", "iwv", "dev", "oracle")
+)
+
+
+def _risks(table):
+    assert not table.has_failures
+    return {(r.method, r.seed): r.risk for r in table.rows}
+
+
+class TestExactSincRisk:
+    def test_risks_settle_at_eighty_nodes(self, monkeypatch):
+        # The aggregate weights themselves are not pinned: the oracle's Gram is
+        # near-singular at rcond 1e-8, so c* moves by up to 6e-10 relative
+        # when the nodes double, while every risk moves by a few 1e-15.
+        cfg = ExperimentConfig(**SINC_STUDY, seeds=tuple(range(10)))
+        coarse = _risks(run_experiment(cfg))
+        monkeypatch.setattr(harness, "SINC_RULE_NODES", 2 * harness.SINC_RULE_NODES)
+        fine = _risks(run_experiment(cfg))
+        assert coarse.keys() == fine.keys() and len(coarse) == 70
+        worst = max(abs(coarse[key] - fine[key]) for key in coarse)
+        assert worst <= 1e-12, worst
+
+    @pytest.mark.parametrize("interpret_std", [True, False])
+    def test_exact_risk_within_sampling_error_of_a_large_draw(self, interpret_std):
+        cfg = ExperimentConfig(**SINC_STUDY, sinc_interpret_std=interpret_std)
+        rows = [r for r in run_experiment(cfg).rows if r.error is None]
+        assert len(rows) == 7
+        models = build_models(cfg, build_instance(cfg, 0))
+        draw = make_sinc_shift(1, 1, 10**6, seed=12345, interpret_std=interpret_std)
+        stack = stack_predictions(models, draw.target_eval_x)
+        for row in rows:
+            losses = ((np.tensordot(row.weights, stack, axes=1) - draw.target_eval_y) ** 2)[:, 0]
+            standard_error = losses.std(ddof=1) / math.sqrt(losses.size)
+            assert abs(row.risk - losses.mean()) <= 4 * standard_error, row.method
+
+    def test_results_json_records_how_risks_were_computed(self, tmp_path):
+        sinc = run_experiment(ExperimentConfig(**{**SINC_SMALL, "sinc_interpret_std": False}))
+        moons = run_experiment(ExperimentConfig(**MOONS_SMALL, methods=("iwa",)))
+        write_outputs(sinc, str(tmp_path / "sinc"))
+        write_outputs(moons, str(tmp_path / "moons"))
+        payload = json.loads((tmp_path / "sinc" / "results.json").read_text())
+        assert payload["extra"] == {
+            "target_risk": {
+                "rule": "gauss-hermite",
+                "nodes": 80,
+                "target_mean": 2.0,
+                "target_std": 0.25,
+                "noise_var": 0.0625,
+            }
+        }
+        assert "extra" not in json.loads((tmp_path / "moons" / "results.json").read_text())
 
 
 class TestResultTable:

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import shiftagg
 
@@ -29,3 +31,18 @@ def test_no_duplicate_exports():
 
 def test_exports_are_the_imported_public_names():
     assert set(shiftagg.__all__) == _imported_public_names()
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    # Every CLI call pays for its imports, and numpy.polynomial alone costs
+    # 4-8 ms; the Gauss-Hermite rule is built without it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftagg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, shiftagg.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
