@@ -1,8 +1,11 @@
 #!/bin/sh
 # Benchmark git revision REV against the working tree with perfbench/run.py.
 # For each workload, PAIRS pairs of runs of REV and of the working tree, each
-# from its own checkout: REV is extracted with git archive into a temporary
-# directory, the working tree runs in place. Odd pairs run REV first, even
+# extracted with git archive into its own temporary directory; the working
+# tree is the commit `git stash create` makes of its tracked files, staged or
+# not (untracked files are left out: `git add` them first). Both sides run
+# from an extracted tree because a run inside the repository checkout reads a
+# higher peak RSS than the same code extracted. Odd pairs run REV first, even
 # pairs the working tree, so neither side always meets a warmer or busier
 # machine. Every run is `--seed 1 --seconds 10`, the benchmark's run length.
 # Writes the median, quartile distance and min-max of every end-to-end
@@ -29,16 +32,17 @@ trap 'rm -rf "$tmp"' EXIT
 # A shell such as dash runs no EXIT trap when a signal ends it; exiting
 # from the signal's own trap does.
 trap 'exit 1' INT TERM
-mkdir "$tmp/base" "$tmp/runs"
+mkdir "$tmp/base" "$tmp/work" "$tmp/runs"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
+snapshot="$(git -C "$root" stash create)"
+git -C "$root" archive "${snapshot:-HEAD}" | tar -x -C "$tmp/work"
 for workload in "$@"; do
   pair=1
   while [ "$pair" -le "$pairs" ]; do
     order="base work"
     [ $((pair % 2)) -eq 0 ] && order="work base"
     for side in $order; do
-      tree="$root"
-      [ "$side" = base ] && tree="$tmp/base"
+      tree="$tmp/$side"
       echo "== $workload pair $pair/$pairs: $side" >&2
       python3 "$tree/perfbench/run.py" --workload "$workload" --seed 1 --seconds 10 \
         >"$tmp/runs/$workload.$side.$pair.txt"
@@ -46,10 +50,10 @@ for workload in "$@"; do
     pair=$((pair + 1))
   done
 done
-python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$tmp/base" "$@" <<'EOF'
+python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$tmp" "$@" <<'EOF'
 import json, os, statistics, subprocess, sys, time
 
-root, rev, pairs, runs, base, *workloads = sys.argv[1:]
+root, rev, pairs, runs, trees, *workloads = sys.argv[1:]
 pairs = int(pairs)
 better = {"seeds_per_s": max, "setup_s": min, "peak_rss_mb": min, "iwa_error": min}
 
@@ -99,7 +103,8 @@ for workload in workloads:
         }
     report["workloads"][workload] = entry
 report["tier1_s"] = {}
-for side, tree in (("base", base), ("work", root)):
+for side in ("base", "work"):
+    tree = os.path.join(trees, side)
     print(f"== tier-1 tests: {side}", file=sys.stderr, flush=True)
     start = time.perf_counter()
     suite = subprocess.run([sys.executable, "-m", "pytest", "-q"], cwd=tree, stdout=sys.stderr,

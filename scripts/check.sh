@@ -1,7 +1,9 @@
 #!/bin/sh
-# Run the checks a change must pass, in order, and stop at the first
-# failure: the tier-1 tests, the benchmark's and the tracer's tests, then
-# scripts/compare_outputs.sh against git revision REV (default HEAD).
+# Print the line count of the Python files under src/ at git revision REV
+# (default HEAD) and in the working tree, then run the checks a change must
+# pass, in order, and stop at the first failure: the tier-1 tests, the
+# benchmark's and the tracer's tests, then scripts/compare_outputs.sh
+# against REV.
 #
 #   scripts/check.sh [REV]
 #
@@ -16,6 +18,9 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
+base_lines="$(git archive "$rev" src | tar -xO --wildcards '*.py' | wc -l)"
+work_lines="$(find src -name '*.py' -exec cat {} + | wc -l)"
+echo "== src/ lines: $base_lines at $rev, $work_lines in the working tree" >&2
 echo "== tier-1 tests" >&2
 python3 -m pytest -q --continue-on-collection-errors
 echo "== benchmark and tracer tests" >&2

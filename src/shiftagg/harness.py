@@ -49,6 +49,8 @@ LAMBDA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
 # Each grid entry multiplies this decay; every polynomial fit of the sinc ladder uses RIDGE.
 BASE_WEIGHT_DECAY = 0.5
 RIDGE = 1e-6
+# Rows of the labeled moons evaluation draw (sinc scores on SINC_RULE_NODES).
+MOONS_EVAL_SIZE = 2000
 
 # METHODS (further down) defines the method names and their order; these are
 # subsets of it. Methods that need classification outputs:
@@ -75,14 +77,14 @@ class ExperimentConfig:
     Each field is both a config-file key and a CLI flag; its annotation
     decides how the text value is parsed (see ``parse_value``). A setting no
     study varies is not a field: it is a constant above (``RIDGE``,
-    ``BASE_WEIGHT_DECAY``) or the default of the library function it feeds,
-    such as the ratio clip, the oracle's rcond and the training epochs.
+    ``BASE_WEIGHT_DECAY``, ``MOONS_EVAL_SIZE``) or the default of the library
+    function it feeds, such as the ratio clip, the oracle's rcond and the
+    training epochs.
     """
 
     dataset: str = "sinc"
     n: int = 1000
     m: int = 1000
-    eval_size: int = 2000
     l: int = 5
     beta: str = "analytic"
     rcond: float = 0.1
@@ -116,7 +118,7 @@ class ExperimentConfig:
         problems = [f"{name}: must be finite, got {getattr(self, name)}" for name in non_finite]
         if self.dataset not in DATASETS:
             problems.append(f"dataset: expected one of {DATASETS}, got {self.dataset!r}")
-        for name, low in (("n", 1), ("m", 1), ("eval_size", 2), ("l", 1), ("oracle_draws", 1)):
+        for name, low in (("n", 1), ("m", 1), ("l", 1), ("oracle_draws", 1)):
             if getattr(self, name) < low:
                 problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
         if self.beta not in BETAS:
@@ -230,7 +232,7 @@ def build_instance(cfg, seed):
         return make_sinc_shift(cfg.n, cfg.m, seed=seed, interpret_std=cfg.sinc_interpret_std,
                                eval_nodes=SINC_RULE_NODES)
     if cfg.dataset == "moons":
-        return make_transformed_moons(cfg.n, cfg.m, cfg.eval_size, seed=seed,
+        return make_transformed_moons(cfg.n, cfg.m, MOONS_EVAL_SIZE, seed=seed,
                                       rotation_deg=cfg.moons_rotation_deg)
     return load_csv_instance(cfg.source_csv, cfg.target_csv, cfg.eval_csv, seed)
 

@@ -1,10 +1,10 @@
 """Importance-weighted model selection.
 
-Selection baselines score every model by a beta-weighted source loss and
-pick the argmin. The control-variate variant reduces the variance of the
-importance-weighted estimate using the weights themselves as the control.
-Neither route sees target labels, and non-finite predictions, labels or
-ratio weights raise NumericalError instead of ranking NaN scores.
+Selection baselines score every model by a beta-weighted squared source
+loss and pick the argmin. The control-variate variant reduces the variance
+of the importance-weighted estimate using the weights themselves as the
+control. Neither route sees target labels, and non-finite predictions,
+labels or ratio weights raise NumericalError instead of ranking NaN scores.
 """
 
 from dataclasses import dataclass
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import _checked_stack, _row_weights
-from .errors import DimensionError
-
-LOSSES = ("squared", "zero_one")
 
 # Below this weight variance the control variate is undefined and the plain
 # importance-weighted score is used unchanged.
@@ -29,31 +26,23 @@ class SelectionResult:
     scores: np.ndarray
 
 
-def _per_model_losses(source_predictions, source_y, loss):
-    if loss not in LOSSES:
-        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+def _per_model_losses(source_predictions, source_y):
     preds, source_y = _checked_stack(source_predictions, source_y)
-    if loss == "squared":
-        diff = preds - source_y[None, :, :]
-        return (diff**2).sum(axis=2)
-    if preds.shape[2] < 2:
-        raise DimensionError("zero_one loss needs classification outputs (d2 >= 2)")
-    truth = source_y.argmax(axis=1)
-    return (preds.argmax(axis=2) != truth[None, :]).astype(float)
+    return ((preds - source_y[None, :, :]) ** 2).sum(axis=2)
 
 
-def iwv_select(source_predictions, source_y, source_weights, loss="squared"):
-    """Pick argmin_i mean_k w_k * loss(f_i(x_k), y_k); ties -> lowest index.
+def iwv_select(source_predictions, source_y, source_weights):
+    """Pick argmin_i mean_k w_k * ||f_i(x_k) - y_k||^2; ties -> lowest index.
 
     ``source_weights`` holds the density ratio on the source rows, beta(source_x).
     """
-    losses = _per_model_losses(source_predictions, source_y, loss)
+    losses = _per_model_losses(source_predictions, source_y)
     w = _row_weights(source_weights, losses.shape[1])
     scores = (losses * w).mean(axis=1)
     return SelectionResult(chosen_index=int(np.argmin(scores)), scores=scores)
 
 
-def dev_select(source_predictions, source_y, source_weights, loss="squared"):
+def dev_select(source_predictions, source_y, source_weights):
     """Control-variate variant of importance-weighted validation.
 
     Per model: score = mean(w*l) + eta * (mean(w) - 1) with
@@ -61,7 +50,7 @@ def dev_select(source_predictions, source_y, source_weights, loss="squared"):
     Falls back to the plain importance-weighted score when Var(w) is below
     VARIANCE_FLOOR. Takes the same arguments as ``iwv_select``.
     """
-    losses = _per_model_losses(source_predictions, source_y, loss)
+    losses = _per_model_losses(source_predictions, source_y)
     w = _row_weights(source_weights, losses.shape[1])
     weighted = losses * w
     base = weighted.mean(axis=1)

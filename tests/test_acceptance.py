@@ -11,13 +11,28 @@ import time
 
 import numpy as np
 
-from shiftagg.aggregation import empirical_gram, iwa, oracle_weights, sor
-from shiftagg.datasets import SINC_SOURCE_MEAN, sinc_ratio, sinc_sigmas
+from shiftagg.aggregation import (
+    aggregate_predictions,
+    empirical_gram,
+    iwa,
+    oracle_weights,
+    sor,
+)
+from shiftagg.datasets import (
+    SINC_RULE_NODES,
+    SINC_SOURCE_MEAN,
+    make_sinc_shift,
+    sinc_ratio,
+    sinc_sigmas,
+)
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.harness import (
+    _RATE_STREAM,
     METHODS,
     ExperimentConfig,
     _SeedContext,
+    _sinc_sequence,
+    _subseeds,
     build_instance,
     build_models,
     rate_medians,
@@ -28,6 +43,7 @@ from shiftagg.harness import (
     run_sensitivity,
 )
 from shiftagg.linalg import spectral_pinv
+from shiftagg.metrics import risk
 from shiftagg.models import (
     fit_softmax_classifier,
     softmax_cross_entropy_grad,
@@ -99,10 +115,8 @@ def test_criterion_2_weights_converge_with_sample_size():
 
 def test_criterion_3_oracle_aggregation_beats_every_single_model():
     configs = [
-        ExperimentConfig(dataset="sinc", n=200, m=200, eval_size=1500, l=5),
-        ExperimentConfig(
-            dataset="moons", beta="learned", n=200, m=200, eval_size=1500, l=5
-        ),
+        ExperimentConfig(dataset="sinc", n=200, m=200, l=5),
+        ExperimentConfig(dataset="moons", beta="learned", n=200, m=200, l=5),
     ]
     violations = 0
     checked = 0
@@ -143,10 +157,8 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
 
 def test_criterion_4_unit_ratio_reduces_to_source_only_regression():
     configs = [
-        ExperimentConfig(dataset="sinc", n=150, m=150, eval_size=300, l=5),
-        ExperimentConfig(
-            dataset="moons", beta="learned", n=150, m=150, eval_size=300, l=5
-        ),
+        ExperimentConfig(dataset="sinc", n=150, m=150, l=5),
+        ExperimentConfig(dataset="moons", beta="learned", n=150, m=150, l=5),
     ]
     checked = 0
     for cfg in configs:
@@ -166,7 +178,7 @@ def test_criterion_5_truncated_pseudo_inverse_behavior():
     info = spectral_pinv(np.diag([4.0, 0.2]), rcond=0.1)
     assert np.array_equal(info.inverse, np.diag([0.25, 0.0]))
 
-    cfg = ExperimentConfig(dataset="sinc", n=300, m=300, eval_size=300, l=3)
+    cfg = ExperimentConfig(dataset="sinc", n=300, m=300, l=3)
     instance = build_instance(cfg, 0)
     models = build_models(cfg, instance)
     duplicated = [models[0], models[0], models[1]]
@@ -194,7 +206,6 @@ def test_criterion_6_aggregation_least_sensitive_to_corrupted_models():
         beta="learned",
         n=600,
         m=600,
-        eval_size=2000,
         l=14,
         seeds=tuple(range(10)),
         methods=("iwa", "tmv", "tmr", "tcr"),
@@ -232,7 +243,6 @@ def test_criterion_7_weights_track_model_accuracy():
         beta="learned",
         n=600,
         m=600,
-        eval_size=2000,
         l=14,
         rcond=1e-3,
         moons_rotation_deg=10.0,
@@ -262,7 +272,6 @@ def test_criterion_8_aggregation_outperforms_selection_with_learned_ratio():
         beta="learned",
         n=600,
         m=600,
-        eval_size=2000,
         l=14,
         seeds=tuple(range(10)),
         methods=("iwa", "iwv", "dev"),
@@ -339,7 +348,7 @@ def test_criterion_9_module_invariants():
     assert abs(values.mean() - 1.0) <= 3.0 * se
 
     # Repeated runs are deterministic row for row.
-    cfg = ExperimentConfig(dataset="sinc", n=60, m=60, eval_size=50, l=3, seeds=(0, 1))
+    cfg = ExperimentConfig(dataset="sinc", n=60, m=60, l=3, seeds=(0, 1))
     first, second = run_experiment(cfg), run_experiment(cfg)
     assert [dataclasses.asdict(r) for r in first.sorted_rows()] == [
         dataclasses.asdict(r) for r in second.sorted_rows()
@@ -349,7 +358,7 @@ def test_criterion_9_module_invariants():
     # nothing): the moons eval sample's labels, and the sinc quadrature
     # nodes' noise-free labels.
     probes = (
-        (ExperimentConfig(dataset="moons", beta="learned", n=60, m=60, eval_size=40, l=3),
+        (ExperimentConfig(dataset="moons", beta="learned", n=60, m=60, l=3),
          ConstantRatio(1.0), ("iwa", "sor", "tmr", "tcr", "iwv", "dev")),
         (ExperimentConfig(dataset="sinc", n=60, m=60, l=3), sinc_ratio(),
          ("iwa", "sor", "iwv", "dev")),
@@ -381,4 +390,50 @@ def test_criterion_9_module_invariants():
         9,
         "gram symmetry/PSD, simplex outputs, finite-difference gradients, "
         "unit-mean ratio, determinism, and label-discipline checks all hold",
+    )
+
+
+def test_criterion_10_target_risk_within_twice_the_optimal_aggregation():
+    # The paper's headline bound: asymptotically the aggregate's target risk
+    # is at most twice that of the best aggregation of the same models. It
+    # assumes a bounded ratio, so this is the variance reading, whose exact
+    # ratio stays below the clip. Under the std reading beta is clipped, the
+    # weighted moment is biased, and the ratio stalls near 1.7 instead of
+    # tending to 1. Risks are noise-free (the shared sigma^2 left out) and
+    # exact on the target law's quadrature rule; both solves use rcond 0.1.
+    cfg = ExperimentConfig(dataset="sinc", n=2000, sinc_interpret_std=False)
+    sizes = (1000, 4000, 16000)
+    rule = make_sinc_shift(1, 1, seed=0, interpret_std=False, eval_nodes=SINC_RULE_NODES)
+    beta = sinc_ratio(False)
+    ratios = {size: [] for size in sizes}
+    for seed in range(20):
+        # The rate check's streams: models on an independent draw, then n = m draws.
+        subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
+        train = make_sinc_shift(cfg.n, 1, 1, subseeds[0], interpret_std=False)
+        models = _sinc_sequence(cfg, train)
+        stack = stack_predictions(models, rule.target_eval_x)
+
+        def target_risk(weights):
+            preds = aggregate_predictions(weights, stack)
+            return risk(preds, rule.target_eval_y, rule.target_eval_weights)
+
+        optimal = target_risk(
+            oracle_weights(stack, rule.target_eval_y, cfg.rcond, rule.target_eval_weights)
+        )
+        for size, sub in zip(sizes, subseeds[2:]):
+            inst = make_sinc_shift(size, size, 1, sub, interpret_std=False)
+            weights = iwa(
+                models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
+            ).weights
+            ratios[size].append(target_risk(weights) / optimal)
+    medians = {size: float(np.median(ratios[size])) for size in sizes}
+    worst = max(ratios[16000])
+    assert worst <= 2.0, f"R0(iwa)/R0(c*) reaches {worst:.3f} > 2 at n = m = 16000"
+    assert medians[4000] <= 1.5, f"median ratio {medians[4000]:.3f} > 1.5 at n = m = 4000"
+    assert medians[1000] > medians[4000] > medians[16000], f"not decreasing: {medians}"
+    _report(
+        10,
+        "median R0(iwa)/R0(c*) "
+        + " > ".join(f"{medians[s]:.3f}" for s in sizes)
+        + f" at n = m = {', '.join(map(str, sizes))}; max {worst:.3f} <= 2 at 16000",
     )

@@ -14,7 +14,6 @@ TINY_RUN = [
     "--dataset", "sinc",
     "--n", "40",
     "--m", "40",
-    "--eval-size", "40",
     "--l", "2",
     "--seeds", "0",
 ]
@@ -42,7 +41,7 @@ def test_flags_land_in_the_recorded_config(tmp_path):
 
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dataset = sinc\nn = 40\nm = 40\neval_size = 40\nl = 2\nseeds = 0\n")
+    cfg.write_text("dataset = sinc\nn = 40\nm = 40\nl = 2\nseeds = 0\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--n", "50", "--out", str(out)]) == 0
     payload = json.loads((out / "results.json").read_text())
@@ -56,7 +55,7 @@ def test_config_error_exits_one(capsys):
 
 
 def test_repeated_seeds_exit_one(tmp_path, capsys):
-    args = ["run", "--n", "40", "--m", "40", "--eval-size", "40", "--l", "2",
+    args = ["run", "--n", "40", "--m", "40", "--l", "2",
             "--seeds", "0,0", "--methods", "iwa", "--out", str(tmp_path / "out")]
     assert main(args) == 1
     assert "seeds:" in capsys.readouterr().err
@@ -66,7 +65,7 @@ def test_repeated_seeds_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "correlate"])
 def test_repeated_methods_exit_one(tmp_path, capsys, command):
     args = [command, "--dataset", "moons", "--beta", "learned", "--n", "40", "--m", "40",
-            "--eval-size", "40", "--l", "2", "--seeds", "0,1", "--methods", "iwa,iwa",
+            "--l", "2", "--seeds", "0,1", "--methods", "iwa,iwa",
             "--out", str(tmp_path / "out")]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: methods: each method may appear once")
@@ -95,7 +94,6 @@ def test_sensitivity_subcommand(tmp_path):
             "--beta", "learned",
             "--n", "60",
             "--m", "60",
-            "--eval-size", "40",
             "--l", "3",
             "--seeds", "0",
             "--methods", "iwa,tmv",
@@ -119,7 +117,6 @@ def test_correlate_subcommand(tmp_path):
             "--beta", "learned",
             "--n", "60",
             "--m", "60",
-            "--eval-size", "40",
             "--l", "3",
             "--seeds", "0,1",
             "--methods", "iwa",
@@ -417,7 +414,6 @@ FIELD_VALUES = {
     "dataset": "moons",
     "n": "41",
     "m": "42",
-    "eval_size": "43",
     "l": "3",
     "beta": "analytic",
     "rcond": "0.05",
@@ -434,13 +430,13 @@ FIELD_VALUES = {
     "oracle_draws": "1500",
 }
 
-BASE_CONFIG = "beta = learned\nn = 40\nm = 40\neval_size = 40\nl = 2\nseeds = 0\n"
+BASE_CONFIG = "beta = learned\nn = 40\nm = 40\nl = 2\nseeds = 0\n"
 
 # Settings that no study varies: constants or library defaults, not config keys.
 REMOVED_KEYS = (
     "beta_bound", "oracle_rcond", "sinc_noise_std", "moons_noise", "moons_translation_x",
     "moons_translation_y", "ridge", "classifier_epochs", "classifier_lr", "base_weight_decay",
-    "domain_epochs", "domain_lr", "selection_loss",
+    "domain_epochs", "domain_lr", "selection_loss", "eval_size",
 )
 
 

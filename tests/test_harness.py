@@ -54,10 +54,8 @@ from shiftagg.models import (
     stack_predictions,
 )
 
-SINC_SMALL = dict(dataset="sinc", n=50, m=50, eval_size=40, l=3, seeds=(0, 1))
-MOONS_SMALL = dict(
-    dataset="moons", beta="learned", n=60, m=60, eval_size=40, l=3, seeds=(0,)
-)
+SINC_SMALL = dict(dataset="sinc", n=50, m=50, l=3, seeds=(0, 1))
+MOONS_SMALL = dict(dataset="moons", beta="learned", n=60, m=60, l=3, seeds=(0,))
 
 
 def seed_context(cfg, inst, models, beta):
@@ -111,7 +109,7 @@ class TestConfigValidation:
         ("beta", "exact"),
         ("rcond", 1.0),
         ("rcond", -1e-9),
-        ("eval_size", 1),
+        ("m", 0),
         ("l", 0),
         ("seeds", ()),
         ("seeds", (0, -1)),

@@ -53,22 +53,11 @@ class TestIwvSelect:
         result = iwv_select(constant_stack(3, [1.0, 0.0], [1.0, 0.0]), ys, np.ones(3))
         assert result.chosen_index == 0
 
-    def test_zero_one_loss(self):
-        # Argmax mistakes: model (0.9,0.1) errs on the two class-1 rows,
-        # model (0.1,0.9) on the single class-0 row.
-        stack = constant_stack(3, [0.9, 0.1], [0.1, 0.9])
-        ys = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        result = iwv_select(stack, ys, np.ones(3), loss="zero_one")
-        assert result.chosen_index == 1
-        assert np.allclose(result.scores, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-
-    def test_zero_one_needs_classification_outputs(self):
-        with pytest.raises(DimensionError, match="zero_one"):
-            iwv_select(np.ones((1, 2, 1)), np.ones((2, 1)), np.ones(2), loss="zero_one")
-
     def test_unknown_loss_rejected(self):
-        with pytest.raises(ValueError, match="loss must be one of"):
-            iwv_select(stack_2d(2), np.zeros((2, 2)), np.ones(2), loss="huber")
+        # The squared loss is the only one; a loss keyword is an error, not ignored.
+        for select in (iwv_select, dev_select):
+            with pytest.raises(TypeError, match="loss"):
+                select(stack_2d(2), np.zeros((2, 2)), np.ones(2), loss="zero_one")
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -154,13 +143,12 @@ class TestNonFiniteInputs:
             select(stack_2d(3), ys, np.array([np.nan, 1.0, 1.0]))
 
     @pytest.mark.parametrize("select", [iwv_select, dev_select])
-    @pytest.mark.parametrize("loss", ["squared", "zero_one"])
-    def test_non_finite_predictions_rejected(self, select, loss):
+    def test_non_finite_predictions_rejected(self, select):
         stack = np.full((2, 3, 2), 0.5)
         stack[1, 2, 0] = np.nan
         ys = np.tile([1.0, 0.0], (3, 1))
         with pytest.raises(NumericalError, match="predictions"):
-            select(stack, ys, np.ones(3), loss)
+            select(stack, ys, np.ones(3))
 
     def test_non_finite_labels_rejected(self):
         ys = np.tile([1.0, 0.0], (3, 1))

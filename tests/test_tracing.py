@@ -54,7 +54,7 @@ def test_traced_moons_ladder_is_one_fit(tmp_path):
     # steps, so its time shows under models.fit rather than in harness.self_s.
     layers = _traced_layers(tmp_path, [
         "correlate", "--config", os.path.join(ROOT, "configs", "correlation.cfg"),
-        "--seeds", "0", "--n", "80", "--m", "80", "--eval-size", "60",
+        "--seeds", "0", "--n", "80", "--m", "80",
     ])
     assert layers["models.fit_calls"] == 1
     assert layers["models.fit_steps"] == 300
