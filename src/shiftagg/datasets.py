@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .density_ratio import DEFAULT_BOUND, GaussianRatio
+from .density_ratio import GaussianRatio
 from .errors import CsvFormatError, DimensionError
 
 
@@ -33,7 +33,6 @@ class DomainAdaptationInstance:
     target_x: np.ndarray
     target_eval_x: np.ndarray
     target_eval_y: np.ndarray
-    seed: int
     target_eval_weights: np.ndarray = None
     eval_noise_var: float = 0.0
 
@@ -163,23 +162,14 @@ def sinc_sigmas(interpret_std=True):
     return (0.25, 0.25) if interpret_std else (0.5, 0.25)
 
 
-def sinc_ratio(interpret_std=True, bound=DEFAULT_BOUND):
+def sinc_ratio(interpret_std=True):
     """Analytic density ratio matching make_sinc_shift's input distributions."""
     source_std, target_std = sinc_sigmas(interpret_std)
-    return GaussianRatio(SINC_SOURCE_MEAN, source_std, SINC_TARGET_MEAN, target_std, bound)
+    return GaussianRatio(SINC_SOURCE_MEAN, source_std, SINC_TARGET_MEAN, target_std)
 
 
-def make_sinc_shift(
-    n,
-    m,
-    eval_size=None,
-    seed=0,
-    *,
-    interpret_std=True,
-    noise_std=SINC_NOISE_STD,
-    eval_nodes=None,
-):
-    """1-d regression instance: y = sin(pi x)/(pi x) + N(0, noise_std^2).
+def make_sinc_shift(n, m, eval_size=None, seed=0, *, interpret_std=True, eval_nodes=None):
+    """1-d regression instance: y = sin(pi x)/(pi x) + N(0, SINC_NOISE_STD^2).
 
     Source inputs ~ N(1, sigma_p^2), target inputs ~ N(2, sigma_q^2) with
     the sigmas given by ``sinc_sigmas(interpret_std)``. sinc(0) = 1.
@@ -187,8 +177,9 @@ def make_sinc_shift(
     With ``eval_nodes`` no eval sample is drawn (``eval_size`` is unused):
     the eval split is the ``eval_nodes``-node Gauss-Hermite rule of the
     target law, labeled with the noise-free sinc and carrying
-    ``noise_std^2`` as its noise variance, so that a risk on it is the exact
-    target expectation. The source and target samples are the same either way.
+    ``SINC_NOISE_STD^2`` as its noise variance, so that a risk on it is the
+    exact target expectation. The source and target samples are the same
+    either way.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
@@ -196,30 +187,27 @@ def make_sinc_shift(
         eval_size = m
     if eval_size < 1:
         raise ValueError("eval_size must be at least 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
     source_std, target_std = sinc_sigmas(interpret_std)
     rng_source, rng_target, rng_eval = _split_rngs(seed)
 
     source_x = rng_source.normal(SINC_SOURCE_MEAN, source_std, size=(n, 1))
-    source_y = np.sinc(source_x) + rng_source.normal(0.0, noise_std, size=(n, 1))
+    source_y = np.sinc(source_x) + rng_source.normal(0.0, SINC_NOISE_STD, size=(n, 1))
     target_x = rng_target.normal(SINC_TARGET_MEAN, target_std, size=(m, 1))
     if eval_nodes is None:
         eval_x = rng_eval.normal(SINC_TARGET_MEAN, target_std, size=(eval_size, 1))
-        eval_y = np.sinc(eval_x) + rng_eval.normal(0.0, noise_std, size=(eval_size, 1))
+        eval_y = np.sinc(eval_x) + rng_eval.normal(0.0, SINC_NOISE_STD, size=(eval_size, 1))
         exact = {}
     else:
         nodes, weights = gauss_hermite(eval_nodes, SINC_TARGET_MEAN, target_std)
         eval_x = nodes[:, None]
         eval_y = np.sinc(eval_x)
-        exact = {"target_eval_weights": weights, "eval_noise_var": noise_std**2}
+        exact = {"target_eval_weights": weights, "eval_noise_var": SINC_NOISE_STD**2}
     return DomainAdaptationInstance(
         source_x=source_x,
         source_y=source_y,
         target_x=target_x,
         target_eval_x=eval_x,
         target_eval_y=eval_y,
-        seed=int(seed),
         **exact,
     ).validate()
 
@@ -228,6 +216,7 @@ def make_sinc_shift(
 
 MOONS_ROTATION_DEG = 35.0
 MOONS_TRANSLATION = (0.3, 0.2)
+MOONS_NOISE = 0.1
 # Midpoint of the two arc centers (0, 0) and (1, 0.5); rotation pivots here.
 MOONS_CENTROID = (0.5, 0.25)
 
@@ -274,44 +263,34 @@ def _rotation(rotation_deg):
     return np.array([[c, -s], [s, c]])
 
 
-def moons_transform(points, rotation_deg=MOONS_ROTATION_DEG, translation=MOONS_TRANSLATION):
-    """Rotate about the arcs' centroid, then translate (the target-domain map)."""
+def moons_transform(points, rotation_deg=MOONS_ROTATION_DEG):
+    """Rotate about the arcs' centroid, then translate by MOONS_TRANSLATION (the target map)."""
     points = np.asarray(points, dtype=float)
     center = np.asarray(MOONS_CENTROID)
     rot = _rotation(rotation_deg)
-    return (points - center) @ rot.T + center + np.asarray(translation, dtype=float)
+    return (points - center) @ rot.T + center + np.asarray(MOONS_TRANSLATION, dtype=float)
 
 
-def make_transformed_moons(
-    n,
-    m,
-    eval_size=None,
-    noise=0.1,
-    seed=0,
-    *,
-    rotation_deg=MOONS_ROTATION_DEG,
-    translation=MOONS_TRANSLATION,
-):
+def make_transformed_moons(n, m, eval_size=None, seed=0, *, rotation_deg=MOONS_ROTATION_DEG):
     """Two-moons classification with an affinely transformed target domain.
 
-    Source points come straight from the moons generator; target and eval
-    points are fresh generator draws pushed through ``moons_transform``
-    (labels travel with their pre-images). Labels are one-hot over the two
-    classes.
+    Source points come straight from the moons generator at MOONS_NOISE;
+    target and eval points are fresh generator draws pushed through
+    ``moons_transform`` (labels travel with their pre-images). Labels are
+    one-hot over the two classes.
     """
     if eval_size is None:
         eval_size = m
     rng_source, rng_target, rng_eval = _split_rngs(seed)
-    source_points, source_labels = moons_points(n, noise, rng_source)
-    target_points, _ = moons_points(m, noise, rng_target)
-    eval_points, eval_labels = moons_points(eval_size, noise, rng_eval)
+    source_points, source_labels = moons_points(n, MOONS_NOISE, rng_source)
+    target_points, _ = moons_points(m, MOONS_NOISE, rng_target)
+    eval_points, eval_labels = moons_points(eval_size, MOONS_NOISE, rng_eval)
     return DomainAdaptationInstance(
         source_x=source_points,
         source_y=one_hot(source_labels, 2),
-        target_x=moons_transform(target_points, rotation_deg, translation),
-        target_eval_x=moons_transform(eval_points, rotation_deg, translation),
+        target_x=moons_transform(target_points, rotation_deg),
+        target_eval_x=moons_transform(eval_points, rotation_deg),
         target_eval_y=one_hot(eval_labels, 2),
-        seed=int(seed),
     ).validate()
 
 
@@ -324,35 +303,40 @@ def _read_csv(path, form, accepts):
     Header cells are stripped of surrounding whitespace; a header that
     ``accepts`` rejects is reported against the expected ``form``. Blank rows
     are skipped, and every other row must have as many fields as the header.
+    A file that is not UTF-8 text is a CsvFormatError too; a leading
+    byte-order mark is skipped.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError("file is empty", path=path)
-        header = [cell.strip() for cell in header]
-        if not accepts(header):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            records = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
+    if not records:
+        raise CsvFormatError("file is empty", path=path)
+    header = [cell.strip() for cell in records[0]]
+    if not accepts(header):
+        raise CsvFormatError(f"expected header '{form}', got {','.join(header)}", path=path, line=1)
+    rows = []
+    for lineno, fields in enumerate(records[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(header):
             raise CsvFormatError(
-                f"expected header '{form}', got {','.join(header)}", path=path, line=1
+                f"expected {len(header)} fields, got {len(fields)}", path=path, line=lineno
             )
-        rows = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise CsvFormatError(
-                    f"expected {len(header)} fields, got {len(fields)}", path=path, line=lineno
-                )
-            rows.append((lineno, fields))
+        rows.append((lineno, fields))
     return header, rows
 
 
 def _parse_number(kind, text, path, lineno):
-    """``kind(text)``, or a CsvFormatError citing the line."""
+    """``kind(text)`` if it is a finite number, or a CsvFormatError citing the line."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise CsvFormatError(f"unparseable number: {exc}", path=path, line=lineno) from None
+    if kind is float and not math.isfinite(value):
+        raise CsvFormatError(f"non-finite number {text.strip()!r}", path=path, line=lineno)
+    return value
 
 
 def _read_split(path, labeled):
@@ -378,7 +362,7 @@ def _read_split(path, labeled):
     return x, y
 
 
-def load_csv_instance(source_path, target_path, eval_path, seed=0):
+def load_csv_instance(source_path, target_path, eval_path):
     """Instance from three CSV files: labeled source, unlabeled target, labeled eval.
 
     Labeled files carry header ``x0,...,y0,...``; the target file carries
@@ -395,5 +379,4 @@ def load_csv_instance(source_path, target_path, eval_path, seed=0):
         target_x=target_x,
         target_eval_x=eval_x,
         target_eval_y=eval_y,
-        seed=int(seed),
     ).validate()

@@ -16,6 +16,9 @@ DEFAULT_BOUND = 50.0
 
 # Classifier probabilities are clamped away from {0, 1} before forming odds.
 PROB_CLAMP = 1e-6
+# Full-batch gradient steps of the domain classifier, and their step size.
+DOMAIN_EPOCHS = 500
+DOMAIN_LR = 0.5
 
 
 class DensityRatio(ABC):
@@ -109,12 +112,13 @@ class LearnedRatio(DensityRatio):
         return np.clip(self.prior_ratio * d / (1.0 - d), 0.0, self.bound)
 
 
-def fit_domain_classifier(source_x, target_x, epochs=500, lr=0.5, bound=DEFAULT_BOUND):
+def fit_domain_classifier(source_x, target_x):
     """Logistic source-vs-target classifier trained by full-batch gradient descent.
 
-    Source rows get label 0, target rows label 1; parameters start at zero,
-    so the fit is deterministic and (up to float summation order) invariant
-    under reordering of the training rows.
+    Source rows get label 0, target rows label 1; parameters start at zero
+    and take DOMAIN_EPOCHS steps of size DOMAIN_LR, so the fit is
+    deterministic and (up to float summation order) invariant under
+    reordering of the training rows. The ratio is clipped at DEFAULT_BOUND.
     """
     source_x = np.asarray(source_x, dtype=float)
     target_x = np.asarray(target_x, dtype=float)
@@ -129,17 +133,15 @@ def fit_domain_classifier(source_x, target_x, epochs=500, lr=0.5, bound=DEFAULT_
         raise ValueError("both domains need at least one sample")
     if not (np.all(np.isfinite(source_x)) and np.all(np.isfinite(target_x))):
         raise ValueError("training data must be finite")
-    if not (epochs >= 0 and 0 < lr < np.inf):
-        raise ValueError("epochs must be >= 0 and lr > 0 and finite")
     x = np.vstack([source_x, target_x])
     y = np.concatenate([np.zeros(n), np.ones(m)])
     total = n + m
     w = np.zeros(x.shape[1])
     b = 0.0
-    for _ in range(int(epochs)):
+    for _ in range(DOMAIN_EPOCHS):
         with np.errstate(over="ignore"):
             probs = 1.0 / (1.0 + np.exp(-(x @ w + b)))
         resid = probs - y
-        w = w - lr * (x.T @ resid) / total
-        b = b - lr * float(resid.mean())
-    return LearnedRatio(w, b, n / m, bound)
+        w = w - DOMAIN_LR * (x.T @ resid) / total
+        b = b - DOMAIN_LR * float(resid.mean())
+    return LearnedRatio(w, b, n / m)

@@ -194,7 +194,7 @@ def load_config_file(path):
     """Read ``key = value`` lines ('#' comments and blank lines ignored; a key may appear once)."""
     values = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -208,6 +208,8 @@ def load_config_file(path):
                 values[key] = parse_config_value(key, text)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return values
 
 
@@ -234,7 +236,7 @@ def build_instance(cfg, seed):
     if cfg.dataset == "moons":
         return make_transformed_moons(cfg.n, cfg.m, MOONS_EVAL_SIZE, seed=seed,
                                       rotation_deg=cfg.moons_rotation_deg)
-    return load_csv_instance(cfg.source_csv, cfg.target_csv, cfg.eval_csv, seed)
+    return load_csv_instance(cfg.source_csv, cfg.target_csv, cfg.eval_csv)
 
 
 def _sinc_sequence(cfg, instance):

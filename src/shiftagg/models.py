@@ -138,7 +138,7 @@ def _labelled_sample(x, labels, classes, models):
     return x, np.repeat(hits, models, axis=2).astype(float)
 
 
-def _softmax_grads(weights, intercept, x, one_hot, with_picked=False):
+def _softmax_grads(weights, intercept, x, one_hot):
     """Mean cross-entropy gradients of a ladder of l linear softmax classifiers.
 
     Rows lead: ``weights`` is a C-contiguous (d, c, l) array and
@@ -150,40 +150,17 @@ def _softmax_grads(weights, intercept, x, one_hot, with_picked=False):
     on an (l, n, c) copy of the residual, the product a lone model makes: a
     single (d, n) @ (n, c·l) product would change the bits when d = 1.
 
-    Returns ``(picked, grad_w, grad_b)``: each row's label probability as
-    (l, n) if ``with_picked`` (else None), grad_w as a (d, c, l) view and
-    grad_b as (c, l).
+    Returns ``(grad_w, grad_b)``: grad_w as a (d, c, l) view and grad_b as
+    (c, l).
     """
     n = x.shape[0]
     d, c, l = weights.shape
     z = (x @ weights.reshape(d, c * l)).reshape(n, c, l)
     z += intercept
     _softmax_in_place(z, 1)
-    picked = (z * one_hot).sum(axis=1).T if with_picked else None
     z -= one_hot
     grad_w = np.matmul(x.T, z.transpose(2, 0, 1).copy()) / n
-    return picked, grad_w.transpose(1, 2, 0), z.sum(axis=0) / n
-
-
-def softmax_cross_entropy_grad(weights, intercept, x, labels):
-    """Mean cross-entropy of a linear softmax classifier and its gradients.
-
-    Weights (d, c) with an intercept (c,), or a stack (l, d, c) with
-    (l, 1, c); the gradients come back in the same layouts. Returns
-    ``(loss, grad_weights, grad_intercept)``, with one loss per slice of
-    stacked weights. The trainer runs the same gradient.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim not in (2, 3):
-        raise DimensionError(f"weights must be (d, c) or (l, d, c), got shape {weights.shape}")
-    stack = weights if weights.ndim == 3 else weights[None]
-    l, _, c = stack.shape
-    x, one_hot = _labelled_sample(x, labels, c, l)
-    b = np.asarray(intercept, dtype=float).reshape(l, c).T.copy()
-    picked, gw, gb = _softmax_grads(stack.transpose(1, 2, 0).copy(), b, x, one_hot, True)
-    loss = -np.log(np.clip(picked, 1e-300, None)).mean(axis=-1)
-    gw, gb = gw.transpose(2, 0, 1), gb.T.reshape(np.shape(intercept))
-    return (float(loss[0]), gw[0], gb) if weights.ndim == 2 else (loss, gw, gb)
+    return grad_w.transpose(1, 2, 0), z.sum(axis=0) / n
 
 
 class SoftmaxModel(LinearModel):
@@ -193,18 +170,22 @@ class SoftmaxModel(LinearModel):
         return softmax_probabilities(super().predict_many(xs))
 
 
-def fit_softmax_classifier(x, labels, classes, epochs=300, lr=0.5, *, weight_decay=0.0):
+# Step size of the softmax trainer.
+SOFTMAX_LR = 0.5
+
+
+def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay=0.0):
     """Full-batch gradient descent on mean cross-entropy from all-zero init.
 
-    Deterministic: zero initialization plus full-batch updates leave nothing
-    to chance. ``weight_decay`` is an L2 penalty on the slopes (not the
-    intercept), applied as a proximal step: after each gradient update the
-    slopes are scaled by 1/(1 + lr * weight_decay). Unlike adding the decay
-    to the gradient, this cannot diverge however large the penalty. A 1-d
-    sequence of decays trains one model per decay in one stacked loop and
-    returns their list; on two or more rows each equals its own scalar fit
-    bit for bit (on one row numpy's vector-matrix product makes the last
-    bits depend on the ladder's length). The loop holds the ladder with rows
+    Deterministic: zero initialization plus full-batch updates of step
+    SOFTMAX_LR leave nothing to chance. ``weight_decay`` is an L2 penalty on
+    the slopes (not the intercept), applied as a proximal step: after each
+    gradient update the slopes are scaled by 1/(1 + SOFTMAX_LR *
+    weight_decay). Unlike adding the decay to the gradient, this cannot
+    diverge however large the penalty. A 1-d sequence of decays trains one
+    model per decay in one stacked loop and returns their list; on two or
+    more rows each equals its own scalar fit bit for bit (on one row numpy's
+    vector-matrix product makes the last bits depend on the ladder's length). The loop holds the ladder with rows
     leading, as (d, c, l) slopes and (c, l) intercepts, so each pass makes
     one forward product for all models; each returned model owns
     C-contiguous (d, c) weights.
@@ -216,16 +197,16 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, lr=0.5, *, weight_dec
     x, one_hot = _labelled_sample(x, labels, classes, decays.size)
     if decays.ndim > 1 or decays.size == 0:
         raise ValueError(f"weight_decay must be a number or a non-empty 1-d sequence, got {decays}")
-    if not (epochs >= 0 and 0 < lr < np.inf and np.all((decays >= 0) & (decays < np.inf))):
-        raise ValueError("epochs must be >= 0, lr > 0 and finite, weight_decay >= 0 and finite")
+    if not (epochs >= 0 and np.all((decays >= 0) & (decays < np.inf))):
+        raise ValueError("epochs must be >= 0, weight_decay >= 0 and finite")
     w = np.zeros((x.shape[1], classes, decays.size))
     b = np.zeros((classes, decays.size))
-    shrink = 1.0 / (1.0 + lr * decays.reshape(-1))
+    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays.reshape(-1))
     for _ in range(int(epochs)):
-        _, gw, gb = _softmax_grads(w, b, x, one_hot)
-        w -= lr * gw
+        gw, gb = _softmax_grads(w, b, x, one_hot)
+        w -= SOFTMAX_LR * gw
         w *= shrink
-        b -= lr * gb
+        b -= SOFTMAX_LR * gb
     fitted = [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
     return fitted if decays.ndim else fitted[0]
 

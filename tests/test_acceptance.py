@@ -21,11 +21,12 @@ from shiftagg.aggregation import (
 from shiftagg.datasets import (
     SINC_RULE_NODES,
     SINC_SOURCE_MEAN,
+    SINC_TARGET_MEAN,
     make_sinc_shift,
     sinc_ratio,
     sinc_sigmas,
 )
-from shiftagg.density_ratio import ConstantRatio
+from shiftagg.density_ratio import ConstantRatio, GaussianRatio
 from shiftagg.harness import (
     _RATE_STREAM,
     METHODS,
@@ -45,8 +46,10 @@ from shiftagg.harness import (
 from shiftagg.linalg import spectral_pinv
 from shiftagg.metrics import risk
 from shiftagg.models import (
+    SoftmaxModel,
+    _labelled_sample,
+    _softmax_grads,
     fit_softmax_classifier,
-    softmax_cross_entropy_grad,
     stack_predictions,
 )
 
@@ -317,16 +320,20 @@ def test_criterion_9_module_invariants():
     assert np.all(probs >= 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    # Analytic gradient matches central finite differences to 1e-5 relative.
+    # The trainer's analytic gradient, on a one-model (d, c, 1) ladder,
+    # matches central finite differences of the mean cross-entropy of the
+    # model's predictions to 1e-5 relative.
     fd_x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
     fd_labels = np.array([0, 1, 0])
     w = np.array([[0.2, -0.1], [0.5, 0.3]])
     b = np.array([0.05, -0.2])
-    _, gw, gb = softmax_cross_entropy_grad(w, b, fd_x, fd_labels)
+    gw, gb = _softmax_grads(w[..., None], b[:, None], *_labelled_sample(fd_x, fd_labels, 2, 1))
+    gw, gb = gw[..., 0], gb[:, 0]
     eps = 1e-6
 
     def loss_at(w_mod, b_mod):
-        return softmax_cross_entropy_grad(w_mod, b_mod, fd_x, fd_labels)[0]
+        probs = SoftmaxModel(w_mod, b_mod).predict_many(fd_x)
+        return -np.log(probs[np.arange(fd_labels.size), fd_labels]).mean()
 
     for index in np.ndindex(w.shape):
         bump = np.zeros_like(w)
@@ -340,8 +347,8 @@ def test_criterion_9_module_invariants():
         assert abs(fd - gb[i]) <= 1e-5 * max(1.0, abs(fd))
 
     # The exact density ratio integrates to one over the source distribution.
-    source_std, _ = sinc_sigmas(False)
-    ratio = sinc_ratio(False, bound=1e9)
+    source_std, target_std = sinc_sigmas(False)
+    ratio = GaussianRatio(SINC_SOURCE_MEAN, source_std, SINC_TARGET_MEAN, target_std, bound=1e9)
     draws = rng.normal(SINC_SOURCE_MEAN, source_std, size=(200_000, 1))
     values = ratio.weights(draws)
     se = values.std(ddof=1) / math.sqrt(values.size)

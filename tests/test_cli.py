@@ -303,10 +303,22 @@ def _study_args(tmp_path, command, seeds, model_paths):
     return args
 
 
-# A malformed source file, or a directory given where the flag wants a file.
+# Input files whose content is at fault: the file, how its text is spoiled,
+# and the line the error cites (None where the line is not known).
+CONTENT_FAULTS = {
+    "malformed": ("source.csv", lambda text: text.replace("0,1,0,1", "0,oops,0,1"), 3),
+    "nonfinite": ("source.csv", lambda text: text.replace("0,1,0,1", "0,1,nan,1"), 3),
+    "nonfinite-model": ("model_a.csv", lambda text: text.replace("1,0.2,", "1,inf,"), 3),
+    "binary": ("source.csv", lambda text: text.encode("utf-16"), None),  # a UTF-16 export
+    "binary-config": ("run.cfg", lambda text: "# r\xe9sum\xe9\nn = 3\n".encode("latin-1"), None),
+}
+
+
+# A file whose content is at fault, or a directory given where the flag wants a file.
 @pytest.mark.parametrize("command, fault", [
-    pytest.param(command, fault, id=command if fault == "malformed" else command + fault[1:])
-    for fault in ("malformed", "--config", "--source-csv", "--model-csvs")
+    pytest.param(command, fault, id=command if fault == "malformed" else
+                 f"{command}-{fault.lstrip('-')}")
+    for fault in (*CONTENT_FAULTS, "--config", "--source-csv", "--model-csvs")
     for command in ("run", "correlate", "sensitivity")
 ])
 def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault):
@@ -314,9 +326,14 @@ def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault
     model = tmp_path / "model_a.csv"
     _write_model_csv(model, with_eval_rows=True)
     args = _study_args(tmp_path, command, _csv_seeds(command), [model])
-    if fault == "malformed":
-        (tmp_path / "source.csv").write_text("x0,x1,y0,y1\n0,0,1,0\n0,oops,0,1\n0,2,1,0\n")
-        expected = ("source.csv", "line 3")
+    if fault in CONTENT_FAULTS:
+        name, spoil, line = CONTENT_FAULTS[fault]
+        path = tmp_path / name
+        spoiled = spoil(path.read_text() if path.exists() else "")
+        path.write_bytes(spoiled if isinstance(spoiled, bytes) else spoiled.encode())
+        if name.endswith(".cfg"):
+            args += ["--config", str(path)]
+        expected = (str(path),) if line is None else (str(path), f"line {line}")
     else:
         folder = tmp_path / "folder"
         folder.mkdir()

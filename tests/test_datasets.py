@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from shiftagg.datasets import (
     MOONS_CENTROID,
+    MOONS_NOISE,
     MOONS_ROTATION_DEG,
     MOONS_TRANSLATION,
     SINC_NOISE_STD,
     SINC_SOURCE_MEAN,
     SINC_TARGET_MEAN,
     DomainAdaptationInstance,
+    _split_rngs,
     gauss_hermite,
     load_csv_instance,
     make_sinc_shift,
@@ -26,14 +28,20 @@ from shiftagg.datasets import (
     sinc_ratio,
     sinc_sigmas,
 )
+from shiftagg.density_ratio import DEFAULT_BOUND
 from shiftagg.errors import CsvFormatError, DimensionError
 from shiftagg.models import PrecomputedModel
 
 
 class TestSincShift:
     def test_noise_free_labels_are_sinc(self):
-        inst = make_sinc_shift(50, 50, seed=3, noise_std=0.0)
-        assert np.array_equal(inst.source_y, np.sinc(inst.source_x))
+        # Source labels are the sinc plus SINC_NOISE_STD draws from the
+        # source stream; the quadrature rule's labels are the sinc itself.
+        inst = make_sinc_shift(50, 50, seed=3, eval_nodes=12)
+        rng_source = _split_rngs(3)[0]
+        source_x = rng_source.normal(SINC_SOURCE_MEAN, sinc_sigmas(True)[0], size=(50, 1))
+        noise = rng_source.normal(0.0, SINC_NOISE_STD, size=(50, 1))
+        assert inst.source_y.tobytes() == (np.sinc(source_x) + noise).tobytes()
         assert np.array_equal(inst.target_eval_y, np.sinc(inst.target_eval_x))
 
     def test_deterministic_per_seed(self):
@@ -64,7 +72,8 @@ class TestSincShift:
         assert wide.source_x.std() > 1.5 * narrow.source_x.std()
 
     def test_ratio_matches_generator_parameters(self):
-        beta = sinc_ratio(interpret_std=False, bound=1e9)
+        beta = sinc_ratio(interpret_std=False)
+        assert beta.bound == DEFAULT_BOUND
         assert beta.source_mean == SINC_SOURCE_MEAN
         assert beta.target_mean == SINC_TARGET_MEAN
         assert (beta.source_std, beta.target_std) == sinc_sigmas(False)
@@ -85,8 +94,6 @@ class TestSincShift:
             make_sinc_shift(0, 5)
         with pytest.raises(ValueError):
             make_sinc_shift(5, 5, eval_size=0)
-        with pytest.raises(ValueError, match="noise_std"):
-            make_sinc_shift(5, 5, noise_std=-0.1)
 
 
 def _normal_moments(mean, std, count):
@@ -186,8 +193,8 @@ class TestMoonsGeometry:
         # The rotation pivots on the centroid, so the centroid itself only
         # feels the translation.
         center = np.array([MOONS_CENTROID])
-        moved = moons_transform(center, rotation_deg=90.0, translation=(0.3, 0.2))
-        assert np.allclose(moved, center + [0.3, 0.2], atol=1e-12)
+        moved = moons_transform(center, rotation_deg=90.0)
+        assert np.allclose(moved, center + MOONS_TRANSLATION, atol=1e-12)
 
     def test_rotation_preserves_pairwise_distances(self):
         rng = np.random.default_rng(3)
@@ -209,12 +216,12 @@ class TestTransformedMoons:
     def test_target_supports_are_transformed_arcs(self):
         # Undo the map by hand: subtract the translation, then rotate back by
         # the default angle about the centroid.
-        inst = make_transformed_moons(30, 30, noise=0.0, seed=4)
+        points, labels = moons_points(30, 0.0, np.random.default_rng(4))
         angle = math.radians(-MOONS_ROTATION_DEG)
         undo = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-        centered = inst.target_eval_x - np.asarray(MOONS_TRANSLATION) - np.asarray(MOONS_CENTROID)
-        back = centered @ undo.T + np.asarray(MOONS_CENTROID)
-        labels = inst.target_eval_y.argmax(axis=1)
+        center = np.asarray(MOONS_CENTROID)
+        centered = moons_transform(points) - np.asarray(MOONS_TRANSLATION) - center
+        back = centered @ undo.T + center
         upper, lower = back[labels == 0], back[labels == 1] - np.array([1.0, 0.5])
         assert np.allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-9)
         assert np.all(upper[:, 1] >= -1e-9)
@@ -222,10 +229,18 @@ class TestTransformedMoons:
         assert np.all(lower[:, 1] <= 1e-9)
 
     def test_source_is_untransformed(self):
-        inst = make_transformed_moons(30, 10, noise=0.0, seed=4)
-        labels = inst.source_y.argmax(axis=1)
-        upper = inst.source_x[labels == 0]
-        assert np.allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-9)
+        # Each split is moons_points at MOONS_NOISE on its own stream; only
+        # the target and eval points go through moons_transform.
+        inst = make_transformed_moons(30, 10, eval_size=7, seed=4)
+        rng_source, rng_target, rng_eval = _split_rngs(4)
+        source, source_labels = moons_points(30, MOONS_NOISE, rng_source)
+        target, _ = moons_points(10, MOONS_NOISE, rng_target)
+        evals, eval_labels = moons_points(7, MOONS_NOISE, rng_eval)
+        assert inst.source_x.tobytes() == source.tobytes()
+        assert inst.target_x.tobytes() == moons_transform(target).tobytes()
+        assert inst.target_eval_x.tobytes() == moons_transform(evals).tobytes()
+        assert np.array_equal(inst.source_y, one_hot(source_labels, 2))
+        assert np.array_equal(inst.target_eval_y, one_hot(eval_labels, 2))
 
     def test_labels_are_one_hot(self):
         inst = make_transformed_moons(21, 10, seed=6)
@@ -241,13 +256,12 @@ class TestTransformedMoons:
         assert np.array_equal(a.target_eval_y, b.target_eval_y)
 
     def test_custom_rotation_respected(self):
-        straight = make_transformed_moons(10, 40, noise=0.0, seed=1, rotation_deg=0.0, translation=(0.0, 0.0))
-        # with no transform at all, target draws lie on the raw arcs
-        labels_free = np.linalg.norm(straight.target_x, axis=1)
-        on_upper = np.isclose(labels_free, 1.0, atol=1e-9)
-        shifted = straight.target_x - np.array([1.0, 0.5])
-        on_lower = np.isclose(np.linalg.norm(shifted, axis=1), 1.0, atol=1e-9)
-        assert np.all(on_upper | on_lower)
+        # With no rotation, the target draws are only translated.
+        straight = make_transformed_moons(10, 40, seed=1, rotation_deg=0.0)
+        target, _ = moons_points(40, MOONS_NOISE, _split_rngs(1)[1])
+        assert np.allclose(straight.target_x, target + MOONS_TRANSLATION, atol=1e-12)
+        turned = make_transformed_moons(10, 40, seed=1, rotation_deg=90.0)
+        assert np.array_equal(turned.target_x, moons_transform(target, rotation_deg=90.0))
 
 
 class TestOneHot:
@@ -316,13 +330,12 @@ class TestCsvRoundTrip:
         inst = make_transformed_moons(9, 7, eval_size=5, seed=11)
         paths = self.paths(tmp_path)
         write_instance(inst, *paths)
-        loaded = load_csv_instance(*paths, seed=11)
+        loaded = load_csv_instance(*paths)
         assert np.array_equal(loaded.source_x, inst.source_x)
         assert np.array_equal(loaded.source_y, inst.source_y)
         assert np.array_equal(loaded.target_x, inst.target_x)
         assert np.array_equal(loaded.target_eval_x, inst.target_eval_x)
         assert np.array_equal(loaded.target_eval_y, inst.target_eval_y)
-        assert loaded.seed == 11
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -417,8 +430,10 @@ LOADERS = {
         ("{header}\n{good}\n{short}\n", 3, "expected 3 fields, got 2"),
         ("{header}\n{good}\n{bad}\n", 3, "unparseable number"),
         ("{header}\n\n{good}\n\n{short}\n", 5, "expected 3 fields, got 2"),
+        ("{header}\n{good}\n{short},nan\n", 3, "non-finite number 'nan'"),
+        ("{header}\n{short},-inf\n", 2, "non-finite number '-inf'"),
     ],
-    ids=["empty", "short-row", "bad-number", "blank-lines-skipped"],
+    ids=["empty", "short-row", "bad-number", "blank-lines-skipped", "nan-cell", "inf-cell"],
 )
 def test_loaders_cite_the_same_line(tmp_path, loader, body, line, message):
     load, header, good = LOADERS[loader]
@@ -428,6 +443,25 @@ def test_loaders_cite_the_same_line(tmp_path, loader, body, line, message):
     with pytest.raises(CsvFormatError, match=message) as err:
         load(path)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_reject_a_file_that_is_not_utf8(tmp_path, loader):
+    load, header, good = LOADERS[loader]
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{header}\n{good}\n".encode() + b"\xff\xfe\x00\x01\n")
+    with pytest.raises(CsvFormatError, match="not UTF-8 text") as err:
+        load(path)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_read_past_a_utf8_byte_order_mark(tmp_path, loader):
+    # Spreadsheets write one in front of a "CSV UTF-8" export's header.
+    load, header, good = LOADERS[loader]
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{header}\n{good}\n".encode("utf-8-sig"))
+    load(path)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30))

@@ -168,13 +168,6 @@ class TestFitDomainClassifier:
         assert beta.prior_ratio == 1.0
         assert np.allclose(beta.weights(pts), 1.0, atol=1e-8)
 
-    def test_zero_epochs_returns_prior(self):
-        pts = np.arange(8.0).reshape(4, 2)
-        beta = fit_domain_classifier(pts, pts, epochs=0)
-        assert np.array_equal(beta.coef, np.zeros(2))
-        assert beta.intercept == 0.0
-        assert np.array_equal(beta.weights(pts), np.ones(4))
-
     def test_prior_correction_cancels_duplicated_source(self):
         # Doubling every source row doubles n/m but halves the learned odds;
         # the estimated ratio stays ~1 for identically distributed domains.
@@ -219,16 +212,12 @@ class TestFitDomainClassifier:
             fit_domain_classifier(good, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="at least one"):
             fit_domain_classifier(np.zeros((0, 2)), good)
-        with pytest.raises(ValueError, match="lr"):
-            fit_domain_classifier(good, good, lr=0.0)
 
     @pytest.mark.parametrize(
         "change, message",
         [
             (dict(source_x=np.array([[0.0, 1.0], [np.nan, 0.0]])), "finite"),
             (dict(target_x=np.array([[np.inf, 1.0], [0.0, 0.0]])), "finite"),
-            (dict(lr=np.nan), "lr"),
-            (dict(lr=np.inf), "lr"),
         ],
     )
     def test_bad_training_inputs_raise(self, change, message):

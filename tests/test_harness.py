@@ -159,6 +159,11 @@ class TestConfigParsing:
         values = load_config_file(str(path))
         assert values == {"dataset": "sinc", "n": 33, "seeds": (0, 2)}
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("n = 33\n".encode("utf-8-sig"))
+        assert load_config_file(str(path)) == {"n": 33}
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config_file(str(tmp_path / "nope.cfg"))
@@ -287,14 +292,14 @@ class TestRunExperiment:
         assert math.isnan(by_method["bogus"].risk)
 
     def test_per_seed_failure_isolation(self, monkeypatch):
-        fit = harness.build_models
+        build = harness.build_instance
 
-        def fails_on_seed_one(cfg, instance):
-            if instance.seed == 1:
+        def fails_on_seed_one(cfg, seed):
+            if seed == 1:
                 raise ValueError("seed one is broken")
-            return fit(cfg, instance)
+            return build(cfg, seed)
 
-        monkeypatch.setattr(harness, "build_models", fails_on_seed_one)
+        monkeypatch.setattr(harness, "build_instance", fails_on_seed_one)
         cfg = ExperimentConfig(**{**SINC_SMALL, "methods": ("iwa",)})
         table = run_experiment(cfg)
         assert table.has_failures
@@ -529,14 +534,14 @@ class TestSensitivity:
         assert gate[0]["total"] == 2
 
     def test_failed_seed_gets_error_rows_and_no_gate(self, monkeypatch):
-        fit = harness.build_models
+        build = harness.build_instance
 
-        def fails_on_seed_one(cfg, instance):
-            if instance.seed == 1:
+        def fails_on_seed_one(cfg, seed):
+            if seed == 1:
                 raise ValueError("seed one is broken")
-            return fit(cfg, instance)
+            return build(cfg, seed)
 
-        monkeypatch.setattr(harness, "build_models", fails_on_seed_one)
+        monkeypatch.setattr(harness, "build_instance", fails_on_seed_one)
         cfg = ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa", "tmv"))
         table = run_sensitivity(dataclasses.replace(cfg, counts=(2,)))
         cells = len(table.extra["added_counts"]) * len(resolve_methods(cfg, True))

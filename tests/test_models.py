@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from shiftagg.errors import CsvFormatError, DimensionError, NumericalError
 from shiftagg.harness import LAMBDA_GRID
 from shiftagg.models import (
+    SOFTMAX_LR,
     CorruptedModel,
     FeatureModel,
     LinearModel,
     Model,
     PrecomputedModel,
+    SoftmaxModel,
+    _labelled_sample,
+    _softmax_grads,
     corrupt,
     fit_ridge,
     fit_softmax_classifier,
     polynomial_features,
-    softmax_cross_entropy_grad,
     softmax_probabilities,
     stack_predictions,
 )
@@ -109,13 +112,13 @@ class TestSoftmaxClassifier:
     def test_separable_data_reaches_full_train_accuracy(self):
         x = np.array([[-1.0], [-1.2], [-0.8], [1.0], [1.2], [0.8]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        model = fit_softmax_classifier(x, labels, 2, epochs=500, lr=0.5)
+        model = fit_softmax_classifier(x, labels, 2, epochs=500)
         preds = model.predict_many(x).argmax(axis=1)
         assert np.array_equal(preds, labels)
 
     def test_single_class_dominates_output(self):
         x = np.array([[0.5], [1.5], [-0.3]])
-        model = fit_softmax_classifier(x, np.array([0, 0, 0]), 2, epochs=300, lr=0.5)
+        model = fit_softmax_classifier(x, np.array([0, 0, 0]), 2, epochs=300)
         probs = model.predict_many(x)
         assert np.all(probs[:, 0] > 0.9)
 
@@ -129,62 +132,44 @@ class TestSoftmaxClassifier:
     def test_model_outputs_on_simplex(self, rng):
         x = rng.normal(size=(30, 2))
         labels = rng.integers(0, 3, size=30)
-        model = fit_softmax_classifier(x, labels, 3, epochs=50, lr=0.5)
+        model = fit_softmax_classifier(x, labels, 3, epochs=50)
         probs = model.predict_many(rng.normal(size=(20, 2)))
         assert np.all(probs >= 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
-        x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
-        labels = np.array([0, 1, 0])
-        w = np.array([[0.2, -0.1], [0.5, 0.3]])
-        b = np.array([0.05, -0.2])
-        _, gw, gb = softmax_cross_entropy_grad(w, b, x, labels)
-        eps = 1e-6
-
-        def loss_at(w_mod, b_mod):
-            return softmax_cross_entropy_grad(w_mod, b_mod, x, labels)[0]
-
-        for index in np.ndindex(w.shape):
-            bump = np.zeros_like(w)
-            bump[index] = eps
-            fd = (loss_at(w + bump, b) - loss_at(w - bump, b)) / (2 * eps)
-            assert abs(fd - gw[index]) <= 1e-5 * max(1.0, abs(fd))
-        for i in range(b.shape[0]):
-            bump = np.zeros_like(b)
-            bump[i] = eps
-            fd = (loss_at(w, b + bump) - loss_at(w, b - bump)) / (2 * eps)
-            assert abs(fd - gb[i]) <= 1e-5 * max(1.0, abs(fd))
-
-        # Stacked weights (l, d, c) = (3, 2, 3): one loss per slice, and the
-        # gradient of each slice's loss in that slice's parameters.
+        # A (d, c, 1) ladder, then a (d, c, 3) one: each model's slice of the
+        # trainer's gradient against central differences of its own mean
+        # cross-entropy, read off its predictions.
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(7, 2))
-        labels = np.array([0, 1, 2, 2, 1, 0, 2])
-        w = rng.normal(size=(3, 2, 3))
-        b = rng.normal(size=(3, 1, 3))
-        loss, gw, gb = softmax_cross_entropy_grad(w, b, x, labels)
-        assert loss.shape == (3,) and gw.shape == w.shape and gb.shape == b.shape
-        for i in range(3):  # each slice is its own classifier
-            assert softmax_cross_entropy_grad(w[i], b[i, 0], x, labels)[0] == loss[i]
-        for shape, grad, shifted in (
-            (w.shape, gw, lambda bump: (w + bump, b)),
-            (b.shape, gb, lambda bump: (w, b + bump)),
-        ):
-            for index in np.ndindex(shape):
-                bump = np.zeros(shape)
-                bump[index] = eps
-                plus, minus = (softmax_cross_entropy_grad(*shifted(s), x, labels)[0]
-                               for s in (bump, -bump))
-                fd = (plus - minus) / (2 * eps)
-                assert np.all(np.delete(fd, index[0]) == 0.0)  # other slices do not move
-                assert abs(fd[index[0]] - grad[index]) <= 1e-5 * max(1.0, abs(fd[index[0]]))
+        cases = (
+            (np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]]), np.array([0, 1, 0]),
+             np.array([[0.2, -0.1], [0.5, 0.3]])[..., None], np.array([[0.05], [-0.2]])),
+            (rng.normal(size=(7, 2)), np.array([0, 1, 2, 2, 1, 0, 2]),
+             rng.normal(size=(2, 3, 3)), rng.normal(size=(3, 3))),
+        )
+        eps = 1e-6
+        for x, labels, w, b in cases:
+            _, c, l = w.shape
+            gw, gb = _softmax_grads(w, b, *_labelled_sample(x, labels, c, l))
+            assert gw.shape == w.shape and gb.shape == b.shape
+            for j in range(l):
+                w_j, b_j = w[..., j], b[:, j]
+                for params, grad, loss_at in (
+                    (w_j, gw[..., j], lambda p: _cross_entropy(p, b_j, x, labels)),
+                    (b_j, gb[:, j], lambda p: _cross_entropy(w_j, p, x, labels)),
+                ):
+                    for index in np.ndindex(params.shape):
+                        bump = np.zeros(params.shape)
+                        bump[index] = eps
+                        fd = (loss_at(params + bump) - loss_at(params - bump)) / (2 * eps)
+                        assert abs(fd - grad[index]) <= 1e-5 * max(1.0, abs(fd))
 
     def test_training_deterministic(self, rng):
         x = rng.normal(size=(25, 2))
         labels = rng.integers(0, 2, size=25)
-        first = fit_softmax_classifier(x, labels, 2, epochs=40, lr=0.3)
-        second = fit_softmax_classifier(x, labels, 2, epochs=40, lr=0.3)
+        first = fit_softmax_classifier(x, labels, 2, epochs=40)
+        second = fit_softmax_classifier(x, labels, 2, epochs=40)
         assert np.array_equal(first.weights, second.weights)
         assert np.array_equal(first.intercept, second.intercept)
 
@@ -193,7 +178,7 @@ class TestSoftmaxClassifier:
         labels = (x[:, 0] > 0).astype(int)
         norms = [
             np.linalg.norm(
-                fit_softmax_classifier(x, labels, 2, epochs=200, lr=0.5, weight_decay=decay).weights
+                fit_softmax_classifier(x, labels, 2, epochs=200, weight_decay=decay).weights
             )
             for decay in (0.0, 1.0, 5.0)
         ]
@@ -207,6 +192,8 @@ class TestSoftmaxClassifier:
             fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 0]), 1)
         with pytest.raises(ValueError, match="labels"):
             fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 5]), 2)
+        with pytest.raises(DimensionError, match="labels"):
+            fit_softmax_classifier(np.zeros((3, 1)), np.array([0, 1]), 2)
 
     @pytest.mark.parametrize("classes", [2, 3])
     @pytest.mark.parametrize("count", [1, 3, 14])
@@ -215,18 +202,18 @@ class TestSoftmaxClassifier:
         x = rng.normal(size=(60, 2))
         labels = rng.integers(0, classes, size=60)
         decays = [0.5 * lam for lam in LAMBDA_GRID[:count]]
-        ladder = fit_softmax_classifier(x, labels, classes, epochs=40, lr=0.5, weight_decay=decays)
+        ladder = fit_softmax_classifier(x, labels, classes, epochs=40, weight_decay=decays)
         assert isinstance(ladder, list) and len(ladder) == count
         for decay, model in zip(decays, ladder):
-            alone = fit_softmax_classifier(x, labels, classes, epochs=40, lr=0.5, weight_decay=decay)
+            alone = fit_softmax_classifier(x, labels, classes, epochs=40, weight_decay=decay)
             assert model.weights.tobytes() == alone.weights.tobytes()
             assert model.intercept.tobytes() == alone.intercept.tobytes()
 
     @pytest.mark.parametrize(
         "change, message",
         [
-            (dict(lr=np.nan), "lr"),
-            (dict(lr=np.inf), "lr"),
+            (dict(epochs=-1), "epochs"),
+            (dict(epochs=np.nan), "epochs"),
             (dict(weight_decay=np.nan), "weight_decay"),
             (dict(weight_decay=[0.1, np.nan]), "weight_decay"),
             (dict(weight_decay=[0.1, -1.0]), "weight_decay"),
@@ -252,46 +239,26 @@ class TestSoftmaxClassifier:
         "labels, message", [([-1, 0, 1], r"\[0, classes\)"), ([2, 0, 1], r"\[0, classes\)"),
                             ([0.7, 0, 1], "integers")],
     )
-    def test_gradient_and_trainer_reject_bad_labels(self, labels, message):
+    def test_trainer_rejects_bad_labels(self, labels, message):
         # -1 used to wrap to the last class and give [1, 0, 1]'s loss.
         x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
-        w = np.array([[0.2, -0.1], [0.5, 0.3]])
-        b = np.array([0.05, -0.2])
-        with pytest.raises(ValueError, match=message):
-            softmax_cross_entropy_grad(w, b, x, np.array(labels))
         with pytest.raises(ValueError, match=message):
             fit_softmax_classifier(x, np.array(labels), 2, epochs=1)
 
-    def test_gradient_rejects_bad_samples(self):
-        x, w, b, labels = np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2), np.array([0, 1, 0])
-        with pytest.raises(DimensionError, match="labels"):
-            softmax_cross_entropy_grad(w, b, x, labels[:2])
-        with pytest.raises(DimensionError, match="weights"):
-            softmax_cross_entropy_grad(np.zeros(2), b, x, labels)
-        with pytest.raises(ValueError, match="empty"):  # used to return NaN
-            softmax_cross_entropy_grad(w, b, x[:0], labels[:0])
-        with pytest.raises(ValueError, match="finite"):
-            softmax_cross_entropy_grad(w, b, np.array([[0.0, np.nan]] * 3), labels)
-
     @pytest.mark.parametrize("decay", [0.3, [0.0, 0.3, 2.0]])
-    def test_one_epoch_is_one_step_of_the_public_gradient(self, decay):
+    def test_one_epoch_is_one_step_of_the_gradient(self, decay):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(9, 2))
         labels = rng.integers(0, 3, size=9)
-        lr = 0.5
         decays = np.atleast_1d(decay)
-        fitted = fit_softmax_classifier(x, labels, 3, epochs=1, lr=lr, weight_decay=decay)
-        if np.ndim(decay) == 0:
-            _, gw, gb = softmax_cross_entropy_grad(np.zeros((2, 3)), np.zeros(3), x, labels)
-            fitted, gw, gb = [fitted], gw[None], gb[None, None]
-        else:
-            _, gw, gb = softmax_cross_entropy_grad(
-                np.zeros((decays.size, 2, 3)), np.zeros((decays.size, 1, 3)), x, labels
-            )
-        for model, d, gw_i, gb_i in zip(fitted, decays, gw, gb):
-            shrink = 1.0 / (1.0 + lr * d)
-            assert model.weights.tobytes() == (shrink * (0 - lr * gw_i)).tobytes()
-            assert model.intercept.tobytes() == (0 - lr * gb_i[0]).tobytes()
+        fitted = fit_softmax_classifier(x, labels, 3, epochs=1, weight_decay=decay)
+        fitted = fitted if np.ndim(decay) else [fitted]
+        gw, gb = _softmax_grads(np.zeros((2, 3, decays.size)), np.zeros((3, decays.size)),
+                                *_labelled_sample(x, labels, 3, decays.size))
+        for j, (model, d) in enumerate(zip(fitted, decays)):
+            shrink = 1.0 / (1.0 + SOFTMAX_LR * d)
+            assert model.weights.tobytes() == (shrink * (0 - SOFTMAX_LR * gw[..., j])).tobytes()
+            assert model.intercept.tobytes() == (0 - SOFTMAX_LR * gb[:, j]).tobytes()
 
     @pytest.mark.parametrize("classes", [2, 3, 4])
     @pytest.mark.parametrize("count", [1, 3, 14])
@@ -302,11 +269,9 @@ class TestSoftmaxClassifier:
         for rows in (3, 61, 199):
             x = rng.normal(size=(rows, dim))
             labels = rng.integers(0, classes, size=rows)
-            w, b = _row_major_reference_fit(x, labels, classes, 25, 0.5, decays)
-            ladder = fit_softmax_classifier(x, labels, classes, epochs=25, lr=0.5,
-                                            weight_decay=decays)
-            alone = fit_softmax_classifier(x, labels, classes, epochs=25, lr=0.5,
-                                           weight_decay=decays[0])
+            w, b = _row_major_reference_fit(x, labels, classes, 25, SOFTMAX_LR, decays)
+            ladder = fit_softmax_classifier(x, labels, classes, epochs=25, weight_decay=decays)
+            alone = fit_softmax_classifier(x, labels, classes, epochs=25, weight_decay=decays[0])
             for model, w_i, b_i in zip([alone] + ladder, np.concatenate([w[:1], w]),
                                        np.concatenate([b[:1], b])):
                 assert model.weights.flags.c_contiguous and model.weights.flags.owndata
@@ -324,6 +289,12 @@ class TestSoftmaxClassifier:
             alone = fit_softmax_classifier(x, np.array([2]), 3, epochs=25, weight_decay=decay)
             assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-15)
             assert np.allclose(model.intercept, alone.intercept, rtol=1e-12, atol=1e-15)
+
+
+def _cross_entropy(weights, intercept, x, labels):
+    """Mean cross-entropy of one linear softmax classifier, from its predictions."""
+    probs = SoftmaxModel(weights, intercept).predict_many(x)
+    return -np.log(probs[np.arange(labels.size), labels]).mean()
 
 
 def _row_major_reference_fit(x, labels, classes, epochs, lr, decays):

@@ -1,11 +1,19 @@
-"""The package's public names: ``__all__`` lists exactly what ``__init__`` imports."""
+"""The package's public surface.
+
+``__all__`` lists exactly what ``__init__`` imports, and the settings no
+study varies are module constants that no function takes as a parameter.
+"""
 
 import ast
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import shiftagg
+from shiftagg import datasets, density_ratio, models
 
 
 def _imported_public_names():
@@ -46,3 +54,31 @@ def test_cli_import_leaves_numpy_polynomial_out():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: datasets.make_sinc_shift(5, 5, noise_std=0.1), id="sinc-noise_std"),
+    pytest.param(lambda: datasets.make_transformed_moons(5, 5, noise=0.1), id="moons-noise"),
+    pytest.param(lambda: datasets.make_transformed_moons(5, 5, translation=(0.0, 0.0)),
+                 id="moons-translation"),
+    pytest.param(lambda: datasets.moons_transform(np.zeros((1, 2)), translation=(0.0, 0.0)),
+                 id="moons_transform-translation"),
+    pytest.param(lambda: datasets.sinc_ratio(bound=10.0), id="sinc_ratio-bound"),
+    pytest.param(lambda: datasets.load_csv_instance("s.csv", "t.csv", "e.csv", seed=0),
+                 id="load_csv_instance-seed"),
+    pytest.param(lambda: datasets.DomainAdaptationInstance(*[np.zeros((1, 1))] * 5, seed=0),
+                 id="instance-seed"),
+    *[pytest.param(lambda key=key: density_ratio.fit_domain_classifier(
+        np.zeros((2, 1)), np.ones((2, 1)), **{key: 1.0}), id=f"domain-{key}")
+      for key in ("epochs", "lr", "bound")],
+    pytest.param(lambda: models.fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 1]), 2,
+                                                       lr=0.5), id="softmax-lr"),
+])
+def test_retired_parameters_raise_type_error(call):
+    # Fixed settings of the studies are module constants, not parameters.
+    with pytest.raises(TypeError, match="argument"):
+        call()
+
+
+def test_softmax_gradient_is_not_exported():
+    assert not hasattr(models, "softmax_cross_entropy_grad")
