@@ -29,7 +29,6 @@ from .datasets import (
 )
 from .density_ratio import (
     ConstantRatio,
-    DensityRatio,
     GaussianRatio,
     LearnedRatio,
     fit_domain_classifier,
@@ -50,7 +49,7 @@ from .harness import (
     run_sensitivity,
     write_outputs,
 )
-from .linalg import TruncatedInverse, spectral_pinv, sym_eig
+from .linalg import TruncatedInverse, spectral_pinv
 from .metrics import accuracy, pearson_with_flag, risk
 from .models import (
     CorruptedModel,
@@ -76,7 +75,6 @@ __all__ = [
     "CorruptedModel",
     "CsvFormatError",
     "DegenerateGramError",
-    "DensityRatio",
     "DimensionError",
     "DomainAdaptationInstance",
     "ExperimentConfig",
@@ -118,7 +116,6 @@ __all__ = [
     "sor",
     "spectral_pinv",
     "stack_predictions",
-    "sym_eig",
     "tcr",
     "tmr",
     "write_outputs",

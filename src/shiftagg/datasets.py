@@ -303,21 +303,27 @@ def _read_csv(path, form, accepts):
     Header cells are stripped of surrounding whitespace; a header that
     ``accepts`` rejects is reported against the expected ``form``. Blank rows
     are skipped, and every other row must have as many fields as the header.
+    Each row is numbered by the physical line it starts on, so a quoted cell
+    that holds a newline does not shift the lines cited after it.
     A file that is not UTF-8 text is a CsvFormatError too; a leading
     byte-order mark is skipped.
     """
+    records, lineno = [], 1
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            records = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            for fields in reader:
+                records.append((lineno, fields))
+                lineno = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
     if not records:
         raise CsvFormatError("file is empty", path=path)
-    header = [cell.strip() for cell in records[0]]
+    header = [cell.strip() for cell in records[0][1]]
     if not accepts(header):
         raise CsvFormatError(f"expected header '{form}', got {','.join(header)}", path=path, line=1)
     rows = []
-    for lineno, fields in enumerate(records[1:], start=2):
+    for lineno, fields in records[1:]:
         if not fields:
             continue
         if len(fields) != len(header):

@@ -1,12 +1,12 @@
 """Density-ratio estimators.
 
 A ratio estimate beta: X -> [0, B] reweights labeled source samples so that
-source averages approximate target expectations. Two routes: the analytic
-ratio of two known Gaussians (the 1-d regression benchmark) and a learned
-logistic source-vs-target domain classifier.
+source averages approximate target expectations. A ratio is any object with
+a ``weights(xs)`` method returning beta on every row of the sample matrix
+``xs``. Two routes: the analytic ratio of two known Gaussians (the 1-d
+regression benchmark) and a learned logistic source-vs-target domain
+classifier.
 """
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -21,17 +21,7 @@ DOMAIN_EPOCHS = 500
 DOMAIN_LR = 0.5
 
 
-class DensityRatio(ABC):
-    """Weight function x -> [0, bound] estimating q(x) / p(x)."""
-
-    bound: float
-
-    @abstractmethod
-    def weights(self, xs):
-        """Ratio estimates for every row of the sample matrix ``xs``."""
-
-
-class ConstantRatio(DensityRatio):
+class ConstantRatio:
     """beta == value everywhere (value 1 recovers unweighted averaging)."""
 
     def __init__(self, value=1.0):
@@ -48,7 +38,7 @@ class ConstantRatio(DensityRatio):
         return np.full(xs.shape[0], self.value)
 
 
-class GaussianRatio(DensityRatio):
+class GaussianRatio:
     """Analytic ratio of two univariate Gaussian densities, clipped to [0, bound]."""
 
     def __init__(self, source_mean, source_std, target_mean, target_std, bound=DEFAULT_BOUND):
@@ -78,7 +68,7 @@ class GaussianRatio(DensityRatio):
         return np.clip(raw, 0.0, self.bound)
 
 
-class LearnedRatio(DensityRatio):
+class LearnedRatio:
     """Domain-classifier ratio: prior_ratio * d(x) / (1 - d(x)), clipped to [0, bound].
 
     d(x) is the logistic probability that x came from the target domain,

@@ -1097,15 +1097,11 @@ def run_rate_check(cfg):
 # --- artifact emission ---------------------------------------------------------
 
 
-def emit_plots(table, plots_dir):
-    """SVG panels (plus companion CSVs) appropriate to the table's kind."""
-    os.makedirs(plots_dir, exist_ok=True)
-    KINDS[table.kind].plot(table, plots_dir)
-
-
 def write_outputs(table, out_dir):
-    """results.csv, results.json, and plots/*.svg under ``out_dir``."""
+    """results.csv, results.json, and the table kind's plots/*.svg (with CSVs) under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     table.write_csv(os.path.join(out_dir, "results.csv"))
     table.write_json(os.path.join(out_dir, "results.json"))
-    emit_plots(table, os.path.join(out_dir, "plots"))
+    plots_dir = os.path.join(out_dir, "plots")
+    os.makedirs(plots_dir, exist_ok=True)
+    KINDS[table.kind].plot(table, plots_dir)

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and rcond-truncated pseudo-inversion.
+"""Rcond-truncated spectral pseudo-inversion of symmetric PSD matrices.
 
 Aggregation weights come from empirical Gram systems that are positive
 semi-definite by construction but frequently near-rank-deficient (model
@@ -16,47 +16,12 @@ from .errors import DimensionError, NumericalError
 
 DEFAULT_RCOND = 1e-1
 
-# Tolerance for the input symmetry check in sym_eig, relative to max|A|.
+# Tolerance for the input symmetry check in spectral_pinv, relative to max|A|.
 SYMMETRY_TOL = 1e-9
 
 # How far below zero an eigenvalue may sit (relative to the largest one)
 # before the matrix is rejected as not positive semi-definite.
 PSD_TOL = 1e-8
-
-
-def _as_square(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(values, vectors)`` with eigenvalues sorted in descending
-    order and the matching eigenvectors in the columns of ``vectors``.
-    The input is symmetrized as (A + A^T)/2 after checking that the
-    asymmetry does not exceed ``SYMMETRY_TOL`` relative to max|A|, so the
-    check means the same at every scale of A.
-    """
-    a = _as_square(a)
-    if a.size:
-        scale = float(np.max(np.abs(a)))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > SYMMETRY_TOL * scale:
-            raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
-    sym = 0.5 * (a + a.T)
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NumericalError(
-            f"eigendecomposition did not converge (LAPACK reports no sweep count): {exc}"
-        ) from exc
-    order = np.argsort(-values, kind="stable")
-    return values[order], vectors[:, order]
 
 
 @dataclass(frozen=True)
@@ -87,15 +52,35 @@ class TruncatedInverse:
 def spectral_pinv(a, rcond=DEFAULT_RCOND):
     """rcond-truncated pseudo-inverse of a symmetric PSD matrix.
 
-    Eigenvalues are clamped at zero (small negative values are numerical
-    noise; the matrix is rejected when the smallest one lies below
-    -PSD_TOL * lambda_max), then every eigenvalue <= rcond * lambda_max is
-    treated as an exact zero. If nothing survives, the inverse is the zero
-    matrix.
+    The input must be square and finite, and its asymmetry may not exceed
+    SYMMETRY_TOL relative to max|A|, so the check means the same at every
+    scale of A; it is then symmetrized as (A + A^T)/2 and decomposed, with
+    the eigenvalues sorted in descending order. Eigenvalues are clamped at
+    zero (small negative values are numerical noise; the matrix is rejected
+    when the smallest one lies below -PSD_TOL * lambda_max), then every
+    eigenvalue <= rcond * lambda_max is treated as an exact zero. If nothing
+    survives, the inverse is the zero matrix.
     """
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    values, vectors = sym_eig(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if a.size:
+        scale = float(np.max(np.abs(a)))
+        asym = float(np.max(np.abs(a - a.T)))
+        if asym > SYMMETRY_TOL * scale:
+            raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise NumericalError(
+            f"eigendecomposition did not converge (LAPACK reports no sweep count): {exc}"
+        ) from exc
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
     n = values.size
     if n == 0:
         empty = np.zeros((0, 0))

@@ -16,8 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .datasets import _parse_number, _read_csv
-from .errors import CsvFormatError, DimensionError, NumericalError
-from .linalg import sym_eig
+from .errors import CsvFormatError, DimensionError
 
 
 def _sample_matrix(x, name="sample"):
@@ -63,13 +62,13 @@ class LinearModel(Model):
         return np.asarray(xs, dtype=float) @ self.weights + self.intercept
 
 
-def fit_ridge(x, y, ridge=0.0):
+def fit_ridge(x, y, ridge):
     """Least squares of y onto x with an L2 penalty on the slopes.
 
     Returns a LinearModel computing ``x @ W + b`` where W minimizes
     ||Xc W - Yc||^2 + ridge ||W||^2 on mean-centered data; the intercept b
-    is left unpenalized. With ridge = 0 the centered normal matrix must be
-    numerically invertible.
+    is left unpenalized. ``ridge`` must be positive and finite, so the
+    penalized normal matrix is positive definite.
     """
     x = _sample_matrix(x, "x")
     y = _sample_matrix(y, "y")
@@ -79,8 +78,8 @@ def fit_ridge(x, y, ridge=0.0):
         raise ValueError("cannot fit on an empty sample")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
-    if ridge < 0:
-        raise ValueError(f"ridge must be non-negative, got {ridge}")
+    if not 0 < ridge < np.inf:
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
     d1 = x.shape[1]
@@ -88,15 +87,7 @@ def fit_ridge(x, y, ridge=0.0):
         return LinearModel(np.zeros((0, y.shape[1])), y_mean)
     xc = x - x_mean
     yc = y - y_mean
-    normal = xc.T @ xc + ridge * np.eye(d1)
-    if ridge == 0.0:
-        values, _ = sym_eig(normal)
-        if values[-1] <= 1e-12 * values[0]:
-            raise NumericalError(
-                "design matrix is numerically singular with ridge = 0; "
-                "add a ridge penalty or drop collinear features"
-            )
-    w = np.linalg.solve(normal, xc.T @ yc)
+    w = np.linalg.solve(xc.T @ xc + ridge * np.eye(d1), xc.T @ yc)
     return LinearModel(w, y_mean - x_mean @ w)
 
 
@@ -174,41 +165,41 @@ class SoftmaxModel(LinearModel):
 SOFTMAX_LR = 0.5
 
 
-def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay=0.0):
+def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay):
     """Full-batch gradient descent on mean cross-entropy from all-zero init.
 
     Deterministic: zero initialization plus full-batch updates of step
-    SOFTMAX_LR leave nothing to chance. ``weight_decay`` is an L2 penalty on
-    the slopes (not the intercept), applied as a proximal step: after each
-    gradient update the slopes are scaled by 1/(1 + SOFTMAX_LR *
-    weight_decay). Unlike adding the decay to the gradient, this cannot
-    diverge however large the penalty. A 1-d sequence of decays trains one
-    model per decay in one stacked loop and returns their list; on two or
-    more rows each equals its own scalar fit bit for bit (on one row numpy's
-    vector-matrix product makes the last bits depend on the ladder's length). The loop holds the ladder with rows
-    leading, as (d, c, l) slopes and (c, l) intercepts, so each pass makes
-    one forward product for all models; each returned model owns
-    C-contiguous (d, c) weights.
+    SOFTMAX_LR leave nothing to chance. ``weight_decay`` is a non-empty 1-d
+    sequence of L2 penalties on the slopes (not the intercept), one model
+    per decay, each applied as a proximal step: after each gradient update
+    the slopes are scaled by 1/(1 + SOFTMAX_LR * decay). Unlike adding the
+    decay to the gradient, this cannot diverge however large the penalty.
+    The models train together in one stacked loop and come back as a list;
+    on two or more rows each equals its own one-decay fit bit for bit (on
+    one row numpy's vector-matrix product makes the last bits depend on the
+    ladder's length). The loop holds the ladder with rows leading, as
+    (d, c, l) slopes and (c, l) intercepts, so each pass makes one forward
+    product for all models; each returned model owns C-contiguous (d, c)
+    weights.
     """
     decays = np.asarray(weight_decay, dtype=float)
     classes = int(classes)
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
+    if decays.ndim != 1 or decays.size == 0:
+        raise ValueError(f"weight_decay must be a non-empty 1-d sequence, got {decays}")
     x, one_hot = _labelled_sample(x, labels, classes, decays.size)
-    if decays.ndim > 1 or decays.size == 0:
-        raise ValueError(f"weight_decay must be a number or a non-empty 1-d sequence, got {decays}")
     if not (epochs >= 0 and np.all((decays >= 0) & (decays < np.inf))):
         raise ValueError("epochs must be >= 0, weight_decay >= 0 and finite")
     w = np.zeros((x.shape[1], classes, decays.size))
     b = np.zeros((classes, decays.size))
-    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays.reshape(-1))
+    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays)
     for _ in range(int(epochs)):
         gw, gb = _softmax_grads(w, b, x, one_hot)
         w -= SOFTMAX_LR * gw
         w *= shrink
         b -= SOFTMAX_LR * gb
-    fitted = [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
-    return fitted if decays.ndim else fitted[0]
+    return [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
 
 
 class FeatureModel(Model):

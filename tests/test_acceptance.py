@@ -315,7 +315,7 @@ def test_criterion_9_module_invariants():
     # Classifier outputs live on the probability simplex.
     x = rng.normal(size=(40, 2))
     labels = rng.integers(0, 3, size=40)
-    classifier = fit_softmax_classifier(x, labels, 3, epochs=60)
+    classifier = fit_softmax_classifier(x, labels, 3, epochs=60, weight_decay=[0.0])[0]
     probs = classifier.predict_many(rng.normal(size=(25, 2)))
     assert np.all(probs >= 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)

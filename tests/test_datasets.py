@@ -432,8 +432,10 @@ LOADERS = {
         ("{header}\n\n{good}\n\n{short}\n", 5, "expected 3 fields, got 2"),
         ("{header}\n{good}\n{short},nan\n", 3, "non-finite number 'nan'"),
         ("{header}\n{short},-inf\n", 2, "non-finite number '-inf'"),
+        ('{header}\n{short},"2\n"\n{bad}\n', 4, "unparseable number"),
     ],
-    ids=["empty", "short-row", "bad-number", "blank-lines-skipped", "nan-cell", "inf-cell"],
+    ids=["empty", "short-row", "bad-number", "blank-lines-skipped", "nan-cell", "inf-cell",
+         "quoted-newline"],
 )
 def test_loaders_cite_the_same_line(tmp_path, loader, body, line, message):
     load, header, good = LOADERS[loader]

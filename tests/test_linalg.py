@@ -1,4 +1,4 @@
-"""Eigendecomposition and truncated pseudo-inverse behavior."""
+"""Truncated spectral pseudo-inverse behavior, its eigensolve included."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError
-from shiftagg.linalg import TruncatedInverse, spectral_pinv, sym_eig
-
-
-def symmetric_matrices(max_n=6):
-    return (
-        st.integers(min_value=1, max_value=max_n)
-        .flatmap(
-            lambda n: st.lists(
-                st.floats(min_value=-10, max_value=10, allow_nan=False),
-                min_size=n * n,
-                max_size=n * n,
-            ).map(lambda vals: np.array(vals).reshape(n, n))
-        )
-        .map(lambda a: 0.5 * (a + a.T))
-    )
+from shiftagg.linalg import TruncatedInverse, spectral_pinv
 
 
 def psd_matrices(max_n=6):
@@ -34,59 +20,63 @@ def psd_matrices(max_n=6):
 
 
 class TestSymEig:
+    """The symmetric eigensolve inside spectral_pinv: input checks and the spectrum."""
+
     def test_diagonal_matrix(self):
-        values, vectors = sym_eig(np.diag([4.0, 0.2]))
-        assert np.array_equal(values, [4.0, 0.2])
-        assert np.allclose(np.abs(vectors), np.eye(2))
+        info = spectral_pinv(np.diag([0.2, 4.0]), 0.0)
+        assert np.array_equal(info.eigenvalues, [4.0, 0.2])
+        assert np.array_equal(info.inverse, np.diag([5.0, 0.25]))
 
     def test_classic_two_by_two(self):
-        values, vectors = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(values, [3.0, 1.0])
-        expected_first = np.array([1.0, 1.0]) / np.sqrt(2)
-        expected_second = np.array([1.0, -1.0]) / np.sqrt(2)
-        assert np.allclose(np.abs(vectors[:, 0]), np.abs(expected_first))
-        assert np.allclose(np.abs(vectors[:, 1]), np.abs(expected_second))
+        info = spectral_pinv(np.array([[2.0, 1.0], [1.0, 2.0]]), 0.0)
+        assert np.allclose(info.eigenvalues, [3.0, 1.0])
 
     def test_reconstruction_random_five_by_five(self, rng):
-        a = rng.normal(size=(5, 5))
-        a = 0.5 * (a + a.T)
-        values, vectors = sym_eig(a)
-        recon = (vectors * values) @ vectors.T
-        assert np.max(np.abs(recon - a)) <= 1e-8
+        b = rng.normal(size=(5, 5))
+        a = b @ b.T + np.eye(5)
+        inverse = spectral_pinv(a, 0.0).inverse
+        assert np.max(np.abs(a @ inverse - np.eye(5))) <= 1e-8
 
     def test_eigenvalues_sorted_descending(self, rng):
-        a = rng.normal(size=(7, 7))
-        values, _ = sym_eig(0.5 * (a + a.T))
+        b = rng.normal(size=(7, 7))
+        values = spectral_pinv(b @ b.T, 0.0).eigenvalues
         assert np.all(np.diff(values) <= 0)
 
     def test_orthonormal_eigenvectors(self, rng):
-        a = rng.normal(size=(6, 6))
-        _, vectors = sym_eig(0.5 * (a + a.T))
-        assert np.allclose(vectors.T @ vectors, np.eye(6), atol=1e-10)
+        # With orthonormal eigenvectors, inverse @ a projects onto the
+        # retained eigenvectors: symmetric, idempotent, trace = retained rank.
+        b = rng.normal(size=(6, 3))
+        a = b @ b.T
+        info = spectral_pinv(a, 1e-9)
+        projector = info.inverse @ a
+        assert info.rank_retained == 3
+        assert np.allclose(projector, projector.T, atol=1e-10)
+        assert np.allclose(projector @ projector, projector, atol=1e-10)
+        assert np.trace(projector) == pytest.approx(3.0, abs=1e-10)
 
-    @given(symmetric_matrices())
+    @given(psd_matrices())
     def test_eigenvalue_sum_equals_trace(self, a):
-        values, _ = sym_eig(a)
+        values = spectral_pinv(a, 0.0).eigenvalues
         assert abs(values.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            sym_eig(np.zeros((2, 3)))
+            spectral_pinv(np.zeros((2, 3)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            spectral_pinv(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_asymmetry_rejected_at_small_scale(self):
         # The symmetry tolerance is relative to max|A| alone.
         a = 1e-9 * np.eye(2)
         a[0, 1] = 5e-10
         with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(a)
+            spectral_pinv(a)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            spectral_pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestSpectralPinv:

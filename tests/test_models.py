@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg.errors import CsvFormatError, DimensionError, NumericalError
+from shiftagg.errors import CsvFormatError, DimensionError
 from shiftagg.harness import LAMBDA_GRID
 from shiftagg.models import (
     SOFTMAX_LR,
@@ -28,6 +28,11 @@ from shiftagg.models import (
 )
 
 
+def fit_one(x, labels, classes, epochs=300, decay=0.0):
+    """The trainer's one-decay ladder, as its single model."""
+    return fit_softmax_classifier(x, labels, classes, epochs, weight_decay=[decay])[0]
+
+
 def constant_model(output):
     """A model that ignores its input and returns ``output``."""
     output = np.asarray(output, dtype=float)
@@ -36,11 +41,11 @@ def constant_model(output):
 
 class TestFitRidge:
     def test_exact_line_through_two_points(self):
-        model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
+        model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), ridge=1e-14)
         assert model.predict_many(np.array([[2.0]]))[0] == pytest.approx([2.0], abs=1e-12)
 
     def test_constant_labels_give_constant_model(self):
-        model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]))
+        model = fit_ridge(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]), ridge=1e-6)
         assert model.predict_many(np.array([[5.0]]))[0] == pytest.approx([1.0], abs=1e-12)
 
     def test_recovers_slope_of_noisy_line(self, rng):
@@ -65,23 +70,18 @@ class TestFitRidge:
     def test_singular_design_without_ridge_rejected(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([[1.0], [2.0], [3.0]])
-        with pytest.raises(NumericalError, match="ridge"):
+        with pytest.raises(ValueError, match="ridge"):
             fit_ridge(x, y, ridge=0.0)
-        fit_ridge(x, y, ridge=1e-6)  # a ridge penalty rescues the same data
-
-    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
-    def test_singularity_check_is_relative_to_the_design_scale(self, scale):
-        x = np.random.default_rng(5).normal(size=(50, 2))
-        y = x @ np.array([[1.0], [2.0]])
-        model = fit_ridge(scale * x, y, ridge=0.0)
-        assert np.allclose(model.weights.ravel() * scale, [1.0, 2.0], rtol=1e-8, atol=0.0)
-        column = scale * x[:, 0]
-        with pytest.raises(NumericalError, match="singular"):
-            fit_ridge(np.column_stack([column, 2.0 * column]), y, ridge=0.0)
+        # The penalized normal matrix is positive definite on any design.
+        model = fit_ridge(x, y, ridge=1e-6)
+        assert model.predict_many(np.array([[4.0, 4.0]]))[0] == pytest.approx([4.0], abs=1e-5)
 
     def test_constant_design_without_ridge_rejected(self):
-        with pytest.raises(NumericalError, match="singular"):
-            fit_ridge(np.ones((5, 2)), np.ones((5, 1)), ridge=0.0)
+        with pytest.raises(ValueError, match="ridge"):
+            fit_ridge(np.ones((5, 2)), np.arange(5.0)[:, None], ridge=0.0)
+        constant = fit_ridge(np.ones((5, 2)), np.arange(5.0)[:, None], ridge=1e-6)
+        assert np.array_equal(constant.weights, np.zeros((2, 1)))
+        assert np.array_equal(constant.intercept, [2.0])
 
     def test_shrinkage_monotone_in_ridge(self, rng):
         x = rng.normal(size=(40, 2))
@@ -92,33 +92,38 @@ class TestFitRidge:
         assert norms[0] > norms[1] > norms[2]
 
     def test_zero_feature_columns_give_mean_model(self):
-        model = fit_ridge(np.zeros((3, 0)), np.array([[1.0], [2.0], [3.0]]))
+        model = fit_ridge(np.zeros((3, 0)), np.array([[1.0], [2.0], [3.0]]), ridge=1e-6)
         assert np.allclose(model.predict_many(np.zeros((2, 0))), [[2.0], [2.0]])
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_ridge(np.zeros((0, 1)), np.zeros((0, 1)))
+            fit_ridge(np.zeros((0, 1)), np.zeros((0, 1)), ridge=1e-6)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            fit_ridge(np.zeros((3, 1)), np.zeros((2, 1)))
+            fit_ridge(np.zeros((3, 1)), np.zeros((2, 1)), ridge=1e-6)
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError, match="ridge"):
             fit_ridge(np.zeros((2, 1)), np.zeros((2, 1)), ridge=-1.0)
+
+    @pytest.mark.parametrize("ridge", [0.0, np.nan, np.inf])
+    def test_zero_or_nonfinite_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            fit_ridge(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), ridge=ridge)
 
 
 class TestSoftmaxClassifier:
     def test_separable_data_reaches_full_train_accuracy(self):
         x = np.array([[-1.0], [-1.2], [-0.8], [1.0], [1.2], [0.8]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        model = fit_softmax_classifier(x, labels, 2, epochs=500)
+        model = fit_one(x, labels, 2, epochs=500)
         preds = model.predict_many(x).argmax(axis=1)
         assert np.array_equal(preds, labels)
 
     def test_single_class_dominates_output(self):
         x = np.array([[0.5], [1.5], [-0.3]])
-        model = fit_softmax_classifier(x, np.array([0, 0, 0]), 2, epochs=300)
+        model = fit_one(x, np.array([0, 0, 0]), 2, epochs=300)
         probs = model.predict_many(x)
         assert np.all(probs[:, 0] > 0.9)
 
@@ -132,7 +137,7 @@ class TestSoftmaxClassifier:
     def test_model_outputs_on_simplex(self, rng):
         x = rng.normal(size=(30, 2))
         labels = rng.integers(0, 3, size=30)
-        model = fit_softmax_classifier(x, labels, 3, epochs=50)
+        model = fit_one(x, labels, 3, epochs=50)
         probs = model.predict_many(rng.normal(size=(20, 2)))
         assert np.all(probs >= 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -168,8 +173,8 @@ class TestSoftmaxClassifier:
     def test_training_deterministic(self, rng):
         x = rng.normal(size=(25, 2))
         labels = rng.integers(0, 2, size=25)
-        first = fit_softmax_classifier(x, labels, 2, epochs=40)
-        second = fit_softmax_classifier(x, labels, 2, epochs=40)
+        first = fit_one(x, labels, 2, epochs=40)
+        second = fit_one(x, labels, 2, epochs=40)
         assert np.array_equal(first.weights, second.weights)
         assert np.array_equal(first.intercept, second.intercept)
 
@@ -177,9 +182,7 @@ class TestSoftmaxClassifier:
         x = rng.normal(size=(40, 2))
         labels = (x[:, 0] > 0).astype(int)
         norms = [
-            np.linalg.norm(
-                fit_softmax_classifier(x, labels, 2, epochs=200, weight_decay=decay).weights
-            )
+            np.linalg.norm(fit_one(x, labels, 2, epochs=200, decay=decay).weights)
             for decay in (0.0, 1.0, 5.0)
         ]
         assert norms[0] > norms[1] > norms[2]
@@ -187,13 +190,13 @@ class TestSoftmaxClassifier:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_softmax_classifier(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
+            fit_one(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError, match="classes"):
-            fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 0]), 1)
+            fit_one(np.zeros((2, 1)), np.array([0, 0]), 1)
         with pytest.raises(ValueError, match="labels"):
-            fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 5]), 2)
+            fit_one(np.zeros((2, 1)), np.array([0, 5]), 2)
         with pytest.raises(DimensionError, match="labels"):
-            fit_softmax_classifier(np.zeros((3, 1)), np.array([0, 1]), 2)
+            fit_one(np.zeros((3, 1)), np.array([0, 1]), 2)
 
     @pytest.mark.parametrize("classes", [2, 3])
     @pytest.mark.parametrize("count", [1, 3, 14])
@@ -205,7 +208,7 @@ class TestSoftmaxClassifier:
         ladder = fit_softmax_classifier(x, labels, classes, epochs=40, weight_decay=decays)
         assert isinstance(ladder, list) and len(ladder) == count
         for decay, model in zip(decays, ladder):
-            alone = fit_softmax_classifier(x, labels, classes, epochs=40, weight_decay=decay)
+            alone = fit_one(x, labels, classes, epochs=40, decay=decay)
             assert model.weights.tobytes() == alone.weights.tobytes()
             assert model.intercept.tobytes() == alone.intercept.tobytes()
 
@@ -214,7 +217,7 @@ class TestSoftmaxClassifier:
         [
             (dict(epochs=-1), "epochs"),
             (dict(epochs=np.nan), "epochs"),
-            (dict(weight_decay=np.nan), "weight_decay"),
+            (dict(weight_decay=[np.nan]), "weight_decay"),
             (dict(weight_decay=[0.1, np.nan]), "weight_decay"),
             (dict(weight_decay=[0.1, -1.0]), "weight_decay"),
             (dict(weight_decay=[]), "weight_decay"),
@@ -225,14 +228,15 @@ class TestSoftmaxClassifier:
         ],
     )
     def test_bad_training_inputs_raise(self, change, message):
-        args = dict(x=np.array([[0.0], [0.5], [1.0]]), labels=np.array([0, 1, 1]), classes=2)
+        args = dict(x=np.array([[0.0], [0.5], [1.0]]), labels=np.array([0, 1, 1]), classes=2,
+                    weight_decay=[0.0])
         with pytest.raises(ValueError, match=message):
             fit_softmax_classifier(**{**args, **change})
 
     def test_whole_float_labels_accepted(self):
         x = np.array([[0.0], [0.5], [1.0]])
-        as_floats = fit_softmax_classifier(x, np.array([0.0, 1.0, 1.0]), 2, epochs=5)
-        as_ints = fit_softmax_classifier(x, np.array([0, 1, 1]), 2, epochs=5)
+        as_floats = fit_one(x, np.array([0.0, 1.0, 1.0]), 2, epochs=5)
+        as_ints = fit_one(x, np.array([0, 1, 1]), 2, epochs=5)
         assert np.array_equal(as_floats.weights, as_ints.weights)
 
     @pytest.mark.parametrize(
@@ -243,7 +247,7 @@ class TestSoftmaxClassifier:
         # -1 used to wrap to the last class and give [1, 0, 1]'s loss.
         x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
         with pytest.raises(ValueError, match=message):
-            fit_softmax_classifier(x, np.array(labels), 2, epochs=1)
+            fit_one(x, np.array(labels), 2, epochs=1)
 
     @pytest.mark.parametrize("decay", [0.3, [0.0, 0.3, 2.0]])
     def test_one_epoch_is_one_step_of_the_gradient(self, decay):
@@ -251,8 +255,7 @@ class TestSoftmaxClassifier:
         x = rng.normal(size=(9, 2))
         labels = rng.integers(0, 3, size=9)
         decays = np.atleast_1d(decay)
-        fitted = fit_softmax_classifier(x, labels, 3, epochs=1, weight_decay=decay)
-        fitted = fitted if np.ndim(decay) else [fitted]
+        fitted = fit_softmax_classifier(x, labels, 3, epochs=1, weight_decay=decays)
         gw, gb = _softmax_grads(np.zeros((2, 3, decays.size)), np.zeros((3, decays.size)),
                                 *_labelled_sample(x, labels, 3, decays.size))
         for j, (model, d) in enumerate(zip(fitted, decays)):
@@ -271,7 +274,7 @@ class TestSoftmaxClassifier:
             labels = rng.integers(0, classes, size=rows)
             w, b = _row_major_reference_fit(x, labels, classes, 25, SOFTMAX_LR, decays)
             ladder = fit_softmax_classifier(x, labels, classes, epochs=25, weight_decay=decays)
-            alone = fit_softmax_classifier(x, labels, classes, epochs=25, weight_decay=decays[0])
+            alone = fit_one(x, labels, classes, epochs=25, decay=decays[0])
             for model, w_i, b_i in zip([alone] + ladder, np.concatenate([w[:1], w]),
                                        np.concatenate([b[:1], b])):
                 assert model.weights.flags.c_contiguous and model.weights.flags.owndata
@@ -286,7 +289,7 @@ class TestSoftmaxClassifier:
         decays = [0.5 * lam for lam in LAMBDA_GRID]
         ladder = fit_softmax_classifier(x, np.array([2]), 3, epochs=25, weight_decay=decays)
         for decay, model in zip(decays, ladder):
-            alone = fit_softmax_classifier(x, np.array([2]), 3, epochs=25, weight_decay=decay)
+            alone = fit_one(x, np.array([2]), 3, epochs=25, decay=decay)
             assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-15)
             assert np.allclose(model.intercept, alone.intercept, rtol=1e-12, atol=1e-15)
 
@@ -330,7 +333,7 @@ class TestPolynomialFeatures:
 
     def test_feature_model_composes(self):
         base = fit_ridge(polynomial_features(np.array([[1.0], [2.0], [3.0]]), 2),
-                         np.array([[1.0], [4.0], [9.0]]))
+                         np.array([[1.0], [4.0], [9.0]]), ridge=1e-12)
         model = FeatureModel(lambda xs: polynomial_features(xs, 2), base, input_dim=1)
         assert model.predict_many(np.array([[4.0]]))[0] == pytest.approx([16.0], abs=1e-9)
         assert model.predict_many(np.array([[4.0], [5.0]]))[1] == pytest.approx([25.0], abs=1e-9)

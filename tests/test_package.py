@@ -1,7 +1,8 @@
 """The package's public surface.
 
-``__all__`` lists exactly what ``__init__`` imports, and the settings no
-study varies are module constants that no function takes as a parameter.
+``__all__`` lists exactly what ``__init__`` imports, the settings no study
+varies are module constants that no function takes as a parameter, and the
+modes and entry points no study uses are gone.
 """
 
 import ast
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import shiftagg
-from shiftagg import datasets, density_ratio, models
+from shiftagg import datasets, density_ratio, harness, linalg, models
 
 
 def _imported_public_names():
@@ -82,3 +83,21 @@ def test_retired_parameters_raise_type_error(call):
 
 def test_softmax_gradient_is_not_exported():
     assert not hasattr(models, "softmax_cross_entropy_grad")
+
+
+@pytest.mark.parametrize("owner, name", [
+    (shiftagg, "sym_eig"), (linalg, "sym_eig"), (shiftagg, "DensityRatio"),
+    (density_ratio, "DensityRatio"), (harness, "emit_plots"),
+])
+def test_retired_entry_points_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_fit_ridge_needs_a_ridge():
+    with pytest.raises(TypeError, match="ridge"):
+        models.fit_ridge(np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def test_softmax_weight_decay_must_be_a_sequence():
+    with pytest.raises(ValueError, match="1-d sequence"):
+        models.fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 1]), 2, weight_decay=0.5)
