@@ -35,6 +35,7 @@ from .metrics import CSV_COLUMNS, pearson_with_flag
 from .models import (
     FeatureModel,
     PrecomputedModel,
+    add_corruption,
     corrupt,
     fit_ridge,
     fit_softmax_classifier,
@@ -68,6 +69,9 @@ _RATE_STREAM = 0xA7E51
 
 # Redraw budget per corrupted-model slot in the sensitivity study.
 MAX_CORRUPTION_REDRAWS = 25
+# Rows of corrupted-model noise computed at once (16 models on the moons eval
+# split): larger batches raise the sensitivity study's peak memory.
+_NOISE_BATCH_ROWS = 32_000
 
 
 @dataclass
@@ -918,33 +922,59 @@ def _subseeds(stream, seed, count):
     return [int(v) for v in ss.generate_state(count, dtype=np.uint64)]
 
 
+def _scored_candidates(models, base_eval, eval_x, eval_labels, seed, total):
+    """Yield every gate candidate in draw order as (pick, model, eval predictions, accuracy).
+
+    The candidate sequence does not depend on which candidates pass, so it
+    is drawn and scored a batch at a time: each batch adds its noise to the
+    base models' rows of ``base_eval``. A generator that is not run to the
+    end leaves at most one batch over-drawn.
+    """
+    pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
+    cseeds = _subseeds(_CORRUPTION_STREAM, seed, total * MAX_CORRUPTION_REDRAWS)
+    step = _batch_models(eval_x)
+    for start in range(0, len(cseeds), step):
+        chunk = cseeds[start : start + step]
+        picks = [int(pick_rng.integers(len(models))) for _ in chunk]
+        batch = [corrupt(models[p], s) for p, s in zip(picks, chunk)]
+        preds = add_corruption(base_eval[picks], batch, eval_x)
+        accuracies = (preds.argmax(axis=2) == eval_labels).mean(axis=1)
+        yield from zip(picks, batch, preds, accuracies)
+
+
+def _batch_models(xs):
+    """Models per noise batch on the rows of ``xs``, within _NOISE_BATCH_ROWS."""
+    return max(1, _NOISE_BATCH_ROWS // max(1, xs.shape[0]))
+
+
 def _draw_corrupted(instance, models, base_eval, seed, total):
     """Corrupted models with the accuracy redraw gate.
 
     ``base_eval`` is the prediction stack of ``models`` on the evaluation
-    inputs. Returns (models, eval stack, gate stats); the eval stack holds
+    inputs. Returns (models, picks, eval stack, gate stats): ``picks`` holds
+    each kept model's base index into ``models``, and the eval stack holds
     ``base_eval`` followed by the predictions the gate computed for each kept
     model, in slot order.
     """
-    eval_x = instance.target_eval_x
     eval_labels = instance.target_eval_y.argmax(axis=1)
     so_acc = metrics.accuracy(base_eval[0], eval_labels)
     threshold = 0.8 * so_acc
-    pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
-    cseeds = iter(_subseeds(_CORRUPTION_STREAM, seed, total * MAX_CORRUPTION_REDRAWS))
-    drawn, flagged_count = [], 0
+    candidates = _scored_candidates(
+        models, base_eval, instance.target_eval_x, eval_labels, seed, total
+    )
+    drawn, picks, flagged_count = [], [], 0
     eval_stack = np.empty((len(models) + total, *base_eval.shape[1:]))
     eval_stack[: len(models)] = base_eval
     for slot in range(total):
-        candidate, flagged = None, False
+        flagged = False
         for _ in range(MAX_CORRUPTION_REDRAWS):
-            candidate = corrupt(models[int(pick_rng.integers(len(models)))], next(cseeds))
-            preds = candidate.predict_many(eval_x)
-            if metrics.accuracy(preds, eval_labels) < threshold:
+            pick, candidate, preds, acc = next(candidates)
+            if acc < threshold:
                 flagged = True
                 break
         flagged_count += int(flagged)
         drawn.append(candidate)
+        picks.append(pick)
         eval_stack[len(models) + slot] = preds
     stats = {
         "seed": int(seed),
@@ -953,7 +983,23 @@ def _draw_corrupted(instance, models, base_eval, seed, total):
         "flagged": flagged_count,
         "total": total,
     }
-    return drawn, eval_stack, stats
+    return drawn, picks, eval_stack, stats
+
+
+def _with_corrupted(stack, xs, picks, corrupted):
+    """``stack`` followed by the corrupted models' predictions on ``xs``.
+
+    ``stack`` holds the base models' predictions on ``xs``; each corrupted
+    model's rows start from its base's (``picks``), a batch at a time.
+    """
+    out = np.empty((len(stack) + len(corrupted), *stack.shape[1:]))
+    out[: len(stack)] = stack
+    step = _batch_models(xs)
+    for start in range(0, len(corrupted), step):
+        block = out[len(stack) + start : len(stack) + start + step]
+        block[...] = stack[picks[start : start + step]]
+        add_corruption(block, corrupted[start : start + step], xs)
+    return out
 
 
 def run_sensitivity(cfg):
@@ -964,10 +1010,11 @@ def run_sensitivity(cfg):
     retries) until target accuracy falls below 80% of the source-only
     model's accuracy. ``cfg.counts`` always gains the 0 baseline.
 
-    Every model is predicted once per split and seed: the corrupted models'
-    source and target predictions follow the prepared stacks, the gate's
-    predictions fill the eval stack, and each count evaluates the leading
-    slices of those stacks.
+    Every base model is predicted once per split and seed. A corrupted model's
+    predictions are its base's rows of the prepared stacks plus its noise: the
+    gate's fill the eval stack, the kept models' source and target ones
+    follow the prepared stacks, and each count evaluates the leading slices
+    of those stacks.
     """
     cfg.validate()
     counts = sorted({0, *cfg.counts})
@@ -978,17 +1025,16 @@ def run_sensitivity(cfg):
     def seed_rows(seed):
         ctx = context_of(seed)
         instance, models, beta = ctx.instance, ctx.models, ctx.beta
-        corrupted, eval_stack, stats = _draw_corrupted(
+        corrupted, picks, eval_stack, stats = _draw_corrupted(
             instance, models, ctx.eval_stack, seed, max(counts)
         )
         gate_stats.append(stats)
         full = models + corrupted
-        stacks = [ctx.source_stack, ctx.target_stack]
-        if corrupted:
-            stacks = [
-                np.concatenate([stack, stack_predictions(corrupted, xs)])
-                for stack, xs in zip(stacks, (instance.source_x, instance.target_x))
-            ]
+        stacks = [
+            _with_corrupted(stack, xs, picks, corrupted)
+            for stack, xs in zip((ctx.source_stack, ctx.target_stack),
+                                 (instance.source_x, instance.target_x))
+        ]
         stacks.append(eval_stack)
         del ctx  # the extended stacks copy the prepared ones; free those for the count loop
         rows = []

@@ -232,37 +232,78 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z):
-    """SplitMix64 finaliser, applied elementwise to a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finaliser, applied in place to a uint64 array, which it returns."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _hash_normals(seed, xs, count):
-    """Standard normal draws of shape (rows, count), a pure function of (seed, row).
+def _hash_normals(seeds, xs, count):
+    """Standard normal draws of shape (seeds, rows, count), a pure function of (seed, row).
 
     Each row's float64 bit patterns are folded column by column into a
-    SplitMix64 state keyed by ``seed``. Counter-indexed mixes of that state
-    give ceil(count/2) pairs of uniforms in (0, 1), and Box-Muller turns each
-    pair into two normals. Every operation is elementwise over rows, so a
-    row's noise does not depend on the batch it arrives in: identical
-    queries always see identical noise, distinct inputs get
-    independent-looking draws.
+    SplitMix64 state keyed by the seed. Counter-indexed mixes of that state
+    give ceil(count/2) pairs of uniforms in (0, 1), and Box-Muller turns
+    pair p into normals 2p (its cosine) and 2p + 1 (its sine); only the
+    ``count`` normals returned are computed. Every operation is elementwise
+    over seeds and rows, so a row's noise does not depend on the batch or
+    the other seeds it arrives with: identical queries always see identical
+    noise, distinct inputs get independent-looking draws.
     """
     bits = np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64)
-    state = np.full(bits.shape[0], seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    keys = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    state = np.repeat(keys[:, None], bits.shape[0], axis=1)
     for column in bits.T:
-        state = _mix64((state ^ column) + _GOLDEN)
+        state ^= column
+        state += _GOLDEN
+        _mix64(state)
     pairs = (count + 1) // 2
     counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
     # Counters lead the axes so every transcendental call sees a contiguous
     # block. The top 53 bits of each draw, offset by half a step, lie
     # strictly in (0, 1).
-    uniforms = ((_mix64(counters[:, None] + state) >> np.uint64(11)) + 0.5) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(uniforms[:pairs]))
-    angle = 2.0 * np.pi * uniforms[pairs:]
-    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return normals.reshape(2 * pairs, bits.shape[0])[:count].T
+    draws = _mix64(counters[:, None, None] + state)
+    draws >>= np.uint64(11)
+    uniforms = draws + 0.5
+    uniforms *= 2.0**-53
+    radius, angle = uniforms[:pairs], uniforms[pairs:]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    sines = np.sin(angle[: count // 2])
+    sines *= radius[: count // 2]
+    np.cos(angle, out=angle)
+    angle *= radius
+    if count == 1:
+        return angle.transpose(1, 2, 0)
+    normals = np.empty((count, *state.shape))
+    normals[0::2] = angle
+    normals[1::2] = sines
+    return normals.transpose(1, 2, 0)
+
+
+def add_corruption(predictions, corrupted, xs):
+    """Add each corrupted model's noise on ``xs`` to its base predictions, in place.
+
+    ``predictions`` is an (S, rows, output_dim) array: block s holds the
+    predictions of ``corrupted[s].base`` on the rows of ``xs``. All masks
+    must cover the same number of coordinates; one call of the noise kernel
+    serves every model.
+    """
+    masks = np.array([model.mask for model in corrupted], dtype=bool)
+    count = int(masks[0].sum())
+    if np.any(masks.sum(axis=1) != count):
+        raise DimensionError("corrupted models in one batch must mask equally many coordinates")
+    columns = np.nonzero(masks)[1].reshape(len(corrupted), count)
+    noise = _hash_normals([model.seed for model in corrupted], xs, count)
+    # Outputs lead the rows, so each (model, coordinate) pair is one strided row.
+    by_output = predictions.transpose(0, 2, 1)
+    by_output[np.arange(len(corrupted))[:, None], columns] += noise.transpose(0, 2, 1)
+    return predictions
 
 
 class CorruptedModel(Model):
@@ -284,14 +325,11 @@ class CorruptedModel(Model):
         self.mask = mask
         self.output_dim = base.output_dim
         self.input_dim = base.input_dim
-        self._n_masked = int(mask.sum())
 
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         ys = np.array(self.base.predict_many(xs), dtype=float, copy=True)
-        if self._n_masked:
-            ys[:, self.mask] += _hash_normals(self.seed, xs, self._n_masked)
-        return ys
+        return add_corruption(ys[None], [self], xs)[0]
 
 
 def corrupt(base, seed):
@@ -315,7 +353,9 @@ class PrecomputedModel(Model):
     Queries are keyed rather than evaluated: the input vector is
     ``(split_code, index)`` with split code 0 = source and 1 = target. This
     is how externally trained predictors feed the aggregator; the matching
-    instance must carry key pairs in its x matrices.
+    instance must carry key pairs in its x matrices. Each split is held as
+    its sorted indices and one (rows, output_dim) array of predictions, so
+    a batch of keys is looked up at once.
     """
 
     input_dim = 2
@@ -326,31 +366,44 @@ class PrecomputedModel(Model):
         for split, rows in tables.items():
             if split not in SPLIT_NAMES:
                 raise ValueError(f"unknown split {split!r}; expected one of {sorted(SPLIT_NAMES)}")
-            checked = {}
-            for index, row in rows.items():
+            values = np.empty((len(rows), self.output_dim))
+            for slot, (index, row) in enumerate(rows.items()):
                 row = np.asarray(row, dtype=float)
                 if row.shape != (self.output_dim,):
                     raise DimensionError(
                         f"stored prediction for ({split}, {index}) has shape {row.shape},"
                         f" expected ({self.output_dim},)"
                     )
-                checked[int(index)] = row
-            self.tables[split] = checked
+                values[slot] = row
+            indices = np.array([int(index) for index in rows], dtype=float)
+            order = np.argsort(indices, kind="stable")
+            if np.any(np.diff(indices[order]) == 0):
+                raise ValueError(f"split {split!r} stores an index twice")
+            self.tables[split] = (indices[order], values[order])
 
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise DimensionError(f"expected (split_code, index) key rows, got shape {xs.shape}")
+        codes, indices = np.rint(xs).T
         out = np.empty((xs.shape[0], self.output_dim))
-        for row, key in enumerate(xs):
-            code, index = int(round(key[0])), int(round(key[1]))
+        found = np.zeros(xs.shape[0], dtype=bool)
+        for code, split in SPLIT_CODES.items():
+            stored, values = self.tables.get(split, (np.empty(0), None))
+            rows = np.flatnonzero(codes == code)
+            if not (stored.size and rows.size):
+                continue
+            slots = np.minimum(np.searchsorted(stored, indices[rows]), stored.size - 1)
+            hit = stored[slots] == indices[rows]
+            out[rows[hit]] = values[slots[hit]]
+            found[rows[hit]] = True
+        if not found.all():
+            row = int(np.argmin(found))
+            code, index = int(codes[row]), int(indices[row])
             split = SPLIT_CODES.get(code)
             if split is None:
                 raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")
-            table = self.tables.get(split, {})
-            if index not in table:
-                raise KeyError(f"no stored prediction for split '{split}', index {index}")
-            out[row] = table[index]
+            raise KeyError(f"no stored prediction for split '{split}', index {index}")
         return out
 
     @classmethod

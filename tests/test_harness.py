@@ -2,17 +2,19 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, harness
+from shiftagg import aggregation, harness, metrics
 from shiftagg.aggregation import empirical_gram
 from shiftagg.datasets import make_sinc_shift
 from shiftagg.density_ratio import ConstantRatio
@@ -48,6 +50,7 @@ from shiftagg.harness import (
 )
 from shiftagg.models import (
     CorruptedModel,
+    corrupt,
     FeatureModel,
     LinearModel,
     SoftmaxModel,
@@ -573,7 +576,7 @@ class TestSensitivity:
             models = build_models(cfg, inst)
             beta = build_beta(cfg, inst)
             base_eval = stack_predictions(models, inst.target_eval_x)
-            corrupted, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
+            corrupted, _, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
                 context = seed_context(cfg, inst, sequence, beta)
@@ -583,6 +586,40 @@ class TestSensitivity:
             repr(dataclasses.asdict(r)) for r in reference
         ]
 
+    @pytest.mark.parametrize("instance", ["moons-0", "moons-1", "moons-2", "three-class"])
+    @pytest.mark.parametrize("redraws", [1, 2, 25])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_batched_gate_matches_per_candidate_reference(
+        self, monkeypatch, instance, redraws, batch
+    ):
+        inst, models, seed = gate_instance(instance)
+        monkeypatch.setattr(harness, "MAX_CORRUPTION_REDRAWS", redraws)
+        if batch is not None:  # a few models per batch, so slots straddle batches
+            monkeypatch.setattr(harness, "_NOISE_BATCH_ROWS", batch * inst.target_eval_x.shape[0])
+        total = 7
+        base_eval = stack_predictions(models, inst.target_eval_x)
+        drawn, picks, eval_stack, stats = _draw_corrupted(inst, models, base_eval, seed, total)
+        ref_drawn, ref_stack, ref_stats = reference_gate(inst, models, base_eval, seed, total)
+        assert [m.seed for m in drawn] == [m.seed for m in ref_drawn]
+        assert [m.mask.tolist() for m in drawn] == [m.mask.tolist() for m in ref_drawn]
+        assert [models[p] for p in picks] == [m.base for m in ref_drawn]
+        assert float_bits(eval_stack).tobytes() == float_bits(ref_stack).tobytes()
+        assert stats == ref_stats
+        xs = inst.source_x
+        extended = harness._with_corrupted(stack_predictions(models, xs), xs, picks, drawn)
+        expected = stack_predictions(models + ref_drawn, xs)
+        assert float_bits(extended).tobytes() == float_bits(expected).tobytes()
+
+    def test_gate_reference_covers_flagged_and_exhausted_slots(self, monkeypatch):
+        # Under a one-draw budget some slots keep an unflagged candidate.
+        monkeypatch.setattr(harness, "MAX_CORRUPTION_REDRAWS", 1)
+        flagged = []
+        for instance in ("moons-0", "moons-1", "moons-2", "three-class"):
+            inst, models, seed = gate_instance(instance)
+            base_eval = stack_predictions(models, inst.target_eval_x)
+            flagged.append(_draw_corrupted(inst, models, base_eval, seed, 7)[3]["flagged"])
+        assert 0 < sum(flagged) < 7 * len(flagged)
+
     def test_sinc_rejected(self):
         with pytest.raises(ConfigError, match="classification"):
             run_sensitivity(ExperimentConfig(**SINC_SMALL))
@@ -591,6 +628,66 @@ class TestSensitivity:
         cfg = ExperimentConfig(**MOONS_SMALL)
         with pytest.raises(ConfigError, match="counts: must be non-negative"):
             run_sensitivity(dataclasses.replace(cfg, counts=(-1,)))
+
+
+def float_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@functools.cache
+def gate_instance(name):
+    """(instance, models, seed) for the corruption gate.
+
+    ``moons-<seed>`` is a sensitivity-sized moons seed with its 14-model
+    ladder; ``three-class`` has masks of two coordinates. Under a budget of
+    one or two draws both leave some slots unflagged.
+    """
+    if name.startswith("moons-"):
+        seed = int(name.split("-")[1])
+        cfg = ExperimentConfig(dataset="moons", n=600, m=600, l=14)
+        inst = build_instance(cfg, seed)
+        return inst, build_models(cfg, inst), seed
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(400, 2))
+    slopes = rng.normal(size=(2, 3))
+    labels = np.argmax(xs @ slopes + 0.3 * rng.normal(size=(400, 3)), axis=1)
+    inst = types.SimpleNamespace(
+        source_x=rng.normal(size=(50, 2)), target_eval_x=xs, target_eval_y=np.eye(3)[labels]
+    )
+    models = [
+        SoftmaxModel(10 * (slopes + 0.3 * rng.normal(size=(2, 3))), np.zeros(3)) for _ in range(4)
+    ]
+    return inst, models, 11
+
+
+def reference_gate(instance, models, base_eval, seed, total):
+    """The corruption gate one candidate at a time: predict, score, redraw.
+
+    Returns (kept models, eval stack, gate stats) as the gate made them
+    before it scored its candidates in batches.
+    """
+    eval_x = instance.target_eval_x
+    eval_labels = instance.target_eval_y.argmax(axis=1)
+    so_acc = metrics.accuracy(base_eval[0], eval_labels)
+    threshold = 0.8 * so_acc
+    pick_rng = np.random.default_rng(np.random.SeedSequence([harness._PICK_STREAM, seed]))
+    budget = harness.MAX_CORRUPTION_REDRAWS
+    cseeds = iter(harness._subseeds(harness._CORRUPTION_STREAM, seed, total * budget))
+    drawn, stack, flagged_count = [], list(base_eval), 0
+    for _ in range(total):
+        flagged = False
+        for _ in range(budget):
+            candidate = corrupt(models[int(pick_rng.integers(len(models)))], next(cseeds))
+            preds = candidate.predict_many(eval_x)
+            if metrics.accuracy(preds, eval_labels) < threshold:
+                flagged = True
+                break
+        flagged_count += int(flagged)
+        drawn.append(candidate)
+        stack.append(preds)
+    stats = {"seed": seed, "so_accuracy": so_acc, "threshold": threshold,
+             "flagged": flagged_count, "total": total}
+    return drawn, np.array(stack), stats
 
 
 @given(

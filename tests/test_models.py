@@ -15,10 +15,13 @@ from shiftagg.models import (
     FeatureModel,
     LinearModel,
     Model,
+    SPLIT_CODES,
     PrecomputedModel,
     SoftmaxModel,
+    _hash_normals,
     _labelled_sample,
     _softmax_grads,
+    add_corruption,
     corrupt,
     fit_ridge,
     fit_softmax_classifier,
@@ -421,6 +424,59 @@ class TestCorruption:
         ]
         assert noise == pytest.approx(np.array(expected), rel=1e-12)
 
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_seed_vector_kernel_equals_per_seed_calls(self, columns, count):
+        xs = np.random.default_rng(10 * columns + count).normal(size=(37, columns))
+        seeds = [0, 1, -1, -(2**63), 2**63, 2**64 - 2, 2**64 - 1, 987654321]
+        batch = _hash_normals(seeds, xs, count)
+        assert batch.shape == (len(seeds), xs.shape[0], count)
+        for noise, seed in zip(batch, seeds):
+            assert np.array_equal(float_bits(noise), float_bits(_hash_normals([seed], xs, count)[0]))
+            assert np.array_equal(float_bits(noise), float_bits(reference_normals(seed, xs, count)))
+
+    @pytest.mark.parametrize("mask", [[True, False, True], [False, True, False],
+                                      [True, True, False, False, True]])
+    def test_noise_lands_on_the_masked_coordinates(self, mask, rng):
+        base = LinearModel(rng.normal(size=(2, len(mask))), rng.normal(size=len(mask)))
+        model = CorruptedModel(base, seed=2**64 - 3, mask=mask)
+        xs = rng.normal(size=(50, 2))
+        expected = base.predict_many(xs)
+        expected[:, model.mask] += reference_normals(model.seed, xs, sum(mask))
+        assert np.array_equal(float_bits(model.predict_many(xs)), float_bits(expected))
+
+    def test_batch_masks_must_cover_equally_many_coordinates(self):
+        base = constant_model([0.0, 0.0, 0.0])
+        models = [CorruptedModel(base, 1, [True, False, False]), CorruptedModel(base, 2, [True] * 3)]
+        with pytest.raises(DimensionError, match="equally many"):
+            add_corruption(np.zeros((2, 4, 3)), models, np.zeros((4, 1)))
+
+
+def float_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_normals(seed, xs, count):
+    """The noise formula for one seed, computing both Box-Muller halves of every pair."""
+
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    bits = np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64)
+    state = np.full(bits.shape[0], seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    for column in bits.T:
+        state = mix((state ^ column) + golden)
+    pairs = (count + 1) // 2
+    counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * golden
+    uniforms = ((mix(counters[:, None] + state) >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(uniforms[:pairs]))
+    angle = 2.0 * np.pi * uniforms[pairs:]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return normals.reshape(2 * pairs, bits.shape[0])[:count].T
+
 
 class TestPrecomputedModel:
     @staticmethod
@@ -446,6 +502,42 @@ class TestPrecomputedModel:
         with pytest.raises(KeyError, match="split code"):
             self.example().predict_many(np.array([[2.0, 0.0]]))
 
+    @staticmethod
+    def sparse():
+        """A model on sparse, unsorted and negative indices, with its tables."""
+        rng = np.random.default_rng(4)
+        indices = {"source": [10**9, -3, 0, 7, 1000], "target": [5, 2, 4096]}
+        tables = {
+            split: {i: rng.normal(size=3) for i in chosen} for split, chosen in indices.items()
+        }
+        return PrecomputedModel(tables, output_dim=3), tables
+
+    def test_batch_matches_per_row_lookups_on_sparse_indices(self):
+        model, tables = self.sparse()
+        keys = [(code, i) for code, split in SPLIT_CODES.items() for i in tables[split]]
+        rng = np.random.default_rng(5)
+        xs = np.array(keys + keys[:4], dtype=float)[rng.permutation(len(keys) + 4)]
+        xs += rng.uniform(-0.3, 0.3, size=xs.shape)  # keys round to the nearest integer
+        looped = np.vstack([model.predict_many(row[None]) for row in xs])
+        assert np.array_equal(model.predict_many(xs), looped)
+        expected = [tables[SPLIT_CODES[code]][index] for code, index in np.rint(xs).astype(int)]
+        assert np.array_equal(looped, expected)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 7], [0, 8], [2, 0]], "no stored prediction for split 'source', index 8"),
+        ([[1, 5], [3, 0], [1, 6]], r"unknown split code 3; expected one of \[0, 1\]"),
+        ([[1, 5], [1, 7], [0, 6]], "no stored prediction for split 'target', index 7"),
+    ])
+    def test_first_bad_row_names_the_error(self, rows, message):
+        model, _ = self.sparse()
+        with pytest.raises(KeyError, match=message):
+            model.predict_many(np.array(rows, dtype=float))
+
+    def test_split_without_a_table_has_no_rows(self):
+        model = PrecomputedModel({"source": {0: [1.0]}}, output_dim=1)
+        with pytest.raises(KeyError, match="split 'target', index 0"):
+            model.predict_many(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
         path.write_text(
@@ -453,17 +545,18 @@ class TestPrecomputedModel:
         )
         model = self.example()
         loaded = PrecomputedModel.from_csv(path)
+        assert loaded.tables.keys() == model.tables.keys()
         for split in model.tables:
-            assert loaded.tables[split].keys() == model.tables[split].keys()
-            for index in model.tables[split]:
-                assert np.array_equal(loaded.tables[split][index], model.tables[split][index])
+            indices, values = model.tables[split]
+            assert np.array_equal(loaded.tables[split][0], indices)
+            assert np.array_equal(loaded.tables[split][1], values)
 
     def test_csv_header_cells_are_stripped(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("split, index, y0\nsource,0,1.5\n")
         loaded = PrecomputedModel.from_csv(path)
         assert loaded.output_dim == 1
-        assert np.array_equal(loaded.tables["source"][0], [1.5])
+        assert np.array_equal(loaded.predict_many(np.array([[0.0, 0.0]])), [[1.5]])
 
     def test_csv_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
