@@ -789,7 +789,7 @@ class _SeedContext:
 
     def model_accuracies(self):
         """Each model's accuracy on the evaluation labels."""
-        return [metrics.accuracy(preds, self.eval_labels) for preds in self.eval_stack]
+        return metrics.accuracies(self.eval_stack, self.eval_labels).tolist()
 
     def evaluate(self, method, seed, count=None):
         weights, diagnostics = METHODS[method](self)
@@ -938,8 +938,7 @@ def _scored_candidates(models, base_eval, eval_x, eval_labels, seed, total):
         picks = [int(pick_rng.integers(len(models))) for _ in chunk]
         batch = [corrupt(models[p], s) for p, s in zip(picks, chunk)]
         preds = add_corruption(base_eval[picks], batch, eval_x)
-        accuracies = (preds.argmax(axis=2) == eval_labels).mean(axis=1)
-        yield from zip(picks, batch, preds, accuracies)
+        yield from zip(picks, batch, preds, metrics.accuracies(preds, eval_labels))
 
 
 def _batch_models(xs):

