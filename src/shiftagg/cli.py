@@ -9,8 +9,9 @@ oracle weights). Every subcommand takes the same settings: each
 takes the config-file value syntax; flags override values from an optional
 ``--config`` file, and the results record every field.
 
-Exit codes: 0 on success, 1 for a bad setting, usage or input file (see
-``INPUT_FAULTS``), 2 when the runs completed but some seeds or methods failed.
+Exit codes: 0 on success, 1 for a bad setting, usage, input file or output
+directory (see ``INPUT_FAULTS``), 2 when the runs completed but some seeds or
+methods failed.
 """
 
 import argparse
@@ -72,11 +73,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         table = getattr(harness, COMMANDS[args.command][1])(_config_from_args(args))
+        if args.out:
+            harness.write_outputs(table, args.out)
     except INPUT_FAULTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        harness.write_outputs(table, args.out)
     for line in harness.KINDS[table.kind].summary_lines(table):
         print(line)
     if table.has_failures:

@@ -60,7 +60,6 @@ CLASSIFICATION_ONLY_METHODS = ("tmv", "tmr", "tcr")
 WEIGHT_METHODS = ("iwa", "sor", "tmr", "tcr")
 
 DATASETS = ("sinc", "moons", "csv")
-BETAS = ("analytic", "learned")
 
 # Stream tags for deriving independent sub-seeds from an experiment seed.
 _CORRUPTION_STREAM = 0xC0421
@@ -83,14 +82,14 @@ class ExperimentConfig:
     study varies is not a field: it is a constant above (``RIDGE``,
     ``BASE_WEIGHT_DECAY``, ``MOONS_EVAL_SIZE``) or the default of the library
     function it feeds, such as the ratio clip, the oracle's rcond and the
-    training epochs.
+    training epochs. The density ratio follows ``dataset`` (see
+    ``build_beta``).
     """
 
     dataset: str = "sinc"
     n: int = 1000
     m: int = 1000
     l: int = 5
-    beta: str = "analytic"
     rcond: float = 0.1
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = ()
@@ -125,10 +124,6 @@ class ExperimentConfig:
         for name, low in (("n", 1), ("m", 1), ("l", 1), ("oracle_draws", 1)):
             if getattr(self, name) < low:
                 problems.append(f"{name}: must be >= {low}, got {getattr(self, name)}")
-        if self.beta not in BETAS:
-            problems.append(f"beta: expected one of {BETAS}, got {self.beta!r}")
-        if self.beta == "analytic" and self.dataset != "sinc":
-            problems.append("beta: the analytic ratio is only available for dataset = sinc")
         if "rcond" not in non_finite and not 0 <= self.rcond < 1:
             problems.append(f"rcond: must lie in [0, 1), got {self.rcond}")
         if not self.seeds:
@@ -145,10 +140,11 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m in CLASSIFICATION_ONLY_METHODS]
         if self.dataset == "sinc" and bad:
             problems.append(f"methods: {bad} need classification outputs, dataset is sinc")
-        if self.dataset == "csv":
-            for name in ("source_csv", "target_csv", "eval_csv"):
-                if not getattr(self, name):
-                    problems.append(f"{name}: required when dataset = csv")
+        for name in ("source_csv", "target_csv", "eval_csv", "model_csvs"):
+            if self.dataset != "csv" and getattr(self, name):
+                problems.append(f"{name}: only read when dataset = csv, not {self.dataset}")
+            elif self.dataset == "csv" and not getattr(self, name) and name != "model_csvs":
+                problems.append(f"{name}: required when dataset = csv")
         if any(c < 0 for c in self.counts):
             problems.append(f"counts: must be non-negative, got {list(self.counts)}")
         if len(set(self.sizes)) < 2 or min(self.sizes) < 2:
@@ -278,7 +274,8 @@ def build_models(cfg, instance):
 
 
 def build_beta(cfg, instance):
-    if cfg.beta == "analytic":
+    """The density ratio: analytic for sinc, a domain classifier fitted on the inputs otherwise."""
+    if cfg.dataset == "sinc":
         return sinc_ratio(cfg.sinc_interpret_std)
     return fit_domain_classifier(instance.source_x, instance.target_x)
 
@@ -632,7 +629,9 @@ def _correlation_plots(table, plots_dir):
 
 
 def _rate_plots(table, plots_dir):
-    spread = rate_spread(table)
+    spread = {size: q for size, q in rate_spread(table).items() if math.isfinite(q[1])}
+    if not spread:
+        return
     lows, medians, highs = (list(column) for column in zip(*spread.values()))
     plots.line_chart(
         os.path.join(plots_dir, "rate.svg"),
@@ -946,20 +945,19 @@ def _batch_models(xs):
     return max(1, _NOISE_BATCH_ROWS // max(1, xs.shape[0]))
 
 
-def _draw_corrupted(instance, models, base_eval, seed, total):
-    """Corrupted models with the accuracy redraw gate.
+def _draw_corrupted(ctx, seed, total):
+    """Corrupted models of ``ctx.models`` with the accuracy redraw gate.
 
-    ``base_eval`` is the prediction stack of ``models`` on the evaluation
-    inputs. Returns (models, picks, eval stack, gate stats): ``picks`` holds
-    each kept model's base index into ``models``, and the eval stack holds
-    ``base_eval`` followed by the predictions the gate computed for each kept
-    model, in slot order.
+    Returns (models, picks, eval stack, gate stats): ``picks`` holds each
+    kept model's base index into ``ctx.models``, and the eval stack holds
+    ``ctx.eval_stack`` followed by the predictions the gate computed for
+    each kept model, in slot order.
     """
-    eval_labels = instance.target_eval_y.argmax(axis=1)
-    so_acc = metrics.accuracy(base_eval[0], eval_labels)
+    models, base_eval = ctx.models, ctx.eval_stack
+    so_acc = metrics.accuracy(base_eval[0], ctx.eval_labels)
     threshold = 0.8 * so_acc
     candidates = _scored_candidates(
-        models, base_eval, instance.target_eval_x, eval_labels, seed, total
+        models, base_eval, ctx.instance.target_eval_x, ctx.eval_labels, seed, total
     )
     drawn, picks, flagged_count = [], [], 0
     eval_stack = np.empty((len(models) + total, *base_eval.shape[1:]))
@@ -1024,9 +1022,7 @@ def run_sensitivity(cfg):
     def seed_rows(seed):
         ctx = context_of(seed)
         instance, models, beta = ctx.instance, ctx.models, ctx.beta
-        corrupted, picks, eval_stack, stats = _draw_corrupted(
-            instance, models, ctx.eval_stack, seed, max(counts)
-        )
+        corrupted, picks, eval_stack, stats = _draw_corrupted(ctx, seed, max(counts))
         gate_stats.append(stats)
         full = models + corrupted
         stacks = [
@@ -1096,11 +1092,11 @@ def run_rate_check(cfg):
     target draw (cfg.oracle_draws); c_tilde is recomputed on fresh
     source/target samples of each size in cfg.sizes. Both solves use
     cfg.rcond so the comparison is apples to apples. Requires the sinc
-    dataset with the analytic ratio.
+    dataset, whose ratio is analytic.
     """
     cfg.validate()
-    if cfg.dataset != "sinc" or cfg.beta != "analytic":
-        raise ConfigError("rate check requires dataset = sinc with beta = analytic")
+    if cfg.dataset != "sinc":
+        raise ConfigError("rate check requires dataset = sinc")
     sizes = tuple(sorted(set(cfg.sizes)))
     beta = sinc_ratio(cfg.sinc_interpret_std)
 

@@ -119,7 +119,7 @@ def test_criterion_2_weights_converge_with_sample_size():
 def test_criterion_3_oracle_aggregation_beats_every_single_model():
     configs = [
         ExperimentConfig(dataset="sinc", n=200, m=200, l=5),
-        ExperimentConfig(dataset="moons", beta="learned", n=200, m=200, l=5),
+        ExperimentConfig(dataset="moons", n=200, m=200, l=5),
     ]
     violations = 0
     checked = 0
@@ -161,7 +161,7 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
 def test_criterion_4_unit_ratio_reduces_to_source_only_regression():
     configs = [
         ExperimentConfig(dataset="sinc", n=150, m=150, l=5),
-        ExperimentConfig(dataset="moons", beta="learned", n=150, m=150, l=5),
+        ExperimentConfig(dataset="moons", n=150, m=150, l=5),
     ]
     checked = 0
     for cfg in configs:
@@ -206,7 +206,6 @@ def test_criterion_5_truncated_pseudo_inverse_behavior():
 def test_criterion_6_aggregation_least_sensitive_to_corrupted_models():
     cfg = ExperimentConfig(
         dataset="moons",
-        beta="learned",
         n=600,
         m=600,
         l=14,
@@ -243,7 +242,6 @@ def test_criterion_7_weights_track_model_accuracy():
     # than the aggregation default.
     cfg = ExperimentConfig(
         dataset="moons",
-        beta="learned",
         n=600,
         m=600,
         l=14,
@@ -272,7 +270,6 @@ def test_criterion_7_weights_track_model_accuracy():
 def test_criterion_8_aggregation_outperforms_selection_with_learned_ratio():
     cfg = ExperimentConfig(
         dataset="moons",
-        beta="learned",
         n=600,
         m=600,
         l=14,
@@ -365,7 +362,7 @@ def test_criterion_9_module_invariants():
     # nothing): the moons eval sample's labels, and the sinc quadrature
     # nodes' noise-free labels.
     probes = (
-        (ExperimentConfig(dataset="moons", beta="learned", n=60, m=60, l=3),
+        (ExperimentConfig(dataset="moons", n=60, m=60, l=3),
          ConstantRatio(1.0), ("iwa", "sor", "tmr", "tcr", "iwv", "dev")),
         (ExperimentConfig(dataset="sinc", n=60, m=60, l=3), sinc_ratio(),
          ("iwa", "sor", "iwv", "dev")),

@@ -54,6 +54,17 @@ def test_config_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_one(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory\n")
+    assert main(TINY_RUN + ["--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / out) in captured.err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
 def test_repeated_seeds_exit_one(tmp_path, capsys):
     args = ["run", "--n", "40", "--m", "40", "--l", "2",
             "--seeds", "0,0", "--methods", "iwa", "--out", str(tmp_path / "out")]
@@ -64,7 +75,7 @@ def test_repeated_seeds_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "correlate"])
 def test_repeated_methods_exit_one(tmp_path, capsys, command):
-    args = [command, "--dataset", "moons", "--beta", "learned", "--n", "40", "--m", "40",
+    args = [command, "--dataset", "moons", "--n", "40", "--m", "40",
             "--l", "2", "--seeds", "0,1", "--methods", "iwa,iwa",
             "--out", str(tmp_path / "out")]
     assert main(args) == 1
@@ -91,7 +102,6 @@ def test_sensitivity_subcommand(tmp_path):
         [
             "sensitivity",
             "--dataset", "moons",
-            "--beta", "learned",
             "--n", "60",
             "--m", "60",
             "--l", "3",
@@ -114,7 +124,6 @@ def test_correlate_subcommand(tmp_path):
         [
             "correlate",
             "--dataset", "moons",
-            "--beta", "learned",
             "--n", "60",
             "--m", "60",
             "--l", "3",
@@ -188,7 +197,6 @@ def _csv_args(tmp_path, model_paths):
     return [
         "run",
         "--dataset", "csv",
-        "--beta", "learned",
         "--source-csv", str(tmp_path / "source.csv"),
         "--target-csv", str(tmp_path / "target.csv"),
         "--eval-csv", str(tmp_path / "eval.csv"),
@@ -281,7 +289,6 @@ def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, comm
     args = [
         command,
         "--dataset", "csv",
-        "--beta", "learned",
         "--source-csv", str(tmp_path / "source.csv"),
         "--target-csv", str(tmp_path / "target.csv"),
         "--eval-csv", str(tmp_path / "eval.csv"),
@@ -384,7 +391,6 @@ def _ladder_args(tmp_path, *extra):
     return [
         "run",
         "--dataset", "csv",
-        "--beta", "learned",
         "--source-csv", str(tmp_path / "source.csv"),
         "--target-csv", str(tmp_path / "target.csv"),
         "--eval-csv", str(tmp_path / "eval.csv"),
@@ -432,7 +438,6 @@ FIELD_VALUES = {
     "n": "41",
     "m": "42",
     "l": "3",
-    "beta": "analytic",
     "rcond": "0.05",
     "seeds": "1, 2",
     "methods": "iwa, sor",
@@ -447,13 +452,16 @@ FIELD_VALUES = {
     "oracle_draws": "1500",
 }
 
-BASE_CONFIG = "beta = learned\nn = 40\nm = 40\nl = 2\nseeds = 0\n"
+BASE_CONFIG = "n = 40\nm = 40\nl = 2\nseeds = 0\n"
+
+# Paths read only by dataset = csv: on the sinc base config both forms exit 1.
+CSV_KEYS = ("source_csv", "target_csv", "eval_csv", "model_csvs")
 
 # Settings that no study varies: constants or library defaults, not config keys.
 REMOVED_KEYS = (
     "beta_bound", "oracle_rcond", "sinc_noise_std", "moons_noise", "moons_translation_x",
     "moons_translation_y", "ridge", "classifier_epochs", "classifier_lr", "base_weight_decay",
-    "domain_epochs", "domain_lr", "selection_loss", "eval_size",
+    "domain_epochs", "domain_lr", "selection_loss", "eval_size", "beta",
 )
 
 
@@ -479,6 +487,14 @@ def test_flag_and_config_line_record_the_same_config(tmp_path, capsys, key):
         assert "unrecognized arguments" in capsys.readouterr().err
         assert main(["run", "--config", str(with_line), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
+        assert not out.exists()
+        return
+    if key in CSV_KEYS:  # both forms give the same error, and nothing is written
+        assert main(["run", "--config", str(base), flag, value, "--out", str(out)]) == 1
+        by_flag = capsys.readouterr().err
+        assert main(["run", "--config", str(with_line), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == by_flag
+        assert by_flag == f"error: {key}: only read when dataset = csv, not sinc\n"
         assert not out.exists()
         return
     assert main(["run", "--config", str(base), flag, value, "--out", str(out)]) == 0

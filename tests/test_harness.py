@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import glob
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from shiftagg.harness import (
     METHODS,
     WEIGHT_METHODS,
     ExperimentConfig,
+    RateRow,
     ResultRow,
     ResultTable,
     _draw_corrupted,
@@ -57,8 +59,9 @@ from shiftagg.models import (
     stack_predictions,
 )
 
+CONFIGS_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SINC_SMALL = dict(dataset="sinc", n=50, m=50, l=3, seeds=(0, 1))
-MOONS_SMALL = dict(dataset="moons", beta="learned", n=60, m=60, l=3, seeds=(0,))
+MOONS_SMALL = dict(dataset="moons", n=60, m=60, l=3, seeds=(0,))
 
 
 def seed_context(cfg, inst, models, beta):
@@ -88,13 +91,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="methods:"):
             ExperimentConfig(methods=("iwa", "sor", "iwa")).validate()
 
-    def test_analytic_beta_needs_sinc(self):
-        with pytest.raises(ConfigError, match="analytic"):
-            ExperimentConfig(dataset="moons", beta="analytic").validate()
+    @pytest.mark.parametrize("name", ["source_csv", "target_csv", "eval_csv", "model_csvs"])
+    def test_csv_path_outside_csv_dataset_rejected(self, name):
+        value = ("a.csv",) if name == "model_csvs" else "a.csv"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(dataset="moons", **{name: value}).validate()
+        assert str(err.value) == f"{name}: only read when dataset = csv, not moons"
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS_DIR, "*.cfg"))),
+                             ids=os.path.basename)
+    def test_committed_config_is_valid(self, path):
+        build_config(load_config_file(path)).validate()
 
     def test_csv_dataset_needs_all_three_paths(self):
         with pytest.raises(ConfigError, match="target_csv"):
-            ExperimentConfig(dataset="csv", beta="learned", source_csv="s.csv", eval_csv="e.csv").validate()
+            ExperimentConfig(dataset="csv", source_csv="s.csv", eval_csv="e.csv").validate()
 
     def test_classification_methods_rejected_on_sinc(self):
         with pytest.raises(ConfigError, match="classification"):
@@ -109,7 +120,7 @@ class TestConfigValidation:
             ExperimentConfig(seeds=(0, 1, 0)).validate()
 
     @pytest.mark.parametrize("name, value", [
-        ("beta", "exact"),
+        ("dataset", "bogus"),
         ("rcond", 1.0),
         ("rcond", -1e-9),
         ("m", 0),
@@ -194,7 +205,7 @@ class TestResolveMethods:
         assert methods == ("iwa", "sor", "iwv", "dev", "oracle", "source_only", "target_best")
 
     def test_classification_defaults_include_vote_baselines(self):
-        methods = resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)
+        methods = resolve_methods(ExperimentConfig(dataset="moons"), True)
         assert set(("tmv", "tmr", "tcr")).issubset(methods)
 
     def test_explicit_methods_keep_order_and_gain_references(self):
@@ -204,13 +215,13 @@ class TestResolveMethods:
             assert methods == ("sor", "iwa", "source_only", "target_best")
 
     def test_all_methods_resolvable(self):
-        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)) <= set(
+        assert set(resolve_methods(ExperimentConfig(dataset="moons"), True)) <= set(
             ALL_METHODS
         ) | {"source_only", "target_best"}
 
     def test_methods_mapping_defines_the_names(self):
         assert ALL_METHODS == tuple(METHODS)
-        assert set(resolve_methods(ExperimentConfig(dataset="moons", beta="learned"), True)) == set(
+        assert set(resolve_methods(ExperimentConfig(dataset="moons"), True)) == set(
             METHODS
         )
 
@@ -226,7 +237,7 @@ class TestModelBuilders:
     def test_correlation_ladder_bytes_pinned(self):
         # sha256 of every model's weights then intercept bytes, in ladder order,
         # as the per-decay loop fitted them before the ladder was stacked.
-        path = os.path.join(os.path.dirname(__file__), "..", "configs", "correlation.cfg")
+        path = os.path.join(CONFIGS_DIR, "correlation.cfg")
         cfg = build_config(load_config_file(path))
         models = build_models(cfg, build_instance(cfg, 0))
         digest = hashlib.sha256()
@@ -315,7 +326,6 @@ class TestRunExperiment:
         missing = str(tmp_path / "gone.csv")
         cfg = ExperimentConfig(
             dataset="csv",
-            beta="learned",
             source_csv=missing,
             target_csv=missing,
             eval_csv=missing,
@@ -575,8 +585,7 @@ class TestSensitivity:
             inst = build_instance(cfg, seed)
             models = build_models(cfg, inst)
             beta = build_beta(cfg, inst)
-            base_eval = stack_predictions(models, inst.target_eval_x)
-            corrupted, _, _, _ = _draw_corrupted(inst, models, base_eval, seed, 5)
+            corrupted, _, _, _ = _draw_corrupted(seed_context(cfg, inst, models, beta), seed, 5)
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
                 context = seed_context(cfg, inst, sequence, beta)
@@ -597,8 +606,9 @@ class TestSensitivity:
         if batch is not None:  # a few models per batch, so slots straddle batches
             monkeypatch.setattr(harness, "_NOISE_BATCH_ROWS", batch * inst.target_eval_x.shape[0])
         total = 7
-        base_eval = stack_predictions(models, inst.target_eval_x)
-        drawn, picks, eval_stack, stats = _draw_corrupted(inst, models, base_eval, seed, total)
+        ctx = gate_context(inst, models)
+        base_eval = ctx.eval_stack
+        drawn, picks, eval_stack, stats = _draw_corrupted(ctx, seed, total)
         ref_drawn, ref_stack, ref_stats = reference_gate(inst, models, base_eval, seed, total)
         assert [m.seed for m in drawn] == [m.seed for m in ref_drawn]
         assert [m.mask.tolist() for m in drawn] == [m.mask.tolist() for m in ref_drawn]
@@ -616,8 +626,7 @@ class TestSensitivity:
         flagged = []
         for instance in ("moons-0", "moons-1", "moons-2", "three-class"):
             inst, models, seed = gate_instance(instance)
-            base_eval = stack_predictions(models, inst.target_eval_x)
-            flagged.append(_draw_corrupted(inst, models, base_eval, seed, 7)[3]["flagged"])
+            flagged.append(_draw_corrupted(gate_context(inst, models), seed, 7)[3]["flagged"])
         assert 0 < sum(flagged) < 7 * len(flagged)
 
     def test_sinc_rejected(self):
@@ -652,12 +661,19 @@ def gate_instance(name):
     slopes = rng.normal(size=(2, 3))
     labels = np.argmax(xs @ slopes + 0.3 * rng.normal(size=(400, 3)), axis=1)
     inst = types.SimpleNamespace(
-        source_x=rng.normal(size=(50, 2)), target_eval_x=xs, target_eval_y=np.eye(3)[labels]
+        source_x=rng.normal(size=(50, 2)), target_eval_x=xs, target_eval_y=np.eye(3)[labels],
+        label_dim=3,
     )
     models = [
         SoftmaxModel(10 * (slopes + 0.3 * rng.normal(size=(2, 3))), np.zeros(3)) for _ in range(4)
     ]
     return inst, models, 11
+
+
+def gate_context(instance, models):
+    """A seed context holding what the gate reads: the models and their eval stack."""
+    stacks = (None, None, stack_predictions(models, instance.target_eval_x))
+    return _SeedContext(None, instance, models, None, stacks)
 
 
 def reference_gate(instance, models, base_eval, seed, total):
@@ -829,6 +845,29 @@ class TestRateCheck:
     def test_requires_sinc_with_analytic_beta(self):
         with pytest.raises(ConfigError, match="rate check"):
             run_rate_check(ExperimentConfig(**MOONS_SMALL))
+
+    def test_plot_skips_a_size_without_successful_seeds(self, tmp_path):
+        rows = [RateRow(0, 20, math.nan, error="ValueError: x"), RateRow(0, 40, 0.5),
+                RateRow(1, 20, math.nan, error="ValueError: x"), RateRow(1, 40, 0.25)]
+        table = ResultTable(rows=rows, config={}, kind="rate", extra={"sizes": (20, 40)})
+        write_outputs(table, str(tmp_path))
+        assert "nan" not in (tmp_path / "plots" / "rate.svg").read_text()
+        with open(tmp_path / "plots" / "rate.csv", newline="") as handle:
+            lines = list(csv.reader(handle))
+        assert [[float(v) for v in line] for line in lines[1:]] == [[40, 0.375, 0.3125, 0.4375]]
+
+    def test_no_plot_when_every_size_fails(self, tmp_path, monkeypatch):
+        def iwa(*args, **kwargs):
+            raise ValueError("no weights")
+
+        monkeypatch.setattr(aggregation, "iwa", iwa)
+        cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0, 1))
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(20, 40), oracle_draws=1500))
+        assert all(row.error == "ValueError: no weights" for row in table.rows)
+        write_outputs(table, str(tmp_path))
+        assert (tmp_path / "results.csv").exists()
+        assert not (tmp_path / "plots" / "rate.svg").exists()
+        assert not (tmp_path / "plots" / "rate.csv").exists()
 
     def test_requires_two_distinct_sizes(self):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
