@@ -11,8 +11,6 @@ CLI round out the package.
 from .aggregation import (
     AggregationResult,
     aggregate_predictions,
-    empirical_gram,
-    empirical_moment,
     iwa,
     majority_votes,
     oracle_weights,
@@ -93,8 +91,6 @@ __all__ = [
     "aggregate_predictions",
     "corrupt",
     "dev_select",
-    "empirical_gram",
-    "empirical_moment",
     "fit_domain_classifier",
     "fit_ridge",
     "fit_softmax_classifier",

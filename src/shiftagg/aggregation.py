@@ -3,9 +3,11 @@
 The importance-weighted aggregate solves G c = g where the Gram matrix G is
 estimated on unlabeled target inputs and the moment vector g on
 beta-weighted labeled source samples; everything is solved through the
-rcond-truncated pseudo-inverse. The label-free baselines (source-only
-regression, target majority vote, and the two pseudo-label regressions)
-share the same machinery.
+rcond-truncated pseudo-inverse. Every estimator here (``iwa``, the
+source-only and pseudo-label regressions ``sor``, ``tmr`` and ``tcr``, and
+the labeled-target ``oracle_weights``) checks its inputs and then makes one
+call to the weighted least-squares core ``_weighted_ls``; they differ only
+in the stacks, row weights and labels they hand it.
 """
 
 from dataclasses import dataclass
@@ -23,10 +25,12 @@ def _prediction_stack(models, xs, predictions):
     if predictions is None:
         predictions = stack_predictions(models, xs)
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.ndim != 3 or predictions.shape[:2] != (len(models), len(xs)):
+    # Models that disagree on output_dim leave no 3-d shape to match.
+    dims = {m.output_dim for m in models}
+    if predictions.shape != (len(models), len(xs), *dims):
         raise DimensionError(
             f"prediction stack of shape {predictions.shape} does not cover "
-            f"{len(models)} models on {len(xs)} rows"
+            f"{len(models)} models of output_dim {sorted(dims)} on {len(xs)} rows"
         )
     return predictions
 
@@ -77,35 +81,6 @@ def _gram(preds, weights=None):
     return 0.5 * (gram + gram.T)
 
 
-def _moment(preds, ys, weights=None):
-    """sum_k w_k <F_k, y_k> per model; w_k = 1/k without weights."""
-    if weights is None:
-        return np.tensordot(preds, ys, axes=([1, 2], [0, 1])) / preds.shape[1]
-    return np.tensordot(preds, weights[:, None] * ys, axes=([1, 2], [0, 1]))
-
-
-def empirical_gram(target_predictions):
-    """Gram matrix G[i, j] = mean_k <f_i(x_k), f_j(x_k)> over an (l, k, d2) stack.
-
-    Exactly symmetric by construction and positive semi-definite up to
-    rounding. Non-finite predictions raise NumericalError.
-    """
-    preds, _ = _checked_stack(target_predictions)
-    return _gram(preds)
-
-
-def empirical_moment(source_predictions, source_y, source_weights):
-    """Moment vector g[i] = mean_k w_k <y_k, f_i(x_k)> over labeled source rows.
-
-    ``source_weights`` holds the density ratio on the source rows,
-    beta(source_x). Non-finite predictions, labels or weights raise
-    NumericalError.
-    """
-    preds, source_y = _checked_stack(source_predictions, source_y)
-    w = _row_weights(source_weights, preds.shape[1])
-    return _moment(preds, w[:, None] * source_y)
-
-
 @dataclass(frozen=True)
 class AggregationResult:
     """Aggregation weights plus the spectrum diagnostics of their Gram matrix."""
@@ -127,33 +102,26 @@ def aggregate_predictions(weights, predictions):
     return np.tensordot(weights, predictions, axes=(0, 0))
 
 
-def _label_regression(preds, labels, rcond, weights=None):
-    """Least squares of (pseudo-)labels onto one prediction stack.
+def _weighted_ls(gram_preds, moment_preds, labels, rcond, weights=None):
+    """c = G+ g from stacks and (k, d2) labels that ``_checked_stack`` has checked.
 
-    The stack feeds both the Gram matrix and the moment vector, so it is
-    checked once. Without ``weights`` every row counts 1/k, and with unit
-    ratio weights ``iwa`` computes the same Gram and moment from the same
-    kernels, so the two agree bitwise.
+    G = sum_k w_k F_k F_k^T over the rows of ``gram_preds`` and
+    g[i] = sum_k w_k <F_ik, y_k> over ``moment_preds`` and ``labels``. Without
+    ``weights`` every row counts 1/k; per-row probability ``weights`` weight
+    both sums, so the two stacks must then hold the same rows.
     """
-    preds, labels = _checked_stack(preds, labels)
-    if weights is not None:
-        weights = _row_weights(weights, preds.shape[1], "row weights")
-    gram, moment = _gram(preds, weights), _moment(preds, labels, weights)
-    return _solve_aggregation(gram, moment, rcond).weights
-
-
-def _solve_aggregation(gram, moment, rcond):
-    info = spectral_pinv(gram, rcond)
+    axes = ([1, 2], [0, 1])
+    if weights is None:
+        moment = np.tensordot(moment_preds, labels, axes=axes) / moment_preds.shape[1]
+    else:
+        moment = np.tensordot(moment_preds, weights[:, None] * labels, axes=axes)
+    info = spectral_pinv(_gram(gram_preds, weights), rcond)
     if info.rank_retained == 0:
         raise DegenerateGramError(
             "every Gram eigenvalue fell at or below the rcond cutoff; the model "
             "sequence is numerically redundant - prune near-duplicate models or lower rcond"
         )
-    return AggregationResult(
-        weights=info.inverse @ moment,
-        gram_condition=info.condition,
-        rank_retained=info.rank_retained,
-    )
+    return AggregationResult(info.inverse @ moment, info.condition, info.rank_retained)
 
 
 def iwa(
@@ -173,12 +141,14 @@ def iwa(
     vector on beta-weighted labeled source samples, and the weights solve
     the resulting system through the rcond-truncated pseudo-inverse. Uses no
     target labels. The models are predicted here unless their source and
-    target stacks are given; a given stack must cover the models and rows.
+    target stacks are given; a given stack must cover the models, their
+    output_dim and the rows.
     """
-    gram = empirical_gram(_prediction_stack(models, target_x, target_predictions))
+    target, _ = _checked_stack(_prediction_stack(models, target_x, target_predictions))
     source = _prediction_stack(models, source_x, source_predictions)
-    moment = empirical_moment(source, source_y, beta.weights(source_x))
-    return _solve_aggregation(gram, moment, rcond)
+    source, source_y = _checked_stack(source, source_y)
+    w = _row_weights(beta.weights(source_x), source.shape[1])
+    return _weighted_ls(target, source, w[:, None] * source_y, rcond)
 
 
 def oracle_weights(target_predictions, target_y, rcond=1e-8, weights=None):
@@ -191,7 +161,10 @@ def oracle_weights(target_predictions, target_y, rcond=1e-8, weights=None):
     (a quadrature rule of the target law and its noise-free labels) it is the
     weighted least squares that minimises the exact target risk.
     """
-    return _label_regression(target_predictions, target_y, rcond, weights)
+    preds, target_y = _checked_stack(target_predictions, target_y)
+    if weights is not None:
+        weights = _row_weights(weights, preds.shape[1], "row weights")
+    return _weighted_ls(preds, preds, target_y, rcond, weights).weights
 
 
 def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
@@ -201,7 +174,8 @@ def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
     for the target inputs (the no-shift reduction), so the two agree bitwise
     in that configuration.
     """
-    return _label_regression(source_predictions, source_y, rcond)
+    preds, source_y = _checked_stack(source_predictions, source_y)
+    return _weighted_ls(preds, preds, source_y, rcond).weights
 
 
 def _check_classification(d2):
@@ -227,7 +201,7 @@ def tmr(target_predictions, rcond=DEFAULT_RCOND):
     preds, _ = _checked_stack(target_predictions)
     _check_classification(preds.shape[2])
     pseudo = one_hot(majority_votes(preds), preds.shape[2])
-    return _solve_aggregation(_gram(preds), _moment(preds, pseudo), rcond).weights
+    return _weighted_ls(preds, preds, pseudo, rcond).weights
 
 
 def tcr(target_predictions, rcond=DEFAULT_RCOND):
@@ -236,4 +210,4 @@ def tcr(target_predictions, rcond=DEFAULT_RCOND):
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])
-    return _solve_aggregation(_gram(preds), _moment(preds, pseudo), rcond).weights
+    return _weighted_ls(preds, preds, pseudo, rcond).weights

@@ -58,11 +58,11 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND):
     the eigenvalues sorted in descending order. Eigenvalues are clamped at
     zero (small negative values are numerical noise; the matrix is rejected
     when the smallest one lies below -PSD_TOL * lambda_max), then every
-    eigenvalue <= rcond * lambda_max is treated as an exact zero. If nothing
-    survives, the inverse is the zero matrix.
+    eigenvalue <= rcond * lambda_max, for rcond in [0, 1), is treated as an
+    exact zero. If nothing survives, the inverse is the zero matrix.
     """
-    if rcond < 0:
-        raise ValueError(f"rcond must be non-negative, got {rcond}")
+    if not 0 <= rcond < 1:
+        raise ValueError(f"rcond must lie in [0, 1), got {rcond}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")

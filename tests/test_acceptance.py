@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from shiftagg.aggregation import (
+    _gram,
     aggregate_predictions,
-    empirical_gram,
     iwa,
     oracle_weights,
     sor,
@@ -304,7 +304,7 @@ def test_criterion_9_module_invariants():
     for _ in range(10):
         l, k, d2 = rng.integers(1, 6), rng.integers(1, 30), rng.integers(1, 4)
         stack = rng.normal(size=(int(l), int(k), int(d2)))
-        gram = empirical_gram(stack)
+        gram = _gram(stack)
         assert np.array_equal(gram, gram.T)
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() >= -1e-9 * max(1.0, eigenvalues.max())

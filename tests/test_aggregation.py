@@ -1,4 +1,6 @@
-"""Least-squares aggregation: Gram/moment estimators, IWA, and the label-free baselines."""
+"""Least-squares aggregation: the Gram/moment core, IWA, and the label-free baselines."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,6 @@ from shiftagg import aggregation
 from shiftagg.aggregation import (
     AggregationResult,
     aggregate_predictions,
-    empirical_gram,
-    empirical_moment,
     iwa,
     majority_votes,
     oracle_weights,
@@ -24,6 +24,7 @@ from shiftagg.errors import (
     DimensionError,
     NumericalError,
 )
+from shiftagg.linalg import TruncatedInverse
 from shiftagg.models import LinearModel, stack_predictions
 
 # f_A(x) = (x, 2x) and f_B(x) = (1, x): cheap models with hand-checkable
@@ -38,25 +39,56 @@ def constant_models(*outputs):
     return [LinearModel(np.zeros((1, len(out))), np.asarray(out, dtype=float)) for out in outputs]
 
 
+class FixedRatio:
+    """A density ratio whose weights on any rows are the given array."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def weights(self, xs):
+        return self.values
+
+
+def _identity_pinv(a, rcond):
+    n = len(a)
+    return TruncatedInverse(np.eye(n), np.ones(n), np.ones(n, dtype=bool))
+
+
+def iwa_moment(source_stack, source_y, ratio_weights):
+    """iwa's moment vector g on a source stack: with G+ stubbed to the identity, c = g.
+
+    The target stack is all ones of the same shape, so every check that
+    fires here fires on the source side.
+    """
+    l, k, d2 = np.shape(source_stack)
+    models = constant_models(*np.zeros((l, d2)))
+    xs = np.zeros((k, 1))
+    with mock.patch.object(aggregation, "spectral_pinv", _identity_pinv):
+        return iwa(models, xs, source_y, xs, FixedRatio(ratio_weights),
+                   source_predictions=source_stack,
+                   target_predictions=np.ones(np.shape(source_stack))).weights
+
+
 class TestEmpiricalGram:
     def test_hand_computed_two_models(self):
         # A -> (1,2),(2,4); B -> (1,1),(1,2); all Gram entries are halves of
         # small integers, so the equality is exact.
-        gram = empirical_gram(AB_12)
+        gram = aggregation._gram(AB_12)
         assert np.array_equal(gram, [[12.5, 6.5], [6.5, 3.5]])
 
     def test_single_model_mean_squared_norm(self):
-        gram = empirical_gram(AB_12[:1])
+        gram = aggregation._gram(AB_12[:1])
         assert np.array_equal(gram, [[12.5]])
 
     def test_accepts_precomputed_stack(self):
         stack = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])
-        gram = empirical_gram(stack)
+        gram = aggregation._gram(stack)
         assert np.array_equal(gram, [[12.5, 6.5], [6.5, 3.5]])
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            empirical_gram(np.zeros((1, 0, 2)))
+        for fn in (tmr, tcr):
+            with pytest.raises(ValueError, match="empty"):
+                fn(np.zeros((1, 0, 2)))
 
     def test_stack_must_cover_models(self):
         # Only iwa sees the models; a stack it is given must cover them.
@@ -64,14 +96,16 @@ class TestEmpiricalGram:
             iwa([MODEL_A, MODEL_B], XS_12, np.ones((2, 2)), XS_12, ConstantRatio(1.0),
                 target_predictions=np.zeros((1, 2, 2)))
         with pytest.raises(DimensionError, match="l, k, d2"):
-            empirical_gram(np.zeros((2, 2)))
+            tmr(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_predictions_rejected(self, bad):
         stack = np.ones((2, 3, 2))
         stack[1, 2, 0] = bad
+        xs = np.zeros((3, 1))
         with pytest.raises(NumericalError, match="predictions"):
-            empirical_gram(stack)
+            iwa([MODEL_A, MODEL_B], xs, np.ones((3, 2)), xs, ConstantRatio(1.0),
+                target_predictions=stack)
 
     @given(
         st.integers(1, 4),
@@ -81,7 +115,7 @@ class TestEmpiricalGram:
     )
     def test_symmetric_and_psd(self, l, k, d2, seed):
         stack = np.random.default_rng(seed).normal(size=(l, k, d2))
-        gram = empirical_gram(stack)
+        gram = aggregation._gram(stack)
         assert np.array_equal(gram, gram.T)
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() >= -1e-9 * max(1.0, eigenvalues.max())
@@ -93,42 +127,42 @@ class TestEmpiricalMoment:
         # g_A = (1*<(1,0),(1,2)> + 2*<(0,2),(2,4)>)/2 = (1 + 16)/2
         # g_B = (1*<(1,0),(1,1)> + 2*<(0,2),(1,2)>)/2 = (1 + 8)/2
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
-        moment = empirical_moment(AB_12, ys, np.array([1.0, 2.0]))
+        moment = iwa_moment(AB_12, ys, np.array([1.0, 2.0]))
         assert np.array_equal(moment, [8.5, 4.5])
 
     def test_unit_beta_reduces_to_plain_mean(self):
         ys = np.array([[1.0, 0.0], [0.0, 2.0]])
-        moment = empirical_moment(AB_12, ys, np.ones(2))
+        moment = iwa_moment(AB_12, ys, np.ones(2))
         assert np.array_equal(moment, [(1.0 + 8.0) / 2.0, (1.0 + 4.0) / 2.0])
 
     def test_zero_labels_give_zero_moment(self):
-        moment = empirical_moment(AB_12, np.zeros((2, 2)), np.ones(2))
+        moment = iwa_moment(AB_12, np.zeros((2, 2)), np.ones(2))
         assert np.array_equal(moment, [0.0, 0.0])
 
     def test_label_shape_checked(self):
         with pytest.raises(DimensionError, match="labels"):
-            empirical_moment(AB_12[:1], np.zeros((2, 3)), np.ones(2))
+            iwa_moment(AB_12[:1], np.zeros((2, 3)), np.ones(2))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            empirical_moment(np.zeros((1, 0, 2)), np.zeros((0, 2)), np.ones(0))
+            iwa_moment(np.zeros((1, 0, 2)), np.zeros((0, 2)), np.ones(0))
 
     def test_non_finite_predictions_rejected(self):
         stack = np.ones((2, 2, 2))
         stack[0, 1, 1] = np.nan
         with pytest.raises(NumericalError, match="predictions"):
-            empirical_moment(stack, np.ones((2, 2)), np.ones(2))
+            iwa_moment(stack, np.ones((2, 2)), np.ones(2))
 
     def test_non_finite_labels_rejected(self):
         ys = np.array([[1.0, 0.0], [np.nan, 2.0]])
         with pytest.raises(NumericalError, match="labels"):
-            empirical_moment(AB_12, ys, np.ones(2))
+            iwa_moment(AB_12, ys, np.ones(2))
 
     def test_non_finite_ratio_weights_rejected(self):
         with pytest.raises(NumericalError, match="density-ratio weights"):
-            empirical_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.array([1.0, np.inf]))
+            iwa_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.array([1.0, np.inf]))
         with pytest.raises(DimensionError, match="ratio weights"):
-            empirical_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.ones(3))
+            iwa_moment(np.ones((1, 2, 2)), np.ones((2, 2)), np.ones(3))
 
     def test_iwa_with_one_nan_label_raises(self):
         ys = np.array([[1.0, 0.0], [0.0, np.nan]])
@@ -278,6 +312,42 @@ def test_label_regressions_reject_non_finite_inputs(bad):
             fn(np.ones((2, 3, 2)), bad_labels)
 
 
+@pytest.mark.parametrize("estimator, expected", [
+    (lambda: sor(AB_12, np.ones((2, 2))), ["predictions", "labels"]),
+    (lambda: oracle_weights(AB_12, np.ones((2, 2))), ["predictions", "labels"]),
+    (lambda: oracle_weights(AB_12, np.ones((2, 2)), weights=np.full(2, 0.5)),
+     ["predictions", "labels", "row weights"]),
+    (lambda: iwa([MODEL_A, MODEL_B], XS_12, np.ones((2, 2)), XS_12, ConstantRatio(1.0)),
+     ["predictions", "predictions", "labels", "density-ratio weights"]),
+], ids=["sor", "oracle", "oracle-weighted", "iwa"])
+def test_each_input_checked_once(monkeypatch, estimator, expected):
+    # Each stack, label array and weight vector is scanned for non-finite
+    # values exactly once on its way to the least-squares core.
+    scans = record_scans(monkeypatch)
+    estimator()
+    assert scans == expected
+
+
+class TestWeightedOracle:
+    def test_uniform_row_weights_match_unweighted(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 25, 2))
+        ys = rng.normal(size=(25, 2))
+        weighted = oracle_weights(stack, ys, weights=np.full(25, 1 / 25))
+        assert np.allclose(weighted, oracle_weights(stack, ys), rtol=1e-10, atol=1e-12)
+
+    def test_row_weights_checked(self):
+        with pytest.raises(DimensionError, match="row weights"):
+            oracle_weights(AB_12, np.ones((2, 2)), weights=np.ones(3))
+        with pytest.raises(NumericalError, match="row weights"):
+            oracle_weights(AB_12, np.ones((2, 2)), weights=np.array([0.5, np.nan]))
+
+
+def test_nan_rcond_is_a_value_error_not_a_degenerate_gram():
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sor(AB_12, np.ones((2, 2)), rcond=np.nan)
+
+
 class TestMajorityVote:
     def test_hand_computed_votes(self):
         stack = np.array(
@@ -316,6 +386,19 @@ def lstsq_onto_models(models, xs, labels):
         [np.asarray(m.predict_many(xs), dtype=float).ravel() for m in models], axis=1
     )
     return np.linalg.lstsq(design, np.asarray(labels, dtype=float).ravel(), rcond=None)[0]
+
+
+def record_scans(monkeypatch):
+    """The names of the arrays aggregation scans for non-finite values, in order."""
+    scans = []
+    original = aggregation._require_finite
+
+    def counted(values, what):
+        scans.append(what)
+        return original(values, what)
+
+    monkeypatch.setattr(aggregation, "_require_finite", counted)
+    return scans
 
 
 class TestPseudoLabelRegressions:
@@ -358,14 +441,7 @@ class TestPseudoLabelRegressions:
 
     @pytest.mark.parametrize("baseline, label", [(tmr, [1.0, 0.0]), (tcr, [0.0, 1.0])])
     def test_stack_checked_once(self, monkeypatch, baseline, label):
-        scans = []
-        original = aggregation._require_finite
-
-        def counted(values, what):
-            scans.append(what)
-            return original(values, what)
-
-        monkeypatch.setattr(aggregation, "_require_finite", counted)
+        scans = record_scans(monkeypatch)
         weights = baseline(self.STACK, rcond=1e-10)
         assert scans == ["predictions"]
         pseudo = np.tile(label, (4, 1))
@@ -438,3 +514,15 @@ def test_iwa_rejects_a_stack_for_other_rows():
     with pytest.raises(DimensionError, match="10 rows"):
         iwa(models, source_x, source_y, target_x, ConstantRatio(1.0),
             source_predictions=stack_predictions(models, source_x[:7]))
+
+
+def test_iwa_rejects_a_stack_of_other_output_width():
+    # A 3-output source stack and labels cannot stand for 2-output models,
+    # even when the target stack matches them.
+    rng = np.random.default_rng(1)
+    xs = rng.normal(size=(6, 1))
+    models = [MODEL_A, MODEL_B]
+    with pytest.raises(DimensionError, match="output_dim"):
+        iwa(models, xs, rng.normal(size=(6, 3)), xs, ConstantRatio(1.0),
+            source_predictions=rng.normal(size=(2, 6, 3)),
+            target_predictions=stack_predictions(models, xs))

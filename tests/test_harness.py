@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg import aggregation, harness, metrics
-from shiftagg.aggregation import empirical_gram
 from shiftagg.datasets import make_sinc_shift
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError
@@ -723,8 +722,8 @@ def test_prefix_gram_is_leading_block(l, prefix, d2, k, log_scale, seed):
         for _ in range(l)
     ]
     xs = rng.normal(size=(k, 2))
-    full = empirical_gram(stack_predictions(models, xs))
-    lead = empirical_gram(stack_predictions(models[:prefix], xs))
+    full = aggregation._gram(stack_predictions(models, xs))
+    lead = aggregation._gram(stack_predictions(models[:prefix], xs))
     assert np.abs(lead - full[:prefix, :prefix]).max() <= 1e-12 * np.abs(full).max()
 
 

@@ -125,6 +125,13 @@ class TestSpectralPinv:
         with pytest.raises(ValueError, match="rcond"):
             spectral_pinv(np.eye(2), -0.5)
 
+    @pytest.mark.parametrize("rcond", [np.nan, 1.0, 2.0, np.inf])
+    def test_rcond_outside_unit_interval_rejected(self, rcond):
+        # No eigenvalue compares above a NaN cutoff, so an unchecked NaN
+        # would read as "keep nothing" and blame the models.
+        with pytest.raises(ValueError, match="rcond"):
+            spectral_pinv(np.eye(2), rcond)
+
     def test_diagnostics_on_rank_deficient(self):
         info = spectral_pinv(np.diag([8.0, 2.0, 0.0]), 0.1)
         assert isinstance(info, TruncatedInverse)

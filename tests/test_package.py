@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import shiftagg
-from shiftagg import datasets, density_ratio, harness, linalg, models
+from shiftagg import aggregation, datasets, density_ratio, harness, linalg, models
 
 
 def _imported_public_names():
@@ -88,6 +88,10 @@ def test_softmax_gradient_is_not_exported():
 @pytest.mark.parametrize("owner, name", [
     (shiftagg, "sym_eig"), (linalg, "sym_eig"), (shiftagg, "DensityRatio"),
     (density_ratio, "DensityRatio"), (harness, "emit_plots"),
+    (shiftagg, "empirical_gram"), (shiftagg, "empirical_moment"),
+    (aggregation, "empirical_gram"), (aggregation, "empirical_moment"),
+    (aggregation, "_label_regression"), (aggregation, "_solve_aggregation"),
+    (aggregation, "_moment"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
