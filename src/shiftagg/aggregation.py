@@ -17,6 +17,7 @@ import numpy as np
 from .datasets import one_hot
 from .errors import DegenerateGramError, DimensionError, NumericalError
 from .linalg import DEFAULT_RCOND, spectral_pinv
+from .metrics import _argmax_is_class1
 from .models import stack_predictions
 
 
@@ -184,11 +185,21 @@ def _check_classification(d2):
 
 
 def majority_votes(predictions):
-    """Per-sample majority vote over the models' argmax classes (ties -> lowest index)."""
-    predictions = np.asarray(predictions, dtype=float)
-    l, k, d2 = predictions.shape
+    """Per-sample majority vote over the models' argmax classes (ties -> lowest index).
+
+    A NaN or inf output raises NumericalError rather than casting a vote.
+    """
+    preds, _ = _checked_stack(predictions)
+    return _majority_votes(preds)
+
+
+def _majority_votes(preds):
+    """``majority_votes`` of a stack that ``_checked_stack`` has checked."""
+    l, k, d2 = preds.shape
     _check_classification(d2)
-    votes = predictions.argmax(axis=2)
+    if d2 == 2:
+        return (2 * _argmax_is_class1(preds).sum(axis=0) > l).astype(int)
+    votes = preds.argmax(axis=2)
     counts = np.zeros((k, d2), dtype=int)
     rows = np.arange(k)
     for i in range(l):
@@ -199,8 +210,7 @@ def majority_votes(predictions):
 def tmr(target_predictions, rcond=DEFAULT_RCOND):
     """Majority-vote pseudo-labels, then least squares onto the model outputs."""
     preds, _ = _checked_stack(target_predictions)
-    _check_classification(preds.shape[2])
-    pseudo = one_hot(majority_votes(preds), preds.shape[2])
+    pseudo = one_hot(_majority_votes(preds), preds.shape[2])
     return _weighted_ls(preds, preds, pseudo, rcond).weights
 
 

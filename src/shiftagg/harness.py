@@ -755,12 +755,13 @@ class _SeedContext:
     """Everything shared by the methods evaluated on one (instance, models) pair.
 
     ``stacks`` holds the (source, target, eval) prediction stacks of
-    ``models``. The oracle is solved on first use. Risks follow the eval
-    split: a sample's mean squared error, or on a quadrature rule the exact
-    target risk, noise variance included.
+    ``models``, and ``accuracies`` each model's eval accuracy when the caller
+    has scored them already. The oracle is solved on first use. Risks follow
+    the eval split: a sample's mean squared error, or on a quadrature rule
+    the exact target risk, noise variance included.
     """
 
-    def __init__(self, cfg, instance, models, beta, stacks):
+    def __init__(self, cfg, instance, models, beta, stacks, accuracies=None):
         self.cfg = cfg
         self.instance = instance
         self.models = models
@@ -769,6 +770,7 @@ class _SeedContext:
         self.source_stack, self.target_stack, self.eval_stack = stacks
         self.eval_y = np.asarray(instance.target_eval_y, dtype=float)
         self.eval_labels = self.eval_y.argmax(axis=1) if self.classification else None
+        self.accuracies = accuracies
 
     @cached_property
     def oracle(self):
@@ -788,7 +790,9 @@ class _SeedContext:
 
     def model_accuracies(self):
         """Each model's accuracy on the evaluation labels."""
-        return metrics.accuracies(self.eval_stack, self.eval_labels).tolist()
+        if self.accuracies is None:
+            return metrics.accuracies(self.eval_stack, self.eval_labels)
+        return self.accuracies
 
     def evaluate(self, method, seed, count=None):
         weights, diagnostics = METHODS[method](self)
@@ -948,13 +952,16 @@ def _batch_models(xs):
 def _draw_corrupted(ctx, seed, total):
     """Corrupted models of ``ctx.models`` with the accuracy redraw gate.
 
-    Returns (models, picks, eval stack, gate stats): ``picks`` holds each
-    kept model's base index into ``ctx.models``, and the eval stack holds
-    ``ctx.eval_stack`` followed by the predictions the gate computed for
-    each kept model, in slot order.
+    Returns (models, picks, eval stack, accuracies, gate stats): ``picks``
+    holds each kept model's base index into ``ctx.models``, the eval stack
+    holds ``ctx.eval_stack`` followed by the predictions the gate computed
+    for each kept model, in slot order, and ``accuracies`` each model's
+    accuracy on that stack.
     """
     models, base_eval = ctx.models, ctx.eval_stack
-    so_acc = metrics.accuracy(base_eval[0], ctx.eval_labels)
+    accuracies = np.empty(len(models) + total)
+    accuracies[: len(models)] = ctx.model_accuracies()
+    so_acc = float(accuracies[0])
     threshold = 0.8 * so_acc
     candidates = _scored_candidates(
         models, base_eval, ctx.instance.target_eval_x, ctx.eval_labels, seed, total
@@ -973,6 +980,7 @@ def _draw_corrupted(ctx, seed, total):
         drawn.append(candidate)
         picks.append(pick)
         eval_stack[len(models) + slot] = preds
+        accuracies[len(models) + slot] = acc
     stats = {
         "seed": int(seed),
         "so_accuracy": so_acc,
@@ -980,7 +988,7 @@ def _draw_corrupted(ctx, seed, total):
         "flagged": flagged_count,
         "total": total,
     }
-    return drawn, picks, eval_stack, stats
+    return drawn, picks, eval_stack, accuracies, stats
 
 
 def _with_corrupted(stack, xs, picks, corrupted):
@@ -1011,7 +1019,9 @@ def run_sensitivity(cfg):
     predictions are its base's rows of the prepared stacks plus its noise: the
     gate's fill the eval stack, the kept models' source and target ones
     follow the prepared stacks, and each count evaluates the leading slices
-    of those stacks.
+    of those stacks. Each model's eval accuracy is scored once per seed,
+    the base models' up front and the kept models' by the gate, and each
+    count slices those scores too.
     """
     cfg.validate()
     counts = sorted({0, *cfg.counts})
@@ -1022,7 +1032,7 @@ def run_sensitivity(cfg):
     def seed_rows(seed):
         ctx = context_of(seed)
         instance, models, beta = ctx.instance, ctx.models, ctx.beta
-        corrupted, picks, eval_stack, stats = _draw_corrupted(ctx, seed, max(counts))
+        corrupted, picks, eval_stack, accuracies, stats = _draw_corrupted(ctx, seed, max(counts))
         gate_stats.append(stats)
         full = models + corrupted
         stacks = [
@@ -1036,7 +1046,7 @@ def run_sensitivity(cfg):
         for count in counts:
             size = len(models) + count
             prefix = tuple(stack[:size] for stack in stacks)
-            context = _SeedContext(cfg, instance, full[:size], beta, prefix)
+            context = _SeedContext(cfg, instance, full[:size], beta, prefix, accuracies[:size])
             rows.extend(context.rows(seed, methods, count))
         return rows
 

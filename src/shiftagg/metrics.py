@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
+from .models import check_class_labels
 
 # Column order of every results.csv emitted by the harness.
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
@@ -45,7 +46,10 @@ def accuracy(preds, labels):
 
 
 def accuracies(stack, labels):
-    """Each model's accuracy (see ``accuracy``) from a (models, rows, classes) stack."""
+    """Each model's accuracy (see ``accuracy``) from a (models, rows, classes) stack.
+
+    Labels must be integers in [0, classes).
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be a 1-d class-index vector, got shape {labels.shape}")
@@ -54,11 +58,23 @@ def accuracies(stack, labels):
         raise DimensionError(f"predictions of shape {stack.shape} but {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty sample")
-    labels = labels.astype(int)
+    check_class_labels(labels, stack.shape[2])
+    if stack.shape[2] == 2:
+        return (_argmax_is_class1(stack) == (labels == 1)).mean(axis=1)
     # One model at a time: a whole stack's argmax holds a (models, rows)
-    # index array, which on the sensitivity study's 114-model stack raised
-    # its peak RSS by about 0.6 MB.
+    # int64 index array, eight times the two-class path's boolean one.
+    labels = labels.astype(int)
     return np.array([(preds.argmax(axis=1) == labels).mean() for preds in stack])
+
+
+def _argmax_is_class1(preds):
+    """Where ``preds.argmax(axis=-1)`` is 1 on a (..., 2) array, without the argmax.
+
+    argmax takes the first maximum and counts NaN above every number, so
+    class 1 wins only when column 0 is not NaN and not >= column 1.
+    """
+    p0, p1 = preds[..., 0], preds[..., 1]
+    return ~(p0 >= p1) & (p0 == p0)
 
 
 def pearson_with_flag(a, b):

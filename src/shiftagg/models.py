@@ -111,6 +111,14 @@ def _softmax_in_place(z, axis):
     return z
 
 
+def check_class_labels(labels, classes):
+    """Raise ValueError unless each entry of the non-empty array ``labels`` is in range(classes)."""
+    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
+        raise ValueError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError("labels must lie in [0, classes)")
+
+
 def _labelled_sample(x, labels, classes, models):
     """The checked sample ``x`` and each row's label as a (rows, classes, models) indicator."""
     x = _sample_matrix(x, "x")
@@ -121,10 +129,7 @@ def _labelled_sample(x, labels, classes, models):
         raise ValueError("cannot fit on an empty sample")
     if not np.all(np.isfinite(x)):
         raise ValueError("training data must be finite")
-    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
-        raise ValueError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError("labels must lie in [0, classes)")
+    check_class_labels(labels, classes)
     hits = labels.astype(int)[:, None, None] == np.arange(classes)[:, None]
     return x, np.repeat(hits, models, axis=2).astype(float)
 

@@ -379,6 +379,28 @@ class TestMajorityVote:
         with pytest.raises(DimensionError, match="output_dim"):
             majority_votes(np.zeros((2, 3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_casts_no_vote(self, bad):
+        # argmax counts NaN above every number, so this NaN would vote class 0.
+        stack = np.array([[[bad, 1.0]], [[bad, 1.0]], [[0.2, 0.8]]])
+        with pytest.raises(NumericalError, match="predictions"):
+            majority_votes(stack)
+
+    @pytest.mark.parametrize("models", [1, 2, 3, 4, 7, 8])
+    def test_two_classes_match_the_argmax_count_loop(self, models):
+        # Rounded outputs tie within models, and an even number of models
+        # ties votes on some rows; both ties go to class 0.
+        rng = np.random.default_rng(models)
+        stack = np.round(rng.normal(size=(models, 200, 2)), 1)
+        counts = np.zeros((200, 2), dtype=int)
+        for preds in stack:
+            counts[np.arange(200), preds.argmax(axis=1)] += 1
+        if models % 2 == 0:
+            assert np.any(counts[:, 0] == counts[:, 1])
+        votes = majority_votes(stack)
+        assert votes.dtype.kind == "i"
+        assert votes.tolist() == counts.argmax(axis=1).tolist()
+
 
 def lstsq_onto_models(models, xs, labels):
     """Independent min-norm least squares of ``labels`` onto the model outputs."""

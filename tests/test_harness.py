@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from shiftagg import aggregation, harness, metrics
 from shiftagg.datasets import make_sinc_shift
 from shiftagg.density_ratio import ConstantRatio
-from shiftagg.errors import ConfigError
+from shiftagg.errors import ConfigError, NumericalError
 from shiftagg.harness import (
     ALL_METHODS,
     LAMBDA_GRID,
@@ -352,6 +352,24 @@ class TestRunExperiment:
             assert math.isfinite(by_method[method].risk)
         assert ResultTable(rows=rows, config={}).has_failures
 
+    def test_nan_model_output_fails_every_vote_method(self):
+        # A NaN output casts no vote: the majority vote, like the two
+        # pseudo-label regressions, reports the stack instead of scoring it.
+        cfg = ExperimentConfig(**MOONS_SMALL)
+        inst = build_instance(cfg, 0)
+        models = build_models(cfg, inst)
+        stacks = [
+            stack_predictions(models, xs)
+            for xs in (inst.source_x, inst.target_x, inst.target_eval_x)
+        ]
+        for stack in stacks[1:]:
+            stack[1, 0, 0] = np.nan
+        context = _SeedContext(cfg, inst, models, ConstantRatio(1.0), tuple(stacks))
+        # Called directly: a scored row would also fail on the oracle's solve.
+        for method in ("tmv", "tmr", "tcr"):
+            with pytest.raises(NumericalError, match="predictions"):
+                METHODS[method](context)
+
 
 class TestNoShiftReduction:
     def test_iwa_equals_sor_when_target_is_source(self):
@@ -584,7 +602,7 @@ class TestSensitivity:
             inst = build_instance(cfg, seed)
             models = build_models(cfg, inst)
             beta = build_beta(cfg, inst)
-            corrupted, _, _, _ = _draw_corrupted(seed_context(cfg, inst, models, beta), seed, 5)
+            corrupted = _draw_corrupted(seed_context(cfg, inst, models, beta), seed, 5)[0]
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
                 context = seed_context(cfg, inst, sequence, beta)
@@ -607,8 +625,10 @@ class TestSensitivity:
         total = 7
         ctx = gate_context(inst, models)
         base_eval = ctx.eval_stack
-        drawn, picks, eval_stack, stats = _draw_corrupted(ctx, seed, total)
+        drawn, picks, eval_stack, accuracies, stats = _draw_corrupted(ctx, seed, total)
         ref_drawn, ref_stack, ref_stats = reference_gate(inst, models, base_eval, seed, total)
+        labels = inst.target_eval_y.argmax(axis=1)
+        assert accuracies.tolist() == [argmax_accuracy(preds, labels) for preds in ref_stack]
         assert [m.seed for m in drawn] == [m.seed for m in ref_drawn]
         assert [m.mask.tolist() for m in drawn] == [m.mask.tolist() for m in ref_drawn]
         assert [models[p] for p in picks] == [m.base for m in ref_drawn]
@@ -625,8 +645,37 @@ class TestSensitivity:
         flagged = []
         for instance in ("moons-0", "moons-1", "moons-2", "three-class"):
             inst, models, seed = gate_instance(instance)
-            flagged.append(_draw_corrupted(gate_context(inst, models), seed, 7)[3]["flagged"])
+            flagged.append(_draw_corrupted(gate_context(inst, models), seed, 7)[-1]["flagged"])
         assert 0 < sum(flagged) < 7 * len(flagged)
+
+    def test_each_model_scored_once_per_seed(self, monkeypatch):
+        # Every model passed to metrics.accuracies is a base model or a gate
+        # candidate; the counts slice those scores instead of scoring again.
+        # metrics.accuracy scores an aggregate's predictions through
+        # accuracies, one stack of one, and those are not models.
+        scored, aggregates, candidates = [], [], []
+        accuracies, accuracy, corrupt_ = metrics.accuracies, metrics.accuracy, harness.corrupt
+
+        def counted_accuracies(stack, labels):
+            scored.append(len(stack))
+            return accuracies(stack, labels)
+
+        def counted_accuracy(preds, labels):
+            aggregates.append(1)
+            return accuracy(preds, labels)
+
+        def counted_corrupt(model, seed):
+            candidates.append(seed)
+            return corrupt_(model, seed)
+
+        monkeypatch.setattr(metrics, "accuracies", counted_accuracies)
+        monkeypatch.setattr(metrics, "accuracy", counted_accuracy)
+        monkeypatch.setattr(harness, "corrupt", counted_corrupt)
+        cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa", "tmv", "target_best"))
+        table = run_sensitivity(dataclasses.replace(cfg, counts=(2, 5)))
+        assert not table.has_failures
+        assert len(candidates) >= 5
+        assert sum(scored) - len(aggregates) == cfg.l + len(candidates)
 
     def test_sinc_rejected(self):
         with pytest.raises(ConfigError, match="classification"):
@@ -675,6 +724,11 @@ def gate_context(instance, models):
     return _SeedContext(None, instance, models, None, stacks)
 
 
+def argmax_accuracy(preds, labels):
+    """A model's accuracy by the per-row argmax rule that ``metrics.accuracies`` follows."""
+    return float((np.asarray(preds).argmax(axis=1) == labels).mean())
+
+
 def reference_gate(instance, models, base_eval, seed, total):
     """The corruption gate one candidate at a time: predict, score, redraw.
 
@@ -683,7 +737,7 @@ def reference_gate(instance, models, base_eval, seed, total):
     """
     eval_x = instance.target_eval_x
     eval_labels = instance.target_eval_y.argmax(axis=1)
-    so_acc = metrics.accuracy(base_eval[0], eval_labels)
+    so_acc = argmax_accuracy(base_eval[0], eval_labels)
     threshold = 0.8 * so_acc
     pick_rng = np.random.default_rng(np.random.SeedSequence([harness._PICK_STREAM, seed]))
     budget = harness.MAX_CORRUPTION_REDRAWS
@@ -694,7 +748,7 @@ def reference_gate(instance, models, base_eval, seed, total):
         for _ in range(budget):
             candidate = corrupt(models[int(pick_rng.integers(len(models)))], next(cseeds))
             preds = candidate.predict_many(eval_x)
-            if metrics.accuracy(preds, eval_labels) < threshold:
+            if argmax_accuracy(preds, eval_labels) < threshold:
                 flagged = True
                 break
         flagged_count += int(flagged)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError
-from shiftagg.metrics import accuracies, accuracy, pearson_with_flag, risk
+from shiftagg.metrics import _argmax_is_class1, accuracies, accuracy, pearson_with_flag, risk
 from shiftagg.models import LinearModel, stack_predictions
 
 
@@ -110,6 +110,71 @@ class TestAccuracies:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             accuracies(np.zeros((2, 0, 2)), [])
+
+    @pytest.mark.parametrize("labels", [[0.9, 0, 1], [0, np.nan, 1]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="integers"):
+            accuracies(np.zeros((2, 3, 2)), labels)
+
+    @pytest.mark.parametrize("classes, bad", [(2, -1), (2, 2), (3, 3)])
+    def test_labels_outside_the_classes_rejected(self, classes, bad):
+        with pytest.raises(ValueError, match=r"\[0, classes\)"):
+            accuracies(np.zeros((2, 3, classes)), [0, 1, bad])
+
+    def test_integer_valued_float_labels_accepted(self):
+        stack = np.array([[[0.9, 0.1], [0.2, 0.8]]])
+        assert accuracies(stack, [0.0, 1.0]).tolist() == [1.0]
+
+
+# Every ordered pair of these values: ties, NaN in either column or both,
+# and equal and mixed infinities.
+SPECIAL = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+SPECIAL_PAIRS = np.stack(np.meshgrid(SPECIAL, SPECIAL, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def random_two_class_stack(seed, models=6, rows=300):
+    """Rounded outputs (so many ties) with NaN and +-inf entries sprinkled in."""
+    rng = np.random.default_rng(seed)
+    stack = np.round(rng.normal(size=(models, rows, 2)), 1)
+    spots = rng.uniform(size=stack.shape)
+    stack[spots < 0.03] = np.nan
+    stack[(spots >= 0.03) & (spots < 0.05)] = np.inf
+    stack[(spots >= 0.05) & (spots < 0.07)] = -np.inf
+    return stack
+
+
+class TestTwoClassRule:
+    def test_special_pairs_match_argmax(self):
+        expected = SPECIAL_PAIRS.argmax(axis=1) == 1
+        assert np.array_equal(_argmax_is_class1(SPECIAL_PAIRS), expected)
+
+    @pytest.mark.parametrize("pair, class1", [
+        ((0.5, 0.5), False), ((np.inf, np.inf), False), ((-np.inf, -np.inf), False),
+        ((np.nan, 1.0), False), ((1.0, np.nan), True), ((np.nan, np.nan), False),
+        ((-np.inf, np.inf), True), ((np.inf, -np.inf), False),
+    ])
+    def test_named_cases(self, pair, class1):
+        assert np.argmax(pair) == int(class1)
+        assert bool(_argmax_is_class1(np.array(pair))) is class1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stacks_match_argmax(self, seed):
+        stack = random_two_class_stack(seed)
+        assert np.array_equal(_argmax_is_class1(stack), stack.argmax(axis=2) == 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accuracies_match_per_model_argmax(self, seed):
+        stack = random_two_class_stack(seed)
+        labels = np.random.default_rng(seed).integers(2, size=stack.shape[1])
+        expected = [float((preds.argmax(axis=1) == labels).mean()) for preds in stack]
+        assert accuracies(stack, labels).tolist() == expected
+
+    def test_accuracies_on_special_pairs(self):
+        stack = SPECIAL_PAIRS[None]
+        for label in (0, 1):
+            labels = np.full(len(SPECIAL_PAIRS), label)
+            expected = float((SPECIAL_PAIRS.argmax(axis=1) == label).mean())
+            assert accuracies(stack, labels).tolist() == [expected]
 
 
 class TestPearson:
