@@ -221,15 +221,25 @@ MOONS_NOISE = 0.1
 MOONS_CENTROID = (0.5, 0.25)
 
 
+def check_class_labels(labels, classes):
+    """Raise ValueError unless each entry of the non-empty array ``labels`` is in range(classes)."""
+    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
+        raise ValueError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError("labels out of range: must lie in [0, classes)")
+
+
 def one_hot(labels, classes):
     """One-hot rows for integer class labels; a scalar label gives one vector.
 
-    Also the aggregation-weight view of a single chosen model.
+    Also the aggregation-weight view of a single chosen model. The labels
+    follow ``check_class_labels``: a fractional label raises ValueError
+    rather than being truncated to a class.
     """
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError("labels out of range: must lie in [0, classes)")
-    return np.eye(classes)[labels]
+    labels = np.asarray(labels)
+    if labels.size:
+        check_class_labels(labels, classes)
+    return np.eye(classes)[labels.astype(int)]
 
 
 def moons_points(count, noise, rng):

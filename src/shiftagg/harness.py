@@ -65,6 +65,8 @@ DATASETS = ("sinc", "moons", "csv")
 _CORRUPTION_STREAM = 0xC0421
 _PICK_STREAM = 0x9B1C5
 _RATE_STREAM = 0xA7E51
+# The rate check's oracle rule: one draw per run, whatever the seeds.
+_RATE_RULE_STREAM = 0x0AC1E
 
 # Redraw budget per corrupted-model slot in the sensitivity study.
 MAX_CORRUPTION_REDRAWS = 25
@@ -102,7 +104,8 @@ class ExperimentConfig:
     eval_csv: str = ""
     model_csvs: tuple[str, ...] = ()
     # study knobs: corrupted models added (sensitivity; 0 is always run),
-    # n = m sample sizes and labeled target draws for the oracle (rate-check)
+    # n = m sample sizes and the size of the per-run noise-free oracle rule
+    # (rate-check)
     counts: tuple[int, ...] = (0, 10, 50, 100)
     sizes: tuple[int, ...] = (250, 1000, 4000)
     oracle_draws: int = 100_000
@@ -246,6 +249,19 @@ def _sinc_sequence(cfg, instance):
         base = fit_ridge(feature_fn(instance.source_x), instance.source_y, RIDGE)
         models.append(FeatureModel(feature_fn, base, input_dim=1))
     return models
+
+
+def _sinc_ladder_into(stack, models, powers):
+    """Fill the (l, k, 1) ``stack`` with a sinc ladder's predictions; returns it.
+
+    ``powers`` is ``polynomial_features(xs, l - 1)`` of the k rows: model j
+    of ``_sinc_sequence`` reads the leading j columns, so one table serves
+    the whole ladder and each model writes ``stack[j]`` in place. The result
+    equals ``stack_predictions(models, xs)`` bit for bit.
+    """
+    for degree, model in enumerate(models):
+        stack[degree] = model.base.predict_many(powers[:, :degree])
+    return stack
 
 
 def _moons_sequence(cfg, instance):
@@ -513,13 +529,16 @@ def _aggregates_json(table, rows):
 
 
 def _rate_json(table, rows):
-    return {
+    body = {
         "sizes": list(table.extra["sizes"]),
         "rows": rows,
         "medians": {str(k): _json_value(v) for k, v in rate_medians(table).items()},
         "slope": _json_value(rate_slope(table)),
         "strictly_decreasing": rate_strictly_decreasing(table),
     }
+    if "c_star" in table.extra:
+        body["extra"] = {"c_star": table.extra["c_star"]}
+    return body
 
 
 def _aggregate_summary(table):
@@ -1094,14 +1113,40 @@ def run_correlation(cfg):
 # --- convergence-rate check ---------------------------------------------------
 
 
+def _rate_rule(cfg):
+    """The rate check's oracle rule: (inputs, labels) of cfg.oracle_draws target draws.
+
+    The inputs come from their own stream, ``_RATE_RULE_STREAM``, so every
+    seed of a run, and every run, shares them; the labels are the noise-free
+    sinc, the labels' conditional mean.
+    """
+    rng = np.random.default_rng(_RATE_RULE_STREAM)
+    rule_x = rng.normal(SINC_TARGET_MEAN, sinc_sigmas(cfg.sinc_interpret_std)[1],
+                        size=(cfg.oracle_draws, 1))
+    return rule_x, np.sinc(rule_x)
+
+
+def _rate_oracle(cfg):
+    """How a rate check computes c_star, for its results.json."""
+    return {
+        "rule": "monte-carlo",
+        "draws": cfg.oracle_draws,
+        "labels": "noise-free sinc",
+        "stream": _RATE_RULE_STREAM,
+        "target_mean": SINC_TARGET_MEAN,
+        "target_std": sinc_sigmas(cfg.sinc_interpret_std)[1],
+    }
+
+
 def run_rate_check(cfg):
     """Convergence of the importance-weighted weights to the oracle weights.
 
     The model sequence is trained once per seed on an independent source
-    draw (size cfg.n) and held fixed; c_star comes from a large labeled
-    target draw (cfg.oracle_draws); c_tilde is recomputed on fresh
-    source/target samples of each size in cfg.sizes. Both solves use
-    cfg.rcond so the comparison is apples to apples. Requires the sinc
+    draw (size cfg.n) and held fixed; c_star is its least-squares fit on the
+    run's oracle rule, cfg.oracle_draws target inputs drawn once per run and
+    labeled with the noise-free sinc (``_rate_rule``); c_tilde is recomputed
+    on fresh source/target samples of each size in cfg.sizes. Both solves
+    use cfg.rcond so the comparison is apples to apples. Requires the sinc
     dataset, whose ratio is analytic.
     """
     cfg.validate()
@@ -1109,29 +1154,24 @@ def run_rate_check(cfg):
         raise ConfigError("rate check requires dataset = sinc")
     sizes = tuple(sorted(set(cfg.sizes)))
     beta = sinc_ratio(cfg.sinc_interpret_std)
+    rule_x, rule_y = _rate_rule(cfg)
+    # One power table and one prediction stack per run, refilled by each seed.
+    powers = polynomial_features(rule_x, cfg.l - 1)
+    stack = np.empty((cfg.l, cfg.oracle_draws, 1))
 
-    def sinc(n, m, eval_size, seed):
-        return make_sinc_shift(n, m, eval_size, seed, interpret_std=cfg.sinc_interpret_std)
-
-    # The last seed's oracle draw stays referenced until the next seed has
-    # drawn its own. Freed at the end of every seed, its rows let the
-    # allocator hand the memory back to the operating system and page it in
-    # again for the next seed, which made the study about a fifth slower.
-    held = []
+    def sinc(n, m, seed):
+        return make_sinc_shift(n, m, 1, seed, interpret_std=cfg.sinc_interpret_std)
 
     def seed_rows(seed):
+        # Subseed 0 draws the models' sample, 2 onward the size draws; 1 is unused.
         subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
-        models = _sinc_sequence(cfg, sinc(cfg.n, 1, 1, subseeds[0]))
-        oracle_sample = sinc(1, 1, cfg.oracle_draws, subseeds[1])
-        held[:] = [oracle_sample]
+        models = _sinc_sequence(cfg, sinc(cfg.n, 1, subseeds[0]))
         c_star = aggregation.oracle_weights(
-            stack_predictions(models, oracle_sample.target_eval_x),
-            oracle_sample.target_eval_y,
-            cfg.rcond,
+            _sinc_ladder_into(stack, models, powers), rule_y, cfg.rcond
         )
         rows = []
         for size, sub in zip(sizes, subseeds[2:]):
-            inst = sinc(size, size, 1, sub)
+            inst = sinc(size, size, sub)
             c_tilde = aggregation.iwa(
                 models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
             ).weights
@@ -1141,7 +1181,7 @@ def run_rate_check(cfg):
     return _study(
         cfg, "rate", seed_rows,
         lambda seed: [RateRow(seed, size, float("nan")) for size in sizes],
-        {"sizes": sizes},
+        {"sizes": sizes, "c_star": _rate_oracle(cfg)},
     )
 
 

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
-from .models import check_class_labels
+from .datasets import check_class_labels
+from .errors import DimensionError, NumericalError
 
 # Column order of every results.csv emitted by the harness.
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
@@ -81,7 +81,7 @@ def pearson_with_flag(a, b):
     """Pearson correlation plus a degeneracy flag.
 
     A constant input vector makes the correlation undefined; it is reported
-    as 0.0 with the flag set.
+    as 0.0 with the flag set. A NaN or inf input raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -89,6 +89,8 @@ def pearson_with_flag(a, b):
         raise DimensionError(f"inputs must be equal-length vectors, got {a.shape} and {b.shape}")
     if a.shape[0] < 2:
         raise ValueError("correlation needs at least two samples")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericalError("correlation inputs contain NaN or inf")
     if a.max() == a.min() or b.max() == b.min():
         return 0.0, True
     ca = a - a.mean()

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .datasets import _parse_number, _read_csv
+from .datasets import _parse_number, _read_csv, check_class_labels
 from .errors import CsvFormatError, DimensionError
 
 
@@ -59,7 +59,10 @@ class LinearModel(Model):
         self.output_dim = self.weights.shape[1]
 
     def predict_many(self, xs):
-        return np.asarray(xs, dtype=float) @ self.weights + self.intercept
+        # The intercept is added in place: one output array, not two.
+        out = np.asarray(xs, dtype=float) @ self.weights
+        out += self.intercept
+        return out
 
 
 def fit_ridge(x, y, ridge):
@@ -109,14 +112,6 @@ def _softmax_in_place(z, axis):
     np.exp(z, out=z)
     z /= reduce(np.add, blocks)[lead + (None,)]
     return z
-
-
-def check_class_labels(labels, classes):
-    """Raise ValueError unless each entry of the non-empty array ``labels`` is in range(classes)."""
-    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
-        raise ValueError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError("labels must lie in [0, classes)")
 
 
 def _labelled_sample(x, labels, classes, models):

@@ -274,6 +274,18 @@ class TestOneHot:
         with pytest.raises(ValueError, match="labels"):
             one_hot([-1], 2)
 
+    def test_fractional_labels_rejected(self):
+        # An int cast would read 0.7 and 1.9 as classes 0 and 1.
+        with pytest.raises(ValueError, match="integers"):
+            one_hot([0.7, 1.9], 2)
+        with pytest.raises(ValueError, match="integers"):
+            one_hot([0.0, np.nan], 2)
+
+    def test_integral_floats_scalar_and_empty(self):
+        assert np.array_equal(one_hot([1.0, 0.0], 2), [[0, 1], [1, 0]])
+        assert np.array_equal(one_hot(2, 3), [0, 0, 1])
+        assert one_hot([], 3).shape == (0, 3)
+
 
 class TestInstanceValidation:
     def test_nan_entries_rejected(self):

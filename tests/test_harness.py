@@ -55,6 +55,7 @@ from shiftagg.models import (
     FeatureModel,
     LinearModel,
     SoftmaxModel,
+    polynomial_features,
     stack_predictions,
 )
 
@@ -865,6 +866,14 @@ class TestCorrelation:
         run_correlation(ExperimentConfig(**{**MOONS_SMALL, "seeds": (0, 1)}, methods=("iwa",)))
         assert calls == []
 
+    def test_non_finite_accuracy_gives_error_rows(self, monkeypatch):
+        monkeypatch.setattr(_SeedContext, "model_accuracies",
+                            lambda ctx: np.full(len(ctx.models), np.nan))
+        table = run_correlation(ExperimentConfig(**MOONS_SMALL, methods=("iwa", "sor")))
+        assert [row.error for row in table.rows] == [
+            "NumericalError: correlation inputs contain NaN or inf"] * 2
+        assert all(math.isnan(row.pearson_r) for row in table.rows)
+
     def test_non_weight_methods_rejected(self):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("tmv",))
         with pytest.raises(ConfigError, match="weight-producing"):
@@ -926,6 +935,65 @@ class TestRateCheck:
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
         with pytest.raises(ConfigError, match="sizes"):
             run_rate_check(dataclasses.replace(cfg, sizes=(100, 100)))
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_ladder_stack_matches_stack_predictions(self, l):
+        cfg = ExperimentConfig(dataset="sinc", n=2000, l=l, sinc_interpret_std=False)
+        rule_x, _ = harness._rate_rule(cfg)
+        powers = polynomial_features(rule_x, l - 1)
+        stack = np.empty((l, cfg.oracle_draws, 1))
+        for seed in range(3):
+            models = harness._sinc_sequence(
+                cfg, make_sinc_shift(cfg.n, 1, 1, seed, interpret_std=False)
+            )
+            harness._sinc_ladder_into(stack, models, powers)
+            assert stack.tobytes() == stack_predictions(models, rule_x).tobytes()
+
+    def test_rule_is_the_noise_free_target_law(self):
+        cfg = ExperimentConfig(dataset="sinc", sinc_interpret_std=False)
+        rule_x, rule_y = harness._rate_rule(cfg)
+        assert rule_x.shape == rule_y.shape == (cfg.oracle_draws, 1)
+        assert np.array_equal(rule_y, np.sinc(rule_x))
+        assert abs(rule_x.mean() - 2.0) < 0.01 and abs(rule_x.std() - 0.25) < 0.01
+        again_x, _ = harness._rate_rule(dataclasses.replace(cfg, seeds=(5, 6)))
+        assert np.array_equal(again_x, rule_x)
+
+    def test_rule_drawn_once_per_run(self, monkeypatch):
+        draws = []
+        original = harness._rate_rule
+
+        def counted(cfg):
+            draws.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(harness, "_rate_rule", counted)
+        solves = count_oracle_calls(monkeypatch)
+        cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0, 1, 2))
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(50, 120), oracle_draws=1500))
+        assert not table.has_failures
+        assert len(draws) == 1
+        assert len(solves) == 3
+
+    def test_seed_rows_do_not_depend_on_the_seed_list(self):
+        cfg = ExperimentConfig(dataset="sinc", n=80, l=3, sizes=(50, 120), oracle_draws=1500)
+        alone = run_rate_check(dataclasses.replace(cfg, seeds=(3,))).rows
+        listed = run_rate_check(dataclasses.replace(cfg, seeds=(0, 1, 2, 3, 4))).rows
+        assert not any(row.error for row in alone)
+        assert alone == [row for row in listed if row.seed == 3]
+
+    def test_results_record_how_c_star_was_computed(self, tmp_path):
+        cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,), sinc_interpret_std=False)
+        table = run_rate_check(dataclasses.replace(cfg, sizes=(50, 120), oracle_draws=1500))
+        write_outputs(table, str(tmp_path))
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["extra"]["c_star"] == {
+            "rule": "monte-carlo",
+            "draws": 1500,
+            "labels": "noise-free sinc",
+            "stream": harness._RATE_RULE_STREAM,
+            "target_mean": 2.0,
+            "target_std": 0.25,
+        }
 
 
 class TestWriteOutputs:

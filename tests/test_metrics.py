@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg.errors import DimensionError
+from shiftagg.errors import DimensionError, NumericalError
 from shiftagg.metrics import _argmax_is_class1, accuracies, accuracy, pearson_with_flag, risk
 from shiftagg.models import LinearModel, stack_predictions
 
@@ -214,6 +214,14 @@ class TestPearson:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="two samples"):
             pearson([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # min(1.0, nan) is 1.0, so a NaN used to read as a perfect correlation.
+        with pytest.raises(NumericalError, match="NaN or inf"):
+            pearson_with_flag([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(NumericalError, match="NaN or inf"):
+            pearson_with_flag([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
