@@ -7,7 +7,8 @@ rcond-truncated pseudo-inverse. Every estimator here (``iwa``, the
 source-only and pseudo-label regressions ``sor``, ``tmr`` and ``tcr``, and
 the labeled-target ``oracle_weights``) checks its inputs and then makes one
 call to the weighted least-squares core ``_weighted_ls``; they differ only
-in the stacks, row weights and labels they hand it.
+in the stacks, row weights and labels they hand it, and each returns the
+core's ``AggregationResult``.
 """
 
 from dataclasses import dataclass
@@ -165,7 +166,7 @@ def oracle_weights(target_predictions, target_y, rcond=1e-8, weights=None):
     preds, target_y = _checked_stack(target_predictions, target_y)
     if weights is not None:
         weights = _row_weights(weights, preds.shape[1], "row weights")
-    return _weighted_ls(preds, preds, target_y, rcond, weights).weights
+    return _weighted_ls(preds, preds, target_y, rcond, weights)
 
 
 def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
@@ -176,7 +177,7 @@ def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
     in that configuration.
     """
     preds, source_y = _checked_stack(source_predictions, source_y)
-    return _weighted_ls(preds, preds, source_y, rcond).weights
+    return _weighted_ls(preds, preds, source_y, rcond)
 
 
 def _check_classification(d2):
@@ -211,7 +212,7 @@ def tmr(target_predictions, rcond=DEFAULT_RCOND):
     """Majority-vote pseudo-labels, then least squares onto the model outputs."""
     preds, _ = _checked_stack(target_predictions)
     pseudo = one_hot(_majority_votes(preds), preds.shape[2])
-    return _weighted_ls(preds, preds, pseudo, rcond).weights
+    return _weighted_ls(preds, preds, pseudo, rcond)
 
 
 def tcr(target_predictions, rcond=DEFAULT_RCOND):
@@ -220,4 +221,4 @@ def tcr(target_predictions, rcond=DEFAULT_RCOND):
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])
-    return _weighted_ls(preds, preds, pseudo, rcond).weights
+    return _weighted_ls(preds, preds, pseudo, rcond)

@@ -168,47 +168,35 @@ def sinc_ratio(interpret_std=True):
     return GaussianRatio(SINC_SOURCE_MEAN, source_std, SINC_TARGET_MEAN, target_std)
 
 
-def make_sinc_shift(n, m, eval_size=None, seed=0, *, interpret_std=True, eval_nodes=None):
+def make_sinc_shift(n, m, seed=0, *, interpret_std=True):
     """1-d regression instance: y = sin(pi x)/(pi x) + N(0, SINC_NOISE_STD^2).
 
     Source inputs ~ N(1, sigma_p^2), target inputs ~ N(2, sigma_q^2) with
     the sigmas given by ``sinc_sigmas(interpret_std)``. sinc(0) = 1.
 
-    With ``eval_nodes`` no eval sample is drawn (``eval_size`` is unused):
-    the eval split is the ``eval_nodes``-node Gauss-Hermite rule of the
-    target law, labeled with the noise-free sinc and carrying
-    ``SINC_NOISE_STD^2`` as its noise variance, so that a risk on it is the
-    exact target expectation. The source and target samples are the same
-    either way.
+    No eval sample is drawn: the eval split is the ``SINC_RULE_NODES``-node
+    Gauss-Hermite rule of the target law, labeled with the noise-free sinc
+    and carrying ``SINC_NOISE_STD^2`` as its noise variance, so that a risk
+    on it is the exact target expectation.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
-    if eval_size is None:
-        eval_size = m
-    if eval_size < 1:
-        raise ValueError("eval_size must be at least 1")
     source_std, target_std = sinc_sigmas(interpret_std)
-    rng_source, rng_target, rng_eval = _split_rngs(seed)
+    rng_source, rng_target, _ = _split_rngs(seed)
 
     source_x = rng_source.normal(SINC_SOURCE_MEAN, source_std, size=(n, 1))
     source_y = np.sinc(source_x) + rng_source.normal(0.0, SINC_NOISE_STD, size=(n, 1))
     target_x = rng_target.normal(SINC_TARGET_MEAN, target_std, size=(m, 1))
-    if eval_nodes is None:
-        eval_x = rng_eval.normal(SINC_TARGET_MEAN, target_std, size=(eval_size, 1))
-        eval_y = np.sinc(eval_x) + rng_eval.normal(0.0, SINC_NOISE_STD, size=(eval_size, 1))
-        exact = {}
-    else:
-        nodes, weights = gauss_hermite(eval_nodes, SINC_TARGET_MEAN, target_std)
-        eval_x = nodes[:, None]
-        eval_y = np.sinc(eval_x)
-        exact = {"target_eval_weights": weights, "eval_noise_var": SINC_NOISE_STD**2}
+    nodes, weights = gauss_hermite(SINC_RULE_NODES, SINC_TARGET_MEAN, target_std)
+    eval_x = nodes[:, None]
     return DomainAdaptationInstance(
         source_x=source_x,
         source_y=source_y,
         target_x=target_x,
         target_eval_x=eval_x,
-        target_eval_y=eval_y,
-        **exact,
+        target_eval_y=np.sinc(eval_x),
+        target_eval_weights=weights,
+        eval_noise_var=SINC_NOISE_STD**2,
     ).validate()
 
 

@@ -234,8 +234,7 @@ def build_config(file_values=None, overrides=None):
 def build_instance(cfg, seed):
     """The seed's instance; a sinc instance's eval split is the target law's quadrature rule."""
     if cfg.dataset == "sinc":
-        return make_sinc_shift(cfg.n, cfg.m, seed=seed, interpret_std=cfg.sinc_interpret_std,
-                               eval_nodes=SINC_RULE_NODES)
+        return make_sinc_shift(cfg.n, cfg.m, seed=seed, interpret_std=cfg.sinc_interpret_std)
     if cfg.dataset == "moons":
         return make_transformed_moons(cfg.n, cfg.m, MOONS_EVAL_SIZE, seed=seed,
                                       rotation_deg=cfg.moons_rotation_deg)
@@ -338,8 +337,8 @@ class ResultRow:
 class CorrelationRow:
     method: str
     seed: int
-    pearson_r: float
-    degenerate: bool
+    pearson_r: float = math.nan
+    degenerate: bool = False
     error: str = None
 
 
@@ -708,24 +707,22 @@ KINDS = {
 # call time, so anything that rebinds them there (a tracer) sees every call.
 
 
+def _solved(result):
+    """A least-squares ``AggregationResult`` as (weights, its other fields as diagnostics)."""
+    diagnostics = dict(vars(result))
+    return diagnostics.pop("weights"), diagnostics
+
+
 def _iwa(ctx):
     inst = ctx.instance
-    result = aggregation.iwa(
-        ctx.models,
-        inst.source_x,
-        inst.source_y,
-        inst.target_x,
-        ctx.beta,
-        ctx.cfg.rcond,
-        source_predictions=ctx.source_stack,
-        target_predictions=ctx.target_stack,
-    )
-    diagnostics = {"gram_condition": result.gram_condition, "rank_retained": result.rank_retained}
-    return result.weights, diagnostics
+    return _solved(aggregation.iwa(
+        ctx.models, inst.source_x, inst.source_y, inst.target_x, ctx.beta, ctx.cfg.rcond,
+        source_predictions=ctx.source_stack, target_predictions=ctx.target_stack,
+    ))
 
 
 def _sor(ctx):
-    return aggregation.sor(ctx.source_stack, ctx.instance.source_y, ctx.cfg.rcond), {}
+    return _solved(aggregation.sor(ctx.source_stack, ctx.instance.source_y, ctx.cfg.rcond))
 
 
 def _tmv(ctx):
@@ -734,7 +731,7 @@ def _tmv(ctx):
 
 
 def _pseudo_label(name, ctx):
-    return getattr(aggregation, name)(ctx.target_stack, ctx.cfg.rcond), {}
+    return _solved(getattr(aggregation, name)(ctx.target_stack, ctx.cfg.rcond))
 
 
 def _selected(name, ctx):
@@ -763,7 +760,7 @@ METHODS = {
     "tcr": partial(_pseudo_label, "tcr"),
     "iwv": partial(_selected, "iwv_select"),
     "dev": partial(_selected, "dev_select"),
-    "oracle": lambda ctx: (ctx.oracle, {}),
+    "oracle": lambda ctx: _solved(ctx.oracle),
     "source_only": lambda ctx: (one_hot(0, len(ctx.models)), {}),
     "target_best": _target_best,
 }
@@ -800,7 +797,7 @@ class _SeedContext:
 
     @cached_property
     def oracle_risk(self):
-        return self.risk(aggregation.aggregate_predictions(self.oracle, self.eval_stack))
+        return self.risk(aggregation.aggregate_predictions(self.oracle.weights, self.eval_stack))
 
     def risk(self, preds):
         """Target risk of eval-split predictions."""
@@ -834,13 +831,11 @@ class _SeedContext:
 
     def rows(self, seed, methods, count=None):
         """Rows for ``methods``; per-method failures become error rows, the rest still run."""
-        rows = []
-        for method in methods:
-            try:
-                rows.append(self.evaluate(method, seed, count=count))
-            except Exception as exc:  # failure isolation per method
-                rows.append(ResultRow(method=method, seed=seed, count=count, error=_describe(exc)))
-        return rows
+        return _per_method(
+            methods,
+            lambda method: self.evaluate(method, seed, count=count),
+            lambda method: ResultRow(method=method, seed=seed, count=count),
+        )
 
 
 # --- the seed loop -----------------------------------------------------------------
@@ -848,6 +843,17 @@ class _SeedContext:
 
 def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
+
+
+def _per_method(methods, row_of, blank_of):
+    """``row_of(method)`` per method; one that raises gets ``blank_of(method)`` with its error."""
+    rows = []
+    for method in methods:
+        try:
+            rows.append(row_of(method))
+        except Exception as exc:  # failure isolation per method
+            rows.append(replace(blank_of(method), error=_describe(exc)))
+    return rows
 
 
 def _study(cfg, kind, seed_rows, blank_rows, extra=None):
@@ -1098,16 +1104,15 @@ def run_correlation(cfg):
     def seed_rows(seed):
         ctx = context_of(seed)
         accuracies = ctx.model_accuracies()
-        rows = []
-        for method in methods:
-            weights, _ = METHODS[method](ctx)
-            rows.append(CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies)))
-        return rows
 
-    return _study(
-        cfg, "correlation", seed_rows,
-        lambda seed: [CorrelationRow(m, seed, float("nan"), False) for m in methods],
-    )
+        def correlate(method):
+            weights, _ = METHODS[method](ctx)
+            return CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies))
+
+        return _per_method(methods, correlate, lambda method: CorrelationRow(method, seed))
+
+    return _study(cfg, "correlation", seed_rows,
+                  lambda seed: [CorrelationRow(m, seed) for m in methods])
 
 
 # --- convergence-rate check ---------------------------------------------------
@@ -1160,7 +1165,7 @@ def run_rate_check(cfg):
     stack = np.empty((cfg.l, cfg.oracle_draws, 1))
 
     def sinc(n, m, seed):
-        return make_sinc_shift(n, m, 1, seed, interpret_std=cfg.sinc_interpret_std)
+        return make_sinc_shift(n, m, seed, interpret_std=cfg.sinc_interpret_std)
 
     def seed_rows(seed):
         # Subseed 0 draws the models' sample, 2 onward the size draws; 1 is unused.
@@ -1168,7 +1173,7 @@ def run_rate_check(cfg):
         models = _sinc_sequence(cfg, sinc(cfg.n, 1, subseeds[0]))
         c_star = aggregation.oracle_weights(
             _sinc_ladder_into(stack, models, powers), rule_y, cfg.rcond
-        )
+        ).weights
         rows = []
         for size, sub in zip(sizes, subseeds[2:]):
             inst = sinc(size, size, sub)

@@ -353,7 +353,8 @@ class PrecomputedModel(Model):
     Queries are keyed rather than evaluated: the input vector is
     ``(split_code, index)`` with split code 0 = source and 1 = target. This
     is how externally trained predictors feed the aggregator; the matching
-    instance must carry key pairs in its x matrices.
+    instance must carry key pairs in its x matrices. A key that is not a
+    pair of integers raises KeyError, as an unknown one does.
     """
 
     input_dim = 2
@@ -381,7 +382,9 @@ class PrecomputedModel(Model):
             raise DimensionError(f"expected (split_code, index) key rows, got shape {xs.shape}")
         out = np.empty((xs.shape[0], self.output_dim))
         for row, key in enumerate(xs):
-            code, index = int(round(key[0])), int(round(key[1]))
+            if not (key[0].is_integer() and key[1].is_integer()):
+                raise KeyError(f"key {tuple(key.tolist())} is not an integer (split code, index)")
+            code, index = int(key[0]), int(key[1])
             split = SPLIT_CODES.get(code)
             if split is None:
                 raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")

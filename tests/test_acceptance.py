@@ -19,7 +19,6 @@ from shiftagg.aggregation import (
     sor,
 )
 from shiftagg.datasets import (
-    SINC_RULE_NODES,
     SINC_SOURCE_MEAN,
     SINC_TARGET_MEAN,
     make_sinc_shift,
@@ -135,7 +134,7 @@ def test_criterion_3_oracle_aggregation_beats_every_single_model():
             rule = instance.target_eval_weights
             row_weights = np.full(len(eval_x), 1.0 / len(eval_x)) if rule is None else rule
             stack = stack_predictions(models, eval_x)
-            weights = oracle_weights(stack, eval_y, weights=rule)
+            weights = oracle_weights(stack, eval_y, weights=rule).weights
             oracle_pred = np.tensordot(weights, stack, axes=1)
             oracle_risk = float(row_weights @ ((oracle_pred - eval_y) ** 2).sum(axis=1))
             per_model_losses = ((stack - eval_y) ** 2).sum(axis=2)
@@ -170,7 +169,7 @@ def test_criterion_4_unit_ratio_reduces_to_source_only_regression():
             models = build_models(cfg, instance)
             sx, sy = instance.source_x, instance.source_y
             reduced = iwa(models, sx, sy, sx, ConstantRatio(1.0), cfg.rcond).weights
-            source_only = sor(stack_predictions(models, sx), sy, cfg.rcond)
+            source_only = sor(stack_predictions(models, sx), sy, cfg.rcond).weights
             assert np.array_equal(reduced, source_only), f"seed {seed}: not bitwise equal"
             checked += 1
     assert checked == 20
@@ -407,13 +406,13 @@ def test_criterion_10_target_risk_within_twice_the_optimal_aggregation():
     # exact on the target law's quadrature rule; both solves use rcond 0.1.
     cfg = ExperimentConfig(dataset="sinc", n=2000, sinc_interpret_std=False)
     sizes = (1000, 4000, 16000)
-    rule = make_sinc_shift(1, 1, seed=0, interpret_std=False, eval_nodes=SINC_RULE_NODES)
+    rule = make_sinc_shift(1, 1, seed=0, interpret_std=False)
     beta = sinc_ratio(False)
     ratios = {size: [] for size in sizes}
     for seed in range(20):
         # The rate check's streams: models on an independent draw, then n = m draws.
         subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
-        train = make_sinc_shift(cfg.n, 1, 1, subseeds[0], interpret_std=False)
+        train = make_sinc_shift(cfg.n, 1, subseeds[0], interpret_std=False)
         models = _sinc_sequence(cfg, train)
         stack = stack_predictions(models, rule.target_eval_x)
 
@@ -422,10 +421,10 @@ def test_criterion_10_target_risk_within_twice_the_optimal_aggregation():
             return risk(preds, rule.target_eval_y, rule.target_eval_weights)
 
         optimal = target_risk(
-            oracle_weights(stack, rule.target_eval_y, cfg.rcond, rule.target_eval_weights)
+            oracle_weights(stack, rule.target_eval_y, cfg.rcond, rule.target_eval_weights).weights
         )
         for size, sub in zip(sizes, subseeds[2:]):
-            inst = make_sinc_shift(size, size, 1, sub, interpret_std=False)
+            inst = make_sinc_shift(size, size, sub, interpret_std=False)
             weights = iwa(
                 models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
             ).weights

@@ -251,17 +251,17 @@ class TestOracleWeights:
         f_line = LinearModel([[1.0]], [0.0])
         f_const = LinearModel([[0.0]], [1.0])
         ys = 3.0 * XS_12 + 2.0
-        weights = oracle_weights(stack_predictions([f_line, f_const], XS_12), ys)
+        weights = oracle_weights(stack_predictions([f_line, f_const], XS_12), ys).weights
         assert np.allclose(weights, [3.0, 2.0], atol=1e-9)
 
     def test_single_perfect_model(self):
         identity = LinearModel([[1.0]], [0.0])
         xs = np.array([[0.0], [2.0]])
-        weights = oracle_weights(stack_predictions([identity], xs), xs.copy())
+        weights = oracle_weights(stack_predictions([identity], xs), xs.copy()).weights
         assert np.array_equal(weights, [1.0])
 
     def test_zero_labels_give_zero_weights(self):
-        weights = oracle_weights(AB_12, np.zeros((2, 2)))
+        weights = oracle_weights(AB_12, np.zeros((2, 2))).weights
         assert np.array_equal(weights, [0.0, 0.0])
 
     def test_matches_lstsq_on_random_instance(self):
@@ -271,7 +271,7 @@ class TestOracleWeights:
         xs = rng.normal(size=(30, 1))
         ys = rng.normal(size=(30, 2))
         models = [MODEL_A, MODEL_B]
-        weights = oracle_weights(stack_predictions(models, xs), ys, rcond=1e-10)
+        weights = oracle_weights(stack_predictions(models, xs), ys, rcond=1e-10).weights
         design = np.stack(
             [np.asarray(m.predict_many(xs), dtype=float).ravel() for m in models], axis=1
         )
@@ -284,13 +284,13 @@ class TestSor:
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(20, 1))
         ys = rng.normal(size=(20, 2))
-        via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1)
+        via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1).weights
         via_iwa = iwa([MODEL_A, MODEL_B], xs, ys, xs, ConstantRatio(1.0), 0.1).weights
         assert np.array_equal(via_sor, via_iwa)
 
     def test_recovers_perfect_model(self):
         ys = np.asarray(MODEL_A.predict_many(XS_12), dtype=float)
-        weights = sor(AB_12, ys, 1e-10)
+        weights = sor(AB_12, ys, 1e-10).weights
         assert np.allclose(weights, [1.0, 0.0], atol=1e-8)
 
 
@@ -333,14 +333,30 @@ class TestWeightedOracle:
         rng = np.random.default_rng(5)
         stack = rng.normal(size=(3, 25, 2))
         ys = rng.normal(size=(25, 2))
-        weighted = oracle_weights(stack, ys, weights=np.full(25, 1 / 25))
-        assert np.allclose(weighted, oracle_weights(stack, ys), rtol=1e-10, atol=1e-12)
+        weighted = oracle_weights(stack, ys, weights=np.full(25, 1 / 25)).weights
+        assert np.allclose(weighted, oracle_weights(stack, ys).weights, rtol=1e-10, atol=1e-12)
 
     def test_row_weights_checked(self):
         with pytest.raises(DimensionError, match="row weights"):
             oracle_weights(AB_12, np.ones((2, 2)), weights=np.ones(3))
         with pytest.raises(NumericalError, match="row weights"):
             oracle_weights(AB_12, np.ones((2, 2)), weights=np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda stack: sor(stack, np.ones((2, 2)), 1e-10),
+    lambda stack: oracle_weights(stack, np.ones((2, 2)), 1e-10),
+    lambda stack: tmr(stack, 1e-10),
+    lambda stack: tcr(stack, 1e-10),
+], ids=["sor", "oracle", "tmr", "tcr"])
+def test_every_estimator_reports_its_spectrum(estimator):
+    # A repeated model leaves a rank-2 Gram of three models; like iwa, each
+    # estimator returns the weights with the spectrum that produced them.
+    result = estimator(stack_predictions([MODEL_A, MODEL_A, MODEL_B], XS_12))
+    assert isinstance(result, AggregationResult)
+    assert result.weights.shape == (3,)
+    assert result.rank_retained == 2
+    assert result.gram_condition > 1.0
 
 
 def test_nan_rcond_is_a_value_error_not_a_degenerate_gram():
@@ -434,24 +450,24 @@ class TestPseudoLabelRegressions:
     def test_tmr_matches_lstsq_on_majority_pseudo_labels(self):
         pseudo = np.tile([1.0, 0.0], (4, 1))
         expected = lstsq_onto_models(self.MODELS, self.XS, pseudo)
-        assert np.allclose(tmr(self.STACK, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tmr(self.STACK, rcond=1e-10).weights, expected, atol=1e-8)
 
     def test_tcr_matches_lstsq_on_consensus_pseudo_labels(self):
         pseudo = np.tile([0.0, 1.0], (4, 1))
         expected = lstsq_onto_models(self.MODELS, self.XS, pseudo)
-        assert np.allclose(tcr(self.STACK, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tcr(self.STACK, rcond=1e-10).weights, expected, atol=1e-8)
 
     def test_tmr_and_tcr_disagree_here(self):
         assert not np.allclose(
-            tmr(self.STACK, rcond=1e-10), tcr(self.STACK, rcond=1e-10)
+            tmr(self.STACK, rcond=1e-10).weights, tcr(self.STACK, rcond=1e-10).weights
         )
 
     def test_single_confident_model_reproduced(self):
         # One model predicting (1, 0) every time: its own vote is the pseudo
         # label, so regression returns weight 1 exactly.
         stack = stack_predictions(constant_models([1.0, 0.0]), self.XS)
-        assert np.array_equal(tmr(stack, rcond=1e-10), [1.0])
-        assert np.array_equal(tcr(stack, rcond=1e-10), [1.0])
+        assert np.array_equal(tmr(stack, rcond=1e-10).weights, [1.0])
+        assert np.array_equal(tcr(stack, rcond=1e-10).weights, [1.0])
 
     def test_varying_pseudo_labels_match_lstsq(self):
         models = [MODEL_A, MODEL_B]
@@ -459,15 +475,15 @@ class TestPseudoLabelRegressions:
         stack = np.stack([np.asarray(m.predict_many(xs), dtype=float) for m in models])
         pseudo = np.eye(2)[majority_votes(stack)]
         expected = lstsq_onto_models(models, xs, pseudo)
-        assert np.allclose(tmr(stack, rcond=1e-10), expected, atol=1e-8)
+        assert np.allclose(tmr(stack, rcond=1e-10).weights, expected, atol=1e-8)
 
     @pytest.mark.parametrize("baseline, label", [(tmr, [1.0, 0.0]), (tcr, [0.0, 1.0])])
     def test_stack_checked_once(self, monkeypatch, baseline, label):
         scans = record_scans(monkeypatch)
-        weights = baseline(self.STACK, rcond=1e-10)
+        weights = baseline(self.STACK, rcond=1e-10).weights
         assert scans == ["predictions"]
         pseudo = np.tile(label, (4, 1))
-        assert np.array_equal(weights, oracle_weights(self.STACK, pseudo, rcond=1e-10))
+        assert np.array_equal(weights, oracle_weights(self.STACK, pseudo, rcond=1e-10).weights)
 
     def test_regression_outputs_rejected(self):
         stack = stack_predictions([LinearModel([[1.0]], [0.0])], XS_12)
@@ -518,7 +534,7 @@ def test_sor_is_iwa_without_shift(k, seed):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(k, 1))
     ys = rng.normal(size=(k, 2))
-    via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1)
+    via_sor = sor(stack_predictions([MODEL_A, MODEL_B], xs), ys, 0.1).weights
     via_iwa = iwa([MODEL_A, MODEL_B], xs, ys, xs, ConstantRatio(1.0), 0.1).weights
     assert np.array_equal(via_sor, via_iwa)
 

@@ -33,7 +33,9 @@ def worker_check(config, results=None):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("config", ["sinc_near_optimality.cfg", "correlation.cfg"])
+@pytest.mark.parametrize(
+    "config", ["sinc_near_optimality.cfg", "correlation.cfg", "rate_check.cfg"]
+)
 def test_worker_check_passes(config):
     result = worker_check(config)
     assert result["ok"], result

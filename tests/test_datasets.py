@@ -14,6 +14,7 @@ from shiftagg.datasets import (
     MOONS_ROTATION_DEG,
     MOONS_TRANSLATION,
     SINC_NOISE_STD,
+    SINC_RULE_NODES,
     SINC_SOURCE_MEAN,
     SINC_TARGET_MEAN,
     DomainAdaptationInstance,
@@ -37,7 +38,7 @@ class TestSincShift:
     def test_noise_free_labels_are_sinc(self):
         # Source labels are the sinc plus SINC_NOISE_STD draws from the
         # source stream; the quadrature rule's labels are the sinc itself.
-        inst = make_sinc_shift(50, 50, seed=3, eval_nodes=12)
+        inst = make_sinc_shift(50, 50, seed=3)
         rng_source = _split_rngs(3)[0]
         source_x = rng_source.normal(SINC_SOURCE_MEAN, sinc_sigmas(True)[0], size=(50, 1))
         noise = rng_source.normal(0.0, SINC_NOISE_STD, size=(50, 1))
@@ -45,8 +46,8 @@ class TestSincShift:
         assert np.array_equal(inst.target_eval_y, np.sinc(inst.target_eval_x))
 
     def test_deterministic_per_seed(self):
-        a = make_sinc_shift(20, 30, eval_size=10, seed=7)
-        b = make_sinc_shift(20, 30, eval_size=10, seed=7)
+        a = make_sinc_shift(20, 30, seed=7)
+        b = make_sinc_shift(20, 30, seed=7)
         assert np.array_equal(a.source_x, b.source_x)
         assert np.array_equal(a.source_y, b.source_y)
         assert np.array_equal(a.target_x, b.target_x)
@@ -78,22 +79,16 @@ class TestSincShift:
         assert beta.target_mean == SINC_TARGET_MEAN
         assert (beta.source_std, beta.target_std) == sinc_sigmas(False)
 
-    def test_eval_size_defaults_to_m(self):
-        inst = make_sinc_shift(10, 25, seed=0)
-        assert inst.target_eval_x.shape == (25, 1)
-
     def test_shapes_and_properties(self):
-        inst = make_sinc_shift(12, 8, eval_size=5, seed=0)
+        inst = make_sinc_shift(12, 8, seed=0)
         assert (inst.n, inst.m) == (12, 8)
         assert inst.input_dim == 1
         assert inst.label_dim == 1
-        assert inst.target_eval_y.shape == (5, 1)
+        assert inst.target_eval_y.shape == (SINC_RULE_NODES, 1)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             make_sinc_shift(0, 5)
-        with pytest.raises(ValueError):
-            make_sinc_shift(5, 5, eval_size=0)
 
 
 def _normal_moments(mean, std, count):
@@ -147,26 +142,29 @@ class TestGaussHermite:
 class TestSincRuleSplit:
     def test_eval_split_is_the_target_rule(self):
         for interpret_std in (True, False):
-            inst = make_sinc_shift(30, 40, seed=4, interpret_std=interpret_std, eval_nodes=12)
-            nodes, weights = gauss_hermite(12, SINC_TARGET_MEAN, sinc_sigmas(interpret_std)[1])
+            inst = make_sinc_shift(30, 40, seed=4, interpret_std=interpret_std)
+            target_std = sinc_sigmas(interpret_std)[1]
+            nodes, weights = gauss_hermite(SINC_RULE_NODES, SINC_TARGET_MEAN, target_std)
             assert np.array_equal(inst.target_eval_x[:, 0], nodes)
             assert np.array_equal(inst.target_eval_y, np.sinc(inst.target_eval_x))
             assert np.array_equal(inst.target_eval_weights, weights)
             assert inst.eval_noise_var == SINC_NOISE_STD**2
 
     def test_source_and_target_draws_unchanged(self):
-        drawn = make_sinc_shift(30, 40, eval_size=7, seed=4)
-        ruled = make_sinc_shift(30, 40, seed=4, eval_nodes=12)
-        for name in ("source_x", "source_y", "target_x"):
-            assert np.array_equal(getattr(drawn, name), getattr(ruled, name))
-        assert drawn.target_eval_weights is None and drawn.eval_noise_var == 0.0
+        # The rule draws nothing: the target inputs are the second child
+        # stream's first draw, as when the third stream drew an eval sample.
+        inst = make_sinc_shift(30, 40, seed=4)
+        rng_target = _split_rngs(4)[1]
+        target_x = rng_target.normal(SINC_TARGET_MEAN, sinc_sigmas(True)[1], size=(40, 1))
+        assert inst.target_x.tobytes() == target_x.tobytes()
 
     def test_bad_eval_weights_rejected(self):
-        inst = make_sinc_shift(5, 5, seed=0, eval_nodes=4)
+        inst = make_sinc_shift(5, 5, seed=0)
         with pytest.raises(DimensionError, match="target_eval_weights"):
             dataclasses.replace(inst, target_eval_weights=np.full(3, 1 / 3)).validate()
         with pytest.raises(ValueError, match="sum to one"):
-            dataclasses.replace(inst, target_eval_weights=np.full(4, 0.5)).validate()
+            bad = np.full(SINC_RULE_NODES, 0.5)
+            dataclasses.replace(inst, target_eval_weights=bad).validate()
         with pytest.raises(ValueError, match="eval_noise_var"):
             dataclasses.replace(inst, eval_noise_var=-1.0).validate()
 
@@ -310,7 +308,7 @@ class TestInstanceValidation:
 
     def test_label_dim_mismatch_rejected(self):
         inst = make_sinc_shift(5, 5, seed=0)
-        broken = dataclasses.replace(inst, target_eval_y=np.zeros((5, 2)))
+        broken = dataclasses.replace(inst, target_eval_y=np.zeros((SINC_RULE_NODES, 2)))
         with pytest.raises(DimensionError, match="label dimensions"):
             broken.validate()
 
@@ -414,7 +412,7 @@ class TestCsvRoundTrip:
 
     def test_two_row_minimal_instance(self, tmp_path):
         paths = self.paths(tmp_path)
-        inst = make_sinc_shift(2, 2, eval_size=2, seed=1)
+        inst = make_sinc_shift(2, 2, seed=1)
         write_instance(inst, *paths)
         loaded = load_csv_instance(*paths)
         assert loaded.n == 2 and loaded.m == 2

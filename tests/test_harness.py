@@ -15,8 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, harness, metrics
-from shiftagg.datasets import make_sinc_shift
+from shiftagg import aggregation, datasets, harness, metrics
+from shiftagg.datasets import (
+    SINC_NOISE_STD,
+    SINC_TARGET_MEAN,
+    make_sinc_shift,
+    sinc_sigmas,
+)
 from shiftagg.density_ratio import ConstantRatio
 from shiftagg.errors import ConfigError, NumericalError
 from shiftagg.harness import (
@@ -282,6 +287,17 @@ class TestRunExperiment:
         tmv_row = next(r for r in table.rows if r.method == "tmv")
         assert tmv_row.weights is None
 
+    def test_every_least_squares_row_carries_its_spectrum(self):
+        table = run_experiment(ExperimentConfig(**MOONS_SMALL))
+        assert not table.has_failures
+        solved = {"iwa", "sor", "tmr", "tcr", "oracle"}
+        for row in table.rows:
+            if row.method in solved:
+                assert 1 <= row.rank_retained <= 3 and row.gram_condition >= 1.0, row.method
+            else:
+                assert row.rank_retained is None and row.gram_condition is None, row.method
+        assert solved <= {row.method for row in table.rows}
+
     def test_deterministic_tables(self, tmp_path):
         cfg = ExperimentConfig(**SINC_SMALL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -427,7 +443,8 @@ class TestExactSincRisk:
         # when the nodes double, while every risk moves by a few 1e-15.
         cfg = ExperimentConfig(**SINC_STUDY, seeds=tuple(range(10)))
         coarse = _risks(run_experiment(cfg))
-        monkeypatch.setattr(harness, "SINC_RULE_NODES", 2 * harness.SINC_RULE_NODES)
+        for module in (datasets, harness):
+            monkeypatch.setattr(module, "SINC_RULE_NODES", 2 * module.SINC_RULE_NODES)
         fine = _risks(run_experiment(cfg))
         assert coarse.keys() == fine.keys() and len(coarse) == 70
         worst = max(abs(coarse[key] - fine[key]) for key in coarse)
@@ -439,10 +456,13 @@ class TestExactSincRisk:
         rows = [r for r in run_experiment(cfg).rows if r.error is None]
         assert len(rows) == 7
         models = build_models(cfg, build_instance(cfg, 0))
-        draw = make_sinc_shift(1, 1, 10**6, seed=12345, interpret_std=interpret_std)
-        stack = stack_predictions(models, draw.target_eval_x)
+        # An independent reference: 10^6 noisy draws of the target law.
+        rng = np.random.default_rng(12345)
+        draw_x = rng.normal(SINC_TARGET_MEAN, sinc_sigmas(interpret_std)[1], size=(10**6, 1))
+        draw_y = np.sinc(draw_x) + rng.normal(0.0, SINC_NOISE_STD, size=draw_x.shape)
+        stack = stack_predictions(models, draw_x)
         for row in rows:
-            losses = ((np.tensordot(row.weights, stack, axes=1) - draw.target_eval_y) ** 2)[:, 0]
+            losses = ((np.tensordot(row.weights, stack, axes=1) - draw_y) ** 2)[:, 0]
             standard_error = losses.std(ddof=1) / math.sqrt(losses.size)
             assert abs(row.risk - losses.mean()) <= 4 * standard_error, row.method
 
@@ -874,6 +894,17 @@ class TestCorrelation:
             "NumericalError: correlation inputs contain NaN or inf"] * 2
         assert all(math.isnan(row.pearson_r) for row in table.rows)
 
+    def test_failing_method_leaves_the_others(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(aggregation, "tcr", boom)
+        table = run_correlation(ExperimentConfig(**MOONS_SMALL, methods=("iwa", "tcr")))
+        assert {row.method: row.error for row in table.rows} == {
+            "iwa": None, "tcr": "FloatingPointError: boom"}
+        failed = next(row for row in table.rows if row.method == "tcr")
+        assert math.isnan(failed.pearson_r) and failed.degenerate is False
+
     def test_non_weight_methods_rejected(self):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("tmv",))
         with pytest.raises(ConfigError, match="weight-producing"):
@@ -944,7 +975,7 @@ class TestRateCheck:
         stack = np.empty((l, cfg.oracle_draws, 1))
         for seed in range(3):
             models = harness._sinc_sequence(
-                cfg, make_sinc_shift(cfg.n, 1, 1, seed, interpret_std=False)
+                cfg, make_sinc_shift(cfg.n, 1, seed, interpret_std=False)
             )
             harness._sinc_ladder_into(stack, models, powers)
             assert stack.tobytes() == stack_predictions(models, rule_x).tobytes()

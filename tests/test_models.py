@@ -501,6 +501,14 @@ class TestPrecomputedModel:
         with pytest.raises(KeyError, match="split code"):
             self.example().predict_many(np.array([[2.0, 0.0]]))
 
+    @pytest.mark.parametrize("key", [(0.0, 0.5), (0.0, 1.5), (0.4, 0.6), (np.nan, 0.0),
+                                     (0.0, np.inf)])
+    def test_non_integer_key_rejected(self, key):
+        # A fractional split code or index names no stored row; it is not
+        # rounded to a neighbouring one.
+        with pytest.raises(KeyError, match="not an integer"):
+            self.example().predict_many(np.array([key]))
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
         path.write_text(

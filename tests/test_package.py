@@ -59,6 +59,9 @@ def test_cli_import_leaves_numpy_polynomial_out():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: datasets.make_sinc_shift(5, 5, noise_std=0.1), id="sinc-noise_std"),
+    *[pytest.param(lambda key=key: datasets.make_sinc_shift(5, 5, **{key: 4}), id=f"sinc-{key}")
+      for key in ("eval_size", "eval_nodes")],
+    pytest.param(lambda: datasets.make_sinc_shift(5, 5, 1, 0), id="sinc-positional-eval_size"),
     pytest.param(lambda: datasets.make_transformed_moons(5, 5, noise=0.1), id="moons-noise"),
     pytest.param(lambda: datasets.make_transformed_moons(5, 5, translation=(0.0, 0.0)),
                  id="moons-translation"),
