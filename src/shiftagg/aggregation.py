@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import one_hot
-from .errors import DegenerateGramError, DimensionError, NumericalError
+from .errors import DegenerateGramError, DimensionError, checked_stack, row_weights, sample_matrix
 from .linalg import DEFAULT_RCOND, spectral_pinv
 from .metrics import _argmax_is_class1
 from .models import stack_predictions
@@ -35,41 +35,6 @@ def _prediction_stack(models, xs, predictions):
             f"{len(models)} models of output_dim {sorted(dims)} on {len(xs)} rows"
         )
     return predictions
-
-
-def _require_finite(values, what):
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{what} contain NaN or inf")
-
-
-def _checked_stack(predictions, labels=None):
-    """A non-empty, finite (l, k, d2) prediction stack and its (k, d2) labels, as floats.
-
-    Without labels only the stack is checked and the labels come back None.
-    """
-    preds = np.asarray(predictions, dtype=float)
-    if preds.ndim != 3:
-        raise DimensionError(f"prediction stack of shape {preds.shape} is not (l, k, d2)")
-    if preds.shape[1] == 0:
-        raise ValueError("cannot fit or score on an empty sample")
-    _require_finite(preds, "predictions")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=float)
-        if labels.shape != preds.shape[1:]:
-            raise DimensionError(
-                f"labels of shape {labels.shape} do not match predictions {preds.shape[1:]}"
-            )
-        _require_finite(labels, "labels")
-    return preds, labels
-
-
-def _row_weights(weights, n, what="density-ratio weights"):
-    """Per-row weights on n rows, checked for shape and finiteness."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise DimensionError(f"{what} of shape {w.shape}, expected ({n},)")
-    _require_finite(w, what)
-    return w
 
 
 def _gram(preds, weights=None):
@@ -105,7 +70,7 @@ def aggregate_predictions(weights, predictions):
 
 
 def _weighted_ls(gram_preds, moment_preds, labels, rcond, weights=None):
-    """c = G+ g from stacks and (k, d2) labels that ``_checked_stack`` has checked.
+    """c = G+ g from stacks and (k, d2) labels that ``checked_stack`` has checked.
 
     G = sum_k w_k F_k F_k^T over the rows of ``gram_preds`` and
     g[i] = sum_k w_k <F_ik, y_k> over ``moment_preds`` and ``labels``. Without
@@ -146,10 +111,12 @@ def iwa(
     target stacks are given; a given stack must cover the models, their
     output_dim and the rows.
     """
-    target, _ = _checked_stack(_prediction_stack(models, target_x, target_predictions))
+    source_x = sample_matrix(source_x, "source_x")
+    target_x = sample_matrix(target_x, "target_x")
+    target, _ = checked_stack(_prediction_stack(models, target_x, target_predictions))
     source = _prediction_stack(models, source_x, source_predictions)
-    source, source_y = _checked_stack(source, source_y)
-    w = _row_weights(beta.weights(source_x), source.shape[1])
+    source, source_y = checked_stack(source, source_y)
+    w = row_weights(beta.weights(source_x), source.shape[1])
     return _weighted_ls(target, source, w[:, None] * source_y, rcond)
 
 
@@ -163,9 +130,9 @@ def oracle_weights(target_predictions, target_y, rcond=1e-8, weights=None):
     (a quadrature rule of the target law and its noise-free labels) it is the
     weighted least squares that minimises the exact target risk.
     """
-    preds, target_y = _checked_stack(target_predictions, target_y)
+    preds, target_y = checked_stack(target_predictions, target_y)
     if weights is not None:
-        weights = _row_weights(weights, preds.shape[1], "row weights")
+        weights = row_weights(weights, preds.shape[1], "row weights")
     return _weighted_ls(preds, preds, target_y, rcond, weights)
 
 
@@ -176,7 +143,7 @@ def sor(source_predictions, source_y, rcond=DEFAULT_RCOND):
     for the target inputs (the no-shift reduction), so the two agree bitwise
     in that configuration.
     """
-    preds, source_y = _checked_stack(source_predictions, source_y)
+    preds, source_y = checked_stack(source_predictions, source_y)
     return _weighted_ls(preds, preds, source_y, rcond)
 
 
@@ -190,12 +157,12 @@ def majority_votes(predictions):
 
     A NaN or inf output raises NumericalError rather than casting a vote.
     """
-    preds, _ = _checked_stack(predictions)
+    preds, _ = checked_stack(predictions)
     return _majority_votes(preds)
 
 
 def _majority_votes(preds):
-    """``majority_votes`` of a stack that ``_checked_stack`` has checked."""
+    """``majority_votes`` of a stack that ``checked_stack`` has checked."""
     l, k, d2 = preds.shape
     _check_classification(d2)
     if d2 == 2:
@@ -210,14 +177,14 @@ def _majority_votes(preds):
 
 def tmr(target_predictions, rcond=DEFAULT_RCOND):
     """Majority-vote pseudo-labels, then least squares onto the model outputs."""
-    preds, _ = _checked_stack(target_predictions)
+    preds, _ = checked_stack(target_predictions)
     pseudo = one_hot(_majority_votes(preds), preds.shape[2])
     return _weighted_ls(preds, preds, pseudo, rcond)
 
 
 def tcr(target_predictions, rcond=DEFAULT_RCOND):
     """Pseudo-labels from the argmax of the model-averaged output, then least squares."""
-    preds, _ = _checked_stack(target_predictions)
+    preds, _ = checked_stack(target_predictions)
     _check_classification(preds.shape[2])
     mean_output = preds.mean(axis=0)
     pseudo = one_hot(mean_output.argmax(axis=1), preds.shape[2])

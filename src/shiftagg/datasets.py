@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .density_ratio import GaussianRatio
-from .errors import CsvFormatError, DimensionError
+from .errors import CsvFormatError, DimensionError, sample_matrix
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,7 @@ class DomainAdaptationInstance:
             "target_eval_y": self.target_eval_y,
         }
         for name, mat in mats.items():
-            if mat.ndim != 2:
-                raise DimensionError(f"{name} must be 2-d, got shape {mat.shape}")
-            if mat.shape[0] == 0:
-                raise ValueError(f"{name} is empty")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} contains non-finite entries")
+            sample_matrix(mat, name, fitting=True)
         if self.source_y.shape[0] != self.n:
             raise DimensionError("source_x and source_y row counts differ")
         if self.target_eval_y.shape[0] != self.target_eval_x.shape[0]:
@@ -129,8 +124,10 @@ def gauss_hermite(count, mean=0.0, std=1.0):
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not std > 0:
-        raise ValueError(f"std must be positive, got {std}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0 < std < math.inf:
+        raise ValueError(f"std must be positive and finite, got {std}")
     nodes, weights = _standard_rule(int(count))
     return mean + std * nodes, weights.copy()
 
@@ -240,8 +237,8 @@ def moons_points(count, noise, rng):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     n0 = -(-count // 2)
     n1 = count - n0
     t0 = rng.uniform(0.0, math.pi, size=n0)
@@ -263,7 +260,7 @@ def _rotation(rotation_deg):
 
 def moons_transform(points, rotation_deg=MOONS_ROTATION_DEG):
     """Rotate about the arcs' centroid, then translate by MOONS_TRANSLATION (the target map)."""
-    points = np.asarray(points, dtype=float)
+    points = sample_matrix(points, "points", 2)
     center = np.asarray(MOONS_CENTROID)
     rot = _rotation(rotation_deg)
     return (points - center) @ rot.T + center + np.asarray(MOONS_TRANSLATION, dtype=float)

@@ -10,7 +10,7 @@ classifier.
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, sample_matrix
 
 DEFAULT_BOUND = 50.0
 
@@ -26,25 +26,24 @@ class ConstantRatio:
 
     def __init__(self, value=1.0):
         value = float(value)
-        if value < 0:
-            raise ValueError(f"ratio value must be non-negative, got {value}")
+        if not 0 <= value < np.inf:
+            raise ValueError(f"ratio value must be non-negative and finite, got {value}")
         self.value = value
         self.bound = max(value, 1.0)
 
     def weights(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2:
-            raise DimensionError(f"xs must be a 2-d sample matrix, got shape {xs.shape}")
-        return np.full(xs.shape[0], self.value)
+        return np.full(sample_matrix(xs, "xs").shape[0], self.value)
 
 
 class GaussianRatio:
     """Analytic ratio of two univariate Gaussian densities, clipped to [0, bound]."""
 
     def __init__(self, source_mean, source_std, target_mean, target_std, bound=DEFAULT_BOUND):
-        if source_std <= 0 or target_std <= 0:
-            raise ValueError("standard deviations must be positive")
-        if bound <= 0:
+        if not np.all(np.isfinite([source_mean, target_mean])):
+            raise ValueError("means must be finite")
+        if not (0 < source_std < np.inf and 0 < target_std < np.inf):
+            raise ValueError("standard deviations must be positive and finite")
+        if not bound > 0:
             raise ValueError(f"bound must be positive, got {bound}")
         self.source_mean = float(source_mean)
         self.source_std = float(source_std)
@@ -58,11 +57,7 @@ class GaussianRatio:
         return np.log(self.source_std / self.target_std) + 0.5 * (zp**2 - zq**2)
 
     def weights(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != 1:
-            raise DimensionError(
-                f"the Gaussian ratio is univariate; xs must be (k, 1), got shape {xs.shape}"
-            )
+        xs = sample_matrix(xs, "xs of the univariate Gaussian ratio", 1)
         with np.errstate(over="ignore"):
             raw = np.exp(self._log_ratio(xs[:, 0]))
         return np.clip(raw, 0.0, self.bound)
@@ -81,21 +76,17 @@ class LearnedRatio:
         if self.coef.ndim != 1:
             raise DimensionError(f"classifier weights must be 1-d, got shape {self.coef.shape}")
         self.intercept = float(intercept)
-        if prior_ratio <= 0:
+        if not (np.all(np.isfinite(self.coef)) and np.isfinite(self.intercept)):
+            raise ValueError("classifier weights and intercept must be finite")
+        if not prior_ratio > 0:
             raise ValueError(f"prior_ratio must be positive, got {prior_ratio}")
-        if bound <= 0:
+        if not bound > 0:
             raise ValueError(f"bound must be positive, got {bound}")
         self.prior_ratio = float(prior_ratio)
         self.bound = float(bound)
 
     def weights(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2:
-            raise DimensionError(f"xs must be a 2-d sample matrix, got shape {xs.shape}")
-        if xs.shape[1] != self.coef.shape[0]:
-            raise DimensionError(
-                f"input has {xs.shape[1]} columns but the classifier expects {self.coef.shape[0]}"
-            )
+        xs = sample_matrix(xs, "xs", self.coef.shape[0])
         with np.errstate(over="ignore"):
             probs = 1.0 / (1.0 + np.exp(-(xs @ self.coef + self.intercept)))
         d = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -110,19 +101,9 @@ def fit_domain_classifier(source_x, target_x):
     deterministic and (up to float summation order) invariant under
     reordering of the training rows. The ratio is clipped at DEFAULT_BOUND.
     """
-    source_x = np.asarray(source_x, dtype=float)
-    target_x = np.asarray(target_x, dtype=float)
-    if source_x.ndim != 2 or target_x.ndim != 2:
-        raise DimensionError("source_x and target_x must be 2-d sample matrices")
-    if source_x.shape[1] != target_x.shape[1]:
-        raise DimensionError(
-            f"source has {source_x.shape[1]} columns but target has {target_x.shape[1]}"
-        )
+    source_x = sample_matrix(source_x, "source_x", fitting=True)
+    target_x = sample_matrix(target_x, "target_x", source_x.shape[1], fitting=True)
     n, m = source_x.shape[0], target_x.shape[0]
-    if n == 0 or m == 0:
-        raise ValueError("both domains need at least one sample")
-    if not (np.all(np.isfinite(source_x)) and np.all(np.isfinite(target_x))):
-        raise ValueError("training data must be finite")
     x = np.vstack([source_x, target_x])
     y = np.concatenate([np.zeros(n), np.ones(m)])
     total = n + m

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .datasets import check_class_labels
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, row_weights
 
 # Column order of every results.csv emitted by the harness.
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
@@ -15,7 +15,8 @@ def risk(preds, ys, weights=None):
     """Mean squared output-space distance: mean_k ||preds_k - ys_k||^2.
 
     With per-row probability ``weights`` (a quadrature rule, say) it is the
-    weighted sum sum_k weights_k ||preds_k - ys_k||^2 instead.
+    weighted sum sum_k weights_k ||preds_k - ys_k||^2 instead; weights off
+    shape (rows,) raise DimensionError, NaN or inf weights NumericalError.
     """
     preds = np.asarray(preds, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -26,12 +27,7 @@ def risk(preds, ys, weights=None):
     losses = ((preds - ys) ** 2).sum(axis=1)
     if weights is None:
         return float(losses.mean())
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != losses.shape:
-        raise DimensionError(
-            f"weights of shape {weights.shape} do not match {losses.shape[0]} rows"
-        )
-    return float(weights @ losses)
+    return float(row_weights(weights, losses.shape[0], "weights") @ losses)
 
 
 def accuracy(preds, labels):

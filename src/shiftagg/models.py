@@ -16,14 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .datasets import _parse_number, _read_csv, check_class_labels
-from .errors import CsvFormatError, DimensionError
-
-
-def _sample_matrix(x, name="sample"):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-d array, got shape {x.shape}")
-    return x
+from .errors import CsvFormatError, DimensionError, sample_matrix
 
 
 class Model(ABC):
@@ -73,14 +66,10 @@ def fit_ridge(x, y, ridge):
     is left unpenalized. ``ridge`` must be positive and finite, so the
     penalized normal matrix is positive definite.
     """
-    x = _sample_matrix(x, "x")
-    y = _sample_matrix(y, "y")
+    x = sample_matrix(x, "x", fitting=True)
+    y = sample_matrix(y, "y", fitting=True)
     if x.shape[0] != y.shape[0]:
         raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit on an empty sample")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("training data must be finite")
     if not 0 < ridge < np.inf:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     x_mean = x.mean(axis=0)
@@ -116,14 +105,10 @@ def _softmax_in_place(z, axis):
 
 def _labelled_sample(x, labels, classes, models):
     """The checked sample ``x`` and each row's label as a (rows, classes, models) indicator."""
-    x = _sample_matrix(x, "x")
+    x = sample_matrix(x, "x", fitting=True)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
         raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit on an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training data must be finite")
     check_class_labels(labels, classes)
     hits = labels.astype(int)[:, None, None] == np.arange(classes)[:, None]
     return x, np.repeat(hits, models, axis=2).astype(float)
@@ -217,9 +202,7 @@ class FeatureModel(Model):
 
 def polynomial_features(xs, degree):
     """Columns x^1 .. x^degree of a univariate sample (degree 0 -> no columns)."""
-    xs = _sample_matrix(xs, "xs")
-    if xs.shape[1] != 1:
-        raise DimensionError(f"polynomial features need univariate input, got {xs.shape[1]} columns")
+    xs = sample_matrix(xs, "xs of the univariate polynomial features", 1)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     flat = xs[:, 0]
@@ -377,9 +360,7 @@ class PrecomputedModel(Model):
             self.tables[split] = checked
 
     def predict_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != 2:
-            raise DimensionError(f"expected (split_code, index) key rows, got shape {xs.shape}")
+        xs = sample_matrix(xs, "xs of (split_code, index) key rows", 2)
         out = np.empty((xs.shape[0], self.output_dim))
         for row, key in enumerate(xs):
             if not (key[0].is_integer() and key[1].is_integer()):
@@ -429,7 +410,7 @@ def stack_predictions(models, xs):
     dims = {m.output_dim for m in models}
     if len(dims) != 1:
         raise DimensionError(f"models disagree on output_dim: {sorted(dims)}")
-    xs = _sample_matrix(xs, "xs")
+    xs = sample_matrix(xs, "xs")
     expected = (xs.shape[0], dims.pop())
     stack = []
     for model in models:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _checked_stack, _row_weights
+from .errors import checked_stack, row_weights
 
 # Below this weight variance the control variate is undefined and the plain
 # importance-weighted score is used unchanged.
@@ -27,7 +27,7 @@ class SelectionResult:
 
 
 def _per_model_losses(source_predictions, source_y):
-    preds, source_y = _checked_stack(source_predictions, source_y)
+    preds, source_y = checked_stack(source_predictions, source_y)
     return ((preds - source_y[None, :, :]) ** 2).sum(axis=2)
 
 
@@ -37,7 +37,7 @@ def iwv_select(source_predictions, source_y, source_weights):
     ``source_weights`` holds the density ratio on the source rows, beta(source_x).
     """
     losses = _per_model_losses(source_predictions, source_y)
-    w = _row_weights(source_weights, losses.shape[1])
+    w = row_weights(source_weights, losses.shape[1])
     scores = (losses * w).mean(axis=1)
     return SelectionResult(chosen_index=int(np.argmin(scores)), scores=scores)
 
@@ -51,7 +51,7 @@ def dev_select(source_predictions, source_y, source_weights):
     VARIANCE_FLOOR. Takes the same arguments as ``iwv_select``.
     """
     losses = _per_model_losses(source_predictions, source_y)
-    w = _row_weights(source_weights, losses.shape[1])
+    w = row_weights(source_weights, losses.shape[1])
     weighted = losses * w
     base = weighted.mean(axis=1)
     var_w = float(w.var())

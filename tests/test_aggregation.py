@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg import aggregation
+from shiftagg import aggregation, errors
 from shiftagg.aggregation import (
     AggregationResult,
     aggregate_predictions,
@@ -427,15 +427,15 @@ def lstsq_onto_models(models, xs, labels):
 
 
 def record_scans(monkeypatch):
-    """The names of the arrays aggregation scans for non-finite values, in order."""
+    """The names of the arrays the input rules scan for non-finite values, in order."""
     scans = []
-    original = aggregation._require_finite
+    original = errors._require_finite
 
     def counted(values, what):
         scans.append(what)
         return original(values, what)
 
-    monkeypatch.setattr(aggregation, "_require_finite", counted)
+    monkeypatch.setattr(errors, "_require_finite", counted)
     return scans
 
 

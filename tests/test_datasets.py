@@ -137,6 +137,11 @@ class TestGaussHermite:
             gauss_hermite(0)
         with pytest.raises(ValueError, match="std"):
             gauss_hermite(3, 0.0, 0.0)
+        for std in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="std"):
+                gauss_hermite(3, 0.0, std)
+        with pytest.raises(ValueError, match="mean"):
+            gauss_hermite(3, np.nan)
 
 
 class TestSincRuleSplit:
@@ -208,6 +213,10 @@ class TestMoonsGeometry:
             moons_points(0, 0.1, rng)
         with pytest.raises(ValueError, match="noise"):
             moons_points(5, -0.1, rng)
+        # A NaN scale would pass ``noise < 0``, then fail ``noise > 0``: noise-free points.
+        for noise in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise"):
+                moons_points(5, noise, rng)
 
 
 class TestTransformedMoons:

@@ -38,6 +38,11 @@ class TestConstantRatio:
         with pytest.raises(ValueError, match="non-negative"):
             ConstantRatio(-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ConstantRatio(value)
+
     def test_requires_sample_matrix(self):
         with pytest.raises(DimensionError):
             ConstantRatio().weights(np.zeros(3))
@@ -101,6 +106,19 @@ class TestGaussianRatio:
         with pytest.raises(ValueError, match="bound"):
             GaussianRatio(0.0, 1.0, 1.0, 1.0, bound=0.0)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(source_std=np.nan), "standard deviations"),
+        (dict(target_std=np.nan), "standard deviations"),
+        (dict(source_std=np.inf), "standard deviations"),
+        (dict(source_mean=np.nan), "means"),
+        (dict(target_mean=np.inf), "means"),
+        (dict(bound=np.nan), "bound"),
+    ])
+    def test_non_finite_parameters_rejected(self, change, message):
+        # A NaN slips past a check written as ``x <= 0`` and would make every weight NaN.
+        with pytest.raises(ValueError, match=message):
+            GaussianRatio(**{**STD_READING, **change})
+
     @given(
         st.floats(-3.0, 3.0),
         st.floats(0.1, 2.0),
@@ -151,6 +169,14 @@ class TestLearnedRatio:
             LearnedRatio(np.zeros(2), 0.0, 0.0)
         with pytest.raises(ValueError, match="bound"):
             LearnedRatio(np.zeros(2), 0.0, 1.0, bound=-1.0)
+        with pytest.raises(ValueError, match="prior_ratio"):
+            LearnedRatio(np.zeros(2), 0.0, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            LearnedRatio(np.array([0.0, np.nan]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            LearnedRatio(np.zeros(2), np.inf, 1.0)
+        with pytest.raises(ValueError, match="bound"):
+            LearnedRatio(np.zeros(2), 0.0, 1.0, bound=np.nan)
 
     def test_input_shape_checks(self):
         beta = LearnedRatio(np.zeros(2), 0.0, 1.0)

@@ -1,0 +1,77 @@
+"""The shared input rules: every public entry point that takes a sample checks it the same way.
+
+A sample is a (rows, columns) matrix. Anything else raises DimensionError
+naming the argument; a sample that a model or ratio is fitted on must also
+have a row and only finite entries, else ValueError naming the argument.
+Models' own ``predict_many`` are reached through ``stack_predictions``,
+which checks the sample for them.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from shiftagg import aggregation, datasets, density_ratio, models
+from shiftagg.errors import DimensionError
+
+GOOD = np.zeros((3, 1))
+LABELS = np.array([0, 1, 1])
+LINEAR = models.LinearModel([[1.0]], [0.0])
+
+
+def _validate(name):
+    instance = datasets.make_sinc_shift(5, 5, seed=0)
+    return lambda sample: dataclasses.replace(instance, **{name: sample}).validate()
+
+
+# What a sample is fitted on: entry, called with the sample in one argument.
+FITTING = {
+    "fit_ridge-x": (lambda s: models.fit_ridge(s, GOOD, ridge=1.0), "x"),
+    "fit_ridge-y": (lambda s: models.fit_ridge(GOOD, s, ridge=1.0), "y"),
+    "fit_softmax_classifier-x": (
+        lambda s: models.fit_softmax_classifier(s, LABELS, 2, weight_decay=[0.0]), "x"),
+    "fit_domain_classifier-source_x": (
+        lambda s: density_ratio.fit_domain_classifier(s, GOOD), "source_x"),
+    "fit_domain_classifier-target_x": (
+        lambda s: density_ratio.fit_domain_classifier(GOOD, s), "target_x"),
+    **{f"validate-{name}": (_validate(name), name)
+       for name in ("source_x", "source_y", "target_x", "target_eval_x", "target_eval_y")},
+}
+
+# Everything else that reads a sample.
+READING = {
+    "polynomial_features": (lambda s: models.polynomial_features(s, 2), "xs"),
+    "stack_predictions": (lambda s: models.stack_predictions([LINEAR], s), "xs"),
+    "PrecomputedModel.predict_many": (
+        lambda s: models.PrecomputedModel({}, 1).predict_many(s), "xs"),
+    "ConstantRatio.weights": (lambda s: density_ratio.ConstantRatio().weights(s), "xs"),
+    "GaussianRatio.weights": (
+        lambda s: density_ratio.GaussianRatio(1.0, 0.5, 2.0, 0.25).weights(s), "xs"),
+    "LearnedRatio.weights": (
+        lambda s: density_ratio.LearnedRatio(np.zeros(1), 0.0, 1.0).weights(s), "xs"),
+    "moons_transform": (lambda s: datasets.moons_transform(s), "points"),
+    "iwa-source_x": (lambda s: aggregation.iwa(
+        [LINEAR], s, GOOD, GOOD, density_ratio.ConstantRatio()), "source_x"),
+    "iwa-target_x": (lambda s: aggregation.iwa(
+        [LINEAR], GOOD, GOOD, s, density_ratio.ConstantRatio()), "target_x"),
+}
+
+
+@pytest.mark.parametrize("entry, name", [*FITTING.values(), *READING.values()],
+                         ids=[*FITTING, *READING])
+def test_one_d_sample_raises_dimension_error_naming_it(entry, name):
+    with pytest.raises(DimensionError, match=rf"^{name}\b.*2-d sample matrix"):
+        entry(np.zeros(3))
+
+
+@pytest.mark.parametrize("sample, fault", [
+    (np.zeros((0, 1)), "is empty: need at least one row"),
+    (np.array([[0.0], [np.nan], [1.0]]), "contains non-finite entries"),
+    (np.array([[0.0], [1.0], [-np.inf]]), "contains non-finite entries"),
+], ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("entry, name", FITTING.values(), ids=FITTING)
+def test_fitting_sample_must_have_finite_rows(entry, name, sample, fault):
+    with pytest.raises(ValueError, match=rf"^{name} {fault}") as raised:
+        entry(sample)
+    assert raised.type is ValueError

@@ -56,6 +56,15 @@ class TestEmpiricalRisk:
         with pytest.raises(ValueError, match="empty"):
             risk(predictions(model, np.zeros((0, 1))), np.zeros((0, 1)))
 
+    def test_row_weights_checked(self):
+        preds, ys = np.zeros((2, 1)), np.ones((2, 1))
+        assert risk(preds, ys, np.array([0.25, 0.75])) == 1.0
+        with pytest.raises(DimensionError, match="weights"):
+            risk(preds, ys, np.ones(3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericalError, match="weights"):
+                risk(preds, ys, np.array([1.0, bad]))
+
 
 class TestAccuracy:
     def test_all_correct(self):

@@ -94,7 +94,8 @@ def test_softmax_gradient_is_not_exported():
     (shiftagg, "empirical_gram"), (shiftagg, "empirical_moment"),
     (aggregation, "empirical_gram"), (aggregation, "empirical_moment"),
     (aggregation, "_label_regression"), (aggregation, "_solve_aggregation"),
-    (aggregation, "_moment"),
+    (aggregation, "_moment"), (models, "_sample_matrix"), (aggregation, "_checked_stack"),
+    (aggregation, "_row_weights"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
