@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import one_hot
 from .errors import DegenerateGramError, DimensionError, checked_stack, row_weights, sample_matrix
 from .linalg import DEFAULT_RCOND, spectral_pinv
-from .metrics import _argmax_is_class1
+from .metrics import one_hot, picks_class1
 from .models import stack_predictions
 
 
@@ -166,7 +165,7 @@ def _majority_votes(preds):
     l, k, d2 = preds.shape
     _check_classification(d2)
     if d2 == 2:
-        return (2 * _argmax_is_class1(preds).sum(axis=0) > l).astype(int)
+        return (2 * picks_class1(preds).sum(axis=0) > l).astype(int)
     votes = preds.argmax(axis=2)
     counts = np.zeros((k, d2), dtype=int)
     rows = np.arange(k)

@@ -1,4 +1,4 @@
-"""Covariate-shift instances: synthetic generators and CSV-backed loading.
+"""Covariate-shift instances, synthetic or read from CSV, and every CSV format the package reads.
 
 An instance bundles a labeled source sample, unlabeled target inputs, and a
 labeled held-out target evaluation split. Generators draw from numpy's
@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
+from . import metrics
 from .density_ratio import GaussianRatio
 from .errors import CsvFormatError, DimensionError, sample_matrix
+from .models import PrecomputedModel
 
 
 @dataclass(frozen=True)
@@ -206,27 +208,6 @@ MOONS_NOISE = 0.1
 MOONS_CENTROID = (0.5, 0.25)
 
 
-def check_class_labels(labels, classes):
-    """Raise ValueError unless each entry of the non-empty array ``labels`` is in range(classes)."""
-    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
-        raise ValueError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError("labels out of range: must lie in [0, classes)")
-
-
-def one_hot(labels, classes):
-    """One-hot rows for integer class labels; a scalar label gives one vector.
-
-    Also the aggregation-weight view of a single chosen model. The labels
-    follow ``check_class_labels``: a fractional label raises ValueError
-    rather than being truncated to a class.
-    """
-    labels = np.asarray(labels)
-    if labels.size:
-        check_class_labels(labels, classes)
-    return np.eye(classes)[labels.astype(int)]
-
-
 def moons_points(count, noise, rng):
     """Sample the two interleaved half-circle classes.
 
@@ -282,10 +263,10 @@ def make_transformed_moons(n, m, eval_size=None, seed=0, *, rotation_deg=MOONS_R
     eval_points, eval_labels = moons_points(eval_size, MOONS_NOISE, rng_eval)
     return DomainAdaptationInstance(
         source_x=source_points,
-        source_y=one_hot(source_labels, 2),
+        source_y=metrics.one_hot(source_labels, 2),
         target_x=moons_transform(target_points, rotation_deg),
         target_eval_x=moons_transform(eval_points, rotation_deg),
-        target_eval_y=one_hot(eval_labels, 2),
+        target_eval_y=metrics.one_hot(eval_labels, 2),
     ).validate()
 
 
@@ -361,6 +342,28 @@ def _read_split(path, labeled):
     x = np.asarray([row[:x_cols] for row in values], dtype=float)
     y = np.asarray([row[x_cols:] for row in values], dtype=float) if labeled else None
     return x, y
+
+
+def load_model_csv(path):
+    """A PrecomputedModel from a prediction-table CSV with header ``split,index,y0,...``."""
+    header, rows = _read_csv(
+        path,
+        "split,index,y0,...",
+        lambda header: header[:3] == ["split", "index", "y0"]
+        and header[2:] == [f"y{i}" for i in range(len(header) - 2)],
+    )
+    tables = {"source": {}, "target": {}}
+    for lineno, (split, index, *values) in rows:
+        if split not in tables:
+            raise CsvFormatError(f"unknown split {split!r}", path=path, line=lineno)
+        index = _parse_number(int, index, path, lineno)
+        values = [_parse_number(float, v, path, lineno) for v in values]
+        if index in tables[split]:
+            raise CsvFormatError(
+                f"duplicate entry for split '{split}', index {index}", path=path, line=lineno
+            )
+        tables[split][index] = np.asarray(values)
+    return PrecomputedModel(tables, len(header) - 2)
 
 
 def load_csv_instance(source_path, target_path, eval_path):

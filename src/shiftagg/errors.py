@@ -1,7 +1,8 @@
 """Shared exception types and the input rules every module checks against.
 
-A sample matrix, a prediction stack and a row-weight vector are each
-checked by one function here; every message names the argument at fault.
+A sample matrix, a prediction stack, a row-weight vector and a vector of
+class labels are each checked by one function here; every message names
+the argument at fault.
 """
 
 import numpy as np
@@ -99,3 +100,14 @@ def row_weights(weights, n, what="density-ratio weights"):
         raise DimensionError(f"{what} of shape {w.shape}, expected ({n},)")
     _require_finite(w, what)
     return w
+
+
+def class_labels(labels, classes):
+    """``labels`` as ints; ValueError unless every one is a whole number in range(classes)."""
+    labels = np.asarray(labels)
+    if labels.size:
+        if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.round(labels)):
+            raise ValueError("labels must be integers")
+        if labels.min() < 0 or labels.max() >= classes:
+            raise ValueError("labels out of range: must lie in [0, classes)")
+    return labels.astype(int, copy=False)

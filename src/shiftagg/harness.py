@@ -23,18 +23,17 @@ from .datasets import (
     SINC_RULE_NODES,
     SINC_TARGET_MEAN,
     load_csv_instance,
+    load_model_csv,
     make_sinc_shift,
     make_transformed_moons,
-    one_hot,
     sinc_ratio,
     sinc_sigmas,
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, NumericalError
-from .metrics import CSV_COLUMNS, pearson_with_flag
+from .metrics import CSV_COLUMNS, one_hot, pearson_with_flag
 from .models import (
     FeatureModel,
-    PrecomputedModel,
     add_corruption,
     corrupt,
     fit_ridge,
@@ -273,7 +272,7 @@ def _moons_sequence(cfg, instance):
 def build_models(cfg, instance):
     """Model sequence (a list) for an instance; ConfigError if it cannot carry the ladder."""
     if cfg.dataset == "csv" and cfg.model_csvs:
-        return [PrecomputedModel.from_csv(path) for path in cfg.model_csvs]
+        return [load_model_csv(path) for path in cfg.model_csvs]
     if cfg.dataset == "sinc" or (cfg.dataset == "csv" and instance.label_dim == 1):
         if instance.input_dim != 1:
             raise ConfigError(

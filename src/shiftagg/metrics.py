@@ -1,11 +1,10 @@
-"""Evaluation metrics on prediction arrays and the column order of run results."""
+"""Evaluation metrics, the one-hot class code, and the column order of run results."""
 
 import math
 
 import numpy as np
 
-from .datasets import check_class_labels
-from .errors import DimensionError, NumericalError, row_weights
+from .errors import DimensionError, NumericalError, class_labels, row_weights
 
 # Column order of every results.csv emitted by the harness.
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
@@ -54,16 +53,23 @@ def accuracies(stack, labels):
         raise DimensionError(f"predictions of shape {stack.shape} but {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty sample")
-    check_class_labels(labels, stack.shape[2])
+    labels = class_labels(labels, stack.shape[2])
     if stack.shape[2] == 2:
-        return (_argmax_is_class1(stack) == (labels == 1)).mean(axis=1)
+        return (picks_class1(stack) == (labels == 1)).mean(axis=1)
     # One model at a time: a whole stack's argmax holds a (models, rows)
     # int64 index array, eight times the two-class path's boolean one.
-    labels = labels.astype(int)
     return np.array([(preds.argmax(axis=1) == labels).mean() for preds in stack])
 
 
-def _argmax_is_class1(preds):
+def one_hot(labels, classes):
+    """One-hot rows of class labels (see ``errors.class_labels``); a scalar gives one vector.
+
+    Also the aggregation-weight view of a single chosen model.
+    """
+    return np.eye(classes)[class_labels(labels, classes)]
+
+
+def picks_class1(preds):
     """Where ``preds.argmax(axis=-1)`` is 1 on a (..., 2) array, without the argmax.
 
     argmax takes the first maximum and counts NaN above every number, so

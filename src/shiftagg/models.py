@@ -12,11 +12,12 @@ all live here.
 
 from abc import ABC, abstractmethod
 from functools import reduce
+import numbers
 
 import numpy as np
 
-from .datasets import _parse_number, _read_csv, check_class_labels
-from .errors import CsvFormatError, DimensionError, sample_matrix
+from .errors import DimensionError, sample_matrix
+from .metrics import one_hot
 
 
 class Model(ABC):
@@ -53,7 +54,7 @@ class LinearModel(Model):
 
     def predict_many(self, xs):
         # The intercept is added in place: one output array, not two.
-        out = np.asarray(xs, dtype=float) @ self.weights
+        out = sample_matrix(xs, "xs", self.input_dim) @ self.weights
         out += self.intercept
         return out
 
@@ -109,19 +110,18 @@ def _labelled_sample(x, labels, classes, models):
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
         raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
-    check_class_labels(labels, classes)
-    hits = labels.astype(int)[:, None, None] == np.arange(classes)[:, None]
-    return x, np.repeat(hits, models, axis=2).astype(float)
+    # Repeated, not broadcast: the trainer reads a contiguous array faster.
+    return x, np.repeat(one_hot(labels, classes)[:, :, None], models, axis=2)
 
 
-def _softmax_grads(weights, intercept, x, one_hot):
+def _softmax_grads(weights, intercept, x, targets):
     """Mean cross-entropy gradients of a ladder of l linear softmax classifiers.
 
     Rows lead: ``weights`` is a C-contiguous (d, c, l) array and
     ``intercept`` (c, l), so one (n, d) @ (d, c·l) product gives every
     model's logits as one (n, c, l) array. The softmax runs in place on it,
-    one class block at a time, the residual subtracts the (n, c, l)
-    ``one_hot`` labels, and the intercept gradient sums the rows in order
+    one class block at a time, the residual subtracts the (n, c, l) one-hot
+    ``targets``, and the intercept gradient sums the rows in order
     from row 0. The slope gradient is one (d, n) @ (n, c) product per model
     on an (l, n, c) copy of the residual, the product a lone model makes: a
     single (d, n) @ (n, c·l) product would change the bits when d = 1.
@@ -134,7 +134,7 @@ def _softmax_grads(weights, intercept, x, one_hot):
     z = (x @ weights.reshape(d, c * l)).reshape(n, c, l)
     z += intercept
     _softmax_in_place(z, 1)
-    z -= one_hot
+    z -= targets
     grad_w = np.matmul(x.T, z.transpose(2, 0, 1).copy()) / n
     return grad_w.transpose(1, 2, 0), z.sum(axis=0) / n
 
@@ -171,16 +171,17 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay):
     classes = int(classes)
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    if decays.ndim != 1 or decays.size == 0:
-        raise ValueError(f"weight_decay must be a non-empty 1-d sequence, got {decays}")
-    x, one_hot = _labelled_sample(x, labels, classes, decays.size)
-    if not (epochs >= 0 and np.all((decays >= 0) & (decays < np.inf))):
-        raise ValueError("epochs must be >= 0, weight_decay >= 0 and finite")
+    if decays.ndim != 1 or decays.size == 0 or not np.all((decays >= 0) & (decays < np.inf)):
+        raise ValueError(f"weight_decay must be a non-empty 1-d sequence of finite values >= 0,"
+                         f" got {decays}")
+    if not (isinstance(epochs, numbers.Integral) and epochs >= 0):
+        raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
+    x, targets = _labelled_sample(x, labels, classes, decays.size)
     w = np.zeros((x.shape[1], classes, decays.size))
     b = np.zeros((classes, decays.size))
     shrink = 1.0 / (1.0 + SOFTMAX_LR * decays)
-    for _ in range(int(epochs)):
-        gw, gb = _softmax_grads(w, b, x, one_hot)
+    for _ in range(epochs):
+        gw, gb = _softmax_grads(w, b, x, targets)
         w -= SOFTMAX_LR * gw
         w *= shrink
         b -= SOFTMAX_LR * gb
@@ -375,28 +376,6 @@ class PrecomputedModel(Model):
             out[row] = table[index]
         return out
 
-    @classmethod
-    def from_csv(cls, path):
-        """Load a prediction table from CSV with header ``split,index,y0,...``."""
-        header, rows = _read_csv(
-            path,
-            "split,index,y0,...",
-            lambda header: header[:3] == ["split", "index", "y0"]
-            and header[2:] == [f"y{i}" for i in range(len(header) - 2)],
-        )
-        tables = {"source": {}, "target": {}}
-        for lineno, (split, index, *values) in rows:
-            if split not in tables:
-                raise CsvFormatError(f"unknown split {split!r}", path=path, line=lineno)
-            index = _parse_number(int, index, path, lineno)
-            values = [_parse_number(float, v, path, lineno) for v in values]
-            if index in tables[split]:
-                raise CsvFormatError(
-                    f"duplicate entry for split '{split}', index {index}", path=path, line=lineno
-                )
-            tables[split][index] = np.asarray(values)
-        return cls(tables, len(header) - 2)
-
 
 def stack_predictions(models, xs):
     """Predictions of every model on the rows of ``xs``, shape (l, k, output_dim).
@@ -418,7 +397,7 @@ def stack_predictions(models, xs):
             raise DimensionError(
                 f"input has {xs.shape[1]} columns but the model expects {model.input_dim}"
             )
-        out = np.asarray(model.predict_many(xs), dtype=float) if xs.shape[0] else np.zeros(expected)
+        out = np.asarray(model.predict_many(xs), dtype=float)
         if out.shape != expected:
             raise DimensionError(
                 f"model returned predictions of shape {out.shape}, expected {expected}"

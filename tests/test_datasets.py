@@ -21,17 +21,17 @@ from shiftagg.datasets import (
     _split_rngs,
     gauss_hermite,
     load_csv_instance,
+    load_model_csv,
     make_sinc_shift,
     make_transformed_moons,
     moons_points,
     moons_transform,
-    one_hot,
     sinc_ratio,
     sinc_sigmas,
 )
 from shiftagg.density_ratio import DEFAULT_BOUND
 from shiftagg.errors import CsvFormatError, DimensionError
-from shiftagg.models import PrecomputedModel
+from shiftagg.metrics import one_hot
 
 
 class TestSincShift:
@@ -437,7 +437,7 @@ def _load_as_source_split(path):
 # are built from them, so both loaders read the same faults.
 LOADERS = {
     "split": (_load_as_source_split, "x0,x1,y0", "0,1,2"),
-    "table": (PrecomputedModel.from_csv, "split,index,y0", "source,0,2"),
+    "table": (load_model_csv, "split,index,y0", "source,0,2"),
 }
 
 

@@ -3,8 +3,7 @@
 A sample is a (rows, columns) matrix. Anything else raises DimensionError
 naming the argument; a sample that a model or ratio is fitted on must also
 have a row and only finite entries, else ValueError naming the argument.
-Models' own ``predict_many`` are reached through ``stack_predictions``,
-which checks the sample for them.
+Class labels pass one rule too, ``errors.class_labels``.
 """
 
 import dataclasses
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from shiftagg import aggregation, datasets, density_ratio, models
-from shiftagg.errors import DimensionError
+from shiftagg.errors import DimensionError, class_labels
 
 GOOD = np.zeros((3, 1))
 LABELS = np.array([0, 1, 1])
@@ -42,6 +41,9 @@ FITTING = {
 # Everything else that reads a sample.
 READING = {
     "polynomial_features": (lambda s: models.polynomial_features(s, 2), "xs"),
+    "LinearModel.predict_many": (lambda s: LINEAR.predict_many(s), "xs"),
+    "SoftmaxModel.predict_many": (
+        lambda s: models.SoftmaxModel([[1.0, 0.0]], [0.0, 0.0]).predict_many(s), "xs"),
     "stack_predictions": (lambda s: models.stack_predictions([LINEAR], s), "xs"),
     "PrecomputedModel.predict_many": (
         lambda s: models.PrecomputedModel({}, 1).predict_many(s), "xs"),
@@ -75,3 +77,18 @@ def test_fitting_sample_must_have_finite_rows(entry, name, sample, fault):
     with pytest.raises(ValueError, match=rf"^{name} {fault}") as raised:
         entry(sample)
     assert raised.type is ValueError
+
+
+def test_linear_model_checks_its_column_count():
+    # numpy's matmul used to reject this with a plain ValueError that named no argument.
+    with pytest.raises(DimensionError, match="^xs has 2 columns, expected 3"):
+        models.LinearModel(np.zeros((3, 2)), np.ones(2)).predict_many(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("labels, classes", [
+    ([1, 0, 2], 3), (np.array([1.0, 0.0]), 2), (np.array([True, False]), 2), ([], 3), (2, 3),
+])
+def test_class_labels_come_back_as_ints(labels, classes):
+    out = class_labels(labels, classes)
+    assert out.dtype.kind == "i"
+    assert np.array_equal(out, np.asarray(labels))

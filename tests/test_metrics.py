@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError, NumericalError
-from shiftagg.metrics import _argmax_is_class1, accuracies, accuracy, pearson_with_flag, risk
+from shiftagg.metrics import accuracies, accuracy, pearson_with_flag, picks_class1, risk
 from shiftagg.models import LinearModel, stack_predictions
 
 
@@ -155,7 +155,7 @@ def random_two_class_stack(seed, models=6, rows=300):
 class TestTwoClassRule:
     def test_special_pairs_match_argmax(self):
         expected = SPECIAL_PAIRS.argmax(axis=1) == 1
-        assert np.array_equal(_argmax_is_class1(SPECIAL_PAIRS), expected)
+        assert np.array_equal(picks_class1(SPECIAL_PAIRS), expected)
 
     @pytest.mark.parametrize("pair, class1", [
         ((0.5, 0.5), False), ((np.inf, np.inf), False), ((-np.inf, -np.inf), False),
@@ -164,12 +164,12 @@ class TestTwoClassRule:
     ])
     def test_named_cases(self, pair, class1):
         assert np.argmax(pair) == int(class1)
-        assert bool(_argmax_is_class1(np.array(pair))) is class1
+        assert bool(picks_class1(np.array(pair))) is class1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_stacks_match_argmax(self, seed):
         stack = random_two_class_stack(seed)
-        assert np.array_equal(_argmax_is_class1(stack), stack.argmax(axis=2) == 1)
+        assert np.array_equal(picks_class1(stack), stack.argmax(axis=2) == 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_accuracies_match_per_model_argmax(self, seed):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg.datasets import load_model_csv
 from shiftagg.errors import CsvFormatError, DimensionError
 from shiftagg.harness import LAMBDA_GRID
 from shiftagg.models import (
@@ -234,6 +235,18 @@ class TestSoftmaxClassifier:
                     weight_decay=[0.0])
         with pytest.raises(ValueError, match=message):
             fit_softmax_classifier(**{**args, **change})
+
+    @pytest.mark.parametrize("epochs", [np.inf, 2.7, -1])
+    def test_epochs_must_be_a_whole_count(self, epochs):
+        # np.inf used to overflow range() and 2.7 to train 2 epochs silently.
+        with pytest.raises(ValueError, match="epochs"):
+            fit_one(np.array([[0.0], [0.5], [1.0]]), np.array([0, 1, 1]), 2, epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        x = np.array([[0.0], [0.5], [1.0]])
+        labels = np.array([0, 1, 1])
+        assert (fit_one(x, labels, 2, epochs=np.int64(5)).weights.tobytes()
+                == fit_one(x, labels, 2, epochs=5).weights.tobytes())
 
     def test_whole_float_labels_accepted(self):
         x = np.array([[0.0], [0.5], [1.0]])
@@ -515,7 +528,7 @@ class TestPrecomputedModel:
             "split,index,y0,y1\nsource,0,1,0\nsource,1,0.25,0.75\ntarget,0,0.5,0.5\n"
         )
         model = self.example()
-        loaded = PrecomputedModel.from_csv(path)
+        loaded = load_model_csv(path)
         for split in model.tables:
             assert loaded.tables[split].keys() == model.tables[split].keys()
             for index in model.tables[split]:
@@ -524,7 +537,7 @@ class TestPrecomputedModel:
     def test_csv_header_cells_are_stripped(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("split, index, y0\nsource,0,1.5\n")
-        loaded = PrecomputedModel.from_csv(path)
+        loaded = load_model_csv(path)
         assert loaded.output_dim == 1
         assert np.array_equal(loaded.tables["source"][0], [1.5])
 
@@ -532,31 +545,31 @@ class TestPrecomputedModel:
         path = tmp_path / "bad.csv"
         path.write_text("index,split,y0\n")
         with pytest.raises(CsvFormatError, match="line 1"):
-            PrecomputedModel.from_csv(path)
+            load_model_csv(path)
 
     def test_csv_field_count_error_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,index,y0\nsource,0,1.0\nsource,1\n")
         with pytest.raises(CsvFormatError, match="line 3"):
-            PrecomputedModel.from_csv(path)
+            load_model_csv(path)
 
     def test_csv_bad_number_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,index,y0\nsource,0,oops\n")
         with pytest.raises(CsvFormatError, match="line 2"):
-            PrecomputedModel.from_csv(path)
+            load_model_csv(path)
 
     def test_csv_duplicate_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,index,y0\nsource,0,1.0\nsource,0,2.0\n")
         with pytest.raises(CsvFormatError, match="duplicate"):
-            PrecomputedModel.from_csv(path)
+            load_model_csv(path)
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(CsvFormatError, match="empty"):
-            PrecomputedModel.from_csv(path)
+            load_model_csv(path)
 
 
 def predict_batch(model, xs):
@@ -570,6 +583,20 @@ class TestBatchPrediction:
 
     def test_empty_batch_keeps_output_dim(self):
         assert predict_batch(constant_model([1.0, 2.0]), np.zeros((0, 1))).shape == (0, 2)
+
+    @pytest.mark.parametrize("make, columns", [
+        (lambda: LinearModel(np.ones((2, 3)), np.zeros(3)), 2),
+        (lambda: SoftmaxModel(np.ones((2, 3)), np.zeros(3)), 2),
+        (lambda: FeatureModel(lambda xs: polynomial_features(xs, 2),
+                              LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1),
+        (lambda: corrupt(LinearModel(np.ones((2, 3)), np.zeros(3)), seed=5), 2),
+        (lambda: PrecomputedModel({"source": {0: [1.0, 2.0, 3.0]}}, 3), 2),
+    ], ids=["LinearModel", "SoftmaxModel", "FeatureModel", "CorruptedModel", "PrecomputedModel"])
+    def test_every_model_predicts_zero_rows(self, make, columns):
+        # stack_predictions calls predict_many on a zero-row sample too.
+        model = make()
+        assert model.predict_many(np.zeros((0, columns))).shape == (0, 3)
+        assert predict_batch(model, np.zeros((0, columns))).shape == (0, 3)
 
     def test_matches_per_row_loop(self, rng):
         model = LinearModel(rng.normal(size=(3, 2)), rng.normal(size=2))

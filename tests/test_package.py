@@ -1,8 +1,9 @@
 """The package's public surface.
 
 ``__all__`` lists exactly what ``__init__`` imports, the settings no study
-varies are module constants that no function takes as a parameter, and the
-modes and entry points no study uses are gone.
+varies are module constants that no function takes as a parameter, the
+modes and entry points no study uses are gone, and imports between the
+package's modules run downward and name only public names.
 """
 
 import ast
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import shiftagg
-from shiftagg import aggregation, datasets, density_ratio, harness, linalg, models
+from shiftagg import aggregation, datasets, density_ratio, harness, linalg, metrics, models
 
 
 def _imported_public_names():
@@ -95,10 +96,51 @@ def test_softmax_gradient_is_not_exported():
     (aggregation, "empirical_gram"), (aggregation, "empirical_moment"),
     (aggregation, "_label_regression"), (aggregation, "_solve_aggregation"),
     (aggregation, "_moment"), (models, "_sample_matrix"), (aggregation, "_checked_stack"),
-    (aggregation, "_row_weights"),
+    (aggregation, "_row_weights"), (datasets, "check_class_labels"), (datasets, "one_hot"),
+    (metrics, "_argmax_is_class1"), (models.PrecomputedModel, "from_csv"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+# The modules the estimator needs. They read model outputs, labels and
+# weights, never how an instance was drawn or stored, or how a study runs.
+ESTIMATOR_MODULES = ("errors", "linalg", "metrics", "density_ratio", "models", "selection",
+                     "aggregation")
+
+
+def _package_imports():
+    """``(module, imported module, name)`` for each import between the package's modules.
+
+    ``from . import x`` and ``from shiftagg import x`` give ``(module, "x", None)``.
+    """
+    root = os.path.dirname(shiftagg.__file__)
+    found = []
+    for filename in sorted(os.listdir(root)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(root, filename)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                target = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "shiftagg":
+                target = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                found.append((filename[:-3], target or alias.name, alias.name if target else None))
+    return found
+
+
+def test_imports_between_modules_run_downward_and_stay_public():
+    imports = _package_imports()
+    private = [entry for entry in imports if entry[2] and entry[2].startswith("_")]
+    upward = sorted({(module, target) for module, target, _ in imports
+                     if module in ESTIMATOR_MODULES and target in ("datasets", "harness")})
+    assert (private, upward) == ([], [])
 
 
 def test_fit_ridge_needs_a_ridge():

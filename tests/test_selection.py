@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg.datasets import one_hot
 from shiftagg.errors import DimensionError, NumericalError
+from shiftagg.metrics import one_hot
 from shiftagg.models import LinearModel, stack_predictions
 from shiftagg.selection import SelectionResult, dev_select, iwv_select
 
