@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, NumericalError
-from .metrics import CSV_COLUMNS, one_hot, pearson_with_flag
+from .metrics import one_hot, pearson_with_flag
 from .models import (
     FeatureModel,
     add_corruption,
@@ -672,6 +672,9 @@ class TableKind(NamedTuple):
     plot: Callable  # (table, plots_dir) -> None
     summary_lines: Callable  # table -> CLI summary lines
 
+
+# Column order of the run study's results.csv; sensitivity prefixes "count".
+CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
 
 KINDS = {
     "run": TableKind(

@@ -1,13 +1,10 @@
-"""Evaluation metrics, the one-hot class code, and the column order of run results."""
+"""Evaluation metrics and the one-hot class code."""
 
 import math
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, class_labels, row_weights
-
-# Column order of every results.csv emitted by the harness.
-CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
 
 
 def risk(preds, ys, weights=None):

@@ -2,7 +2,9 @@
 
 Each chart writes two files: the SVG itself and a companion CSV holding
 exactly the plotted data series, so every figure can be recomputed and
-checked. Output is deterministic byte-for-byte for fixed inputs.
+checked. Output is deterministic byte-for-byte for fixed inputs. Data a
+chart cannot draw (a NaN or inf, an x of 0 or less on a log axis, a band
+that names no series) raises ValueError.
 """
 
 import csv
@@ -20,6 +22,22 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 def _fmt(v):
     return f"{float(v):.6g}"
+
+
+def _add(parent, tag, text=None, **attrs):
+    """Append a ``tag`` element to ``parent`` (a new root if None) and return it.
+
+    Attributes keep their call order; a ``_`` in a keyword is written ``-``
+    and every number is written by ``_fmt``.
+    """
+    attrs = {k.replace("_", "-"): v if isinstance(v, str) else _fmt(v) for k, v in attrs.items()}
+    element = ET.Element(tag, attrs) if parent is None else ET.SubElement(parent, tag, attrs)
+    element.text = text
+    return element
+
+
+def _line(parent, x1, y1, x2, y2, stroke, width):
+    _add(parent, "line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=width)
 
 
 class _Frame:
@@ -49,10 +67,7 @@ class _Frame:
 
 def _x_label(root, x, text):
     """A label under the x axis, centred on pixel column ``x``."""
-    label = ET.SubElement(
-        root, "text", {"x": _fmt(x), "y": str(HEIGHT - MARGIN_BOTTOM + 16), "text-anchor": "middle"}
-    )
-    label.text = text
+    _add(root, "text", text, x=x, y=HEIGHT - MARGIN_BOTTOM + 16, text_anchor="middle")
 
 
 def _points(frame, xs, ys):
@@ -75,64 +90,35 @@ def _chart(path, title, x_domain, y_values, x_label, y_label, log_x=False):
     """Start a chart: background, caption and axes over the padded ``y_values``.
 
     Returns (root, frame, save); ``save(header, rows)`` writes the SVG to
-    ``path`` and the companion CSV next to it.
+    ``path`` and the companion CSV next to it, each non-string cell with 17
+    significant digits. A non-finite ``y_values`` entry raises ValueError.
     """
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(WIDTH),
-            "height": str(HEIGHT),
-            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
-            "font-family": "sans-serif",
-            "font-size": "12",
-        },
-    )
-    ET.SubElement(root, "rect", {"width": str(WIDTH), "height": str(HEIGHT), "fill": "white"})
-    caption = ET.SubElement(
-        root, "text", {"x": str(WIDTH // 2), "y": "24", "text-anchor": "middle", "font-size": "15"}
-    )
-    caption.text = title
+    bad = [v for v in y_values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"chart {title!r} cannot plot the non-finite {y_label} value {bad[0]}")
+    root = _add(None, "svg", xmlns="http://www.w3.org/2000/svg", width=WIDTH, height=HEIGHT,
+                viewBox=f"0 0 {WIDTH} {HEIGHT}", font_family="sans-serif", font_size=12)
+    _add(root, "rect", width=WIDTH, height=HEIGHT, fill="white")
+    _add(root, "text", title, x=WIDTH // 2, y=24, text_anchor="middle", font_size=15)
     frame = _Frame(x_domain, _pad_domain(y_values), log_x=log_x)
-    axis_style = {"stroke": "#333333", "stroke-width": "1"}
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
-    ET.SubElement(root, "line", {"x1": str(x0), "y1": str(y0), "x2": str(x1), "y2": str(y0), **axis_style})
-    ET.SubElement(root, "line", {"x1": str(x0), "y1": str(y0), "x2": str(x0), "y2": str(y1), **axis_style})
+    _line(root, x0, y0, x1, y0, "#333333", 1)
+    _line(root, x0, y0, x0, y1, "#333333", 1)
     for tick in np.linspace(frame.y_lo, frame.y_hi, 5):
         py = frame.y(tick)
-        ET.SubElement(
-            root,
-            "line",
-            {"x1": str(x0 - 4), "y1": _fmt(py), "x2": str(x1), "y2": _fmt(py),
-             "stroke": "#cccccc", "stroke-width": "0.5"},
-        )
-        label = ET.SubElement(
-            root, "text", {"x": str(x0 - 8), "y": _fmt(py + 4), "text-anchor": "end"}
-        )
-        label.text = _fmt(tick)
-    xl = ET.SubElement(
-        root, "text", {"x": str((x0 + x1) // 2), "y": str(HEIGHT - 16), "text-anchor": "middle"}
-    )
-    xl.text = x_label
-    yl = ET.SubElement(
-        root,
-        "text",
-        {
-            "x": "18",
-            "y": str((y0 + y1) // 2),
-            "text-anchor": "middle",
-            "transform": f"rotate(-90 18 {(y0 + y1) // 2})",
-        },
-    )
-    yl.text = y_label
+        _line(root, x0 - 4, py, x1, py, "#cccccc", 0.5)
+        _add(root, "text", _fmt(tick), x=x0 - 8, y=py + 4, text_anchor="end")
+    _add(root, "text", x_label, x=(x0 + x1) // 2, y=HEIGHT - 16, text_anchor="middle")
+    _add(root, "text", y_label, x=18, y=(y0 + y1) // 2, text_anchor="middle",
+         transform=f"rotate(-90 18 {(y0 + y1) // 2})")
 
     def save(header, rows):
         ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
         with open(os.path.splitext(path)[0] + ".csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in r] for r in rows)
         return path
 
     return root, frame, save
@@ -145,26 +131,13 @@ def bar_chart(path, labels, values, *, title, y_label):
         raise ValueError("labels and values must be equal-length and non-empty")
     root, frame, save = _chart(path, title, (0.0, float(len(values))), values + [0.0], "", y_label)
     base = frame.y(max(0.0, frame.y_lo))
-    span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    bar_w = 0.6 * span / len(values)
+    bar_w = 0.6 * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / len(values)
     for i, (label, value) in enumerate(zip(labels, values)):
-        cx = frame.x(i + 0.5)
-        top = frame.y(value)
-        y = min(top, base)
-        h = abs(base - top)
-        ET.SubElement(
-            root,
-            "rect",
-            {
-                "x": _fmt(cx - bar_w / 2),
-                "y": _fmt(y),
-                "width": _fmt(bar_w),
-                "height": _fmt(max(h, 0.5)),
-                "fill": PALETTE[i % len(PALETTE)],
-            },
-        )
+        cx, top = frame.x(i + 0.5), frame.y(value)
+        _add(root, "rect", x=cx - bar_w / 2, y=min(top, base), width=bar_w,
+             height=max(abs(base - top), 0.5), fill=PALETTE[i % len(PALETTE)])
         _x_label(root, cx, str(label))
-    return save(["label", "value"], [[l, f"{v:.17g}"] for l, v in zip(labels, values)])
+    return save(["label", "value"], [[str(l), v] for l, v in zip(labels, values)])
 
 
 def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, log_x=False):
@@ -177,7 +150,13 @@ def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, l
     x_values = [float(x) for x in x_values]
     if not x_values or not series:
         raise ValueError("need x values and at least one series")
+    bad = [x for x in x_values if not math.isfinite(x) or (log_x and x <= 0)]
+    if bad:
+        raise ValueError(f"cannot plot the x value {bad[0]}" + (" on a log axis" if log_x else ""))
     bands = bands or {}
+    stray = [name for name in bands if name not in series]
+    if stray:
+        raise ValueError(f"bands {stray!r} name no series")
     columns = [("x", x_values)]
     for name, ys in series.items():
         columns.append((name, ys))
@@ -193,38 +172,20 @@ def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, l
     )
     for x in x_values:
         _x_label(root, frame.x(x), _fmt(x))
+    legend_x = WIDTH - MARGIN_RIGHT
     for idx, (name, ys) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         if name in bands:
             lo, hi = bands[name]
-            forward = _points(frame, x_values, lo)
             backward = _points(frame, x_values[::-1], list(hi)[::-1])
-            ET.SubElement(
-                root,
-                "polygon",
-                {"points": f"{forward} {backward}", "fill": color, "fill-opacity": "0.15",
-                 "stroke": "none"},
-            )
-        ET.SubElement(
-            root,
-            "polyline",
-            {"points": _points(frame, x_values, ys), "fill": "none", "stroke": color,
-             "stroke-width": "2"},
-        )
+            _add(root, "polygon", points=f"{_points(frame, x_values, lo)} {backward}",
+                 fill=color, fill_opacity=0.15, stroke="none")
+        _add(root, "polyline", points=_points(frame, x_values, ys), fill="none", stroke=color,
+             stroke_width=2)
         legend_y = MARGIN_TOP + 16 * idx
-        ET.SubElement(
-            root,
-            "line",
-            {"x1": str(WIDTH - MARGIN_RIGHT - 120), "y1": str(legend_y),
-             "x2": str(WIDTH - MARGIN_RIGHT - 96), "y2": str(legend_y),
-             "stroke": color, "stroke-width": "2"},
-        )
-        label = ET.SubElement(
-            root, "text", {"x": str(WIDTH - MARGIN_RIGHT - 90), "y": str(legend_y + 4)}
-        )
-        label.text = name
-    header = [name for name, _ in columns]
-    return save(header, zip(*([f"{float(v):.17g}" for v in values] for _, values in columns)))
+        _line(root, legend_x - 120, legend_y, legend_x - 96, legend_y, color, 2)
+        _add(root, "text", name, x=legend_x - 90, y=legend_y + 4)
+    return save([name for name, _ in columns], zip(*(values for _, values in columns)))
 
 
 def box_plot(path, labels, samples, *, title, y_label):
@@ -234,56 +195,28 @@ def box_plot(path, labels, samples, *, title, y_label):
     """
     if len(labels) != len(samples) or not samples:
         raise ValueError("labels and samples must be equal-length and non-empty")
-    stats = []
+    samples = [np.asarray(values, dtype=float) for values in samples]
     for label, values in zip(labels, samples):
-        values = np.asarray(values, dtype=float)
         if values.size == 0:
             raise ValueError(f"no samples for {label!r}")
-        stats.append(
-            (
-                str(label),
-                float(values.min()),
-                float(np.percentile(values, 25)),
-                float(np.median(values)),
-                float(np.percentile(values, 75)),
-                float(values.max()),
-            )
-        )
-    all_values = [v for row in stats for v in row[1:]]
-    root, frame, save = _chart(path, title, (0.0, float(len(stats))), all_values, "", y_label)
-    span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    box_w = 0.45 * span / len(stats)
+    # the quartiles lie between each sample's extremes, so the samples span the same y range
+    root, frame, save = _chart(
+        path, title, (0.0, float(len(samples))), np.concatenate(samples).tolist(), "", y_label
+    )
+    stats = [
+        (str(label), values.min(), np.percentile(values, 25), np.median(values),
+         np.percentile(values, 75), values.max())
+        for label, values in zip(labels, samples)
+    ]
+    box_w = 0.45 * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / len(stats)
     for i, (label, vmin, q1, med, q3, vmax) in enumerate(stats):
         color = PALETTE[i % len(PALETTE)]
         cx = frame.x(i + 0.5)
-        for pair in ((vmin, q1), (q3, vmax)):
-            ET.SubElement(
-                root,
-                "line",
-                {"x1": _fmt(cx), "y1": _fmt(frame.y(pair[0])), "x2": _fmt(cx),
-                 "y2": _fmt(frame.y(pair[1])), "stroke": color, "stroke-width": "1.5"},
-            )
-        ET.SubElement(
-            root,
-            "rect",
-            {
-                "x": _fmt(cx - box_w / 2),
-                "y": _fmt(frame.y(q3)),
-                "width": _fmt(box_w),
-                "height": _fmt(max(frame.y(q1) - frame.y(q3), 0.5)),
-                "fill": color,
-                "fill-opacity": "0.25",
-                "stroke": color,
-            },
-        )
-        ET.SubElement(
-            root,
-            "line",
-            {"x1": _fmt(cx - box_w / 2), "y1": _fmt(frame.y(med)), "x2": _fmt(cx + box_w / 2),
-             "y2": _fmt(frame.y(med)), "stroke": color, "stroke-width": "2"},
-        )
+        for lo, hi in ((vmin, q1), (q3, vmax)):
+            _line(root, cx, frame.y(lo), cx, frame.y(hi), color, 1.5)
+        _add(root, "rect", x=cx - box_w / 2, y=frame.y(q3), width=box_w,
+             height=max(frame.y(q1) - frame.y(q3), 0.5), fill=color, fill_opacity=0.25,
+             stroke=color)
+        _line(root, cx - box_w / 2, frame.y(med), cx + box_w / 2, frame.y(med), color, 2)
         _x_label(root, cx, label)
-    return save(
-        ["label", "min", "q1", "median", "q3", "max"],
-        [[row[0]] + [f"{v:.17g}" for v in row[1:]] for row in stats],
-    )
+    return save(["label", "min", "q1", "median", "q3", "max"], stats)

@@ -98,6 +98,7 @@ def test_softmax_gradient_is_not_exported():
     (aggregation, "_moment"), (models, "_sample_matrix"), (aggregation, "_checked_stack"),
     (aggregation, "_row_weights"), (datasets, "check_class_labels"), (datasets, "one_hot"),
     (metrics, "_argmax_is_class1"), (models.PrecomputedModel, "from_csv"),
+    (metrics, "CSV_COLUMNS"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)

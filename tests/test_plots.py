@@ -228,3 +228,74 @@ def test_constant_samples_of_large_magnitude_stay_on_the_canvas(tmp_path, value)
     for name in ("bar.svg", "line.svg", "box.svg"):
         coords = _coordinates(ET.parse(tmp_path / name).getroot())
         assert coords and all(0 <= v <= 640 for v in coords), name
+
+
+# sha256 of a band-less, linear-axis line chart and its companion CSV, taken
+# before the element writer was shared: test_chart_bytes_pinned draws only a
+# banded, log-x line chart.
+PLAIN_LINE_DIGESTS = {
+    "plain.svg": "15901a1d9ea666a8b60bb5f6a86065b4a384e59506608f9481aab4c6f3fbbe06",
+    "plain.csv": "7226cdc92f7b092486796bc4efb26d7f220c789c0d77107aa219d5178849f644",
+}
+
+
+def test_plain_line_chart_bytes_pinned(tmp_path):
+    line_chart(
+        str(tmp_path / "plain.svg"),
+        [0.5, 2, 3.25, 7],
+        {"iwa": [0.3, -0.15, 1 / 3, 0.08], "dev": [0.4, 0.35, 0.3, 2.5],
+         "oracle": [0.1, 0.1, 0.1, 0.1]},
+        title="Plain lines",
+        x_label="x",
+        y_label="risk",
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PLAIN_LINE_DIGESTS
+    }
+    assert digests == PLAIN_LINE_DIGESTS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteDataRejected:
+    def test_bar_value(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite y value"):
+            bar_chart(str(tmp_path / "x.svg"), ["a", "b"], [1.0, bad], title="t", y_label="y")
+
+    def test_line_y_value(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite y value"):
+            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, bad]},
+                       title="t", x_label="x", y_label="y")
+
+    def test_line_band_value(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite y value"):
+            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, 2.0]},
+                       bands={"s": ([0.5, bad], [1.5, 2.5])}, title="t", x_label="x", y_label="y")
+
+    def test_line_x_value(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="x value"):
+            line_chart(str(tmp_path / "x.svg"), [1.0, bad], {"s": [1.0, 2.0]},
+                       title="t", x_label="x", y_label="y")
+
+    def test_box_sample(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite y value"):
+            box_plot(str(tmp_path / "x.svg"), ["a"], [[1.0, bad]], title="t", y_label="y")
+
+
+def test_rejected_chart_writes_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        bar_chart(str(tmp_path / "x.svg"), ["a"], [np.nan], title="t", y_label="y")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_band_naming_no_series_rejected(tmp_path):
+    with pytest.raises(ValueError, match="'zz'"):
+        line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, 2.0]},
+                   bands={"zz": ([0.5, 1.5], [1.5, 2.5])}, title="t", x_label="x", y_label="y")
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0])
+def test_log_axis_rejects_x_at_or_below_zero(tmp_path, x):
+    with pytest.raises(ValueError, match="log axis"):
+        line_chart(str(tmp_path / "x.svg"), [x, 10.0], {"s": [1.0, 2.0]},
+                   title="t", x_label="x", y_label="y", log_x=True)
