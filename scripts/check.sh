@@ -1,10 +1,10 @@
 #!/bin/sh
 # Print the line count of the Python files under src/ at git revision REV
-# (default HEAD) and in the working tree, and the package modules each
-# module imports at REV and, where they differ, in the working tree. Then
-# run the checks a change must pass, in order, and stop at the first
-# failure: the tier-1 tests, the benchmark's and the tracer's tests, then
-# scripts/compare_outputs.sh against REV.
+# (default HEAD) and in the working tree, in all and per module, and the
+# package modules each module imports at REV and, where they differ, in the
+# working tree. Then run the checks a change must pass, in order, and stop
+# at the first failure: the tier-1 tests, the benchmark's and the tracer's
+# tests, then scripts/compare_outputs.sh against REV.
 #
 #   scripts/check.sh [REV]
 #
@@ -19,15 +19,19 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
-base_lines="$(git archive "$rev" src | tar -xO --wildcards '*.py' | wc -l)"
-work_lines="$(find src -name '*.py' -exec cat {} + | wc -l)"
-echo "== src/ lines: $base_lines at $rev, $work_lines in the working tree" >&2
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # A shell such as dash runs no EXIT trap when a signal ends it; exiting
 # from the signal's own trap does.
 trap 'exit 1' INT TERM
 git archive "$rev" src | tar -x -C "$tmp"
+base_lines="$(find "$tmp/src" -name '*.py' -exec cat {} + | wc -l)"
+work_lines="$(find src -name '*.py' -exec cat {} + | wc -l)"
+echo "== src/ lines: $base_lines at $rev, $work_lines in the working tree" >&2
+# Each module's line count at REV and in the working tree (0 where it is absent).
+{ (cd "$tmp" && find src -name '*.py'); find src -name '*.py'; } | sort -u | while read -r path; do
+  echo "   $path: $(cat "$tmp/$path" 2>/dev/null | wc -l) -> $(cat "$path" 2>/dev/null | wc -l)" >&2
+done
 echo "== package modules each module imports, at $rev [-> in the working tree]" >&2
 python3 - "$tmp/src/shiftagg" src/shiftagg >&2 <<'EOF'
 import ast

@@ -78,7 +78,7 @@ def main(argv=None):
     except INPUT_FAULTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in harness.KINDS[table.kind].summary_lines(table):
+    for line in harness.KINDS[table.kind].summary_lines(table.summary):
         print(line)
     if table.has_failures:
         failed = [r for r in table.rows if r.error is not None]

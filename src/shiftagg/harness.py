@@ -349,14 +349,8 @@ class RateRow:
     error: str = None
 
 
-def _fmt(value):
-    if value is None:
-        return "nan"
-    return f"{float(value):.17g}"
-
-
 def _csv_line(values, columns):
-    """One CSV line of the named values: 17-digit floats, true/false flags."""
+    """One CSV line of the named values: 17-digit floats, true/false flags, nan for None."""
     cells = []
     for column in columns:
         value = values[column]
@@ -365,26 +359,19 @@ def _csv_line(values, columns):
         elif isinstance(value, (str, int)):
             cells.append(str(value))
         else:
-            cells.append(_fmt(value))
+            cells.append("nan" if value is None else f"{float(value):.17g}")
     return ",".join(cells)
 
 
-def _json_value(value):
-    """JSON form of a row or summary value; non-finite floats, in lists too, become strings."""
-    if isinstance(value, list):
-        return [_json_value(float(v)) for v in value]
+def _strict_json(value):
+    """``value`` with every non-finite float, at any depth, as the string nan, inf or -inf."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
-
-
-def _row_json(row):
-    """A row's fields in order; unset ones are left out, except a regression row's null accuracy."""
-    return {
-        name: _json_value(value)
-        for name, value in vars(row).items()
-        if value is not None or name == "accuracy"
-    }
 
 
 @dataclass
@@ -406,21 +393,26 @@ class ResultTable:
     def has_failures(self):
         return any(r.error is not None for r in self.rows)
 
+    @cached_property
+    def summary(self):
+        """The kind's statistics, computed once; its "rows" key holds None (see ``write_json``)."""
+        return KINDS[self.kind].summarise(self)
+
     def write_csv(self, path):
         """The kind's columns, one line per sorted row, then the kind's summary lines."""
         kind = KINDS[self.kind]
-        lines = [",".join(kind.columns)]
-        lines += [_csv_line(vars(row), kind.columns) for row in self.sorted_rows()]
-        lines += kind.csv_tail(self)
+        body = [vars(row) for row in self.sorted_rows()] + kind.csv_tail(self.summary)
+        lines = [",".join(kind.columns)] + [_csv_line(values, kind.columns) for values in body]
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
 
     def write_json(self, path):
-        rows = [_row_json(row) for row in self.sorted_rows()]
-        body = KINDS[self.kind].json_body(self, rows)
-        payload = {"kind": self.kind, "config": self.config, **body}
+        """Kind, config and summary; a row leaves out its unset fields, except accuracy."""
+        rows = [{name: value for name, value in vars(row).items()
+                 if value is not None or name == "accuracy"} for row in self.sorted_rows()]
+        payload = {"kind": self.kind, "config": self.config, **self.summary, "rows": rows}
         with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump(_strict_json(payload), handle, indent=2, allow_nan=False)
             handle.write("\n")
 
 
@@ -476,94 +468,72 @@ def _correlations(table):
     return _groups(table.ok_rows(), lambda r: r.method, lambda r: r.pearson_r)
 
 
-def correlation_summary(table):
-    """Quartiles of the correlation per method."""
-    groups = _correlations(table)
-    return [
-        dict(zip(("method", "q25", "median", "q75"), (method, *_spread(groups[method]))))
-        for method in sorted(groups)
-    ]
-
-
 def rate_spread(table):
     """(q25, median, q75) of the deviation per size; nan for a size without successful rows."""
     deviations = _groups(table.ok_rows(), lambda r: r.size, lambda r: r.deviation)
     return {size: _spread(deviations.get(size, [])) for size in table.extra["sizes"]}
 
 
-def rate_medians(table):
-    return {size: median for size, (_, median, _) in rate_spread(table).items()}
-
-
-def rate_slope(table):
-    """Least-squares slope of log median deviation against log size."""
-    med = rate_medians(table)
-    xs = np.log([float(s) for s in med])
-    ys = np.log(list(med.values()))
-    if not np.all(np.isfinite(ys)):
-        return float("nan")
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def rate_strictly_decreasing(table):
-    values = list(rate_medians(table).values())
-    return all(later < earlier for earlier, later in zip(values, values[1:]))
-
-
-def _aggregate_lines(table):
-    """Aggregate CSV lines; the statistic name sits in the seed column."""
-    columns = KINDS[table.kind].columns
-    return [_csv_line({**agg, "seed": agg["stat"]}, columns) for agg in aggregates(table)]
-
-
-def _aggregates_json(table, rows):
-    body = {
-        "rows": rows,
-        "aggregates": [{k: _json_value(v) for k, v in agg.items()} for agg in aggregates(table)],
-    }
+def _aggregate_summary(table):
+    summary = {"rows": None, "aggregates": aggregates(table)}
     if table.extra:
-        body["extra"] = table.extra
-    return body
+        summary["extra"] = table.extra
+    return summary
 
 
-def _rate_json(table, rows):
-    body = {
+def _correlation_summary(table):
+    """Quartiles of the correlation per method."""
+    groups = _correlations(table)
+    return {"rows": None, "summary": [
+        dict(zip(("method", "q25", "median", "q75"), (method, *_spread(groups[method]))))
+        for method in sorted(groups)
+    ]}
+
+
+def _rate_summary(table):
+    """Median deviation per size, the log-log slope of the medians, and whether they fall."""
+    medians = {size: median for size, (_, median, _) in rate_spread(table).items()}
+    values = list(medians.values())
+    logs = np.log(values)
+    summary = {
         "sizes": list(table.extra["sizes"]),
-        "rows": rows,
-        "medians": {str(k): _json_value(v) for k, v in rate_medians(table).items()},
-        "slope": _json_value(rate_slope(table)),
-        "strictly_decreasing": rate_strictly_decreasing(table),
+        "rows": None,
+        "medians": medians,
+        "slope": (float(np.polyfit(np.log(list(medians)), logs, 1)[0])
+                  if np.all(np.isfinite(logs)) else math.nan),
+        "strictly_decreasing": all(later < earlier for earlier, later in zip(values, values[1:])),
     }
     if "c_star" in table.extra:
-        body["extra"] = {"c_star": table.extra["c_star"]}
-    return body
+        summary["extra"] = {"c_star": table.extra["c_star"]}
+    return summary
 
 
-def _aggregate_summary(table):
-    lines = []
-    for agg in aggregates(table):
-        if agg["stat"] != "median":
-            continue
-        prefix = f"count={agg['count']} " if agg["count"] is not None else ""
-        acc = "" if agg["accuracy"] is None else f" accuracy={agg['accuracy']:.4f}"
-        lines.append(
-            f"{prefix}{agg['method']}: risk={agg['risk']:.6g} excess={agg['excess']:.6g}{acc}"
-        )
-    return lines
+def _aggregate_tail(summary):
+    """Aggregate CSV values; the statistic name sits in the seed column."""
+    return [{**agg, "seed": agg["stat"]} for agg in summary["aggregates"]]
 
 
-def _correlation_lines(table):
+def _aggregate_lines(summary):
     return [
-        f"{entry['method']}: median_r={entry['median']:.4f} "
-        f"iqr=[{entry['q25']:.4f}, {entry['q75']:.4f}]"
-        for entry in correlation_summary(table)
+        ("" if agg["count"] is None else f"count={agg['count']} ")
+        + f"{agg['method']}: risk={agg['risk']:.6g} excess={agg['excess']:.6g}"
+        + ("" if agg["accuracy"] is None else f" accuracy={agg['accuracy']:.4f}")
+        for agg in summary["aggregates"] if agg["stat"] == "median"
     ]
 
 
-def _rate_lines(table):
-    lines = [f"size={size} median_deviation={m:.6g}" for size, m in rate_medians(table).items()]
+def _correlation_lines(summary):
+    return [
+        f"{entry['method']}: median_r={entry['median']:.4f} "
+        f"iqr=[{entry['q25']:.4f}, {entry['q75']:.4f}]"
+        for entry in summary["summary"]
+    ]
+
+
+def _rate_lines(summary):
+    lines = [f"size={size} median_deviation={m:.6g}" for size, m in summary["medians"].items()]
     lines.append(
-        f"slope={rate_slope(table):.4f} strictly_decreasing={rate_strictly_decreasing(table)}"
+        f"slope={summary['slope']:.4f} strictly_decreasing={summary['strictly_decreasing']}"
     )
     return lines
 
@@ -579,7 +549,7 @@ def scaled_weights(weights):
 
 
 def _run_plots(table, plots_dir):
-    aggs = [a for a in aggregates(table) if a["stat"] == "median"]
+    aggs = [a for a in table.summary["aggregates"] if a["stat"] == "median"]
     if aggs:
         labels = [a["method"] for a in aggs]
         plots.bar_chart(
@@ -667,34 +637,36 @@ class TableKind(NamedTuple):
 
     sort_key: Callable  # row -> sort key
     columns: tuple  # CSV header, named after the row fields
-    csv_tail: Callable  # table -> CSV lines after the rows
-    json_body: Callable  # (table, JSON rows) -> results.json keys after "config"
+    summarise: Callable  # table -> summary: the results.json keys after "config"
+    csv_tail: Callable  # summary -> values of the CSV lines after the rows, by column
+    summary_lines: Callable  # summary -> CLI summary lines
     plot: Callable  # (table, plots_dir) -> None
-    summary_lines: Callable  # table -> CLI summary lines
 
 
 # Column order of the run study's results.csv; sensitivity prefixes "count".
 CSV_COLUMNS = ("method", "risk", "accuracy", "excess", "seed")
 
+
 KINDS = {
     "run": TableKind(
-        ResultRow.sort_key, CSV_COLUMNS, _aggregate_lines, _aggregates_json,
-        _run_plots, _aggregate_summary,
+        ResultRow.sort_key, CSV_COLUMNS, _aggregate_summary, _aggregate_tail,
+        _aggregate_lines, _run_plots,
     ),
     "sensitivity": TableKind(
-        ResultRow.sort_key, ("count",) + CSV_COLUMNS, _aggregate_lines, _aggregates_json,
-        _sensitivity_plots, _aggregate_summary,
+        ResultRow.sort_key, ("count",) + CSV_COLUMNS, _aggregate_summary, _aggregate_tail,
+        _aggregate_lines, _sensitivity_plots,
     ),
     "correlation": TableKind(
         lambda r: (r.method, r.seed), ("method", "pearson_r", "degenerate", "seed"),
-        lambda table: [],
-        lambda table, rows: {"rows": rows, "summary": correlation_summary(table)},
-        _correlation_plots, _correlation_lines,
+        _correlation_summary, lambda summary: [], _correlation_lines, _correlation_plots,
     ),
     "rate": TableKind(
-        lambda r: (r.size, r.seed), ("size", "deviation", "seed"),
-        lambda table: [f"{size},{_fmt(m)},median" for size, m in rate_medians(table).items()],
-        _rate_json, _rate_plots, _rate_lines,
+        lambda r: (r.size, r.seed), ("size", "deviation", "seed"), _rate_summary,
+        lambda summary: [
+            {"size": size, "deviation": m, "seed": "median"}
+            for size, m in summary["medians"].items()
+        ],
+        _rate_lines, _rate_plots,
     ),
 }
 
@@ -1091,8 +1063,9 @@ def run_correlation(cfg):
     """Correlate aggregation weights with per-model target accuracies.
 
     Only weight-producing aggregation methods participate (majority vote has
-    no weight vector). Degenerate (constant) weight vectors are flagged and
-    contribute a correlation of 0. No row reads the oracle, so none is solved.
+    no weight vector), on a sequence of at least two models. Degenerate
+    (constant) weight vectors are flagged and contribute a correlation of 0.
+    No row reads the oracle, so none is solved.
     """
     cfg.validate()
     methods = tuple(cfg.methods) or WEIGHT_METHODS
@@ -1102,6 +1075,10 @@ def run_correlation(cfg):
             f"methods: correlation needs weight-producing methods {WEIGHT_METHODS}, got {bad}"
         )
     context_of = _contexts(cfg, "correlation")
+    models = len(cfg.model_csvs) or cfg.l
+    if models < 2:
+        key = "model_csvs" if cfg.model_csvs else "l"
+        raise ConfigError(f"{key}: correlation needs at least two models, got {models}")
 
     def seed_rows(seed):
         ctx = context_of(seed)

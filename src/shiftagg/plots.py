@@ -3,8 +3,9 @@
 Each chart writes two files: the SVG itself and a companion CSV holding
 exactly the plotted data series, so every figure can be recomputed and
 checked. Output is deterministic byte-for-byte for fixed inputs. Data a
-chart cannot draw (a NaN or inf, an x of 0 or less on a log axis, a band
-that names no series) raises ValueError.
+chart cannot draw (a NaN or inf, values whose span overflows a float, an
+x of 0 or less on a log axis, a band that names no series) raises
+ValueError.
 """
 
 import csv
@@ -91,7 +92,8 @@ def _chart(path, title, x_domain, y_values, x_label, y_label, log_x=False):
 
     Returns (root, frame, save); ``save(header, rows)`` writes the SVG to
     ``path`` and the companion CSV next to it, each non-string cell with 17
-    significant digits. A non-finite ``y_values`` entry raises ValueError.
+    significant digits. A non-finite ``y_values`` entry, or an axis whose
+    padded span is not a finite float, raises ValueError.
     """
     bad = [v for v in y_values if not math.isfinite(v)]
     if bad:
@@ -101,6 +103,9 @@ def _chart(path, title, x_domain, y_values, x_label, y_label, log_x=False):
     _add(root, "rect", width=WIDTH, height=HEIGHT, fill="white")
     _add(root, "text", title, x=WIDTH // 2, y=24, text_anchor="middle", font_size=15)
     frame = _Frame(x_domain, _pad_domain(y_values), log_x=log_x)
+    for axis, lo, hi in (("x", frame.x_lo, frame.x_hi), ("y", frame.y_lo, frame.y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"chart {title!r} cannot plot {axis} values whose span overflows")
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     _line(root, x0, y0, x1, y0, "#333333", 1)

@@ -35,8 +35,6 @@ from shiftagg.harness import (
     _subseeds,
     build_instance,
     build_models,
-    rate_medians,
-    rate_slope,
     run_correlation,
     run_experiment,
     run_rate_check,
@@ -102,9 +100,9 @@ def test_criterion_2_weights_converge_with_sample_size():
     )
     elapsed = time.perf_counter() - start
     assert not table.has_failures
-    medians = rate_medians(table)
+    medians = table.summary["medians"]
     assert medians[250] > medians[1000] > medians[4000], f"not decreasing: {medians}"
-    slope = rate_slope(table)
+    slope = table.summary["slope"]
     assert slope <= -0.35, f"log-log slope {slope:.3f} > -0.35"
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds the 2min budget"
     _report(

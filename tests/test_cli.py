@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from shiftagg import harness
 from shiftagg.cli import main
 from shiftagg.harness import ExperimentConfig
 
@@ -275,6 +276,71 @@ def test_csv_run_bytes_pinned(tmp_path, case):
     assert digests == CSV_RUN_DIGESTS[case]
 
 
+# One tiny call of each subcommand, and the sha256 of its stdout, results.csv
+# and results.json: every byte each study kind reports is pinned.
+STUDY_REPORTS = {
+    "run": (
+        ["--dataset", "sinc", "--n", "40", "--m", "40", "--l", "3", "--seeds", "0,1"],
+        "150f8379711f7ab21653dbef6a30633c16df212cd45e972ff46adf2e3c758dd3",
+        "172415c1c0bc12e564b9eb5a3a0f70eacc3f040ac4fbb6653f7b5f5f60c686c1",
+        "901d8d771a6e3fcc3e911882cb35eae682761540b210f2cb0d8a40690d53fe89",
+    ),
+    "sensitivity": (
+        ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0",
+         "--methods", "iwa,tmv,iwv", "--counts", "2"],
+        "184a864018d1b6c5f421c0df3a02669e06633e5efcb231f1d1c4b06900226de5",
+        "4efcad0fa46f6eb1ad6c281f7aa48847a223c4ffa6c1b03ceb401a6edec7ca42",
+        "2211f64373b7fb4d3bf41a877fd20d69402ded94f0462e19d4f54b5aa4282369",
+    ),
+    "correlate": (
+        ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0,1"],
+        "65679b758ec27495f5ac46059e895fbe0658ad34a67ffc57caefa199d438e8e0",
+        "0b119dac844a038408ab1c84435a685480430e1fcc2c38cc8d635589d2eb6342",
+        "5d87ab30208134145268fb36f64ccedab36b8299e27298e2cae7e2755075ace7",
+    ),
+    "rate-check": (
+        ["--n", "80", "--l", "2", "--seeds", "0,1", "--sizes", "50,120",
+         "--oracle-draws", "1500"],
+        "416842833a9875b697a8d048cff0423c0dd1ffaddc92b511970ef19d656ef3c4",
+        "c031c3844fc4f289da773266ff428711fd6b783cc304ce950dddbd32c76ddc84",
+        "fd0c27aefe6d12592aa73c6b07895aba2b345e0c0c8c2a0688eeaf7b0c293bb7",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_REPORTS))
+def test_study_reports_pinned(tmp_path, capsys, command):
+    args, *expected = STUDY_REPORTS[command]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    reports = (
+        capsys.readouterr().out.encode(),
+        (out / "results.csv").read_bytes(),
+        (out / "results.json").read_bytes(),
+    )
+    assert [hashlib.sha256(report).hexdigest() for report in reports] == expected
+
+
+@pytest.mark.parametrize("source", ["ladder", "tables"])
+def test_correlate_with_one_model_exits_one_before_any_seed(tmp_path, monkeypatch, capsys,
+                                                           source):
+    prepared = []
+    monkeypatch.setattr(harness, "_prepare", lambda *args, **kwargs: prepared.append(args))
+    if source == "ladder":
+        args = ["--dataset", "moons", "--l", "1", "--seeds", "0,1"]
+    else:
+        _write_csv_instance(tmp_path)
+        _write_model_csv(tmp_path / "model_a.csv", with_eval_rows=True)
+        args = _csv_args(tmp_path, [tmp_path / "model_a.csv"])[1:]
+        args[args.index("--methods") + 1] = "iwa"
+    assert main(["correlate", *args, "--out", str(tmp_path / "out")]) == 1
+    key = "l" if source == "ladder" else "model_csvs"
+    assert capsys.readouterr().err == (
+        f"error: {key}: correlation needs at least two models, got 1\n")
+    assert prepared == []
+    assert not (tmp_path / "out").exists()
+
+
 def _csv_seeds(command):
     """Two seeds where the study takes them on a CSV instance; the others refuse a second."""
     return "0,1" if command == "sensitivity" else "0"
@@ -330,9 +396,10 @@ CONTENT_FAULTS = {
 ])
 def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault):
     _write_csv_instance(tmp_path)
-    model = tmp_path / "model_a.csv"
-    _write_model_csv(model, with_eval_rows=True)
-    args = _study_args(tmp_path, command, _csv_seeds(command), [model])
+    models = [tmp_path / "model_a.csv", tmp_path / "model_b.csv"]
+    for path in models:
+        _write_model_csv(path, with_eval_rows=True)
+    args = _study_args(tmp_path, command, _csv_seeds(command), models)
     if fault in CONTENT_FAULTS:
         name, spoil, line = CONTENT_FAULTS[fault]
         path = tmp_path / name
@@ -344,7 +411,8 @@ def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault
     else:
         folder = tmp_path / "folder"
         folder.mkdir()
-        args += [fault, str(folder)]
+        # the folder takes the first model table's place: correlate needs two models
+        args += [fault, f"{folder},{models[1]}" if fault == "--model-csvs" else str(folder)]
         expected = (str(folder),)
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 1

@@ -40,11 +40,8 @@ from shiftagg.harness import (
     build_config,
     build_instance,
     build_models,
-    correlation_summary,
     load_config_file,
     parse_config_value,
-    rate_medians,
-    rate_slope,
     rate_spread,
     resolve_methods,
     run_correlation,
@@ -484,6 +481,10 @@ class TestExactSincRisk:
         assert "extra" not in json.loads((tmp_path / "moons" / "results.json").read_text())
 
 
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 class TestResultTable:
     def make_rows(self):
         return [
@@ -543,11 +544,19 @@ class TestResultTable:
         path = tmp_path / "results.json"
         ResultTable(rows=rows, config={}).write_json(str(path))
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        payload = json.loads(path.read_text(), parse_constant=reject)
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
         assert payload["rows"][0]["scores"] == ["inf", 0.5, "-inf", "nan"]
+
+    def test_json_of_non_finite_extra_is_strict(self, tmp_path):
+        gate = {"seed": 0, "so_accuracy": math.nan, "threshold": math.inf, "total": 2}
+        table = ResultTable(rows=[ResultRow(method="iwa", seed=0, count=0, risk=1.0, excess=0.0)],
+                            config={}, kind="sensitivity", extra={"corruption_gate": [gate]})
+        path = tmp_path / "results.json"
+        table.write_json(str(path))
+
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert payload["extra"]["corruption_gate"][0] == {**gate, "so_accuracy": "nan",
+                                                          "threshold": "inf"}
 
     def test_sorted_rows_by_count_method_seed(self):
         rows = [
@@ -865,7 +874,7 @@ class TestCorrelation:
         assert not table.has_failures
         for row in table.rows:
             assert -1.0 <= row.pearson_r <= 1.0
-        summary = {entry["method"] for entry in correlation_summary(table)}
+        summary = {entry["method"] for entry in table.summary["summary"]}
         assert summary == {"iwa", "sor"}
 
     def test_csv_layout(self, tmp_path):
@@ -919,10 +928,10 @@ class TestRateCheck:
         assert table.extra["sizes"] == (50, 120)
         assert len(table.rows) == 2
         assert not table.has_failures
-        medians = rate_medians(table)
+        medians = table.summary["medians"]
         assert set(medians) == {50, 120}
         assert all(v >= 0 for v in medians.values())
-        assert isinstance(rate_slope(table), float)
+        assert isinstance(table.summary["slope"], float)
         for size, (q25, median, q75) in rate_spread(table).items():
             assert q25 <= median == medians[size] <= q75
 
@@ -1058,6 +1067,6 @@ class TestWriteOutputs:
         with open(out / "plots" / "rate.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x", "iwa", "iwa_lo", "iwa_hi"]
-        medians = rate_medians(table)
+        medians = table.summary["medians"]
         for row in rows[1:]:
             assert float(row[1]) == medians[int(float(row[0]))]

@@ -98,7 +98,9 @@ def test_softmax_gradient_is_not_exported():
     (aggregation, "_moment"), (models, "_sample_matrix"), (aggregation, "_checked_stack"),
     (aggregation, "_row_weights"), (datasets, "check_class_labels"), (datasets, "one_hot"),
     (metrics, "_argmax_is_class1"), (models.PrecomputedModel, "from_csv"),
-    (metrics, "CSV_COLUMNS"),
+    (metrics, "CSV_COLUMNS"), (harness, "rate_medians"), (harness, "rate_slope"),
+    (harness, "rate_strictly_decreasing"), (harness, "correlation_summary"),
+    (harness.TableKind, "json_body"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -288,6 +288,20 @@ def test_rejected_chart_writes_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("draw", [
+    lambda path: bar_chart(path, ["a", "b"], [1e308, -1e308], title="t", y_label="y"),
+    lambda path: box_plot(path, ["a"], [[1e308, -1e308]], title="t", y_label="y"),
+    lambda path: line_chart(path, [1e308, -1e308], {"s": [1.0, 2.0]},
+                            title="t", x_label="x", y_label="y"),
+    lambda path: line_chart(path, [1, 2], {"s": [1e308, -1e308]},
+                            title="t", x_label="x", y_label="y"),
+], ids=["bar", "box", "line_x", "line_y"])
+def test_span_that_overflows_a_float_is_rejected(tmp_path, draw):
+    with pytest.raises(ValueError, match="span overflows"):
+        draw(str(tmp_path / "x.svg"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_band_naming_no_series_rejected(tmp_path):
     with pytest.raises(ValueError, match="'zz'"):
         line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, 2.0]},
