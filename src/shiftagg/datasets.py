@@ -11,6 +11,7 @@ import csv
 from dataclasses import dataclass
 from functools import cache
 import math
+import numbers
 
 import numpy as np
 
@@ -124,8 +125,8 @@ def gauss_hermite(count, mean=0.0, std=1.0):
     accurate relative to their own size; an eigenvector's first component
     is accurate only relative to the largest weight.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if not 0 < std < math.inf:

@@ -74,12 +74,14 @@ def checked_stack(predictions, labels=None):
     """A non-empty, finite (l, k, d2) prediction stack and its (k, d2) labels, as floats.
 
     Without labels only the stack is checked and the labels come back None.
-    Shape faults raise DimensionError, an empty stack ValueError, and NaN or
-    inf NumericalError.
+    Shape faults raise DimensionError, a stack with no models or no rows
+    ValueError, and NaN or inf NumericalError.
     """
     preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 3:
         raise DimensionError(f"prediction stack of shape {preds.shape} is not (l, k, d2)")
+    if preds.shape[0] == 0:
+        raise ValueError("predictions hold no models: need at least one model")
     if preds.shape[1] == 0:
         raise ValueError("predictions are empty: need at least one row")
     _require_finite(preds, "predictions")

@@ -784,7 +784,9 @@ class _SeedContext:
             return metrics.accuracies(self.eval_stack, self.eval_labels)
         return self.accuracies
 
-    def evaluate(self, method, seed, count=None):
+    def evaluate(self, blank):
+        """``blank``, one method's unfilled row, filled in with that method's result here."""
+        method = blank.method
         weights, diagnostics = METHODS[method](self)
         preds = diagnostics.pop("predictions", None)
         if preds is None:
@@ -792,58 +794,45 @@ class _SeedContext:
         risk = self.risk(preds)
         if not math.isfinite(risk) or (weights is not None and not np.all(np.isfinite(weights))):
             raise NumericalError(f"{method} produced a non-finite risk or weight vector")
-        return ResultRow(
-            method=method,
-            seed=seed,
+        return replace(
+            blank,
             risk=risk,
             accuracy=metrics.accuracy(preds, self.eval_labels) if self.classification else None,
             excess=risk - self.oracle_risk,
-            count=count,
             weights=None if weights is None else [float(w) for w in weights],
             **diagnostics,
-        )
-
-    def rows(self, seed, methods, count=None):
-        """Rows for ``methods``; per-method failures become error rows, the rest still run."""
-        return _per_method(
-            methods,
-            lambda method: self.evaluate(method, seed, count=count),
-            lambda method: ResultRow(method=method, seed=seed, count=count),
         )
 
 
 # --- the seed loop -----------------------------------------------------------------
 
 
-def _describe(exc):
-    return f"{type(exc).__name__}: {exc}"
+def _study(cfg, kind, prepare, blanks, fill, extra=None):
+    """A ``kind`` table over the seeds of ``cfg``: ``fill(prepare(seed), blank)`` per row.
 
-
-def _per_method(methods, row_of, blank_of):
-    """``row_of(method)`` per method; one that raises gets ``blank_of(method)`` with its error."""
-    rows = []
-    for method in methods:
-        try:
-            rows.append(row_of(method))
-        except Exception as exc:  # failure isolation per method
-            rows.append(replace(blank_of(method), error=_describe(exc)))
-    return rows
-
-
-def _study(cfg, kind, seed_rows, blank_rows, extra=None):
-    """A ``kind`` table of ``seed_rows(seed)`` over the seeds of ``cfg``.
-
-    A seed that raises gets ``blank_rows(seed)`` with their error set, and
-    the other seeds still run; an input fault (``INPUT_FAULTS``) stops the run.
+    ``blanks(seed, prepared)`` lists a seed's rows once, unfilled, with
+    ``prepared`` None when ``prepare(seed)`` raised. An input fault
+    (``INPUT_FAULTS``) stops the run. Any other error fails the rows it kept
+    from being computed, with its description as their error: every row of
+    the seed when ``prepare`` raised, else the one row whose ``fill`` did.
+    The other rows still run.
     """
-    rows = []
-    for seed in cfg.seeds:
+
+    def attempt(compute, *args):
         try:
-            rows.extend(seed_rows(seed))
+            return compute(*args), None
         except INPUT_FAULTS:
             raise
-        except Exception as exc:  # failure isolation per seed
-            rows.extend(replace(row, error=_describe(exc)) for row in blank_rows(seed))
+        except Exception as exc:  # failure isolation
+            return None, f"{type(exc).__name__}: {exc}"
+
+    def seed_rows(seed):
+        prepared, failed = attempt(prepare, seed)
+        for blank in blanks(seed, prepared):
+            row, error = (None, failed) if failed else attempt(fill, prepared, blank)
+            yield row if error is None else replace(blank, error=error)
+
+    rows = [row for seed in cfg.seeds for row in seed_rows(seed)]
     return ResultTable(rows=rows, config=cfg.as_dict(), kind=kind, extra=extra or {})
 
 
@@ -893,15 +882,13 @@ def run_experiment(cfg):
     outputs taken as values.
     """
     cfg.validate()
-    context_of = _contexts(cfg)
 
-    def seed_rows(seed):
-        ctx = context_of(seed)
-        return ctx.rows(seed, resolve_methods(cfg, ctx.classification))
+    def blanks(seed, ctx):
+        classification = cfg.dataset == "moons" if ctx is None else ctx.classification
+        return [ResultRow(method, seed) for method in resolve_methods(cfg, classification)]
 
-    blank = resolve_methods(cfg, cfg.dataset == "moons")
     extra = {"target_risk": _sinc_target_risk(cfg)} if cfg.dataset == "sinc" else None
-    return _study(cfg, "run", seed_rows, lambda seed: [ResultRow(m, seed) for m in blank], extra)
+    return _study(cfg, "run", _contexts(cfg), blanks, _SeedContext.evaluate, extra)
 
 
 def _sinc_target_risk(cfg):
@@ -1028,7 +1015,8 @@ def run_sensitivity(cfg):
     gate_stats = []
     context_of = _contexts(cfg, "sensitivity")
 
-    def seed_rows(seed):
+    def prepare(seed):
+        """Each count's context, on the leading slices of the seed's extended stacks."""
         ctx = context_of(seed)
         instance, models, beta = ctx.instance, ctx.models, ctx.beta
         corrupted, picks, eval_stack, accuracies, stats = _draw_corrupted(ctx, seed, max(counts))
@@ -1040,18 +1028,17 @@ def run_sensitivity(cfg):
                                  (instance.source_x, instance.target_x))
         ]
         stacks.append(eval_stack)
-        del ctx  # the extended stacks copy the prepared ones; free those for the count loop
-        rows = []
-        for count in counts:
-            size = len(models) + count
-            prefix = tuple(stack[:size] for stack in stacks)
-            context = _SeedContext(cfg, instance, full[:size], beta, prefix, accuracies[:size])
-            rows.extend(context.rows(seed, methods, count))
-        return rows
+
+        def prefix(size):
+            return _SeedContext(cfg, instance, full[:size], beta,
+                                tuple(stack[:size] for stack in stacks), accuracies[:size])
+
+        return {count: prefix(len(models) + count) for count in counts}
 
     return _study(
-        cfg, "sensitivity", seed_rows,
-        lambda seed: [ResultRow(method=m, seed=seed, count=c) for c in counts for m in methods],
+        cfg, "sensitivity", prepare,
+        lambda seed, _: [ResultRow(m, seed, count=c) for c in counts for m in methods],
+        lambda contexts, blank: contexts[blank.count].evaluate(blank),
         {"corruption_gate": gate_stats, "added_counts": counts},
     )
 
@@ -1080,18 +1067,18 @@ def run_correlation(cfg):
         key = "model_csvs" if cfg.model_csvs else "l"
         raise ConfigError(f"{key}: correlation needs at least two models, got {models}")
 
-    def seed_rows(seed):
+    def prepare(seed):
         ctx = context_of(seed)
-        accuracies = ctx.model_accuracies()
+        return ctx, ctx.model_accuracies()
 
-        def correlate(method):
-            weights, _ = METHODS[method](ctx)
-            return CorrelationRow(method, seed, *pearson_with_flag(weights, accuracies))
+    def fill(prepared, blank):
+        ctx, accuracies = prepared
+        weights, _ = METHODS[blank.method](ctx)
+        pearson_r, degenerate = pearson_with_flag(weights, accuracies)
+        return replace(blank, pearson_r=pearson_r, degenerate=degenerate)
 
-        return _per_method(methods, correlate, lambda method: CorrelationRow(method, seed))
-
-    return _study(cfg, "correlation", seed_rows,
-                  lambda seed: [CorrelationRow(m, seed) for m in methods])
+    return _study(cfg, "correlation", prepare,
+                  lambda seed, _: [CorrelationRow(m, seed) for m in methods], fill)
 
 
 # --- convergence-rate check ---------------------------------------------------
@@ -1146,25 +1133,27 @@ def run_rate_check(cfg):
     def sinc(n, m, seed):
         return make_sinc_shift(n, m, seed, interpret_std=cfg.sinc_interpret_std)
 
-    def seed_rows(seed):
+    def deviations(seed):
+        """Each size's deviation: the sizes share the seed's models and c_star, so fail together."""
         # Subseed 0 draws the models' sample, 2 onward the size draws; 1 is unused.
         subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
         models = _sinc_sequence(cfg, sinc(cfg.n, 1, subseeds[0]))
         c_star = aggregation.oracle_weights(
             _sinc_ladder_into(stack, models, powers), rule_y, cfg.rcond
         ).weights
-        rows = []
+        found = {}
         for size, sub in zip(sizes, subseeds[2:]):
             inst = sinc(size, size, sub)
             c_tilde = aggregation.iwa(
                 models, inst.source_x, inst.source_y, inst.target_x, beta, cfg.rcond
             ).weights
-            rows.append(RateRow(seed, size, float(np.linalg.norm(c_tilde - c_star))))
-        return rows
+            found[size] = float(np.linalg.norm(c_tilde - c_star))
+        return found
 
     return _study(
-        cfg, "rate", seed_rows,
-        lambda seed: [RateRow(seed, size, float("nan")) for size in sizes],
+        cfg, "rate", deviations,
+        lambda seed, _: [RateRow(seed, size, math.nan) for size in sizes],
+        lambda found, blank: replace(blank, deviation=found[blank.size]),
         {"sizes": sizes, "c_star": _rate_oracle(cfg)},
     )
 

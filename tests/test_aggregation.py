@@ -328,6 +328,46 @@ def test_each_input_checked_once(monkeypatch, estimator, expected):
     assert scans == expected
 
 
+def gram_and_moment(estimator):
+    """(G, g) of one estimator call: G as given to the pseudo-inverse, stubbed to I so c = g."""
+    grams = []
+
+    def recorded(a, rcond):
+        grams.append(np.array(a))
+        return _identity_pinv(a, rcond)
+
+    with mock.patch.object(aggregation, "spectral_pinv", recorded):
+        moment = estimator().weights
+    (gram,) = grams
+    return gram, moment
+
+
+PREFIX_RNG = np.random.default_rng(17)
+PREFIX_MODELS = [LinearModel(PREFIX_RNG.normal(size=(2, 3)), PREFIX_RNG.normal(size=3))
+                 for _ in range(5)]
+PREFIX_XS, PREFIX_TARGET_XS = PREFIX_RNG.normal(size=(2, 40, 2))
+PREFIX_YS = PREFIX_RNG.normal(size=(40, 3))
+PREFIX_WEIGHTS = PREFIX_RNG.dirichlet(np.ones(40))
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda models: iwa(models, PREFIX_XS, PREFIX_YS, PREFIX_TARGET_XS,
+                       FixedRatio(40 * PREFIX_WEIGHTS)),
+    lambda models: sor(stack_predictions(models, PREFIX_XS), PREFIX_YS),
+    lambda models: oracle_weights(stack_predictions(models, PREFIX_TARGET_XS), PREFIX_YS,
+                                  weights=PREFIX_WEIGHTS),
+], ids=["iwa", "sor", "oracle-weighted"])
+def test_leading_models_give_the_leading_block(estimator):
+    # The Gram and moment of the first k models are the leading k x k block
+    # and the first k entries of those of all l models, so a prefix of the
+    # sequence (a sensitivity count) may slice the full sequence's stacks.
+    full_gram, full_moment = gram_and_moment(lambda: estimator(PREFIX_MODELS))
+    for k in range(1, len(PREFIX_MODELS)):
+        gram, moment = gram_and_moment(lambda: estimator(PREFIX_MODELS[:k]))
+        np.testing.assert_allclose(gram, full_gram[:k, :k], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(moment, full_moment[:k], rtol=1e-12, atol=1e-14)
+
+
 class TestWeightedOracle:
     def test_uniform_row_weights_match_unweighted(self):
         rng = np.random.default_rng(5)

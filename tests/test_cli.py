@@ -230,6 +230,23 @@ def test_model_csvs_of_different_widths_fail_loudly(tmp_path, capsys):
     assert "output_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", [harness.ConfigError("bad setting"), OSError("unreadable")],
+                         ids=["config", "os"])
+@pytest.mark.parametrize("command", ["run", "sensitivity", "correlate"])
+def test_input_fault_in_a_method_exits_one(tmp_path, monkeypatch, capsys, command, fault):
+    # A bad setting or input file stops the run, wherever it surfaces.
+    def raises(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(harness.aggregation, "sor", raises)
+    args = [command, "--dataset", "moons", "--n", "40", "--m", "40", "--l", "2",
+            "--seeds", "0", "--methods", "iwa,sor", "--out", str(tmp_path / "out")]
+    assert main(args + (["--counts", "1"] if command == "sensitivity" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {fault}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_failures_exit_two(tmp_path, capsys):
     _write_csv_instance(tmp_path)
     # The prediction tables lack the evaluation rows, so every method fails.

@@ -143,6 +143,17 @@ class TestGaussHermite:
         with pytest.raises(ValueError, match="mean"):
             gauss_hermite(3, np.nan)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.inf, np.nan, "3", None])
+    def test_count_must_be_an_integer(self, count):
+        # Like a softmax fit's epochs: an integer >= 1, never truncated.
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            gauss_hermite(count)
+
+    def test_numpy_integer_count_accepted(self):
+        nodes, weights = gauss_hermite(np.int64(4))
+        expected_nodes, expected_weights = gauss_hermite(4)
+        assert np.array_equal(nodes, expected_nodes) and np.array_equal(weights, expected_weights)
+
 
 class TestSincRuleSplit:
     def test_eval_split_is_the_target_rule(self):
@@ -307,6 +318,9 @@ class TestInstanceValidation:
         inst = make_sinc_shift(5, 5, seed=0)
         broken = dataclasses.replace(inst, source_y=inst.source_y[:3])
         with pytest.raises(DimensionError, match="row counts"):
+            broken.validate()
+        broken = dataclasses.replace(inst, target_eval_y=inst.target_eval_y[:3])
+        with pytest.raises(DimensionError, match="target_eval_x and target_eval_y row counts"):
             broken.validate()
 
     def test_input_dim_mismatch_rejected(self):

@@ -3,7 +3,8 @@
 A sample is a (rows, columns) matrix. Anything else raises DimensionError
 naming the argument; a sample that a model or ratio is fitted on must also
 have a row and only finite entries, else ValueError naming the argument.
-Class labels pass one rule too, ``errors.class_labels``.
+Class labels pass one rule too, ``errors.class_labels``, and so does a
+prediction stack, ``errors.checked_stack``.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shiftagg import aggregation, datasets, density_ratio, models
+from shiftagg import aggregation, datasets, density_ratio, models, selection
 from shiftagg.errors import DimensionError, class_labels
 
 GOOD = np.zeros((3, 1))
@@ -92,3 +93,25 @@ def test_class_labels_come_back_as_ints(labels, classes):
     out = class_labels(labels, classes)
     assert out.dtype.kind == "i"
     assert np.array_equal(out, np.asarray(labels))
+
+
+# Every entry point that takes a prediction stack, called on one of shape (0, 4, 2).
+NO_MODELS = np.zeros((0, 4, 2))
+STACK_READERS = {
+    "sor": lambda: aggregation.sor(NO_MODELS, np.zeros((4, 2))),
+    "tmr": lambda: aggregation.tmr(NO_MODELS),
+    "tcr": lambda: aggregation.tcr(NO_MODELS),
+    "oracle_weights": lambda: aggregation.oracle_weights(NO_MODELS, np.zeros((4, 2))),
+    "majority_votes": lambda: aggregation.majority_votes(NO_MODELS),
+    "iwv_select": lambda: selection.iwv_select(NO_MODELS, np.zeros((4, 2)), np.ones(4)),
+    "dev_select": lambda: selection.dev_select(NO_MODELS, np.zeros((4, 2)), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("entry", STACK_READERS.values(), ids=STACK_READERS)
+def test_stack_with_no_models_rejected(entry):
+    # Without the rule the Gram solvers blamed near-duplicate models, the
+    # vote returned class 0 with no voters and selection took an empty argmin.
+    with pytest.raises(ValueError, match="need at least one model") as raised:
+        entry()
+    assert raised.type is ValueError

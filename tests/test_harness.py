@@ -74,6 +74,15 @@ def seed_context(cfg, inst, models, beta):
     return _SeedContext(cfg, inst, models, beta, stacks)
 
 
+def study_rows(context, seed, methods, count=None):
+    """``context``'s rows for ``methods`` through the study loop: a raising method fails its row."""
+    return harness._study(
+        dataclasses.replace(context.cfg, seeds=(seed,)), "run", lambda seed: context,
+        lambda seed, _: [ResultRow(method, seed, count=count) for method in methods],
+        _SeedContext.evaluate,
+    ).rows
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         ExperimentConfig().validate()
@@ -312,7 +321,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**SINC_SMALL)
         inst = build_instance(cfg, 0)
         models = build_models(cfg, inst)
-        rows = seed_context(cfg, inst, models, ConstantRatio(1.0)).rows(0, ("iwa", "bogus"))
+        rows = study_rows(seed_context(cfg, inst, models, ConstantRatio(1.0)), 0, ("iwa", "bogus"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].error is None
         assert "bogus" in by_method["bogus"].error
@@ -357,7 +366,7 @@ class TestRunExperiment:
         ]
         stacks[0][1, 0, 0] = np.nan  # one source prediction poisons the moment vector
         context = _SeedContext(cfg, inst, models, ConstantRatio(1.0), tuple(stacks))
-        rows = context.rows(0, ("iwa", "tmv", "oracle"))
+        rows = study_rows(context, 0, ("iwa", "tmv", "oracle"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].error.startswith("NumericalError")
         assert by_method["iwa"].weights is None
@@ -365,6 +374,19 @@ class TestRunExperiment:
             assert by_method[method].error is None
             assert math.isfinite(by_method[method].risk)
         assert ResultTable(rows=rows, config={}).has_failures
+
+    def test_non_finite_weight_becomes_error_row(self, monkeypatch):
+        # A finite risk does not pass an infinite weight: the method's own row fails.
+        monkeypatch.setitem(harness.METHODS, "stub", lambda ctx: (
+            np.array([np.inf, 0.0, 0.0]), {"predictions": ctx.eval_stack[0]}))
+        cfg = ExperimentConfig(**MOONS_SMALL)
+        inst = build_instance(cfg, 0)
+        context = seed_context(cfg, inst, build_models(cfg, inst), ConstantRatio(1.0))
+        by_method = {r.method: r for r in study_rows(context, 0, ("stub", "iwa"))}
+        assert by_method["stub"].error == (
+            "NumericalError: stub produced a non-finite risk or weight vector")
+        assert by_method["stub"].weights is None and math.isnan(by_method["stub"].risk)
+        assert by_method["iwa"].error is None
 
     def test_nan_model_output_fails_every_vote_method(self):
         # A NaN output casts no vote: the majority vote, like the two
@@ -391,7 +413,7 @@ class TestNoShiftReduction:
         inst = build_instance(cfg, 0)
         inst = dataclasses.replace(inst, target_x=inst.source_x)
         models = build_models(cfg, inst)
-        rows = seed_context(cfg, inst, models, ConstantRatio(1.0)).rows(0, ("iwa", "sor"))
+        rows = study_rows(seed_context(cfg, inst, models, ConstantRatio(1.0)), 0, ("iwa", "sor"))
         by_method = {r.method: r for r in rows}
         assert by_method["iwa"].weights == by_method["sor"].weights
         assert by_method["iwa"].risk == by_method["sor"].risk
@@ -615,6 +637,18 @@ class TestSensitivity:
         assert all(math.isnan(r.risk) and r.weights is None for r in by_seed[1])
         assert [stats["seed"] for stats in table.extra["corruption_gate"]] == [0]
 
+    def test_failing_method_leaves_the_others(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(aggregation, "tcr", boom)
+        cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa", "tcr"), counts=(2,))
+        table = run_sensitivity(cfg)
+        errors = {(r.count, r.method): r.error for r in table.rows}
+        assert len(errors) == len(table.rows) == 2 * len(resolve_methods(cfg, True))
+        assert {key: error for key, error in errors.items() if error} == {
+            (0, "tcr"): "FloatingPointError: boom", (2, "tcr"): "FloatingPointError: boom"}
+
     def test_deterministic(self, tmp_path):
         cfg = ExperimentConfig(**MOONS_SMALL, methods=("iwa",), counts=(2,))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -636,7 +670,7 @@ class TestSensitivity:
             for count in (0, 2, 5):
                 sequence = models + corrupted[:count]
                 context = seed_context(cfg, inst, sequence, beta)
-                reference.extend(context.rows(seed, resolve_methods(cfg, True), count))
+                reference.extend(study_rows(context, seed, resolve_methods(cfg, True), count))
         assert not table.has_failures
         assert [repr(dataclasses.asdict(r)) for r in table.rows] == [
             repr(dataclasses.asdict(r)) for r in reference

@@ -100,10 +100,45 @@ def test_softmax_gradient_is_not_exported():
     (metrics, "_argmax_is_class1"), (models.PrecomputedModel, "from_csv"),
     (metrics, "CSV_COLUMNS"), (harness, "rate_medians"), (harness, "rate_slope"),
     (harness, "rate_strictly_decreasing"), (harness, "correlation_summary"),
-    (harness.TableKind, "json_body"),
+    (harness.TableKind, "json_body"), (harness, "_per_method"), (harness._SeedContext, "rows"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def _is_broad(handler):
+    """Whether an ``except`` clause catches every ordinary error."""
+    caught = handler.type
+    return caught is None or (isinstance(caught, ast.Name)
+                              and caught.id in ("Exception", "BaseException"))
+
+
+def _reraises_input_faults(handler):
+    return (isinstance(handler.type, ast.Name) and handler.type.id == "INPUT_FAULTS"
+            and len(handler.body) == 1 and isinstance(handler.body[0], ast.Raise)
+            and handler.body[0].exc is None)
+
+
+def test_only_the_study_loop_catches_every_error():
+    # One loop decides whether an error fails a row or stops the run: every
+    # broad handler sits in harness._study, right after a handler that lets
+    # an input fault through.
+    root = os.path.dirname(shiftagg.__file__)
+    placed = []
+    for filename in sorted(os.listdir(root)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(root, filename)) as handle:
+            tree = ast.parse(handle.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Try):
+                    continue
+                for before, handler in zip([None, *node.handlers], node.handlers):
+                    if _is_broad(handler):
+                        placed.append((filename, getattr(top, "name", None),
+                                       before is not None and _reraises_input_faults(before)))
+    assert placed == [("harness.py", "_study", True)]
 
 
 # The modules the estimator needs. They read model outputs, labels and
