@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run all four studies back to back (2.6 s in all, the median of 3 runs on a
+# Run all four studies back to back (2.4 s in all, the median of 3 runs on a
 # 2-core machine with Python 3.11 and numpy 2.4).
 set -eu
 cd "$(dirname "$0")"

@@ -74,8 +74,8 @@ def checked_stack(predictions, labels=None):
     """A non-empty, finite (l, k, d2) prediction stack and its (k, d2) labels, as floats.
 
     Without labels only the stack is checked and the labels come back None.
-    Shape faults raise DimensionError, a stack with no models or no rows
-    ValueError, and NaN or inf NumericalError.
+    Shape faults raise DimensionError, a stack with no models, no rows or no
+    output columns ValueError, and NaN or inf NumericalError.
     """
     preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 3:
@@ -84,6 +84,8 @@ def checked_stack(predictions, labels=None):
         raise ValueError("predictions hold no models: need at least one model")
     if preds.shape[1] == 0:
         raise ValueError("predictions are empty: need at least one row")
+    if preds.shape[2] == 0:
+        raise ValueError("predictions have no output columns: need at least one")
     _require_finite(preds, "predictions")
     if labels is not None:
         labels = np.asarray(labels, dtype=float)

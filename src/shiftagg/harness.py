@@ -249,19 +249,6 @@ def _sinc_sequence(cfg, instance):
     return models
 
 
-def _sinc_ladder_into(stack, models, powers):
-    """Fill the (l, k, 1) ``stack`` with a sinc ladder's predictions; returns it.
-
-    ``powers`` is ``polynomial_features(xs, l - 1)`` of the k rows: model j
-    of ``_sinc_sequence`` reads the leading j columns, so one table serves
-    the whole ladder and each model writes ``stack[j]`` in place. The result
-    equals ``stack_predictions(models, xs)`` bit for bit.
-    """
-    for degree, model in enumerate(models):
-        stack[degree] = model.base.predict_many(powers[:, :degree])
-    return stack
-
-
 def _moons_sequence(cfg, instance):
     decays = [lam * BASE_WEIGHT_DECAY for lam in LAMBDA_GRID[: cfg.l]]
     labels = instance.source_y.argmax(axis=1)
@@ -1097,11 +1084,44 @@ def _rate_rule(cfg):
     return rule_x, np.sinc(rule_x)
 
 
+def _rate_gauss_rule(rule_x, rule_y, count):
+    """(nodes, labels, weights) of the count-node Gauss rule of the draws' empirical law.
+
+    A Stieltjes recurrence over the draws gives the recurrence coefficients
+    of their orthonormal polynomials p_k and the projection coefficients
+    mean(p_k * y); the Jacobi matrix's eigenvectors give the nodes, the
+    weights and that projection's values at the nodes, which are the labels.
+    For polynomials f, g of degree < count the rule reproduces mean(f * g)
+    and mean(f * y) over the draws exactly, so a least squares of a ladder
+    of such models on it equals the one on all the draws. Needs count <= the
+    number of draws; with count equal to it the rule is the draws.
+    """
+    x, y = rule_x[:, 0], rule_y[:, 0]
+    alpha, coef, off = np.empty(count), np.empty(count), np.zeros(count)
+    prev, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(count):
+        alpha[k] = np.mean(x * p * p)
+        coef[k] = np.mean(p * y)
+        if k + 1 < count:
+            q = (x - alpha[k]) * p - off[k] * prev
+            off[k + 1] = math.sqrt(np.mean(q * q))
+            prev, p = p, q / off[k + 1]
+    jacobi = np.diag(alpha) + np.diag(off[1:], 1) + np.diag(off[1:], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes[:, None], (coef @ vectors / vectors[0])[:, None], vectors[0] ** 2
+
+
+def _rate_nodes(cfg):
+    """Nodes of the rate check's Gauss rule: one per ladder model, at most one per draw."""
+    return min(cfg.l, cfg.oracle_draws)
+
+
 def _rate_oracle(cfg):
     """How a rate check computes c_star, for its results.json."""
     return {
         "rule": "monte-carlo",
         "draws": cfg.oracle_draws,
+        "nodes": _rate_nodes(cfg),
         "labels": "noise-free sinc",
         "stream": _RATE_RULE_STREAM,
         "target_mean": SINC_TARGET_MEAN,
@@ -1115,9 +1135,11 @@ def run_rate_check(cfg):
     The model sequence is trained once per seed on an independent source
     draw (size cfg.n) and held fixed; c_star is its least-squares fit on the
     run's oracle rule, cfg.oracle_draws target inputs drawn once per run and
-    labeled with the noise-free sinc (``_rate_rule``); c_tilde is recomputed
-    on fresh source/target samples of each size in cfg.sizes. Both solves
-    use cfg.rcond so the comparison is apples to apples. Requires the sinc
+    labeled with the noise-free sinc (``_rate_rule``), solved exactly on the
+    rule's l-node Gauss rule (``_rate_gauss_rule``), since every ladder model
+    is a polynomial of degree < l; c_tilde is recomputed on fresh
+    source/target samples of each size in cfg.sizes. Both solves use
+    cfg.rcond so the comparison is apples to apples. Requires the sinc
     dataset, whose ratio is analytic.
     """
     cfg.validate()
@@ -1125,10 +1147,7 @@ def run_rate_check(cfg):
         raise ConfigError("rate check requires dataset = sinc")
     sizes = tuple(sorted(set(cfg.sizes)))
     beta = sinc_ratio(cfg.sinc_interpret_std)
-    rule_x, rule_y = _rate_rule(cfg)
-    # One power table and one prediction stack per run, refilled by each seed.
-    powers = polynomial_features(rule_x, cfg.l - 1)
-    stack = np.empty((cfg.l, cfg.oracle_draws, 1))
+    nodes, labels, weights = _rate_gauss_rule(*_rate_rule(cfg), _rate_nodes(cfg))
 
     def sinc(n, m, seed):
         return make_sinc_shift(n, m, seed, interpret_std=cfg.sinc_interpret_std)
@@ -1139,7 +1158,7 @@ def run_rate_check(cfg):
         subseeds = _subseeds(_RATE_STREAM, seed, 2 + len(sizes))
         models = _sinc_sequence(cfg, sinc(cfg.n, 1, subseeds[0]))
         c_star = aggregation.oracle_weights(
-            _sinc_ladder_into(stack, models, powers), rule_y, cfg.rcond
+            stack_predictions(models, nodes), labels, cfg.rcond, weights
         ).weights
         found = {}
         for size, sub in zip(sizes, subseeds[2:]):

@@ -319,8 +319,8 @@ STUDY_REPORTS = {
         ["--n", "80", "--l", "2", "--seeds", "0,1", "--sizes", "50,120",
          "--oracle-draws", "1500"],
         "416842833a9875b697a8d048cff0423c0dd1ffaddc92b511970ef19d656ef3c4",
-        "c031c3844fc4f289da773266ff428711fd6b783cc304ce950dddbd32c76ddc84",
-        "fd0c27aefe6d12592aa73c6b07895aba2b345e0c0c8c2a0688eeaf7b0c293bb7",
+        "a99c3d591d7eaaea991993d0ff7ce6758827407ef9dfebb9255b2e0363dc9d37",
+        "e4b92a02bc44d4765a108c011066033eb4f170f67209e633c0731d1f8b29892d",
     ),
 }
 

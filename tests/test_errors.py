@@ -95,16 +95,18 @@ def test_class_labels_come_back_as_ints(labels, classes):
     assert np.array_equal(out, np.asarray(labels))
 
 
-# Every entry point that takes a prediction stack, called on one of shape (0, 4, 2).
-NO_MODELS = np.zeros((0, 4, 2))
+# Every entry point that takes a prediction stack, called on one of the given
+# shape; the labels and row weights match its rows.
 STACK_READERS = {
-    "sor": lambda: aggregation.sor(NO_MODELS, np.zeros((4, 2))),
-    "tmr": lambda: aggregation.tmr(NO_MODELS),
-    "tcr": lambda: aggregation.tcr(NO_MODELS),
-    "oracle_weights": lambda: aggregation.oracle_weights(NO_MODELS, np.zeros((4, 2))),
-    "majority_votes": lambda: aggregation.majority_votes(NO_MODELS),
-    "iwv_select": lambda: selection.iwv_select(NO_MODELS, np.zeros((4, 2)), np.ones(4)),
-    "dev_select": lambda: selection.dev_select(NO_MODELS, np.zeros((4, 2)), np.ones(4)),
+    "sor": lambda stack: aggregation.sor(stack, np.zeros(stack.shape[1:])),
+    "tmr": aggregation.tmr,
+    "tcr": aggregation.tcr,
+    "oracle_weights": lambda stack: aggregation.oracle_weights(stack, np.zeros(stack.shape[1:])),
+    "majority_votes": aggregation.majority_votes,
+    "iwv_select": lambda stack: selection.iwv_select(stack, np.zeros(stack.shape[1:]),
+                                                     np.ones(stack.shape[1])),
+    "dev_select": lambda stack: selection.dev_select(stack, np.zeros(stack.shape[1:]),
+                                                     np.ones(stack.shape[1])),
 }
 
 
@@ -113,5 +115,14 @@ def test_stack_with_no_models_rejected(entry):
     # Without the rule the Gram solvers blamed near-duplicate models, the
     # vote returned class 0 with no voters and selection took an empty argmin.
     with pytest.raises(ValueError, match="need at least one model") as raised:
-        entry()
+        entry(np.zeros((0, 4, 2)))
+    assert raised.type is ValueError
+
+
+@pytest.mark.parametrize("entry", STACK_READERS.values(), ids=STACK_READERS)
+def test_stack_with_no_output_columns_rejected(entry):
+    # Without the rule the Gram solvers blamed near-duplicate models and
+    # selection picked model 0 on all-zero scores.
+    with pytest.raises(ValueError, match="no output columns") as raised:
+        entry(np.zeros((2, 4, 0)))
     assert raised.type is ValueError

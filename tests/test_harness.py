@@ -57,7 +57,6 @@ from shiftagg.models import (
     FeatureModel,
     LinearModel,
     SoftmaxModel,
-    polynomial_features,
     stack_predictions,
 )
 
@@ -1010,18 +1009,34 @@ class TestRateCheck:
         with pytest.raises(ConfigError, match="sizes"):
             run_rate_check(dataclasses.replace(cfg, sizes=(100, 100)))
 
-    @pytest.mark.parametrize("l", [1, 2, 5])
-    def test_ladder_stack_matches_stack_predictions(self, l):
-        cfg = ExperimentConfig(dataset="sinc", n=2000, l=l, sinc_interpret_std=False)
-        rule_x, _ = harness._rate_rule(cfg)
-        powers = polynomial_features(rule_x, l - 1)
-        stack = np.empty((l, cfg.oracle_draws, 1))
+    @pytest.mark.parametrize("draws", [1, 3, 1500, 100_000])
+    @pytest.mark.parametrize("interpret_std", [False, True])
+    @pytest.mark.parametrize("l", [1, 2, 5, 8])
+    def test_gauss_rule_solves_the_full_rule(self, l, interpret_std, draws):
+        cfg = ExperimentConfig(dataset="sinc", n=2000, l=l, sinc_interpret_std=interpret_std,
+                               oracle_draws=draws)
+        rule_x, rule_y = harness._rate_rule(cfg)
+        nodes, labels, weights = harness._rate_gauss_rule(rule_x, rule_y, harness._rate_nodes(cfg))
+        assert nodes.shape == labels.shape == (min(l, draws), 1)
+        assert abs(weights.sum() - 1.0) <= 1e-14
         for seed in range(3):
             models = harness._sinc_sequence(
-                cfg, make_sinc_shift(cfg.n, 1, seed, interpret_std=False)
+                cfg, make_sinc_shift(cfg.n, 1, seed, interpret_std=interpret_std)
             )
-            harness._sinc_ladder_into(stack, models, powers)
-            assert stack.tobytes() == stack_predictions(models, rule_x).tobytes()
+            full = aggregation.oracle_weights(stack_predictions(models, rule_x), rule_y, 0.1)
+            fast = aggregation.oracle_weights(stack_predictions(models, nodes), labels, 0.1,
+                                              weights)
+            scale = np.max(np.abs(full.weights))
+            assert np.max(np.abs(fast.weights - full.weights)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("l, draws", [(2, 1500), (5, 3)])
+    def test_each_seed_solves_on_the_gauss_rule_only(self, monkeypatch, l, draws):
+        # A per-seed solve on the full oracle rule would hand over `draws` rows.
+        solves = count_oracle_calls(monkeypatch)
+        cfg = ExperimentConfig(dataset="sinc", n=80, l=l, seeds=(0, 1, 2), sizes=(50, 120),
+                               oracle_draws=draws)
+        assert not run_rate_check(cfg).has_failures
+        assert [np.shape(args[0]) for args in solves] == [(l, min(l, draws), 1)] * 3
 
     def test_rule_is_the_noise_free_target_law(self):
         cfg = ExperimentConfig(dataset="sinc", sinc_interpret_std=False)
@@ -1063,6 +1078,7 @@ class TestRateCheck:
         assert payload["extra"]["c_star"] == {
             "rule": "monte-carlo",
             "draws": 1500,
+            "nodes": 2,
             "labels": "noise-free sinc",
             "stream": harness._RATE_RULE_STREAM,
             "target_mean": 2.0,
