@@ -6,8 +6,10 @@
 #   scripts/compare_outputs.sh REV
 #
 # Both runs happen on this machine, so the check does not depend on the
-# platform that wrote the committed out/ directory.
+# platform that wrote the committed out/ directory. Both use one BLAS thread,
+# as the committed out/ does, whatever REV's own reproduce_all.sh sets.
 set -eu
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 if [ $# -ne 1 ]; then
   echo "usage: $0 REV" >&2
   exit 2

@@ -160,12 +160,14 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay):
     the slopes are scaled by 1/(1 + SOFTMAX_LR * decay). Unlike adding the
     decay to the gradient, this cannot diverge however large the penalty.
     The models train together in one stacked loop and come back as a list;
-    on two or more rows each equals its own one-decay fit bit for bit (on
-    one row numpy's vector-matrix product makes the last bits depend on the
-    ladder's length). The loop holds the ladder with rows leading, as
-    (d, c, l) slopes and (c, l) intercepts, so each pass makes one forward
-    product for all models; each returned model owns C-contiguous (d, c)
-    weights.
+    each returned model owns C-contiguous (d, c) weights. Two classes train
+    on one logit column per model (``_fit_one_logit``), and each model then
+    equals its own one-decay fit bit for bit on any number of rows. More
+    classes train through ``_softmax_grads``, with the ladder held rows
+    leading as (d, c, l) slopes and (c, l) intercepts, so each pass makes
+    one forward product for all models; each model equals its one-decay fit
+    bit for bit on two or more rows (on one row numpy's vector-matrix
+    product makes the last bits depend on the ladder's length).
     """
     decays = np.asarray(weight_decay, dtype=float)
     classes = int(classes)
@@ -176,16 +178,49 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay):
                          f" got {decays}")
     if not (isinstance(epochs, numbers.Integral) and epochs >= 0):
         raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
-    x, targets = _labelled_sample(x, labels, classes, decays.size)
+    # One logit column carries a two-class fit, so its one-hot needs one copy.
+    x, targets = _labelled_sample(x, labels, classes, 1 if classes == 2 else decays.size)
+    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays)
+    if classes == 2:
+        return _fit_one_logit(x, targets[:, 1], shrink, epochs)
     w = np.zeros((x.shape[1], classes, decays.size))
     b = np.zeros((classes, decays.size))
-    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays)
     for _ in range(epochs):
         gw, gb = _softmax_grads(w, b, x, targets)
         w -= SOFTMAX_LR * gw
         w *= shrink
         b -= SOFTMAX_LR * gb
     return [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
+
+
+def _fit_one_logit(x, picked, shrink, epochs):
+    """The two-class ladder of ``fit_softmax_classifier`` on one logit column per model.
+
+    From the zero start the softmax's two residual columns are negatives of
+    each other at every step, so its slopes and intercepts stay ``[-w, w]``
+    and ``[-b, b]``. Each model trains ``s = x·w + b``, with class 1 taking
+    ``p₁ = σ(2s)``. The residual ``p₁ - y₁`` is ``½·tanh(s) + (½ - y₁)``,
+    which no logit overflows. ``picked`` is the (n, 1) class-1 indicator and
+    ``shrink`` the per-model proximal factors. Both products are one batched
+    matmul on (l, d, 1) slopes and (l, n, 1) residuals, so each model runs
+    its lone fit's kernels and equals it bit for bit.
+    """
+    n, d = x.shape
+    w = np.zeros((shrink.size, d, 1))
+    b = np.zeros((shrink.size, 1, 1))
+    shrink = shrink.reshape(-1, 1, 1)
+    offset = 0.5 - picked
+    for _ in range(epochs):
+        r = np.matmul(x, w)
+        r += b
+        np.tanh(r, out=r)
+        r *= 0.5
+        r += offset
+        w -= SOFTMAX_LR * (np.matmul(x.T, r) / n)
+        w *= shrink
+        b -= SOFTMAX_LR * (r.sum(axis=1, keepdims=True) / n)
+    return [SoftmaxModel(np.concatenate([-w_j, w_j], axis=1), np.concatenate([-b_j[0], b_j[0]]))
+            for w_j, b_j in zip(w, b)]
 
 
 class FeatureModel(Model):

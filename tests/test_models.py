@@ -1,6 +1,7 @@
 """Model families: ridge fits, softmax classifiers, corruption, precomputed tables."""
 
 from functools import reduce
+import warnings
 
 import numpy as np
 import pytest
@@ -290,9 +291,20 @@ class TestSoftmaxClassifier:
             w, b = _row_major_reference_fit(x, labels, classes, 25, SOFTMAX_LR, decays)
             ladder = fit_softmax_classifier(x, labels, classes, epochs=25, weight_decay=decays)
             alone = fit_one(x, labels, classes, epochs=25, decay=decays[0])
-            for model, w_i, b_i in zip([alone] + ladder, np.concatenate([w[:1], w]),
-                                       np.concatenate([b[:1], b])):
+            for model, w_i, b_i, decay in zip([alone] + ladder, np.concatenate([w[:1], w]),
+                                              np.concatenate([b[:1], b]), decays[:1] + decays):
                 assert model.weights.flags.c_contiguous and model.weights.flags.owndata
+                if classes == 2:
+                    # One logit column: bitwise against its own loop, and
+                    # against the softmax loop up to its rounding.
+                    w_1, b_1 = _one_column_reference_fit(x, labels, 25, SOFTMAX_LR, decay)
+                    assert model.weights[:, 1].tobytes() == w_1.tobytes()
+                    assert model.intercept[1:].tobytes() == b_1.tobytes()
+                    assert np.array_equal(model.weights[:, 0], -model.weights[:, 1])
+                    assert model.intercept[0] == -model.intercept[1]
+                    assert np.allclose(model.weights, w_i, rtol=1e-12, atol=1e-15)
+                    assert np.allclose(model.intercept, b_i[0], rtol=1e-12, atol=1e-15)
+                    continue
                 assert model.weights.tobytes() == w_i.tobytes()
                 assert model.intercept.tobytes() == b_i[0].tobytes()
 
@@ -307,6 +319,32 @@ class TestSoftmaxClassifier:
             alone = fit_one(x, np.array([2]), 3, epochs=25, decay=decay)
             assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-15)
             assert np.allclose(model.intercept, alone.intercept, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("count", [2, 3, 14])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_one_row_two_class_ladder_equals_scalar_fits_bitwise(self, dim, count):
+        # One logit column makes one product per model, so one row is exact too.
+        rng = np.random.default_rng(dim * 10 + count)
+        x = rng.normal(size=(1, dim))
+        decays = [0.5 * lam for lam in LAMBDA_GRID[:count]]
+        ladder = fit_softmax_classifier(x, np.array([1]), 2, epochs=25, weight_decay=decays)
+        for decay, model in zip(decays, ladder):
+            alone = fit_one(x, np.array([1]), 2, epochs=25, decay=decay)
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.intercept.tobytes() == alone.intercept.tobytes()
+
+    def test_two_class_fit_on_separated_data_does_not_overflow(self):
+        # Rows a thousand apart drive the logits far past exp's float range.
+        x = np.array([[-1000.0], [-900.0], [900.0], [1000.0]])
+        labels = np.array([0, 0, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit_one(x, labels, 2, epochs=2000)
+            probs = model.predict_many(x)
+        logits = x @ model.weights + model.intercept
+        assert np.all(np.isfinite(logits)) and np.abs(logits).max() > 1000
+        assert probs.tobytes() == softmax_probabilities(logits).tobytes()
+        assert np.array_equal(probs, np.eye(2)[labels])
 
 
 def _cross_entropy(weights, intercept, x, labels):
@@ -331,6 +369,23 @@ def _row_major_reference_fit(x, labels, classes, epochs, lr, decays):
         w = shrink * (w - lr * gw)
         b = b - lr * gb
     return w, b
+
+
+def _one_column_reference_fit(x, labels, epochs, lr, decay):
+    """One two-class model as a plain loop on its class-1 logit column ``s = x @ w + b``.
+
+    Returns the (d,) slopes and (1,) intercept of class 1; class 0 holds their negatives.
+    """
+    n = x.shape[0]
+    w = np.zeros((x.shape[1], 1))
+    b = np.zeros(1)
+    shrink = 1.0 / (1.0 + lr * decay)
+    offset = 0.5 - (labels == 1).astype(float)[:, None]
+    for _ in range(epochs):
+        resid = 0.5 * np.tanh(x @ w + b) + offset
+        w = shrink * (w - lr * (x.T @ resid / n))
+        b = b - lr * (resid.sum(axis=0) / n)
+    return w[:, 0], b
 
 
 class TestPolynomialFeatures:
