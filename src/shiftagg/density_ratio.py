@@ -10,15 +10,19 @@ classifier.
 
 import numpy as np
 
-from .errors import DimensionError, sample_matrix
+from .errors import DimensionError, NumericalError, sample_matrix
 
 DEFAULT_BOUND = 50.0
 
 # Classifier probabilities are clamped away from {0, 1} before forming odds.
 PROB_CLAMP = 1e-6
-# Full-batch gradient steps of the domain classifier, and their step size.
-DOMAIN_EPOCHS = 500
-DOMAIN_LR = 0.5
+# The domain classifier minimises its mean log-loss plus DOMAIN_PENALTY / 2
+# times the squared norm of its standardized slopes and intercept. Newton's
+# method stops once the decrement grad @ step falls to DOMAIN_TOL, and
+# DOMAIN_STEPS steps without that raise NumericalError.
+DOMAIN_PENALTY = 1e-6
+DOMAIN_TOL = 1e-20
+DOMAIN_STEPS = 100
 
 
 class ConstantRatio:
@@ -94,25 +98,41 @@ class LearnedRatio:
 
 
 def fit_domain_classifier(source_x, target_x):
-    """Logistic source-vs-target classifier trained by full-batch gradient descent.
+    """Logistic source-vs-target classifier fitted by Newton's method.
 
-    Source rows get label 0, target rows label 1; parameters start at zero
-    and take DOMAIN_EPOCHS steps of size DOMAIN_LR, so the fit is
-    deterministic and (up to float summation order) invariant under
-    reordering of the training rows. The ratio is clipped at DEFAULT_BOUND.
+    Source rows get label 0, target rows label 1. The fit runs on the pooled
+    sample standardized column by column (a constant column is centred on
+    its value and keeps spread 1), so the ratio does not depend on the
+    inputs' scale or offset. It minimises the mean log-loss plus
+    DOMAIN_PENALTY / 2 times the squared norm of the standardized slopes and
+    intercept; the penalty makes the minimiser exist, and the Hessian
+    positive definite, even when the domains separate. Newton's method starts
+    at zero, so the fit is deterministic and (up to float summation order)
+    invariant under reordering of the training rows. It stops once its
+    decrement falls to DOMAIN_TOL, and raises NumericalError if DOMAIN_STEPS
+    steps pass without that. The ratio is clipped at DEFAULT_BOUND.
     """
     source_x = sample_matrix(source_x, "source_x", fitting=True)
     target_x = sample_matrix(target_x, "target_x", source_x.shape[1], fitting=True)
     n, m = source_x.shape[0], target_x.shape[0]
     x = np.vstack([source_x, target_x])
     y = np.concatenate([np.zeros(n), np.ones(m)])
-    total = n + m
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    for _ in range(DOMAIN_EPOCHS):
-        with np.errstate(over="ignore"):
-            probs = 1.0 / (1.0 + np.exp(-(x @ w + b)))
-        resid = probs - y
-        w = w - DOMAIN_LR * (x.T @ resid) / total
-        b = b - DOMAIN_LR * float(resid.mean())
-    return LearnedRatio(w, b, n / m)
+    center, spread = x.mean(axis=0), x.std(axis=0)
+    constant = x.min(axis=0) == x.max(axis=0)
+    center[constant], spread[constant] = x[0, constant], 1.0
+    z = np.hstack([(x - center) / spread, np.ones((n + m, 1))])
+    penalty = DOMAIN_PENALTY * np.eye(z.shape[1])
+    theta = np.zeros(z.shape[1])
+    for _ in range(DOMAIN_STEPS):
+        # the logistic function through tanh, which no logit can overflow
+        probs = 0.5 + 0.5 * np.tanh(0.5 * (z @ theta))
+        grad = z.T @ (probs - y) / (n + m) + DOMAIN_PENALTY * theta
+        hess = (z.T * (probs * (1.0 - probs))) @ z / (n + m) + penalty
+        step = np.linalg.solve(hess, grad)
+        theta -= step
+        if grad @ step <= DOMAIN_TOL:
+            break
+    else:
+        raise NumericalError(f"domain classifier did not converge in {DOMAIN_STEPS} Newton steps")
+    w = theta[:-1] / spread
+    return LearnedRatio(w, theta[-1] - center @ w, n / m)

@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, NumericalError
-from .metrics import one_hot, pearson_with_flag
+from .metrics import one_hot, pearson_with_flag, quartiles
 from .models import (
     FeatureModel,
     add_corruption,
@@ -427,7 +427,7 @@ def aggregates(table):
             else None
         )
         excesses = np.array([r.excess for r in rows], dtype=float)
-        for stat, reduce in (("mean", np.mean), ("median", np.median)):
+        for stat, reduce in (("mean", np.mean), ("median", lambda v: quartiles(v)[1])):
             out.append(
                 {
                     "method": method,
@@ -441,15 +441,6 @@ def aggregates(table):
     return out
 
 
-def _spread(values):
-    """(25th percentile, median, 75th percentile) of a sample; nan for an empty one."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return (float("nan"),) * 3
-    quartiles = np.percentile(values, 25), np.median(values), np.percentile(values, 75)
-    return tuple(float(q) for q in quartiles)
-
-
 def _correlations(table):
     """Each method's correlations over the successful rows."""
     return _groups(table.ok_rows(), lambda r: r.method, lambda r: r.pearson_r)
@@ -458,7 +449,7 @@ def _correlations(table):
 def rate_spread(table):
     """(q25, median, q75) of the deviation per size; nan for a size without successful rows."""
     deviations = _groups(table.ok_rows(), lambda r: r.size, lambda r: r.deviation)
-    return {size: _spread(deviations.get(size, [])) for size in table.extra["sizes"]}
+    return {size: quartiles(deviations.get(size, [])) for size in table.extra["sizes"]}
 
 
 def _aggregate_summary(table):
@@ -472,7 +463,7 @@ def _correlation_summary(table):
     """Quartiles of the correlation per method."""
     groups = _correlations(table)
     return {"rows": None, "summary": [
-        dict(zip(("method", "q25", "median", "q75"), (method, *_spread(groups[method]))))
+        dict(zip(("method", "q25", "median", "q75"), (method, *quartiles(groups[method]))))
         for method in sorted(groups)
     ]}
 
@@ -575,7 +566,7 @@ def _sensitivity_plots(table, plots_dir):
     series, bands = {}, {}
     for method in sorted({method for method, _ in accuracies}):
         if counts and all((method, count) in accuracies for count in counts):
-            lows, medians, highs = zip(*(_spread(accuracies[(method, c)]) for c in counts))
+            lows, medians, highs = zip(*(quartiles(accuracies[(method, c)]) for c in counts))
             series[method], bands[method] = list(medians), (list(lows), list(highs))
     if series:
         plots.line_chart(

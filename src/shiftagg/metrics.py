@@ -1,4 +1,4 @@
-"""Evaluation metrics and the one-hot class code."""
+"""Evaluation metrics, sample quartiles and the one-hot class code."""
 
 import math
 
@@ -56,6 +56,30 @@ def accuracies(stack, labels):
     # One model at a time: a whole stack's argmax holds a (models, rows)
     # int64 index array, eight times the two-class path's boolean one.
     return np.array([(preds.argmax(axis=1) == labels).mean() for preds in stack])
+
+
+def quartiles(values):
+    """(25th percentile, median, 75th percentile) of a sample, bit for bit as numpy gives them.
+
+    ``np.percentile``'s linear method interpolates the sorted sample at
+    (n - 1) q, and ``np.median`` takes the middle value or the mean of the
+    middle two; both import ``numpy.ma`` on first use, this does not. Only
+    the sign of a zero can differ, where +0 and -0 tie in the middle. A NaN
+    anywhere, or an empty sample, gives nan for all three.
+    """
+    values = np.sort(np.asarray(values, dtype=float).ravel())
+    n = values.size
+    if n == 0 or np.isnan(values[-1]):
+        return (math.nan,) * 3
+    half = n // 2
+    median = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
+
+    def percentile(q):
+        low, t = divmod((n - 1) * q, 1)
+        a, b = values[int(low)], values[min(int(low) + 1, n - 1)]
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+    return float(percentile(0.25)), float(median), float(percentile(0.75))
 
 
 def one_hot(labels, classes):

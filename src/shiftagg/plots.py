@@ -15,6 +15,8 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
+from .metrics import quartiles
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 48, 64
 
@@ -208,11 +210,8 @@ def box_plot(path, labels, samples, *, title, y_label):
     root, frame, save = _chart(
         path, title, (0.0, float(len(samples))), np.concatenate(samples).tolist(), "", y_label
     )
-    stats = [
-        (str(label), values.min(), np.percentile(values, 25), np.median(values),
-         np.percentile(values, 75), values.max())
-        for label, values in zip(labels, samples)
-    ]
+    stats = [(str(label), values.min(), *quartiles(values), values.max())
+             for label, values in zip(labels, samples)]
     box_w = 0.45 * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / len(stats)
     for i, (label, vmin, q1, med, q3, vmax) in enumerate(stats):
         color = PALETTE[i % len(PALETTE)]

@@ -3,9 +3,13 @@
 from dataclasses import fields
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shiftagg
 from shiftagg import harness
 from shiftagg.cli import main
 from shiftagg.harness import ExperimentConfig
@@ -263,12 +267,12 @@ def test_partial_failures_exit_two(tmp_path, capsys):
 # two prediction tables, and the softmax ladder fitted on the split files.
 CSV_RUN_DIGESTS = {
     "tables": (
-        "cb07e23cd435673d218ecd2d62de2129fb67ba5b54008719fceefc2b45987bea",
-        "ddbef5e5091db00dcc086ca2160a5b6a6be7c3a54350c494080fc311ef20f6ea",
+        "a3d35b51ce78d0ddd6345a567739bc4ef92d00b155318333f42b901c6bfce150",
+        "7c9e3c866dc4446d2428628e6efeaa32d7187d73ccce7245d1a225ce481bebf0",
     ),
     "ladder": (
-        "cfbf1c027be4732d7443258e86f4bc52072764088a96f6560525ee211c660e28",
-        "3f981c144d1895c0c93e8da45c007d4f788932d10a2902a362ceec0ad13752da",
+        "b2149f49acb88418d3df053c3db4e340159386ae5791473cfa09cc0881dee81d",
+        "693c3b1a3a902a1012741bb62857eb1d26bc999b849ae38d993dfe00a5f54c94",
     ),
 }
 
@@ -305,15 +309,15 @@ STUDY_REPORTS = {
     "sensitivity": (
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0",
          "--methods", "iwa,tmv,iwv", "--counts", "2"],
-        "184a864018d1b6c5f421c0df3a02669e06633e5efcb231f1d1c4b06900226de5",
-        "f8db8106aec1f116544a29af8829db6742524290c7598457e6c7e0d593919a0a",
-        "9772b92e55ae5ca6f34fe20fec10305f7099e5eb363d745753dd4c681bc29c88",
+        "b46ab12d6acc4e2f29a53635f19c3ca9b5e59ec9f86e7a7eaa8d1dec5f0de5b0",
+        "6747d8d922eaf3e313840bb88a7fed0279688b6a3e804508abe6a654b56f11dc",
+        "a0eaf68671105a2dd2adfebd9e17a4fd49e5e8d5f36fff62c85bf83c5ca17716",
     ),
     "correlate": (
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0,1"],
         "65679b758ec27495f5ac46059e895fbe0658ad34a67ffc57caefa199d438e8e0",
-        "0465d4c1b05d6c97fec6cb7f4f1a8c577d24c039917fa9780ab991cc0fc94cfd",
-        "f41c198d20ad56fe5b913aa7ebca7a84a0c99149e0e7cb7d7410d1e2dc812d97",
+        "5e21c7d7d0d35e4f5b7f9cca902cc756e2c1a6cb4513875d5cd2124b5373a5e6",
+        "64bd3f4e877321e73b8cff2f781bc923f732776ecaa209bbc4858dd08111173c",
     ),
     "rate-check": (
         ["--n", "80", "--l", "2", "--seeds", "0,1", "--sizes", "50,120",
@@ -336,6 +340,23 @@ def test_study_reports_pinned(tmp_path, capsys, command):
         (out / "results.json").read_bytes(),
     )
     assert [hashlib.sha256(report).hexdigest() for report in reports] == expected
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_REPORTS))
+def test_study_call_leaves_numpy_ma_out(tmp_path, command):
+    # np.median and np.percentile import numpy.ma on first use, about 5 ms of
+    # every CLI call; the studies take their quartiles from metrics.quartiles.
+    args = [command, *STUDY_REPORTS[command][0], "--out", str(tmp_path / "out")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftagg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; from shiftagg.cli import main; "
+        f"status = main({args!r}); print(status, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("source", ["ladder", "tables"])

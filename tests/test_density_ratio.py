@@ -1,19 +1,24 @@
 """Density-ratio estimators: analytic Gaussian ratio and the learned domain classifier."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg import density_ratio
+from shiftagg.datasets import make_transformed_moons
 from shiftagg.density_ratio import (
     DEFAULT_BOUND,
+    DOMAIN_PENALTY,
     PROB_CLAMP,
     ConstantRatio,
     GaussianRatio,
     LearnedRatio,
     fit_domain_classifier,
 )
-from shiftagg.errors import DimensionError
+from shiftagg.errors import DimensionError, NumericalError
 
 # The 1-d regression benchmark pair: source N(1, s_p^2), target N(2, s_q^2).
 STD_READING = dict(source_mean=1.0, source_std=0.25, target_mean=2.0, target_std=0.25)
@@ -238,6 +243,61 @@ class TestFitDomainClassifier:
             fit_domain_classifier(good, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="at least one"):
             fit_domain_classifier(np.zeros((0, 2)), good)
+
+    def test_penalized_gradient_vanishes_at_the_fit(self):
+        # The gradient of the objective the docstring names, in the
+        # standardized coordinates the fit runs in, against the size of its
+        # terms at the start.
+        moons = make_transformed_moons(300, 200, seed=4)
+        beta = fit_domain_classifier(moons.source_x, moons.target_x)
+        x = np.vstack([moons.source_x, moons.target_x])
+        y = np.concatenate([np.zeros(300), np.ones(200)])
+        center, spread = x.mean(axis=0), x.std(axis=0)
+        z = np.hstack([(x - center) / spread, np.ones((500, 1))])
+        theta = np.append(beta.coef * spread, beta.intercept + center @ beta.coef)
+        probs = 1.0 / (1.0 + np.exp(-(z @ theta)))
+        grad = z.T @ (probs - y) / 500 + DOMAIN_PENALTY * theta
+        scale = np.abs(z).T @ np.full(500, 0.5) / 500
+        assert np.all(np.abs(grad) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("transform", [lambda x: x * 1e-3, lambda x: x * 1e3,
+                                           lambda x: x + 100.0],
+                             ids=["times-1e-3", "times-1e3", "plus-100"])
+    def test_ratio_ignores_input_scale_and_offset(self, transform):
+        moons = make_transformed_moons(300, 300, seed=3)
+        plain = fit_domain_classifier(moons.source_x, moons.target_x).weights(moons.source_x)
+        moved = fit_domain_classifier(transform(moons.source_x), transform(moons.target_x))
+        assert np.allclose(moved.weights(transform(moons.source_x)), plain, rtol=1e-12, atol=0)
+
+    def test_converges_on_one_row_per_domain(self):
+        beta = fit_domain_classifier(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
+        assert beta.weights(np.array([[1.0, 1.0]]))[0] == DEFAULT_BOUND
+        assert beta.weights(np.array([[0.0, 0.0]]))[0] < 1e-2
+
+    def test_constant_column_is_ignored(self):
+        rng = np.random.default_rng(17)
+        source = np.column_stack([rng.normal(size=50), np.full(50, 0.1)])
+        target = np.column_stack([rng.normal(0.5, 1.0, size=40), np.full(40, 0.1)])
+        beta = fit_domain_classifier(source, target)
+        alone = fit_domain_classifier(source[:, :1], target[:, :1])
+        assert beta.coef[1] == 0.0
+        assert np.allclose(beta.weights(source), alone.weights(source[:, :1]), rtol=1e-12)
+
+    def test_no_convergence_within_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(density_ratio, "DOMAIN_STEPS", 1)
+        moons = make_transformed_moons(100, 100, seed=0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            fit_domain_classifier(moons.source_x, moons.target_x)
+
+    def test_far_rows_raise_no_warning(self):
+        rng = np.random.default_rng(19)
+        source = rng.normal(-1e3, 1.0, size=(30, 2))
+        target = rng.normal(1e3, 1.0, size=(30, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            beta = fit_domain_classifier(source, target)
+            assert np.all(beta.weights(target) == DEFAULT_BOUND)
+            assert np.all(beta.weights(source) < 1e-2)
 
     @pytest.mark.parametrize(
         "change, message",

@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftagg.errors import DimensionError, NumericalError
-from shiftagg.metrics import accuracies, accuracy, pearson_with_flag, picks_class1, risk
+from shiftagg.metrics import (
+    accuracies,
+    accuracy,
+    pearson_with_flag,
+    picks_class1,
+    quartiles,
+    risk,
+)
 from shiftagg.models import LinearModel, stack_predictions
 
 
@@ -247,3 +254,34 @@ class TestPearson:
         b = np.random.default_rng(seed).normal(size=a.shape[0])
         r, _ = pearson_with_flag(a, b)
         assert -1.0 <= r <= 1.0
+
+
+def assert_numpy_bits(values):
+    # Adding 0.0 turns -0.0 into 0.0: where +0 and -0 tie, which of them
+    # numpy's partition leaves in the middle is its own choice.
+    expected = (np.percentile(values, 25), np.median(values), np.percentile(values, 75))
+    got = quartiles(values)
+    assert all(type(q) is float for q in got)
+    assert (np.array(got) + 0.0).tobytes() == (np.array(expected) + 0.0).tobytes()
+
+
+class TestQuartiles:
+    @given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, -2.5, 0.1]),
+                    min_size=1, max_size=400))
+    def test_bits_match_numpy(self, values):
+        # The sampled constants make ties.
+        assert_numpy_bits(np.array(values))
+
+    def test_bits_match_numpy_at_every_size(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 401):
+            assert_numpy_bits(np.round(rng.normal(scale=3.0, size=n), 1))
+
+    def test_hand_cases(self):
+        assert quartiles([3.0]) == (3.0, 3.0, 3.0)
+        assert quartiles([4.0, 1.0]) == (1.75, 2.5, 3.25)
+        assert quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("values", [[], [1.0, np.nan, 2.0], [np.nan]])
+    def test_nan_or_empty_gives_nan(self, values):
+        assert all(np.isnan(q) for q in quartiles(values))
