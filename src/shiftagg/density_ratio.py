@@ -73,15 +73,27 @@ class LearnedRatio:
     d(x) is the logistic probability that x came from the target domain,
     clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; prior_ratio = n/m corrects for
     the source/target sample imbalance in the classifier's training set.
+    The classifier reads standardized rows, ``(x - center) / spread`` column
+    by column, times ``weights`` plus ``intercept``; centre 0 and spread 1
+    read the rows as they are.
     """
 
-    def __init__(self, weights, intercept, prior_ratio, bound=DEFAULT_BOUND):
+    def __init__(self, weights, intercept, prior_ratio, bound=DEFAULT_BOUND, *, center=0.0,
+                 spread=1.0):
         self.coef = np.asarray(weights, dtype=float)
         if self.coef.ndim != 1:
             raise DimensionError(f"classifier weights must be 1-d, got shape {self.coef.shape}")
         self.intercept = float(intercept)
         if not (np.all(np.isfinite(self.coef)) and np.isfinite(self.intercept)):
             raise ValueError("classifier weights and intercept must be finite")
+        self.center = np.asarray(center, dtype=float)
+        self.spread = np.asarray(spread, dtype=float)
+        if {self.center.shape, self.spread.shape} - {(), self.coef.shape}:
+            raise DimensionError(f"center {self.center.shape} and spread {self.spread.shape}"
+                                 f" must be scalars or match the weights {self.coef.shape}")
+        spread_ok = np.all((self.spread > 0) & (self.spread < np.inf))
+        if not (np.all(np.isfinite(self.center)) and spread_ok):
+            raise ValueError("center must be finite and spread positive and finite")
         if not prior_ratio > 0:
             raise ValueError(f"prior_ratio must be positive, got {prior_ratio}")
         if not bound > 0:
@@ -91,8 +103,9 @@ class LearnedRatio:
 
     def weights(self, xs):
         xs = sample_matrix(xs, "xs", self.coef.shape[0])
+        z = (xs - self.center) / self.spread
         with np.errstate(over="ignore"):
-            probs = 1.0 / (1.0 + np.exp(-(xs @ self.coef + self.intercept)))
+            probs = 1.0 / (1.0 + np.exp(-(z @ self.coef + self.intercept)))
         d = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
         return np.clip(self.prior_ratio * d / (1.0 - d), 0.0, self.bound)
 
@@ -103,7 +116,9 @@ def fit_domain_classifier(source_x, target_x):
     Source rows get label 0, target rows label 1. The fit runs on the pooled
     sample standardized column by column (a constant column is centred on
     its value and keeps spread 1), so the ratio does not depend on the
-    inputs' scale or offset. It minimises the mean log-loss plus
+    inputs' scale or offset; the ratio keeps the centre and spread and
+    evaluates the standardized rows, so no raw-scale slope and intercept
+    cancel each other. It minimises the mean log-loss plus
     DOMAIN_PENALTY / 2 times the squared norm of the standardized slopes and
     intercept; the penalty makes the minimiser exist, and the Hessian
     positive definite, even when the domains separate. Newton's method starts
@@ -134,5 +149,4 @@ def fit_domain_classifier(source_x, target_x):
             break
     else:
         raise NumericalError(f"domain classifier did not converge in {DOMAIN_STEPS} Newton steps")
-    w = theta[:-1] / spread
-    return LearnedRatio(w, theta[-1] - center @ w, n / m)
+    return LearnedRatio(theta[:-1], theta[-1], n / m, center=center, spread=spread)

@@ -201,26 +201,35 @@ def _fit_one_logit(x, picked, shrink, epochs):
     and ``[-b, b]``. Each model trains ``s = x·w + b``, with class 1 taking
     ``p₁ = σ(2s)``. The residual ``p₁ - y₁`` is ``½·tanh(s) + (½ - y₁)``,
     which no logit overflows. ``picked`` is the (n, 1) class-1 indicator and
-    ``shrink`` the per-model proximal factors. Both products are one batched
-    matmul on (l, d, 1) slopes and (l, n, 1) residuals, so each model runs
-    its lone fit's kernels and equals it bit for bit.
+    ``shrink`` the per-model proximal factors.
+
+    ``x`` gains a ones column once, so each model's slopes and intercept are
+    one (d+1, 1) θ and ``s = x₁·θ``. The gradient ``x₁ᵀ(p₁ - y₁)/n`` is then
+    ``(½·x₁ᵀtanh(s) + x₁ᵀ(½ - y₁))/n``, and its constant part is computed
+    before the loop. An epoch is two products, each one batched matmul on
+    (l, d+1, 1) parameters or (l, n, 1) logits, the tanh in place, and a
+    step on θ alone, whose proximal factor is 1 on the intercept row. Each
+    model runs its lone fit's kernels and equals it bit for bit.
     """
     n, d = x.shape
-    w = np.zeros((shrink.size, d, 1))
-    b = np.zeros((shrink.size, 1, 1))
-    shrink = shrink.reshape(-1, 1, 1)
-    offset = 0.5 - picked
+    x1 = np.hstack([x, np.ones((n, 1))])
+    constant = x1.T @ (0.5 - picked)
+    factor = np.ones((shrink.size, d + 1, 1))
+    factor[:, :d] = shrink[:, None, None]
+    theta = np.zeros((shrink.size, d + 1, 1))
+    s = np.empty((shrink.size, n, 1))
+    g = np.empty_like(theta)
     for _ in range(epochs):
-        r = np.matmul(x, w)
-        r += b
-        np.tanh(r, out=r)
-        r *= 0.5
-        r += offset
-        w -= SOFTMAX_LR * (np.matmul(x.T, r) / n)
-        w *= shrink
-        b -= SOFTMAX_LR * (r.sum(axis=1, keepdims=True) / n)
-    return [SoftmaxModel(np.concatenate([-w_j, w_j], axis=1), np.concatenate([-b_j[0], b_j[0]]))
-            for w_j, b_j in zip(w, b)]
+        np.matmul(x1, theta, out=s)
+        np.tanh(s, out=s)
+        np.matmul(x1.T, s, out=g)
+        g *= 0.5
+        g += constant
+        g *= SOFTMAX_LR / n
+        theta -= g
+        theta *= factor
+    return [SoftmaxModel(np.concatenate([-t[:d], t[:d]], axis=1), np.concatenate([-t[d], t[d]]))
+            for t in theta]
 
 
 class FeatureModel(Model):

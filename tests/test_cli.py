@@ -268,11 +268,11 @@ def test_partial_failures_exit_two(tmp_path, capsys):
 CSV_RUN_DIGESTS = {
     "tables": (
         "a3d35b51ce78d0ddd6345a567739bc4ef92d00b155318333f42b901c6bfce150",
-        "7c9e3c866dc4446d2428628e6efeaa32d7187d73ccce7245d1a225ce481bebf0",
+        "349994c730c20686d5a0b5513115d49fc1042ea8abb26aa40cfc83a8ab4cac57",
     ),
     "ladder": (
         "b2149f49acb88418d3df053c3db4e340159386ae5791473cfa09cc0881dee81d",
-        "693c3b1a3a902a1012741bb62857eb1d26bc999b849ae38d993dfe00a5f54c94",
+        "f564a633561a5b466783952f36a00905c9055d571a4b5e9db9ee2cf904918a5a",
     ),
 }
 
@@ -310,14 +310,14 @@ STUDY_REPORTS = {
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0",
          "--methods", "iwa,tmv,iwv", "--counts", "2"],
         "b46ab12d6acc4e2f29a53635f19c3ca9b5e59ec9f86e7a7eaa8d1dec5f0de5b0",
-        "6747d8d922eaf3e313840bb88a7fed0279688b6a3e804508abe6a654b56f11dc",
-        "a0eaf68671105a2dd2adfebd9e17a4fd49e5e8d5f36fff62c85bf83c5ca17716",
+        "951328bc3d6486b233c01963b3d79e166bca96a5600f74986b95df8cd160f946",
+        "7d6070b72625caf52610f8ea63bec8f2e5e4a8965b4c75b94600750e93f24300",
     ),
     "correlate": (
         ["--dataset", "moons", "--n", "60", "--m", "60", "--l", "3", "--seeds", "0,1"],
         "65679b758ec27495f5ac46059e895fbe0658ad34a67ffc57caefa199d438e8e0",
-        "5e21c7d7d0d35e4f5b7f9cca902cc756e2c1a6cb4513875d5cd2124b5373a5e6",
-        "64bd3f4e877321e73b8cff2f781bc923f732776ecaa209bbc4858dd08111173c",
+        "a3f748165bee58c15048068165685d1bebe09d2be28e76bd6465cc923221839d",
+        "e2391e36948a781abe49b3e297ce1e19643ca04c0396d375b8aa4125788cfdf4",
     ),
     "rate-check": (
         ["--n", "80", "--l", "2", "--seeds", "0,1", "--sizes", "50,120",

@@ -183,6 +183,27 @@ class TestLearnedRatio:
         with pytest.raises(ValueError, match="bound"):
             LearnedRatio(np.zeros(2), 0.0, 1.0, bound=np.nan)
 
+    def test_rows_are_standardized_before_the_classifier(self):
+        beta = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0, bound=1e12,
+                            center=np.array([10.0, -3.0]), spread=np.array([4.0, 0.5]))
+        xs = np.array([[14.0, -3.0], [10.0, -2.0], [6.0, -4.5]])
+        plain = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0, bound=1e12)
+        assert np.array_equal(beta.weights(xs), plain.weights((xs - [10.0, -3.0]) / [4.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (dict(center=np.zeros(3)), DimensionError, "center"),
+            (dict(spread=np.ones((2, 1))), DimensionError, "spread"),
+            (dict(center=np.array([0.0, np.nan])), ValueError, "center"),
+            (dict(spread=np.array([1.0, 0.0])), ValueError, "spread"),
+            (dict(spread=np.inf), ValueError, "spread"),
+        ],
+    )
+    def test_invalid_standardization_rejected(self, change, error, message):
+        with pytest.raises(error, match=message):
+            LearnedRatio(np.zeros(2), 0.0, 1.0, **change)
+
     def test_input_shape_checks(self):
         beta = LearnedRatio(np.zeros(2), 0.0, 1.0)
         with pytest.raises(DimensionError, match="2-d"):
@@ -253,8 +274,9 @@ class TestFitDomainClassifier:
         x = np.vstack([moons.source_x, moons.target_x])
         y = np.concatenate([np.zeros(300), np.ones(200)])
         center, spread = x.mean(axis=0), x.std(axis=0)
+        assert np.array_equal(beta.center, center) and np.array_equal(beta.spread, spread)
         z = np.hstack([(x - center) / spread, np.ones((500, 1))])
-        theta = np.append(beta.coef * spread, beta.intercept + center @ beta.coef)
+        theta = np.append(beta.coef, beta.intercept)
         probs = 1.0 / (1.0 + np.exp(-(z @ theta)))
         grad = z.T @ (probs - y) / 500 + DOMAIN_PENALTY * theta
         scale = np.abs(z).T @ np.full(500, 0.5) / 500
@@ -283,6 +305,18 @@ class TestFitDomainClassifier:
         assert beta.coef[1] == 0.0
         assert np.allclose(beta.weights(source), alone.weights(source[:, :1]), rtol=1e-12)
 
+    def test_column_constant_but_for_an_ulp_keeps_the_fitted_probabilities(self):
+        # A slope of 1/spread on a 123.456 column used to become a raw-scale
+        # 3e12 slope and a -4e14 intercept whose sum cancelled on every row.
+        rng = np.random.default_rng(23)
+        source = np.column_stack([rng.normal(size=50), np.full(50, 123.456)])
+        target = np.column_stack([rng.normal(0.5, 1.0, size=40), np.full(40, 123.456)])
+        target[0, 1] = np.nextafter(123.456, 200)
+        beta = fit_domain_classifier(source, target)
+        expected = _standardized_newton_probabilities(source, target)[:50]
+        odds = 1.25 * expected / (1.0 - expected)
+        assert np.allclose(beta.weights(source), odds, rtol=1e-12, atol=0)
+
     def test_no_convergence_within_the_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(density_ratio, "DOMAIN_STEPS", 1)
         moons = make_transformed_moons(100, 100, seed=0)
@@ -310,6 +344,28 @@ class TestFitDomainClassifier:
         args = dict(source_x=np.zeros((2, 2)), target_x=np.ones((2, 2)))
         with pytest.raises(ValueError, match=message):
             fit_domain_classifier(**{**args, **change})
+
+
+def _standardized_newton_probabilities(source, target):
+    """Target-domain probabilities of the pooled rows, from a plain Newton fit in standardized space.
+
+    The rows are standardized by their pooled mean and standard deviation
+    (every test column varies), and the probabilities come from the fitted
+    logits of those standardized rows, with no map back to raw scale.
+    """
+    x = np.vstack([source, target])
+    y = np.concatenate([np.zeros(len(source)), np.ones(len(target))])
+    z = np.hstack([(x - x.mean(axis=0)) / x.std(axis=0), np.ones((len(x), 1))])
+    theta = np.zeros(z.shape[1])
+    for _ in range(100):
+        probs = 0.5 + 0.5 * np.tanh(0.5 * (z @ theta))
+        grad = z.T @ (probs - y) / len(x) + DOMAIN_PENALTY * theta
+        hess = (z.T * (probs * (1.0 - probs))) @ z / len(x) + DOMAIN_PENALTY * np.eye(z.shape[1])
+        step = np.linalg.solve(hess, grad)
+        theta -= step
+        if grad @ step <= 1e-20:
+            break
+    return 1.0 / (1.0 + np.exp(-(z @ theta)))
 
 
 class TestNormalizedWeights:

@@ -256,7 +256,7 @@ class TestModelBuilders:
             digest.update(model.intercept.tobytes())
         assert len(models) == 14
         assert digest.hexdigest() == (
-            "d6adaefe4e4515fac3e92d13e908476aabb25e5bc01496555afec1efe7234d1b"
+            "75f6466aecb1091f26d8ae49538225f568bc6d461d784a5eab2d007948263500"
         )
 
 

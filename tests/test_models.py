@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftagg.datasets import load_model_csv
+from shiftagg.datasets import load_model_csv, make_transformed_moons
 from shiftagg.errors import CsvFormatError, DimensionError
-from shiftagg.harness import LAMBDA_GRID
+from shiftagg.harness import BASE_WEIGHT_DECAY, LAMBDA_GRID
 from shiftagg.models import (
     SOFTMAX_LR,
     CorruptedModel,
@@ -279,6 +279,39 @@ class TestSoftmaxClassifier:
             assert model.weights.tobytes() == (shrink * (0 - SOFTMAX_LR * gw[..., j])).tobytes()
             assert model.intercept.tobytes() == (0 - SOFTMAX_LR * gb[:, j]).tobytes()
 
+    @pytest.mark.parametrize("decay", [0.3, [0.0, 0.3, 2.0]])
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_one_two_class_epoch_is_one_proximal_gradient_step(self, decay, start):
+        # Epoch start + 1 from epoch start's class-1 column, computed directly:
+        # p₁ = σ(2s) on s = x·w + b, then the proximal step on the slopes.
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(9, 2))
+        labels = rng.integers(0, 2, size=9)
+        decays = np.atleast_1d(decay)
+        before = fit_softmax_classifier(x, labels, 2, epochs=start, weight_decay=decays)
+        after = fit_softmax_classifier(x, labels, 2, epochs=start + 1, weight_decay=decays)
+        for model, stepped, d in zip(before, after, decays):
+            w, b = model.weights[:, 1], model.intercept[1]
+            resid = 1.0 / (1.0 + np.exp(-2.0 * (x @ w + b))) - (labels == 1)
+            shrink = 1.0 / (1.0 + SOFTMAX_LR * d)
+            assert np.allclose(stepped.weights[:, 1], shrink * (w - SOFTMAX_LR * x.T @ resid / 9),
+                               rtol=0, atol=1e-15)
+            assert np.allclose(stepped.intercept[1], b - SOFTMAX_LR * resid.sum() / 9,
+                               rtol=0, atol=1e-15)
+
+    def test_study_size_ladder_tracks_row_major_reference(self):
+        # The correlation study's ladder: seed 0's 600 source rows, 14 decays
+        # and the full 300 epochs, so drift over the whole run stays pinned.
+        moons = make_transformed_moons(600, 600, seed=0)
+        labels = moons.source_y.argmax(axis=1)
+        decays = [BASE_WEIGHT_DECAY * lam for lam in LAMBDA_GRID]
+        w, b = _row_major_reference_fit(moons.source_x, labels, 2, 300, SOFTMAX_LR, decays)
+        ladder = fit_softmax_classifier(moons.source_x, labels, 2, weight_decay=decays)
+        assert len(ladder) == 14
+        for model, w_i, b_i in zip(ladder, w, b):
+            assert np.allclose(model.weights, w_i, rtol=1e-12, atol=0)
+            assert np.allclose(model.intercept, b_i[0], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("classes", [2, 3, 4])
     @pytest.mark.parametrize("count", [1, 3, 14])
     @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -372,20 +405,22 @@ def _row_major_reference_fit(x, labels, classes, epochs, lr, decays):
 
 
 def _one_column_reference_fit(x, labels, epochs, lr, decay):
-    """One two-class model as a plain loop on its class-1 logit column ``s = x @ w + b``.
+    """One two-class model as a plain loop on its class-1 logit column ``s = x₁ @ θ``.
 
-    Returns the (d,) slopes and (1,) intercept of class 1; class 0 holds their negatives.
+    ``x₁`` is ``x`` with a ones column and θ the slopes over the intercept;
+    the gradient's constant part ``x₁ᵀ(½ − y₁)`` is computed once, and the
+    proximal factor is 1 on the intercept row. Returns the (d,) slopes and
+    (1,) intercept of class 1; class 0 holds their negatives.
     """
-    n = x.shape[0]
-    w = np.zeros((x.shape[1], 1))
-    b = np.zeros(1)
-    shrink = 1.0 / (1.0 + lr * decay)
-    offset = 0.5 - (labels == 1).astype(float)[:, None]
+    n, d = x.shape
+    x1 = np.hstack([x, np.ones((n, 1))])
+    constant = x1.T @ (0.5 - (labels == 1).astype(float)[:, None])
+    factor = np.append(np.full(d, 1.0 / (1.0 + lr * decay)), 1.0)[:, None]
+    theta = np.zeros((d + 1, 1))
     for _ in range(epochs):
-        resid = 0.5 * np.tanh(x @ w + b) + offset
-        w = shrink * (w - lr * (x.T @ resid / n))
-        b = b - lr * (resid.sum(axis=0) / n)
-    return w[:, 0], b
+        g = x1.T @ np.tanh(x1 @ theta)
+        theta = factor * (theta - lr / n * (0.5 * g + constant))
+    return theta[:d, 0], theta[d]
 
 
 class TestPolynomialFeatures:
