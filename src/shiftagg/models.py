@@ -86,57 +86,21 @@ def fit_ridge(x, y, ridge):
 
 def softmax_probabilities(logits):
     """Softmax over the last axis, shifted for overflow safety."""
-    return _softmax_in_place(np.array(logits, dtype=float), -1)
+    return _softmax_in_place(np.array(logits, dtype=float))
 
 
-def _softmax_in_place(z, axis):
-    """Overwrite the float array ``z`` with its softmax over ``axis``.
+def _softmax_in_place(z):
+    """Overwrite the float array ``z`` with its softmax over the last axis.
 
     The class max and sum run over the classes in order: faster than numpy's
     reductions on few classes, and the same bits below 8.
     """
-    lead = (slice(None),) * (axis % z.ndim)
     # The ``...`` keeps each block a view, even of a 1-d ``z``, so the sum sees the exp.
-    blocks = [z[lead + (k, ...)] for k in range(z.shape[axis])]
-    z -= reduce(np.maximum, blocks)[lead + (None,)]
+    blocks = [z[..., k] for k in range(z.shape[-1])]
+    z -= reduce(np.maximum, blocks)[..., None]
     np.exp(z, out=z)
-    z /= reduce(np.add, blocks)[lead + (None,)]
+    z /= reduce(np.add, blocks)[..., None]
     return z
-
-
-def _labelled_sample(x, labels, classes, models):
-    """The checked sample ``x`` and each row's label as a (rows, classes, models) indicator."""
-    x = sample_matrix(x, "x", fitting=True)
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
-        raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
-    # Repeated, not broadcast: the trainer reads a contiguous array faster.
-    return x, np.repeat(one_hot(labels, classes)[:, :, None], models, axis=2)
-
-
-def _softmax_grads(weights, intercept, x, targets):
-    """Mean cross-entropy gradients of a ladder of l linear softmax classifiers.
-
-    Rows lead: ``weights`` is a C-contiguous (d, c, l) array and
-    ``intercept`` (c, l), so one (n, d) @ (d, c·l) product gives every
-    model's logits as one (n, c, l) array. The softmax runs in place on it,
-    one class block at a time, the residual subtracts the (n, c, l) one-hot
-    ``targets``, and the intercept gradient sums the rows in order
-    from row 0. The slope gradient is one (d, n) @ (n, c) product per model
-    on an (l, n, c) copy of the residual, the product a lone model makes: a
-    single (d, n) @ (n, c·l) product would change the bits when d = 1.
-
-    Returns ``(grad_w, grad_b)``: grad_w as a (d, c, l) view and grad_b as
-    (c, l).
-    """
-    n = x.shape[0]
-    d, c, l = weights.shape
-    z = (x @ weights.reshape(d, c * l)).reshape(n, c, l)
-    z += intercept
-    _softmax_in_place(z, 1)
-    z -= targets
-    grad_w = np.matmul(x.T, z.transpose(2, 0, 1).copy()) / n
-    return grad_w.transpose(1, 2, 0), z.sum(axis=0) / n
 
 
 class SoftmaxModel(LinearModel):
@@ -159,77 +123,74 @@ def fit_softmax_classifier(x, labels, classes, epochs=300, *, weight_decay):
     per decay, each applied as a proximal step: after each gradient update
     the slopes are scaled by 1/(1 + SOFTMAX_LR * decay). Unlike adding the
     decay to the gradient, this cannot diverge however large the penalty.
-    The models train together in one stacked loop and come back as a list;
-    each returned model owns C-contiguous (d, c) weights. Two classes train
-    on one logit column per model (``_fit_one_logit``), and each model then
-    equals its own one-decay fit bit for bit on any number of rows. More
-    classes train through ``_softmax_grads``, with the ladder held rows
-    leading as (d, c, l) slopes and (c, l) intercepts, so each pass makes
-    one forward product for all models; each model equals its one-decay fit
-    bit for bit on two or more rows (on one row numpy's vector-matrix
-    product makes the last bits depend on the ladder's length).
+
+    ``x`` gains a ones column once, so each model's slopes over its
+    intercept are one (d+1, k) θ and its logits ``x₁·θ``. The models train
+    together in one loop over the (l, d+1, k) ladder: an epoch subtracts
+    ``_ladder_gradient`` scaled by SOFTMAX_LR / n from θ, then multiplies θ
+    by the proximal factor, which is 1 on the intercept row. Every product
+    is one matmul per model, the one its lone fit makes, so each model
+    equals its own one-decay fit bit for bit on any number of rows. The
+    models come back as a list, each owning C-contiguous (d, c) weights.
+
+    Two classes train one logit column (k = 1). From the zero start the
+    softmax's two residual columns are negatives of each other at every
+    step, so its slopes and intercepts stay ``[-w, w]`` and ``[-b, b]``:
+    class 1 takes ``p₁ = σ(2s)`` on ``s = x₁·θ``, whose residual
+    ``p₁ - y₁ = ½·tanh(s) + (½ - y₁)`` no logit overflows. More classes
+    train all c logit columns (k = c).
     """
     decays = np.asarray(weight_decay, dtype=float)
-    classes = int(classes)
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
+    if not (isinstance(classes, numbers.Integral) and classes >= 2):
+        raise ValueError(f"classes must be an integer >= 2, got {classes!r}")
     if decays.ndim != 1 or decays.size == 0 or not np.all((decays >= 0) & (decays < np.inf)):
         raise ValueError(f"weight_decay must be a non-empty 1-d sequence of finite values >= 0,"
                          f" got {decays}")
     if not (isinstance(epochs, numbers.Integral) and epochs >= 0):
         raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
-    # One logit column carries a two-class fit, so its one-hot needs one copy.
-    x, targets = _labelled_sample(x, labels, classes, 1 if classes == 2 else decays.size)
-    shrink = 1.0 / (1.0 + SOFTMAX_LR * decays)
-    if classes == 2:
-        return _fit_one_logit(x, targets[:, 1], shrink, epochs)
-    w = np.zeros((x.shape[1], classes, decays.size))
-    b = np.zeros((classes, decays.size))
-    for _ in range(epochs):
-        gw, gb = _softmax_grads(w, b, x, targets)
-        w -= SOFTMAX_LR * gw
-        w *= shrink
-        b -= SOFTMAX_LR * gb
-    return [SoftmaxModel(w[..., j].copy(), b[:, j].copy()) for j in range(decays.size)]
-
-
-def _fit_one_logit(x, picked, shrink, epochs):
-    """The two-class ladder of ``fit_softmax_classifier`` on one logit column per model.
-
-    From the zero start the softmax's two residual columns are negatives of
-    each other at every step, so its slopes and intercepts stay ``[-w, w]``
-    and ``[-b, b]``. Each model trains ``s = x·w + b``, with class 1 taking
-    ``p₁ = σ(2s)``. The residual ``p₁ - y₁`` is ``½·tanh(s) + (½ - y₁)``,
-    which no logit overflows. ``picked`` is the (n, 1) class-1 indicator and
-    ``shrink`` the per-model proximal factors.
-
-    ``x`` gains a ones column once, so each model's slopes and intercept are
-    one (d+1, 1) θ and ``s = x₁·θ``. The gradient ``x₁ᵀ(p₁ - y₁)/n`` is then
-    ``(½·x₁ᵀtanh(s) + x₁ᵀ(½ - y₁))/n``, and its constant part is computed
-    before the loop. An epoch is two products, each one batched matmul on
-    (l, d+1, 1) parameters or (l, n, 1) logits, the tanh in place, and a
-    step on θ alone, whose proximal factor is 1 on the intercept row. Each
-    model runs its lone fit's kernels and equals it bit for bit.
-    """
+    x = sample_matrix(x, "x", fitting=True)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
+        raise DimensionError(f"labels of shape {labels.shape} do not match x {x.shape}")
+    targets = one_hot(labels, classes)
     n, d = x.shape
     x1 = np.hstack([x, np.ones((n, 1))])
-    constant = x1.T @ (0.5 - picked)
-    factor = np.ones((shrink.size, d + 1, 1))
-    factor[:, :d] = shrink[:, None, None]
-    theta = np.zeros((shrink.size, d + 1, 1))
-    s = np.empty((shrink.size, n, 1))
+    # The residual's label part, summed over the rows once: x₁ᵀ(½ - y₁) or -x₁ᵀY.
+    constant = x1.T @ (0.5 - targets[:, 1:] if classes == 2 else -targets)
+    factor = np.ones((decays.size, d + 1, 1))
+    factor[:, :d] = 1.0 / (1.0 + SOFTMAX_LR * decays[:, None, None])
+    theta = np.zeros((decays.size, d + 1, constant.shape[1]))
+    s = np.empty((decays.size, n, constant.shape[1]))
     g = np.empty_like(theta)
     for _ in range(epochs):
-        np.matmul(x1, theta, out=s)
-        np.tanh(s, out=s)
-        np.matmul(x1.T, s, out=g)
-        g *= 0.5
-        g += constant
+        _ladder_gradient(theta, x1, constant, s, g)
         g *= SOFTMAX_LR / n
         theta -= g
         theta *= factor
-    return [SoftmaxModel(np.concatenate([-t[:d], t[:d]], axis=1), np.concatenate([-t[d], t[d]]))
-            for t in theta]
+    if classes == 2:
+        theta = np.concatenate([-theta, theta], axis=2)
+    return [SoftmaxModel(t[:d].copy(), t[d].copy()) for t in theta]
+
+
+def _ladder_gradient(theta, x1, constant, s, g):
+    """``x₁ᵀ(residual)`` of each model of the ladder at its θ, written into ``g``.
+
+    That is n times the model's mean cross-entropy gradient; with one logit
+    column, the gradient of class 1's column of the softmax model [-θ, θ].
+    ``theta`` is the (l, d+1, k) ladder of ``fit_softmax_classifier``, ``x1``
+    its (n, d+1) sample with the ones column, ``constant`` the (d+1, k)
+    label part, and ``s`` an (l, n, k) work array for the logits. The
+    residual kernel alone tells one column from c: ``½·tanh(s)`` on one, the
+    softmax on c. Returns ``g``.
+    """
+    np.matmul(x1, theta, out=s)
+    if theta.shape[2] == 1:
+        np.matmul(x1.T, np.tanh(s, out=s), out=g)
+        g *= 0.5
+    else:
+        np.matmul(x1.T, _softmax_in_place(s), out=g)
+    g += constant
+    return g
 
 
 class FeatureModel(Model):

@@ -44,8 +44,7 @@ from shiftagg.linalg import spectral_pinv
 from shiftagg.metrics import risk
 from shiftagg.models import (
     SoftmaxModel,
-    _labelled_sample,
-    _softmax_grads,
+    _ladder_gradient,
     fit_softmax_classifier,
     stack_predictions,
 )
@@ -314,15 +313,21 @@ def test_criterion_9_module_invariants():
     assert np.all(probs >= 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    # The trainer's analytic gradient, on a one-model (d, c, 1) ladder,
-    # matches central finite differences of the mean cross-entropy of the
+    # The gradient a two-class fit runs, on a one-model ladder at a non-zero
+    # one-logit θ = (w, b), is the class-1 column of the softmax gradient of
+    # SoftmaxModel([-w, w], [-b, b]), and its negative the class-0 column: it
+    # matches central finite differences of the mean cross-entropy of that
     # model's predictions to 1e-5 relative.
     fd_x = np.array([[0.4, -1.2], [1.0, 0.3], [-0.7, 0.9]])
     fd_labels = np.array([0, 1, 0])
-    w = np.array([[0.2, -0.1], [0.5, 0.3]])
-    b = np.array([0.05, -0.2])
-    gw, gb = _softmax_grads(w[..., None], b[:, None], *_labelled_sample(fd_x, fd_labels, 2, 1))
-    gw, gb = gw[..., 0], gb[:, 0]
+    w = np.array([[0.2], [-0.4]])
+    b = np.array([0.05])
+    x1 = np.hstack([fd_x, np.ones((3, 1))])
+    constant = x1.T @ (0.5 - (fd_labels == 1)[:, None])
+    theta = np.vstack([w, b])[None]
+    grad = _ladder_gradient(theta, x1, constant, np.empty((1, 3, 1)), np.empty_like(theta))[0] / 3
+    gw, gb = np.hstack([-grad[:2], grad[:2]]), np.concatenate([-grad[2], grad[2]])
+    w, b = np.hstack([-w, w]), np.concatenate([-b, b])
     eps = 1e-6
 
     def loss_at(w_mod, b_mod):

@@ -1,6 +1,7 @@
 """Synthetic covariate-shift generators and the CSV instance loader."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg.cli import main
 from shiftagg.datasets import (
     MOONS_CENTROID,
     MOONS_NOISE,
@@ -369,6 +371,32 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.target_x, inst.target_x)
         assert np.array_equal(loaded.target_eval_x, inst.target_eval_x)
         assert np.array_equal(loaded.target_eval_y, inst.target_eval_y)
+
+    def test_three_class_instance_runs_the_study(self, tmp_path):
+        # Three shifted Gaussian classes: the CSV path is the one study that
+        # trains a ladder of more than two classes.
+        rng = np.random.default_rng(3)
+        centres = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
+
+        def draw(rows, shift):
+            labels = rng.integers(0, 3, size=rows)
+            return centres[labels] + shift + rng.normal(size=(rows, 2)), one_hot(labels, 3)
+
+        (source_x, source_y), (target_x, _), (eval_x, eval_y) = (
+            draw(300, 0.0), draw(300, 0.5), draw(500, 0.5))
+        paths = self.paths(tmp_path)
+        write_instance(DomainAdaptationInstance(source_x, source_y, target_x, eval_x, eval_y),
+                       *paths)
+        args = ["run", "--dataset", "csv", "--source-csv", paths[0], "--target-csv", paths[1],
+                "--eval-csv", paths[2], "--seeds", "0", "--l", "14"]
+        runs = []
+        for out in ("first", "second"):
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
+            runs.append(json.loads((tmp_path / out / "results.json").read_text())["rows"])
+        assert len(runs[0]) == 10 and runs[0] == runs[1]
+        for row in runs[0]:
+            assert row.get("error") in (None, "")
+            assert math.isfinite(row["risk"]) and math.isfinite(row["excess"])
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
