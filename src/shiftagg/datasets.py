@@ -371,13 +371,20 @@ def load_csv_instance(source_path, target_path, eval_path):
     """Instance from three CSV files: labeled source, unlabeled target, labeled eval.
 
     Labeled files carry header ``x0,...,y0,...``; the target file carries
-    only x columns. Malformed rows are rejected with their line numbers;
-    split dimension mismatches raise DimensionError; missing files raise
-    FileNotFoundError.
+    only x columns. Malformed rows are rejected with their line numbers, and
+    splits whose x or y widths disagree with a CsvFormatError naming the
+    three files; missing files raise FileNotFoundError.
     """
     source_x, source_y = _read_split(source_path, labeled=True)
     target_x, _ = _read_split(target_path, labeled=False)
     eval_x, eval_y = _read_split(eval_path, labeled=True)
+    sx, tx, ex, sy, ey = (a.shape[1] for a in (source_x, target_x, eval_x, source_y, eval_y))
+    if not sx == tx == ex or sy != ey:
+        raise CsvFormatError(
+            f"input dimensions (x columns) or label dimensions (y columns) disagree across"
+            f" splits: {source_path} has {sx} x, {sy} y; {target_path} {tx} x;"
+            f" {eval_path} {ex} x, {ey} y"
+        )
     return DomainAdaptationInstance(
         source_x=source_x,
         source_y=source_y,

@@ -139,9 +139,6 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
-        bad = [m for m in self.methods if m in CLASSIFICATION_ONLY_METHODS]
-        if self.dataset == "sinc" and bad:
-            problems.append(f"methods: {bad} need classification outputs, dataset is sinc")
         for name in ("source_csv", "target_csv", "eval_csv", "model_csvs"):
             if self.dataset != "csv" and getattr(self, name):
                 problems.append(f"{name}: only read when dataset = csv, not {self.dataset}")
@@ -788,12 +785,11 @@ class _SeedContext:
 def _study(cfg, kind, prepare, blanks, fill, extra=None):
     """A ``kind`` table over the seeds of ``cfg``: ``fill(prepare(seed), blank)`` per row.
 
-    ``blanks(seed, prepared)`` lists a seed's rows once, unfilled, with
-    ``prepared`` None when ``prepare(seed)`` raised. An input fault
-    (``INPUT_FAULTS``) stops the run. Any other error fails the rows it kept
-    from being computed, with its description as their error: every row of
-    the seed when ``prepare`` raised, else the one row whose ``fill`` did.
-    The other rows still run.
+    ``blanks(seed)`` lists a seed's rows once, unfilled, from the settings
+    alone. An input fault (``INPUT_FAULTS``) stops the run. Any other error
+    fails the rows it kept from being computed, with its description as
+    their error: every row of the seed when ``prepare`` raised, else the one
+    row whose ``fill`` did. The other rows still run.
     """
 
     def attempt(compute, *args):
@@ -806,7 +802,7 @@ def _study(cfg, kind, prepare, blanks, fill, extra=None):
 
     def seed_rows(seed):
         prepared, failed = attempt(prepare, seed)
-        for blank in blanks(seed, prepared):
+        for blank in blanks(seed):
             row, error = (None, failed) if failed else attempt(fill, prepared, blank)
             yield row if error is None else replace(blank, error=error)
 
@@ -814,15 +810,11 @@ def _study(cfg, kind, prepare, blanks, fill, extra=None):
     return ResultTable(rows=rows, config=cfg.as_dict(), kind=kind, extra=extra or {})
 
 
-def _prepare(cfg, seed, study=None):
-    """The seed's context: instance, model sequence, density ratio and prediction stacks.
+def _prepare(cfg, instance):
+    """The instance's context: model sequence, density ratio and prediction stacks.
 
-    Each model is predicted once per split here. A ``study`` name requires
-    classification outputs.
+    Each model is predicted once per split here.
     """
-    instance = build_instance(cfg, seed)
-    if study and instance.label_dim < 2:
-        raise ConfigError(f"dataset: the {study} study needs classification outputs")
     models = build_models(cfg, instance)
     beta = build_beta(cfg, instance)
     stacks = tuple(
@@ -833,40 +825,47 @@ def _prepare(cfg, seed, study=None):
 
 
 def _contexts(cfg, study=None):
-    """``seed -> context`` for one run of a study (``study`` as for ``_prepare``).
+    """``(seed -> context, classification)`` for one run of a study, or a ConfigError.
 
-    A CSV instance is one fixed sample, so the first seed's context is
-    prepared on first use and shared: each file is read once. Only the
-    sensitivity study draws anything from the seed; the others refuse a
-    second seed here, before any file is read, rather than repeat the same
-    rows.
+    Whether the outputs are class scores (moons, or a CSV instance with two
+    or more label columns) is decided here, once; on other outputs a
+    ``study`` or a method of ``CLASSIFICATION_ONLY_METHODS`` is refused. A
+    CSV instance is one fixed sample: it is read here, once, and its context
+    is prepared on first use and shared. Only the sensitivity study draws
+    anything from the seed; the others refuse a second seed on a CSV
+    instance before any file is read, rather than repeat the same rows.
     """
-    if cfg.dataset != "csv":
-        return partial(_prepare, cfg, study=study)
-    if study != "sensitivity" and len(cfg.seeds) > 1:
-        raise ConfigError(
-            f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
-            f" rows; give one seed, got {list(cfg.seeds)}"
-        )
-    shared = cache(partial(_prepare, cfg, cfg.seeds[0], study))
-    return lambda seed: shared()
+    instance = None
+    if cfg.dataset == "csv":
+        if study != "sensitivity" and len(cfg.seeds) > 1:
+            raise ConfigError(
+                f"seeds: a CSV instance is one fixed sample, so every seed would repeat the same"
+                f" rows; give one seed, got {list(cfg.seeds)}"
+            )
+        instance = build_instance(cfg, cfg.seeds[0])
+    classification = cfg.dataset == "moons" if instance is None else instance.label_dim >= 2
+    bad = [m for m in cfg.methods if m in CLASSIFICATION_ONLY_METHODS]
+    if not classification and (study or bad):
+        needs = f"dataset: the {study} study needs" if study else f"methods: {bad} need"
+        raise ConfigError(f"{needs} classification outputs; {cfg.dataset} labels have one column")
+    if instance is None:
+        return (lambda seed: _prepare(cfg, build_instance(cfg, seed))), classification
+    shared = cache(partial(_prepare, cfg, instance))
+    return (lambda seed: shared()), classification
 
 
 def run_experiment(cfg):
     """One table of (method, seed) evaluation rows plus aggregates.
 
-    The default methods follow the prepared instance's outputs; a seed that
-    fails before its instance is prepared lists them by dataset, with CSV
-    outputs taken as values.
+    The methods are resolved once, before the first seed: without a request,
+    every method the outputs support (see ``_contexts``).
     """
     cfg.validate()
-
-    def blanks(seed, ctx):
-        classification = cfg.dataset == "moons" if ctx is None else ctx.classification
-        return [ResultRow(method, seed) for method in resolve_methods(cfg, classification)]
-
+    context_of, classification = _contexts(cfg)
+    methods = resolve_methods(cfg, classification)
     extra = {"target_risk": _sinc_target_risk(cfg)} if cfg.dataset == "sinc" else None
-    return _study(cfg, "run", _contexts(cfg), blanks, _SeedContext.evaluate, extra)
+    return _study(cfg, "run", context_of, lambda seed: [ResultRow(m, seed) for m in methods],
+                  _SeedContext.evaluate, extra)
 
 
 def _sinc_target_risk(cfg):
@@ -989,9 +988,9 @@ def run_sensitivity(cfg):
     """
     cfg.validate()
     counts = sorted({0, *cfg.counts})
-    methods = resolve_methods(cfg, classification=True)
+    context_of, classification = _contexts(cfg, "sensitivity")
+    methods = resolve_methods(cfg, classification)
     gate_stats = []
-    context_of = _contexts(cfg, "sensitivity")
 
     def prepare(seed):
         """Each count's context, on the leading slices of the seed's extended stacks."""
@@ -1015,7 +1014,7 @@ def run_sensitivity(cfg):
 
     return _study(
         cfg, "sensitivity", prepare,
-        lambda seed, _: [ResultRow(m, seed, count=c) for c in counts for m in methods],
+        lambda seed: [ResultRow(m, seed, count=c) for c in counts for m in methods],
         lambda contexts, blank: contexts[blank.count].evaluate(blank),
         {"corruption_gate": gate_stats, "added_counts": counts},
     )
@@ -1039,7 +1038,7 @@ def run_correlation(cfg):
         raise ConfigError(
             f"methods: correlation needs weight-producing methods {WEIGHT_METHODS}, got {bad}"
         )
-    context_of = _contexts(cfg, "correlation")
+    context_of, _ = _contexts(cfg, "correlation")
     models = len(cfg.model_csvs) or cfg.l
     if models < 2:
         key = "model_csvs" if cfg.model_csvs else "l"
@@ -1056,7 +1055,7 @@ def run_correlation(cfg):
         return replace(blank, pearson_r=pearson_r, degenerate=degenerate)
 
     return _study(cfg, "correlation", prepare,
-                  lambda seed, _: [CorrelationRow(m, seed) for m in methods], fill)
+                  lambda seed: [CorrelationRow(m, seed) for m in methods], fill)
 
 
 # --- convergence-rate check ---------------------------------------------------
@@ -1162,7 +1161,7 @@ def run_rate_check(cfg):
 
     return _study(
         cfg, "rate", deviations,
-        lambda seed, _: [RateRow(seed, size, math.nan) for size in sizes],
+        lambda seed: [RateRow(seed, size, math.nan) for size in sizes],
         lambda found, blank: replace(blank, deviation=found[blank.size]),
         {"sizes": sizes, "c_star": _rate_oracle(cfg)},
     )

@@ -262,6 +262,26 @@ def test_partial_failures_exit_two(tmp_path, capsys):
     assert "no stored prediction" in err
 
 
+def test_failed_classification_seed_lists_the_default_methods(tmp_path, capsys):
+    # A seed that fails to prepare lists the methods a successful run on the
+    # same classification instance lists, the vote baselines included.
+    _write_csv_instance(tmp_path)
+    methods = {}
+    for with_eval_rows, code in ((True, 0), (False, 2)):
+        model = tmp_path / "model_a.csv"
+        _write_model_csv(model, with_eval_rows=with_eval_rows)
+        args = _csv_args(tmp_path, [model])
+        del args[args.index("--methods"):args.index("--methods") + 2]
+        out = tmp_path / f"out-{code}"
+        assert main(args + ["--out", str(out)]) == code
+        rows = json.loads((out / "results.json").read_text())["rows"]
+        assert all((row.get("error") is None) == (code == 0) for row in rows)
+        methods[code] = [row["method"] for row in rows]
+    assert "no stored prediction" in capsys.readouterr().err
+    assert methods[2] == methods[0]
+    assert {"tmv", "tmr", "tcr"} <= set(methods[2])
+
+
 # sha256 of results.csv and of the rows and aggregates of results.json (the
 # recorded config holds temporary paths) for the two CSV-instance runs below:
 # two prediction tables, and the softmax ladder fitted on the split files.
@@ -384,26 +404,40 @@ def _csv_seeds(command):
     return "0,1" if command == "sensitivity" else "0"
 
 
-@pytest.mark.parametrize("command", ["sensitivity", "correlate"])
-def test_classification_study_on_regression_csv_exits_one(tmp_path, capsys, command):
-    (tmp_path / "source.csv").write_text("x0,y0\n0,0.5\n1,0.25\n2,0.75\n")
-    (tmp_path / "target.csv").write_text("x0\n1.5\n2.5\n")
-    (tmp_path / "eval.csv").write_text("x0,y0\n1,0.5\n3,0.25\n")
+# A study, or `run --methods iwa,tmv`, on one-column labels: the command,
+# the dataset and the start of the refusal.
+REGRESSION_REFUSALS = {
+    "sensitivity": ("sensitivity", "csv", "dataset: the sensitivity study needs"),
+    "correlate": ("correlate", "csv", "dataset: the correlation study needs"),
+    "run": ("run", "csv", "methods: ['tmv'] need"),
+    "sinc-sensitivity": ("sensitivity", "sinc", "dataset: the sensitivity study needs"),
+    "sinc-correlate": ("correlate", "sinc", "dataset: the correlation study needs"),
+    "sinc-run": ("run", "sinc", "methods: ['tmv'] need"),
+}
+
+
+@pytest.mark.parametrize("case", list(REGRESSION_REFUSALS))
+def test_classification_study_on_regression_csv_exits_one(tmp_path, monkeypatch, capsys, case):
+    # Refused before the first seed: no context is prepared.
+    command, dataset, refusal = REGRESSION_REFUSALS[case]
+    prepared = []
+    monkeypatch.setattr(harness, "_prepare", lambda *args, **kwargs: prepared.append(args))
     out = tmp_path / "out"
-    args = [
-        command,
-        "--dataset", "csv",
-        "--source-csv", str(tmp_path / "source.csv"),
-        "--target-csv", str(tmp_path / "target.csv"),
-        "--eval-csv", str(tmp_path / "eval.csv"),
-        "--seeds", _csv_seeds(command),
-        "--out", str(out),
-    ]
+    args = [command, "--dataset", dataset, "--seeds", _csv_seeds(command), "--out", str(out)]
+    if dataset == "csv":
+        (tmp_path / "source.csv").write_text("x0,y0\n0,0.5\n1,0.25\n2,0.75\n")
+        (tmp_path / "target.csv").write_text("x0\n1.5\n2.5\n")
+        (tmp_path / "eval.csv").write_text("x0,y0\n1,0.5\n3,0.25\n")
+        for split in ("source", "target", "eval"):
+            args += [f"--{split}-csv", str(tmp_path / f"{split}.csv")]
+    if command == "run":
+        args += ["--methods", "iwa,tmv"]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("needs classification outputs") == 1
-    assert not (out / "results.json").exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {refusal} classification outputs")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert prepared == []
+    assert not out.exists()
 
 
 def _study_args(tmp_path, command, seeds, model_paths):
@@ -422,6 +456,7 @@ CONTENT_FAULTS = {
     "nonfinite-model": ("model_a.csv", lambda text: text.replace("1,0.2,", "1,inf,"), 3),
     "binary": ("source.csv", lambda text: text.encode("utf-16"), None),  # a UTF-16 export
     "binary-config": ("run.cfg", lambda text: "# r\xe9sum\xe9\nn = 3\n".encode("latin-1"), None),
+    "narrow-target": ("target.csv", lambda text: "x0\n1\n1\n", None),  # x widths 2, 1, 2
 }
 
 

@@ -458,8 +458,17 @@ class TestCsvRoundTrip:
         write_instance(source, *s_paths)
         m_target = str(tmp_path / "moons_target.csv")
         write_instance(moons, str(tmp_path / "ms.csv"), m_target, str(tmp_path / "me.csv"))
-        with pytest.raises(DimensionError, match="input dimensions"):
+        with pytest.raises(CsvFormatError, match="input dimensions"):
             load_csv_instance(s_paths[0], m_target, s_paths[2])
+
+    def test_split_label_width_mismatch_names_the_three_files(self, tmp_path):
+        paths = self.paths(tmp_path)
+        write_instance(make_sinc_shift(3, 3, seed=0), *paths)
+        with open(paths[2], "w") as handle:
+            handle.write("x0,y0,y1\n0.5,1,0\n")
+        with pytest.raises(CsvFormatError, match="label dimensions") as err:
+            load_csv_instance(*paths)
+        assert all(path in str(err.value) for path in paths)
 
     def test_two_row_minimal_instance(self, tmp_path):
         paths = self.paths(tmp_path)

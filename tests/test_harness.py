@@ -77,7 +77,7 @@ def study_rows(context, seed, methods, count=None):
     """``context``'s rows for ``methods`` through the study loop: a raising method fails its row."""
     return harness._study(
         dataclasses.replace(context.cfg, seeds=(seed,)), "run", lambda seed: context,
-        lambda seed, _: [ResultRow(method, seed, count=count) for method in methods],
+        lambda seed: [ResultRow(method, seed, count=count) for method in methods],
         _SeedContext.evaluate,
     ).rows
 
@@ -119,7 +119,7 @@ class TestConfigValidation:
 
     def test_classification_methods_rejected_on_sinc(self):
         with pytest.raises(ConfigError, match="classification"):
-            ExperimentConfig(dataset="sinc", methods=("iwa", "tmv")).validate()
+            run_experiment(ExperimentConfig(dataset="sinc", methods=("iwa", "tmv")))
 
     def test_unknown_methods_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
