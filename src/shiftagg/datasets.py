@@ -315,7 +315,7 @@ def _parse_number(kind, text, path, lineno):
     """``kind(text)`` if it is a finite number, or a CsvFormatError citing the line."""
     try:
         value = kind(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CsvFormatError(f"unparseable number: {exc}", path=path, line=lineno) from None
     if kind is float and not math.isfinite(value):
         raise CsvFormatError(f"non-finite number {text.strip()!r}", path=path, line=lineno)
@@ -346,7 +346,10 @@ def _read_split(path, labeled):
 
 
 def load_model_csv(path):
-    """A PrecomputedModel from a prediction-table CSV with header ``split,index,y0,...``."""
+    """A PrecomputedModel from a prediction-table CSV with header ``split,index,y0,...``.
+
+    Indices are 64-bit integers; ``harness.build_models`` checks a table against its instance.
+    """
     header, rows = _read_csv(
         path,
         "split,index,y0,...",
@@ -355,9 +358,10 @@ def load_model_csv(path):
     )
     tables = {"source": {}, "target": {}}
     for lineno, (split, index, *values) in rows:
+        split = split.strip()
         if split not in tables:
             raise CsvFormatError(f"unknown split {split!r}", path=path, line=lineno)
-        index = _parse_number(int, index, path, lineno)
+        index = _parse_number(np.int64, index, path, lineno)
         values = [_parse_number(float, v, path, lineno) for v in values]
         if index in tables[split]:
             raise CsvFormatError(

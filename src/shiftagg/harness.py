@@ -30,7 +30,7 @@ from .datasets import (
     sinc_sigmas,
 )
 from .density_ratio import fit_domain_classifier
-from .errors import INPUT_FAULTS, ConfigError, NumericalError
+from .errors import INPUT_FAULTS, ConfigError, CsvFormatError, DimensionError, NumericalError
 from .metrics import one_hot, pearson_with_flag, quartiles
 from .models import (
     FeatureModel,
@@ -254,9 +254,22 @@ def _moons_sequence(cfg, instance):
 
 
 def build_models(cfg, instance):
-    """Model sequence (a list) for an instance; ConfigError if it cannot carry the ladder."""
+    """Model sequence (a list) for an instance; ConfigError if it cannot carry the ladder.
+
+    A prediction table must have the labels' width and every key's row, else CsvFormatError.
+    """
     if cfg.dataset == "csv" and cfg.model_csvs:
-        return [load_model_csv(path) for path in cfg.model_csvs]
+        models = [load_model_csv(path) for path in cfg.model_csvs]
+        keys = np.concatenate([instance.source_x, instance.target_x, instance.target_eval_x])
+        for path, model in zip(cfg.model_csvs, models):
+            if model.output_dim != instance.label_dim:
+                raise CsvFormatError(f"a table of width {model.output_dim} for labels of width"
+                                     f" {instance.label_dim}", path=path)
+            try:
+                model.predict_many(keys)
+            except (KeyError, DimensionError) as exc:
+                raise CsvFormatError(exc.args[0], path=path) from None
+        return models
     if cfg.dataset == "sinc" or (cfg.dataset == "csv" and instance.label_dim == 1):
         if instance.input_dim != 1:
             raise ConfigError(

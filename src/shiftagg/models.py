@@ -333,53 +333,51 @@ def corrupt(base, seed):
 
 
 SPLIT_CODES = {0: "source", 1: "target"}
-SPLIT_NAMES = {name: code for code, name in SPLIT_CODES.items()}
+_KEY = np.dtype([("split", np.int64), ("index", np.int64)])  # ordered by split, then index
 
 
 class PrecomputedModel(Model):
-    """Predictions computed elsewhere, stored per (split, sample index).
+    """Predictions computed elsewhere: one (rows, output_dim) array keyed by (split, index).
 
-    Queries are keyed rather than evaluated: the input vector is
-    ``(split_code, index)`` with split code 0 = source and 1 = target. This
-    is how externally trained predictors feed the aggregator; the matching
-    instance must carry key pairs in its x matrices. A key that is not a
-    pair of integers raises KeyError, as an unknown one does.
+    ``tables`` maps a split name to ``{index: row}``. A query row is a key
+    ``(split_code, index)``, split code 0 = source and 1 = target, so the
+    matching instance carries key pairs in its x matrices. Keys are exact
+    64-bit integers. One that is not a pair of integers, has an unknown
+    split code or names no stored row raises KeyError.
     """
 
     input_dim = 2
 
     def __init__(self, tables, output_dim):
         self.output_dim = int(output_dim)
-        self.tables = {}
-        for split, rows in tables.items():
-            if split not in SPLIT_NAMES:
-                raise ValueError(f"unknown split {split!r}; expected one of {sorted(SPLIT_NAMES)}")
-            checked = {}
-            for index, row in rows.items():
-                row = np.asarray(row, dtype=float)
-                if row.shape != (self.output_dim,):
-                    raise DimensionError(
-                        f"stored prediction for ({split}, {index}) has shape {row.shape},"
-                        f" expected ({self.output_dim},)"
-                    )
-                checked[int(index)] = row
-            self.tables[split] = checked
+        if tables.keys() - SPLIT_CODES.values():
+            raise ValueError(f"unknown split in {sorted(tables)}; expected source or target")
+        keys = [(code, index) for code, split in SPLIT_CODES.items()
+                for index in sorted(tables.get(split, ()))]
+        rows = [tables[SPLIT_CODES[code]][index] for code, index in keys]
+        # The reshape fails unless every row has output_dim entries.
+        self._rows = np.array(rows, dtype=float).reshape(len(keys), self.output_dim)
+        self._keys = np.array(keys, dtype=_KEY)
 
     def predict_many(self, xs):
         xs = sample_matrix(xs, "xs of (split_code, index) key rows", 2)
-        out = np.empty((xs.shape[0], self.output_dim))
-        for row, key in enumerate(xs):
-            if not (key[0].is_integer() and key[1].is_integer()):
-                raise KeyError(f"key {tuple(key.tolist())} is not an integer (split code, index)")
-            code, index = int(key[0]), int(key[1])
-            split = SPLIT_CODES.get(code)
-            if split is None:
-                raise KeyError(f"unknown split code {code}; expected one of {sorted(SPLIT_CODES)}")
-            table = self.tables.get(split, {})
-            if index not in table:
-                raise KeyError(f"no stored prediction for split '{split}', index {index}")
-            out[row] = table[index]
-        return out
+        whole = (np.isfinite(xs) & (xs == np.trunc(xs))).all(axis=1)
+        if not whole.all():
+            key = tuple(xs[~whole][0].tolist())
+            raise KeyError(f"key {key} is not an integer (split code, index)")
+        # A key beyond the 64-bit range names no row; it is not cast onto one.
+        inside = ((xs >= -(2.0**63)) & (xs < 2.0**63)).all(axis=1)
+        keys = np.rec.fromarrays(np.where(inside, xs.T, 0), dtype=_KEY)
+        at = np.searchsorted(self._keys, keys)
+        found = inside & (at < len(self._keys))
+        found[found] = self._keys[at[found]] == keys[found]
+        if not found.all():
+            code, index = xs[~found][0]
+            if code not in SPLIT_CODES:
+                raise KeyError(f"unknown split code {code:.0f}; expected 0 (source) or 1 (target)")
+            raise KeyError(
+                f"no stored prediction for split '{SPLIT_CODES[code]}', index {int(index)}")
+        return self._rows[at]
 
 
 def stack_predictions(models, xs):

@@ -228,10 +228,10 @@ def test_model_csvs_of_different_widths_fail_loudly(tmp_path, capsys):
     _write_model_csv(wide, with_eval_rows=True)
     narrow.write_text("split,index,y0\nsource,0,0.5\n")
     out = tmp_path / "out"
-    assert main(_csv_args(tmp_path, [wide, narrow]) + ["--out", str(out)]) == 2
-    rows = json.loads((out / "results.json").read_text())["rows"]
-    assert rows and all(row["error"].startswith("DimensionError: ") for row in rows)
-    assert "output_dim" in capsys.readouterr().err
+    assert main(_csv_args(tmp_path, [wide, narrow]) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {narrow}: a table of width 1 for labels of width 2\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", [harness.ConfigError("bad setting"), OSError("unreadable")],
@@ -251,25 +251,32 @@ def test_input_fault_in_a_method_exits_one(tmp_path, monkeypatch, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
-def test_partial_failures_exit_two(tmp_path, capsys):
+def _ratio_fit_fails(*args, **kwargs):
+    raise harness.NumericalError("domain classifier did not converge")
+
+
+def test_partial_failures_exit_two(tmp_path, monkeypatch, capsys):
     _write_csv_instance(tmp_path)
-    # The prediction tables lack the evaluation rows, so every method fails.
+    # The density ratio cannot be fitted, so every method fails.
+    monkeypatch.setattr(harness, "fit_domain_classifier", _ratio_fit_fails)
     model = tmp_path / "model_a.csv"
-    _write_model_csv(model, with_eval_rows=False)
+    _write_model_csv(model, with_eval_rows=True)
     assert main(_csv_args(tmp_path, [model])) == 2
     err = capsys.readouterr().err
     assert "failed" in err
-    assert "no stored prediction" in err
+    assert "NumericalError: domain classifier did not converge" in err
 
 
-def test_failed_classification_seed_lists_the_default_methods(tmp_path, capsys):
+def test_failed_classification_seed_lists_the_default_methods(tmp_path, monkeypatch, capsys):
     # A seed that fails to prepare lists the methods a successful run on the
     # same classification instance lists, the vote baselines included.
     _write_csv_instance(tmp_path)
     methods = {}
-    for with_eval_rows, code in ((True, 0), (False, 2)):
-        model = tmp_path / "model_a.csv"
-        _write_model_csv(model, with_eval_rows=with_eval_rows)
+    model = tmp_path / "model_a.csv"
+    _write_model_csv(model, with_eval_rows=True)
+    for code in (0, 2):
+        if code == 2:
+            monkeypatch.setattr(harness, "fit_domain_classifier", _ratio_fit_fails)
         args = _csv_args(tmp_path, [model])
         del args[args.index("--methods"):args.index("--methods") + 2]
         out = tmp_path / f"out-{code}"
@@ -277,7 +284,7 @@ def test_failed_classification_seed_lists_the_default_methods(tmp_path, capsys):
         rows = json.loads((out / "results.json").read_text())["rows"]
         assert all((row.get("error") is None) == (code == 0) for row in rows)
         methods[code] = [row["method"] for row in rows]
-    assert "no stored prediction" in capsys.readouterr().err
+    assert "NumericalError: domain classifier did not converge" in capsys.readouterr().err
     assert methods[2] == methods[0]
     assert {"tmv", "tmr", "tcr"} <= set(methods[2])
 
@@ -492,6 +499,55 @@ def test_bad_csv_file_under_two_seeds_exits_one(tmp_path, capsys, command, fault
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(part in err for part in expected)
+    assert not out.exists()
+
+
+# Prediction tables that do not fit the instance: how the second table is
+# spoiled, and what the error names beside its path.
+TABLE_FAULTS = {
+    "width": (lambda text: "".join(",".join(line.split(",")[:3]) + "\n"
+                                   for line in text.splitlines()),
+              "a table of width 1 for labels of width 2"),
+    "eval-rows": (lambda text: text.replace("target,2,0.8,0.2\n", ""),
+                  "no stored prediction for split 'target', index 2"),
+    "source-row": (lambda text: text.replace("source,1,0.2,0.8\n", ""),
+                   "no stored prediction for split 'source', index 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+@pytest.mark.parametrize("command", ["run", "sensitivity", "correlate"])
+def test_table_that_does_not_fit_the_instance_exits_one(tmp_path, monkeypatch, capsys, command,
+                                                       fault):
+    # Checked before any prediction stack is built, like every other malformed input file.
+    _write_csv_instance(tmp_path)
+    models = [tmp_path / "model_a.csv", tmp_path / "model_b.csv"]
+    for path in models:
+        _write_model_csv(path, with_eval_rows=True)
+    spoil, names = TABLE_FAULTS[fault]
+    models[1].write_text(spoil(models[1].read_text()))
+    stacked = []
+    monkeypatch.setattr(harness, "stack_predictions", lambda *args: stacked.append(args))
+    out = tmp_path / "out"
+    args = _study_args(tmp_path, command, _csv_seeds(command), models)
+    assert main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {models[1]}: {names}\n"
+    assert stacked == []
+    assert not out.exists()
+
+
+def test_instance_without_key_columns_exits_one(tmp_path, capsys):
+    # A table is read by (split code, index) keys; three x columns are not keys.
+    (tmp_path / "source.csv").write_text("x0,x1,x2,y0,y1\n0,0,0,1,0\n0,1,0,0,1\n0,2,0,1,0\n")
+    (tmp_path / "target.csv").write_text("x0,x1,x2\n1,0,0\n1,1,0\n")
+    (tmp_path / "eval.csv").write_text("x0,x1,x2,y0,y1\n1,2,0,1,0\n1,3,0,0,1\n")
+    model = tmp_path / "model_a.csv"
+    _write_model_csv(model, with_eval_rows=True)
+    out = tmp_path / "out"
+    assert main(_csv_args(tmp_path, [model]) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: xs of (split_code, index) key rows has 3 columns, expected 2\n")
     assert not out.exists()
 
 

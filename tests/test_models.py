@@ -646,19 +646,63 @@ class TestPrecomputedModel:
         path.write_text(
             "split,index,y0,y1\nsource,0,1,0\nsource,1,0.25,0.75\ntarget,0,0.5,0.5\n"
         )
-        model = self.example()
+        keys = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         loaded = load_model_csv(path)
-        for split in model.tables:
-            assert loaded.tables[split].keys() == model.tables[split].keys()
-            for index in model.tables[split]:
-                assert np.array_equal(loaded.tables[split][index], model.tables[split][index])
+        assert loaded.output_dim == 2
+        assert np.array_equal(loaded.predict_many(keys), self.example().predict_many(keys))
 
     def test_csv_header_cells_are_stripped(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("split, index, y0\nsource,0,1.5\n")
         loaded = load_model_csv(path)
         assert loaded.output_dim == 1
-        assert np.array_equal(loaded.tables["source"][0], [1.5])
+        assert np.array_equal(loaded.predict_many([[0.0, 0.0]]), [[1.5]])
+
+    def test_csv_data_cells_are_stripped(self, tmp_path):
+        # The split cell too, like the number cells beside it.
+        path = tmp_path / "spaced.csv"
+        path.write_text("split,index,y0\nsource , 0 , 1.5\n target,1,2.5\n")
+        loaded = load_model_csv(path)
+        assert np.array_equal(loaded.predict_many([[0.0, 0.0], [1.0, 1.0]]), [[1.5], [2.5]])
+
+    def test_indices_beyond_float_precision_stay_apart(self, tmp_path):
+        # 2^53 and 2^53 + 1 are one float but two stored rows.
+        path = tmp_path / "wide.csv"
+        path.write_text(f"split,index,y0\ntarget,{2**53},1.0\ntarget,{2**53 + 1},2.0\n")
+        loaded = load_model_csv(path)
+        assert np.array_equal(loaded.predict_many([[1.0, 2.0**53]]), [[1.0]])
+        with pytest.raises(KeyError, match="no stored prediction"):
+            PrecomputedModel({"target": {2**53 + 1: [2.0]}}, 1).predict_many([[1.0, 2.0**53]])
+
+    @pytest.mark.parametrize("index", [2**63, -(2**63) - 1])
+    def test_csv_index_beyond_64_bits_rejected(self, tmp_path, index):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"split,index,y0\nsource,0,1.0\nsource,{index},2.0\n")
+        with pytest.raises(CsvFormatError, match="line 3: unparseable number"):
+            load_model_csv(path)
+
+    def test_csv_index_at_the_ends_of_64_bits_is_read(self, tmp_path):
+        path = tmp_path / "ends.csv"
+        path.write_text(f"split,index,y0\nsource,{-(2**63)},1.0\nsource,{2**63 - 1},2.0\n")
+        loaded = load_model_csv(path)
+        assert np.array_equal(loaded.predict_many([[0.0, -(2.0**63)]]), [[1.0]])
+
+    @pytest.mark.parametrize("index", [1e300, -1e300, 2.0**63])
+    def test_key_beyond_64_bits_names_no_row(self, index):
+        # Not cast onto the rows nearest the ends of the 64-bit range.
+        model = PrecomputedModel({"target": {0: [1.0], 2**63 - 1: [2.0], -(2**63): [3.0]}}, 1)
+        with pytest.raises(KeyError, match="no stored prediction for split 'target'"):
+            model.predict_many(np.array([[1.0, index]]))
+
+    def test_unknown_split_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown split in \\['eval', 'source'\\]"):
+            PrecomputedModel({"source": {}, "eval": {0: [1.0]}}, 1)
+
+    def test_empty_table(self):
+        model = PrecomputedModel({}, 1)
+        assert model.predict_many(np.zeros((0, 2))).shape == (0, 1)
+        with pytest.raises(KeyError, match="no stored prediction for split 'source', index 0"):
+            model.predict_many(np.zeros((1, 2)))
 
     def test_csv_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -102,6 +102,7 @@ def test_softmax_gradient_is_not_exported():
     (harness, "rate_strictly_decreasing"), (harness, "correlation_summary"),
     (harness.TableKind, "json_body"), (harness, "_per_method"), (harness._SeedContext, "rows"),
     (models, "_labelled_sample"), (models, "_softmax_grads"), (models, "_fit_one_logit"),
+    (models, "SPLIT_NAMES"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
