@@ -205,6 +205,9 @@ def make_sinc_shift(n, m, seed=0, *, interpret_std=True):
 MOONS_ROTATION_DEG = 35.0
 MOONS_TRANSLATION = (0.3, 0.2)
 MOONS_NOISE = 0.1
+# Rows of the labeled eval draw that scores a moons run (a sinc run scores on
+# SINC_RULE_NODES).
+MOONS_EVAL_SIZE = 2000
 # Midpoint of the two arc centers (0, 0) and (1, 0.5); rotation pivots here.
 MOONS_CENTROID = (0.5, 0.25)
 
@@ -248,20 +251,18 @@ def moons_transform(points, rotation_deg=MOONS_ROTATION_DEG):
     return (points - center) @ rot.T + center + np.asarray(MOONS_TRANSLATION, dtype=float)
 
 
-def make_transformed_moons(n, m, eval_size=None, seed=0, *, rotation_deg=MOONS_ROTATION_DEG):
+def make_transformed_moons(n, m, seed=0, *, rotation_deg=MOONS_ROTATION_DEG):
     """Two-moons classification with an affinely transformed target domain.
 
     Source points come straight from the moons generator at MOONS_NOISE;
-    target and eval points are fresh generator draws pushed through
-    ``moons_transform`` (labels travel with their pre-images). Labels are
-    one-hot over the two classes.
+    target and the MOONS_EVAL_SIZE eval points are fresh generator draws
+    pushed through ``moons_transform`` (labels travel with their
+    pre-images). Labels are one-hot over the two classes.
     """
-    if eval_size is None:
-        eval_size = m
     rng_source, rng_target, rng_eval = _split_rngs(seed)
     source_points, source_labels = moons_points(n, MOONS_NOISE, rng_source)
     target_points, _ = moons_points(m, MOONS_NOISE, rng_target)
-    eval_points, eval_labels = moons_points(eval_size, MOONS_NOISE, rng_eval)
+    eval_points, eval_labels = moons_points(MOONS_EVAL_SIZE, MOONS_NOISE, rng_eval)
     return DomainAdaptationInstance(
         source_x=source_points,
         source_y=metrics.one_hot(source_labels, 2),

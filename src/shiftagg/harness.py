@@ -49,8 +49,6 @@ LAMBDA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
 # Each grid entry multiplies this decay; every polynomial fit of the sinc ladder uses RIDGE.
 BASE_WEIGHT_DECAY = 0.5
 RIDGE = 1e-6
-# Rows of the labeled moons evaluation draw (sinc scores on SINC_RULE_NODES).
-MOONS_EVAL_SIZE = 2000
 
 # METHODS (further down) defines the method names and their order; these are
 # subsets of it. Methods that need classification outputs:
@@ -81,10 +79,10 @@ class ExperimentConfig:
     Each field is both a config-file key and a CLI flag; its annotation
     decides how the text value is parsed (see ``parse_value``). A setting no
     study varies is not a field: it is a constant above (``RIDGE``,
-    ``BASE_WEIGHT_DECAY``, ``MOONS_EVAL_SIZE``) or the default of the library
-    function it feeds, such as the ratio clip, the oracle's rcond and the
-    training epochs. The density ratio follows ``dataset`` (see
-    ``build_beta``).
+    ``BASE_WEIGHT_DECAY``), a library constant such as
+    ``datasets.MOONS_EVAL_SIZE``, or the default of the library function it
+    feeds, such as the ratio clip, the oracle's rcond and the training
+    epochs. The density ratio follows ``dataset`` (see ``build_beta``).
     """
 
     dataset: str = "sinc"
@@ -232,7 +230,7 @@ def build_instance(cfg, seed):
     if cfg.dataset == "sinc":
         return make_sinc_shift(cfg.n, cfg.m, seed=seed, interpret_std=cfg.sinc_interpret_std)
     if cfg.dataset == "moons":
-        return make_transformed_moons(cfg.n, cfg.m, MOONS_EVAL_SIZE, seed=seed,
+        return make_transformed_moons(cfg.n, cfg.m, seed=seed,
                                       rotation_deg=cfg.moons_rotation_deg)
     return load_csv_instance(cfg.source_csv, cfg.target_csv, cfg.eval_csv)
 
@@ -901,28 +899,20 @@ def _subseeds(stream, seed, count):
     return [int(v) for v in ss.generate_state(count, dtype=np.uint64)]
 
 
-def _scored_candidates(models, base_eval, eval_x, eval_labels, seed, total):
-    """Yield every gate candidate in draw order as (pick, model, eval predictions, accuracy).
+def _corrupted_rows(stack, xs, picks, corrupted):
+    """``stack[picks]`` with the noise of ``corrupted`` added to its last blocks.
 
-    The candidate sequence does not depend on which candidates pass, so it
-    is drawn and scored a batch at a time: each batch adds its noise to the
-    base models' rows of ``base_eval``. A generator that is not run to the
-    end leaves at most one batch over-drawn.
+    ``stack`` holds the base models' predictions on ``xs``, and the last
+    ``len(corrupted)`` picks are those models' base indices. The gather is
+    the one allocation; the noise is added to it in place, at most
+    _NOISE_BATCH_ROWS rows of noise per call of ``add_corruption``.
     """
-    pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
-    cseeds = _subseeds(_CORRUPTION_STREAM, seed, total * MAX_CORRUPTION_REDRAWS)
-    step = _batch_models(eval_x)
-    for start in range(0, len(cseeds), step):
-        chunk = cseeds[start : start + step]
-        picks = [int(pick_rng.integers(len(models))) for _ in chunk]
-        batch = [corrupt(models[p], s) for p, s in zip(picks, chunk)]
-        preds = add_corruption(base_eval[picks], batch, eval_x)
-        yield from zip(picks, batch, preds, metrics.accuracies(preds, eval_labels))
-
-
-def _batch_models(xs):
-    """Models per noise batch on the rows of ``xs``, within _NOISE_BATCH_ROWS."""
-    return max(1, _NOISE_BATCH_ROWS // max(1, xs.shape[0]))
+    rows = stack[picks]
+    noisy = rows[len(rows) - len(corrupted) :]
+    step = max(1, _NOISE_BATCH_ROWS // max(1, xs.shape[0]))
+    for start in range(0, len(corrupted), step):
+        add_corruption(noisy[start : start + step], corrupted[start : start + step], xs)
+    return rows
 
 
 def _draw_corrupted(ctx, seed, total):
@@ -932,55 +922,49 @@ def _draw_corrupted(ctx, seed, total):
     holds each kept model's base index into ``ctx.models``, the eval stack
     holds ``ctx.eval_stack`` followed by the predictions the gate computed
     for each kept model, in slot order, and ``accuracies`` each model's
-    accuracy on that stack.
+    accuracy on that stack. The candidate sequence does not depend on which
+    candidates pass, so it is drawn and scored a batch at a time, leaving
+    at most one batch over-drawn. A kept model is flagged when its accuracy
+    is below the threshold; otherwise its slot ran out of redraws.
     """
-    models, base_eval = ctx.models, ctx.eval_stack
-    accuracies = np.empty(len(models) + total)
-    accuracies[: len(models)] = ctx.model_accuracies()
-    so_acc = float(accuracies[0])
-    threshold = 0.8 * so_acc
-    candidates = _scored_candidates(
-        models, base_eval, ctx.instance.target_eval_x, ctx.eval_labels, seed, total
-    )
-    drawn, picks, flagged_count = [], [], 0
-    eval_stack = np.empty((len(models) + total, *base_eval.shape[1:]))
-    eval_stack[: len(models)] = base_eval
-    for slot in range(total):
-        flagged = False
+    models, base_eval, eval_x = ctx.models, ctx.eval_stack, ctx.instance.target_eval_x
+    base = len(models)
+
+    def candidates():
+        pick_rng = np.random.default_rng(np.random.SeedSequence([_PICK_STREAM, int(seed)]))
+        cseeds = _subseeds(_CORRUPTION_STREAM, seed, total * MAX_CORRUPTION_REDRAWS)
+        step = max(1, _NOISE_BATCH_ROWS // max(1, eval_x.shape[0]))
+        for start in range(0, len(cseeds), step):
+            chunk = cseeds[start : start + step]
+            picks = pick_rng.integers(base, size=len(chunk)).tolist()
+            batch = [corrupt(models[p], s) for p, s in zip(picks, chunk)]
+            preds = _corrupted_rows(base_eval, eval_x, picks, batch)
+            yield from zip(picks, batch, preds, metrics.accuracies(preds, ctx.eval_labels))
+
+    accuracies = np.empty(base + total)
+    accuracies[:base] = ctx.model_accuracies()
+    threshold = 0.8 * float(accuracies[0])
+    stream = candidates()
+    drawn, picks = [], []
+    eval_stack = np.empty((base + total, *base_eval.shape[1:]))
+    eval_stack[:base] = base_eval
+    for slot in range(base, base + total):
         for _ in range(MAX_CORRUPTION_REDRAWS):
-            pick, candidate, preds, acc = next(candidates)
+            pick, candidate, preds, acc = next(stream)
             if acc < threshold:
-                flagged = True
                 break
-        flagged_count += int(flagged)
         drawn.append(candidate)
         picks.append(pick)
-        eval_stack[len(models) + slot] = preds
-        accuracies[len(models) + slot] = acc
+        eval_stack[slot] = preds
+        accuracies[slot] = acc
     stats = {
         "seed": int(seed),
-        "so_accuracy": so_acc,
+        "so_accuracy": float(accuracies[0]),
         "threshold": threshold,
-        "flagged": flagged_count,
+        "flagged": int(np.sum(accuracies[base:] < threshold)),
         "total": total,
     }
     return drawn, picks, eval_stack, accuracies, stats
-
-
-def _with_corrupted(stack, xs, picks, corrupted):
-    """``stack`` followed by the corrupted models' predictions on ``xs``.
-
-    ``stack`` holds the base models' predictions on ``xs``; each corrupted
-    model's rows start from its base's (``picks``), a batch at a time.
-    """
-    out = np.empty((len(stack) + len(corrupted), *stack.shape[1:]))
-    out[: len(stack)] = stack
-    step = _batch_models(xs)
-    for start in range(0, len(corrupted), step):
-        block = out[len(stack) + start : len(stack) + start + step]
-        block[...] = stack[picks[start : start + step]]
-        add_corruption(block, corrupted[start : start + step], xs)
-    return out
 
 
 def run_sensitivity(cfg):
@@ -991,13 +975,11 @@ def run_sensitivity(cfg):
     retries) until target accuracy falls below 80% of the source-only
     model's accuracy. ``cfg.counts`` always gains the 0 baseline.
 
-    Every base model is predicted once per split and seed. A corrupted model's
-    predictions are its base's rows of the prepared stacks plus its noise: the
-    gate's fill the eval stack, the kept models' source and target ones
-    follow the prepared stacks, and each count evaluates the leading slices
-    of those stacks. Each model's eval accuracy is scored once per seed,
-    the base models' up front and the kept models' by the gate, and each
-    count slices those scores too.
+    Every base model is predicted and scored once per seed. Every corrupted
+    row comes from ``_corrupted_rows``, its base's row plus its noise: the
+    gate's fill the eval stack and are scored there, and the kept models'
+    extend the source and target stacks. Each count evaluates the leading
+    slices of those stacks and scores.
     """
     cfg.validate()
     counts = sorted({0, *cfg.counts})
@@ -1012,12 +994,10 @@ def run_sensitivity(cfg):
         corrupted, picks, eval_stack, accuracies, stats = _draw_corrupted(ctx, seed, max(counts))
         gate_stats.append(stats)
         full = models + corrupted
-        stacks = [
-            _with_corrupted(stack, xs, picks, corrupted)
-            for stack, xs in zip((ctx.source_stack, ctx.target_stack),
-                                 (instance.source_x, instance.target_x))
-        ]
-        stacks.append(eval_stack)
+        order = [*range(len(models)), *picks]
+        source = _corrupted_rows(ctx.source_stack, instance.source_x, order, corrupted)
+        target = _corrupted_rows(ctx.target_stack, instance.target_x, order, corrupted)
+        stacks = (source, target, eval_stack)
 
         def prefix(size):
             return _SeedContext(cfg, instance, full[:size], beta,

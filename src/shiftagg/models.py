@@ -84,11 +84,6 @@ def fit_ridge(x, y, ridge):
     return LinearModel(w, y_mean - x_mean @ w)
 
 
-def softmax_probabilities(logits):
-    """Softmax over the last axis, shifted for overflow safety."""
-    return _softmax_in_place(np.array(logits, dtype=float))
-
-
 def _softmax_in_place(z):
     """Overwrite the float array ``z`` with its softmax over the last axis.
 
@@ -107,7 +102,8 @@ class SoftmaxModel(LinearModel):
     """Linear softmax classifier; predictions are probability vectors."""
 
     def predict_many(self, xs):
-        return softmax_probabilities(super().predict_many(xs))
+        # The logits are a fresh array, so the softmax may overwrite them.
+        return _softmax_in_place(super().predict_many(xs))
 
 
 # Step size of the softmax trainer.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from shiftagg.cli import main
 from shiftagg.datasets import (
     MOONS_CENTROID,
+    MOONS_EVAL_SIZE,
     MOONS_NOISE,
     MOONS_ROTATION_DEG,
     MOONS_TRANSLATION,
@@ -251,11 +252,11 @@ class TestTransformedMoons:
     def test_source_is_untransformed(self):
         # Each split is moons_points at MOONS_NOISE on its own stream; only
         # the target and eval points go through moons_transform.
-        inst = make_transformed_moons(30, 10, eval_size=7, seed=4)
+        inst = make_transformed_moons(30, 10, seed=4)
         rng_source, rng_target, rng_eval = _split_rngs(4)
         source, source_labels = moons_points(30, MOONS_NOISE, rng_source)
         target, _ = moons_points(10, MOONS_NOISE, rng_target)
-        evals, eval_labels = moons_points(7, MOONS_NOISE, rng_eval)
+        evals, eval_labels = moons_points(MOONS_EVAL_SIZE, MOONS_NOISE, rng_eval)
         assert inst.source_x.tobytes() == source.tobytes()
         assert inst.target_x.tobytes() == moons_transform(target).tobytes()
         assert inst.target_eval_x.tobytes() == moons_transform(evals).tobytes()
@@ -362,7 +363,7 @@ class TestCsvRoundTrip:
         )
 
     def test_round_trip_is_bitwise(self, tmp_path):
-        inst = make_transformed_moons(9, 7, eval_size=5, seed=11)
+        inst = make_transformed_moons(9, 7, seed=11)
         paths = self.paths(tmp_path)
         write_instance(inst, *paths)
         loaded = load_csv_instance(*paths)

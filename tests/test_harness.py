@@ -698,7 +698,8 @@ class TestSensitivity:
         assert float_bits(eval_stack).tobytes() == float_bits(ref_stack).tobytes()
         assert stats == ref_stats
         xs = inst.source_x
-        extended = harness._with_corrupted(stack_predictions(models, xs), xs, picks, drawn)
+        order = [*range(len(models)), *picks]
+        extended = harness._corrupted_rows(stack_predictions(models, xs), xs, order, drawn)
         expected = stack_predictions(models + ref_drawn, xs)
         assert float_bits(extended).tobytes() == float_bits(expected).tobytes()
 

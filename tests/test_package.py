@@ -64,6 +64,9 @@ def test_cli_import_leaves_numpy_polynomial_out():
       for key in ("eval_size", "eval_nodes")],
     pytest.param(lambda: datasets.make_sinc_shift(5, 5, 1, 0), id="sinc-positional-eval_size"),
     pytest.param(lambda: datasets.make_transformed_moons(5, 5, noise=0.1), id="moons-noise"),
+    pytest.param(lambda: datasets.make_transformed_moons(5, 5, eval_size=4), id="moons-eval_size"),
+    pytest.param(lambda: datasets.make_transformed_moons(5, 5, 4, 0),
+                 id="moons-positional-eval_size"),
     pytest.param(lambda: datasets.make_transformed_moons(5, 5, translation=(0.0, 0.0)),
                  id="moons-translation"),
     pytest.param(lambda: datasets.moons_transform(np.zeros((1, 2)), translation=(0.0, 0.0)),
@@ -102,7 +105,9 @@ def test_softmax_gradient_is_not_exported():
     (harness, "rate_strictly_decreasing"), (harness, "correlation_summary"),
     (harness.TableKind, "json_body"), (harness, "_per_method"), (harness._SeedContext, "rows"),
     (models, "_labelled_sample"), (models, "_softmax_grads"), (models, "_fit_one_logit"),
-    (models, "SPLIT_NAMES"),
+    (models, "SPLIT_NAMES"), (harness, "_scored_candidates"), (harness, "_batch_models"),
+    (harness, "_with_corrupted"), (models, "softmax_probabilities"),
+    (harness, "MOONS_EVAL_SIZE"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
