@@ -3,8 +3,8 @@
 # (default HEAD) and in the working tree, in all and per module, and the
 # package modules each module imports at REV and, where they differ, in the
 # working tree. Then run the checks a change must pass, in order, and stop
-# at the first failure: the tier-1 tests, the benchmark's and the tracer's
-# tests, then scripts/compare_outputs.sh against REV.
+# at the first failure: the tier-1 tests (the tracer's tests among them),
+# the benchmark's tests, then scripts/compare_outputs.sh against REV.
 #
 #   scripts/check.sh [REV]
 #
@@ -58,7 +58,7 @@ for module in sorted(base.keys() | work.keys()):
 EOF
 echo "== tier-1 tests" >&2
 python3 -m pytest -q --continue-on-collection-errors
-echo "== benchmark and tracer tests" >&2
-python3 -m pytest -q perfbench tests/test_tracing.py
+echo "== benchmark tests" >&2
+python3 -m pytest -q perfbench
 echo "== study outputs against $rev" >&2
 scripts/compare_outputs.sh "$rev"

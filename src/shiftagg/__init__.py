@@ -53,7 +53,6 @@ from .models import (
     CorruptedModel,
     FeatureModel,
     LinearModel,
-    Model,
     PrecomputedModel,
     SoftmaxModel,
     corrupt,
@@ -80,7 +79,6 @@ __all__ = [
     "GaussianRatio",
     "LearnedRatio",
     "LinearModel",
-    "Model",
     "NumericalError",
     "PrecomputedModel",
     "ResultTable",

@@ -136,7 +136,7 @@ class ExperimentConfig:
             problems.append(f"methods: each method may appear once, got {list(self.methods)}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            problems.append(f"methods: unknown {unknown}; allowed {sorted(ALL_METHODS)}")
+            problems.append(f"methods: unknown {unknown}; allowed {sorted(METHODS)}")
         for name in ("source_csv", "target_csv", "eval_csv", "model_csvs"):
             if self.dataset != "csv" and getattr(self, name):
                 problems.append(f"{name}: only read when dataset = csv, not {self.dataset}")
@@ -724,7 +724,6 @@ METHODS = {
     "source_only": lambda ctx: (one_hot(0, len(ctx.models)), {}),
     "target_best": _target_best,
 }
-ALL_METHODS = tuple(METHODS)
 
 
 class _SeedContext:

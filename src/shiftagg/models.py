@@ -1,8 +1,8 @@
 """Vector-valued prediction models.
 
-Everything the aggregation layer consumes implements the small ``Model``
-interface: ``predict_many`` maps the rows of a sample matrix to output
-vectors of a fixed dimension. A model sequence is a plain list;
+A model is any object with an ``output_dim`` and a ``predict_many(xs)``
+that checks its own sample and maps its rows to output vectors of that
+dimension (no base class). A model sequence is a plain list;
 ``stack_predictions`` checks it and turns it into the (l, k, output_dim)
 prediction stack everything downstream reads. Fitted
 families (ridge regression, linear softmax classifiers), file-backed
@@ -10,7 +10,6 @@ predictions, and the seeded corruption wrapper used by the sensitivity study
 all live here.
 """
 
-from abc import ABC, abstractmethod
 from functools import reduce
 import numbers
 
@@ -20,22 +19,7 @@ from .errors import DimensionError, sample_matrix
 from .metrics import one_hot
 
 
-class Model(ABC):
-    """A predictor mapping R^d1 -> R^d2.
-
-    ``output_dim`` is always known; ``input_dim`` may be None when the
-    model does not constrain it.
-    """
-
-    output_dim: int
-    input_dim = None
-
-    @abstractmethod
-    def predict_many(self, xs):
-        """Predictions of shape (k, output_dim) for the k rows of ``xs``."""
-
-
-class LinearModel(Model):
+class LinearModel:
     """x -> x @ weights + intercept."""
 
     def __init__(self, weights, intercept):
@@ -75,12 +59,9 @@ def fit_ridge(x, y, ridge):
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
-    d1 = x.shape[1]
-    if d1 == 0:
-        return LinearModel(np.zeros((0, y.shape[1])), y_mean)
     xc = x - x_mean
     yc = y - y_mean
-    w = np.linalg.solve(xc.T @ xc + ridge * np.eye(d1), xc.T @ yc)
+    w = np.linalg.solve(xc.T @ xc + ridge * np.eye(x.shape[1]), xc.T @ yc)
     return LinearModel(w, y_mean - x_mean @ w)
 
 
@@ -189,8 +170,8 @@ def _ladder_gradient(theta, x1, constant, s, g):
     return g
 
 
-class FeatureModel(Model):
-    """Compose a (batch) feature map with a fitted base model."""
+class FeatureModel:
+    """A (batch) feature map, then a fitted base model; checks a declared ``input_dim``."""
 
     def __init__(self, feature_fn, base, input_dim=None):
         self.feature_fn = feature_fn
@@ -199,7 +180,7 @@ class FeatureModel(Model):
         self.input_dim = input_dim
 
     def predict_many(self, xs):
-        return self.base.predict_many(self.feature_fn(np.asarray(xs, dtype=float)))
+        return self.base.predict_many(self.feature_fn(sample_matrix(xs, "xs", self.input_dim)))
 
 
 def polynomial_features(xs, degree):
@@ -291,7 +272,7 @@ def add_corruption(predictions, corrupted, xs):
     return predictions
 
 
-class CorruptedModel(Model):
+class CorruptedModel:
     """Base model plus N(0,1) noise on a fixed subset of output coordinates.
 
     The noise is a deterministic function of (seed, input vector): repeated
@@ -309,7 +290,6 @@ class CorruptedModel(Model):
         self.seed = int(seed)
         self.mask = mask
         self.output_dim = base.output_dim
-        self.input_dim = base.input_dim
 
     def predict_many(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -332,7 +312,7 @@ SPLIT_CODES = {0: "source", 1: "target"}
 _KEY = np.dtype([("split", np.int64), ("index", np.int64)])  # ordered by split, then index
 
 
-class PrecomputedModel(Model):
+class PrecomputedModel:
     """Predictions computed elsewhere: one (rows, output_dim) array keyed by (split, index).
 
     ``tables`` maps a split name to ``{index: row}``. A query row is a key
@@ -341,8 +321,6 @@ class PrecomputedModel(Model):
     64-bit integers. One that is not a pair of integers, has an unknown
     split code or names no stored row raises KeyError.
     """
-
-    input_dim = 2
 
     def __init__(self, tables, output_dim):
         self.output_dim = int(output_dim)
@@ -380,8 +358,8 @@ def stack_predictions(models, xs):
     """Predictions of every model on the rows of ``xs``, shape (l, k, output_dim).
 
     The model sequence must be non-empty and agree on ``output_dim``. Each
-    model's input width and returned shape are checked around its
-    ``predict_many``.
+    model's ``predict_many`` checks the sample's width; its returned shape
+    is checked here.
     """
     if not models:
         raise ValueError("a model sequence needs at least one model")
@@ -392,10 +370,6 @@ def stack_predictions(models, xs):
     expected = (xs.shape[0], dims.pop())
     stack = []
     for model in models:
-        if model.input_dim is not None and xs.shape[1] != model.input_dim:
-            raise DimensionError(
-                f"input has {xs.shape[1]} columns but the model expects {model.input_dim}"
-            )
         out = np.asarray(model.predict_many(xs), dtype=float)
         if out.shape != expected:
             raise DimensionError(

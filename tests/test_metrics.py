@@ -222,6 +222,9 @@ class TestPearson:
         assert (r, degenerate) == (0.0, True)
         r, degenerate = pearson_with_flag([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
         assert (r, degenerate) == (0.0, True)
+        # Not constant, but its centred sum of squares underflows to zero.
+        r, degenerate = pearson_with_flag([1e-200, 2e-200, 3e-200], [1.0, 2.0, 4.0])
+        assert (r, degenerate) == (0.0, True)
 
     def test_informative_inputs_not_flagged(self):
         _, degenerate = pearson_with_flag([0.0, 1.0], [1.0, 0.0])

@@ -16,7 +16,6 @@ from shiftagg.models import (
     CorruptedModel,
     FeatureModel,
     LinearModel,
-    Model,
     PrecomputedModel,
     SoftmaxModel,
     _hash_normals,
@@ -460,6 +459,8 @@ class TestPolynomialFeatures:
 
     def test_degree_zero_empty_features(self):
         assert polynomial_features(np.array([[1.0], [2.0]]), 0).shape == (2, 0)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            polynomial_features(np.array([[1.0], [2.0]]), -1)
 
     def test_multivariate_rejected(self):
         with pytest.raises(DimensionError):
@@ -694,9 +695,13 @@ class TestPrecomputedModel:
         with pytest.raises(KeyError, match="no stored prediction for split 'target'"):
             model.predict_many(np.array([[1.0, index]]))
 
-    def test_unknown_split_name_rejected(self):
+    def test_unknown_split_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown split in \\['eval', 'source'\\]"):
             PrecomputedModel({"source": {}, "eval": {0: [1.0]}}, 1)
+        path = tmp_path / "eval.csv"
+        path.write_text("split,index,y0\nsource,0,1.0\neval,0,2.0\n")
+        with pytest.raises(CsvFormatError, match="line 3: unknown split 'eval'"):
+            load_model_csv(path)
 
     def test_empty_table(self):
         model = PrecomputedModel({}, 1)
@@ -739,6 +744,27 @@ def predict_batch(model, xs):
     return stack_predictions([model], xs)[0]
 
 
+# One maker per model family, with the width of the samples it takes.
+EVERY_FAMILY = [
+    pytest.param(lambda: LinearModel(np.ones((2, 3)), np.zeros(3)), 2, id="LinearModel"),
+    pytest.param(lambda: SoftmaxModel(np.ones((2, 3)), np.zeros(3)), 2, id="SoftmaxModel"),
+    pytest.param(lambda: FeatureModel(lambda xs: polynomial_features(xs, 2),
+                                      LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1,
+                 id="FeatureModel"),
+    pytest.param(lambda: corrupt(LinearModel(np.ones((2, 3)), np.zeros(3)), seed=5), 2,
+                 id="CorruptedModel"),
+    pytest.param(lambda: PrecomputedModel({"source": {0: [1.0, 2.0, 3.0]}}, 3), 2,
+                 id="PrecomputedModel"),
+]
+# This feature map passes a two-column sample on as two features, so only
+# FeatureModel's own input_dim refuses it.
+PASS_THROUGH_FEATURES = pytest.param(
+    lambda: FeatureModel(lambda xs: xs ** np.array([1.0, 2.0]),
+                         LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1,
+    id="FeatureModel-pass-through",
+)
+
+
 class TestBatchPrediction:
     def test_constant_model_rows_identical(self):
         out = predict_batch(constant_model([1.0, 2.0]), np.zeros((3, 1)))
@@ -747,19 +773,18 @@ class TestBatchPrediction:
     def test_empty_batch_keeps_output_dim(self):
         assert predict_batch(constant_model([1.0, 2.0]), np.zeros((0, 1))).shape == (0, 2)
 
-    @pytest.mark.parametrize("make, columns", [
-        (lambda: LinearModel(np.ones((2, 3)), np.zeros(3)), 2),
-        (lambda: SoftmaxModel(np.ones((2, 3)), np.zeros(3)), 2),
-        (lambda: FeatureModel(lambda xs: polynomial_features(xs, 2),
-                              LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1),
-        (lambda: corrupt(LinearModel(np.ones((2, 3)), np.zeros(3)), seed=5), 2),
-        (lambda: PrecomputedModel({"source": {0: [1.0, 2.0, 3.0]}}, 3), 2),
-    ], ids=["LinearModel", "SoftmaxModel", "FeatureModel", "CorruptedModel", "PrecomputedModel"])
+    @pytest.mark.parametrize("make, columns", EVERY_FAMILY)
     def test_every_model_predicts_zero_rows(self, make, columns):
         # stack_predictions calls predict_many on a zero-row sample too.
         model = make()
         assert model.predict_many(np.zeros((0, columns))).shape == (0, 3)
         assert predict_batch(model, np.zeros((0, columns))).shape == (0, 3)
+
+    @pytest.mark.parametrize("make, columns", EVERY_FAMILY + [PASS_THROUGH_FEATURES])
+    def test_every_model_rejects_a_sample_of_the_wrong_width(self, make, columns):
+        # stack_predictions leaves the width to each model's predict_many.
+        with pytest.raises(DimensionError, match="columns"):
+            predict_batch(make(), np.zeros((3, columns + 1)))
 
     def test_matches_per_row_loop(self, rng):
         model = LinearModel(rng.normal(size=(3, 2)), rng.normal(size=2))
@@ -771,9 +796,11 @@ class TestBatchPrediction:
         model = LinearModel(np.zeros((2, 1)), np.zeros(1))
         with pytest.raises(DimensionError):
             predict_batch(model, np.zeros((3, 5)))
+        with pytest.raises(DimensionError, match="do not align"):
+            LinearModel(np.zeros((2, 1)), np.zeros(2))
 
     def test_output_shape_checked(self):
-        class Truncating(Model):
+        class Truncating:
             output_dim = 2
 
             def predict_many(self, xs):

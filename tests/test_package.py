@@ -107,7 +107,8 @@ def test_softmax_gradient_is_not_exported():
     (models, "_labelled_sample"), (models, "_softmax_grads"), (models, "_fit_one_logit"),
     (models, "SPLIT_NAMES"), (harness, "_scored_candidates"), (harness, "_batch_models"),
     (harness, "_with_corrupted"), (models, "softmax_probabilities"),
-    (harness, "MOONS_EVAL_SIZE"),
+    (harness, "MOONS_EVAL_SIZE"), (harness, "ALL_METHODS"), (models, "Model"),
+    (shiftagg, "Model"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)
