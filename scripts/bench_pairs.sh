@@ -8,10 +8,10 @@
 # higher peak RSS than the same code extracted. Odd pairs run REV first, even
 # pairs the working tree, so neither side always meets a warmer or busier
 # machine. Every run is `--seed 1 --seconds 10`, the benchmark's run length.
-# Writes the median, quartile distance and min-max of every end-to-end
-# metric of both sides, and the number of pairs the working tree won (ties
-# count for neither), to BENCH_<short REV>.json at the repo root. After the
-# pairs, each tree runs its tier-1 tests once (`python3 -m pytest -q` with
+# Writes both sides' median, quartile distance and min-max of each end-to-end
+# metric in BENCHMARK.json, and the pairs the working tree won by its `better`
+# (ties count for neither), to BENCH_<short REV>.json at the repo root. After
+# the pairs, each tree runs its tier-1 tests once (`python3 -m pytest -q` with
 # that tree's src/ on PYTHONPATH); their wall times go under "tier1_s".
 #
 #   scripts/bench_pairs.sh REV PAIRS WORKLOAD...
@@ -55,7 +55,9 @@ import json, os, statistics, subprocess, sys, time
 
 root, rev, pairs, runs, trees, *workloads = sys.argv[1:]
 pairs = int(pairs)
-better = {"seeds_per_s": max, "setup_s": min, "peak_rss_mb": min, "iwa_error": min}
+with open(os.path.join(root, "BENCHMARK.json")) as handle:
+    better = {metric["name"]: {"higher": max, "lower": min}[metric["better"]]
+              for metric in json.load(handle)["end_to_end"]}
 
 
 def git(*args):

@@ -1,10 +1,18 @@
 #!/bin/sh
-# Run all four studies back to back, each on one BLAS thread (1.5 s in all,
-# the median of 3 runs on a 2-core machine with Python 3.11 and numpy 2.4).
+# Run the four studies back to back with this tree's src/, writing out/.
+# One BLAS thread, as the perfbench workers run and as the committed out/ was
+# written: the moons studies' last bits depend on the thread count.
 set -eu
-cd "$(dirname "$0")"
-./run_sinc.sh
-./run_rate_check.sh
-./run_sensitivity.sh
-./run_correlation.sh
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+cd "$(dirname "$0")/.."
+PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+study() {
+  python3 -m shiftagg "$1" --config "configs/$2.cfg" --out "out/$3"
+  echo "wrote out/$3/results.csv, results.json, plots/"
+}
+study run sinc_near_optimality sinc
+study rate-check rate_check rate
+study sensitivity sensitivity sensitivity
+study correlate correlation correlation
 echo "all studies written under out/"

@@ -240,7 +240,7 @@ def _sinc_sequence(cfg, instance):
     for degree in range(cfg.l):
         feature_fn = partial(polynomial_features, degree=degree)
         base = fit_ridge(feature_fn(instance.source_x), instance.source_y, RIDGE)
-        models.append(FeatureModel(feature_fn, base, input_dim=1))
+        models.append(FeatureModel(feature_fn, base))
     return models
 
 

@@ -171,16 +171,15 @@ def _ladder_gradient(theta, x1, constant, s, g):
 
 
 class FeatureModel:
-    """A (batch) feature map, then a fitted base model; checks a declared ``input_dim``."""
+    """A batch feature map, then a fitted base model, each checking its own input."""
 
-    def __init__(self, feature_fn, base, input_dim=None):
+    def __init__(self, feature_fn, base):
         self.feature_fn = feature_fn
         self.base = base
         self.output_dim = base.output_dim
-        self.input_dim = input_dim
 
     def predict_many(self, xs):
-        return self.base.predict_many(self.feature_fn(sample_matrix(xs, "xs", self.input_dim)))
+        return self.base.predict_many(self.feature_fn(xs))
 
 
 def polynomial_features(xs, degree):
@@ -210,16 +209,17 @@ def _mix64(z):
 def _hash_normals(seeds, xs, count):
     """Standard normal draws of shape (seeds, rows, count), a pure function of (seed, row).
 
-    Each row's float64 bit patterns are folded column by column into a
-    SplitMix64 state keyed by the seed. Counter-indexed mixes of that state
-    give ceil(count/2) pairs of uniforms in (0, 1), and Box-Muller turns
-    pair p into normals 2p (its cosine) and 2p + 1 (its sine); only the
-    ``count`` normals returned are computed. Every operation is elementwise
-    over seeds and rows, so a row's noise does not depend on the batch or
-    the other seeds it arrives with: identical queries always see identical
-    noise, distinct inputs get independent-looking draws.
+    Each row's float64 bit patterns, with -0.0 made 0.0 by adding 0.0, are
+    folded column by column into a SplitMix64 state keyed by the seed.
+    Counter-indexed mixes of that state give ceil(count/2) pairs of uniforms
+    in (0, 1), and Box-Muller turns pair p into normals 2p (its cosine) and
+    2p + 1 (its sine); only the ``count`` normals returned are computed.
+    Every operation is elementwise over seeds and rows, so a row's noise does
+    not depend on the batch or the other seeds it arrives with: rows equal
+    under ``==`` always see identical noise, distinct inputs get
+    independent-looking draws.
     """
-    bits = np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64)
+    bits = (np.asarray(xs, dtype=np.float64) + 0.0).view(np.uint64)
     keys = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
     state = np.repeat(keys[:, None], bits.shape[0], axis=1)
     for column in bits.T:

@@ -469,7 +469,7 @@ class TestPolynomialFeatures:
     def test_feature_model_composes(self):
         base = fit_ridge(polynomial_features(np.array([[1.0], [2.0], [3.0]]), 2),
                          np.array([[1.0], [4.0], [9.0]]), ridge=1e-12)
-        model = FeatureModel(lambda xs: polynomial_features(xs, 2), base, input_dim=1)
+        model = FeatureModel(lambda xs: polynomial_features(xs, 2), base)
         assert model.predict_many(np.array([[4.0]]))[0] == pytest.approx([16.0], abs=1e-9)
         assert model.predict_many(np.array([[4.0], [5.0]]))[1] == pytest.approx([25.0], abs=1e-9)
 
@@ -555,6 +555,12 @@ class TestCorruption:
             [3.1249765787592465, -2.1426053887885566, 0.5531625420636757],
         ]
         assert noise == pytest.approx(np.array(expected), rel=1e-12)
+
+    def test_signed_zeros_draw_the_same_noise(self):
+        # -0.0 == 0.0, so the two rows are one query and see one draw.
+        model = corrupt(LinearModel(np.zeros((2, 2)), np.zeros(2)), 5)
+        noise = model.predict_many([[0.0, 1.0], [-0.0, 1.0]])
+        assert np.array_equal(noise[0], noise[1])
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
@@ -749,20 +755,13 @@ EVERY_FAMILY = [
     pytest.param(lambda: LinearModel(np.ones((2, 3)), np.zeros(3)), 2, id="LinearModel"),
     pytest.param(lambda: SoftmaxModel(np.ones((2, 3)), np.zeros(3)), 2, id="SoftmaxModel"),
     pytest.param(lambda: FeatureModel(lambda xs: polynomial_features(xs, 2),
-                                      LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1,
+                                      LinearModel(np.ones((2, 3)), np.zeros(3))), 1,
                  id="FeatureModel"),
     pytest.param(lambda: corrupt(LinearModel(np.ones((2, 3)), np.zeros(3)), seed=5), 2,
                  id="CorruptedModel"),
     pytest.param(lambda: PrecomputedModel({"source": {0: [1.0, 2.0, 3.0]}}, 3), 2,
                  id="PrecomputedModel"),
 ]
-# This feature map passes a two-column sample on as two features, so only
-# FeatureModel's own input_dim refuses it.
-PASS_THROUGH_FEATURES = pytest.param(
-    lambda: FeatureModel(lambda xs: xs ** np.array([1.0, 2.0]),
-                         LinearModel(np.ones((2, 3)), np.zeros(3)), 1), 1,
-    id="FeatureModel-pass-through",
-)
 
 
 class TestBatchPrediction:
@@ -780,7 +779,7 @@ class TestBatchPrediction:
         assert model.predict_many(np.zeros((0, columns))).shape == (0, 3)
         assert predict_batch(model, np.zeros((0, columns))).shape == (0, 3)
 
-    @pytest.mark.parametrize("make, columns", EVERY_FAMILY + [PASS_THROUGH_FEATURES])
+    @pytest.mark.parametrize("make, columns", EVERY_FAMILY)
     def test_every_model_rejects_a_sample_of_the_wrong_width(self, make, columns):
         # stack_predictions leaves the width to each model's predict_many.
         with pytest.raises(DimensionError, match="columns"):

@@ -81,6 +81,8 @@ def test_cli_import_leaves_numpy_polynomial_out():
       for key in ("epochs", "lr", "bound")],
     pytest.param(lambda: models.fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 1]), 2,
                                                        lr=0.5), id="softmax-lr"),
+    pytest.param(lambda: models.FeatureModel(np.square, models.LinearModel([[1.0]], [0.0]),
+                                             input_dim=1), id="feature-input_dim"),
 ])
 def test_retired_parameters_raise_type_error(call):
     # Fixed settings of the studies are module constants, not parameters.
