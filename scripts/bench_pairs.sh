@@ -10,7 +10,11 @@
 # machine. Every run is `--seed 1 --seconds 10`, the benchmark's run length.
 # Writes both sides' median, quartile distance and min-max of each end-to-end
 # metric in BENCHMARK.json, and the pairs the working tree won by its `better`
-# (ties count for neither), to BENCH_<short REV>.json at the repo root. After
+# (ties count for neither), to BENCH_<short REV>.json at the repo root. Each
+# workload's "host" entry holds, per side and run, the host's one-minute load
+# average (/proc/loadavg) just before and just after the run and the CPU time
+# the hypervisor stole from the whole host during it (the steal ticks of the
+# `cpu` line of /proc/stat), so a busy or noisy machine shows in the file. After
 # the pairs, each tree runs its tier-1 tests once (`python3 -m pytest -q` with
 # that tree's src/ on PYTHONPATH); their wall times go under "tier1_s".
 #
@@ -33,6 +37,11 @@ trap 'rm -rf "$tmp"' EXIT
 # from the signal's own trap does.
 trap 'exit 1' INT TERM
 mkdir "$tmp/base" "$tmp/work" "$tmp/runs"
+# One line: the one-minute load average and the host's steal ticks so far.
+host_load() {
+  read -r load _ </proc/loadavg
+  echo "$load $(awk '$1 == "cpu" { print $9 }' /proc/stat)"
+}
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 snapshot="$(git -C "$root" stash create)"
 git -C "$root" archive "${snapshot:-HEAD}" | tar -x -C "$tmp/work"
@@ -44,17 +53,19 @@ for workload in "$@"; do
     for side in $order; do
       tree="$tmp/$side"
       echo "== $workload pair $pair/$pairs: $side" >&2
+      host_load >"$tmp/runs/$workload.$side.$pair.host"
       python3 "$tree/perfbench/run.py" --workload "$workload" --seed 1 --seconds 10 \
         >"$tmp/runs/$workload.$side.$pair.txt"
+      host_load >>"$tmp/runs/$workload.$side.$pair.host"
     done
     pair=$((pair + 1))
   done
 done
-python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$tmp" "$@" <<'EOF'
+python3 - "$root" "$rev" "$pairs" "$tmp/runs" "$tmp" "$(getconf CLK_TCK)" "$@" <<'EOF'
 import json, os, statistics, subprocess, sys, time
 
-root, rev, pairs, runs, trees, *workloads = sys.argv[1:]
-pairs = int(pairs)
+root, rev, pairs, runs, trees, ticks_per_s, *workloads = sys.argv[1:]
+pairs, ticks_per_s = int(pairs), int(ticks_per_s)
 with open(os.path.join(root, "BENCHMARK.json")) as handle:
     better = {metric["name"]: {"higher": max, "lower": min}[metric["better"]]
               for metric in json.load(handle)["end_to_end"]}
@@ -76,6 +87,19 @@ def load(workload, side, pair):
         lines = handle.read().splitlines()
     env = json.loads(next(line for line in lines if line.startswith("env: "))[5:])
     return env, json.loads(lines[-1])
+
+
+def host(workload, side):
+    """Each run's load average before and after it, and the host's steal seconds during it."""
+    entry = {"load_before": [], "load_after": [], "steal_s": []}
+    for pair in range(1, pairs + 1):
+        with open(os.path.join(runs, f"{workload}.{side}.{pair}.host")) as handle:
+            (load_before, steal_before), (load_after, steal_after) = (
+                line.split() for line in handle)
+        entry["load_before"].append(float(load_before))
+        entry["load_after"].append(float(load_after))
+        entry["steal_s"].append((int(steal_after) - int(steal_before)) / ticks_per_s)
+    return entry
 
 
 report = {
@@ -103,6 +127,7 @@ for workload in workloads:
             **{side: summary(v) for side, v in values.items()},
             "work_better_pairs": wins,
         }
+    entry["host"] = {side: host(workload, side) for side in ("base", "work")}
     report["workloads"][workload] = entry
 report["tier1_s"] = {}
 for side in ("base", "work"):

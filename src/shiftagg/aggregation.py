@@ -162,15 +162,11 @@ def majority_votes(predictions):
 
 def _majority_votes(preds):
     """``majority_votes`` of a stack that ``checked_stack`` has checked."""
-    l, k, d2 = preds.shape
+    l, _, d2 = preds.shape
     _check_classification(d2)
     if d2 == 2:
         return (2 * picks_class1(preds).sum(axis=0) > l).astype(int)
-    votes = preds.argmax(axis=2)
-    counts = np.zeros((k, d2), dtype=int)
-    rows = np.arange(k)
-    for i in range(l):
-        counts[rows, votes[i]] += 1
+    counts = (preds.argmax(axis=2)[:, :, None] == np.arange(d2)).sum(axis=0)
     return counts.argmax(axis=1)
 
 

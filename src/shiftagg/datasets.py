@@ -212,18 +212,16 @@ MOONS_EVAL_SIZE = 2000
 MOONS_CENTROID = (0.5, 0.25)
 
 
-def moons_points(count, noise, rng):
+def moons_points(count, rng):
     """Sample the two interleaved half-circle classes.
 
     Class 0 lies on the upper arc of the unit circle at the origin; class 1
     on the lower arc offset by (1, 0.5). Angles are uniform on [0, pi] and
-    Gaussian jitter of scale ``noise`` is added when positive. Returns
+    Gaussian jitter of scale MOONS_NOISE is added. Returns
     ``(points (count, 2), labels (count,))`` with class 0 first.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 0 <= noise < math.inf:
-        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     n0 = -(-count // 2)
     n1 = count - n0
     t0 = rng.uniform(0.0, math.pi, size=n0)
@@ -232,9 +230,7 @@ def moons_points(count, noise, rng):
     lower = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
     points = np.vstack([upper, lower])
     labels = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    if noise > 0:
-        points = points + rng.normal(0.0, noise, size=points.shape)
-    return points, labels
+    return points + rng.normal(0.0, MOONS_NOISE, size=points.shape), labels
 
 
 def _rotation(rotation_deg):
@@ -260,9 +256,9 @@ def make_transformed_moons(n, m, seed=0, *, rotation_deg=MOONS_ROTATION_DEG):
     pre-images). Labels are one-hot over the two classes.
     """
     rng_source, rng_target, rng_eval = _split_rngs(seed)
-    source_points, source_labels = moons_points(n, MOONS_NOISE, rng_source)
-    target_points, _ = moons_points(m, MOONS_NOISE, rng_target)
-    eval_points, eval_labels = moons_points(MOONS_EVAL_SIZE, MOONS_NOISE, rng_eval)
+    source_points, source_labels = moons_points(n, rng_source)
+    target_points, _ = moons_points(m, rng_target)
+    eval_points, eval_labels = moons_points(MOONS_EVAL_SIZE, rng_eval)
     return DomainAdaptationInstance(
         source_x=source_points,
         source_y=metrics.one_hot(source_labels, 2),

@@ -1,11 +1,11 @@
 """Density-ratio estimators.
 
-A ratio estimate beta: X -> [0, B] reweights labeled source samples so that
-source averages approximate target expectations. A ratio is any object with
-a ``weights(xs)`` method returning beta on every row of the sample matrix
-``xs``. Two routes: the analytic ratio of two known Gaussians (the 1-d
-regression benchmark) and a learned logistic source-vs-target domain
-classifier.
+A ratio estimate beta: X -> [0, DEFAULT_BOUND] reweights labeled source
+samples so that source averages approximate target expectations. A ratio
+is any object with a ``weights(xs)`` method returning beta on every row of
+the sample matrix ``xs``. Two routes: the analytic ratio of two known
+Gaussians (the 1-d regression benchmark) and a learned logistic
+source-vs-target domain classifier.
 """
 
 import numpy as np
@@ -33,27 +33,23 @@ class ConstantRatio:
         if not 0 <= value < np.inf:
             raise ValueError(f"ratio value must be non-negative and finite, got {value}")
         self.value = value
-        self.bound = max(value, 1.0)
 
     def weights(self, xs):
         return np.full(sample_matrix(xs, "xs").shape[0], self.value)
 
 
 class GaussianRatio:
-    """Analytic ratio of two univariate Gaussian densities, clipped to [0, bound]."""
+    """Analytic ratio of two univariate Gaussian densities, clipped to [0, DEFAULT_BOUND]."""
 
-    def __init__(self, source_mean, source_std, target_mean, target_std, bound=DEFAULT_BOUND):
+    def __init__(self, source_mean, source_std, target_mean, target_std):
         if not np.all(np.isfinite([source_mean, target_mean])):
             raise ValueError("means must be finite")
         if not (0 < source_std < np.inf and 0 < target_std < np.inf):
             raise ValueError("standard deviations must be positive and finite")
-        if not bound > 0:
-            raise ValueError(f"bound must be positive, got {bound}")
         self.source_mean = float(source_mean)
         self.source_std = float(source_std)
         self.target_mean = float(target_mean)
         self.target_std = float(target_std)
-        self.bound = float(bound)
 
     def _log_ratio(self, values):
         zp = (values - self.source_mean) / self.source_std
@@ -64,11 +60,11 @@ class GaussianRatio:
         xs = sample_matrix(xs, "xs of the univariate Gaussian ratio", 1)
         with np.errstate(over="ignore"):
             raw = np.exp(self._log_ratio(xs[:, 0]))
-        return np.clip(raw, 0.0, self.bound)
+        return np.clip(raw, 0.0, DEFAULT_BOUND)
 
 
 class LearnedRatio:
-    """Domain-classifier ratio: prior_ratio * d(x) / (1 - d(x)), clipped to [0, bound].
+    """Domain-classifier ratio: prior_ratio * d(x) / (1 - d(x)), clipped to [0, DEFAULT_BOUND].
 
     d(x) is the logistic probability that x came from the target domain,
     clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; prior_ratio = n/m corrects for
@@ -78,8 +74,7 @@ class LearnedRatio:
     read the rows as they are.
     """
 
-    def __init__(self, weights, intercept, prior_ratio, bound=DEFAULT_BOUND, *, center=0.0,
-                 spread=1.0):
+    def __init__(self, weights, intercept, prior_ratio, *, center=0.0, spread=1.0):
         self.coef = np.asarray(weights, dtype=float)
         if self.coef.ndim != 1:
             raise DimensionError(f"classifier weights must be 1-d, got shape {self.coef.shape}")
@@ -96,10 +91,7 @@ class LearnedRatio:
             raise ValueError("center must be finite and spread positive and finite")
         if not prior_ratio > 0:
             raise ValueError(f"prior_ratio must be positive, got {prior_ratio}")
-        if not bound > 0:
-            raise ValueError(f"bound must be positive, got {bound}")
         self.prior_ratio = float(prior_ratio)
-        self.bound = float(bound)
 
     def weights(self, xs):
         xs = sample_matrix(xs, "xs", self.coef.shape[0])
@@ -107,7 +99,7 @@ class LearnedRatio:
         with np.errstate(over="ignore"):
             probs = 1.0 / (1.0 + np.exp(-(z @ self.coef + self.intercept)))
         d = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        return np.clip(self.prior_ratio * d / (1.0 - d), 0.0, self.bound)
+        return np.clip(self.prior_ratio * d / (1.0 - d), 0.0, DEFAULT_BOUND)
 
 
 def fit_domain_classifier(source_x, target_x):

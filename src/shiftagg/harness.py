@@ -19,6 +19,7 @@ import numpy as np
 
 from . import aggregation, metrics, selection
 from .datasets import (
+    MOONS_ROTATION_DEG,
     SINC_NOISE_STD,
     SINC_RULE_NODES,
     SINC_TARGET_MEAN,
@@ -31,6 +32,7 @@ from .datasets import (
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, CsvFormatError, DimensionError, NumericalError
+from .linalg import DEFAULT_RCOND
 from .metrics import one_hot, pearson_with_flag, quartiles
 from .models import (
     FeatureModel,
@@ -80,8 +82,8 @@ class ExperimentConfig:
     decides how the text value is parsed (see ``parse_value``). A setting no
     study varies is not a field: it is a constant above (``RIDGE``,
     ``BASE_WEIGHT_DECAY``), a library constant such as
-    ``datasets.MOONS_EVAL_SIZE``, or the default of the library function it
-    feeds, such as the ratio clip, the oracle's rcond and the training
+    ``datasets.MOONS_EVAL_SIZE`` or the ratio clip, or the default of the
+    library function it feeds, such as the oracle's rcond and the training
     epochs. The density ratio follows ``dataset`` (see ``build_beta``).
     """
 
@@ -89,12 +91,12 @@ class ExperimentConfig:
     n: int = 1000
     m: int = 1000
     l: int = 5
-    rcond: float = 0.1
+    rcond: float = DEFAULT_RCOND
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = ()
     # instance knobs: how the sinc widths read, how far the moons target turns
     sinc_interpret_std: bool = True
-    moons_rotation_deg: float = 35.0
+    moons_rotation_deg: float = MOONS_ROTATION_DEG
     # csv-dataset knobs
     source_csv: str = ""
     target_csv: str = ""
@@ -255,10 +257,17 @@ def build_models(cfg, instance):
     """Model sequence (a list) for an instance; ConfigError if it cannot carry the ladder.
 
     A prediction table must have the labels' width and every key's row, else CsvFormatError.
+    A split file's keys are read as float64, exact only below 2^53 in magnitude, so a larger
+    one, which may have been rounded onto another key, is a CsvFormatError too.
     """
     if cfg.dataset == "csv" and cfg.model_csvs:
+        splits = instance.source_x, instance.target_x, instance.target_eval_x
+        for path, xs in zip((cfg.source_csv, cfg.target_csv, cfg.eval_csv), splits):
+            if (np.abs(xs) >= 2.0**53).any():
+                raise CsvFormatError("a key at or beyond 2^53 in magnitude, which float64"
+                                     " cannot hold exactly", path=path)
         models = [load_model_csv(path) for path in cfg.model_csvs]
-        keys = np.concatenate([instance.source_x, instance.target_x, instance.target_eval_x])
+        keys = np.concatenate(splits)
         for path, model in zip(cfg.model_csvs, models):
             if model.output_dim != instance.label_dim:
                 raise CsvFormatError(f"a table of width {model.output_dim} for labels of width"

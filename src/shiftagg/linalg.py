@@ -52,10 +52,10 @@ class TruncatedInverse:
 def spectral_pinv(a, rcond=DEFAULT_RCOND):
     """rcond-truncated pseudo-inverse of a symmetric PSD matrix.
 
-    The input must be square and finite, and its asymmetry may not exceed
-    SYMMETRY_TOL relative to max|A|, so the check means the same at every
-    scale of A; it is then symmetrized as (A + A^T)/2 and decomposed, with
-    the eigenvalues sorted in descending order. Eigenvalues are clamped at
+    The input must be non-empty, square and finite, and its asymmetry may
+    not exceed SYMMETRY_TOL relative to max|A|, so the check means the same
+    at every scale of A; it is then symmetrized as (A + A^T)/2 and
+    decomposed, eigenvalues sorted descending. Eigenvalues are clamped at
     zero (small negative values are numerical noise; the matrix is rejected
     when the smallest one lies below -PSD_TOL * lambda_max), then every
     eigenvalue <= rcond * lambda_max, for rcond in [0, 1), is treated as an
@@ -64,15 +64,14 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND):
     if not 0 <= rcond < 1:
         raise ValueError(f"rcond must lie in [0, 1), got {rcond}")
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if a.size:
-        scale = float(np.max(np.abs(a)))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > SYMMETRY_TOL * scale:
-            raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
+    scale = float(np.max(np.abs(a)))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > SYMMETRY_TOL * scale:
+        raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
     try:
         values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -81,10 +80,6 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND):
         ) from exc
     order = np.argsort(-values, kind="stable")
     values, vectors = values[order], vectors[:, order]
-    n = values.size
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return TruncatedInverse(empty, values, np.zeros(0, dtype=bool))
     lam_max = float(values[0])
     if values[-1] < -PSD_TOL * lam_max:
         raise ValueError(
@@ -93,7 +88,7 @@ def spectral_pinv(a, rcond=DEFAULT_RCOND):
     clamped = np.maximum(values, 0.0)
     cutoff = rcond * clamped[0]
     retained = clamped > cutoff
-    inv_values = np.zeros(n)
+    inv_values = np.zeros(values.size)
     inv_values[retained] = 1.0 / clamped[retained]
     inverse = (vectors * inv_values) @ vectors.T
     inverse = 0.5 * (inverse + inverse.T)

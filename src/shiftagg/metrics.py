@@ -53,9 +53,7 @@ def accuracies(stack, labels):
     labels = class_labels(labels, stack.shape[2])
     if stack.shape[2] == 2:
         return (picks_class1(stack) == (labels == 1)).mean(axis=1)
-    # One model at a time: a whole stack's argmax holds a (models, rows)
-    # int64 index array, eight times the two-class path's boolean one.
-    return np.array([(preds.argmax(axis=1) == labels).mean() for preds in stack])
+    return (stack.argmax(axis=2) == labels).mean(axis=1)
 
 
 def quartiles(values):

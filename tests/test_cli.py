@@ -234,6 +234,28 @@ def test_model_csvs_of_different_widths_fail_loudly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_key_beyond_exact_float64_integers_exits_one(tmp_path, capsys):
+    # A split file is read as float64, so its index 2^53 + 1 would arrive as
+    # 2^53 and read another table row; the run refuses that file instead.
+    big = 2**53
+    (tmp_path / "source.csv").write_text(f"x0,x1,y0\n0,0,1\n0,{big + 1},0\n0,1,1\n")
+    (tmp_path / "target.csv").write_text("x0,x1\n1,0\n1,1\n")
+    (tmp_path / "eval.csv").write_text("x0,x1,y0\n1,2,1\n1,3,0\n")
+    rows = ["split,index,y0", "source,0,0.9", "source,1,0.8", f"source,{big},1000.0",
+            f"source,{big + 1},0.0", *(f"target,{index},0.5" for index in range(4))]
+    models = [tmp_path / "model_a.csv", tmp_path / "model_b.csv"]
+    for path in models:
+        path.write_text("\n".join(rows) + "\n")
+    args = _csv_args(tmp_path, models)
+    args[args.index("iwa,tmv")] = "sor"
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'source.csv'}: a key at or beyond 2^53 in magnitude, which"
+        f" float64 cannot hold exactly\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", [harness.ConfigError("bad setting"), OSError("unreadable")],
                          ids=["config", "os"])
 @pytest.mark.parametrize("command", ["run", "sensitivity", "correlate"])

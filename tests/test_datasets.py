@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftagg import datasets
 from shiftagg.cli import main
 from shiftagg.datasets import (
     MOONS_CENTROID,
     MOONS_EVAL_SIZE,
-    MOONS_NOISE,
     MOONS_ROTATION_DEG,
     MOONS_TRANSLATION,
     SINC_NOISE_STD,
@@ -32,7 +32,6 @@ from shiftagg.datasets import (
     sinc_ratio,
     sinc_sigmas,
 )
-from shiftagg.density_ratio import DEFAULT_BOUND
 from shiftagg.errors import CsvFormatError, DimensionError
 from shiftagg.metrics import one_hot
 
@@ -77,7 +76,6 @@ class TestSincShift:
 
     def test_ratio_matches_generator_parameters(self):
         beta = sinc_ratio(interpret_std=False)
-        assert beta.bound == DEFAULT_BOUND
         assert beta.source_mean == SINC_SOURCE_MEAN
         assert beta.target_mean == SINC_TARGET_MEAN
         assert (beta.source_std, beta.target_std) == sinc_sigmas(False)
@@ -189,9 +187,10 @@ class TestSincRuleSplit:
 
 
 class TestMoonsGeometry:
-    def test_noise_free_points_sit_on_arcs(self):
+    def test_noise_free_points_sit_on_arcs(self, monkeypatch):
+        monkeypatch.setattr(datasets, "MOONS_NOISE", 0.0)
         rng = np.random.default_rng(0)
-        points, labels = moons_points(40, 0.0, rng)
+        points, labels = moons_points(40, rng)
         upper = points[labels == 0]
         lower = points[labels == 1]
         assert np.allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-9)
@@ -202,7 +201,7 @@ class TestMoonsGeometry:
 
     def test_class_balance_rounds_up_for_class_zero(self):
         rng = np.random.default_rng(1)
-        _, labels = moons_points(7, 0.0, rng)
+        _, labels = moons_points(7, rng)
         assert (labels == 0).sum() == 4
         assert (labels == 1).sum() == 3
 
@@ -224,20 +223,15 @@ class TestMoonsGeometry:
     def test_invalid_arguments_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="count"):
-            moons_points(0, 0.1, rng)
-        with pytest.raises(ValueError, match="noise"):
-            moons_points(5, -0.1, rng)
-        # A NaN scale would pass ``noise < 0``, then fail ``noise > 0``: noise-free points.
-        for noise in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="noise"):
-                moons_points(5, noise, rng)
+            moons_points(0, rng)
 
 
 class TestTransformedMoons:
-    def test_target_supports_are_transformed_arcs(self):
+    def test_target_supports_are_transformed_arcs(self, monkeypatch):
         # Undo the map by hand: subtract the translation, then rotate back by
         # the default angle about the centroid.
-        points, labels = moons_points(30, 0.0, np.random.default_rng(4))
+        monkeypatch.setattr(datasets, "MOONS_NOISE", 0.0)
+        points, labels = moons_points(30, np.random.default_rng(4))
         angle = math.radians(-MOONS_ROTATION_DEG)
         undo = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         center = np.asarray(MOONS_CENTROID)
@@ -254,9 +248,9 @@ class TestTransformedMoons:
         # the target and eval points go through moons_transform.
         inst = make_transformed_moons(30, 10, seed=4)
         rng_source, rng_target, rng_eval = _split_rngs(4)
-        source, source_labels = moons_points(30, MOONS_NOISE, rng_source)
-        target, _ = moons_points(10, MOONS_NOISE, rng_target)
-        evals, eval_labels = moons_points(MOONS_EVAL_SIZE, MOONS_NOISE, rng_eval)
+        source, source_labels = moons_points(30, rng_source)
+        target, _ = moons_points(10, rng_target)
+        evals, eval_labels = moons_points(MOONS_EVAL_SIZE, rng_eval)
         assert inst.source_x.tobytes() == source.tobytes()
         assert inst.target_x.tobytes() == moons_transform(target).tobytes()
         assert inst.target_eval_x.tobytes() == moons_transform(evals).tobytes()
@@ -279,7 +273,7 @@ class TestTransformedMoons:
     def test_custom_rotation_respected(self):
         # With no rotation, the target draws are only translated.
         straight = make_transformed_moons(10, 40, seed=1, rotation_deg=0.0)
-        target, _ = moons_points(40, MOONS_NOISE, _split_rngs(1)[1])
+        target, _ = moons_points(40, _split_rngs(1)[1])
         assert np.allclose(straight.target_x, target + MOONS_TRANSLATION, atol=1e-12)
         turned = make_transformed_moons(10, 40, seed=1, rotation_deg=90.0)
         assert np.array_equal(turned.target_x, moons_transform(target, rotation_deg=90.0))

@@ -1,6 +1,7 @@
 """Density-ratio estimators: analytic Gaussian ratio and the learned domain classifier."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,10 +35,6 @@ class TestConstantRatio:
     def test_custom_value(self):
         beta = ConstantRatio(2.5)
         assert np.array_equal(beta.weights(np.zeros((3, 1))), np.full(3, 2.5))
-        assert beta.bound == 2.5
-
-    def test_bound_never_below_one(self):
-        assert ConstantRatio(0.2).bound == 1.0
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -56,18 +53,18 @@ class TestConstantRatio:
 class TestGaussianRatio:
     def test_equal_stds_midpoint_is_exactly_one(self):
         # Equal widths make the log-ratio vanish at the midpoint of the means.
-        beta = GaussianRatio(**STD_READING, bound=1e9)
+        beta = GaussianRatio(**STD_READING)
         assert beta.weights(np.array([[1.5]]))[0] == 1.0
 
-    def test_value_at_target_mean(self):
+    def test_value_at_target_mean(self, monkeypatch):
         # log ratio = ((x-1)^2 - (x-2)^2) / (2 * 0.25^2) = 8(2x - 3); at x = 2 it is 8.
-        beta = GaussianRatio(**STD_READING, bound=1e9)
+        monkeypatch.setattr(density_ratio, "DEFAULT_BOUND", 1e9)
+        beta = GaussianRatio(**STD_READING)
         assert beta.weights(np.array([[2.0]]))[0] == pytest.approx(np.exp(8.0), rel=1e-12)
         assert beta.weights(np.array([[1.0]]))[0] == pytest.approx(np.exp(-8.0), rel=1e-12)
 
     def test_default_bound_clips_target_mean_value(self):
         beta = GaussianRatio(**STD_READING)
-        assert beta.bound == DEFAULT_BOUND
         assert beta.weights(np.array([[2.0]]))[0] == DEFAULT_BOUND
 
     def test_wide_source_maximum(self):
@@ -108,8 +105,6 @@ class TestGaussianRatio:
             GaussianRatio(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             GaussianRatio(0.0, 1.0, 1.0, -1.0)
-        with pytest.raises(ValueError, match="bound"):
-            GaussianRatio(0.0, 1.0, 1.0, 1.0, bound=0.0)
 
     @pytest.mark.parametrize("change, message", [
         (dict(source_std=np.nan), "standard deviations"),
@@ -117,7 +112,6 @@ class TestGaussianRatio:
         (dict(source_std=np.inf), "standard deviations"),
         (dict(source_mean=np.nan), "means"),
         (dict(target_mean=np.inf), "means"),
-        (dict(bound=np.nan), "bound"),
     ])
     def test_non_finite_parameters_rejected(self, change, message):
         # A NaN slips past a check written as ``x <= 0`` and would make every weight NaN.
@@ -133,8 +127,9 @@ class TestGaussianRatio:
         st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20),
     )
     def test_weights_always_in_range(self, mp, sp, mq, sq, bound, xs):
-        beta = GaussianRatio(mp, sp, mq, sq, bound=bound)
-        values = beta.weights(np.array(xs)[:, None])
+        beta = GaussianRatio(mp, sp, mq, sq)
+        with mock.patch.object(density_ratio, "DEFAULT_BOUND", bound):
+            values = beta.weights(np.array(xs)[:, None])
         assert values.shape == (len(xs),)
         assert np.all(values >= 0.0)
         assert np.all(values <= bound)
@@ -156,15 +151,18 @@ class TestLearnedRatio:
         expected = PROB_CLAMP / (1.0 - PROB_CLAMP)
         assert beta.weights(np.array([[0.0]]))[0] == pytest.approx(expected, rel=1e-9)
 
-    def test_probabilities_are_clamped(self):
+    def test_probabilities_are_clamped(self, monkeypatch):
         # A bound far above the clamped odds leaves them visible in the weights.
-        beta = LearnedRatio(np.array([100.0]), 0.0, prior_ratio=1.0, bound=1e12)
+        monkeypatch.setattr(density_ratio, "DEFAULT_BOUND", 1e12)
+        beta = LearnedRatio(np.array([100.0]), 0.0, prior_ratio=1.0)
         low, high = beta.weights(np.array([[-50.0], [50.0]]))
         assert low == PROB_CLAMP / (1.0 - PROB_CLAMP)
         assert high == (1.0 - PROB_CLAMP) / (1.0 - (1.0 - PROB_CLAMP))
 
-    def test_custom_bound_clips(self):
-        beta = LearnedRatio(np.array([0.0]), 5.0, prior_ratio=1.0, bound=1.0)
+    def test_custom_bound_clips(self, monkeypatch):
+        # The clip is read when the weights are, not when the ratio is built.
+        beta = LearnedRatio(np.array([0.0]), 5.0, prior_ratio=1.0)
+        monkeypatch.setattr(density_ratio, "DEFAULT_BOUND", 1.0)
         assert beta.weights(np.array([[0.0]]))[0] == 1.0
 
     def test_invalid_construction_rejected(self):
@@ -172,22 +170,18 @@ class TestLearnedRatio:
             LearnedRatio(np.zeros((2, 2)), 0.0, 1.0)
         with pytest.raises(ValueError, match="prior_ratio"):
             LearnedRatio(np.zeros(2), 0.0, 0.0)
-        with pytest.raises(ValueError, match="bound"):
-            LearnedRatio(np.zeros(2), 0.0, 1.0, bound=-1.0)
         with pytest.raises(ValueError, match="prior_ratio"):
             LearnedRatio(np.zeros(2), 0.0, np.nan)
         with pytest.raises(ValueError, match="finite"):
             LearnedRatio(np.array([0.0, np.nan]), 0.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             LearnedRatio(np.zeros(2), np.inf, 1.0)
-        with pytest.raises(ValueError, match="bound"):
-            LearnedRatio(np.zeros(2), 0.0, 1.0, bound=np.nan)
 
     def test_rows_are_standardized_before_the_classifier(self):
-        beta = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0, bound=1e12,
+        beta = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0,
                             center=np.array([10.0, -3.0]), spread=np.array([4.0, 0.5]))
         xs = np.array([[14.0, -3.0], [10.0, -2.0], [6.0, -4.5]])
-        plain = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0, bound=1e12)
+        plain = LearnedRatio(np.array([2.0, -1.0]), 0.5, 1.0)
         assert np.array_equal(beta.weights(xs), plain.weights((xs - [10.0, -3.0]) / [4.0, 0.5]))
 
     @pytest.mark.parametrize(

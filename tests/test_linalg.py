@@ -99,11 +99,10 @@ class TestSpectralPinv:
         assert info.rank_retained == 0
         assert info.condition == float("inf")
 
-    def test_empty_matrix_gives_empty_inverse(self):
-        info = spectral_pinv(np.zeros((0, 0)), 0.1)
-        assert info.inverse.shape == (0, 0)
-        assert info.eigenvalues.shape == info.retained.shape == (0,)
-        assert info.rank_retained == 0
+    def test_empty_matrix_rejected(self):
+        # No estimator builds a Gram of zero models: checked_stack refuses the stack first.
+        with pytest.raises(DimensionError, match="non-empty square"):
+            spectral_pinv(np.zeros((0, 0)), 0.1)
 
     def test_small_negative_eigenvalue_clamped(self):
         a = np.diag([1.0, -1e-13])

@@ -83,6 +83,12 @@ def test_cli_import_leaves_numpy_polynomial_out():
                                                        lr=0.5), id="softmax-lr"),
     pytest.param(lambda: models.FeatureModel(np.square, models.LinearModel([[1.0]], [0.0]),
                                              input_dim=1), id="feature-input_dim"),
+    pytest.param(lambda: density_ratio.GaussianRatio(0.0, 1.0, 1.0, 1.0, bound=10.0),
+                 id="gaussian_ratio-bound"),
+    pytest.param(lambda: density_ratio.LearnedRatio(np.zeros(1), 0.0, 1.0, bound=10.0),
+                 id="learned_ratio-bound"),
+    pytest.param(lambda: datasets.moons_points(5, 0.1, np.random.default_rng(0)),
+                 id="moons_points-noise"),
 ])
 def test_retired_parameters_raise_type_error(call):
     # Fixed settings of the studies are module constants, not parameters.
