@@ -23,12 +23,12 @@ from .datasets import (
     SINC_NOISE_STD,
     SINC_RULE_NODES,
     SINC_TARGET_MEAN,
+    SINC_TARGET_STD,
     load_csv_instance,
     load_model_csv,
     make_sinc_shift,
     make_transformed_moons,
     sinc_ratio,
-    sinc_sigmas,
 )
 from .density_ratio import fit_domain_classifier
 from .errors import INPUT_FAULTS, ConfigError, CsvFormatError, DimensionError, NumericalError
@@ -463,10 +463,9 @@ def _correlations(table):
     return _groups(table.ok_rows(), lambda r: r.method, lambda r: r.pearson_r)
 
 
-def rate_spread(table):
-    """(q25, median, q75) of the deviation per size; nan for a size without successful rows."""
-    deviations = _groups(table.ok_rows(), lambda r: r.size, lambda r: r.deviation)
-    return {size: quartiles(deviations.get(size, [])) for size in table.extra["sizes"]}
+def _deviations(table):
+    """Each size's deviations over the successful rows."""
+    return _groups(table.ok_rows(), lambda r: r.size, lambda r: r.deviation)
 
 
 def _aggregate_summary(table):
@@ -487,7 +486,8 @@ def _correlation_summary(table):
 
 def _rate_summary(table):
     """Median deviation per size, the log-log slope of the medians, and whether they fall."""
-    medians = {size: median for size, (_, median, _) in rate_spread(table).items()}
+    deviations = _deviations(table)
+    medians = {size: quartiles(deviations.get(size, []))[1] for size in table.extra["sizes"]}
     values = list(medians.values())
     logs = np.log(values)
     summary = {
@@ -580,20 +580,19 @@ def _sensitivity_plots(table, plots_dir):
     counts = sorted({r.count for r in table.ok_rows() if r.count is not None})
     scored = [r for r in table.ok_rows() if r.accuracy is not None]
     accuracies = _groups(scored, lambda r: (r.method, r.count), lambda r: r.accuracy)
-    series, bands = {}, {}
-    for method in sorted({method for method, _ in accuracies}):
-        if counts and all((method, count) in accuracies for count in counts):
-            lows, medians, highs = zip(*(quartiles(accuracies[(method, c)]) for c in counts))
-            series[method], bands[method] = list(medians), (list(lows), list(highs))
-    if series:
+    samples = {
+        method: [accuracies[(method, count)] for count in counts]
+        for method in sorted({method for method, _ in accuracies})
+        if counts and all((method, count) in accuracies for count in counts)
+    }
+    if samples:
         plots.line_chart(
             os.path.join(plots_dir, "sensitivity.svg"),
             counts,
-            series,
+            samples,
             title="Target accuracy vs corrupted models added (median, IQR band)",
             x_label="corrupted models added",
             y_label="target accuracy",
-            bands=bands,
         )
 
 
@@ -611,18 +610,16 @@ def _correlation_plots(table, plots_dir):
 
 
 def _rate_plots(table, plots_dir):
-    spread = {size: q for size, q in rate_spread(table).items() if math.isfinite(q[1])}
-    if not spread:
+    deviations = dict(sorted(_deviations(table).items()))
+    if not deviations:
         return
-    lows, medians, highs = (list(column) for column in zip(*spread.values()))
     plots.line_chart(
         os.path.join(plots_dir, "rate.svg"),
-        list(spread),
-        {"iwa": medians},
+        list(deviations),
+        {"iwa": list(deviations.values())},
         title="Weight-vector deviation from oracle vs sample size",
         x_label="n = m",
         y_label="||c_tilde - c_star||",
-        bands={"iwa": (lows, highs)},
         log_x=True,
     )
 
@@ -882,18 +879,18 @@ def run_experiment(cfg):
     cfg.validate()
     context_of, classification = _contexts(cfg)
     methods = resolve_methods(cfg, classification)
-    extra = {"target_risk": _sinc_target_risk(cfg)} if cfg.dataset == "sinc" else None
+    extra = {"target_risk": _sinc_target_risk()} if cfg.dataset == "sinc" else None
     return _study(cfg, "run", context_of, lambda seed: [ResultRow(m, seed) for m in methods],
                   _SeedContext.evaluate, extra)
 
 
-def _sinc_target_risk(cfg):
+def _sinc_target_risk():
     """How a sinc run computes its risks: the quadrature rule of its target law."""
     return {
         "rule": "gauss-hermite",
         "nodes": SINC_RULE_NODES,
         "target_mean": SINC_TARGET_MEAN,
-        "target_std": sinc_sigmas(cfg.sinc_interpret_std)[1],
+        "target_std": SINC_TARGET_STD,
         "noise_var": SINC_NOISE_STD**2,
     }
 
@@ -1070,8 +1067,7 @@ def _rate_rule(cfg):
     sinc, the labels' conditional mean.
     """
     rng = np.random.default_rng(_RATE_RULE_STREAM)
-    rule_x = rng.normal(SINC_TARGET_MEAN, sinc_sigmas(cfg.sinc_interpret_std)[1],
-                        size=(cfg.oracle_draws, 1))
+    rule_x = rng.normal(SINC_TARGET_MEAN, SINC_TARGET_STD, size=(cfg.oracle_draws, 1))
     return rule_x, np.sinc(rule_x)
 
 
@@ -1116,7 +1112,7 @@ def _rate_oracle(cfg):
         "labels": "noise-free sinc",
         "stream": _RATE_RULE_STREAM,
         "target_mean": SINC_TARGET_MEAN,
-        "target_std": sinc_sigmas(cfg.sinc_interpret_std)[1],
+        "target_std": SINC_TARGET_STD,
     }
 
 

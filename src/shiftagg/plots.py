@@ -4,8 +4,8 @@ Each chart writes two files: the SVG itself and a companion CSV holding
 exactly the plotted data series, so every figure can be recomputed and
 checked. Output is deterministic byte-for-byte for fixed inputs. Data a
 chart cannot draw (a NaN or inf, values whose span overflows a float, an
-x of 0 or less on a log axis, a band that names no series) raises
-ValueError.
+x of 0 or less on a log axis, an empty sample) raises ValueError. The
+line chart and the box plot take raw samples and draw their quartiles.
 """
 
 import csv
@@ -147,32 +147,28 @@ def bar_chart(path, labels, values, *, title, y_label):
     return save(["label", "value"], [[str(l), v] for l, v in zip(labels, values)])
 
 
-def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, log_x=False):
-    """One line per series; optional (lo, hi) bands drawn as translucent fills.
+def line_chart(path, x_values, samples, *, title, x_label, y_label, log_x=False):
+    """One line per series through each x's sample median, over its quartile band.
 
-    ``series`` maps name -> y values aligned with ``x_values``; ``bands``
-    maps name -> (lo, hi) lists. Companion CSV columns: x, then
-    <name>[, <name>_lo, <name>_hi] per series.
+    ``samples`` maps name -> one non-empty sample per x value. Each x gets
+    the sample's median and its 25th-75th percentile band, as
+    ``metrics.quartiles`` gives them; the band is a translucent fill.
+    Companion CSV columns: x, then <name>, <name>_lo, <name>_hi per series.
     """
     x_values = [float(x) for x in x_values]
-    if not x_values or not series:
+    if not x_values or not samples:
         raise ValueError("need x values and at least one series")
     bad = [x for x in x_values if not math.isfinite(x) or (log_x and x <= 0)]
     if bad:
         raise ValueError(f"cannot plot the x value {bad[0]}" + (" on a log axis" if log_x else ""))
-    bands = bands or {}
-    stray = [name for name in bands if name not in series]
-    if stray:
-        raise ValueError(f"bands {stray!r} name no series")
     columns = [("x", x_values)]
-    for name, ys in series.items():
-        columns.append((name, ys))
-        if name in bands:
-            lo, hi = bands[name]
-            columns += [(f"{name}_lo", lo), (f"{name}_hi", hi)]
-    for name, values in columns:
-        if len(values) != len(x_values):
-            raise ValueError(f"series {name!r} length does not match x values")
+    for name, per_x in samples.items():
+        if len(per_x) != len(x_values) or not all(np.size(sample) for sample in per_x):
+            raise ValueError(f"series {name!r} length does not match x values or has no samples")
+        # an infinite value can make a quartile nan, which _chart refuses
+        with np.errstate(invalid="ignore"):
+            lo, median, hi = zip(*(quartiles(sample) for sample in per_x))
+        columns += [(name, median), (f"{name}_lo", lo), (f"{name}_hi", hi)]
     root, frame, save = _chart(
         path, title, (min(x_values), max(x_values)),
         [float(v) for _, values in columns[1:] for v in values], x_label, y_label, log_x,
@@ -180,14 +176,13 @@ def line_chart(path, x_values, series, *, title, x_label, y_label, bands=None, l
     for x in x_values:
         _x_label(root, frame.x(x), _fmt(x))
     legend_x = WIDTH - MARGIN_RIGHT
-    for idx, (name, ys) in enumerate(series.items()):
+    for idx, name in enumerate(samples):
         color = PALETTE[idx % len(PALETTE)]
-        if name in bands:
-            lo, hi = bands[name]
-            backward = _points(frame, x_values[::-1], list(hi)[::-1])
-            _add(root, "polygon", points=f"{_points(frame, x_values, lo)} {backward}",
-                 fill=color, fill_opacity=0.15, stroke="none")
-        _add(root, "polyline", points=_points(frame, x_values, ys), fill="none", stroke=color,
+        (_, median), (_, lo), (_, hi) = columns[1 + 3 * idx:4 + 3 * idx]
+        backward = _points(frame, x_values[::-1], hi[::-1])
+        _add(root, "polygon", points=f"{_points(frame, x_values, lo)} {backward}",
+             fill=color, fill_opacity=0.15, stroke="none")
+        _add(root, "polyline", points=_points(frame, x_values, median), fill="none", stroke=color,
              stroke_width=2)
         legend_y = MARGIN_TOP + 16 * idx
         _line(root, legend_x - 120, legend_y, legend_x - 96, legend_y, color, 2)

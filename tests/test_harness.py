@@ -41,7 +41,6 @@ from shiftagg.harness import (
     build_models,
     load_config_file,
     parse_config_value,
-    rate_spread,
     resolve_methods,
     run_correlation,
     run_experiment,
@@ -966,8 +965,8 @@ class TestRateCheck:
         assert set(medians) == {50, 120}
         assert all(v >= 0 for v in medians.values())
         assert isinstance(table.summary["slope"], float)
-        for size, (q25, median, q75) in rate_spread(table).items():
-            assert q25 <= median == medians[size] <= q75
+        for size, median in medians.items():
+            assert median == np.median([r.deviation for r in table.rows if r.size == size])
 
     def test_csv_layout(self, tmp_path):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import shiftagg
-from shiftagg import aggregation, datasets, density_ratio, harness, linalg, metrics, models
+from shiftagg import (aggregation, datasets, density_ratio, harness, linalg, metrics, models,
+                      plots)
 
 
 def _imported_public_names():
@@ -89,6 +90,9 @@ def test_cli_import_leaves_numpy_polynomial_out():
                  id="learned_ratio-bound"),
     pytest.param(lambda: datasets.moons_points(5, 0.1, np.random.default_rng(0)),
                  id="moons_points-noise"),
+    pytest.param(lambda: plots.line_chart("x.svg", [1], {"s": [1.0]}, title="t", x_label="x",
+                                          y_label="y", bands={"s": ([1.0], [1.0])}),
+                 id="line_chart-bands"),
 ])
 def test_retired_parameters_raise_type_error(call):
     # Fixed settings of the studies are module constants, not parameters.
@@ -116,7 +120,7 @@ def test_softmax_gradient_is_not_exported():
     (models, "SPLIT_NAMES"), (harness, "_scored_candidates"), (harness, "_batch_models"),
     (harness, "_with_corrupted"), (models, "softmax_probabilities"),
     (harness, "MOONS_EVAL_SIZE"), (harness, "ALL_METHODS"), (models, "Model"),
-    (shiftagg, "Model"),
+    (shiftagg, "Model"), (harness, "rate_spread"),
 ])
 def test_retired_entry_points_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -54,7 +54,7 @@ class TestLineChart:
         line_chart(
             path,
             [1, 2, 3],
-            {"p": [0.1, 0.2, 0.3], "q": [0.3, 0.2, 0.1]},
+            {"p": [[0.1], [0.2], [0.3]], "q": [[0.3], [0.2], [0.1]]},
             title="t",
             x_label="x",
             y_label="y",
@@ -68,8 +68,7 @@ class TestLineChart:
         line_chart(
             path,
             [1, 2],
-            {"p": [0.5, 0.6]},
-            bands={"p": ([0.4, 0.5], [0.6, 0.7])},
+            {"p": [[0.4, 0.5, 0.6], [0.5, 0.6, 0.7]]},
             title="t",
             x_label="x",
             y_label="y",
@@ -89,8 +88,7 @@ class TestLineChart:
         line_chart(
             path,
             xs,
-            {"dev": med},
-            bands={"dev": (lo, hi)},
+            {"dev": [[lo[i], lo[i], med[i], hi[i], hi[i]] for i in range(len(xs))]},
             title="t",
             x_label="n",
             y_label="d",
@@ -109,7 +107,7 @@ class TestLineChart:
             line_chart(
                 str(tmp_path / "x.svg"),
                 [1, 2, 3],
-                {"p": [1.0]},
+                {"p": [[1.0]]},
                 title="t",
                 x_label="x",
                 y_label="y",
@@ -118,6 +116,22 @@ class TestLineChart:
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             line_chart(str(tmp_path / "x.svg"), [], {}, title="t", x_label="x", y_label="y")
+
+    def test_companion_csv_holds_each_samples_quartiles(self, tmp_path):
+        path = str(tmp_path / "lines.svg")
+        samples = [[0.1, 0.4, 0.2, 0.9], [-1.0, 0.0, 1.0], [5.0]]
+        line_chart(path, [1, 2, 3], {"acc": samples}, title="t", x_label="x", y_label="y")
+        header, rows = read_csv(str(tmp_path / "lines.csv"))
+        assert header == ["x", "acc", "acc_lo", "acc_hi"]
+        for row, values in zip(rows, samples):
+            assert float(row[1]) == np.median(values)
+            assert float(row[2]) == np.percentile(values, 25)
+            assert float(row[3]) == np.percentile(values, 75)
+
+    def test_empty_sample_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no samples"):
+            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [[1.0], []]},
+                       title="t", x_label="x", y_label="y")
 
 
 class TestBoxPlot:
@@ -160,7 +174,7 @@ def test_all_charts_start_with_xml_declaration(tmp_path):
     bar = str(tmp_path / "bar.svg")
     bar_chart(bar, ["a"], [1.0], title="t", y_label="y")
     line = str(tmp_path / "line.svg")
-    line_chart(line, [1, 2], {"s": [1.0, 2.0]}, title="t", x_label="x", y_label="y")
+    line_chart(line, [1, 2], {"s": [[1.0], [2.0]]}, title="t", x_label="x", y_label="y")
     box = str(tmp_path / "box.svg")
     box_plot(box, ["a"], [[1.0, 2.0]], title="t", y_label="y")
     for path in (bar, line, box):
@@ -185,15 +199,17 @@ def test_chart_bytes_pinned(tmp_path):
         str(tmp_path / "bar.svg"), ["iwa", "sor", "tmv"], [0.75, -0.25, 1.5],
         title="Bars", y_label="risk",
     )
+    # each x's sample [lo, lo, mid, hi, hi] has exactly lo, mid and hi as its quartiles
+    bands = {"iwa": ([0.25, 0.12, 0.06], [0.3, 0.15, 0.08], [0.36, 0.19, 0.1]),
+             "sor": ([0.38, 0.3, 0.27], [0.4, 0.35, 0.3], [0.45, 0.4, 0.33])}
     line_chart(
         str(tmp_path / "line.svg"),
         [250, 1000, 4000],
-        {"iwa": [0.3, 0.15, 0.08], "sor": [0.4, 0.35, 0.3]},
+        {name: [[lo, lo, mid, hi, hi] for lo, mid, hi in zip(*band)]
+         for name, band in bands.items()},
         title="Lines",
         x_label="n = m",
         y_label="deviation",
-        bands={"iwa": ([0.25, 0.12, 0.06], [0.36, 0.19, 0.1]),
-               "sor": ([0.38, 0.3, 0.27], [0.45, 0.4, 0.33])},
         log_x=True,
     )
     box_plot(
@@ -222,38 +238,12 @@ def _coordinates(root):
 @pytest.mark.parametrize("value", [1e17, -1e17, 1e300])
 def test_constant_samples_of_large_magnitude_stay_on_the_canvas(tmp_path, value):
     bar_chart(str(tmp_path / "bar.svg"), ["a"], [value], title="t", y_label="y")
-    line_chart(str(tmp_path / "line.svg"), [1, 2], {"s": [value, value]},
+    line_chart(str(tmp_path / "line.svg"), [1, 2], {"s": [[value], [value]]},
                title="t", x_label="x", y_label="y")
     box_plot(str(tmp_path / "box.svg"), ["a"], [[value, value]], title="t", y_label="y")
     for name in ("bar.svg", "line.svg", "box.svg"):
         coords = _coordinates(ET.parse(tmp_path / name).getroot())
         assert coords and all(0 <= v <= 640 for v in coords), name
-
-
-# sha256 of a band-less, linear-axis line chart and its companion CSV, taken
-# before the element writer was shared: test_chart_bytes_pinned draws only a
-# banded, log-x line chart.
-PLAIN_LINE_DIGESTS = {
-    "plain.svg": "15901a1d9ea666a8b60bb5f6a86065b4a384e59506608f9481aab4c6f3fbbe06",
-    "plain.csv": "7226cdc92f7b092486796bc4efb26d7f220c789c0d77107aa219d5178849f644",
-}
-
-
-def test_plain_line_chart_bytes_pinned(tmp_path):
-    line_chart(
-        str(tmp_path / "plain.svg"),
-        [0.5, 2, 3.25, 7],
-        {"iwa": [0.3, -0.15, 1 / 3, 0.08], "dev": [0.4, 0.35, 0.3, 2.5],
-         "oracle": [0.1, 0.1, 0.1, 0.1]},
-        title="Plain lines",
-        x_label="x",
-        y_label="risk",
-    )
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in PLAIN_LINE_DIGESTS
-    }
-    assert digests == PLAIN_LINE_DIGESTS
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -264,17 +254,18 @@ class TestNonFiniteDataRejected:
 
     def test_line_y_value(self, tmp_path, bad):
         with pytest.raises(ValueError, match="non-finite y value"):
-            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, bad]},
+            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [[1.0], [bad]]},
                        title="t", x_label="x", y_label="y")
 
     def test_line_band_value(self, tmp_path, bad):
+        # an infinite value leaves the median 2.0 finite but not the band
         with pytest.raises(ValueError, match="non-finite y value"):
-            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, 2.0]},
-                       bands={"s": ([0.5, bad], [1.5, 2.5])}, title="t", x_label="x", y_label="y")
+            line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [[1.0], [2.0, 2.0, 2.0, bad]]},
+                       title="t", x_label="x", y_label="y")
 
     def test_line_x_value(self, tmp_path, bad):
         with pytest.raises(ValueError, match="x value"):
-            line_chart(str(tmp_path / "x.svg"), [1.0, bad], {"s": [1.0, 2.0]},
+            line_chart(str(tmp_path / "x.svg"), [1.0, bad], {"s": [[1.0], [2.0]]},
                        title="t", x_label="x", y_label="y")
 
     def test_box_sample(self, tmp_path, bad):
@@ -291,9 +282,9 @@ def test_rejected_chart_writes_no_file(tmp_path):
 @pytest.mark.parametrize("draw", [
     lambda path: bar_chart(path, ["a", "b"], [1e308, -1e308], title="t", y_label="y"),
     lambda path: box_plot(path, ["a"], [[1e308, -1e308]], title="t", y_label="y"),
-    lambda path: line_chart(path, [1e308, -1e308], {"s": [1.0, 2.0]},
+    lambda path: line_chart(path, [1e308, -1e308], {"s": [[1.0], [2.0]]},
                             title="t", x_label="x", y_label="y"),
-    lambda path: line_chart(path, [1, 2], {"s": [1e308, -1e308]},
+    lambda path: line_chart(path, [1, 2], {"s": [[1e308], [-1e308]]},
                             title="t", x_label="x", y_label="y"),
 ], ids=["bar", "box", "line_x", "line_y"])
 def test_span_that_overflows_a_float_is_rejected(tmp_path, draw):
@@ -302,14 +293,8 @@ def test_span_that_overflows_a_float_is_rejected(tmp_path, draw):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_band_naming_no_series_rejected(tmp_path):
-    with pytest.raises(ValueError, match="'zz'"):
-        line_chart(str(tmp_path / "x.svg"), [1, 2], {"s": [1.0, 2.0]},
-                   bands={"zz": ([0.5, 1.5], [1.5, 2.5])}, title="t", x_label="x", y_label="y")
-
-
 @pytest.mark.parametrize("x", [0.0, -1.0])
 def test_log_axis_rejects_x_at_or_below_zero(tmp_path, x):
     with pytest.raises(ValueError, match="log axis"):
-        line_chart(str(tmp_path / "x.svg"), [x, 10.0], {"s": [1.0, 2.0]},
+        line_chart(str(tmp_path / "x.svg"), [x, 10.0], {"s": [[1.0], [2.0]]},
                    title="t", x_label="x", y_label="y", log_x=True)
