@@ -59,44 +59,54 @@ def test_cli_import_leaves_numpy_polynomial_out():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: datasets.make_sinc_shift(5, 5, noise_std=0.1), id="sinc-noise_std"),
-    *[pytest.param(lambda key=key: datasets.make_sinc_shift(5, 5, **{key: 4}), id=f"sinc-{key}")
+def _keyword(call, owner, name):
+    """A call that passes the retired keyword ``name``."""
+    return pytest.param(call, f"unexpected keyword argument '{name}'", id=f"{owner}-{name}")
+
+
+def _positional(call, case):
+    """A call that passes a retired parameter by position."""
+    return pytest.param(call, "positional argument", id=case)
+
+
+@pytest.mark.parametrize("call, message", [
+    _keyword(lambda: datasets.make_sinc_shift(5, 5, noise_std=0.1), "sinc", "noise_std"),
+    *[_keyword(lambda key=key: datasets.make_sinc_shift(5, 5, **{key: 4}), "sinc", key)
       for key in ("eval_size", "eval_nodes")],
-    pytest.param(lambda: datasets.make_sinc_shift(5, 5, 1, 0), id="sinc-positional-eval_size"),
-    pytest.param(lambda: datasets.make_transformed_moons(5, 5, noise=0.1), id="moons-noise"),
-    pytest.param(lambda: datasets.make_transformed_moons(5, 5, eval_size=4), id="moons-eval_size"),
-    pytest.param(lambda: datasets.make_transformed_moons(5, 5, 4, 0),
-                 id="moons-positional-eval_size"),
-    pytest.param(lambda: datasets.make_transformed_moons(5, 5, translation=(0.0, 0.0)),
-                 id="moons-translation"),
-    pytest.param(lambda: datasets.moons_transform(np.zeros((1, 2)), translation=(0.0, 0.0)),
-                 id="moons_transform-translation"),
-    pytest.param(lambda: datasets.sinc_ratio(bound=10.0), id="sinc_ratio-bound"),
-    pytest.param(lambda: datasets.load_csv_instance("s.csv", "t.csv", "e.csv", seed=0),
-                 id="load_csv_instance-seed"),
-    pytest.param(lambda: datasets.DomainAdaptationInstance(*[np.zeros((1, 1))] * 5, seed=0),
-                 id="instance-seed"),
-    *[pytest.param(lambda key=key: density_ratio.fit_domain_classifier(
-        np.zeros((2, 1)), np.ones((2, 1)), **{key: 1.0}), id=f"domain-{key}")
+    _positional(lambda: datasets.make_sinc_shift(5, 5, 1, 0), "sinc-positional-eval_size"),
+    _keyword(lambda: datasets.make_transformed_moons(5, 5, noise=0.1), "moons", "noise"),
+    _keyword(lambda: datasets.make_transformed_moons(5, 5, eval_size=4), "moons", "eval_size"),
+    _positional(lambda: datasets.make_transformed_moons(5, 5, 4, 0),
+                "moons-positional-eval_size"),
+    _keyword(lambda: datasets.make_transformed_moons(5, 5, translation=(0.0, 0.0)),
+             "moons", "translation"),
+    _keyword(lambda: datasets.moons_transform(np.zeros((1, 2)), translation=(0.0, 0.0)),
+             "moons_transform", "translation"),
+    _keyword(lambda: datasets.sinc_ratio(bound=10.0), "sinc_ratio", "bound"),
+    _keyword(lambda: datasets.load_csv_instance("s.csv", "t.csv", "e.csv", seed=0),
+             "load_csv_instance", "seed"),
+    _keyword(lambda: datasets.DomainAdaptationInstance(*[np.zeros((1, 1))] * 5, seed=0),
+             "instance", "seed"),
+    *[_keyword(lambda key=key: density_ratio.fit_domain_classifier(
+        np.zeros((2, 1)), np.ones((2, 1)), **{key: 1.0}), "domain", key)
       for key in ("epochs", "lr", "bound")],
-    pytest.param(lambda: models.fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 1]), 2,
-                                                       lr=0.5), id="softmax-lr"),
-    pytest.param(lambda: models.FeatureModel(np.square, models.LinearModel([[1.0]], [0.0]),
-                                             input_dim=1), id="feature-input_dim"),
-    pytest.param(lambda: density_ratio.GaussianRatio(0.0, 1.0, 1.0, 1.0, bound=10.0),
-                 id="gaussian_ratio-bound"),
-    pytest.param(lambda: density_ratio.LearnedRatio(np.zeros(1), 0.0, 1.0, bound=10.0),
-                 id="learned_ratio-bound"),
-    pytest.param(lambda: datasets.moons_points(5, 0.1, np.random.default_rng(0)),
-                 id="moons_points-noise"),
-    pytest.param(lambda: plots.line_chart("x.svg", [1], {"s": [1.0]}, title="t", x_label="x",
-                                          y_label="y", bands={"s": ([1.0], [1.0])}),
-                 id="line_chart-bands"),
+    _keyword(lambda: models.fit_softmax_classifier(np.zeros((2, 1)), np.array([0, 1]), 2,
+                                                   lr=0.5), "softmax", "lr"),
+    _keyword(lambda: models.FeatureModel(np.square, models.LinearModel([[1.0]], [0.0]),
+                                         input_dim=1), "feature", "input_dim"),
+    _keyword(lambda: density_ratio.GaussianRatio(0.0, 1.0, 1.0, 1.0, bound=10.0),
+             "gaussian_ratio", "bound"),
+    _keyword(lambda: density_ratio.LearnedRatio(np.zeros(1), 0.0, 1.0, bound=10.0),
+             "learned_ratio", "bound"),
+    _positional(lambda: datasets.moons_points(5, 0.1, np.random.default_rng(0)),
+                "moons_points-noise"),
+    _keyword(lambda: plots.line_chart("x.svg", [1], {"s": [1.0]}, title="t", x_label="x",
+                                      y_label="y", bands={"s": ([1.0], [1.0])}),
+             "line_chart", "bands"),
 ])
-def test_retired_parameters_raise_type_error(call):
+def test_retired_parameters_raise_type_error(call, message):
     # Fixed settings of the studies are module constants, not parameters.
-    with pytest.raises(TypeError, match="argument"):
+    with pytest.raises(TypeError, match=message):
         call()
 
 
