@@ -20,7 +20,7 @@ for neither), the change of the work median against the base median, and a
 verdict against the metric's `bound`:
 
 - bit-equal: every run of both sides reads the same value;
-- unresolved: the base runs' quartile distance exceeds bound x |base median|,
+- unresolved: either side's quartile distance exceeds bound x |base median|,
   unless every work run beats every base run;
 - beyond: the work median is worse than the base median by more than
   bound x |base median|;
@@ -72,13 +72,14 @@ def verdict(base, work, better, bound):
     if len(set(base + work)) == 1:
         return 0.0, "bit-equal"
     sign = 1 if better == "higher" else -1
-    base_stats, work_median = summary(base), statistics.median(work)
+    base_stats, work_stats = summary(base), summary(work)
     scale = bound * abs(base_stats["median"])
-    change = ((work_median - base_stats["median"]) / abs(base_stats["median"])
+    change = ((work_stats["median"] - base_stats["median"]) / abs(base_stats["median"])
               if base_stats["median"] else None)
-    if base_stats["iqr"] > scale and not all(sign * (w - b) > 0 for w in work for b in base):
+    spread = max(base_stats["iqr"], work_stats["iqr"])
+    if spread > scale and not all(sign * (w - b) > 0 for w in work for b in base):
         return change, "unresolved"
-    if sign * (base_stats["median"] - work_median) > scale:
+    if sign * (base_stats["median"] - work_stats["median"]) > scale:
         return change, "beyond"
     return change, "within"
 

@@ -45,6 +45,22 @@ def test_a_wide_base_is_resolved_when_every_work_run_beats_every_base_run():
     assert verdict(base, [-5, -4, -3, -2, -1], "lower", 0.25)[1] == "within"
 
 
+def test_a_work_spread_wider_than_the_bound_is_unresolved():
+    # Two metrics of the A/A file BENCH_943e135.json (moons-correlation, identical
+    # code on both sides): the base spreads within the bound and the work side does
+    # not, so a median 30% apart shows nothing about the code.
+    base = [60.960345136991485, 59.320522306803966, 55.37887724687058, 58.14231685825428,
+            45.2021237098974]
+    work = [38.06708092685302, 38.0037910295311, 56.088297945125305, 60.054810584304825,
+            40.66892592240396]
+    change, found = verdict(base, work, "higher", 0.25)
+    assert (round(change, 3), found) == (-0.301, "unresolved")
+    base = [0.1333237645, 0.140622977, 0.142909303, 0.139187839, 0.174184658]
+    work = [0.2090589845, 0.209027487, 0.142630595, 0.136340171, 0.188667083]
+    change, found = verdict(base, work, "lower", 0.25)
+    assert (round(change, 3), found) == (0.342, "unresolved")
+
+
 def test_a_zero_base_median_reports_no_relative_change():
     assert verdict([0.0] * 5, [1.0] * 5, "lower", 0.25) == (None, "beyond")
 
