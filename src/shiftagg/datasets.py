@@ -40,14 +40,6 @@ class DomainAdaptationInstance:
     eval_noise_var: float = 0.0
 
     @property
-    def n(self):
-        return self.source_x.shape[0]
-
-    @property
-    def m(self):
-        return self.target_x.shape[0]
-
-    @property
     def input_dim(self):
         return self.source_x.shape[1]
 
@@ -66,7 +58,7 @@ class DomainAdaptationInstance:
         }
         for name, mat in mats.items():
             sample_matrix(mat, name, fitting=True)
-        if self.source_y.shape[0] != self.n:
+        if self.source_y.shape[0] != self.source_x.shape[0]:
             raise DimensionError("source_x and source_y row counts differ")
         if self.target_eval_y.shape[0] != self.target_eval_x.shape[0]:
             raise DimensionError("target_eval_x and target_eval_y row counts differ")

@@ -705,17 +705,17 @@ def _selected(name, ctx):
     result = getattr(selection, name)(
         ctx.source_stack, inst.source_y, ctx.beta.weights(inst.source_x)
     )
-    weights = one_hot(result.chosen_index, len(ctx.models))
+    weights = one_hot(result.chosen_index, len(ctx.eval_stack))
     scores = [float(s) for s in result.scores]
     return weights, {"chosen_index": result.chosen_index, "scores": scores}
 
 
 def _target_best(ctx):
     if ctx.classification:
-        best = int(np.argmax(ctx.model_accuracies()))
+        best = int(np.argmax(ctx.model_accuracies))
     else:
         best = int(np.argmin([ctx.risk(preds) for preds in ctx.eval_stack]))
-    return one_hot(best, len(ctx.models)), {}
+    return one_hot(best, len(ctx.eval_stack)), {}
 
 
 METHODS = {
@@ -727,7 +727,7 @@ METHODS = {
     "iwv": partial(_selected, "iwv_select"),
     "dev": partial(_selected, "dev_select"),
     "oracle": lambda ctx: _solved(ctx.oracle),
-    "source_only": lambda ctx: (one_hot(0, len(ctx.models)), {}),
+    "source_only": lambda ctx: (one_hot(0, len(ctx.eval_stack)), {}),
     "target_best": _target_best,
 }
 
@@ -737,9 +737,9 @@ class _SeedContext:
 
     ``stacks`` holds the (source, target, eval) prediction stacks of
     ``models``, and ``accuracies`` each model's eval accuracy when the caller
-    has scored them already. The oracle is solved on first use. Risks follow
-    the eval split: a sample's mean squared error, or on a quadrature rule
-    the exact target risk, noise variance included.
+    has scored them already. The accuracies and the oracle are computed on
+    first use. Risks follow the eval split: a sample's mean squared error,
+    or on a quadrature rule the exact target risk, noise variance included.
     """
 
     def __init__(self, cfg, instance, models, beta, stacks, accuracies=None):
@@ -751,7 +751,9 @@ class _SeedContext:
         self.source_stack, self.target_stack, self.eval_stack = stacks
         self.eval_y = np.asarray(instance.target_eval_y, dtype=float)
         self.eval_labels = self.eval_y.argmax(axis=1) if self.classification else None
-        self.accuracies = accuracies
+        if accuracies is not None:
+            # Where the cached property keeps its value, so it is never recomputed.
+            self.model_accuracies = accuracies
 
     @cached_property
     def oracle(self):
@@ -769,11 +771,10 @@ class _SeedContext:
         inst = self.instance
         return metrics.risk(preds, self.eval_y, inst.target_eval_weights) + inst.eval_noise_var
 
+    @cached_property
     def model_accuracies(self):
         """Each model's accuracy on the evaluation labels."""
-        if self.accuracies is None:
-            return metrics.accuracies(self.eval_stack, self.eval_labels)
-        return self.accuracies
+        return metrics.accuracies(self.eval_stack, self.eval_labels)
 
     def evaluate(self, blank):
         """``blank``, one method's unfilled row, filled in with that method's result here."""
@@ -947,7 +948,7 @@ def _draw_corrupted(ctx, seed, total):
             yield from zip(picks, batch, preds, metrics.accuracies(preds, ctx.eval_labels))
 
     accuracies = np.empty(base + total)
-    accuracies[:base] = ctx.model_accuracies()
+    accuracies[:base] = ctx.model_accuracies
     threshold = 0.8 * float(accuracies[0])
     stream = candidates()
     drawn, picks = [], []
@@ -1042,17 +1043,12 @@ def run_correlation(cfg):
         key = "model_csvs" if cfg.model_csvs else "l"
         raise ConfigError(f"{key}: correlation needs at least two models, got {models}")
 
-    def prepare(seed):
-        ctx = context_of(seed)
-        return ctx, ctx.model_accuracies()
-
-    def fill(prepared, blank):
-        ctx, accuracies = prepared
+    def fill(ctx, blank):
         weights, _ = METHODS[blank.method](ctx)
-        pearson_r, degenerate = pearson_with_flag(weights, accuracies)
+        pearson_r, degenerate = pearson_with_flag(weights, ctx.model_accuracies)
         return replace(blank, pearson_r=pearson_r, degenerate=degenerate)
 
-    return _study(cfg, "correlation", prepare,
+    return _study(cfg, "correlation", context_of,
                   lambda seed: [CorrelationRow(m, seed) for m in methods], fill)
 
 

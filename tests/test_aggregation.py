@@ -24,6 +24,7 @@ from shiftagg.errors import (
     DimensionError,
     NumericalError,
 )
+from shiftagg.harness import ExperimentConfig, build_instance, build_models
 from shiftagg.linalg import TruncatedInverse
 from shiftagg.models import LinearModel, stack_predictions
 
@@ -375,6 +376,25 @@ class TestWeightedOracle:
         ys = rng.normal(size=(25, 2))
         weighted = oracle_weights(stack, ys, weights=np.full(25, 1 / 25)).weights
         assert np.allclose(weighted, oracle_weights(stack, ys).weights, rtol=1e-10, atol=1e-12)
+
+    def test_default_rcond_reaches_the_weighted_least_squares_minimum(self):
+        # The sinc study's l = 5 ladder on its 80-node target rule: the oracle,
+        # at its default rcond, attains the minimum risk that lstsq finds on
+        # the sqrt(w)-scaled rows. A regularising rcond (1e-3) lands near 47x it.
+        cfg = ExperimentConfig(dataset="sinc", n=2000, m=2000, l=5, seeds=(0,))
+        inst = build_instance(cfg, 0)
+        stack = stack_predictions(build_models(cfg, inst), inst.target_eval_x)
+        root = np.sqrt(inst.target_eval_weights)
+        design = root[:, None] * stack[:, :, 0].T
+        labels = root * inst.target_eval_y[:, 0]
+
+        def risk(weights):
+            return float(np.sum((design @ weights - labels) ** 2))
+
+        minimum = risk(np.linalg.lstsq(design, labels, rcond=None)[0])
+        weights = oracle_weights(stack, inst.target_eval_y,
+                                 weights=inst.target_eval_weights).weights
+        assert abs(risk(weights) - minimum) <= 1e-10 * minimum
 
     def test_row_weights_checked(self):
         with pytest.raises(DimensionError, match="row weights"):

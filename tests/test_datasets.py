@@ -82,7 +82,7 @@ class TestSincShift:
 
     def test_shapes_and_properties(self):
         inst = make_sinc_shift(12, 8, seed=0)
-        assert (inst.n, inst.m) == (12, 8)
+        assert (inst.source_x.shape[0], inst.target_x.shape[0]) == (12, 8)
         assert inst.input_dim == 1
         assert inst.label_dim == 1
         assert inst.target_eval_y.shape == (SINC_RULE_NODES, 1)
@@ -470,7 +470,7 @@ class TestCsvRoundTrip:
         inst = make_sinc_shift(2, 2, seed=1)
         write_instance(inst, *paths)
         loaded = load_csv_instance(*paths)
-        assert loaded.n == 2 and loaded.m == 2
+        assert loaded.source_x.shape[0] == 2 and loaded.target_x.shape[0] == 2
 
 
 def _load_as_source_split(path):

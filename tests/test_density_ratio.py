@@ -151,6 +151,12 @@ class TestLearnedRatio:
         expected = PROB_CLAMP / (1.0 - PROB_CLAMP)
         assert beta.weights(np.array([[0.0]]))[0] == pytest.approx(expected, rel=1e-9)
 
+    def test_probability_floor_is_one_in_a_million(self):
+        # The smallest weight a source row far from the target can get: the
+        # prior ratio times the odds of the clamped probability 1e-6.
+        beta = LearnedRatio(np.array([1.0]), -100.0, prior_ratio=2.0)
+        assert beta.weights(np.array([[0.0]]))[0] == 2e-6 / (1 - 1e-6)
+
     def test_probabilities_are_clamped(self, monkeypatch):
         # A bound far above the clamped odds leaves them visible in the weights.
         monkeypatch.setattr(density_ratio, "DEFAULT_BOUND", 1e12)

@@ -930,7 +930,7 @@ class TestCorrelation:
 
     def test_non_finite_accuracy_gives_error_rows(self, monkeypatch):
         monkeypatch.setattr(_SeedContext, "model_accuracies",
-                            lambda ctx: np.full(len(ctx.models), np.nan))
+                            property(lambda ctx: np.full(len(ctx.models), np.nan)))
         table = run_correlation(ExperimentConfig(**MOONS_SMALL, methods=("iwa", "sor")))
         assert [row.error for row in table.rows] == [
             "NumericalError: correlation inputs contain NaN or inf"] * 2
