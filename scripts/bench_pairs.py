@@ -26,6 +26,11 @@ verdict against the metric's `bound`:
   bound x |base median|;
 - within: every other case.
 
+It also gets `claim_met`, whether the runs show a gain in the metric: the
+working tree wins at least nine tenths of the pairs, and its median beats the
+base median, in the metric's `better` direction, by more than the base side's
+quartile distance.
+
 Each workload's "host" entry holds, per side and run, the one-minute load
 average (/proc/loadavg) before and after the run and the seconds the
 hypervisor stole from the whole host during it (the steal ticks of the `cpu`
@@ -84,6 +89,24 @@ def verdict(base, work, better, bound):
     return change, "within"
 
 
+def pairs_won(base, work, better):
+    """The pairs, in run order, whose work run beats its base run; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (w - b) > 0 for b, w in zip(base, work))
+
+
+def claim_met(base, work, better):
+    """Whether the work runs show a gain over the base runs they are paired with.
+
+    The work side wins at least nine tenths of the pairs, and its median
+    beats the base median by more than the base side's quartile distance.
+    """
+    sign = 1 if better == "higher" else -1
+    base_stats = summary(base)
+    return (10 * pairs_won(base, work, better) >= 9 * len(base)
+            and sign * (statistics.median(work) - base_stats["median"]) > base_stats["iqr"])
+
+
 def workload_entry(runs, metrics, ticks_per_s):
     """The BENCH entry of one workload.
 
@@ -96,14 +119,13 @@ def workload_entry(runs, metrics, ticks_per_s):
     for metric, (better, bound) in metrics.items():
         values = {side: [run["result"]["metrics"][metric]["value"] for run in runs[side]]
                   for side in SIDES}
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (w - b) > 0 for b, w in zip(values["base"], values["work"]))
         change, found = verdict(values["base"], values["work"], better, bound)
         entry[metric] = {
             "unit": runs["work"][0]["result"]["metrics"][metric]["unit"],
             **{side: summary(v) for side, v in values.items()},
-            "work_better_pairs": wins,
+            "work_better_pairs": pairs_won(values["base"], values["work"], better),
             "bound": bound, "change": change, "verdict": found,
+            "claim_met": claim_met(values["base"], values["work"], better),
         }
     entry["host"] = {side: {
         "load_before": [run["before"][0] for run in runs[side]],
@@ -188,7 +210,7 @@ def bench(rev, pairs, workloads, tmp):
             change = "n/a" if cell["change"] is None else f"{cell['change']:+.1%}"
             print(f"{workload} {metric}: {cell['base']['median']:.4g} -> "
                   f"{cell['work']['median']:.4g} ({change}, bound {cell['bound']:.0%}) "
-                  f"{cell['verdict']}")
+                  f"{cell['verdict']}, claim {'met' if cell['claim_met'] else 'not met'}")
             beyond |= cell["verdict"] == "beyond"
     print(f"tier-1: {report['tier1_s']['base']} s -> {report['tier1_s']['work']} s")
     print(f"wrote {path}")

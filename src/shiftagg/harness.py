@@ -66,6 +66,9 @@ _PICK_STREAM = 0x9B1C5
 _RATE_STREAM = 0xA7E51
 # The rate check's oracle rule: one draw per run, whatever the seeds.
 _RATE_RULE_STREAM = 0x0AC1E
+# Draws labeled at once by the rate check's oracle rule: np.sinc holds three
+# temporaries of its input's length.
+_RATE_LABEL_CHUNK = 16_384
 
 # Redraw budget per corrupted-model slot in the sensitivity study.
 MAX_CORRUPTION_REDRAWS = 25
@@ -1060,11 +1063,17 @@ def _rate_rule(cfg):
 
     The inputs come from their own stream, ``_RATE_RULE_STREAM``, so every
     seed of a run, and every run, shares them; the labels are the noise-free
-    sinc, the labels' conditional mean.
+    sinc, the labels' conditional mean, written in chunks of
+    ``_RATE_LABEL_CHUNK`` draws (sinc is elementwise, so the bits are those
+    of one call over all the draws).
     """
     rng = np.random.default_rng(_RATE_RULE_STREAM)
     rule_x = rng.normal(SINC_TARGET_MEAN, SINC_TARGET_STD, size=(cfg.oracle_draws, 1))
-    return rule_x, np.sinc(rule_x)
+    rule_y = np.empty_like(rule_x)
+    for start in range(0, cfg.oracle_draws, _RATE_LABEL_CHUNK):
+        chunk = slice(start, start + _RATE_LABEL_CHUNK)
+        rule_y[chunk] = np.sinc(rule_x[chunk])
+    return rule_x, rule_y
 
 
 def _rate_gauss_rule(rule_x, rule_y, count):
@@ -1078,17 +1087,32 @@ def _rate_gauss_rule(rule_x, rule_y, count):
     and mean(f * y) over the draws exactly, so a least squares of a ladder
     of such models on it equals the one on all the draws. Needs count <= the
     number of draws; with count equal to it the rule is the draws.
+
+    The recurrence works in place: besides the draws it holds p_k, p_{k-1}
+    and one work array, each mean reading the full work array, so every
+    value has the bits of the expression form
+    ``q = (x - alpha_k) * p_k - off_k * p_{k-1}``, ``p_{k+1} = q / off_{k+1}``.
     """
     x, y = rule_x[:, 0], rule_y[:, 0]
     alpha, coef, off = np.empty(count), np.empty(count), np.zeros(count)
-    prev, p = np.zeros_like(x), np.ones_like(x)
+    prev, p, work = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     for k in range(count):
-        alpha[k] = np.mean(x * p * p)
-        coef[k] = np.mean(p * y)
+        np.multiply(x, p, out=work)
+        work *= p
+        alpha[k] = np.mean(work)
+        np.multiply(p, y, out=work)
+        coef[k] = np.mean(work)
         if k + 1 < count:
-            q = (x - alpha[k]) * p - off[k] * prev
-            off[k + 1] = math.sqrt(np.mean(q * q))
-            prev, p = p, q / off[k + 1]
+            # q in work; prev is not read again, so it is scaled in place and
+            # then holds q * q and q / off[k + 1] before it becomes p.
+            np.subtract(x, alpha[k], out=work)
+            work *= p
+            prev *= off[k]
+            work -= prev
+            np.multiply(work, work, out=prev)
+            off[k + 1] = math.sqrt(np.mean(prev))
+            np.divide(work, off[k + 1], out=prev)
+            prev, p = p, prev
     jacobi = np.diag(alpha) + np.diag(off[1:], 1) + np.diag(off[1:], -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     return nodes[:, None], (coef @ vectors / vectors[0])[:, None], vectors[0] ** 2

@@ -102,7 +102,12 @@ def pearson_with_flag(a, b):
     """Pearson correlation plus a degeneracy flag.
 
     A constant input vector makes the correlation undefined; it is reported
-    as 0.0 with the flag set. A NaN or inf input raises NumericalError.
+    as 0.0 with the flag set. A NaN or inf input raises NumericalError. Each
+    vector is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1): r does not depend on it, the scaling is exact
+    for every element within the normal range of that largest one, and no
+    sum overflows or underflows to zero at any input scale, so only a
+    constant vector is degenerate.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,10 +119,9 @@ def pearson_with_flag(a, b):
         raise NumericalError("correlation inputs contain NaN or inf")
     if a.max() == a.min() or b.max() == b.min():
         return 0.0, True
+    a, b = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (a, b))
     ca = a - a.mean()
     cb = b - b.mean()
     denom = math.sqrt(float((ca**2).sum()) * float((cb**2).sum()))
-    if denom == 0.0:
-        return 0.0, True
     r = float((ca * cb).sum()) / denom
     return max(-1.0, min(1.0, r)), False

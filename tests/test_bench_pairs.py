@@ -76,6 +76,38 @@ def test_each_metric_is_read_with_its_direction_and_bound():
                      "iwa_error": "beyond"}
 
 
+def test_a_claim_is_met_when_every_pair_is_won_past_the_base_spread():
+    base = [44.0, 44.1, 43.9, 44.05, 43.95, 44.0, 44.1, 43.9, 44.02, 43.98]
+    work = [42.1, 42.0, 42.05, 42.1, 42.08, 42.03, 42.1, 42.0, 42.06, 42.04]
+    assert bench_pairs.claim_met(base, work, "lower")
+
+
+def test_a_claim_is_not_met_on_eight_wins_in_ten():
+    base = [100.0] * 10
+    work = [110.0] * 8 + [100.0, 90.0]  # a tie counts for neither side
+    assert bench_pairs.pairs_won(base, work, "higher") == 8
+    assert not bench_pairs.claim_met(base, work, "higher")
+    assert bench_pairs.claim_met(base, [110.0] * 9 + [90.0], "higher")
+
+
+def test_a_claim_is_not_met_by_a_change_within_the_base_spread():
+    # Every pair is won, but the base quartiles lie 10 apart against a change of 5.
+    base = [90.0, 95.0, 100.0, 105.0, 110.0] * 2
+    work = [b + 5.0 for b in base]
+    assert bench_pairs.pairs_won(base, work, "higher") == 10
+    assert not bench_pairs.claim_met(base, work, "higher")
+    assert bench_pairs.claim_met(base, [b + 20.0 for b in base], "higher")
+
+
+def test_a_claim_is_read_in_the_metric_direction():
+    base = [10.0] * 10
+    assert bench_pairs.claim_met(base, [8.0] * 10, "lower")
+    assert not bench_pairs.claim_met(base, [8.0] * 10, "higher")
+    assert bench_pairs.claim_met(base, [12.0] * 10, "higher")
+    assert not bench_pairs.claim_met(base, [12.0] * 10, "lower")
+    assert not bench_pairs.claim_met(base, list(base), "lower")
+
+
 def _run(correct, values, before, after):
     """One hand-made run: its perfbench result and its (load, steal ticks) readings."""
     units = {"seeds_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB", "iwa_error": "unitless"}
@@ -121,12 +153,17 @@ def test_the_bench_entry_of_one_workload():
     assert rss["change"] == pytest.approx(-0.05)
     assert rss["base"] == {"median": 50.0, "iqr": 30.0, "min": 40.0, "max": 60.0,
                            "runs": [40.0, 60.0]}
+    # Two pairs: even one lost pair, or a tie, leaves a claim unmet.
+    assert not any(entry[m]["claim_met"] for m in metrics)
     for metric in metrics:
         assert set(entry[metric]) == {"unit", "base", "work", "work_better_pairs", "bound",
-                                      "change", "verdict"}
-    # The layout of the files the earlier scripts wrote.
+                                      "change", "verdict", "claim_met"}
+    # The layout of the files the earlier scripts wrote, plus each metric's claim.
     with open(os.path.join(ROOT, "BENCH_b913ac6.json")) as handle:
-        assert _keys(entry) == _keys(json.load(handle)["workloads"]["sinc-run"])
+        layout = _keys(json.load(handle)["workloads"]["sinc-run"])
+    for metric in metrics:
+        layout[metric]["claim_met"] = None
+    assert _keys(entry) == layout
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 import types
 
 import numpy as np
@@ -954,6 +955,23 @@ class TestCorrelation:
         assert "tmv" not in WEIGHT_METHODS
 
 
+def _expression_form_gauss_rule(rule_x, rule_y, count):
+    """harness._rate_gauss_rule with a fresh array for every product: the bits it keeps."""
+    x, y = rule_x[:, 0], rule_y[:, 0]
+    alpha, coef, off = np.empty(count), np.empty(count), np.zeros(count)
+    prev, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(count):
+        alpha[k] = np.mean(x * p * p)
+        coef[k] = np.mean(p * y)
+        if k + 1 < count:
+            q = (x - alpha[k]) * p - off[k] * prev
+            off[k + 1] = math.sqrt(np.mean(q * q))
+            prev, p = p, q / off[k + 1]
+    jacobi = np.diag(alpha) + np.diag(off[1:], 1) + np.diag(off[1:], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes[:, None], (coef @ vectors / vectors[0])[:, None], vectors[0] ** 2
+
+
 class TestRateCheck:
     def test_row_structure(self):
         cfg = ExperimentConfig(dataset="sinc", n=80, l=2, seeds=(0,))
@@ -1017,6 +1035,8 @@ class TestRateCheck:
                                oracle_draws=draws)
         rule_x, rule_y = harness._rate_rule(cfg)
         nodes, labels, weights = harness._rate_gauss_rule(rule_x, rule_y, harness._rate_nodes(cfg))
+        reference = _expression_form_gauss_rule(rule_x, rule_y, harness._rate_nodes(cfg))
+        assert all(np.array_equal(a, b) for a, b in zip((nodes, labels, weights), reference))
         assert nodes.shape == labels.shape == (min(l, draws), 1)
         assert abs(weights.sum() - 1.0) <= 1e-14
         for seed in range(3):
@@ -1028,6 +1048,18 @@ class TestRateCheck:
                                               weights)
             scale = np.max(np.abs(full.weights))
             assert np.max(np.abs(fast.weights - full.weights)) <= 1e-12 * scale
+
+    def test_gauss_rule_build_holds_five_draw_length_arrays(self):
+        # x, y, p_k, p_{k-1} and one work array: 40 bytes per draw.
+        draws = 1_000_000
+        cfg = ExperimentConfig(dataset="sinc", oracle_draws=draws)
+        tracemalloc.start()
+        try:
+            harness._rate_gauss_rule(*harness._rate_rule(cfg), harness._rate_nodes(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * draws
 
     @pytest.mark.parametrize("l, draws", [(2, 1500), (5, 3)])
     def test_each_seed_solves_on_the_gauss_rule_only(self, monkeypatch, l, draws):

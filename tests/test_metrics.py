@@ -222,9 +222,19 @@ class TestPearson:
         assert (r, degenerate) == (0.0, True)
         r, degenerate = pearson_with_flag([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
         assert (r, degenerate) == (0.0, True)
-        # Not constant, but its centred sum of squares underflows to zero.
-        r, degenerate = pearson_with_flag([1e-200, 2e-200, 3e-200], [1.0, 2.0, 4.0])
-        assert (r, degenerate) == (0.0, True)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e160, 8.5e307])
+    def test_far_from_unit_scale(self, scale):
+        # (a - mean)**2 used to underflow to a degenerate 0.0 or overflow to
+        # -0.0, 1.0 or a RuntimeWarning; the true r is -0.5.
+        r, degenerate = pearson_with_flag(np.array([0.0, 1.0, 2.0]) * scale, [3.0, 1.0, 2.0])
+        assert (r, degenerate) == (-0.5, False)
+
+    @pytest.mark.parametrize("exponent", [-1000, -560, 530, 1000])
+    def test_a_power_of_two_scale_keeps_every_bit(self, exponent):
+        a = np.array([0.3, -1.7, 2.9, 0.05])
+        b = np.array([1.0, 0.2, 0.7, 0.4])
+        assert pearson_with_flag(np.ldexp(a, exponent), b) == pearson_with_flag(a, b)
 
     def test_informative_inputs_not_flagged(self):
         _, degenerate = pearson_with_flag([0.0, 1.0], [1.0, 0.0])
